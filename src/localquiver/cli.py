@@ -172,23 +172,42 @@ def run_command(session: SessionFile, cmd: Command, options) -> dict:
     raise CommandError(f"unknown command {cmd.name!r}")
 
 
+INTERNAL_ERRORS = (AssertionError, RuntimeError, KeyError, RecursionError)
+
+
 def run(session: SessionFile, options=None) -> tuple[list[dict], int]:
-    """Run all commands; the exit code is 0 exactly when all succeed."""
+    """Run all commands, each in its own containment.
+
+    A command that fails reports its error in place of its result and the
+    other commands still run.  The exit code is 0 when all succeed, 1 when
+    some command was given bad input, and 3 when some command hit an
+    internal error (a failed self-check or other fault inside the package),
+    which the report marks with ``"error_kind": "internal"``.
+    """
     options = options or {}
     reports = []
-    failures = 0
+    code = 0
     for index, cmd in enumerate(session.commands):
         try:
             reports.append(run_command(session, cmd, options))
         except (CommandError, ValueError, ZeroDivisionError) as exc:
-            failures += 1
+            code = max(code, 1)
             reports.append({
                 "schema": 1,
                 "command": cmd.name,
                 "command_index": index,
                 "error": str(exc),
             })
-    return reports, (1 if failures else 0)
+        except INTERNAL_ERRORS as exc:
+            code = 3
+            reports.append({
+                "schema": 1,
+                "command": cmd.name,
+                "command_index": index,
+                "error": f"{type(exc).__name__}: {exc}",
+                "error_kind": "internal",
+            })
+    return reports, code
 
 
 def _render_text(reports: list[dict]) -> str:

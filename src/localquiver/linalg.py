@@ -140,15 +140,6 @@ def nullspace(mat, field: Field) -> list[list[FieldElem]]:
     return basis
 
 
-def nullity(mat, field: Field) -> int:
-    rows, cols = mat_shape(mat)
-    if cols == 0:
-        return 0
-    if rows == 0:
-        return cols
-    return cols - rank(mat)
-
-
 def solve(mat, rhs, field: Field):
     """One exact solution of mat x = rhs, or (None, certificate).
 

@@ -100,13 +100,6 @@ def word_key(quiver: Quiver, word: PathWord):
     return tuple(quiver.arrow_rank(a) for a in word.arrows)
 
 
-def word_greater(quiver: Quiver, a: PathWord, b: PathWord) -> bool:
-    """True when a is larger in the shared order (shorter first, then lex)."""
-    if len(a) != len(b):
-        return len(a) < len(b)
-    return word_key(quiver, a) < word_key(quiver, b)
-
-
 class NCPoly:
     """A finitely supported map from path words to exact scalars."""
 

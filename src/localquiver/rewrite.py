@@ -14,42 +14,60 @@ relations of group algebras) are supported: such a rule matches at every
 junction of a word through its vertex.  Presentations containing them
 normally collapse to zero in every truncation, which is the honest answer
 for an arrow-ideal-adic completion of a group algebra.
+
+Reduction order.  ``RewriteSystem.reduce`` keeps the terms in a heap in the
+shared order and always rewrites the leading reducible term, at its leftmost
+reducible subword, with the lowest-indexed rule matching there; leads are
+looked up in a table keyed by their arrows (and by vertex for idempotent
+leads).  The other terms of a rule come later in the order than its lead, so
+each step only adds later words and a word popped as irreducible is final.
+
+Early stop.  Once some degree d >= 1 has no irreducible word, every longer
+word contains a reducible one.  The terms of a critical pair all have at
+least its degree, so every remaining pair (of degree above d) reduces to
+zero, and an untracked ``complete`` ends with the rule list it has.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 
 from .ncalg import NCPoly, PathWord, Presentation, word_key, word_vertex_at
 from .quiver import Quiver
 from .scalars import Field, FieldElem
 
 
-def _truncate(poly: NCPoly, bound: int) -> tuple[NCPoly, bool]:
-    """Drop words longer than the bound; report whether anything was lost."""
-    keep = {w: c for w, c in poly.terms.items() if len(w) <= bound}
-    if len(keep) == len(poly.terms):
-        return poly, False
-    out = NCPoly(poly.quiver, poly.field)
-    out.terms = keep
-    return out, True
-
-
 class Rule:
-    """A rewrite rule lead -> lead - poly for a monic poly with that lead."""
+    """A rewrite rule lead -> lead - poly for a monic poly with that lead.
 
-    __slots__ = ("lead", "poly", "rep")
+    ``tail`` lists the other terms as (arrows, word key, coefficient), the
+    data one reduction step splices into the reduced word.
+    """
+
+    __slots__ = ("lead", "poly", "rep", "tail")
 
     def __init__(self, poly: NCPoly, rep=None):
         self.poly = poly
         self.lead = poly.leading_word()
         self.rep = rep  # cofactor representation over base relations, or None
+        self.tail = [(w.arrows, word_key(poly.quiver, w), c)
+                     for w, c in poly.terms.items() if w != self.lead]
 
     def __repr__(self):
         lead_term = NCPoly(self.poly.quiver, self.poly.field,
                            {self.lead: self.poly.field.one()})
         return f"Rule({self.lead} -> {lead_term - self.poly})"
+
+
+def _common_field(a: Field, b: Field) -> Field:
+    """The field a sum of elements of a and b lives in (as in NCPoly)."""
+    if a == b or b.is_rational:
+        return a
+    if a.is_rational:
+        return b
+    raise ValueError("polynomials live over incompatible fields")
 
 
 def _scale_rep(rep, c: FieldElem):
@@ -115,36 +133,20 @@ class RewriteSystem:
     def field(self) -> Field:
         return self.presentation.field
 
-    def _find_match(self, word: PathWord, skip_lead: PathWord | None):
-        """Leftmost match among the rules: (rule, prefix, suffix) or None."""
-        best = None
+    def _lookup(self, skip_lead: PathWord | None):
+        """Lead index: arrow tuple -> (index, rule), vertex -> (index, rule),
+        and the sorted lengths of the arrow leads."""
+        by_arrows: dict[tuple[str, ...], tuple[int, Rule]] = {}
+        by_vertex: dict[str, tuple[int, Rule]] = {}
         for ri, rule in enumerate(self.rules):
             lead = rule.lead
-            if skip_lead is not None and lead == skip_lead:
+            if lead == skip_lead:
                 continue
-            L = len(lead.arrows)
-            if L == 0:
-                for pos in range(len(word.arrows) + 1):
-                    if word_vertex_at(self.quiver, word, pos) == lead.head:
-                        if best is None or (pos, ri) < best[:2]:
-                            best = (pos, ri, rule)
-                        break
+            if lead.arrows:
+                by_arrows.setdefault(lead.arrows, (ri, rule))
             else:
-                for pos in range(len(word.arrows) - L + 1):
-                    if word.arrows[pos:pos + L] == lead.arrows:
-                        if best is None or (pos, ri) < best[:2]:
-                            best = (pos, ri, rule)
-                        break
-        if best is None:
-            return None
-        pos, _, rule = best
-        L = len(rule.lead.arrows)
-        prefix = PathWord(word.arrows[:pos], word.head,
-                          word_vertex_at(self.quiver, word, pos))
-        suffix = PathWord(word.arrows[pos + L:],
-                          word_vertex_at(self.quiver, word, pos + L),
-                          word.tail)
-        return rule, prefix, suffix
+                by_vertex.setdefault(lead.head, (ri, rule))
+        return by_arrows, by_vertex, sorted({len(k) for k in by_arrows})
 
     def reduce(self, poly: NCPoly, rep=None, skip_lead: PathWord | None = None):
         """Full normal form (and, when tracking, the updated representation).
@@ -152,29 +154,89 @@ class RewriteSystem:
         Words above the degree bound are discarded.  ``skip_lead`` disables
         the rule with that leading word; the canonicalization pass uses it to
         tail-reduce a generator against the other generators only.
+
+        The terms wait in a heap in the shared order, leading word first.
+        Each pop either settles an irreducible word or rewrites its leftmost
+        reducible subword (lowest rule index on a tie); a step only adds
+        words later in the order, so a settled word is never touched again.
         """
         track = rep is not None
-        poly, lost = _truncate(poly, self.degree_bound)
-        if lost and track:
-            raise AssertionError("tracked reduction must not truncate")
-        while True:
-            target = None
-            for w, c in poly.sorted_terms():
-                m = self._find_match(w, skip_lead)
-                if m is not None:
-                    target = (w, c, m)
-                    break
-            if target is None:
-                return (poly, rep) if track else poly
-            w, c, (rule, prefix, suffix) = target
-            left = NCPoly(poly.quiver, poly.field, {prefix: poly.field.one()})
-            right = NCPoly(poly.quiver, poly.field, {suffix: poly.field.one()})
-            delta = (left * rule.poly * right).scale(c)
-            poly, lost = _truncate(poly - delta, self.degree_bound)
-            if track:
-                if lost:
+        if track:
+            rep = list(rep)
+        quiver, bound = self.quiver, self.degree_bound
+        by_arrows, by_vertex, lengths = self._lookup(skip_lead)
+        tails = {a.name: a.tail for a in quiver.arrows} if by_vertex else None
+        field = poly.field
+        terms: dict[PathWord, FieldElem] = {}
+        heap = []
+        for w, c in poly.terms.items():
+            if len(w) > bound:
+                if track:
                     raise AssertionError("tracked reduction must not truncate")
-                rep = rep + _shift_rep(rule.rep, -c, prefix, suffix)
+                continue
+            terms[w] = c
+            heap.append((len(w), word_key(quiver, w), w.head, w))
+        heapq.heapify(heap)
+        queued = set(terms)
+        out: dict[PathWord, FieldElem] = {}
+        while heap:
+            n, key, head, w = heapq.heappop(heap)
+            c = terms.pop(w, None)
+            if c is None:
+                continue  # cancelled after it was queued
+            arrows = w.arrows
+            hit = None
+            for pos in range(n + 1):
+                if by_vertex:
+                    hit = by_vertex.get(head if pos == 0 else tails[arrows[pos - 1]])
+                for L in lengths:
+                    if pos + L > n:
+                        break
+                    h = by_arrows.get(arrows[pos:pos + L])
+                    if h is not None and (hit is None or h[0] < hit[0]):
+                        hit = h
+                if hit is not None:
+                    break
+            if hit is None:
+                out[w] = c
+                continue
+            rule = hit[1]
+            if rule.poly.field != field:
+                field = _common_field(field, rule.poly.field)
+            if not field.is_rational:
+                c = field.elem(c)
+            end = pos + len(rule.lead.arrows)
+            before, after = arrows[:pos], arrows[end:]
+            kbefore, kafter = key[:pos], key[end:]
+            for t_arrows, t_key, x in rule.tail:
+                nw_arrows = before + t_arrows + after
+                if len(nw_arrows) > bound:
+                    if track:
+                        raise AssertionError("tracked reduction must not truncate")
+                    continue
+                nw = PathWord(nw_arrows, head, w.tail)
+                d = c * x
+                acc = terms.get(nw)
+                if acc is None:
+                    terms[nw] = -d
+                    if nw not in queued:
+                        queued.add(nw)
+                        heapq.heappush(heap, (len(nw_arrows),
+                                              kbefore + t_key + kafter, head, nw))
+                else:
+                    acc = acc - d
+                    if acc.is_zero():
+                        del terms[nw]
+                    else:
+                        terms[nw] = acc
+            if track:
+                prefix = PathWord(before, head, word_vertex_at(quiver, w, pos))
+                suffix = PathWord(after, word_vertex_at(quiver, w, end), w.tail)
+                rep += _shift_rep(rule.rep, -c, prefix, suffix)
+        result = NCPoly(quiver, field)
+        result.terms = out if field.is_rational else {
+            w: field.elem(c) for w, c in out.items()}
+        return (result, rep) if track else result
 
 
 def _overlaps(r1: Rule, r2: Rule, quiver: Quiver, bound: int):
@@ -241,6 +303,10 @@ def complete(p: Presentation, D: int, tracked: bool = False) -> RewriteSystem:
     With ``tracked=True`` every rule carries a cofactor representation over
     the input relations; tracking is only sound when nothing is truncated,
     which holds for homogeneous input, and is asserted.
+
+    Untracked runs stop once some degree has no irreducible word (see the
+    module docstring); tracked runs go on, since the pairs that reduce to
+    zero are the syzygies they record.
     """
     if p.relations and D < p.max_relation_degree():
         raise ValueError(
@@ -249,8 +315,9 @@ def complete(p: Presentation, D: int, tracked: bool = False) -> RewriteSystem:
         )
     field = p.field
     rs = RewriteSystem(p, D, tracked)
+    live: set[Rule] = set()  # the rules in rs.rules, by identity
 
-    pending: list[tuple[NCPoly, list | None]] = []
+    pending: deque[tuple[NCPoly, list | None]] = deque()
     for k, r in enumerate(p.relations):
         rep = None
         if tracked:
@@ -279,10 +346,12 @@ def complete(p: Presentation, D: int, tracked: bool = False) -> RewriteSystem:
         for old in rs.rules:
             if _word_divides(rule.lead, old.lead, p.quiver):
                 pending.append((old.poly, old.rep))
+                live.discard(old)
             else:
                 kept.append(old)
         rs.rules = kept
         rs.rules.append(rule)
+        live.add(rule)
         for other in rs.rules:
             for deg, item in _overlaps(rule, other, p.quiver, D):
                 heapq.heappush(pair_heap, (deg, next(counter), item))
@@ -290,13 +359,18 @@ def complete(p: Presentation, D: int, tracked: bool = False) -> RewriteSystem:
                 for deg, item in _overlaps(other, rule, p.quiver, D):
                     heapq.heappush(pair_heap, (deg, next(counter), item))
 
+    checked = 0  # pair degree at which the dead-degree test last ran
     while pending or pair_heap:
         if pending:
-            poly, rep = pending.pop(0)
-            absorb(poly, rep)
+            absorb(*pending.popleft())
             continue
+        deg = pair_heap[0][0]
+        if not tracked and deg > checked:
+            checked = deg
+            if deg > 1 and _has_dead_degree(rs, deg - 1):
+                break
         _, _, item = heapq.heappop(pair_heap)
-        if item[0] not in rs.rules or item[3] not in rs.rules:
+        if item[0] not in live or item[3] not in live:
             continue
         s, rep = _spoly(item, field, tracked)
         if s.is_zero():
@@ -319,8 +393,9 @@ def normal_form(rs: RewriteSystem, f: NCPoly) -> NCPoly:
     return rs.reduce(f)
 
 
-def _irreducible_words(rs: RewriteSystem):
-    """Yield (degree, word) for every irreducible word up to the bound."""
+def _irreducible_words(rs: RewriteSystem, top: int | None = None):
+    """Yield (degree, word) for every irreducible word up to degree top
+    (default: the bound), degree by degree."""
     quiver = rs.quiver
     e_leads = {r.lead.head for r in rs.rules if len(r.lead.arrows) == 0}
     arrow_leads = [r.lead.arrows for r in rs.rules if r.lead.arrows]
@@ -330,7 +405,7 @@ def _irreducible_words(rs: RewriteSystem):
             w = PathWord.vertex(v)
             level.append(w)
             yield 0, w
-    for d in range(1, rs.degree_bound + 1):
+    for d in range(1, (rs.degree_bound if top is None else top) + 1):
         nxt = []
         for w in level:
             for a in quiver.arrows:
@@ -349,6 +424,11 @@ def _irreducible_words(rs: RewriteSystem):
         level = nxt
         if not level:
             return
+
+
+def _has_dead_degree(rs: RewriteSystem, top: int) -> bool:
+    """Whether some degree 1 <= d <= top has no irreducible word."""
+    return max((d for d, _ in _irreducible_words(rs, top)), default=-1) < top
 
 
 def graded_dims(rs: RewriteSystem) -> list[int]:

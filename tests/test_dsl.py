@@ -1,3 +1,4 @@
+import io
 import json
 import pathlib
 
@@ -100,6 +101,40 @@ def test_reports_deterministic():
     r1, _ = run(session1, {})
     r2, _ = run(session2, {})
     assert json.dumps(r1) == json.dumps(r2)
+
+
+@pytest.mark.parametrize("kind", [AssertionError, RuntimeError, KeyError,
+                                  RecursionError])
+def test_internal_error_is_contained_per_command(monkeypatch, capsys, kind):
+    from localquiver import rewrite
+
+    def broken(pres, degree):
+        raise kind("criteria disagree")
+
+    monkeypatch.setattr(rewrite, "is_gradable", broken)
+    session = parse(SMALL_SESSION + "grideal Missing 5;\ngrideal A 5;\n")
+    reports, code = run(session, {})
+    assert code == 3
+    assert [r["command"] for r in reports] == \
+        ["grideal", "gradable", "grideal", "grideal"]
+    assert reports[0] == reports[3] and "error" not in reports[0]
+    assert reports[1]["error_kind"] == "internal"
+    assert reports[1]["command_index"] == 1
+    assert reports[1]["error"].startswith(kind.__name__ + ": ")
+    assert reports[2] == {"schema": 1, "command": "grideal",
+                          "command_index": 2,
+                          "error": "unknown algebra 'Missing'"}
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(SMALL_SESSION))
+    assert main([]) == 3
+    printed = json.loads(capsys.readouterr().out)
+    assert printed[0]["generators"] and printed[1]["error_kind"] == "internal"
+
+
+def test_input_error_keeps_exit_code_one():
+    reports, code = run(parse(SMALL_SESSION + "grideal Missing 5;\n"), {})
+    assert code == 1
+    assert "error_kind" not in reports[2]
 
 
 def test_empty_command_list():
