@@ -17,9 +17,8 @@ from .scalars import Field, FieldElem, QQ, parse_scalar
 from .ncalg import (NCPoly, PathWord, Presentation, Superpotential,
                     cyclic_derivative, cyclic_symmetrize,
                     group_algebra_presentation, heisenberg_presentation,
-                    left_strip, min_part, multiply, preprojective_relations,
-                    right_strip, superpotential_relations,
-                    surface_group_presentation)
+                    left_strip, preprojective_relations, right_strip,
+                    superpotential_relations, surface_group_presentation)
 from .rewrite import (GrIdealReport, RewriteSystem, complete, graded_dims,
                       gr_ideal, is_gradable, minimal_relation_counts,
                       normal_form)

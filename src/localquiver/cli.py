@@ -15,7 +15,7 @@ from . import deform, extcalc, repvariety, rewrite, structure
 from .dsl import Command, ParseError, SessionFile, parse
 from .ncalg import preprojective_relations
 from .quiver import DimVector, Quiver
-from .scalars import Field, QQ
+from .scalars import Field
 
 
 class CommandError(ValueError):
@@ -242,11 +242,9 @@ def main(argv=None) -> int:
 
     field = None
     if args.field is not None:
-        if args.field == "q":
-            field = QQ
-        elif args.field.startswith("cyclo:"):
-            field = Field(int(args.field.split(":", 1)[1]))
-        else:
+        try:
+            field = Field.from_label(args.field)
+        except ValueError:
             print(f"bad --field value {args.field!r}", file=sys.stderr)
             return 2
 

@@ -152,29 +152,27 @@ COMMAND_NAMES = (
 def _prescan_field(tokens: list[Token], declared: Field | None) -> Field:
     """Fix the session field before parsing: cyclotomic declarations in rep
     blocks must agree with each other and with the externally given field."""
-    orders = set()
-    saw_q = False
+    fields = set()
     for k, tok in enumerate(tokens):
         if tok.kind == "id" and tok.text == "cyclo":
             if k + 2 < len(tokens) and tokens[k + 1].text == ":" \
                     and tokens[k + 2].kind == "int":
-                orders.add(int(tokens[k + 2].text))
-        if tok.kind == "id" and tok.text == "field":
-            if k + 2 < len(tokens) and tokens[k + 1].text == ":" \
-                    and tokens[k + 2].text == "q":
-                saw_q = True
-    if len(orders) > 1:
+                order = tokens[k + 2]
+                try:
+                    fields.add(Field.from_label(f"cyclo:{order.text}"))
+                except ValueError as exc:
+                    raise ParseError(str(exc), order.line, order.col) from None
+    if len(fields) > 1:
         raise ParseError(
-            f"inconsistent cyclotomic orders {sorted(orders)} in one session",
-            1, 1)
-    if orders:
-        session = Field(orders.pop())
+            f"inconsistent cyclotomic orders {sorted(f.order for f in fields)} "
+            "in one session", 1, 1)
+    if fields:
+        session = fields.pop()
         if declared is not None and declared != session and not declared.is_rational:
             raise ParseError(
                 f"session declares {session.label()} but {declared.label()} "
                 "was requested", 1, 1)
         return session
-    del saw_q  # purely rational sessions need no field reconciliation
     return declared if declared is not None else QQ
 
 
@@ -399,10 +397,7 @@ class Parser:
             if self.at(";"):
                 self.next()
         self.expect("}")
-        if field_tag == "q":
-            rep_field = QQ
-        else:
-            rep_field = Field(int(field_tag.split(":")[1]))
+        rep_field = Field.from_label(field_tag)
         if not rep_field.is_rational and rep_field != self.field:
             self.error(f"rep field {field_tag} differs from the session field "
                        f"{self.field.label()}", name_tok)

@@ -23,7 +23,7 @@ from . import linalg
 from .ncalg import NCPoly, Presentation
 from .quiver import DimVector, Quiver
 from .rewrite import minimal_relation_counts
-from .scalars import Field, FieldElem, QQ, parse_scalar
+from .scalars import Field, FieldElem, parse_scalar
 
 
 class Representation:
@@ -132,7 +132,7 @@ def _hom_system(x: Representation, y: Representation):
     """Matrix of the intertwiner equations; unknowns are vertex blocks of
     maps from x to y, vectorized row-major in vertex order."""
     _require_same_presentation(x, y)
-    field = x.field if not x.field.is_rational else y.field
+    field = x.field.join(y.field)
     quiver = x.quiver
     offsets = {}
     total = 0
@@ -194,7 +194,7 @@ def _cocycle_system(x: Representation, y: Representation):
     """Equations delta(r) = 0 over the primary arrow unknowns."""
     _require_same_presentation(x, y)
     pres = x.presentation
-    field = x.field if not x.field.is_rational else y.field
+    field = x.field.join(y.field)
     quiver = x.quiver
     primary, table = _delta_table(pres, x, y, field)
     offsets = {}
@@ -432,13 +432,7 @@ def load_representation(presentation: Presentation, data: dict,
     Expected shape: ``{"alpha": {vertex: int}, "matrices": {arrow: [[str]]},
     "field": "q" | "cyclo:m"}``; matrix entries are exact scalar literals.
     """
-    tag = data.get("field", "q")
-    if tag == "q":
-        field = QQ
-    elif isinstance(tag, str) and tag.startswith("cyclo:"):
-        field = Field(int(tag.split(":", 1)[1]))
-    else:
-        raise ValueError(f"unknown field tag {tag!r}")
+    field = Field.from_label(data.get("field", "q"))
     alpha = DimVector(presentation.quiver, {
         v: int(n) for v, n in data["alpha"].items()
     })

@@ -7,6 +7,9 @@ the tangent-space and Ext computations rely on.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add, mul
+
 from .scalars import Field, FieldElem
 
 
@@ -44,17 +47,7 @@ def mat_mul(a, b):
     if inner != inner2:
         raise ValueError(f"matrix shapes {mat_shape(a)} and {mat_shape(b)} do not compose")
     bt = list(zip(*b)) if b else []
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = None
-            for x, y in zip(row, col):
-                term = x * y
-                acc = term if acc is None else acc + term
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+    return [[reduce(add, map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_eq(a, b) -> bool:
@@ -148,7 +141,8 @@ def solve(mat, rhs, field: Field):
     with y*mat = 0 but y*rhs != 0.
     """
     rows, cols = mat_shape(mat)
-    aug = [mat[i][:] + [rhs[i]] + identity_matrix(field, rows)[i] for i in range(rows)]
+    ident = identity_matrix(field, rows)
+    aug = [mat[i] + [rhs[i]] + ident[i] for i in range(rows)]
     ech, pivots = row_echelon(aug)
     zero = field.zero()
     for r in range(len(ech)):
@@ -167,7 +161,8 @@ def invert(mat, field: Field):
     n = len(mat)
     if any(len(row) != n for row in mat):
         return None
-    aug = [mat[i][:] + identity_matrix(field, n)[i] for i in range(n)]
+    ident = identity_matrix(field, n)
+    aug = [mat[i] + ident[i] for i in range(n)]
     ech, pivots = row_echelon(aug)
     if pivots[:n] != list(range(n)):
         return None

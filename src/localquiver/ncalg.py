@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .quiver import Quiver
-from .scalars import Field, FieldElem, QQ
+from .scalars import Field, FieldElem, QQ, accumulate, signed_sum
 
 
 class PathWord:
@@ -117,6 +117,14 @@ class NCPoly:
 
     # ---- constructors -------------------------------------------------
     @staticmethod
+    def from_terms(quiver: Quiver, field: Field,
+                   terms: dict[PathWord, FieldElem]) -> "NCPoly":
+        """Wrap a term dict as is: nonzero coefficients, already in field."""
+        out = NCPoly(quiver, field)
+        out.terms = terms
+        return out
+
+    @staticmethod
     def zero(quiver: Quiver, field: Field = QQ) -> "NCPoly":
         return NCPoly(quiver, field)
 
@@ -143,44 +151,36 @@ class NCPoly:
     def _require_compatible(self, other: "NCPoly") -> Field:
         if self.quiver != other.quiver:
             raise ValueError("polynomials live over different quivers")
-        if self.field == other.field:
-            return self.field
-        if self.field.is_rational:
-            return other.field
-        if other.field.is_rational:
-            return self.field
-        raise ValueError("polynomials live over incompatible fields")
+        return self.field.join(other.field)
+
+    def _result(self, field: Field, terms: dict[PathWord, FieldElem],
+                mixed: bool) -> "NCPoly":
+        """The polynomial over field; a mixed-field result is coerced."""
+        if mixed:
+            terms = {w: field.elem(c) for w, c in terms.items()}
+        return NCPoly.from_terms(self.quiver, field, terms)
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
         field = self._require_compatible(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            acc = terms.get(w)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                terms.pop(w, None)
-            else:
-                terms[w] = acc
-        out = NCPoly(self.quiver, field)
-        out.terms = {w: field.elem(c) for w, c in terms.items()}
-        return out
+            accumulate(terms, w, c)
+        return self._result(field, terms, self.field != other.field)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + (-other)
 
     def __neg__(self) -> "NCPoly":
-        out = NCPoly(self.quiver, self.field)
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
+        return NCPoly.from_terms(self.quiver, self.field,
+                                 {w: -c for w, c in self.terms.items()})
 
     def scale(self, c) -> "NCPoly":
         c = self.field.elem(c) if not isinstance(c, FieldElem) else c
-        field = self.field if c.field.is_rational else c.field
+        field = self.field.join(c.field)
         if c.is_zero():
             return NCPoly.zero(self.quiver, field)
-        out = NCPoly(self.quiver, field)
-        out.terms = {w: field.elem(c * x) for w, x in self.terms.items()}
-        return out
+        return self._result(field, {w: c * x for w, x in self.terms.items()},
+                            field != self.field)
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
         field = self._require_compatible(other)
@@ -188,18 +188,9 @@ class NCPoly:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1.concat(w2)
-                if w is None:
-                    continue
-                c = c1 * c2
-                acc = terms.get(w)
-                acc = c if acc is None else acc + c
-                if acc.is_zero():
-                    terms.pop(w, None)
-                else:
-                    terms[w] = acc
-        out = NCPoly(self.quiver, field)
-        out.terms = {w: field.elem(c) for w, c in terms.items()}
-        return out
+                if w is not None:
+                    accumulate(terms, w, c1 * c2)
+        return self._result(field, terms, self.field != other.field)
 
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
@@ -229,9 +220,8 @@ class NCPoly:
         return self.is_zero() or self.min_degree() == self.max_degree()
 
     def degree_part(self, d: int) -> "NCPoly":
-        out = NCPoly(self.quiver, self.field)
-        out.terms = {w: c for w, c in self.terms.items() if len(w) == d}
-        return out
+        return NCPoly.from_terms(self.quiver, self.field, {
+            w: c for w, c in self.terms.items() if len(w) == d})
 
     def min_part(self) -> "NCPoly":
         """The homogeneous component of lowest word length."""
@@ -261,11 +251,8 @@ class NCPoly:
         return {(w.head, w.tail) for w in self.terms}
 
     def component(self, head: str, tail: str) -> "NCPoly":
-        out = NCPoly(self.quiver, self.field)
-        out.terms = {
-            w: c for w, c in self.terms.items() if w.head == head and w.tail == tail
-        }
-        return out
+        return NCPoly.from_terms(self.quiver, self.field, {
+            w: c for w, c in self.terms.items() if w.head == head and w.tail == tail})
 
     def sorted_terms(self) -> list[tuple[PathWord, FieldElem]]:
         """Terms in the shared order, leading term first."""
@@ -275,78 +262,33 @@ class NCPoly:
         )
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for w, c in self.sorted_terms():
-            if c.is_one():
-                body = str(w)
-            elif (-c).is_one():
-                body = f"-{w}"
-            else:
-                cs = str(c)
-                if ("+" in cs[1:]) or ("-" in cs[1:]) or (" " in cs):
-                    cs = f"({cs})"
-                body = f"{cs}*{w}"
-            parts.append(body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return signed_sum((str(c), str(w)) for w, c in self.sorted_terms())
 
     def __repr__(self):
         return f"NCPoly({self})"
 
 
-def multiply(f: NCPoly, g: NCPoly) -> NCPoly:
-    """Product in the path algebra; incomposable concatenations vanish."""
-    return f * g
-
-
-def min_part(f: NCPoly) -> NCPoly:
-    return f.min_part()
+def _strip(p: NCPoly, b: str, end: int) -> NCPoly:
+    """Strip arrow b from the left (end 0) or right (end -1) of every word;
+    non-matching words die.  Stripping a one-arrow word leaves an idempotent."""
+    quiver = p.quiver
+    terms: dict[PathWord, FieldElem] = {}
+    for w, c in p.terms.items():
+        if w.arrows and w.arrows[end] == b:
+            nw = (PathWord(w.arrows[:-1], w.head, quiver.head(b)) if end
+                  else PathWord(w.arrows[1:], quiver.tail(b), w.tail))
+            accumulate(terms, nw, c)
+    return NCPoly.from_terms(quiver, p.field, terms)
 
 
 def right_strip(p: NCPoly, b: str) -> NCPoly:
     """Strip arrow b from the right of every word; non-matching words die."""
-    quiver, field = p.quiver, p.field
-    out = NCPoly(quiver, field)
-    for w, c in p.terms.items():
-        if w.arrows and w.arrows[-1] == b:
-            rest = w.arrows[:-1]
-            nw = (
-                PathWord(rest, w.head, quiver.head(b))
-                if rest
-                else PathWord.vertex(w.head)
-            )
-            acc = out.terms.get(nw)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.terms.pop(nw, None)
-            else:
-                out.terms[nw] = acc
-    return out
+    return _strip(p, b, -1)
 
 
 def left_strip(b: str, p: NCPoly) -> NCPoly:
     """Strip arrow b from the left of every word."""
-    quiver, field = p.quiver, p.field
-    out = NCPoly(quiver, field)
-    for w, c in p.terms.items():
-        if w.arrows and w.arrows[0] == b:
-            rest = w.arrows[1:]
-            nw = (
-                PathWord(rest, quiver.tail(b), w.tail)
-                if rest
-                else PathWord.vertex(w.tail)
-            )
-            acc = out.terms.get(nw)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.terms.pop(nw, None)
-            else:
-                out.terms[nw] = acc
-    return out
+    return _strip(p, b, 0)
 
 
 class Superpotential:
@@ -370,14 +312,7 @@ class Superpotential:
     def add_term(self, word: PathWord, coeff) -> None:
         if not word.arrows or word.head != word.tail:
             raise ValueError(f"superpotential term {word} is not a cycle")
-        coeff = self.field.elem(coeff)
-        rep = self._canonical(word)
-        acc = self.terms.get(rep)
-        acc = coeff if acc is None else acc + coeff
-        if acc.is_zero():
-            self.terms.pop(rep, None)
-        else:
-            self.terms[rep] = acc
+        accumulate(self.terms, self._canonical(word), self.field.elem(coeff))
 
     def _canonical(self, word: PathWord) -> PathWord:
         best = None
@@ -411,11 +346,7 @@ class Superpotential:
         return all(self.terms[w] == other.terms[w] for w in self.terms)
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        poly = NCPoly(self.quiver, self.field)
-        poly.terms = dict(self.terms)
-        return str(poly)
+        return str(NCPoly.from_terms(self.quiver, self.field, self.terms))
 
     def __repr__(self):
         return f"Superpotential({self})"
@@ -423,20 +354,13 @@ class Superpotential:
 
 def cyclic_symmetrize(w: Superpotential) -> NCPoly:
     """Map each cycle class to the sum of all its rotations (with multiplicity)."""
-    out = NCPoly(w.quiver, w.field)
+    terms: dict[PathWord, FieldElem] = {}
     for word, coeff in w.terms.items():
-        n = len(word.arrows)
-        for i in range(n):
+        for i in range(len(word.arrows)):
             rot = word.arrows[i:] + word.arrows[:i]
             v = w.quiver.head(rot[0])
-            rw = PathWord(rot, v, v)
-            acc = out.terms.get(rw)
-            acc = coeff if acc is None else acc + coeff
-            if acc.is_zero():
-                out.terms.pop(rw, None)
-            else:
-                out.terms[rw] = acc
-    return out
+            accumulate(terms, PathWord(rot, v, v), coeff)
+    return NCPoly.from_terms(w.quiver, w.field, terms)
 
 
 def cyclic_derivative(w: Superpotential, a: str) -> NCPoly:

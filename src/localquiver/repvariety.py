@@ -13,7 +13,7 @@ from .extcalc import Representation, check_representation, hom_dim
 from .linalg import rank
 from .ncalg import PathWord, Presentation
 from .quiver import DimVector, Quiver, gl_dim, rep_space_dim
-from .scalars import Field, FieldElem
+from .scalars import Field, FieldElem, accumulate, signed_sum
 
 # A commutative variable is (arrow, row, col), rows and columns 1-based.
 Var = tuple[str, int, int]
@@ -52,12 +52,7 @@ class CommPoly:
     def __add__(self, other: "CommPoly") -> "CommPoly":
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            acc = terms.get(m)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                terms.pop(m, None)
-            else:
-                terms[m] = acc
+            accumulate(terms, m, c)
         out = CommPoly(self.field)
         out.terms = terms
         return out
@@ -79,14 +74,7 @@ class CommPoly:
                 merged = dict(m1)
                 for v, e in m2:
                     merged[v] = merged.get(v, 0) + e
-                key = tuple(sorted(merged.items()))
-                c = c1 * c2
-                acc = terms.get(key)
-                acc = c if acc is None else acc + c
-                if acc.is_zero():
-                    terms.pop(key, None)
-                else:
-                    terms[key] = acc
+                accumulate(terms, tuple(sorted(merged.items())), c1 * c2)
         out = CommPoly(self.field)
         out.terms = terms
         return out
@@ -100,21 +88,12 @@ class CommPoly:
         out = CommPoly(self.field)
         for m, c in self.terms.items():
             md = dict(m)
-            e = md.get(v, 0)
-            if not e:
-                continue
-            if e == 1:
-                md.pop(v)
-            else:
-                md[v] = e - 1
-            key = tuple(sorted(md.items()))
-            add = c * self.field.elem(e)
-            acc = out.terms.get(key)
-            acc = add if acc is None else acc + add
-            if acc.is_zero():
-                out.terms.pop(key, None)
-            else:
-                out.terms[key] = acc
+            e = md.pop(v, 0)
+            if e:
+                if e > 1:
+                    md[v] = e - 1
+                accumulate(out.terms, tuple(sorted(md.items())),
+                           c * self.field.elem(e))
         return out
 
     def evaluate(self, point: dict[Var, FieldElem]) -> FieldElem:
@@ -132,8 +111,6 @@ class CommPoly:
         return {v for m in self.terms for v, _ in m}
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
         def mono_str(m: Monomial) -> str:
             return "*".join(
                 var_name(v) if e == 1 else f"{var_name(v)}^{e}" for v, e in m
@@ -142,25 +119,7 @@ class CommPoly:
             self.terms,
             key=lambda m: (sum(e for _, e in m), m),
         )
-        parts = []
-        for m in keys:
-            c = self.terms[m]
-            if not m:
-                parts.append(str(c))
-                continue
-            if c.is_one():
-                parts.append(mono_str(m))
-            elif (-c).is_one():
-                parts.append("-" + mono_str(m))
-            else:
-                cs = str(c)
-                if ("+" in cs[1:]) or ("-" in cs[1:]) or (" " in cs):
-                    cs = f"({cs})"
-                parts.append(f"{cs}*{mono_str(m)}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return signed_sum((str(self.terms[m]), mono_str(m)) for m in keys)
 
     def __repr__(self):
         return f"CommPoly({self})"

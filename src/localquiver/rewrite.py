@@ -36,7 +36,7 @@ from collections import deque
 
 from .ncalg import NCPoly, PathWord, Presentation, word_key, word_vertex_at
 from .quiver import Quiver
-from .scalars import Field, FieldElem
+from .scalars import Field, FieldElem, accumulate
 
 
 class Rule:
@@ -61,30 +61,28 @@ class Rule:
         return f"Rule({self.lead} -> {lead_term - self.poly})"
 
 
-def _common_field(a: Field, b: Field) -> Field:
-    """The field a sum of elements of a and b lives in (as in NCPoly)."""
-    if a == b or b.is_rational:
-        return a
-    if a.is_rational:
-        return b
-    raise ValueError("polynomials live over incompatible fields")
+# A cofactor representation maps (u, k, v) to c for the element that is the
+# sum of c * u * relation_k * v; equal keys merge and zero entries drop out.
+Rep = dict[tuple[PathWord, int, PathWord], FieldElem]
 
 
-def _scale_rep(rep, c: FieldElem):
+def _scale_rep(rep: Rep | None, c: FieldElem) -> Rep | None:
     if rep is None:
         return None
-    return [(c * d, u, k, v) for d, u, k, v in rep]
+    return {key: c * d for key, d in rep.items()}
 
 
-def _shift_rep(rep, coeff: FieldElem, left: PathWord, right: PathWord):
-    """The representation of coeff * left * (rep element) * right."""
-    out = []
-    for d, u, k, v in rep:
+def _shift_rep(rep: Rep, coeff: FieldElem, left: PathWord, right: PathWord,
+               out: Rep | None = None) -> Rep:
+    """Add the representation of coeff * left * (rep element) * right to out
+    (a new one by default) and return it."""
+    out = {} if out is None else out
+    for (u, k, v), d in rep.items():
         lu = left.concat(u)
         vr = v.concat(right)
         if lu is None or vr is None:
             raise AssertionError("cofactor shift does not compose")
-        out.append((coeff * d, lu, k, vr))
+        accumulate(out, (lu, k, vr), coeff * d)
     return out
 
 
@@ -123,7 +121,7 @@ class RewriteSystem:
         self.tracked = tracked
         # in tracked mode: cofactor representations of elements that reduced
         # to zero during completion -- these are syzygies of the input
-        self.zero_reps: list = []
+        self.zero_reps: list[Rep] = []
 
     @property
     def quiver(self) -> Quiver:
@@ -162,7 +160,7 @@ class RewriteSystem:
         """
         track = rep is not None
         if track:
-            rep = list(rep)
+            rep = dict(rep)
         quiver, bound = self.quiver, self.degree_bound
         by_arrows, by_vertex, lengths = self._lookup(skip_lead)
         tails = {a.name: a.tail for a in quiver.arrows} if by_vertex else None
@@ -202,7 +200,7 @@ class RewriteSystem:
                 continue
             rule = hit[1]
             if rule.poly.field != field:
-                field = _common_field(field, rule.poly.field)
+                field = field.join(rule.poly.field)
             if not field.is_rational:
                 c = field.elem(c)
             end = pos + len(rule.lead.arrows)
@@ -232,10 +230,9 @@ class RewriteSystem:
             if track:
                 prefix = PathWord(before, head, word_vertex_at(quiver, w, pos))
                 suffix = PathWord(after, word_vertex_at(quiver, w, end), w.tail)
-                rep += _shift_rep(rule.rep, -c, prefix, suffix)
-        result = NCPoly(quiver, field)
-        result.terms = out if field.is_rational else {
-            w: field.elem(c) for w, c in out.items()}
+                _shift_rep(rule.rep, -c, prefix, suffix, rep)
+        result = NCPoly.from_terms(quiver, field, out if field == poly.field else {
+            w: field.elem(c) for w, c in out.items()})
         return (result, rep) if track else result
 
 
@@ -285,15 +282,15 @@ def _spoly(item, field: Field, tracked: bool):
         rep = None
         if tracked:
             rep = _shift_rep(r1.rep, one, PathWord.vertex(r1.lead.head), right)
-            rep += _shift_rep(r2.rep, -one, left, PathWord.vertex(r2.lead.tail))
+            _shift_rep(r2.rep, -one, left, PathWord.vertex(r2.lead.tail), rep)
         return s, rep
     # idempotent lead of r1 inserted at a junction of r2.lead
     s = lpoly * r1.poly * rpoly - r2.poly
     rep = None
     if tracked:
         rep = _shift_rep(r1.rep, one, left, right)
-        rep += _shift_rep(r2.rep, -one, PathWord.vertex(r2.lead.head),
-                          PathWord.vertex(r2.lead.tail))
+        _shift_rep(r2.rep, -one, PathWord.vertex(r2.lead.head),
+                   PathWord.vertex(r2.lead.tail), rep)
     return s, rep
 
 
@@ -317,13 +314,13 @@ def complete(p: Presentation, D: int, tracked: bool = False) -> RewriteSystem:
     rs = RewriteSystem(p, D, tracked)
     live: set[Rule] = set()  # the rules in rs.rules, by identity
 
-    pending: deque[tuple[NCPoly, list | None]] = deque()
+    pending: deque[tuple[NCPoly, Rep | None]] = deque()
     for k, r in enumerate(p.relations):
         rep = None
         if tracked:
             some = next(iter(r.terms))
-            rep = [(field.one(), PathWord.vertex(some.head), k,
-                    PathWord.vertex(some.tail))]
+            rep = {(PathWord.vertex(some.head), k, PathWord.vertex(some.tail)):
+                   field.one()}
         pending.append((r, rep))
 
     pair_heap: list[tuple[int, int, tuple]] = []
@@ -556,7 +553,7 @@ def _syzygy_gradable(p: Presentation, D: int) -> bool:
 
     def lift_vanishes(rep) -> bool:
         lift = NCPoly.zero(p.quiver, field)
-        for c, u, k, v in rep:
+        for (u, k, v), c in rep.items():
             up = NCPoly(p.quiver, field, {u: c})
             vp = NCPoly(p.quiver, field, {v: field.one()})
             lift = lift + up * p.relations[k] * vp

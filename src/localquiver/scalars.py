@@ -8,7 +8,14 @@ polynomial, so equality is coefficient-wise.  All arithmetic is exact; there
 is no floating point anywhere in this package.
 
 Mixing two cyclotomic fields of different order is rejected.  Rationals embed
-into any cyclotomic field and are coerced silently.
+into any cyclotomic field and are coerced silently; ``Field.join`` names the
+field a mix lands in, and ``Field.from_label`` turns a tag (``q`` or
+``cyclo:m``, as printed by ``Field.label``) back into a field.
+
+The polynomial types of the package are dicts from monomials to nonzero
+field elements.  ``accumulate`` adds one term to such a dict and drops the
+key when the sum is zero; ``signed_sum`` prints (coefficient, monomial)
+pairs as ``a - b + c``, for scalars and polynomials alike.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -127,6 +135,24 @@ class Field:
         """The field tag used on the command line and in JSON reports."""
         return "q" if self.order is None else f"cyclo:{self.order}"
 
+    @staticmethod
+    def from_label(tag) -> Field:
+        """The field with this label: ``q``, or ``cyclo:m`` for an integer m >= 1."""
+        if tag == "q":
+            return QQ
+        m = re.fullmatch(r"cyclo:(\d+)", tag, re.ASCII) if isinstance(tag, str) else None
+        if m is None or int(m.group(1)) < 1:
+            raise ValueError(f"unknown field tag {tag!r} (q or cyclo:m, m >= 1)")
+        return Field(int(m.group(1)))
+
+    def join(self, other: Field) -> Field:
+        """The field that sums and products of elements of both fields live in."""
+        if self == other or other.is_rational:
+            return self
+        if self.is_rational:
+            return other
+        raise ValueError(f"mixed cyclotomic orders {self.order} and {other.order}")
+
     def elem(self, value) -> FieldElem:
         """Coerce an int, Fraction, string, or FieldElem into this field."""
         if isinstance(value, FieldElem):
@@ -184,6 +210,42 @@ class Field:
 QQ = Field()
 
 
+def accumulate(terms: dict, key, c: FieldElem) -> None:
+    """Add c to terms[key]; the key is dropped when the sum is zero."""
+    acc = terms.get(key)
+    if acc is not None:
+        c = acc + c
+    if c.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = c
+
+
+def signed_sum(terms: Iterable[tuple[str, str]]) -> str:
+    """Print (coefficient, monomial) texts as ``a - b + c``.
+
+    An empty monomial is a constant term.  Coefficients 1 and -1 are left
+    out, and one with an inner sign or space is put in parentheses.
+    """
+    out = ""
+    for cs, mono in terms:
+        if not mono:
+            body = cs
+        elif cs == "1":
+            body = mono
+        elif cs == "-1":
+            body = "-" + mono
+        elif "+" in cs[1:] or "-" in cs[1:] or " " in cs:
+            body = f"({cs})*{mono}"
+        else:
+            body = f"{cs}*{mono}"
+        if not out:
+            out = body
+        else:
+            out += " - " + body[1:] if body.startswith("-") else " + " + body
+    return out or "0"
+
+
 class FieldElem:
     """An element of a :class:`Field`, as a reduced coefficient vector."""
 
@@ -206,13 +268,8 @@ class FieldElem:
             raise TypeError(f"cannot combine FieldElem with {type(other).__name__}")
         if other.field == self.field:
             return self, other
-        if other.field.is_rational:
-            return self, self.field.elem(other)
-        if self.field.is_rational:
-            return other.field.elem(self), other
-        raise ValueError(
-            f"mixed cyclotomic orders {self.field.order} and {other.field.order}"
-        )
+        field = self.field.join(other.field)
+        return field.elem(self), field.elem(other)
 
     def __add__(self, other):
         a, b = self._pair(other)
@@ -286,24 +343,9 @@ class FieldElem:
         return hash((self.field.order, self.coeffs))
 
     def __str__(self):
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                body = str(c)
-            else:
-                zeta = "zeta" if k == 1 else f"zeta^{k}"
-                body = zeta if abs(c) == 1 else f"{abs(c)}*{zeta}"
-                if c < 0:
-                    body = "-" + body
-            parts.append(body)
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return signed_sum(
+            (str(c), "" if k == 0 else "zeta" if k == 1 else f"zeta^{k}")
+            for k, c in enumerate(self.coeffs) if c)
 
     def __repr__(self):
         return f"FieldElem({self})"

@@ -3,7 +3,8 @@
 Kept as a test oracle only: every reduction step rebuilds ``left*rule*right``
 as polynomials, re-sorts the whole polynomial and scans every rule for the
 leftmost match, and ``complete`` runs every critical pair up to the bound.
-The differential tests compare the package against it.
+Tracked cofactor representations are lists of (c, u, k, v) entries that are
+never merged.  The differential tests compare the package against it.
 """
 
 from __future__ import annotations
@@ -12,8 +13,49 @@ import heapq
 import itertools
 
 from localquiver.ncalg import NCPoly, PathWord, Presentation, word_vertex_at
-from localquiver.rewrite import (RewriteSystem, Rule, _overlaps, _scale_rep,
-                                 _shift_rep, _spoly, _word_divides)
+from localquiver.rewrite import RewriteSystem, Rule, _overlaps, _word_divides
+from localquiver.scalars import Field, FieldElem
+
+
+def _scale_rep(rep, c: FieldElem):
+    if rep is None:
+        return None
+    return [(c * d, u, k, v) for d, u, k, v in rep]
+
+
+def _shift_rep(rep, coeff: FieldElem, left: PathWord, right: PathWord):
+    """The representation of coeff * left * (rep element) * right."""
+    out = []
+    for d, u, k, v in rep:
+        lu = left.concat(u)
+        vr = v.concat(right)
+        if lu is None or vr is None:
+            raise AssertionError("cofactor shift does not compose")
+        out.append((coeff * d, lu, k, vr))
+    return out
+
+
+def _spoly(item, field: Field, tracked: bool):
+    r1, left, right, r2, kind = item
+    quiver = r1.poly.quiver
+    one = field.one()
+    lpoly = NCPoly(quiver, field, {left: one})
+    rpoly = NCPoly(quiver, field, {right: one})
+    if kind == "overlap":
+        s = r1.poly * rpoly - lpoly * r2.poly
+        rep = None
+        if tracked:
+            rep = _shift_rep(r1.rep, one, PathWord.vertex(r1.lead.head), right)
+            rep += _shift_rep(r2.rep, -one, left, PathWord.vertex(r2.lead.tail))
+        return s, rep
+    # idempotent lead of r1 inserted at a junction of r2.lead
+    s = lpoly * r1.poly * rpoly - r2.poly
+    rep = None
+    if tracked:
+        rep = _shift_rep(r1.rep, one, left, right)
+        rep += _shift_rep(r2.rep, -one, PathWord.vertex(r2.lead.head),
+                          PathWord.vertex(r2.lead.tail))
+    return s, rep
 
 
 def _truncate(poly: NCPoly, bound: int) -> tuple[NCPoly, bool]:

@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -290,6 +293,38 @@ def test_cli_field_flag(tmp_path, capsys):
     assert main([str(src), "--field", "cyclo:4"]) == 2
     assert "parse error" in capsys.readouterr().err
     assert main([str(src), "--field", "bogus"]) == 2
+    for bad in ("cyclo:x", "cyclo:0", "cyclo:-3"):
+        capsys.readouterr()
+        assert main([str(src), "--field", bad]) == 2
+        assert "bad --field value" in capsys.readouterr().err
+
+
+def test_session_cyclotomic_order_zero_is_a_parse_error(tmp_path, capsys):
+    source = (
+        "quiver q { vertices: v; arrows: x: v -> v }\n"
+        "algebra A over q { relations: ; invertible: ; flavor: graded }\n"
+        "rep r of A { dim: v = 1; x = [[1]]; field: cyclo:0 }\n"
+    )
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert (err.value.line, err.value.col) == (3, 50)  # the order token
+    src = tmp_path / "zero.lq"
+    src.write_text(source)
+    assert main([str(src)]) == 2
+    assert capsys.readouterr().err.startswith("parse error:")
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    golden = (GOLDEN / "heisenberg_reports.json").read_bytes()
+    src_dir = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    for seed in ("0", "1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-m", "localquiver.cli",
+             str(GOLDEN / "heisenberg_session.lq")],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            capture_output=True, check=True).stdout
+        assert out == golden
 
 
 def test_repideal_single_vertex_shorthand():

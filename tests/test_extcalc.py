@@ -228,8 +228,9 @@ def test_load_representation_json():
     rep = load_representation(pres, data, name="rho")
     assert check_representation(rep)
     assert ext1_dim(rep, rep) == 2
-    with pytest.raises(ValueError):
-        load_representation(pres, {**data, "field": "float"})
+    for tag in ("float", "cyclo:0", "cyclo:x"):
+        with pytest.raises(ValueError):
+            load_representation(pres, {**data, "field": tag})
 
 
 def test_surface_loop_counts_low_genus():

@@ -1,15 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from localquiver.ncalg import (NCPoly, Presentation, Superpotential,
+from localquiver.ncalg import (NCPoly, PathWord, Presentation, Superpotential,
                                cyclic_derivative, cyclic_symmetrize,
                                group_algebra_presentation,
-                               heisenberg_presentation, left_strip, min_part,
-                               multiply, preprojective_relations, right_strip,
+                               heisenberg_presentation, left_strip,
+                               preprojective_relations, right_strip,
                                superpotential_relations,
                                surface_group_presentation)
 from localquiver.quiver import Quiver
+from localquiver.scalars import QQ, Field
 
 
 def two_loops():
@@ -39,20 +41,20 @@ def test_multiply_examples():
 
 def test_multiply_quiver_mismatch():
     with pytest.raises(ValueError):
-        multiply(NCPoly.arrow(two_loops(), "X"),
-                 NCPoly.arrow(Quiver(["w"], [("X", "w", "w")]), "X"))
+        NCPoly.arrow(two_loops(), "X") \
+            * NCPoly.arrow(Quiver(["w"], [("X", "w", "w")]), "X")
 
 
 def test_min_part_examples():
     q = two_loops()
     f = NCPoly.word(q, ["X", "Y"]) + NCPoly.word(q, ["X", "Y", "X"])
-    assert min_part(f) == NCPoly.word(q, ["X", "Y"])
+    assert f.min_part() == NCPoly.word(q, ["X", "Y"])
     h = NCPoly.word(q, ["X", "Y"])
-    assert min_part(h) == h
+    assert h.min_part() == h
     g = NCPoly.vertex(q, "v") + NCPoly.arrow(q, "X")
-    assert min_part(g) == NCPoly.vertex(q, "v")
+    assert g.min_part() == NCPoly.vertex(q, "v")
     with pytest.raises(ValueError):
-        min_part(NCPoly.zero(q))
+        NCPoly.zero(q).min_part()
 
 
 def test_cyclic_symmetrize_examples():
@@ -153,6 +155,57 @@ def test_multiply_associative_and_unital(seed=3):
         assert f * unit == f
 
 
+# ---- properties over Q and cyclo:5 -------------------------------------------
+
+TWO_VERTEX = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1"),
+                                 ("c", "1", "1")])
+F5 = Field(5)
+
+
+def _words(quiver, max_len):
+    """Every path word of length at most max_len."""
+    words = [PathWord.vertex(v) for v in quiver.vertices]
+    level = [(a.name,) for a in quiver.arrows]
+    for _ in range(max_len):
+        words += [PathWord.of(quiver, w) for w in level]
+        level = [w + (a.name,) for w in level for a in quiver.arrows
+                 if a.head == quiver.tail(w[-1])]
+    return words
+
+
+def scalars(field):
+    ints = st.integers(-3, 3)
+    if field.is_rational:
+        return ints.map(field.elem)
+    return st.tuples(ints, ints, st.integers(0, 4)).map(
+        lambda t: field.elem(t[0]) + field.zeta(t[2]) * t[1])
+
+
+def polys(field):
+    return st.dictionaries(st.sampled_from(_words(TWO_VERTEX, 3)),
+                           scalars(field), max_size=4).map(
+        lambda terms: NCPoly(TWO_VERTEX, field, terms))
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["q", "cyclo5"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_ring_laws_property(field, data):
+    f, g, h = (data.draw(polys(field)) for _ in range(3))
+    assert f * (g + h) == f * g + f * h
+    assert (f + g) * h == f * h + g * h
+    assert (f * g) * h == f * (g * h)
+    assert (f - f).is_zero()
+
+
+@settings(max_examples=20, deadline=None)
+@given(polys(QQ), polys(F5), scalars(F5))
+def test_mixed_field_results_are_cyclotomic(f, g, c):
+    for result in (f + g, g + f, f - g, f * g, g * f, f.scale(c)):
+        assert result.field == F5
+        assert all(x.field == F5 for x in result.terms.values())
+
+
 def test_degree_bounds_on_products(seed=5):
     rng = random.Random(seed)
     q = two_loops()
@@ -163,7 +216,7 @@ def test_degree_bounds_on_products(seed=5):
         g = NCPoly.word(q, w2)
         prod = f * g
         assert prod.max_degree() <= f.max_degree() + g.max_degree()
-        assert min_part(f * g) == min_part(min_part(f) * min_part(g))
+        assert (f * g).min_part() == (f.min_part() * g.min_part()).min_part()
 
 
 def test_preprojective_relations():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localquiver.extcalc import Representation, cocycle_dim
 from localquiver.ncalg import NCPoly, PathWord, Presentation
@@ -8,7 +9,7 @@ from localquiver.quiver import DimVector, Quiver
 from localquiver.repvariety import (CommPoly, generic_stab_dim, orbit_dim,
                                     path_function, rep_ideal,
                                     tangent_space_dim)
-from localquiver.scalars import QQ
+from localquiver.scalars import QQ, Field
 
 
 def loops(*names):
@@ -19,6 +20,29 @@ def commuting_pair_presentation():
     q = loops("X", "Y")
     return Presentation(q, [NCPoly.word(q, ["X", "Y"])
                             - NCPoly.word(q, ["Y", "X"])], flavor="graded")
+
+
+VARS = [("a", 1, 1), ("a", 1, 2), ("b", 2, 1)]
+
+
+def comm_polys(field):
+    monomials = st.dictionaries(st.sampled_from(VARS), st.integers(1, 2),
+                                max_size=2).map(lambda m: tuple(sorted(m.items())))
+    coeffs = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+        lambda t: field.elem(t[0]) if field.is_rational
+        else field.elem(t[0]) + field.zeta() * t[1])
+    return st.dictionaries(monomials, coeffs, max_size=4).map(
+        lambda terms: CommPoly(field, terms))
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=["q", "cyclo5"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_product_rule_property(field, data):
+    f, g = data.draw(comm_polys(field)), data.draw(comm_polys(field))
+    v = data.draw(st.sampled_from(VARS))
+    assert (f * g).differentiate(v) == \
+        f * g.differentiate(v) + g * f.differentiate(v)
 
 
 def test_path_function_examples():

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from localquiver.scalars import Field, QQ, cyclotomic_polynomial, parse_scalar
+from localquiver.scalars import (Field, QQ, accumulate, cyclotomic_polynomial,
+                                 parse_scalar, signed_sum)
 
 
 def test_cyclotomic_polynomials():
@@ -47,6 +48,39 @@ def test_mixed_orders_rejected():
         _ = a + b
     # rationals embed into any cyclotomic field
     assert (Field(4).zeta() * QQ.elem(2)) == Field(4).elem("2*zeta")
+
+
+def test_field_join():
+    f4 = Field(4)
+    assert QQ.join(QQ) == QQ
+    assert QQ.join(f4) == f4 and f4.join(QQ) == f4 and f4.join(Field(4)) == f4
+    with pytest.raises(ValueError):
+        Field(3).join(f4)
+
+
+def test_from_label_inverts_label():
+    for field in (QQ, Field(1), Field(4), Field(12)):
+        assert Field.from_label(field.label()) == field
+    for bad in ("", "Q", " q", "cyclo:", "cyclo:0", "cyclo:-3", "cyclo:x",
+                "cyclo:2.5", "cyclo: 3", None, 5):
+        with pytest.raises(ValueError):
+            Field.from_label(bad)
+
+
+def test_accumulate_drops_zero_sums():
+    terms = {}
+    accumulate(terms, "x", QQ.elem(2))
+    accumulate(terms, "y", QQ.elem(0))
+    assert terms == {"x": QQ.elem(2)}
+    accumulate(terms, "x", QQ.elem(-2))
+    assert terms == {}
+
+
+def test_signed_sum():
+    assert signed_sum([]) == "0"
+    assert signed_sum([("-3", ""), ("1", "x"), ("-1", "y"), ("2", "z")]) \
+        == "-3 + x - y + 2*z"
+    assert signed_sum([("1 - zeta", "x"), ("-1/2", "y")]) == "(1 - zeta)*x - 1/2*y"
 
 
 def test_parse_and_print_round_trip():
