@@ -248,7 +248,7 @@ class FamilySpec:
                 coords.append(vec)
         if not coords:
             return  # constant family: nothing to check
-        inner = []
+        span = linalg.Echelon()  # the coboundaries: tangent space of the orbit
         for i in range(n):
             for j in range(n):
                 phi = linalg.zero_matrix(field, n, n)
@@ -259,10 +259,8 @@ class FamilySpec:
                     delta = linalg.mat_sub(linalg.mat_mul(mat, phi),
                                            linalg.mat_mul(phi, mat))
                     vec.extend(x for row in delta for x in row)
-                inner.append(vec)
-        rank_inner = linalg.rank(inner)
-        rank_joint = linalg.rank(inner + coords)
-        if rank_joint != rank_inner + len(coords):
+                span.insert(vec)
+        if not all(span.insert(vec) for vec in coords):
             raise ValueError(
                 "family directions are not transversal to the orbit at the "
                 "base point"

@@ -79,15 +79,30 @@ class Representation:
         (head, tail), = pairs
         total = linalg.zero_matrix(self.field, self.alpha[head], self.alpha[tail])
         for word, coeff in poly.terms.items():
-            mat = linalg.identity_matrix(self.field, self.alpha[head])
-            for a in word.arrows:
-                mat = linalg.mat_mul(mat, self.matrices[a])
-            total = linalg.mat_add(total, linalg.mat_scale(coeff, mat))
+            mat = _path_products(self.matrices, self.alpha, self.quiver,
+                                 self.field, word.arrows, word.head)[-1]
+            if mat is not None:
+                total = linalg.mat_add(total, linalg.mat_scale(coeff, mat))
         return total
 
     def __repr__(self):
         label = self.name or "rep"
         return f"Representation({label}, alpha={self.alpha.entries})"
+
+
+def _path_products(matrices, alpha: DimVector, quiver: Quiver, field: Field,
+                   arrows, head: str) -> list:
+    """The matrices of the prefixes of a path, shortest (the identity at
+    ``head``) first.  A prefix through a zero-dimensional vertex is the zero
+    matrix; it is None, because an empty matrix forgets its other size."""
+    mat = linalg.identity_matrix(field, alpha[head]) if alpha[head] else None
+    out = [mat]
+    for a in arrows:
+        if mat is not None:
+            mat = (linalg.mat_mul(mat, matrices[a])
+                   if alpha[quiver.tail(a)] else None)
+        out.append(mat)
+    return out
 
 
 class CheckResult:
@@ -114,7 +129,8 @@ def check_representation(rep: Representation) -> CheckResult:
         if mat is not None and not linalg.is_zero_matrix(mat):
             failures.append(f"relation {k} ({r}) does not vanish")
     for a in sorted(rep.presentation.invertible):
-        if linalg.invert(rep.matrices[a], rep.field) is None:
+        n = rep.alpha[rep.quiver.head(a)]
+        if n != rep.alpha[rep.quiver.tail(a)] or linalg.rank(rep.matrices[a]) < n:
             failures.append(f"invertible arrow {a} has a singular matrix")
     return CheckResult(not failures, failures)
 
@@ -128,12 +144,21 @@ def _require_same_presentation(x: Representation, y: Representation):
         raise ValueError("presentation mismatch between the representations")
 
 
+def _coerced(rep: Representation, field: Field):
+    """The arrow matrices of rep with entries in field."""
+    if rep.field == field:
+        return rep.matrices
+    return {a: [[field.elem(c) for c in row] for row in mat]
+            for a, mat in rep.matrices.items()}
+
+
 def _hom_system(x: Representation, y: Representation):
     """Matrix of the intertwiner equations; unknowns are vertex blocks of
     maps from x to y, vectorized row-major in vertex order."""
     _require_same_presentation(x, y)
     field = x.field.join(y.field)
     quiver = x.quiver
+    xm, ym = _coerced(x, field), _coerced(y, field)
     offsets = {}
     total = 0
     for v in quiver.vertices:
@@ -141,8 +166,7 @@ def _hom_system(x: Representation, y: Representation):
         total += x.alpha[v] * y.alpha[v]
     rows = []
     for arrow in quiver.arrows:
-        ya = [[field.elem(c) for c in row] for row in y.matrices[arrow.name]]
-        xa = [[field.elem(c) for c in row] for row in x.matrices[arrow.name]]
+        ya, xa = ym[arrow.name], xm[arrow.name]
         h, t = arrow.head, arrow.tail
         for i in range(y.alpha[h]):
             for j in range(x.alpha[t]):
@@ -159,35 +183,8 @@ def _hom_system(x: Representation, y: Representation):
 
 def hom_dim(x: Representation, y: Representation) -> int:
     """Dimension of the space of intertwiners from x to y."""
-    rows, total, field = _hom_system(x, y)
-    if total == 0:
-        return 0
-    if not rows:
-        return total
+    rows, total, _ = _hom_system(x, y)
     return total - linalg.rank(rows)
-
-
-def _delta_table(pres: Presentation, x: Representation, y: Representation,
-                 field: Field):
-    """For each arrow, the cocycle value as combinations of primary unknowns.
-
-    Returns (primary arrows, table) where table[a] is a list of triples
-    (L, p, R): delta(a) = sum of L * delta(p) * R over the triples.
-    """
-    eliminated = pres.eliminated_inverses()
-    primary = [a.name for a in pres.quiver.arrows if a.name not in eliminated]
-    table = {}
-    for a in pres.quiver.arrows:
-        if a.name in eliminated:
-            g = eliminated[a.name]
-            ly = [[(-field.elem(c)) for c in row] for row in y.matrices[a.name]]
-            rx = [[field.elem(c) for c in row] for row in x.matrices[a.name]]
-            table[a.name] = [(ly, g, rx)]
-        else:
-            iy = linalg.identity_matrix(field, y.alpha[a.head])
-            ix = linalg.identity_matrix(field, x.alpha[a.tail])
-            table[a.name] = [(iy, a.name, ix)]
-    return primary, table
 
 
 def _cocycle_system(x: Representation, y: Representation):
@@ -196,50 +193,60 @@ def _cocycle_system(x: Representation, y: Representation):
     pres = x.presentation
     field = x.field.join(y.field)
     quiver = x.quiver
-    primary, table = _delta_table(pres, x, y, field)
+    xm, ym = _coerced(x, field), _coerced(y, field)
+    eliminated = pres.eliminated_inverses()
+    primary = [a.name for a in quiver.arrows if a.name not in eliminated]
     offsets = {}
     total = 0
     for a in primary:
         offsets[a] = total
         total += y.alpha[quiver.head(a)] * x.alpha[quiver.tail(a)]
 
-    def mat_of(rep: Representation, word, head: str):
-        out = linalg.identity_matrix(field, rep.alpha[head])
-        for a in word:
-            out = linalg.mat_mul(out, [[field.elem(c) for c in row]
-                                       for row in rep.matrices[a]])
-        return out
-
     rows = []
     for r in pres.relations:
-        pairs = r.vertex_pairs()
-        (rh, rt), = pairs
+        (rh, rt), = r.vertex_pairs()
         n_rows, n_cols = y.alpha[rh], x.alpha[rt]
         block = [[[field.zero()] * total for _ in range(n_cols)]
                  for _ in range(n_rows)]
         for word, coeff in r.terms.items():
-            for pos, a in enumerate(word.arrows):
-                left = linalg.mat_scale(
-                    coeff, mat_of(y, word.arrows[:pos], word.head))
-                right = mat_of(x, word.arrows[pos + 1:],
-                               quiver.tail(a))
-                for ly, p, rx in table[a]:
-                    lmat = linalg.mat_mul(left, ly)
-                    rmat = linalg.mat_mul(rx, right)
-                    ph, pt = quiver.head(p), quiver.tail(p)
-                    off = offsets[p]
-                    for i in range(n_rows):
-                        for j in range(n_cols):
-                            row = block[i][j]
-                            for u in range(y.alpha[ph]):
-                                lu = lmat[i][u]
-                                if lu.is_zero():
-                                    continue
-                                for w in range(x.alpha[pt]):
-                                    c = lu * rmat[w][j]
-                                    if not c.is_zero():
-                                        idx = off + u * x.alpha[pt] + w
-                                        row[idx] += c
+            arrows = word.arrows
+            # delta(a1...ak) = sum over pos of y(a1...a_pos-1) delta(a_pos)
+            # x(a_pos+1...ak); None marks a product through a 0-dim vertex
+            lefts = _path_products(ym, y.alpha, quiver, field, arrows, word.head)
+            rights = [None] * len(arrows)
+            mat = linalg.identity_matrix(field, n_cols) if n_cols else None
+            for pos in range(len(arrows) - 1, -1, -1):
+                rights[pos] = mat
+                a = arrows[pos]
+                if mat is not None:
+                    mat = (linalg.mat_mul(xm[a], mat)
+                           if x.alpha[quiver.head(a)] else None)
+            for pos, a in enumerate(arrows):
+                if lefts[pos] is None or rights[pos] is None:
+                    continue
+                # an eliminated inverse a of p has delta(a) = -y(a) delta(p) x(a)
+                p = eliminated.get(a, a)
+                ph, pt = quiver.head(p), quiver.tail(p)
+                if not (y.alpha[ph] and x.alpha[pt]):
+                    continue
+                if p == a:
+                    lmat, rmat = linalg.mat_scale(coeff, lefts[pos]), rights[pos]
+                else:
+                    lmat = linalg.mat_mul(linalg.mat_scale(-coeff, lefts[pos]), ym[a])
+                    rmat = linalg.mat_mul(xm[a], rights[pos])
+                off = offsets[p]
+                for i in range(n_rows):
+                    for j in range(n_cols):
+                        row = block[i][j]
+                        for u in range(y.alpha[ph]):
+                            lu = lmat[i][u]
+                            if lu.is_zero():
+                                continue
+                            for w in range(x.alpha[pt]):
+                                c = lu * rmat[w][j]
+                                if not c.is_zero():
+                                    idx = off + u * x.alpha[pt] + w
+                                    row[idx] += c
         for i in range(n_rows):
             for j in range(n_cols):
                 rows.append(block[i][j])
@@ -249,11 +256,7 @@ def _cocycle_system(x: Representation, y: Representation):
 def cocycle_dim(x: Representation, y: Representation) -> int:
     """Dimension of the space of arrow cocycles (first-order deformations
     of the identity gluing, before dividing by inner derivations)."""
-    rows, total, field = _cocycle_system(x, y)
-    if total == 0:
-        return 0
-    if not rows:
-        return total
+    rows, total, _ = _cocycle_system(x, y)
     return total - linalg.rank(rows)
 
 
@@ -287,29 +290,14 @@ def is_simple(rep: Representation) -> bool:
                 big[offsets[head] + i][offsets[tail] + j] = mat[i][j]
         return big
 
-    basis: list[list[FieldElem]] = []  # row-reduced flattened spanning set
-
-    def insert(flat):
-        vec = list(flat)
-        for row in basis:
-            lead = next(k for k, c in enumerate(row) if not c.is_zero())
-            if not vec[lead].is_zero():
-                factor = vec[lead]
-                vec = [a - factor * b for a, b in zip(vec, row)]
-        if all(c.is_zero() for c in vec):
-            return False
-        lead = next(k for k, c in enumerate(vec) if not c.is_zero())
-        inv = vec[lead].inverse()
-        vec = [inv * c for c in vec]
-        basis.append(vec)
-        return True
+    span = linalg.Echelon()  # flattened path matrices, row-reduced
 
     frontier = []
     for v in quiver.vertices:
         if rep.alpha[v] == 0:
             continue
         mat = embed(linalg.identity_matrix(field, rep.alpha[v]), v, v)
-        if insert([c for row in mat for c in row]):
+        if span.insert([c for row in mat for c in row]):
             frontier.append(mat)
     arrow_mats = {
         a.name: embed(rep.matrices[a.name], a.head, a.tail)
@@ -320,12 +308,12 @@ def is_simple(rep: Representation) -> bool:
         for m in frontier:
             for a in quiver.arrows:
                 prod = linalg.mat_mul(arrow_mats[a.name], m)
-                if insert([c for row in prod for c in row]):
+                if span.insert([c for row in prod for c in row]):
                     nxt.append(prod)
         frontier = nxt
-        if len(basis) == n * n:
+        if len(span) == n * n:
             break
-    return len(basis) == n * n
+    return len(span) == n * n
 
 
 class SemisimpleModule:

@@ -1,8 +1,12 @@
 """Exact dense linear algebra over a :class:`~localquiver.scalars.Field`.
 
-Matrices are plain lists of lists of :class:`FieldElem`.  Everything here is
-exact Gaussian elimination; ranks and nullspaces are therefore sound, which
-the tangent-space and Ext computations rely on.
+Matrices are plain lists of lists of :class:`FieldElem`.  All elimination
+goes through one exact kernel, :class:`Echelon`, which takes rows one at a
+time and reports whether each was independent of those before it.  ``rank``
+is its forward elimination; ``nullspace``, ``solve`` (on ``[A | b | I]``, so
+that an inconsistent system yields a certificate) and ``invert`` read the
+reduced row echelon form, which is unique.  Ranks and nullspaces are
+therefore sound, which the tangent-space and Ext computations rely on.
 """
 
 from __future__ import annotations
@@ -78,57 +82,70 @@ def scalar_multiple_of_identity(a) -> FieldElem | None:
     return c
 
 
-def row_echelon(mat) -> tuple[list[list[FieldElem]], list[int]]:
-    """Reduced row echelon form (on a copy) and the pivot column list."""
-    mat = [row[:] for row in mat]
-    rows, cols = mat_shape(mat)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if not mat[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [inv * x for x in mat[r]]
-        for i in range(rows):
-            if i != r and not mat[i][c].is_zero():
-                factor = mat[i][c]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return mat, pivots
+class Echelon:
+    """Rows in echelon form; the one elimination routine of the package.
+
+    Each kept row is scaled to a leading 1 and is zero at the leads of the
+    rows kept before it, so one sweep in insertion order reduces a new row.
+    """
+
+    __slots__ = ("rows", "leads")
+
+    def __init__(self, rows=()):
+        self.rows: list[list[FieldElem]] = []
+        self.leads: list[int] = []
+        for row in rows:
+            self.insert(row)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def insert(self, row) -> bool:
+        """Reduce row against the kept rows; keep it if it is not zero."""
+        vec = list(row)
+        for lead, kept in zip(self.leads, self.rows):
+            f = vec[lead]
+            if not f.is_zero():
+                vec[lead:] = [x - f * y for x, y in zip(vec[lead:], kept[lead:])]
+        lead = next((k for k, x in enumerate(vec) if not x.is_zero()), None)
+        if lead is None:
+            return False
+        inv = vec[lead].inverse()
+        vec[lead:] = [inv * x for x in vec[lead:]]
+        self.rows.append(vec)
+        self.leads.append(lead)
+        return True
+
+    def reduced(self) -> tuple[list[list[FieldElem]], list[int]]:
+        """Back-substitute in place to the reduced row echelon form of the
+        kept rows; return its rows and their pivot columns."""
+        order = sorted(range(len(self.leads)), key=self.leads.__getitem__)
+        self.rows = [self.rows[k] for k in order]
+        self.leads = [self.leads[k] for k in order]
+        for k in range(len(self.rows) - 1, 0, -1):
+            lead, pivot = self.leads[k], self.rows[k]
+            for row in self.rows[:k]:
+                f = row[lead]
+                if not f.is_zero():
+                    row[lead:] = [x - f * y for x, y in zip(row[lead:], pivot[lead:])]
+        return self.rows, self.leads
 
 
 def rank(mat) -> int:
-    if not mat or not mat[0]:
-        return 0
-    return len(row_echelon(mat)[1])
+    return len(Echelon(mat))
 
 
 def nullspace(mat, field: Field) -> list[list[FieldElem]]:
     """A basis of the right nullspace {v : mat v = 0}."""
-    rows, cols = mat_shape(mat)
-    if cols == 0:
-        return []
-    if rows == 0:
-        return identity_matrix(field, cols)
-    ech, pivots = row_echelon(mat)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
+    cols = mat_shape(mat)[1]
+    rows, pivots = Echelon(mat).reduced()
     basis = []
     zero, one = field.zero(), field.one()
-    for f in free:
+    for f in sorted(set(range(cols)) - set(pivots)):
         vec = [zero] * cols
         vec[f] = one
-        for r, p in enumerate(pivots):
-            vec[p] = -ech[r][f]
+        for row, p in zip(rows, pivots):
+            vec[p] = -row[f]
         basis.append(vec)
     return basis
 
@@ -138,21 +155,18 @@ def solve(mat, rhs, field: Field):
 
     On success returns ``(x, None)`` with free variables set to zero.  On an
     inconsistent system returns ``(None, y)`` where y is a row functional
-    with y*mat = 0 but y*rhs != 0.
+    with y*mat = 0 but y*rhs != 0: the identity block of the reduced row of
+    ``[mat | rhs | I]`` whose lead is the rhs column.
     """
     rows, cols = mat_shape(mat)
     ident = identity_matrix(field, rows)
-    aug = [mat[i] + [rhs[i]] + ident[i] for i in range(rows)]
-    ech, pivots = row_echelon(aug)
-    zero = field.zero()
-    for r in range(len(ech)):
-        lead = next((c for c in range(cols) if not ech[r][c].is_zero()), None)
-        if lead is None and not ech[r][cols].is_zero():
-            return None, ech[r][cols + 1:]
-    x = [zero] * cols
-    for r, p in enumerate(pivots):
+    ech = Echelon(mat[i] + [rhs[i]] + ident[i] for i in range(rows))
+    x = [field.zero()] * cols
+    for row, p in zip(*ech.reduced()):
+        if p == cols:
+            return None, row[cols + 1:]
         if p < cols:
-            x[p] = ech[r][cols]
+            x[p] = row[cols]
     return x, None
 
 
@@ -162,8 +176,7 @@ def invert(mat, field: Field):
     if any(len(row) != n for row in mat):
         return None
     ident = identity_matrix(field, n)
-    aug = [mat[i] + ident[i] for i in range(n)]
-    ech, pivots = row_echelon(aug)
-    if pivots[:n] != list(range(n)):
+    ech = Echelon(mat[i] + ident[i] for i in range(n))
+    if any(p >= n for p in ech.leads):
         return None
-    return [row[n:] for row in ech[:n]]
+    return [row[n:] for row in ech.reduced()[0]]

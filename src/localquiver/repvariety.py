@@ -227,8 +227,7 @@ def tangent_space_dim(p: Presentation, m: Representation) -> int:
     for _, gen in ideal.generators:
         row = [gen.differentiate(v).evaluate(point) for v in variables]
         rows.append(row)
-    jac_rank = rank(rows) if rows and variables else 0
-    return rep_space_dim(p.quiver, m.alpha) - jac_rank
+    return rep_space_dim(p.quiver, m.alpha) - rank(rows)
 
 
 def orbit_dim(m: Representation) -> int:

@@ -244,7 +244,7 @@ def preprojective_form(relations: list[NCPoly]) -> PreprojectiveVerdict:
             })
         block = [[qp.g.get((a, b), field.zero()) for b in cols_group]
                  for a in rows_group]
-        if block and linalg.invert(block, field) is None:
+        if linalg.rank(block) < len(block):
             return PreprojectiveVerdict(False, witness={
                 "reason": "degenerate pairing block",
                 "vertices": [tail, head],

@@ -1,0 +1,119 @@
+"""The previous elimination paths of ``localquiver.linalg`` and
+``extcalc.is_simple``.
+
+Kept as a test oracle only: ``row_echelon`` computes a full reduced row
+echelon form column by column on a copy, and ``rank`` reruns it on every
+call; ``solve`` and ``invert`` reduce identity-augmented copies with it.
+``SpanOracle.insert`` is the incremental elimination that ``is_simple`` ran
+on its own.  The differential tests compare the package against them.
+"""
+
+from __future__ import annotations
+
+from localquiver.linalg import identity_matrix, mat_shape
+from localquiver.scalars import Field, FieldElem
+
+
+def row_echelon(mat) -> tuple[list[list[FieldElem]], list[int]]:
+    """Reduced row echelon form (on a copy) and the pivot column list."""
+    mat = [row[:] for row in mat]
+    rows, cols = mat_shape(mat)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, rows):
+            if not mat[i][c].is_zero():
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = mat[r][c].inverse()
+        mat[r] = [inv * x for x in mat[r]]
+        for i in range(rows):
+            if i != r and not mat[i][c].is_zero():
+                factor = mat[i][c]
+                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return mat, pivots
+
+
+def rank(mat) -> int:
+    if not mat or not mat[0]:
+        return 0
+    return len(row_echelon(mat)[1])
+
+
+def nullspace(mat, field: Field) -> list[list[FieldElem]]:
+    rows, cols = mat_shape(mat)
+    if cols == 0:
+        return []
+    if rows == 0:
+        return identity_matrix(field, cols)
+    ech, pivots = row_echelon(mat)
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
+    basis = []
+    zero, one = field.zero(), field.one()
+    for f in free:
+        vec = [zero] * cols
+        vec[f] = one
+        for r, p in enumerate(pivots):
+            vec[p] = -ech[r][f]
+        basis.append(vec)
+    return basis
+
+
+def solve(mat, rhs, field: Field):
+    rows, cols = mat_shape(mat)
+    ident = identity_matrix(field, rows)
+    aug = [mat[i] + [rhs[i]] + ident[i] for i in range(rows)]
+    ech, pivots = row_echelon(aug)
+    zero = field.zero()
+    for r in range(len(ech)):
+        lead = next((c for c in range(cols) if not ech[r][c].is_zero()), None)
+        if lead is None and not ech[r][cols].is_zero():
+            return None, ech[r][cols + 1:]
+    x = [zero] * cols
+    for r, p in enumerate(pivots):
+        if p < cols:
+            x[p] = ech[r][cols]
+    return x, None
+
+
+def invert(mat, field: Field):
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        return None
+    ident = identity_matrix(field, n)
+    aug = [mat[i] + ident[i] for i in range(n)]
+    ech, pivots = row_echelon(aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in ech[:n]]
+
+
+class SpanOracle:
+    """The row-reduced spanning set that ``is_simple`` grew by ``insert``."""
+
+    def __init__(self):
+        self.basis: list[list[FieldElem]] = []
+
+    def insert(self, flat) -> bool:
+        vec = list(flat)
+        for row in self.basis:
+            lead = next(k for k, c in enumerate(row) if not c.is_zero())
+            if not vec[lead].is_zero():
+                factor = vec[lead]
+                vec = [a - factor * b for a, b in zip(vec, row)]
+        if all(c.is_zero() for c in vec):
+            return False
+        lead = next(k for k, c in enumerate(vec) if not c.is_zero())
+        inv = vec[lead].inverse()
+        vec = [inv * c for c in vec]
+        self.basis.append(vec)
+        return True

@@ -9,6 +9,7 @@ from localquiver.extcalc import (Representation, SemisimpleModule,
 from localquiver.ncalg import (NCPoly, Presentation, heisenberg_presentation,
                                surface_group_presentation)
 from localquiver.quiver import DimVector, Quiver, gl_dim
+from localquiver.repvariety import tangent_space_dim
 from localquiver.scalars import Field, QQ
 
 
@@ -267,3 +268,38 @@ def test_presentation_mismatch_rejected():
         hom_dim(a, b)
     with pytest.raises(ValueError):
         ext1_dim(a, b)
+
+
+def _loop_through_v():
+    q = Quiver(["u", "v"], [("a", "u", "v"), ("b", "v", "u"), ("c", "u", "u")])
+    rel = NCPoly.arrow(q, "c", QQ) - NCPoly.word(q, ["a", "b"])
+    return q, Presentation(q, [rel], flavor="complete")
+
+
+def test_zero_dimensional_vertex_at_the_ends():
+    # a 0x1 matrix is [] and forgets its column count; the path a*b runs
+    # through u, so its matrix is the zero 0x0 matrix
+    q, p = _loop_through_v()
+    rep = Representation(p, DimVector(q, {"u": 0, "v": 1}),
+                         {"a": [], "b": [[]], "c": []})
+    assert check_representation(rep)
+    assert cocycle_dim(rep, rep) == 0
+    assert ext1_dim(rep, rep) == 0
+    assert tangent_space_dim(p, rep) == 0
+    assert hom_dim(rep, rep) == 1
+    assert is_simple(rep)
+
+
+def test_zero_dimensional_vertex_inside_a_path():
+    # a*b passes through v of dimension 0, so it is the zero 1x1 matrix
+    q, p = _loop_through_v()
+    alpha = DimVector(q, {"u": 1, "v": 0})
+    rep = Representation(p, alpha, {"a": [[]], "b": [], "c": [["0"]]})
+    assert check_representation(rep)
+    assert cocycle_dim(rep, rep) == 0
+    assert ext1_dim(rep, rep) == 0
+    assert tangent_space_dim(p, rep) == 0
+    bad = Representation(p, alpha, {"a": [[]], "b": [], "c": [["1"]]})
+    result = check_representation(bad)
+    assert not result
+    assert "relation 0" in result.failures[0]

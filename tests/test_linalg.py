@@ -1,7 +1,13 @@
 import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from localquiver import linalg
 from localquiver.scalars import Field, QQ
+
+F5 = Field(5)
 
 
 def qmat(rows):
@@ -58,3 +64,88 @@ def test_random_rank_nullity(seed=7):
                   for _ in range(rows)])
         r = linalg.rank(m)
         assert r + len(linalg.nullspace(m, QQ)) == cols
+
+
+def scalars(field):
+    ints = st.integers(-2, 2)
+    if field.is_rational:
+        return ints.map(field.elem)
+    return st.tuples(ints, ints, st.integers(0, 4)).map(
+        lambda t: field.elem(t[0]) + field.zeta(t[2]) * t[1])
+
+
+@st.composite
+def matrices(draw, field, square=False):
+    """Small matrices; sometimes the last row repeats a multiple of the first."""
+    rows = draw(st.integers(1, 4))
+    cols = rows if square else draw(st.integers(1, 5))
+    m = [[draw(scalars(field)) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        c = draw(scalars(field))
+        m[-1] = [c * x for x in m[0]]
+    return m
+
+
+def dot(u, v, field):
+    return sum((a * b for a, b in zip(u, v)), field.zero())
+
+
+FIELDS = pytest.mark.parametrize("field", [QQ, F5], ids=["q", "cyclo5"])
+
+
+@FIELDS
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_rank_plus_nullity_property(field, data):
+    m = data.draw(matrices(field))
+    basis = linalg.nullspace(m, field)
+    assert linalg.rank(m) + len(basis) == len(m[0])
+    for vec in basis:
+        assert all(dot(row, vec, field).is_zero() for row in m)
+
+
+@FIELDS
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_solve_or_certificate_property(field, data):
+    m = data.draw(matrices(field))
+    rhs = [data.draw(scalars(field)) for _ in m]
+    x, cert = linalg.solve(m, rhs, field)
+    if cert is None:
+        assert all(dot(row, x, field) == b for row, b in zip(m, rhs))
+    else:
+        assert x is None
+        for j in range(len(m[0])):
+            assert dot(cert, [row[j] for row in m], field).is_zero()
+        assert not dot(cert, rhs, field).is_zero()
+
+
+@FIELDS
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_invert_or_rank_deficient_property(field, data):
+    m = data.draw(matrices(field, square=True))
+    n = len(m)
+    inv = linalg.invert(m, field)
+    if inv is None:
+        assert linalg.rank(m) < n
+    else:
+        assert linalg.mat_eq(linalg.mat_mul(inv, m),
+                             linalg.identity_matrix(field, n))
+
+
+def test_rank_and_nullspace_against_sympy(seed=11):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    for _ in range(60):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+        ints = [[rng.choice([0, 0, 1, -1, 2, -3, 5]) for _ in range(cols)]
+                for _ in range(rows)]
+        if rows > 2 and rng.random() < 0.5:
+            ints[-1] = [a - 2 * b for a, b in zip(ints[0], ints[1])]
+        ours = linalg.nullspace(qmat(ints), QQ)
+        theirs = sympy.Matrix(ints).nullspace()
+        assert linalg.rank(qmat(ints)) == sympy.Matrix(ints).rank()
+        # both build one basis vector per free column from the unique RREF
+        assert [[x.rational_value() for x in vec] for vec in ours] == \
+            [[Fraction(int(c.p), int(c.q)) for c in vec] for vec in theirs]
