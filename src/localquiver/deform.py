@@ -57,11 +57,6 @@ class TensorSeries:
         return TensorSeries(symbols, size, order, field,
                             {(): linalg.identity_matrix(field, size)})
 
-    @staticmethod
-    def of_matrix(symbols: tuple[str, ...], mat, order: int,
-                  field: Field) -> "TensorSeries":
-        return TensorSeries(symbols, len(mat), order, field, {(): mat})
-
     def _compatible(self, other: "TensorSeries"):
         if self.symbols != other.symbols or self.size != other.size \
                 or self.order != other.order or self.field != other.field:

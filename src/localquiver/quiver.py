@@ -82,9 +82,6 @@ class Quiver:
     def tail(self, name: str) -> str:
         return self.arrow(name).tail
 
-    def loops_at(self, v: str) -> list[str]:
-        return [a.name for a in self.arrows if a.head == v and a.tail == v]
-
     def double(self) -> "Quiver":
         """Add a reversed arrow for every arrow (originals preserved).
 

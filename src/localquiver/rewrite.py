@@ -25,7 +25,10 @@ each step only adds later words and a word popped as irreducible is final.
 Early stop.  Once some degree d >= 1 has no irreducible word, every longer
 word contains a reducible one.  The terms of a critical pair all have at
 least its degree, so every remaining pair (of degree above d) reduces to
-zero, and an untracked ``complete`` ends with the rule list it has.
+zero, and ``complete`` ends with the rule list it has.
+
+Gradability.  ``is_gradable`` compares the irreducible word counts of the
+completions of the relations and of their minimal parts degree by degree.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from collections import deque
 
 from .ncalg import NCPoly, PathWord, Presentation, word_key, word_vertex_at
 from .quiver import Quiver
-from .scalars import Field, FieldElem, accumulate
+from .scalars import Field, FieldElem
 
 
 class Rule:
@@ -46,12 +49,11 @@ class Rule:
     data one reduction step splices into the reduced word.
     """
 
-    __slots__ = ("lead", "poly", "rep", "tail")
+    __slots__ = ("lead", "poly", "tail")
 
-    def __init__(self, poly: NCPoly, rep=None):
+    def __init__(self, poly: NCPoly):
         self.poly = poly
         self.lead = poly.leading_word()
-        self.rep = rep  # cofactor representation over base relations, or None
         self.tail = [(w.arrows, word_key(poly.quiver, w), c)
                      for w, c in poly.terms.items() if w != self.lead]
 
@@ -59,31 +61,6 @@ class Rule:
         lead_term = NCPoly(self.poly.quiver, self.poly.field,
                            {self.lead: self.poly.field.one()})
         return f"Rule({self.lead} -> {lead_term - self.poly})"
-
-
-# A cofactor representation maps (u, k, v) to c for the element that is the
-# sum of c * u * relation_k * v; equal keys merge and zero entries drop out.
-Rep = dict[tuple[PathWord, int, PathWord], FieldElem]
-
-
-def _scale_rep(rep: Rep | None, c: FieldElem) -> Rep | None:
-    if rep is None:
-        return None
-    return {key: c * d for key, d in rep.items()}
-
-
-def _shift_rep(rep: Rep, coeff: FieldElem, left: PathWord, right: PathWord,
-               out: Rep | None = None) -> Rep:
-    """Add the representation of coeff * left * (rep element) * right to out
-    (a new one by default) and return it."""
-    out = {} if out is None else out
-    for (u, k, v), d in rep.items():
-        lu = left.concat(u)
-        vr = v.concat(right)
-        if lu is None or vr is None:
-            raise AssertionError("cofactor shift does not compose")
-        accumulate(out, (lu, k, vr), coeff * d)
-    return out
 
 
 def _word_divides(small: PathWord, big: PathWord, quiver: Quiver) -> bool:
@@ -109,19 +86,12 @@ class RewriteSystem:
     power of the arrow ideal, for every input of degree at most D.
     """
 
-    __slots__ = ("presentation", "degree_bound", "rules", "complete_up_to",
-                 "tracked", "zero_reps")
+    __slots__ = ("presentation", "degree_bound", "rules")
 
-    def __init__(self, presentation: Presentation, degree_bound: int,
-                 tracked: bool):
+    def __init__(self, presentation: Presentation, degree_bound: int):
         self.presentation = presentation
         self.degree_bound = degree_bound
         self.rules: list[Rule] = []
-        self.complete_up_to = degree_bound
-        self.tracked = tracked
-        # in tracked mode: cofactor representations of elements that reduced
-        # to zero during completion -- these are syzygies of the input
-        self.zero_reps: list[Rep] = []
 
     @property
     def quiver(self) -> Quiver:
@@ -146,8 +116,8 @@ class RewriteSystem:
                 by_vertex.setdefault(lead.head, (ri, rule))
         return by_arrows, by_vertex, sorted({len(k) for k in by_arrows})
 
-    def reduce(self, poly: NCPoly, rep=None, skip_lead: PathWord | None = None):
-        """Full normal form (and, when tracking, the updated representation).
+    def reduce(self, poly: NCPoly, skip_lead: PathWord | None = None) -> NCPoly:
+        """Full normal form.
 
         Words above the degree bound are discarded.  ``skip_lead`` disables
         the rule with that leading word; the canonicalization pass uses it to
@@ -158,9 +128,6 @@ class RewriteSystem:
         reducible subword (lowest rule index on a tie); a step only adds
         words later in the order, so a settled word is never touched again.
         """
-        track = rep is not None
-        if track:
-            rep = dict(rep)
         quiver, bound = self.quiver, self.degree_bound
         by_arrows, by_vertex, lengths = self._lookup(skip_lead)
         tails = {a.name: a.tail for a in quiver.arrows} if by_vertex else None
@@ -169,8 +136,6 @@ class RewriteSystem:
         heap = []
         for w, c in poly.terms.items():
             if len(w) > bound:
-                if track:
-                    raise AssertionError("tracked reduction must not truncate")
                 continue
             terms[w] = c
             heap.append((len(w), word_key(quiver, w), w.head, w))
@@ -209,8 +174,6 @@ class RewriteSystem:
             for t_arrows, t_key, x in rule.tail:
                 nw_arrows = before + t_arrows + after
                 if len(nw_arrows) > bound:
-                    if track:
-                        raise AssertionError("tracked reduction must not truncate")
                     continue
                 nw = PathWord(nw_arrows, head, w.tail)
                 d = c * x
@@ -227,13 +190,8 @@ class RewriteSystem:
                         del terms[nw]
                     else:
                         terms[nw] = acc
-            if track:
-                prefix = PathWord(before, head, word_vertex_at(quiver, w, pos))
-                suffix = PathWord(after, word_vertex_at(quiver, w, end), w.tail)
-                _shift_rep(rule.rep, -c, prefix, suffix, rep)
-        result = NCPoly.from_terms(quiver, field, out if field == poly.field else {
+        return NCPoly.from_terms(quiver, field, out if field == poly.field else {
             w: field.elem(c) for w, c in out.items()})
-        return (result, rep) if track else result
 
 
 def _overlaps(r1: Rule, r2: Rule, quiver: Quiver, bound: int):
@@ -271,39 +229,23 @@ def _overlaps(r1: Rule, r2: Rule, quiver: Quiver, bound: int):
     return out
 
 
-def _spoly(item, field: Field, tracked: bool):
+def _spoly(item, field: Field) -> NCPoly:
     r1, left, right, r2, kind = item
     quiver = r1.poly.quiver
     one = field.one()
     lpoly = NCPoly(quiver, field, {left: one})
     rpoly = NCPoly(quiver, field, {right: one})
     if kind == "overlap":
-        s = r1.poly * rpoly - lpoly * r2.poly
-        rep = None
-        if tracked:
-            rep = _shift_rep(r1.rep, one, PathWord.vertex(r1.lead.head), right)
-            _shift_rep(r2.rep, -one, left, PathWord.vertex(r2.lead.tail), rep)
-        return s, rep
+        return r1.poly * rpoly - lpoly * r2.poly
     # idempotent lead of r1 inserted at a junction of r2.lead
-    s = lpoly * r1.poly * rpoly - r2.poly
-    rep = None
-    if tracked:
-        rep = _shift_rep(r1.rep, one, left, right)
-        _shift_rep(r2.rep, -one, PathWord.vertex(r2.lead.head),
-                   PathWord.vertex(r2.lead.tail), rep)
-    return s, rep
+    return lpoly * r1.poly * rpoly - r2.poly
 
 
-def complete(p: Presentation, D: int, tracked: bool = False) -> RewriteSystem:
+def complete(p: Presentation, D: int) -> RewriteSystem:
     """Confluent-up-to-degree-D rewrite system for the presentation.
 
-    With ``tracked=True`` every rule carries a cofactor representation over
-    the input relations; tracking is only sound when nothing is truncated,
-    which holds for homogeneous input, and is asserted.
-
-    Untracked runs stop once some degree has no irreducible word (see the
-    module docstring); tracked runs go on, since the pairs that reduce to
-    zero are the syzygies they record.
+    Words above D are dropped as they appear, and the run stops once some
+    degree has no irreducible word (see the module docstring).
     """
     if p.relations and D < p.max_relation_degree():
         raise ValueError(
@@ -311,38 +253,21 @@ def complete(p: Presentation, D: int, tracked: bool = False) -> RewriteSystem:
             f"{p.max_relation_degree()}"
         )
     field = p.field
-    rs = RewriteSystem(p, D, tracked)
+    rs = RewriteSystem(p, D)
     live: set[Rule] = set()  # the rules in rs.rules, by identity
-
-    pending: deque[tuple[NCPoly, Rep | None]] = deque()
-    for k, r in enumerate(p.relations):
-        rep = None
-        if tracked:
-            some = next(iter(r.terms))
-            rep = {(PathWord.vertex(some.head), k, PathWord.vertex(some.tail)):
-                   field.one()}
-        pending.append((r, rep))
-
+    pending: deque[NCPoly] = deque(p.relations)
     pair_heap: list[tuple[int, int, tuple]] = []
     counter = itertools.count()
 
-    def absorb(poly: NCPoly, rep):
-        if tracked:
-            poly, rep = rs.reduce(poly, rep)
-        else:
-            poly = rs.reduce(poly)
+    def absorb(poly: NCPoly):
+        poly = rs.reduce(poly)
         if poly.is_zero():
-            if tracked and rep:
-                rs.zero_reps.append(rep)
             return
-        inv = poly.leading_coeff().inverse()
-        poly = poly.scale(inv)
-        rep = _scale_rep(rep, inv)
-        rule = Rule(poly, rep)
+        rule = Rule(poly.scale(poly.leading_coeff().inverse()))
         kept = []
         for old in rs.rules:
             if _word_divides(rule.lead, old.lead, p.quiver):
-                pending.append((old.poly, old.rep))
+                pending.append(old.poly)
                 live.discard(old)
             else:
                 kept.append(old)
@@ -359,22 +284,19 @@ def complete(p: Presentation, D: int, tracked: bool = False) -> RewriteSystem:
     checked = 0  # pair degree at which the dead-degree test last ran
     while pending or pair_heap:
         if pending:
-            absorb(*pending.popleft())
+            absorb(pending.popleft())
             continue
         deg = pair_heap[0][0]
-        if not tracked and deg > checked:
+        if deg > checked:
             checked = deg
             if deg > 1 and _has_dead_degree(rs, deg - 1):
                 break
         _, _, item = heapq.heappop(pair_heap)
         if item[0] not in live or item[3] not in live:
             continue
-        s, rep = _spoly(item, field, tracked)
-        if s.is_zero():
-            if tracked and rep:
-                rs.zero_reps.append(rep)
-            continue
-        absorb(s, rep)
+        s = _spoly(item, field)
+        if not s.is_zero():
+            absorb(s)
     return rs
 
 
@@ -382,10 +304,10 @@ def normal_form(rs: RewriteSystem, f: NCPoly) -> NCPoly:
     """The unique irreducible representative modulo the ideal, truncated."""
     if f.quiver != rs.quiver:
         raise ValueError("polynomial lives over a different quiver")
-    if not f.is_zero() and f.max_degree() > rs.complete_up_to:
+    if not f.is_zero() and f.max_degree() > rs.degree_bound:
         raise ValueError(
             f"degree {f.max_degree()} exceeds completion bound "
-            f"{rs.complete_up_to}"
+            f"{rs.degree_bound}"
         )
     return rs.reduce(f)
 
@@ -489,6 +411,12 @@ def _sort_key(quiver: Quiver):
     return lambda g: (len(g.leading_word()), word_key(quiver, g.leading_word()))
 
 
+def _naive(p: Presentation) -> Presentation:
+    """The graded presentation by the minimal parts of the relations."""
+    return Presentation(p.quiver, [r.min_part() for r in p.relations],
+                        flavor="graded", field=p.field)
+
+
 def gr_ideal(p: Presentation, D: int) -> GrIdealReport:
     """Minimal homogeneous generators of gr of the relation ideal, up to D.
 
@@ -527,73 +455,27 @@ def gr_ideal(p: Presentation, D: int) -> GrIdealReport:
         accepted = sorted(canonical, key=_sort_key(p.quiver))
 
     lifts = [g - rs.reduce(g) for g in accepted]
-    naive = Presentation(p.quiver, [r.min_part() for r in p.relations],
-                         flavor="graded", field=p.field)
-    rs_naive = complete(naive, D)
+    rs_naive = complete(_naive(p), D)
     gradable = all(rs_naive.reduce(g).is_zero() for g in accepted)
     return GrIdealReport(accepted, D, gradable, lifts)
-
-
-def _syzygy_gradable(p: Presentation, D: int) -> bool:
-    """The syzygy criterion: every vanishing combination of the minimal
-    parts must lift to a combination of the full relations whose minimal
-    part vanishes in the naive quotient.  Certified up to degree D.
-
-    The syzygies of the minimal parts are generated by the overlap
-    syzygies of their completed system together with every element that
-    reduced to zero during the completion (redundant generators and retired
-    rules), which the tracked completion records.
-    """
-    mins = [r.min_part() for r in p.relations]
-    naive = Presentation(p.quiver, mins, flavor="graded", field=p.field)
-    if len(naive.relations) != len(mins):
-        raise AssertionError("minimal parts split unexpectedly")
-    rs = complete(naive, D, tracked=True)
-    field = p.field
-
-    def lift_vanishes(rep) -> bool:
-        lift = NCPoly.zero(p.quiver, field)
-        for (u, k, v), c in rep.items():
-            up = NCPoly(p.quiver, field, {u: c})
-            vp = NCPoly(p.quiver, field, {v: field.one()})
-            lift = lift + up * p.relations[k] * vp
-        if lift.is_zero():
-            return True
-        m = lift.min_part()
-        if m.min_degree() > D:
-            return True  # beyond the certified bound
-        return rs.reduce(m).is_zero()
-
-    for rep in rs.zero_reps:
-        if not lift_vanishes(rep):
-            return False
-    for r1 in rs.rules:
-        for r2 in rs.rules:
-            for _deg, item in _overlaps(r1, r2, p.quiver, D):
-                s, rep = _spoly(item, field, True)
-                s, rep = rs.reduce(s, rep)
-                if not s.is_zero():
-                    raise AssertionError("completed system left an overlap open")
-                if not lift_vanishes(rep):
-                    return False
-    return True
 
 
 def is_gradable(p: Presentation, D: int) -> bool:
     """Whether the relation set is gradable, certified up to degree D.
 
-    Computed from the gr-ideal report and cross-checked against the syzygy
-    criterion on the minimal parts; disagreement would indicate a bug and
-    raises.
+    The minimal parts of the relations generate an ideal inside gr I, so
+    they generate all of it through degree D exactly when both quotients
+    have the same graded dimensions up to D.  The verdict of the gr-ideal
+    report must agree; disagreement would indicate a bug and raises.
     """
     report = gr_ideal(p, D)
-    other = _syzygy_gradable(p, D)
-    if report.gradable != other:
+    by_dims = graded_dims(complete(p, D)) == graded_dims(complete(_naive(p), D))
+    if report.gradable != by_dims:
         raise RuntimeError(
             f"gradability criteria disagree (gr-ideal {report.gradable}, "
-            f"syzygy {other}); please report this input"
+            f"graded dimensions {by_dims}); please report this input"
         )
-    return report.gradable
+    return by_dims
 
 
 def minimal_relation_counts(p: Presentation, D: int) -> dict[tuple[str, str], int]:

@@ -350,14 +350,6 @@ class FieldElem:
     def __repr__(self):
         return f"FieldElem({self})"
 
-    def is_rational_value(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational_value():
-            raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
-
 
 _SCALAR_TOKEN = re.compile(r"\s*(zeta|\d+|[+\-*/^()])")
 

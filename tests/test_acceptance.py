@@ -139,7 +139,8 @@ def test_criterion_4_surface_local_quiver():
     assert ext1_dim(a, b) == 2 and ext1_dim(b, a) == 2
     result = local_quiver(SemisimpleModule([(a, 1), (b, 1)]))
     formula, _ = surface_local_quiver(2, [1, 1])
-    assert len(formula.loops_at("v1")) == result.ext1_matrix[0][0] == 4
+    loops = sum(1 for x in formula.arrows if x.head == x.tail == "v1")
+    assert loops == result.ext1_matrix[0][0] == 4
     cross = [x for x in formula.arrows if x.tail == "v1" and x.head == "v2"]
     assert len(cross) == result.ext1_matrix[1][0] == 2
 

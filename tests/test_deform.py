@@ -155,7 +155,7 @@ def test_expand_relation_constant_family():
             "Y1_inv": [[QQ.elem(Fraction(1, 3))]]}
     w = Representation(pres, DimVector(pres.quiver, {"v": 1}), mats)
     series = {
-        a.name: TensorSeries.of_matrix(("T1",), w.matrices[a.name], 3, QQ)
+        a.name: TensorSeries(("T1",), 1, 3, QQ, {(): w.matrices[a.name]})
         for a in pres.quiver.arrows
     }
     fs = FamilySpec(pres, w, series, 3, ("T1",))

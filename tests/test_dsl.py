@@ -98,6 +98,27 @@ def test_run_gradability_session():
     assert len(reports[1]["gr_generators"]) == 4
 
 
+def test_gradable_session_where_first_order_lifts_do_not_decide(monkeypatch,
+                                                                 capsys):
+    source = """
+quiver q { vertices: v; arrows: X: v -> v, Y: v -> v }
+algebra A over q {
+  relations: X^2 + Y^2*X; X*Y;
+  invertible: ;
+  flavor: complete
+}
+grideal A 5;
+gradable A 5;
+"""
+    monkeypatch.setattr("sys.stdin", io.StringIO(source))
+    assert main([]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert reports[0]["generators"] == ["X^2", "X*Y", "Y^4*X"]
+    assert reports[0]["gradable"] is False
+    assert reports[1]["gradable"] is False
+    assert reports[1]["gr_generators"] == reports[0]["generators"]
+
+
 def test_reports_deterministic():
     session1 = parse(SMALL_SESSION)
     session2 = parse(SMALL_SESSION)

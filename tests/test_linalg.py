@@ -147,5 +147,5 @@ def test_rank_and_nullspace_against_sympy(seed=11):
         theirs = sympy.Matrix(ints).nullspace()
         assert linalg.rank(qmat(ints)) == sympy.Matrix(ints).rank()
         # both build one basis vector per free column from the unique RREF
-        assert [[x.rational_value() for x in vec] for vec in ours] == \
+        assert [[x.coeffs[0] for x in vec] for vec in ours] == \
             [[Fraction(int(c.p), int(c.q)) for c in vec] for vec in theirs]

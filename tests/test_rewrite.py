@@ -2,16 +2,26 @@ import random
 
 import pytest
 
-from localquiver import linalg
 from localquiver.ncalg import NCPoly, PathWord, Presentation
 from localquiver.quiver import Quiver
 from localquiver.rewrite import (complete, graded_dims, gr_ideal, is_gradable,
                                  minimal_relation_counts, normal_form)
 from localquiver.scalars import QQ
 
+from test_rewrite_differential import random_path
+
 
 def loops(*names):
     return Quiver(["v"], [(n, "v", "v") for n in names])
+
+
+def poly(q, *terms):
+    """The sum of coeff * word over (coeff, word) terms; a word is a string
+    of one-letter arrow names."""
+    out = NCPoly.zero(q)
+    for c, word in terms:
+        out = out + NCPoly.word(q, list(word), coeff=c)
+    return out
 
 
 def counterexample_presentation():
@@ -30,6 +40,41 @@ def gradable_presentation():
         flavor="complete")
 
 
+def quiver_abc():
+    """Vertices 1, 2 with a: 2 -> 1, b: 1 -> 2 and a loop c at 1."""
+    return Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1"), ("c", "1", "1")])
+
+
+def redundant_minimal_parts():
+    q = loops("X", "Y")
+    return Presentation(q, [poly(q, (1, "XYX")), poly(q, (1, "YX"), (1, "XXX"))],
+                        flavor="complete")
+
+
+# In the next three, every overlap syzygy of the minimal parts lifts to a
+# combination of the relations whose minimal part lies in the naive ideal,
+# so a first-order syzygy check passes, yet gr I is larger than the naive
+# ideal: it holds Y^4*X, X^3*Y and a*b*a*b*c respectively.
+
+def not_gradable_by_a_second_order_lift():
+    q = loops("X", "Y")
+    return Presentation(q, [poly(q, (1, "XX"), (1, "YYX")), poly(q, (1, "XY"))],
+                        flavor="complete")
+
+
+def not_gradable_with_repeated_minimal_part():
+    q = loops("X", "Y")
+    return Presentation(q, [poly(q, (2, "YY"), (2, "YXY")),
+                            poly(q, (1, "YX"), (1, "XXX"), (-1, "XXY")),
+                            poly(q, (2, "YY"))], flavor="complete")
+
+
+def not_gradable_over_two_vertices():
+    q = quiver_abc()
+    return Presentation(q, [poly(q, (-1, "ca")), poly(q, (-1, "cc"), (3, "abc"))],
+                        flavor="complete")
+
+
 # ---- complete -------------------------------------------------------------
 
 def test_complete_monomial():
@@ -38,7 +83,7 @@ def test_complete_monomial():
                      flavor="graded")
     rs = complete(p, 5)
     assert sorted(str(r.lead) for r in rs.rules) == ["X*Y", "Y*X"]
-    assert rs.complete_up_to == 5
+    assert rs.degree_bound == 5
 
 
 def test_complete_preprojective_a2():
@@ -164,7 +209,13 @@ def test_graded_dims_examples():
 
 
 def brute_force_graded_dims(p: Presentation, D: int) -> list[int]:
-    """Independent oracle: exact spans over the full word basis."""
+    """Independent oracle: exact spans over the full word basis.
+
+    The products u * r * v of the relations with words, cut at degree D,
+    span the ideal modulo the words above D.  Eliminated with the columns in
+    ascending degree, each pivot is the lowest word of one basis vector, so
+    degree d of gr I has one dimension per pivot of degree d.
+    """
     q = p.quiver
     words = [PathWord.vertex(v) for v in q.vertices]
     by_degree = {0: list(words)}
@@ -178,14 +229,7 @@ def brute_force_graded_dims(p: Presentation, D: int) -> list[int]:
         words.extend(level)
     index = {w: k for k, w in enumerate(words)}
 
-    def vec(poly):
-        out = [QQ.zero()] * len(index)
-        for w, c in poly.terms.items():
-            if len(w) <= D:
-                out[index[w]] = out[index[w]] + c
-        return out
-
-    span = []
+    pivots = {}  # column -> sparse row with a 1 there and zeros left of it
     for r in p.relations:
         room = D - r.min_degree()
         for du in range(room + 1):
@@ -194,23 +238,25 @@ def brute_force_graded_dims(p: Presentation, D: int) -> list[int]:
                     for v in by_degree[dv]:
                         up = NCPoly(q, p.field, {u: QQ.one()})
                         vp = NCPoly(q, p.field, {v: QQ.one()})
-                        prod = up * r * vp
-                        if not prod.is_zero():
-                            span.append(vec(prod))
+                        row = {index[w]: c for w, c in (up * r * vp).terms.items()
+                               if len(w) <= D}
+                        while row:
+                            col = min(row)
+                            if col not in pivots:
+                                inv = row[col].inverse()
+                                pivots[col] = {k: inv * c for k, c in row.items()}
+                                break
+                            f = row[col]
+                            for k, c in pivots[col].items():
+                                x = row.get(k, QQ.zero()) - f * c
+                                if x.is_zero():
+                                    row.pop(k, None)
+                                else:
+                                    row[k] = x
 
-    def rank_with_tail(min_degree):
-        tail = []
-        for w, k in index.items():
-            if len(w) >= min_degree:
-                row = [QQ.zero()] * len(index)
-                row[k] = QQ.one()
-                tail.append(row)
-        rows = span + tail
-        return linalg.rank(rows) if rows else 0
-
-    dims = []
-    for d in range(D + 1):
-        dims.append(rank_with_tail(d) - rank_with_tail(d + 1))
+    dims = [len(by_degree[d]) for d in range(D + 1)]
+    for col in pivots:
+        dims[len(words[col])] -= 1
     return dims
 
 
@@ -289,10 +335,7 @@ def test_gradable_implies_matching_dims():
     D = 5
     naive = Presentation(p.quiver, [r.min_part() for r in p.relations],
                          flavor="graded")
-    d_complete = graded_dims(complete(p, D))
-    d_naive = graded_dims(complete(naive, D))
-    bound = D - p.max_relation_degree()
-    assert d_complete[:bound + 1] == d_naive[:bound + 1]
+    assert graded_dims(complete(p, D)) == graded_dims(complete(naive, D))
 
 
 # ---- minimal_relation_counts ---------------------------------------------------
@@ -342,11 +385,52 @@ def test_gradability_detects_redundant_minimal_parts():
     # the minimal part of the first relation is a multiple of the second's,
     # and the lift of that redundancy leaves the naive ideal: the syzygy in
     # question comes from interreduction, not from a suffix-prefix overlap
-    q = loops("X", "Y")
-    r1 = NCPoly.word(q, ["X", "Y", "X"])
-    r2 = NCPoly.word(q, ["Y", "X"]) + NCPoly.word(q, ["X", "X", "X"])
-    p = Presentation(q, [r1, r2], flavor="complete")
+    p = redundant_minimal_parts()
     report = gr_ideal(p, 5)
     assert [str(g) for g in report.generators] == ["Y*X", "X^4"]
     assert report.gradable is False
     assert is_gradable(p, 5) is False
+
+
+# ---- gradability against brute force ---------------------------------------
+
+def brute_force_gradable(p: Presentation, D: int) -> bool:
+    """Independent oracle: the minimal parts span gr I in every degree <= D."""
+    naive = Presentation(p.quiver, [r.min_part() for r in p.relations],
+                         flavor="graded", field=p.field)
+    return brute_force_graded_dims(p, D) == brute_force_graded_dims(naive, D)
+
+
+@pytest.mark.parametrize("make, D, expected", [
+    (counterexample_presentation, 5, False),
+    (gradable_presentation, 5, True),
+    (redundant_minimal_parts, 5, False),
+    (not_gradable_by_a_second_order_lift, 5, False),
+    (not_gradable_with_repeated_minimal_part, 4, False),
+    (not_gradable_over_two_vertices, 5, False),
+])
+def test_gradability_against_brute_force(make, D, expected):
+    p = make()
+    assert brute_force_gradable(p, D) is expected
+    assert is_gradable(p, D) is expected
+    assert gr_ideal(p, D).gradable is expected
+
+
+def test_seeded_gradability_against_brute_force(seed=0):
+    rng = random.Random(seed)
+    quivers = [loops("X", "Y"), quiver_abc()]
+    verdicts = set()
+    for k in range(48):
+        q = quivers[k % 2]
+        rels = [NCPoly(q, QQ, {random_path(rng, q, rng.randrange(2, 5)):
+                               QQ.elem(rng.choice((-2, -1, 1, 2, 3)))
+                               for _ in range(rng.randrange(1, 4))})
+                for _ in range(rng.randrange(1, 4))]
+        p = Presentation(q, rels, flavor="complete")
+        D = rng.choice((4, 5))
+        expected = brute_force_gradable(p, D)
+        assert is_gradable(p, D) is expected, ([str(r) for r in rels], D)
+        assert gr_ideal(p, D).gradable is expected
+        verdicts.add((len(q.vertices), expected))
+    # both verdicts occur, and a non-gradable input on each quiver
+    assert verdicts == {(1, True), (1, False), (2, True), (2, False)}

@@ -98,28 +98,10 @@ def random_polys(p, max_len, count=8, seed=0):
     return out
 
 
-def merged(rep):
-    """An oracle rep as the package holds it: entries summed by (u, k, v),
-    zero sums dropped."""
-    out = {}
-    for c, u, k, v in rep:
-        out[u, k, v] = out[u, k, v] + c if (u, k, v) in out else c
-    return {key: c for key, c in out.items() if not c.is_zero()}
-
-
-def merged_zero_reps(rs):
-    """The oracle's zero reps, merged; those that cancel to nothing dropped."""
-    return [m for m in map(merged, rs.zero_reps) if m]
-
-
-def assert_same_as_oracle(p, D, tracked=False):
-    new = complete(p, D, tracked=tracked)
-    old = oracle_complete(p, D, tracked=tracked)
+def assert_same_as_oracle(p, D):
+    new = complete(p, D)
+    old = oracle_complete(p, D)
     assert [str(r.poly) for r in new.rules] == [str(r.poly) for r in old.rules]
-    if tracked:
-        assert new.zero_reps == merged_zero_reps(old)
-        assert [r.rep for r in new.rules] == [merged(r.rep) for r in old.rules]
-        return
     for f in random_polys(p, D):
         assert str(normal_form(new, f)) == str(old.reduce(f))
     # words above the bound are dropped as they appear
@@ -152,23 +134,6 @@ def test_heisenberg_with_idempotent_leads_matches_oracle():
 
 def test_two_vertex_preprojective_matches_oracle():
     assert_same_as_oracle(two_vertex_preprojective(), 6)
-
-
-@pytest.mark.parametrize("p, D", [
-    (baseline_quadrics(), 3),
-    (sklyanin(5), 5),
-    (two_vertex_preprojective(), 6),
-])
-def test_tracked_completion_matches_oracle(p, D):
-    assert_same_as_oracle(p, D, tracked=True)
-
-
-def test_tracked_cofactors_are_merged():
-    # unmerged, the three zero reps of this run held 199,210 entries over
-    # 238 distinct (u, k, v) keys
-    rs = complete(baseline_quadrics(), 4, tracked=True)
-    assert 0 < sum(len(rep) for rep in rs.zero_reps) <= 238
-    assert all(not c.is_zero() for rep in rs.zero_reps for c in rep.values())
 
 
 def test_rational_rules_reduce_cyclotomic_input():
@@ -204,26 +169,21 @@ def test_quadrics_stop_once_degree_five_dies(monkeypatch):
     assert len(calls) == at_five  # no pair of degree 6 or 7 was formed
 
 
-def test_tracked_completion_never_stops_early(monkeypatch):
+def test_dead_degree_forms_no_pair(monkeypatch):
     q = loops("X")
     p = Presentation(q, [NCPoly.word(q, ["X", "X"])])
-    calls = {False: 0, True: 0}
+    calls = []
     spoly = rewrite._spoly
 
-    def counting(item, field, tracked):
-        calls[tracked] += 1
-        return spoly(item, field, tracked)
+    def counting(*args):
+        calls.append(args[0])
+        return spoly(*args)
 
     monkeypatch.setattr(rewrite, "_spoly", counting)
-    untracked = complete(p, 4)
-    tracked = complete(p, 4, tracked=True)
-    assert [str(r.poly) for r in untracked.rules] == ["X^2"]
-    assert [str(r.poly) for r in tracked.rules] == ["X^2"]
-    # degree 2 is dead at once, so the untracked run forms no pair, while
-    # the tracked one records the overlap syzygy X^2*X = X*X^2
-    assert calls == {False: 0, True: 1}
-    assert tracked.zero_reps == merged_zero_reps(oracle_complete(p, 4, tracked=True))
-    assert tracked.zero_reps
+    rs = complete(p, 4)
+    assert [str(r.poly) for r in rs.rules] == ["X^2"]
+    # degree 2 is dead at once, so the overlap X^2*X = X*X^2 is never formed
+    assert calls == []
 
 
 def test_gradability_goldens_agree_with_early_stop():

@@ -22,7 +22,7 @@ def test_rational_arithmetic():
     assert str(a + b) == "-1/2"
     assert (a / a).is_one()
     assert (a - a).is_zero()
-    assert a.rational_value() == Fraction(3, 2)
+    assert a.coeffs == (Fraction(3, 2),)
 
 
 def test_cyclotomic_reduction_and_inverse():
