@@ -97,7 +97,7 @@ def run_command(session: SessionFile, cmd: Command, options) -> dict:
         if cmd.name == "grideal":
             report.update(gr.to_json())
         else:
-            report["gradable"] = rewrite.is_gradable(pres, degree)
+            report["gradable"] = gr.gradable
             report["gr_generators"] = [str(g) for g in gr.generators]
             report["degree_bound"] = degree
         return report

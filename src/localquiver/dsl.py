@@ -421,31 +421,27 @@ class Parser:
                                        field_tag))
 
     def parse_matrix(self) -> list:
-        self.expect("[")
-        rows = []
-        while True:
-            rows.append(self.parse_row())
-            if self.at(","):
-                self.next()
-                continue
-            break
-        self.expect("]")
-        width = {len(r) for r in rows}
-        if len(width) != 1:
+        """``[row, ...]``; ``[]`` is a matrix with no rows."""
+        rows = self._bracketed(self.parse_row)
+        if len({len(r) for r in rows}) > 1:
             self.error("ill-shaped matrix: rows of different lengths")
         return rows
 
     def parse_row(self) -> list:
+        """``[entry, ...]``; ``[]`` is a row with no entries."""
+        return self._bracketed(self.parse_scalar_text)
+
+    def _bracketed(self, item) -> list:
+        """A bracketed, comma-separated and possibly empty list of items."""
         self.expect("[")
-        entries = []
-        while True:
-            entries.append(self.parse_scalar_text())
-            if self.at(","):
+        items = []
+        if not self.at("]"):
+            items.append(item())
+            while self.at(","):
                 self.next()
-                continue
-            break
+                items.append(item())
         self.expect("]")
-        return entries
+        return items
 
     def parse_scalar_text(self) -> str:
         """Collect one scalar entry as canonical text (validated later)."""

@@ -22,20 +22,29 @@ looked up in a table keyed by their arrows (and by vertex for idempotent
 leads).  The other terms of a rule come later in the order than its lead, so
 each step only adds later words and a word popped as irreducible is final.
 
+Settling by degree.  ``RewriteSystem.settle(top)`` runs the completion only
+through the critical pairs of degree <= top, and more polynomials may be
+queued between two calls.  A homogeneous rule of degree d forms only pairs
+of degree above d and retires only leads of degree >= d, so after
+``settle(d)`` normal forms of homogeneous degree-d input are exact.
+``complete`` is one ``settle(D)``; minimal generators are fed into one
+system degree by degree.
+
 Early stop.  Once some degree d >= 1 has no irreducible word, every longer
 word contains a reducible one.  The terms of a critical pair all have at
 least its degree, so every remaining pair (of degree above d) reduces to
-zero, and ``complete`` ends with the rule list it has.
+zero, and ``settle`` drops them and keeps the rule list it has.
 
-Gradability.  ``is_gradable`` compares the irreducible word counts of the
-completions of the relations and of their minimal parts degree by degree.
+Gradability.  ``gr_ideal`` gives the verdict and cross-checks it with the
+irreducible word counts of the completions of the relations and of their
+minimal parts, so ``gradable``, ``grideal`` and tangent cones all get both.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
+from collections import Counter, deque
 
 from .ncalg import NCPoly, PathWord, Presentation, word_key, word_vertex_at
 from .quiver import Quiver
@@ -80,18 +89,27 @@ def _word_divides(small: PathWord, big: PathWord, quiver: Quiver) -> bool:
 
 
 class RewriteSystem:
-    """A confluent-up-to-degree rule list for one presentation.
+    """A rule list for one presentation and the completion state behind it.
 
-    Normal forms are exact in the quotient by the ideal plus the (D+1)-st
-    power of the arrow ideal, for every input of degree at most D.
+    It starts with the relations pending.  After ``settle(D)`` normal forms
+    are exact in the quotient by the ideal plus the (D+1)-st power of the
+    arrow ideal, for every input of degree at most D.  ``live`` holds the
+    rules by identity, ``pairs`` the queued critical pairs, and ``checked``
+    the pair degree of the last dead-degree test.
     """
 
-    __slots__ = ("presentation", "degree_bound", "rules")
+    __slots__ = ("presentation", "degree_bound", "rules", "live", "pending",
+                 "pairs", "counter", "checked")
 
     def __init__(self, presentation: Presentation, degree_bound: int):
         self.presentation = presentation
         self.degree_bound = degree_bound
         self.rules: list[Rule] = []
+        self.live: set[Rule] = set()
+        self.pending: deque[NCPoly] = deque(presentation.relations)
+        self.pairs: list[tuple[int, int, tuple]] = []
+        self.counter = itertools.count()
+        self.checked = 0
 
     @property
     def quiver(self) -> Quiver:
@@ -193,6 +211,50 @@ class RewriteSystem:
         return NCPoly.from_terms(quiver, field, out if field == poly.field else {
             w: field.elem(c) for w, c in out.items()})
 
+    def absorb(self, poly: NCPoly):
+        """Reduce poly; a nonzero result becomes a monic rule, the rules its
+        lead divides go back to pending, and its critical pairs are queued."""
+        poly = self.reduce(poly)
+        if poly.is_zero():
+            return
+        quiver, bound = self.quiver, self.degree_bound
+        rule = Rule(poly.scale(poly.leading_coeff().inverse()))
+        for old in self.rules:
+            if _word_divides(rule.lead, old.lead, quiver):
+                self.pending.append(old.poly)
+                self.live.discard(old)
+        self.rules = [old for old in self.rules if old in self.live] + [rule]
+        self.live.add(rule)
+        for other in self.rules:
+            for deg, item in _overlaps(rule, other, quiver, bound):
+                heapq.heappush(self.pairs, (deg, next(self.counter), item))
+            if other is not rule:
+                for deg, item in _overlaps(other, rule, quiver, bound):
+                    heapq.heappush(self.pairs, (deg, next(self.counter), item))
+
+    def settle(self, top: int) -> "RewriteSystem":
+        """Absorb everything pending, then run the critical pairs of degree
+        <= top in degree order; the others wait, or are dropped once some
+        degree has no irreducible word.  Returns the system."""
+        pairs, live = self.pairs, self.live
+        while self.pending or (pairs and pairs[0][0] <= top):
+            if self.pending:
+                self.absorb(self.pending.popleft())
+                continue
+            deg = pairs[0][0]
+            if deg > self.checked:
+                self.checked = deg
+                if deg > 1 and _has_dead_degree(self, deg - 1):
+                    pairs.clear()
+                    break
+            _, _, item = heapq.heappop(pairs)
+            if item[0] not in live or item[3] not in live:
+                continue
+            s = _spoly(item, self.field)
+            if not s.is_zero():
+                self.absorb(s)
+        return self
+
 
 def _overlaps(r1: Rule, r2: Rule, quiver: Quiver, bound: int):
     """Critical pairs between two rules as (degree, item) entries.
@@ -241,63 +303,22 @@ def _spoly(item, field: Field) -> NCPoly:
     return lpoly * r1.poly * rpoly - r2.poly
 
 
+def _check_bound(p: Presentation, D: int):
+    if p.relations and D < p.max_relation_degree():
+        raise ValueError(
+            f"degree bound {D} is below the maximal relation degree "
+            f"{p.max_relation_degree()}"
+        )
+
+
 def complete(p: Presentation, D: int) -> RewriteSystem:
     """Confluent-up-to-degree-D rewrite system for the presentation.
 
     Words above D are dropped as they appear, and the run stops once some
     degree has no irreducible word (see the module docstring).
     """
-    if p.relations and D < p.max_relation_degree():
-        raise ValueError(
-            f"degree bound {D} is below the maximal relation degree "
-            f"{p.max_relation_degree()}"
-        )
-    field = p.field
-    rs = RewriteSystem(p, D)
-    live: set[Rule] = set()  # the rules in rs.rules, by identity
-    pending: deque[NCPoly] = deque(p.relations)
-    pair_heap: list[tuple[int, int, tuple]] = []
-    counter = itertools.count()
-
-    def absorb(poly: NCPoly):
-        poly = rs.reduce(poly)
-        if poly.is_zero():
-            return
-        rule = Rule(poly.scale(poly.leading_coeff().inverse()))
-        kept = []
-        for old in rs.rules:
-            if _word_divides(rule.lead, old.lead, p.quiver):
-                pending.append(old.poly)
-                live.discard(old)
-            else:
-                kept.append(old)
-        rs.rules = kept
-        rs.rules.append(rule)
-        live.add(rule)
-        for other in rs.rules:
-            for deg, item in _overlaps(rule, other, p.quiver, D):
-                heapq.heappush(pair_heap, (deg, next(counter), item))
-            if other is not rule:
-                for deg, item in _overlaps(other, rule, p.quiver, D):
-                    heapq.heappush(pair_heap, (deg, next(counter), item))
-
-    checked = 0  # pair degree at which the dead-degree test last ran
-    while pending or pair_heap:
-        if pending:
-            absorb(pending.popleft())
-            continue
-        deg = pair_heap[0][0]
-        if deg > checked:
-            checked = deg
-            if deg > 1 and _has_dead_degree(rs, deg - 1):
-                break
-        _, _, item = heapq.heappop(pair_heap)
-        if item[0] not in live or item[3] not in live:
-            continue
-        s = _spoly(item, field)
-        if not s.is_zero():
-            absorb(s)
-    return rs
+    _check_bound(p, D)
+    return RewriteSystem(p, D).settle(D)
 
 
 def normal_form(rs: RewriteSystem, f: NCPoly) -> NCPoly:
@@ -358,17 +379,6 @@ def graded_dims(rs: RewriteSystem) -> list[int]:
     return counts
 
 
-def graded_dims_by_pair(rs: RewriteSystem) -> dict[tuple[str, str], list[int]]:
-    """Irreducible word counts per (head, tail) vertex pair."""
-    out: dict[tuple[str, str], list[int]] = {}
-    for d, w in _irreducible_words(rs):
-        key = (w.head, w.tail)
-        if key not in out:
-            out[key] = [0] * (rs.degree_bound + 1)
-        out[key][d] += 1
-    return out
-
-
 class GrIdealReport:
     """Minimal homogeneous generators of the associated-graded ideal.
 
@@ -411,97 +421,82 @@ def _sort_key(quiver: Quiver):
     return lambda g: (len(g.leading_word()), word_key(quiver, g.leading_word()))
 
 
-def _naive(p: Presentation) -> Presentation:
-    """The graded presentation by the minimal parts of the relations."""
-    return Presentation(p.quiver, [r.min_part() for r in p.relations],
-                        flavor="graded", field=p.field)
+def _minimal_generators(p: Presentation, polys, D: int):
+    """Minimal generators of the ideal of homogeneous polys, through D.
+
+    In the shared order, each poly is reduced by one system settled through
+    its degree; a nonzero remainder is not in the ideal of the earlier
+    ones, so its monic form is kept and queued.  Returns the kept polys and
+    the system, which ``settle(D)`` completes.
+    """
+    quiver = p.quiver
+    rs = RewriteSystem(Presentation(quiver, [], field=p.field), D)
+    kept: list[NCPoly] = []
+    for g in sorted(polys, key=_sort_key(quiver)):
+        red = rs.settle(len(g.leading_word())).reduce(g)
+        if not red.is_zero():
+            kept.append(red.monic())
+            rs.pending.append(kept[-1])
+    return kept, rs
 
 
 def gr_ideal(p: Presentation, D: int) -> GrIdealReport:
     """Minimal homogeneous generators of gr of the relation ideal, up to D.
 
     The lowest-degree parts of the completed rules generate the
-    associated-graded ideal through degree D; a greedy pass in the word order
-    keeps those that are not already generated in their own degree, and a
-    final pass tail-reduces each survivor against the others so the output
-    is canonical.  The gradable verdict asks whether the lowest parts of the
-    *input* relations generate the same ideal in degrees <= D.
+    associated-graded ideal through degree D; ``_minimal_generators`` keeps
+    those not generated in lower degrees, and each is then tail-reduced
+    against the others so the output is canonical.  The report is gradable
+    when the minimal parts of the *input* relations reduce every generator
+    to zero.  They generate an ideal inside gr I, so the verdict must match
+    equal graded dimensions of the two quotients up to D; else it raises.
     """
     _require_admissible(p)
     rs = complete(p, D)
-    candidates = sorted((rule.poly.min_part() for rule in rs.rules),
-                        key=_sort_key(p.quiver))
-
-    accepted: list[NCPoly] = []
-    for cand in candidates:
-        if accepted:
-            sub = Presentation(p.quiver, accepted, flavor="graded",
-                               field=p.field)
-            red = complete(sub, cand.min_degree()).reduce(cand)
-        else:
-            red = cand
-        if not red.is_zero():
-            accepted.append(red.monic())
-
-    if accepted:
-        full = complete(Presentation(p.quiver, accepted, flavor="graded",
-                                     field=p.field), D)
-        canonical = []
-        for g in accepted:
-            h = full.reduce(g, skip_lead=g.leading_word()).monic()
-            if h.leading_word() != g.leading_word():
-                raise AssertionError("canonicalization moved a leading word")
-            canonical.append(h)
-        accepted = sorted(canonical, key=_sort_key(p.quiver))
+    accepted, full = _minimal_generators(
+        p, [rule.poly.min_part() for rule in rs.rules], D)
+    full.settle(D)
+    canonical = []
+    for g in accepted:
+        h = full.reduce(g, skip_lead=g.leading_word()).monic()
+        if h.leading_word() != g.leading_word():
+            raise AssertionError("canonicalization moved a leading word")
+        canonical.append(h)
+    accepted = sorted(canonical, key=_sort_key(p.quiver))
 
     lifts = [g - rs.reduce(g) for g in accepted]
-    rs_naive = complete(_naive(p), D)
+    naive = Presentation(p.quiver, [r.min_part() for r in p.relations],
+                         flavor="graded", field=p.field)
+    rs_naive = complete(naive, D)
     gradable = all(rs_naive.reduce(g).is_zero() for g in accepted)
+    by_dims = graded_dims(rs) == graded_dims(rs_naive)
+    if gradable != by_dims:
+        raise RuntimeError(
+            f"gradability criteria disagree (gr-ideal {gradable}, "
+            f"graded dimensions {by_dims}); please report this input"
+        )
     return GrIdealReport(accepted, D, gradable, lifts)
 
 
 def is_gradable(p: Presentation, D: int) -> bool:
-    """Whether the relation set is gradable, certified up to degree D.
-
-    The minimal parts of the relations generate an ideal inside gr I, so
-    they generate all of it through degree D exactly when both quotients
-    have the same graded dimensions up to D.  The verdict of the gr-ideal
-    report must agree; disagreement would indicate a bug and raises.
-    """
-    report = gr_ideal(p, D)
-    by_dims = graded_dims(complete(p, D)) == graded_dims(complete(_naive(p), D))
-    if report.gradable != by_dims:
-        raise RuntimeError(
-            f"gradability criteria disagree (gr-ideal {report.gradable}, "
-            f"graded dimensions {by_dims}); please report this input"
-        )
-    return by_dims
+    """Whether the relation set is gradable, certified up to degree D: the
+    verdict of ``gr_ideal``, cross-checked there by graded dimensions."""
+    return gr_ideal(p, D).gradable
 
 
 def minimal_relation_counts(p: Presentation, D: int) -> dict[tuple[str, str], int]:
     """Minimal homogeneous generator counts per (head, tail) vertex pair.
 
-    Counts the minimal generators of the relation ideal in degrees <= D; by
-    the standard resolution this is the dimension of the second Ext space
-    between the corresponding vertex simples.  Graded presentations only;
-    run gr_ideal first otherwise.
+    Counts the relations that ``_minimal_generators`` keeps; by the standard
+    resolution this is the dimension of the second Ext space between the
+    corresponding vertex simples.  Graded presentations only; run gr_ideal
+    first otherwise.
     """
     if p.flavor != "graded":
         raise ValueError("minimal_relation_counts needs a graded presentation; "
                          "apply gr_ideal first")
     _require_admissible(p)
-    rs_full = complete(p, D)
-    full_by_pair = graded_dims_by_pair(rs_full)
-    counts: dict[tuple[str, str], int] = {}
-    for d in sorted({len(rule.lead) for rule in rs_full.rules}):
-        if d > D:
-            continue
-        lower = [rule.poly for rule in rs_full.rules if len(rule.lead) < d]
-        sub = Presentation(p.quiver, lower, flavor="graded", field=p.field)
-        sub_by_pair = graded_dims_by_pair(complete(sub, d))
-        for pair in set(sub_by_pair) | set(full_by_pair):
-            n_sub = sub_by_pair.get(pair, [0] * (d + 1))[d]
-            n_full = full_by_pair.get(pair, [0] * (D + 1))[d]
-            if n_sub != n_full:
-                counts[pair] = counts.get(pair, 0) + (n_sub - n_full)
-    return {pair: n for pair, n in counts.items() if n}
+    _check_bound(p, D)
+    kept, _ = _minimal_generators(p, p.relations, D)
+    leads = [g.leading_word() for g in kept]
+    return dict(Counter((w.head, w.tail) for w in leads))

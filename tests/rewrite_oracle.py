@@ -1,9 +1,16 @@
-"""The previous reduction and completion path of ``localquiver.rewrite``.
+"""Previous paths of ``localquiver.rewrite``, kept as test oracles only.
 
-Kept as a test oracle only: every reduction step rebuilds ``left*rule*right``
+Reduction and completion: every reduction step rebuilds ``left*rule*right``
 as polynomials, re-sorts the whole polynomial and scans every rule for the
 leftmost match, and ``complete`` runs every critical pair up to the bound.
-The differential tests compare the package against it.
+
+Minimal generators: ``oracle_gr_ideal`` runs one completion per candidate
+generator plus one for the canonical pass, and
+``oracle_minimal_relation_counts`` one completion per degree, comparing
+irreducible word counts per vertex pair.  Both use the package's
+``complete``, which the differential tests check separately.
+
+The differential tests compare the package against them.
 """
 
 from __future__ import annotations
@@ -12,7 +19,10 @@ import heapq
 import itertools
 
 from localquiver.ncalg import NCPoly, PathWord, Presentation, word_vertex_at
-from localquiver.rewrite import RewriteSystem, Rule, _overlaps, _word_divides
+from localquiver.rewrite import (GrIdealReport, RewriteSystem, Rule,
+                                 _irreducible_words, _overlaps,
+                                 _require_admissible, _sort_key, _word_divides,
+                                 complete)
 from localquiver.scalars import Field
 
 
@@ -134,3 +144,78 @@ def oracle_complete(p: Presentation, D: int) -> OracleRewriteSystem:
         if not s.is_zero():
             absorb(s)
     return rs
+
+
+def graded_dims_by_pair(rs: RewriteSystem) -> dict[tuple[str, str], list[int]]:
+    """Irreducible word counts per (head, tail) vertex pair."""
+    out: dict[tuple[str, str], list[int]] = {}
+    for d, w in _irreducible_words(rs):
+        key = (w.head, w.tail)
+        if key not in out:
+            out[key] = [0] * (rs.degree_bound + 1)
+        out[key][d] += 1
+    return out
+
+
+def oracle_gr_ideal(p: Presentation, D: int) -> GrIdealReport:
+    """The per-candidate greedy gr-ideal: a candidate is kept when the
+    completion of the ones kept before it, at its degree, does not reduce
+    it to zero."""
+    _require_admissible(p)
+    rs = complete(p, D)
+    candidates = sorted((rule.poly.min_part() for rule in rs.rules),
+                        key=_sort_key(p.quiver))
+
+    accepted: list[NCPoly] = []
+    for cand in candidates:
+        if accepted:
+            sub = Presentation(p.quiver, accepted, flavor="graded",
+                               field=p.field)
+            red = complete(sub, cand.min_degree()).reduce(cand)
+        else:
+            red = cand
+        if not red.is_zero():
+            accepted.append(red.monic())
+
+    if accepted:
+        full = complete(Presentation(p.quiver, accepted, flavor="graded",
+                                     field=p.field), D)
+        canonical = []
+        for g in accepted:
+            h = full.reduce(g, skip_lead=g.leading_word()).monic()
+            if h.leading_word() != g.leading_word():
+                raise AssertionError("canonicalization moved a leading word")
+            canonical.append(h)
+        accepted = sorted(canonical, key=_sort_key(p.quiver))
+
+    lifts = [g - rs.reduce(g) for g in accepted]
+    naive = Presentation(p.quiver, [r.min_part() for r in p.relations],
+                         flavor="graded", field=p.field)
+    rs_naive = complete(naive, D)
+    gradable = all(rs_naive.reduce(g).is_zero() for g in accepted)
+    return GrIdealReport(accepted, D, gradable, lifts)
+
+
+def oracle_minimal_relation_counts(p: Presentation, D: int):
+    """Per degree d of a completed rule, the minimal generators of degree d
+    per vertex pair are the irreducible words of degree d that the rules of
+    lower degree leave but the full completion removes."""
+    if p.flavor != "graded":
+        raise ValueError("minimal_relation_counts needs a graded presentation; "
+                         "apply gr_ideal first")
+    _require_admissible(p)
+    rs_full = complete(p, D)
+    full_by_pair = graded_dims_by_pair(rs_full)
+    counts: dict[tuple[str, str], int] = {}
+    for d in sorted({len(rule.lead) for rule in rs_full.rules}):
+        if d > D:
+            continue
+        lower = [rule.poly for rule in rs_full.rules if len(rule.lead) < d]
+        sub = Presentation(p.quiver, lower, flavor="graded", field=p.field)
+        sub_by_pair = graded_dims_by_pair(complete(sub, d))
+        for pair in set(sub_by_pair) | set(full_by_pair):
+            n_sub = sub_by_pair.get(pair, [0] * (d + 1))[d]
+            n_full = full_by_pair.get(pair, [0] * (D + 1))[d]
+            if n_sub != n_full:
+                counts[pair] = counts.get(pair, 0) + (n_sub - n_full)
+    return {pair: n for pair, n in counts.items() if n}

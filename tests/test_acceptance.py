@@ -25,9 +25,11 @@ from localquiver.ncalg import (NCPoly, PathWord, Presentation, Superpotential,
                                surface_group_presentation)
 from localquiver.quiver import DimVector, Quiver, cb_arrow_count, surface_local_quiver
 from localquiver.repvariety import tangent_space_dim
-from localquiver.rewrite import complete, graded_dims, gr_ideal
+from localquiver.rewrite import complete, graded_dims, gr_ideal, is_gradable
 from localquiver.scalars import Field, QQ
 from localquiver.structure import preprojective_form, superpotential_form
+
+from test_rewrite_differential import baseline_quadrics
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -360,6 +362,15 @@ def test_criterion_8_crawley_boevey_formula():
     assert cb_arrow_count(a2_d, [e1, e2], 0, 1) == 1
     assert cb_arrow_count(two_d, [one_two], 0, 0) == 4
     _report("8 crawley-boevey formula", time.time() - start, 0.1)
+
+
+def test_criterion_9_quadrics_gradability_budget():
+    # homogeneous relations are their own minimal parts, so the verdict is
+    # True; the budget covers gr_ideal's completions and the cross-check
+    p = baseline_quadrics()
+    start = time.time()
+    assert is_gradable(p, 6) is True
+    _report("9 quadrics gradability D=6", time.time() - start, 3.0)
 
 
 def test_session_reports_match_golden():

@@ -87,6 +87,36 @@ def test_round_trip_print_parse():
         assert print_session(again) == rendered
 
 
+ZERO_VERTEX_SESSION = """
+quiver q { vertices: u, v; arrows: a: v -> u, b: u -> v, c: u -> u }
+algebra A over q { relations: c - a*b; invertible: ; flavor: complete }
+rep r of A { dim: u = 0, v = 1; a = []; b = [[]]; c = []; field: q }
+rep s of A { dim: u = 2, v = 0; a = [[], []]; b = []; c = [[0, 0], [0, 0]];
+  field: q }
+ext1 r r;
+ext1 r s;
+"""
+
+
+def test_zero_size_matrices_round_trip():
+    session = parse(ZERO_VERTEX_SESSION)
+    assert session.blocks[2].matrices == {"a": [], "b": [[]], "c": []}
+    assert session.blocks[3].matrices["a"] == [[], []]
+    rendered = print_session(session)
+    assert "a = [];" in rendered and "a = [[], []];" in rendered
+    again = parse(rendered)
+    assert again == session
+    assert print_session(again) == rendered
+
+
+def test_session_with_a_zero_dimensional_vertex(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(ZERO_VERTEX_SESSION))
+    assert main([]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    # no loop at v, and c = a*b leaves one arrow each way between u and v
+    assert [r["ext1"] for r in reports] == [0, 2]
+
+
 def test_run_gradability_session():
     session = parse(SMALL_SESSION)
     reports, code = run(session, {})
@@ -132,10 +162,17 @@ def test_reports_deterministic():
 def test_internal_error_is_contained_per_command(monkeypatch, capsys, kind):
     from localquiver import rewrite
 
-    def broken(pres, degree):
-        raise kind("criteria disagree")
+    real = rewrite.gr_ideal
+    calls = []
 
-    monkeypatch.setattr(rewrite, "is_gradable", broken)
+    def broken(pres, degree):
+        # a run's second gr_ideal call is the one `gradable A 5` makes
+        calls.append(degree)
+        if len(calls) == 2:
+            raise kind("criteria disagree")
+        return real(pres, degree)
+
+    monkeypatch.setattr(rewrite, "gr_ideal", broken)
     session = parse(SMALL_SESSION + "grideal Missing 5;\ngrideal A 5;\n")
     reports, code = run(session, {})
     assert code == 3
@@ -149,10 +186,29 @@ def test_internal_error_is_contained_per_command(monkeypatch, capsys, kind):
                           "command_index": 2,
                           "error": "unknown algebra 'Missing'"}
 
+    calls.clear()
     monkeypatch.setattr("sys.stdin", io.StringIO(SMALL_SESSION))
     assert main([]) == 3
     printed = json.loads(capsys.readouterr().out)
     assert printed[0]["generators"] and printed[1]["error_kind"] == "internal"
+
+
+def test_gradable_command_runs_gr_ideal_once(monkeypatch):
+    from localquiver import rewrite
+
+    real = rewrite.gr_ideal
+    calls = []
+
+    def counting(pres, degree):
+        calls.append(degree)
+        return real(pres, degree)
+
+    monkeypatch.setattr(rewrite, "gr_ideal", counting)
+    reports, code = run(parse(SMALL_SESSION.replace("grideal A 5;\n", "")), {})
+    assert code == 0
+    assert [r["command"] for r in reports] == ["gradable"]
+    assert reports[0]["gradable"] is False
+    assert calls == [5]
 
 
 def test_input_error_keeps_exit_code_one():

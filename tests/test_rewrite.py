@@ -8,7 +8,8 @@ from localquiver.rewrite import (complete, graded_dims, gr_ideal, is_gradable,
                                  minimal_relation_counts, normal_form)
 from localquiver.scalars import QQ
 
-from test_rewrite_differential import random_path
+from rewrite_oracle import oracle_gr_ideal, oracle_minimal_relation_counts
+from test_rewrite_differential import random_path, two_vertex_preprojective
 
 
 def loops(*names):
@@ -358,6 +359,15 @@ def test_minimal_relation_counts():
         minimal_relation_counts(counterexample_presentation(), 5)
 
 
+def test_minimal_relation_counts_rejects_low_bound():
+    q = loops("X", "Y")
+    p = Presentation(q, [poly(q, (1, "XY")), poly(q, (1, "XXY"), (1, "YYY"))],
+                     flavor="graded")
+    assert minimal_relation_counts(p, 3) == {("v", "v"): 2}
+    with pytest.raises(ValueError, match="below the maximal relation degree"):
+        minimal_relation_counts(p, 2)
+
+
 def test_minimal_relation_counts_multivertex():
     from localquiver.ncalg import preprojective_relations
     qd = Quiver(["1", "2"], [("a", "2", "1")]).double()
@@ -401,14 +411,17 @@ def brute_force_gradable(p: Presentation, D: int) -> bool:
     return brute_force_graded_dims(p, D) == brute_force_graded_dims(naive, D)
 
 
-@pytest.mark.parametrize("make, D, expected", [
+GRADABILITY_CASES = [
     (counterexample_presentation, 5, False),
     (gradable_presentation, 5, True),
     (redundant_minimal_parts, 5, False),
     (not_gradable_by_a_second_order_lift, 5, False),
     (not_gradable_with_repeated_minimal_part, 4, False),
     (not_gradable_over_two_vertices, 5, False),
-])
+]
+
+
+@pytest.mark.parametrize("make, D, expected", GRADABILITY_CASES)
 def test_gradability_against_brute_force(make, D, expected):
     p = make()
     assert brute_force_gradable(p, D) is expected
@@ -416,21 +429,104 @@ def test_gradability_against_brute_force(make, D, expected):
     assert gr_ideal(p, D).gradable is expected
 
 
-def test_seeded_gradability_against_brute_force(seed=0):
+def seeded_gradability_inputs(seed=0):
+    """48 (presentation, D) pairs on two loops and on ``quiver_abc``."""
     rng = random.Random(seed)
     quivers = [loops("X", "Y"), quiver_abc()]
-    verdicts = set()
     for k in range(48):
         q = quivers[k % 2]
         rels = [NCPoly(q, QQ, {random_path(rng, q, rng.randrange(2, 5)):
                                QQ.elem(rng.choice((-2, -1, 1, 2, 3)))
                                for _ in range(rng.randrange(1, 4))})
                 for _ in range(rng.randrange(1, 4))]
-        p = Presentation(q, rels, flavor="complete")
-        D = rng.choice((4, 5))
+        yield Presentation(q, rels, flavor="complete"), rng.choice((4, 5))
+
+
+def test_seeded_gradability_against_brute_force():
+    verdicts = set()
+    for p, D in seeded_gradability_inputs():
         expected = brute_force_gradable(p, D)
-        assert is_gradable(p, D) is expected, ([str(r) for r in rels], D)
+        assert is_gradable(p, D) is expected, ([str(r) for r in p.relations], D)
         assert gr_ideal(p, D).gradable is expected
-        verdicts.add((len(q.vertices), expected))
+        verdicts.add((len(p.quiver.vertices), expected))
     # both verdicts occur, and a non-gradable input on each quiver
     assert verdicts == {(1, True), (1, False), (2, True), (2, False)}
+
+
+# ---- minimal generators against the per-candidate oracle --------------------
+
+def assert_same_generators_as_oracle(p, D):
+    """gr_ideal and minimal_relation_counts agree with the oracle, and so do
+    the counts of the tangent-cone presentation by the generators."""
+    new, old = gr_ideal(p, D), oracle_gr_ideal(p, D)
+    assert new.to_json() == old.to_json()
+    assert [str(f) for f in new.lifts] == [str(f) for f in old.lifts]
+    cone = Presentation(p.quiver, new.generators, flavor="graded",
+                        field=p.field)
+    for graded in [cone] + ([p] if p.flavor == "graded" else []):
+        assert (minimal_relation_counts(graded, D)
+                == oracle_minimal_relation_counts(graded, D))
+
+
+@pytest.mark.parametrize("make, D, expected", GRADABILITY_CASES)
+def test_gradability_cases_match_generator_oracle(make, D, expected):
+    assert_same_generators_as_oracle(make(), D)
+
+
+def test_seeded_gradability_inputs_match_generator_oracle():
+    for p, D in seeded_gradability_inputs():
+        assert_same_generators_as_oracle(p, D)
+
+
+def seeded_mixed_degree_presentations(seed=1, count=40):
+    """Graded presentations with relations of degrees 2 to 4, alternately on
+    two loops and on ``quiver_abc``.  Each has random relations of degree 2
+    and 3 and one of degree 3 or 4, and some have a combination of products
+    of the earlier relations, which is redundant."""
+    rng = random.Random(seed)
+    quivers = [loops("X", "Y"), quiver_abc()]
+    scalars = [QQ.elem(k) for k in (-2, -1, 1, 2, 3)]
+    for k in range(count):
+        q = quivers[k % 2]
+
+        def homogeneous(d):
+            return NCPoly(q, QQ, {random_path(rng, q, d): rng.choice(scalars)
+                                  for _ in range(rng.randrange(1, 4))})
+
+        rels = [homogeneous(2) for _ in range(rng.randrange(1, 3))]
+        rels.append(homogeneous(3))
+        if rng.random() < 0.6:
+            combo = NCPoly.zero(q)
+            for _ in range(2):
+                r = rng.choice(rels)
+                du = rng.randrange(0, 5 - r.max_degree())
+                u = random_path(rng, q, du)
+                v = random_path(rng, q, 4 - r.max_degree() - du)
+                combo = combo + (NCPoly(q, QQ, {u: rng.choice(scalars)}) * r
+                                 * NCPoly(q, QQ, {v: QQ.one()}))
+            rels.append(combo)
+        rels.append(homogeneous(rng.choice((3, 4))))
+        yield Presentation(q, rels, flavor="graded")
+
+
+def test_seeded_mixed_degree_presentations_match_generator_oracle():
+    seen = set()
+    for p in seeded_mixed_degree_presentations():
+        assert_same_generators_as_oracle(p, 5)
+        total = sum(minimal_relation_counts(p, 5).values())
+        quadrics = Presentation(p.quiver, [r for r in p.relations
+                                           if r.max_degree() == 2])
+        seen.add(("redundant", total < len(p.relations)))
+        seen.add(("higher degree kept",
+                  total > sum(minimal_relation_counts(quadrics, 5).values())))
+        seen.add(("vertices", len(p.quiver.vertices)))
+    assert seen >= {("redundant", True), ("higher degree kept", True),
+                    ("vertices", 1), ("vertices", 2)}
+
+
+def test_multivertex_preprojective_matches_generator_oracle():
+    from localquiver.ncalg import preprojective_relations
+    qd = Quiver(["1", "2"], [("a", "2", "1")]).double()
+    assert_same_generators_as_oracle(
+        Presentation(qd, preprojective_relations(qd), flavor="graded"), 4)
+    assert_same_generators_as_oracle(two_vertex_preprojective(), 5)
