@@ -271,7 +271,13 @@ def ext1_dim(x: Representation, y: Representation) -> int:
 
 
 def is_simple(rep: Representation) -> bool:
-    """Density check: the path matrices must span the full matrix algebra."""
+    """Density check: the path matrices must span the full matrix algebra.
+
+    Over the rationals each arrow matrix is scaled by the lcm of its
+    denominators, which leaves the span unchanged, so the path products are
+    int matrices and enter the ``Echelon`` as integer rows; over a
+    cyclotomic field they are :class:`FieldElem` matrices.
+    """
     n = rep.dim()
     if n == 0:
         return False
@@ -288,6 +294,9 @@ def is_simple(rep: Representation) -> bool:
         for i in range(rep.alpha[head]):
             for j in range(rep.alpha[tail]):
                 big[offsets[head] + i][offsets[tail] + j] = mat[i][j]
+        if field.is_rational:
+            flat = linalg.clear_denominators([c for row in big for c in row])
+            big = [flat[i:i + n] for i in range(0, n * n, n)]
         return big
 
     span = linalg.Echelon()  # flattened path matrices, row-reduced

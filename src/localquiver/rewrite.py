@@ -465,9 +465,12 @@ def gr_ideal(p: Presentation, D: int) -> GrIdealReport:
     accepted = sorted(canonical, key=_sort_key(p.quiver))
 
     lifts = [g - rs.reduce(g) for g in accepted]
-    naive = Presentation(p.quiver, [r.min_part() for r in p.relations],
-                         flavor="graded", field=p.field)
-    rs_naive = complete(naive, D)
+    if all(r.is_homogeneous() for r in p.relations):
+        rs_naive = rs  # the minimal parts are the relations themselves
+    else:
+        naive = Presentation(p.quiver, [r.min_part() for r in p.relations],
+                             flavor="graded", field=p.field)
+        rs_naive = complete(naive, D)
     gradable = all(rs_naive.reduce(g).is_zero() for g in accepted)
     by_dims = graded_dims(rs) == graded_dims(rs_naive)
     if gradable != by_dims:

@@ -5,12 +5,14 @@ Kept as a test oracle only: ``row_echelon`` computes a full reduced row
 echelon form column by column on a copy, and ``rank`` reruns it on every
 call; ``solve`` and ``invert`` reduce identity-augmented copies with it.
 ``SpanOracle.insert`` is the incremental elimination that ``is_simple`` ran
-on its own.  The differential tests compare the package against them.
+on its own, and ``is_simple`` is the density check with :class:`FieldElem`
+path products inserted into it.  The differential tests compare the package
+against them.
 """
 
 from __future__ import annotations
 
-from localquiver.linalg import identity_matrix, mat_shape
+from localquiver.linalg import identity_matrix, mat_mul, mat_shape, zero_matrix
 from localquiver.scalars import Field, FieldElem
 
 
@@ -117,3 +119,41 @@ class SpanOracle:
         vec = [inv * c for c in vec]
         self.basis.append(vec)
         return True
+
+
+def is_simple(rep) -> bool:
+    """Whether the path matrices of rep span the full matrix algebra."""
+    n = rep.dim()
+    if n == 0:
+        return False
+    field = rep.field
+    offsets, pos = {}, 0
+    for v in rep.quiver.vertices:
+        offsets[v] = pos
+        pos += rep.alpha[v]
+
+    def embed(mat, head, tail):
+        big = zero_matrix(field, n, n)
+        for i in range(rep.alpha[head]):
+            for j in range(rep.alpha[tail]):
+                big[offsets[head] + i][offsets[tail] + j] = mat[i][j]
+        return big
+
+    span = SpanOracle()
+    frontier = []
+    for v in rep.quiver.vertices:
+        if rep.alpha[v]:
+            mat = embed(identity_matrix(field, rep.alpha[v]), v, v)
+            if span.insert([c for row in mat for c in row]):
+                frontier.append(mat)
+    arrow_mats = [embed(rep.matrices[a.name], a.head, a.tail)
+                  for a in rep.quiver.arrows]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for a in arrow_mats:
+                prod = mat_mul(a, m)
+                if span.insert([c for row in prod for c in row]):
+                    nxt.append(prod)
+        frontier = nxt
+    return len(span.basis) == n * n

@@ -18,7 +18,7 @@ from localquiver.cli import run
 from localquiver.deform import FamilySpec, expand_relation, tangent_cone_relations
 from localquiver.dsl import parse
 from localquiver.extcalc import (Representation, SemisimpleModule, cocycle_dim,
-                                 ext1_dim, local_quiver)
+                                 ext1_dim, hom_dim, is_simple, local_quiver)
 from localquiver.ncalg import (NCPoly, PathWord, Presentation, Superpotential,
                                cyclic_derivative, heisenberg_presentation,
                                preprojective_relations,
@@ -371,6 +371,61 @@ def test_criterion_9_quadrics_gradability_budget():
     start = time.time()
     assert is_gradable(p, 6) is True
     _report("9 quadrics gradability D=6", time.time() - start, 3.0)
+
+
+
+def _spans_matrix_algebra_mod_p(mats, p=1_000_003):
+    """Whether the words in integer n x n matrices span M_n(F_p).
+
+    Plain ints only, no package code.  Spanning M_n mod p forces spanning
+    M_n over the rationals, so True certifies absolute simplicity.
+    """
+    n = len(mats[0])
+    basis = {}  # lead -> row with a leading 1, zero before its lead
+
+    def insert(mat):
+        vec = [x % p for row in mat for x in row]
+        for k in range(n * n):
+            if vec[k]:
+                if k not in basis:
+                    inv = pow(vec[k], -1, p)
+                    basis[k] = [x * inv % p for x in vec]
+                    return True
+                c = vec[k]
+                vec = [(x - c * y) % p for x, y in zip(vec, basis[k])]
+        return False
+
+    frontier = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    insert(frontier[0])
+    while frontier and len(basis) < n * n:
+        nxt = []
+        for m in frontier:
+            for a in mats:
+                prod = [[sum(a[i][k] * m[k][j] for k in range(n)) % p
+                         for j in range(n)] for i in range(n)]
+                if insert(prod):
+                    nxt.append(prod)
+        frontier = nxt
+    return len(basis) == n * n
+
+
+def test_criterion_10_free_algebra_scale():
+    # a seeded integer rep of the free algebra on two loops at n=9, certified
+    # absolutely simple mod p, so End = Q and dim Ext^1 = k*n^2 - n^2 + 1
+    start = time.time()
+    n, rng = 9, random.Random(10)
+    while True:
+        mats = {a: [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
+                for a in ("X", "Y")}
+        if _spans_matrix_algebra_mod_p(list(mats.values())):
+            break
+    q = loops("X", "Y")
+    rep = Representation(Presentation(q, [], flavor="graded"),
+                         DimVector(q, {"v": n}), mats)
+    assert is_simple(rep)
+    assert hom_dim(rep, rep) == 1
+    assert ext1_dim(rep, rep) == 2 * n * n - n * n + 1 == 82
+    _report("10 free algebra scale n=9", time.time() - start, 4.0)
 
 
 def test_session_reports_match_golden():

@@ -149,3 +149,25 @@ def test_rank_and_nullspace_against_sympy(seed=11):
         # both build one basis vector per free column from the unique RREF
         assert [[x.coeffs[0] for x in vec] for vec in ours] == \
             [[Fraction(int(c.p), int(c.q)) for c in vec] for vec in theirs]
+
+
+def test_ragged_rows_are_rejected():
+    with pytest.raises(ValueError, match="length 1"):
+        linalg.rank(qmat([[1, 2], [3]]))
+    with pytest.raises(ValueError, match="length 2"):
+        linalg.nullspace(qmat([[1], [0, 1]]), QQ)
+    ech = linalg.Echelon()
+    assert not ech.insert(qmat([[0, 0]])[0])  # a rejected row sets the width too
+    with pytest.raises(ValueError):
+        ech.insert(qmat([[1]])[0])
+    with pytest.raises(ValueError):
+        linalg.rank([[F5.one()], [F5.one(), F5.zeta()]])
+
+
+def test_rational_row_then_cyclotomic_row():
+    f4 = Field(4)
+    rows = [qmat([[1, 1]])[0], [f4.one(), f4.one() + f4.zeta()]]
+    assert linalg.rank(rows) == 2
+    reduced, leads = linalg.Echelon(rows).reduced()
+    assert [[str(x) for x in row] for row in reduced] == [["1", "0"], ["0", "1"]]
+    assert leads == [0, 1]

@@ -3,13 +3,14 @@ against the previous paths kept in ``linalg_oracle``, compared as strings."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from localquiver import extcalc, linalg
 from localquiver.extcalc import Representation
-from localquiver.ncalg import heisenberg_presentation
-from localquiver.quiver import DimVector
+from localquiver.ncalg import Presentation, heisenberg_presentation
+from localquiver.quiver import DimVector, Quiver
 from localquiver.scalars import QQ, Field
 
 import linalg_oracle as oracle
@@ -159,3 +160,166 @@ def test_structured_systems_match_the_oracle():
         assert linalg.rank(rows) == oracle.rank(rows)
         assert show(linalg.nullspace(rows, field)) == \
             show(oracle.nullspace(rows, field))
+
+
+# ---- the integer path over Q: adversarial inputs ---------------------------
+
+BIG = 2 ** 64
+
+
+def adversarial_matrices(seed):
+    """Q inputs aimed at the integer rows of ``Echelon``: entries with
+    numerators and denominators near 2^64, rows whose elimination steps
+    leave a common factor, negative leads, zero and duplicate rows, and
+    0-column rows."""
+    rng = random.Random(seed)
+
+    def big():
+        if rng.random() < 0.3:
+            return QQ.zero()
+        return QQ.from_rational(Fraction(rng.randrange(-BIG, BIG),
+                                         rng.randrange(BIG // 2, BIG)))
+
+    out = [[[]], [[]] * 4, [[QQ.zero()] * 3] * 3,
+           # [4, 0, 8] enters as [1, 0, 2], and 2*[1, 0, 2] - [2, 3, 1] is
+           # [0, -3, 3]: content 3 and a negative lead
+           [[QQ.elem(x) for x in row] for row in ([2, 3, 1], [4, 0, 8], [0, 1, 5])]]
+    for _ in range(6):
+        rows, cols = rng.randrange(1, 6), rng.randrange(1, 7)
+        m = [[big() for _ in range(cols)] for _ in range(rows)]
+        out.append(m)
+        k = Fraction(rng.choice([6, 10, 12, 30]), rng.choice([1, 7, 35]))
+        out.append([[QQ.from_rational(k * rng.randrange(-3, 4))
+                     for _ in range(cols)] for _ in range(rows)])
+        out.append([[-x for x in row] for row in m])
+        dup = m + [m[0], [QQ.zero()] * cols, [-x for x in m[-1]],
+                   combination(rng, QQ, m)]
+        rng.shuffle(dup)
+        out.append(dup)
+    for n in range(1, 5):
+        square = [[big() for _ in range(n)] for _ in range(n)]
+        out.append(square)
+        if n > 1:
+            out.append(square[:-1] + [combination(rng, QQ, square[:-1])])
+    return out
+
+
+def test_integer_path_rank_nullspace_invert_match_the_oracle():
+    for seed in range(3):
+        for m in adversarial_matrices(300 + seed):
+            assert linalg.rank(m) == oracle.rank(m)
+            assert show(linalg.nullspace(m, QQ)) == show(oracle.nullspace(m, QQ))
+            assert show(linalg.invert(m, QQ)) == show(oracle.invert(m, QQ))
+
+
+def test_integer_path_solve_matches_the_oracle():
+    inconsistent = 0
+    for seed in range(3):
+        rng = random.Random(400 + seed)
+        for m in adversarial_matrices(300 + seed):
+            if not m[0]:
+                continue
+            # b outside the column span when the rank is below the row count
+            rhs = [QQ.from_rational(Fraction(rng.randrange(-BIG, BIG), 3))
+                   for _ in m]
+            v = [QQ.from_rational(Fraction(rng.randrange(-9, 10), 2)) for _ in m[0]]
+            image = [sum((a * b for a, b in zip(row, v)), QQ.zero()) for row in m]
+            for b in (rhs, image):
+                got = linalg.solve(m, b, QQ)
+                assert show(got) == show(oracle.solve(m, b, QQ))
+                inconsistent += got[0] is None
+    assert inconsistent > 10
+
+
+def test_integer_rows_are_primitive_with_positive_leads():
+    for seed in range(3):
+        rng = random.Random(500 + seed)
+        for m in adversarial_matrices(300 + seed):
+            kernel, old = linalg.Echelon(), oracle.SpanOracle()
+            for row in rng.sample(m, len(m)):
+                assert kernel.insert(row) == old.insert(row)
+                assert show(kernel.rows) == show(old.basis)
+            for vec, lead in zip(kernel._rows, kernel.leads):
+                assert all(type(x) is int for x in vec)
+                assert vec[lead] > 0 and gcd(*vec) == 1
+                assert not any(vec[:lead])
+
+
+def test_rational_then_cyclotomic_rows_match_the_oracle():
+    # the integer rows kept so far become FieldElem rows at the first
+    # cyclotomic row, and the results are the oracle's
+    f4 = Field(4)
+    for seed in range(3):
+        rng = random.Random(600 + seed)
+        cols = rng.randrange(2, 6)
+        rows = [[entry(rng, QQ) for _ in range(cols)] for _ in range(3)]
+        rows += [[entry(rng, f4) for _ in range(cols)] for _ in range(2)]
+        rows += [[entry(rng, QQ) for _ in range(cols)] for _ in range(2)]
+        kernel, old = linalg.Echelon(), oracle.SpanOracle()
+        for row in rows:
+            assert kernel.insert(row) == old.insert(row)
+            assert show(kernel.rows) == show(old.basis)
+        assert show(linalg.nullspace(rows, f4)) == show(oracle.nullspace(rows, f4))
+
+
+def test_big_integer_matrices_against_sympy(seed=13):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    for _ in range(25):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+        ints = [[rng.choice([0, rng.randrange(-BIG, BIG)]) for _ in range(cols)]
+                for _ in range(rows)]
+        if rows > 2 and rng.random() < 0.5:
+            ints[-1] = [3 * a - 5 * b for a, b in zip(ints[0], ints[1])]
+        mat = [[QQ.elem(x) for x in row] for row in ints]
+        theirs = sympy.Matrix(ints)
+        assert linalg.rank(mat) == theirs.rank()
+        assert [[x.coeffs[0] for x in vec] for vec in linalg.nullspace(mat, QQ)] == \
+            [[Fraction(int(c.p), int(c.q)) for c in vec] for vec in theirs.nullspace()]
+
+
+# ---- is_simple against the FieldElem path products --------------------------
+
+def fraction_entry(rng, density=0.7):
+    if rng.random() > density:
+        return "0"
+    return f"{rng.randrange(-5, 6)}/{rng.choice([1, 2, 3, 7])}"
+
+
+def seeded_q_reps(seed):
+    """Seeded Q representations with fractional entries: two loops at n=1..4
+    (simple and, block upper-triangular, not simple), and a two-vertex
+    quiver with a loop at dimension vectors (1, 1), (2, 1) and (1, 2)."""
+    rng = random.Random(seed)
+    loops = Quiver(["v"], [("X", "v", "v"), ("Y", "v", "v")])
+    free = Presentation(loops, [], flavor="graded")
+    reps = []
+    for n in range(1, 5):
+        mats = {a: [[fraction_entry(rng) for _ in range(n)] for _ in range(n)]
+                for a in ("X", "Y")}
+        reps.append(Representation(free, DimVector(loops, {"v": n}), mats))
+        if n > 1:
+            k = rng.randrange(1, n)  # rows k.. vanish in columns ..k
+            tri = {a: [[x if i < k or j >= k else "0" for j, x in enumerate(row)]
+                       for i, row in enumerate(mat)] for a, mat in mats.items()}
+            reps.append(Representation(free, DimVector(loops, {"v": n}), tri))
+    two = Quiver(["u", "v"], [("a", "u", "v"), ("b", "v", "u"), ("c", "u", "u")])
+    pres = Presentation(two, [], flavor="graded")
+    for du, dv in ((1, 1), (2, 1), (1, 2)):
+        shape = {"a": (du, dv), "b": (dv, du), "c": (du, du)}
+        mats = {a: [[fraction_entry(rng, 0.8) for _ in range(c)] for _ in range(r)]
+                for a, (r, c) in shape.items()}
+        reps.append(Representation(pres, DimVector(two, {"u": du, "v": dv}), mats))
+    return reps
+
+
+def test_is_simple_matches_the_field_elem_oracle():
+    verdicts = set()
+    for seed in range(4):
+        for rep in seeded_q_reps(700 + seed):
+            got = extcalc.is_simple(rep)
+            assert got == oracle.is_simple(rep)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+    rho = heisenberg_cyclo4()  # the cyclotomic path keeps FieldElem products
+    assert extcalc.is_simple(rho) == oracle.is_simple(rho) == True

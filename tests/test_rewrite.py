@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from localquiver import rewrite
 from localquiver.ncalg import NCPoly, PathWord, Presentation
 from localquiver.quiver import Quiver
 from localquiver.rewrite import (complete, graded_dims, gr_ideal, is_gradable,
@@ -304,6 +305,26 @@ def test_gr_ideal_homogeneous_identity():
     report = gr_ideal(Presentation(q, rels, flavor="graded"), 4)
     assert [str(g) for g in report.generators] == ["X*Y - Y*X"]
     assert report.gradable is True
+
+
+def test_gr_ideal_completes_a_graded_presentation_once(monkeypatch):
+    # homogeneous relations are their own minimal parts, so their completion
+    # is also the completion of the minimal parts
+    calls = []
+
+    def counted(p, D):
+        calls.append(p)
+        return complete(p, D)
+
+    monkeypatch.setattr(rewrite, "complete", counted)
+    q = loops("X", "Y")
+    graded = Presentation(q, [poly(q, (1, "XY"), (-1, "YX")), poly(q, (1, "XXY"))],
+                          flavor="graded")
+    assert gr_ideal(graded, 5).gradable is True
+    assert calls == [graded]
+    calls.clear()
+    assert gr_ideal(gradable_presentation(), 5).gradable is True
+    assert len(calls) == 2
 
 
 def test_gr_ideal_lifts_are_ideal_elements():
