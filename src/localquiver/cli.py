@@ -42,7 +42,7 @@ def _degree_for(args, options, presentation=None) -> int:
 
 def _quiver_report(report: dict, quiver: Quiver, options) -> dict:
     report["quiver"] = quiver.to_json()
-    if options.get("output") == "dot" or options.get("dot"):
+    if options.get("output") == "dot":
         report["dot"] = quiver.to_dot()
     return report
 
@@ -86,7 +86,7 @@ def run_command(session: SessionFile, cmd: Command, options) -> dict:
                 raise CommandError(f"bad localquiver argument {arg!r}")
         result = extcalc.local_quiver(extcalc.SemisimpleModule(factors))
         report.update(result.to_json())
-        if options.get("output") == "dot" or options.get("dot"):
+        if options.get("output") == "dot":
             report["dot"] = result.quiver.to_dot()
         return report
 
@@ -235,8 +235,6 @@ def main(argv=None) -> int:
                         help="scalar field: q or cyclo:m")
     parser.add_argument("--output", choices=("json", "dot", "text"),
                         default="json", help="report format")
-    parser.add_argument("--dot", action="store_true",
-                        help="embed DOT for quiver-valued results")
     parser.add_argument("--out", default=None, help="write output to a file")
     args = parser.parse_args(argv)
 
@@ -260,7 +258,7 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
 
-    options = {"degree": args.degree, "output": args.output, "dot": args.dot}
+    options = {"degree": args.degree, "output": args.output}
     reports, code = run(session, options)
     if args.output == "text":
         payload = _render_text(reports)

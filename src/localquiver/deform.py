@@ -19,12 +19,18 @@ unless the caller asserts the hypotheses.
 from __future__ import annotations
 
 from . import linalg
-from .ncalg import NCPoly, Presentation
+from .ncalg import NCPoly, PathWord, Presentation
 from .quiver import Quiver
 from .rewrite import GrIdealReport, gr_ideal
 from .scalars import Field, FieldElem
 
 Word = tuple[int, ...]
+
+
+def _add_term(terms: dict[Word, list[list[FieldElem]]], w: Word, mat) -> None:
+    """Add the matrix mat to terms[w]."""
+    acc = terms.get(w)
+    terms[w] = mat if acc is None else linalg.mat_add(acc, mat)
 
 
 class TensorSeries:
@@ -64,12 +70,9 @@ class TensorSeries:
 
     def __add__(self, other: "TensorSeries") -> "TensorSeries":
         self._compatible(other)
-        terms = {w: [row[:] for row in m] for w, m in self.terms.items()}
+        terms = dict(self.terms)
         for w, m in other.terms.items():
-            if w in terms:
-                terms[w] = linalg.mat_add(terms[w], m)
-            else:
-                terms[w] = m
+            _add_term(terms, w, m)
         return TensorSeries(self.symbols, self.size, self.order, self.field, terms)
 
     def __sub__(self, other: "TensorSeries") -> "TensorSeries":
@@ -114,14 +117,8 @@ def ts_multiply(u: TensorSeries, v: TensorSeries) -> TensorSeries:
     terms: dict[Word, list[list[FieldElem]]] = {}
     for w1, m1 in u.terms.items():
         for w2, m2 in v.terms.items():
-            if len(w1) + len(w2) > u.order:
-                continue
-            w = w1 + w2
-            prod = linalg.mat_mul(m1, m2)
-            if w in terms:
-                terms[w] = linalg.mat_add(terms[w], prod)
-            else:
-                terms[w] = prod
+            if len(w1) + len(w2) <= u.order:
+                _add_term(terms, w1 + w2, linalg.mat_mul(m1, m2))
     return TensorSeries(u.symbols, u.size, u.order, u.field, terms)
 
 
@@ -146,15 +143,9 @@ def geometric_inverse(s: TensorSeries) -> TensorSeries:
         for ds in range(1, d + 1):
             for w1, m1 in by_degree.get(ds, ()):  # s-part of degree ds
                 for w2, m2 in list(result.items()):
-                    if len(w2) != d - ds:
-                        continue
-                    w = w1 + w2
-                    prod = linalg.mat_mul(inv0, linalg.mat_mul(m1, m2))
-                    prod = linalg.mat_scale(-s.field.one(), prod)
-                    if w in new:
-                        new[w] = linalg.mat_add(new[w], prod)
-                    else:
-                        new[w] = prod
+                    if len(w2) == d - ds:
+                        _add_term(new, w1 + w2, linalg.mat_mul(
+                            neg_inv0, linalg.mat_mul(m1, m2)))
         for w, m in new.items():
             if not linalg.is_zero_matrix(m):
                 result[w] = m
@@ -329,11 +320,15 @@ def local_model_relations(fs: FamilySpec) -> list[NCPoly]:
     emitted polynomial is normalized to have a monic lowest part.
     """
     field = fs.base.field
+    quiver = fs.symbol_quiver
+    vertex = PathWord.vertex(quiver.vertices[0])
     out: list[NCPoly] = []
     for r in fs.presentation.relations:
         series = expand_relation(fs, r)
         if series.is_zero():
             continue
+        words = {w: PathWord.of(quiver, [fs.symbols[s] for s in w]) if w else vertex
+                 for w in series.terms}
         polys = []
         scalars: dict = {}
         collapsed = True
@@ -351,18 +346,7 @@ def local_model_relations(fs: FamilySpec) -> list[NCPoly]:
                     entry = {w: mat[i][j] for w, mat in series.terms.items()}
                     polys.append(entry)
         for table in polys:
-            poly = NCPoly(fs.symbol_quiver, field)
-            for w, c in table.items():
-                if c.is_zero():
-                    continue
-                if w:
-                    poly = poly + NCPoly.word(
-                        fs.symbol_quiver, [fs.symbols[s] for s in w],
-                        field, coeff=c)
-                else:
-                    poly = poly + NCPoly.vertex(
-                        fs.symbol_quiver, fs.symbol_quiver.vertices[0],
-                        field).scale(c)
+            poly = NCPoly(quiver, field, {words[w]: c for w, c in table.items()})
             if not poly.is_zero():
                 out.append(poly.monic())
     return out

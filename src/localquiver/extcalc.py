@@ -273,10 +273,12 @@ def ext1_dim(x: Representation, y: Representation) -> int:
 def is_simple(rep: Representation) -> bool:
     """Density check: the path matrices must span the full matrix algebra.
 
-    Over the rationals each arrow matrix is scaled by the lcm of its
-    denominators, which leaves the span unchanged, so the path products are
-    int matrices and enter the ``Echelon`` as integer rows; over a
-    cyclotomic field they are :class:`FieldElem` matrices.
+    Over a field of degree 1 (the rationals, cyclo:1, cyclo:2) each arrow
+    matrix is scaled by the lcm of its denominators
+    (:func:`linalg.integer_rows`), which leaves the span unchanged, so the
+    path products are int matrices.  Over a field of degree d > 1 they are
+    :class:`FieldElem` matrices, each entering the ``Echelon`` as its d
+    integer rows.
     """
     n = rep.dim()
     if n == 0:
@@ -294,8 +296,8 @@ def is_simple(rep: Representation) -> bool:
         for i in range(rep.alpha[head]):
             for j in range(rep.alpha[tail]):
                 big[offsets[head] + i][offsets[tail] + j] = mat[i][j]
-        if field.is_rational:
-            flat = linalg.clear_denominators([c for row in big for c in row])
+        if field.degree == 1:
+            flat = linalg.integer_rows([c for row in big for c in row], field)[0]
             big = [flat[i:i + n] for i in range(0, n * n, n)]
         return big
 

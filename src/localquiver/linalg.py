@@ -8,12 +8,13 @@ that an inconsistent system yields a certificate) and ``invert`` read the
 reduced row echelon form, which is unique.  Ranks and nullspaces are
 therefore sound, which the tangent-space and Ext computations rely on.
 
-Over the rationals ``Echelon`` works on ints: each row is converted once on
-entry (denominators cleared) and kept as a primitive integer vector, and
-the reduced form is converted back once on exit.  Because that form is
-unique, the results are the same :class:`FieldElem` values, and print the
-same, as elimination on fractions.  Rows with a cyclotomic entry are
-eliminated as :class:`FieldElem` rows.
+``Echelon`` works on ints for every field.  A row over a field of degree d
+is converted once on entry into d integer rows over the rationals whose
+span is the coordinate form of its span over the field (restriction of
+scalars), and rows are kept as primitive integer vectors; the reduced form
+is converted back once on exit.  Because reduced forms are unique, the
+results are the same :class:`FieldElem` values, and print the same, as
+elimination in field arithmetic.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import reduce
 from math import gcd, lcm
 from operator import add, mul
 
-from .scalars import QQ, Field, FieldElem
+from .scalars import QQ, Field, FieldElem, cyclotomic_polynomial
 
 
 def zero_matrix(field: Field, rows: int, cols: int) -> list[list[FieldElem]]:
@@ -91,18 +92,43 @@ def scalar_multiple_of_identity(a) -> FieldElem | None:
     return c
 
 
-def clear_denominators(row) -> list[int] | None:
-    """A rational row times the lcm of its denominators, as ints; None when
-    an entry is cyclotomic.  Entries are ints or :class:`FieldElem`."""
+def integer_rows(row, field: Field) -> list[list[int]] | None:
+    """row over field as d = field.degree integer rows over the rationals
+    whose span is the coordinate form of its span over field; None when an
+    entry lies in a field other than field or the rationals.
+
+    Row t holds zeta^t * row, entry j's coefficients at columns j*d to
+    j*d + d - 1, zeta^d reduced by the integer cyclotomic polynomial; all d
+    rows are scaled by one common denominator.  Over the rationals (d = 1)
+    this is the row with its denominators cleared.  Entries are ints or
+    :class:`FieldElem`.
+    """
+    pad = [0] * (field.degree - 1)
     vals = []
     for x in row:
         if type(x) is not int:
+            if x.field is field or x.field.order == field.order:
+                vals += x.coeffs
+                continue
             if x.field.order is not None:
                 return None
             x = x.coeffs[0]
         vals.append(x)
-    d = lcm(*[x.denominator for x in vals])
-    return [x.numerator * (d // x.denominator) for x in vals]
+        if pad:
+            vals += pad
+    den = lcm(*[x.denominator for x in vals])
+    rows = [[x.numerator * (den // x.denominator) for x in vals]]
+    if pad:
+        # zeta^d = -(phi_0 + phi_1 zeta + ... + phi_{d-1} zeta^{d-1})
+        phi = cyclotomic_polynomial(field.order)[:-1]
+        d = len(phi)
+        for _ in pad:
+            prev, vec = rows[-1], []
+            for j in range(0, len(prev), d):
+                top = prev[j + d - 1]
+                vec += [x - top * p for x, p in zip([0] + prev[j:j + d - 1], phi)]
+            rows.append(vec)
+    return rows
 
 
 def _primitive(vec: list[int]) -> list[int]:
@@ -123,40 +149,41 @@ def _eliminate(vec: list[int], kept: list[int], lead: int) -> list[int]:
 class Echelon:
     """Rows in echelon form; the one elimination routine of the package.
 
-    Each kept row is zero at the leads of the rows kept before it, so one
-    sweep in insertion order reduces a new row.  All rows must have the
-    length of the first.
+    A row over a field of degree d enters as its d :func:`integer_rows`,
+    whose span over the rationals is the coordinate form of its span over
+    the field, so the field rank is the rational rank divided by d and the
+    d rows are all kept or none is.  Each step ``p'*vec - f'*kept`` is
+    followed by division by the content (fraction-free, after Bareiss), so
+    a kept row is a primitive integer vector with a positive lead, zero at
+    the leads of the rows kept before it; one sweep in insertion order
+    reduces a new row.  All rows must have the length of the first.
 
-    Over the rationals ``insert`` clears a row's denominators once, and each
-    step ``p'*vec - f'*kept`` is followed by division by the content
-    (fraction-free, after Bareiss), so a kept row is a primitive integer
-    vector with a positive lead.  ``reduced`` back-substitutes on the ints
-    and converts once, entry x of a row with lead p becoming x/p; ``rows``
-    converts the same way, so both read as monic :class:`FieldElem` rows.
-    A row with a cyclotomic entry moves the instance to monic
-    :class:`FieldElem` rows for good, converting the rows kept before it.
+    ``leads`` and ``len`` count pivots over the field.  ``reduced``
+    back-substitutes on the ints: the rational reduced form is the
+    coordinate form of the reduced form over the field, which is unique,
+    and its row with lead ``p*d`` is the field row with pivot ``p``, entry
+    x becoming x divided by the lead.  A cyclotomic row after rational rows
+    makes the kept rows re-enter, each as its d rows.
     """
 
-    __slots__ = ("_rows", "leads", "_width", "_integral")
+    __slots__ = ("_rows", "_leads", "_width", "_field")
 
     def __init__(self, rows=()):
-        self._rows: list[list] = []
-        self.leads: list[int] = []
+        self._rows: list[list[int]] = []
+        self._leads: list[int] = []  # over the rationals
         self._width: int | None = None
-        self._integral = True  # _rows are primitive int vectors
+        self._field = QQ
         for row in rows:
             self.insert(row)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._rows) // self._field.degree
 
     @property
-    def rows(self) -> list[list[FieldElem]]:
-        """The kept rows, each scaled to a leading 1."""
-        if not self._integral:
-            return self._rows
-        return [[FieldElem(QQ, (Fraction(x, row[lead]),)) for x in row]
-                for row, lead in zip(self._rows, self.leads)]
+    def leads(self) -> list[int]:
+        """The pivot columns over the field."""
+        d = self._field.degree
+        return [lead // d for lead in self._leads[::d]] if d > 1 else self._leads[:]
 
     def insert(self, row) -> bool:
         """Reduce row against the kept rows; keep it if it is not zero."""
@@ -166,27 +193,27 @@ class Echelon:
         elif len(vec) != self._width:
             raise ValueError(
                 f"row of length {len(vec)} in an echelon of width {self._width}")
-        if self._integral:
-            ints = clear_denominators(vec)
-            if ints is not None:
-                return self._insert_integers(_primitive(ints))
-            self._rows = self.rows
-            self._integral = False
-        for lead, kept in zip(self.leads, self._rows):
-            f = vec[lead]
-            if not f.is_zero():
-                vec[lead:] = [x - f * y for x, y in zip(vec[lead:], kept[lead:])]
-        lead = next((k for k, x in enumerate(vec) if not x.is_zero()), None)
-        if lead is None:
+        ints = integer_rows(vec, self._field)
+        if ints is None:  # a cyclotomic row after rational rows
+            field = self._field
+            for x in vec:
+                if type(x) is not int:
+                    field = field.join(x.field)
+            kept, self._rows, self._leads = self._rows, [], []
+            self._field = field
+            for old in kept:
+                for spread in integer_rows(old, field):
+                    self._insert_integers(spread)
+            ints = integer_rows(vec, field)
+        if not self._insert_integers(ints[0]):
             return False
-        inv = vec[lead].inverse()
-        vec[lead:] = [inv * x for x in vec[lead:]]
-        self._rows.append(vec)
-        self.leads.append(lead)
+        for spread in ints[1:]:  # kept as well: the span is a field span
+            self._insert_integers(spread)
         return True
 
     def _insert_integers(self, vec: list[int]) -> bool:
-        for lead, kept in zip(self.leads, self._rows):
+        vec = _primitive(vec)
+        for lead, kept in zip(self._leads, self._rows):
             if vec[lead]:
                 vec = _eliminate(vec, kept, lead)
         lead = next((k for k, x in enumerate(vec) if x), None)
@@ -195,28 +222,28 @@ class Echelon:
         if vec[lead] < 0:
             vec = [-x for x in vec]
         self._rows.append(vec)
-        self.leads.append(lead)
+        self._leads.append(lead)
         return True
 
     def reduced(self) -> tuple[list[list[FieldElem]], list[int]]:
         """Back-substitute in place to the reduced row echelon form of the
-        kept rows; return its rows and their pivot columns."""
-        order = sorted(range(len(self.leads)), key=self.leads.__getitem__)
+        kept rows; return its rows over the field and their pivot columns."""
+        order = sorted(range(len(self._leads)), key=self._leads.__getitem__)
         rows = [self._rows[k] for k in order]
-        self.leads = [self.leads[k] for k in order]
+        leads = [self._leads[k] for k in order]
         for k in range(len(rows) - 1, 0, -1):
-            lead, pivot = self.leads[k], rows[k]
+            lead, pivot = leads[k], rows[k]
             for i in range(k):
-                row = rows[i]
-                if self._integral:
-                    if row[lead]:
-                        rows[i] = _eliminate(row, pivot, lead)
-                else:
-                    f = row[lead]
-                    if not f.is_zero():
-                        row[lead:] = [x - f * y for x, y in zip(row[lead:], pivot[lead:])]
-        self._rows = rows
-        return self.rows, self.leads
+                if rows[i][lead]:
+                    rows[i] = _eliminate(rows[i], pivot, lead)
+        self._rows, self._leads = rows, leads
+        field, d = self._field, self._field.degree
+        out = []
+        for row, lead in zip(rows[::d], leads[::d]):
+            p = row[lead]
+            coeffs = [Fraction(x, p) for x in row]
+            out.append([FieldElem(field, c) for c in zip(*[iter(coeffs)] * d)])
+        return out, self.leads
 
 
 def rank(mat) -> int:

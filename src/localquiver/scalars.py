@@ -26,24 +26,6 @@ from functools import lru_cache
 from typing import Iterable
 
 
-def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Exact division of integer polynomials, coefficients low-to-high."""
-    num = list(num)
-    quot = [0] * (len(num) - len(den) + 1)
-    for shift in range(len(num) - len(den), -1, -1):
-        coeff = num[shift + len(den) - 1]
-        if coeff % den[-1] != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        coeff //= den[-1]
-        quot[shift] = coeff
-        if coeff:
-            for k, d in enumerate(den):
-                num[shift + k] -= coeff * d
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
 def _qtrim(p: list[Fraction]) -> list[Fraction]:
     while p and p[-1] == 0:
         p.pop()
@@ -92,13 +74,13 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, low-to-high, monic."""
     if m < 1:
         raise ValueError(f"cyclotomic order must be >= 1, got {m}")
-    poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
+    poly = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]  # x^m - 1
     for d in range(1, m):
         if m % d == 0:
-            poly, rem = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
-            if rem != [0]:
+            poly, rem = _qdivmod(poly, cyclotomic_polynomial(d))
+            if rem:
                 raise AssertionError("x^m - 1 not divisible by lower factor")
-    return tuple(poly)
+    return tuple(int(c) for c in poly)
 
 
 class Field:

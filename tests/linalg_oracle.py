@@ -4,9 +4,10 @@
 Kept as a test oracle only: ``row_echelon`` computes a full reduced row
 echelon form column by column on a copy, and ``rank`` reruns it on every
 call; ``solve`` and ``invert`` reduce identity-augmented copies with it.
-``SpanOracle.insert`` is the incremental elimination that ``is_simple`` ran
-on its own, and ``is_simple`` is the density check with :class:`FieldElem`
-path products inserted into it.  The differential tests compare the package
+``SpanOracle.insert`` is the incremental monic elimination that
+``is_simple`` ran on its own, and that ``linalg.Echelon`` ran on rows with a
+cyclotomic entry; ``is_simple`` is the density check with
+:class:`FieldElem` path products inserted into it.  The differential tests compare the package
 against them.
 """
 

@@ -15,7 +15,10 @@ from localquiver.scalars import QQ, Field
 
 import linalg_oracle as oracle
 
-FIELDS = [QQ, Field(4), Field(5)]
+# cyclo:2 has degree 1 (the golden session's field); at cyclo:7 the degree
+# is 6 and zeta^6 = -(1 + zeta + ... + zeta^5)
+FIELDS = [QQ, Field(2), Field(3), Field(4), Field(5), Field(7), Field(8)]
+CYCLO = [f for f in FIELDS if f.degree > 1]
 
 
 def show(x):
@@ -36,6 +39,15 @@ def entry(rng, field, density=0.6):
             c = Fraction(rng.randrange(-4, 5), rng.choice([1, 1, 2, 3]))
             total = total + field.zeta(k) * field.from_rational(c)
     return total
+
+
+def assert_reduced_matches(kernel, inserted):
+    """The kernel's reduced form is the oracle's reduced row echelon form of
+    the rows inserted so far, which is unique."""
+    ech, pivots = oracle.row_echelon(inserted)
+    rows, leads = kernel.reduced()
+    assert leads == pivots
+    assert show(rows) == show(ech[:len(pivots)])
 
 
 def random_matrix(rng, field, rows, cols, density=0.6):
@@ -132,19 +144,19 @@ def test_echelon_insert_matches_the_is_simple_loop(field):
                 row = [entry(rng, field, 0.5) for _ in range(cols)]
             pool.append(row)
             assert kernel.insert(row) == old.insert(row)
-            assert show(kernel.rows) == show(old.basis)
+            assert_reduced_matches(kernel, pool)
 
 
-def heisenberg_cyclo4():
-    """The dimension-4 Heisenberg simple over cyclo:4: shift and diag(zeta^i)."""
-    field = Field(4)
-    shift = [[field.one() if i == (j + 1) % 4 else field.zero()
-              for j in range(4)] for i in range(4)]
-    diag = [[field.zeta(i) if i == j else field.zero() for j in range(4)]
-            for i in range(4)]
+def heisenberg_simple(m=4):
+    """The dimension-m Heisenberg simple over cyclo:m: shift and diag(zeta^i)."""
+    field = Field(m)
+    shift = [[field.one() if i == (j + 1) % m else field.zero()
+              for j in range(m)] for i in range(m)]
+    diag = [[field.zeta(i) if i == j else field.zero() for j in range(m)]
+            for i in range(m)]
     pres = heisenberg_presentation(field)
     rho = Representation(
-        pres, DimVector(pres.quiver, {"v": 4}),
+        pres, DimVector(pres.quiver, {"v": m}),
         {"X": shift, "X_inv": linalg.invert(shift, field),
          "Y": diag, "Y_inv": linalg.invert(diag, field)},
         field=field, name="rho")
@@ -153,13 +165,73 @@ def heisenberg_cyclo4():
 
 
 def test_structured_systems_match_the_oracle():
-    rho = heisenberg_cyclo4()
+    rho = heisenberg_simple()
     field = rho.field
     for rows, _, _ in (extcalc._hom_system(rho, rho),
                            extcalc._cocycle_system(rho, rho)):
         assert linalg.rank(rows) == oracle.rank(rows)
         assert show(linalg.nullspace(rows, field)) == \
             show(oracle.nullspace(rows, field))
+
+
+def test_heisenberg_simple_over_cyclo5():
+    rho = heisenberg_simple(5)  # asserts is_simple
+    assert oracle.is_simple(rho)
+    assert extcalc.ext1_dim(rho, rho) == 2
+
+
+# ---- cyclotomic rows as integer rows over Q ---------------------------------
+
+@pytest.mark.parametrize("field", CYCLO, ids=str)
+def test_zeta_multiples_of_a_kept_row_are_dependent(field):
+    rng = random.Random(800 + field.order)
+    for _ in range(5):
+        cols = rng.randrange(1, 5)
+        row = [entry(rng, field) for _ in range(cols)]
+        row[rng.randrange(cols)] = field.zeta(rng.randrange(field.order))
+        kernel = linalg.Echelon([row])
+        for k in range(1, field.order):
+            shifted = [field.zeta(k) * x for x in row]
+            if k == 1:
+                # independent of row coordinatewise over Q
+                coords = [[QQ.from_rational(c) for x in r for c in x.coeffs]
+                          for r in (row, shifted)]
+                assert linalg.rank(coords) == 2
+            assert not kernel.insert(shifted)
+        assert len(kernel) == 1
+        assert_reduced_matches(kernel, [row])
+
+
+def mixed_entry(rng, field):
+    """Zero, a fractional rational, or a cyclotomic number with fractional
+    coordinates."""
+    roll = rng.random()
+    if roll < 0.2:
+        return QQ.zero()
+    if roll < 0.5:
+        return QQ.from_rational(Fraction(rng.randrange(-9, 10),
+                                         rng.choice([1, 2, 3, 4, 7])))
+    return sum((field.zeta(k) * Fraction(rng.randrange(-5, 6), rng.choice([1, 2, 5, 6]))
+                for k in range(field.degree)), field.zero())
+
+
+@pytest.mark.parametrize("field", CYCLO, ids=str)
+def test_fractional_rows_mixing_q_and_cyclotomic_entries_match_the_oracle(field):
+    for seed in range(4):
+        rng = random.Random(900 + seed)
+        n = rng.randrange(1, 5)
+        square = [[mixed_entry(rng, field) for _ in range(n)] for _ in range(n)]
+        rows = square + [combination(rng, field, square),
+                         [mixed_entry(rng, field) for _ in range(n)]]
+        kernel, old = linalg.Echelon(), oracle.SpanOracle()
+        for k, row in enumerate(rows):
+            assert kernel.insert(row) == old.insert(row)
+            assert_reduced_matches(kernel, rows[:k + 1])
+        assert linalg.rank(rows) == oracle.rank(rows)
+        assert show(linalg.nullspace(rows, field)) == show(oracle.nullspace(rows, field))
+        rhs = [mixed_entry(rng, field) for _ in rows]
+        assert show(linalg.solve(rows, rhs, field)) == show(oracle.solve(rows, rhs, field))
+        assert show(linalg.invert(square, field)) == show(oracle.invert(square, field))
 
 
 # ---- the integer path over Q: adversarial inputs ---------------------------
@@ -236,18 +308,20 @@ def test_integer_rows_are_primitive_with_positive_leads():
         rng = random.Random(500 + seed)
         for m in adversarial_matrices(300 + seed):
             kernel, old = linalg.Echelon(), oracle.SpanOracle()
+            inserted = []
             for row in rng.sample(m, len(m)):
+                inserted.append(row)
                 assert kernel.insert(row) == old.insert(row)
-                assert show(kernel.rows) == show(old.basis)
-            for vec, lead in zip(kernel._rows, kernel.leads):
+                assert_reduced_matches(kernel, inserted)
+            for vec, lead in zip(kernel._rows, kernel._leads):
                 assert all(type(x) is int for x in vec)
                 assert vec[lead] > 0 and gcd(*vec) == 1
                 assert not any(vec[:lead])
 
 
 def test_rational_then_cyclotomic_rows_match_the_oracle():
-    # the integer rows kept so far become FieldElem rows at the first
-    # cyclotomic row, and the results are the oracle's
+    # the integer rows kept so far re-enter, each as its d rows, at the
+    # first cyclotomic row, and the results are the oracle's
     f4 = Field(4)
     for seed in range(3):
         rng = random.Random(600 + seed)
@@ -256,9 +330,9 @@ def test_rational_then_cyclotomic_rows_match_the_oracle():
         rows += [[entry(rng, f4) for _ in range(cols)] for _ in range(2)]
         rows += [[entry(rng, QQ) for _ in range(cols)] for _ in range(2)]
         kernel, old = linalg.Echelon(), oracle.SpanOracle()
-        for row in rows:
+        for k, row in enumerate(rows):
             assert kernel.insert(row) == old.insert(row)
-            assert show(kernel.rows) == show(old.basis)
+            assert_reduced_matches(kernel, rows[:k + 1])
         assert show(linalg.nullspace(rows, f4)) == show(oracle.nullspace(rows, f4))
 
 
@@ -321,5 +395,5 @@ def test_is_simple_matches_the_field_elem_oracle():
             assert got == oracle.is_simple(rep)
             verdicts.add(got)
     assert verdicts == {True, False}
-    rho = heisenberg_cyclo4()  # the cyclotomic path keeps FieldElem products
+    rho = heisenberg_simple()  # the cyclotomic path keeps FieldElem products
     assert extcalc.is_simple(rho) == oracle.is_simple(rho) == True
