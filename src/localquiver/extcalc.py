@@ -187,32 +187,34 @@ def hom_dim(x: Representation, y: Representation) -> int:
     return total - linalg.rank(rows)
 
 
-def _cocycle_system(x: Representation, y: Representation):
-    """Equations delta(r) = 0 over the primary arrow unknowns."""
-    _require_same_presentation(x, y)
-    pres = x.presentation
-    field = x.field.join(y.field)
-    quiver = x.quiver
-    xm, ym = _coerced(x, field), _coerced(y, field)
-    eliminated = pres.eliminated_inverses()
-    primary = [a.name for a in quiver.arrows if a.name not in eliminated]
+def _leibniz_rows(relations, quiver: Quiver, field: Field, ym, y_alpha: DimVector,
+                  xm, x_alpha: DimVector, primary: list[str], substitutes: dict):
+    """Rows of the derivatives of the relations' matrix entries, one row per
+    relation and entry (i, j), in relation order and then row-major.
+
+    By the Leibniz rule, delta(a1...ak) is the sum over positions t of
+    y(a1...a_t-1) delta(a_t) x(a_t+1...ak): a Kronecker block from the prefix
+    products of the word at y and its suffix products at x.  The unknowns
+    are the entries of delta(a) for the arrows a in ``primary``, one block
+    per arrow in that order, each row-major of shape y_alpha[head] by
+    x_alpha[tail].  ``substitutes`` maps every other arrow a of a word to
+    (p, lfac, rfac) with delta(a) = lfac delta(p) rfac.  Returns the rows
+    and the number of unknowns.
+    """
     offsets = {}
     total = 0
     for a in primary:
         offsets[a] = total
-        total += y.alpha[quiver.head(a)] * x.alpha[quiver.tail(a)]
-
+        total += y_alpha[quiver.head(a)] * x_alpha[quiver.tail(a)]
     rows = []
-    for r in pres.relations:
+    for r in relations:
         (rh, rt), = r.vertex_pairs()
-        n_rows, n_cols = y.alpha[rh], x.alpha[rt]
-        block = [[[field.zero()] * total for _ in range(n_cols)]
-                 for _ in range(n_rows)]
+        n_rows, n_cols = y_alpha[rh], x_alpha[rt]
+        block = [[field.zero()] * total for _ in range(n_rows * n_cols)]
         for word, coeff in r.terms.items():
             arrows = word.arrows
-            # delta(a1...ak) = sum over pos of y(a1...a_pos-1) delta(a_pos)
-            # x(a_pos+1...ak); None marks a product through a 0-dim vertex
-            lefts = _path_products(ym, y.alpha, quiver, field, arrows, word.head)
+            # None marks a product through a 0-dim vertex
+            lefts = _path_products(ym, y_alpha, quiver, field, arrows, word.head)
             rights = [None] * len(arrows)
             mat = linalg.identity_matrix(field, n_cols) if n_cols else None
             for pos in range(len(arrows) - 1, -1, -1):
@@ -220,36 +222,49 @@ def _cocycle_system(x: Representation, y: Representation):
                 a = arrows[pos]
                 if mat is not None:
                     mat = (linalg.mat_mul(xm[a], mat)
-                           if x.alpha[quiver.head(a)] else None)
+                           if x_alpha[quiver.head(a)] else None)
             for pos, a in enumerate(arrows):
                 if lefts[pos] is None or rights[pos] is None:
                     continue
-                # an eliminated inverse a of p has delta(a) = -y(a) delta(p) x(a)
-                p = eliminated.get(a, a)
-                ph, pt = quiver.head(p), quiver.tail(p)
-                if not (y.alpha[ph] and x.alpha[pt]):
+                p, lfac, rfac = substitutes.get(a, (a, None, None))
+                width = x_alpha[quiver.tail(p)]
+                if not (y_alpha[quiver.head(p)] and width):
                     continue
-                if p == a:
-                    lmat, rmat = linalg.mat_scale(coeff, lefts[pos]), rights[pos]
-                else:
-                    lmat = linalg.mat_mul(linalg.mat_scale(-coeff, lefts[pos]), ym[a])
-                    rmat = linalg.mat_mul(xm[a], rights[pos])
+                lmat = linalg.mat_scale(coeff, lefts[pos])
+                if lfac is not None:
+                    lmat = linalg.mat_mul(lmat, lfac)
+                rmat = rights[pos] if rfac is None \
+                    else linalg.mat_mul(rfac, rights[pos])
+                # entry (i, j) gains lmat[i][u] * rmat[w][j] at unknown (u, w)
+                rcols = [[(w, c) for w, c in enumerate(col) if not c.is_zero()]
+                         for col in zip(*rmat)]
                 off = offsets[p]
-                for i in range(n_rows):
-                    for j in range(n_cols):
-                        row = block[i][j]
-                        for u in range(y.alpha[ph]):
-                            lu = lmat[i][u]
-                            if lu.is_zero():
-                                continue
-                            for w in range(x.alpha[pt]):
-                                c = lu * rmat[w][j]
-                                if not c.is_zero():
-                                    idx = off + u * x.alpha[pt] + w
-                                    row[idx] += c
-        for i in range(n_rows):
-            for j in range(n_cols):
-                rows.append(block[i][j])
+                for i, lrow in enumerate(lmat):
+                    lnz = [(off + u * width, c) for u, c in enumerate(lrow)
+                           if not c.is_zero()]
+                    for j, rcol in enumerate(rcols):
+                        row = block[i * n_cols + j]
+                        for base, lu in lnz:
+                            for w, rw in rcol:
+                                row[base + w] += lu * rw
+        rows += block
+    return rows, total
+
+
+def _cocycle_system(x: Representation, y: Representation):
+    """Equations delta(r) = 0 over the primary arrow unknowns."""
+    _require_same_presentation(x, y)
+    pres = x.presentation
+    field = x.field.join(y.field)
+    quiver = x.quiver
+    xm, ym = _coerced(x, field), _coerced(y, field)
+    # an eliminated inverse a of p has delta(a) = -y(a) delta(p) x(a)
+    minus = -field.one()
+    substitutes = {a: (p, linalg.mat_scale(minus, ym[a]), xm[a])
+                   for a, p in pres.eliminated_inverses().items()}
+    primary = [a.name for a in quiver.arrows if a.name not in substitutes]
+    rows, total = _leibniz_rows(pres.relations, quiver, field, ym, y.alpha,
+                                xm, x.alpha, primary, substitutes)
     return rows, total, field
 
 

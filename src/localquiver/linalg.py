@@ -103,12 +103,15 @@ def integer_rows(row, field: Field) -> list[list[int]] | None:
     this is the row with its denominators cleared.  Entries are ints or
     :class:`FieldElem`.
     """
-    pad = [0] * (field.degree - 1)
+    pad = [0] * (field.degree - 1) if field.degree > 1 else None
     vals = []
     for x in row:
         if type(x) is not int:
             if x.field is field or x.field.order == field.order:
-                vals += x.coeffs
+                if pad is None:
+                    vals.append(x.coeffs[0])
+                else:
+                    vals += x.coeffs
                 continue
             if x.field.order is not None:
                 return None

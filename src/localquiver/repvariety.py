@@ -2,14 +2,20 @@
 
 Every arrow contributes a matrix of commuting variables; a path contributes
 the corresponding matrix-product entry polynomials, and a relation the
-entries of its evaluation.  Tangent spaces at a representation come from the
-exact Jacobian of those generators, which is an independent route to the
-first-order deformation count that extcalc obtains from cocycles.
+entries of its evaluation (``rep_ideal``).  The tangent space at a
+representation is the kernel of the exact Jacobian of those generators.  It
+is evaluated from the arrow matrices (the derivative of a path is a sum of
+products of its prefix and suffix matrices), not from the symbolic
+generators, which serve as its test oracle.  Its assembly is that of
+extcalc's cocycle system, but with every arrow, inverse arrows included, as
+an unknown where the cocycles eliminate the inverses; the two counts of
+first-order deformations cross-check each other.
 """
 
 from __future__ import annotations
 
-from .extcalc import Representation, check_representation, hom_dim
+from .extcalc import (Representation, _leibniz_rows, check_representation,
+                      hom_dim)
 from .linalg import rank
 from .ncalg import PathWord, Presentation
 from .quiver import DimVector, Quiver, gl_dim, rep_space_dim
@@ -84,29 +90,6 @@ class CommPoly:
             return NotImplemented
         return (self - other).is_zero()
 
-    def differentiate(self, v: Var) -> "CommPoly":
-        out = CommPoly(self.field)
-        for m, c in self.terms.items():
-            md = dict(m)
-            e = md.pop(v, 0)
-            if e:
-                if e > 1:
-                    md[v] = e - 1
-                accumulate(out.terms, tuple(sorted(md.items())),
-                           c * self.field.elem(e))
-        return out
-
-    def evaluate(self, point: dict[Var, FieldElem]) -> FieldElem:
-        total = self.field.zero()
-        for m, c in self.terms.items():
-            val = c
-            for v, e in m:
-                x = point[v]
-                for _ in range(e):
-                    val = val * x
-            total = total + val
-        return total
-
     def variables(self) -> set[Var]:
         return {v for m in self.terms for v, _ in m}
 
@@ -125,16 +108,13 @@ class CommPoly:
         return f"CommPoly({self})"
 
 
-def path_function(quiver: Quiver, word: PathWord, i: int, j: int,
-                  alpha: DimVector, field: Field) -> CommPoly:
-    """Entry (i, j) of the symbolic matrix of a path word (1-based indices)."""
-    if not (1 <= i <= alpha[word.head]):
-        raise ValueError(f"row index {i} out of range at vertex {word.head!r}")
-    if not (1 <= j <= alpha[word.tail]):
-        raise ValueError(f"column index {j} out of range at vertex {word.tail!r}")
+def _path_row(quiver: Quiver, word: PathWord, i: int, alpha: DimVector,
+              field: Field) -> list[CommPoly]:
+    """Row i of the symbolic matrix of a path word (1-based)."""
     if not word.arrows:
         one = CommPoly.constant(field, 1)
-        return one if i == j else CommPoly(field)
+        return [one if i == j else CommPoly(field)
+                for j in range(1, alpha[word.tail] + 1)]
     # symbolic row vector times the remaining variable matrices
     first = word.arrows[0]
     row = [
@@ -150,7 +130,17 @@ def path_function(quiver: Quiver, word: PathWord, i: int, j: int,
                 acc = acc + entry * CommPoly.variable(field, (a, k + 1, c + 1))
             nxt.append(acc)
         row = nxt
-    return row[j - 1]
+    return row
+
+
+def path_function(quiver: Quiver, word: PathWord, i: int, j: int,
+                  alpha: DimVector, field: Field) -> CommPoly:
+    """Entry (i, j) of the symbolic matrix of a path word (1-based indices)."""
+    if not (1 <= i <= alpha[word.head]):
+        raise ValueError(f"row index {i} out of range at vertex {word.head!r}")
+    if not (1 <= j <= alpha[word.tail]):
+        raise ValueError(f"column index {j} out of range at vertex {word.tail!r}")
+    return _path_row(quiver, word, i, alpha, field)[j - 1]
 
 
 class RepIdeal:
@@ -189,45 +179,40 @@ def rep_ideal(p: Presentation, alpha: DimVector) -> RepIdeal:
     for k, r in enumerate(p.relations):
         (head, tail), = r.vertex_pairs()
         for i in range(1, alpha[head] + 1):
-            for j in range(1, alpha[tail] + 1):
-                poly = CommPoly(field)
-                for word, coeff in r.terms.items():
-                    poly = poly + path_function(
-                        p.quiver, word, i, j, alpha, field).scale(coeff)
-                gens.append(((k, i, j), poly))
+            polys = [CommPoly(field) for _ in range(alpha[tail])]
+            for word, coeff in r.terms.items():
+                row = _path_row(p.quiver, word, i, alpha, field)
+                polys = [acc + f.scale(coeff) for acc, f in zip(polys, row)]
+            gens += [((k, i, j), poly) for j, poly in enumerate(polys, 1)]
     return RepIdeal(p, alpha, gens)
 
 
-def _point_of(rep: Representation) -> dict[Var, FieldElem]:
-    point = {}
-    for arrow in rep.quiver.arrows:
-        mat = rep.matrices[arrow.name]
-        for i, row in enumerate(mat):
-            for j, x in enumerate(row):
-                point[(arrow.name, i + 1, j + 1)] = x
-    return point
+def _jacobian(point: Representation) -> list[list[FieldElem]]:
+    """The Jacobian of the rep-ideal generators of point's presentation at
+    point: rows by generator (relation, i, j), columns by variable
+    (arrow, i, j), both in ``rep_ideal`` order."""
+    p, mats, alpha = point.presentation, point.matrices, point.alpha
+    rows, _ = _leibniz_rows(
+        p.relations, p.quiver, point.field, mats, alpha, mats, alpha,
+        [a.name for a in p.quiver.arrows], {})
+    return rows
 
 
 def tangent_space_dim(p: Presentation, m: Representation) -> int:
-    """Dimension of the scheme tangent space at a valid representation.
+    """Dimension of the scheme tangent space of p at the point m.
 
     The ambient arrow-matrix space has dimension rep_space_dim; subtract the
-    exact rank of the Jacobian of all ideal generators at the point.
+    exact rank of the Jacobian of all ideal generators at the point.  The
+    Jacobian is evaluated from the arrow matrices of m by the Leibniz rule
+    (prefix and suffix products of every relation word); the symbolic
+    differentiation of the ``rep_ideal`` generators is its test oracle.
+    Raises ValueError unless m satisfies p's relations and invertibility
+    constraints.
     """
-    if not check_representation(m):
+    point = Representation(p, m.alpha, m.matrices)
+    if not check_representation(point):
         raise ValueError("tangent space requested at an invalid representation")
-    ideal = rep_ideal(p, m.alpha)
-    point = _point_of(m)
-    variables = []
-    for arrow in p.quiver.arrows:
-        for i in range(1, m.alpha[arrow.head] + 1):
-            for j in range(1, m.alpha[arrow.tail] + 1):
-                variables.append((arrow.name, i, j))
-    rows = []
-    for _, gen in ideal.generators:
-        row = [gen.differentiate(v).evaluate(point) for v in variables]
-        rows.append(row)
-    return rep_space_dim(p.quiver, m.alpha) - rank(rows)
+    return rep_space_dim(p.quiver, m.alpha) - rank(_jacobian(point))
 
 
 def orbit_dim(m: Representation) -> int:

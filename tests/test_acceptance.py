@@ -428,6 +428,28 @@ def test_criterion_10_free_algebra_scale():
     _report("10 free algebra scale n=9", time.time() - start, 4.0)
 
 
+def test_criterion_11_heisenberg_tangent_scale():
+    # the Heisenberg simple over cyclo:5 (X the cyclic shift, Y =
+    # diag(zeta^k)): derived, dim T = dim Z^1 = n^2 - 1 + dim Ext^1 with
+    # Ext^1 two-dimensional, so 26; the Jacobian has 150 rows and 100 columns
+    start = time.time()
+    n = 5
+    field = Field(n)
+    one, zero = field.one(), field.zero()
+    shift = [[one if i == (j + 1) % n else zero for j in range(n)]
+             for i in range(n)]
+    mats = {"X": shift, "X_inv": [list(col) for col in zip(*shift)],
+            "Y": [[field.zeta(i) if i == j else zero for j in range(n)]
+                  for i in range(n)],
+            "Y_inv": [[field.zeta(-i) if i == j else zero for j in range(n)]
+                      for i in range(n)]}
+    pres = heisenberg_presentation(field)
+    rho = Representation(pres, DimVector(pres.quiver, {"v": n}), mats,
+                         field=field)
+    assert tangent_space_dim(pres, rho) == 26 == cocycle_dim(rho, rho)
+    _report("11 heisenberg tangent space cyclo:5", time.time() - start, 4.0)
+
+
 def test_session_reports_match_golden():
     # the worked-example session is stable end to end
     source = (GOLDEN / "heisenberg_session.lq").read_text()

@@ -11,6 +11,8 @@ from localquiver.repvariety import (CommPoly, generic_stab_dim, orbit_dim,
                                     tangent_space_dim)
 from localquiver.scalars import QQ, Field
 
+from repvariety_oracle import differentiate, evaluate
+
 
 def loops(*names):
     return Quiver(["v"], [(n, "v", "v") for n in names])
@@ -41,8 +43,8 @@ def comm_polys(field):
 def test_product_rule_property(field, data):
     f, g = data.draw(comm_polys(field)), data.draw(comm_polys(field))
     v = data.draw(st.sampled_from(VARS))
-    assert (f * g).differentiate(v) == \
-        f * g.differentiate(v) + g * f.differentiate(v)
+    assert differentiate(f * g, v) == \
+        f * differentiate(g, v) + g * differentiate(f, v)
 
 
 def test_path_function_examples():
@@ -105,7 +107,7 @@ def test_rep_ideal_examples():
     comm = [[sum(x[i][k] * y[k][j] - y[i][k] * x[k][j] for k in range(2))
              for j in range(2)] for i in range(2)]
     for (_, i, j), gen in ideal2.generators:
-        assert gen.evaluate(point) == QQ.elem(comm[i - 1][j - 1])
+        assert evaluate(gen, point) == QQ.elem(comm[i - 1][j - 1])
 
     qd = loops("x").double()
     from localquiver.ncalg import preprojective_relations
@@ -127,7 +129,7 @@ def test_rep_ideal_vanishes_on_valid_points():
             for j in range(2):
                 point[(arrow.name, i + 1, j + 1)] = m.matrices[arrow.name][i][j]
     for _, gen in ideal.generators:
-        assert gen.evaluate(point).is_zero()
+        assert evaluate(gen, point).is_zero()
 
 
 def test_tangent_space_dim_examples():
@@ -152,6 +154,26 @@ def test_tangent_space_dim_examples():
     bad = Representation(p, DimVector(q, {"v": 1}), {"x": [["1"]]})
     with pytest.raises(ValueError):
         tangent_space_dim(p, bad)
+
+
+def test_tangent_space_dim_checks_the_point_against_its_argument():
+    # a point of the free algebra that is not a point of the commuting-pair
+    # scheme: the check must use the presentation passed in, not m's own
+    pc = commuting_pair_presentation()
+    free = Presentation(pc.quiver, [], flavor="graded")
+    m = Representation(free, DimVector(pc.quiver, {"v": 2}),
+                       {"X": [["0", "1"], ["0", "0"]],
+                        "Y": [["0", "0"], ["1", "0"]]})
+    assert tangent_space_dim(free, m) == 8
+    with pytest.raises(ValueError):
+        tangent_space_dim(pc, m)
+    # and p's invertible arrows, not m's
+    unit_x = Presentation(pc.quiver, [], invertible=["X"], flavor="graded")
+    zero = Representation(free, DimVector(pc.quiver, {"v": 1}),
+                          {"X": [["0"]], "Y": [["1"]]})
+    assert tangent_space_dim(free, zero) == 2
+    with pytest.raises(ValueError):
+        tangent_space_dim(unit_x, zero)
 
 
 def test_orbit_dim_examples():
