@@ -144,7 +144,7 @@ def run_command(session: SessionFile, cmd: Command, options) -> dict:
     if cmd.name == "deform":
         fam = _lookup(session, "families", _arg_names(cmd.args, 1)[0])
         rels = deform.local_model_relations(fam)
-        cone = deform.tangent_cone_relations(fam)
+        cone = deform._tangent_cone(fam, rels)
         report["candidate"] = not fam.asserted_hypotheses
         report["truncation"] = fam.order
         report["local_model"] = [str(r) for r in rels]

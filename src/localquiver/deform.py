@@ -12,13 +12,15 @@ moves as (1 + T_g) tensor its base matrix, and formal inverses follow by the
 geometric series.  The analytic covering hypothesis on a family cannot be
 checked symbolically; what is verified exactly is that the series start at
 the base point and that the first-order directions meet the orbit tangent
-space trivially.  Results are therefore labeled a candidate local model
-unless the caller asserts the hypotheses.
+space trivially, where the orbit tangent space is read from the coboundary
+map of ``extcalc`` (the columns of ``_hom_system`` at the base point).
+Results are therefore labeled a candidate local model unless the caller
+asserts the hypotheses.
 """
 
 from __future__ import annotations
 
-from . import linalg
+from . import extcalc, linalg
 from .ncalg import NCPoly, PathWord, Presentation
 from .quiver import Quiver
 from .rewrite import GrIdealReport, gr_ideal
@@ -125,31 +127,20 @@ def ts_multiply(u: TensorSeries, v: TensorSeries) -> TensorSeries:
 def geometric_inverse(s: TensorSeries) -> TensorSeries:
     """The two-sided inverse through the truncation order.
 
-    Requires an invertible constant term; the inverse is built degree by
-    degree and is automatically two-sided in the truncated algebra.
+    With c the constant term, which must be invertible, and
+    n = -c^-1 (s - c), the series s = c (1 - n) has the inverse
+    sum_{k <= K} n^k c^-1, since n^(K+1) vanishes at truncation order K.
     """
-    const = s.coefficient(())
-    inv0 = linalg.invert(const, s.field)
+    inv0 = linalg.invert(s.coefficient(()), s.field)
     if inv0 is None:
         raise ValueError("series has a singular constant term")
     neg_inv0 = linalg.mat_scale(-s.field.one(), inv0)
-    result: dict[Word, list[list[FieldElem]]] = {(): inv0}
-    by_degree: dict[int, list[tuple[Word, list[list[FieldElem]]]]] = {}
-    for w, m in s.terms.items():
-        if len(w) >= 1:
-            by_degree.setdefault(len(w), []).append((w, m))
-    for d in range(1, s.order + 1):
-        new: dict[Word, list[list[FieldElem]]] = {}
-        for ds in range(1, d + 1):
-            for w1, m1 in by_degree.get(ds, ()):  # s-part of degree ds
-                for w2, m2 in list(result.items()):
-                    if len(w2) == d - ds:
-                        _add_term(new, w1 + w2, linalg.mat_mul(
-                            neg_inv0, linalg.mat_mul(m1, m2)))
-        for w, m in new.items():
-            if not linalg.is_zero_matrix(m):
-                result[w] = m
-    out = TensorSeries(s.symbols, s.size, s.order, s.field, result)
+    nil = TensorSeries(s.symbols, s.size, s.order, s.field, {
+        w: linalg.mat_mul(neg_inv0, m) for w, m in s.terms.items() if w})
+    power = out = TensorSeries(s.symbols, s.size, s.order, s.field, {(): inv0})
+    for _ in range(s.order):
+        power = ts_multiply(nil, power)
+        out = out + power
     check = ts_multiply(s, out) - TensorSeries.unit(s.symbols, s.size, s.order, s.field)
     if not check.is_zero():
         raise AssertionError("geometric inverse failed the right-product check")
@@ -221,31 +212,18 @@ class FamilySpec:
 
     def _check_first_order_transversality(self):
         """Exact rank check: linear directions meet coboundaries trivially."""
-        field = self.base.field
-        quiver = self.presentation.quiver
-        n = self.base.dim()
         coords = []  # flattened tangent vectors in arrow-matrix space
         for k in range(len(self.symbols)):
             vec = []
-            for arrow in quiver.arrows:
+            for arrow in self.presentation.quiver.arrows:
                 mat = self.series[arrow.name].coefficient((k,))
                 vec.extend(x for row in mat for x in row)
             if any(not x.is_zero() for x in vec):
                 coords.append(vec)
         if not coords:
             return  # constant family: nothing to check
-        span = linalg.Echelon()  # the coboundaries: tangent space of the orbit
-        for i in range(n):
-            for j in range(n):
-                phi = linalg.zero_matrix(field, n, n)
-                phi[i][j] = field.one()
-                vec = []
-                for arrow in quiver.arrows:
-                    mat = self.base.matrices[arrow.name]
-                    delta = linalg.mat_sub(linalg.mat_mul(mat, phi),
-                                           linalg.mat_mul(phi, mat))
-                    vec.extend(x for row in delta for x in row)
-                span.insert(vec)
+        rows, _, _ = extcalc._hom_system(self.base, self.base)
+        span = linalg.Echelon(zip(*rows))  # coboundaries: the orbit's tangent space
         if not all(span.insert(vec) for vec in coords):
             raise ValueError(
                 "family directions are not transversal to the orbit at the "
@@ -354,7 +332,11 @@ def local_model_relations(fs: FamilySpec) -> list[NCPoly]:
 
 def tangent_cone_relations(fs: FamilySpec) -> GrIdealReport:
     """Associated-graded relations of the candidate local model at bound K."""
-    rels = local_model_relations(fs)
+    return _tangent_cone(fs, local_model_relations(fs))
+
+
+def _tangent_cone(fs: FamilySpec, rels: list[NCPoly]) -> GrIdealReport:
+    """The tangent cone of fs from its local model relations ``rels``."""
     if not rels:
         nontrivial = any(
             any(len(w) > 0 for w in s.terms) for s in fs.series.values()

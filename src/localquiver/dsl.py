@@ -30,7 +30,7 @@ from .deform import FamilySpec
 from .extcalc import Representation, check_representation
 from .ncalg import NCPoly, Presentation
 from .quiver import DimVector, Quiver, STAR_MARKER
-from .scalars import Field, QQ, parse_scalar
+from .scalars import Field, FieldElem, QQ, parse_scalar
 
 
 class ParseError(ValueError):
@@ -403,12 +403,7 @@ class Parser:
                        f"{self.field.label()}", name_tok)
         try:
             alpha = DimVector(pres.quiver, dims)
-            parsed = {
-                arrow: [[parse_scalar(x, self.field) for x in row]
-                        for row in mat]
-                for arrow, mat in matrices.items()
-            }
-            rep = Representation(pres, alpha, parsed, field=self.field,
+            rep = Representation(pres, alpha, matrices, field=self.field,
                                  name=name)
         except ValueError as exc:
             self.error(str(exc), name_tok)
@@ -417,7 +412,9 @@ class Parser:
             self.error("not a representation: " + "; ".join(result.failures),
                        name_tok)
         session.reps[name] = rep
-        session.blocks.append(RepBlock(name, a_tok.text, dims, matrices,
+        texts = {arrow: [[str(x) for x in row] for row in mat]
+                 for arrow, mat in matrices.items()}
+        session.blocks.append(RepBlock(name, a_tok.text, dims, texts,
                                        field_tag))
 
     def parse_matrix(self) -> list:
@@ -429,7 +426,7 @@ class Parser:
 
     def parse_row(self) -> list:
         """``[entry, ...]``; ``[]`` is a row with no entries."""
-        return self._bracketed(self.parse_scalar_text)
+        return self._bracketed(self.parse_scalar_entry)
 
     def _bracketed(self, item) -> list:
         """A bracketed, comma-separated and possibly empty list of items."""
@@ -443,8 +440,8 @@ class Parser:
         self.expect("]")
         return items
 
-    def parse_scalar_text(self) -> str:
-        """Collect one scalar entry as canonical text (validated later)."""
+    def parse_scalar_entry(self) -> FieldElem:
+        """Collect and parse one scalar entry of a matrix."""
         parts = []
         depth = 0
         while True:
@@ -463,10 +460,9 @@ class Parser:
             self.error("empty matrix entry")
         text = " ".join(parts)
         try:
-            value = parse_scalar(text, self.field)
+            return parse_scalar(text, self.field)
         except ValueError as exc:
             self.error(str(exc))
-        return str(value)
 
     def parse_family(self, session: SessionFile):
         self.expect("family")
@@ -550,7 +546,10 @@ class Parser:
             num = int(tok.text)
             if self.at("/"):
                 self.next()
+                den_tok = self.peek()
                 den = self.expect_int()
+                if den == 0:
+                    self.error("zero denominator", den_tok)
                 value = Fraction(num, den)
             else:
                 value = Fraction(num)

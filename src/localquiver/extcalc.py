@@ -135,30 +135,34 @@ def check_representation(rep: Representation) -> CheckResult:
     return CheckResult(not failures, failures)
 
 
-def _require_same_presentation(x: Representation, y: Representation):
-    if x.presentation is y.presentation:
-        return
+def _common_matrices(x: Representation, y: Representation):
+    """The field that x and y both embed in, and their arrow matrices with
+    entries in it; x and y must share a presentation."""
     px, py = x.presentation, y.presentation
-    if px.quiver != py.quiver or len(px.relations) != len(py.relations) \
-            or any(a != b for a, b in zip(px.relations, py.relations)):
+    if px is not py and (
+            px.quiver != py.quiver or len(px.relations) != len(py.relations)
+            or any(a != b for a, b in zip(px.relations, py.relations))):
         raise ValueError("presentation mismatch between the representations")
+    field = x.field.join(y.field)
 
+    def coerced(rep: Representation):
+        if rep.field == field:
+            return rep.matrices
+        return {a: [[field.elem(c) for c in row] for row in mat]
+                for a, mat in rep.matrices.items()}
 
-def _coerced(rep: Representation, field: Field):
-    """The arrow matrices of rep with entries in field."""
-    if rep.field == field:
-        return rep.matrices
-    return {a: [[field.elem(c) for c in row] for row in mat]
-            for a, mat in rep.matrices.items()}
+    return field, coerced(x), coerced(y)
 
 
 def _hom_system(x: Representation, y: Representation):
-    """Matrix of the intertwiner equations; unknowns are vertex blocks of
-    maps from x to y, vectorized row-major in vertex order."""
-    _require_same_presentation(x, y)
-    field = x.field.join(y.field)
+    """The coboundary map phi -> (y_a phi_t - phi_h x_a)_a as a matrix.
+
+    The unknowns (columns) are the vertex blocks of phi, row-major in vertex
+    order; the rows are the arrow entries, in arrow order and row-major.  Its
+    kernel is Hom(x, y), and at x = y its columns span the coboundaries, the
+    tangent space of the orbit of x."""
+    field, xm, ym = _common_matrices(x, y)
     quiver = x.quiver
-    xm, ym = _coerced(x, field), _coerced(y, field)
     offsets = {}
     total = 0
     for v in quiver.vertices:
@@ -253,11 +257,9 @@ def _leibniz_rows(relations, quiver: Quiver, field: Field, ym, y_alpha: DimVecto
 
 def _cocycle_system(x: Representation, y: Representation):
     """Equations delta(r) = 0 over the primary arrow unknowns."""
-    _require_same_presentation(x, y)
+    field, xm, ym = _common_matrices(x, y)
     pres = x.presentation
-    field = x.field.join(y.field)
     quiver = x.quiver
-    xm, ym = _coerced(x, field), _coerced(y, field)
     # an eliminated inverse a of p has delta(a) = -y(a) delta(p) x(a)
     minus = -field.one()
     substitutes = {a: (p, linalg.mat_scale(minus, ym[a]), xm[a])

@@ -47,9 +47,6 @@ def mat_shape(mat) -> tuple[int, int]:
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
 
 def mat_scale(c: FieldElem, a):
     return [[c * x for x in row] for row in a]

@@ -90,9 +90,6 @@ class CommPoly:
             return NotImplemented
         return (self - other).is_zero()
 
-    def variables(self) -> set[Var]:
-        return {v for m in self.terms for v, _ in m}
-
     def __str__(self):
         def mono_str(m: Monomial) -> str:
             return "*".join(

@@ -358,6 +358,8 @@ def parse_scalar(text: str, field: Field) -> FieldElem:
 
     def take():
         nonlocal idx
+        if idx == len(tokens):
+            raise ValueError(f"scalar literal {text!r} ends early")
         tok = tokens[idx]
         idx += 1
         return tok
@@ -383,7 +385,7 @@ def parse_scalar(text: str, field: Field) -> FieldElem:
             if peek() == "/":
                 take()
                 den = take()
-                if not den.isdigit():
+                if not den.isdigit() or int(den) == 0:
                     raise ValueError(f"bad denominator in scalar {text!r}")
                 return field.from_rational(Fraction(num, int(den)))
             return field.from_rational(num)

@@ -278,8 +278,8 @@ def test_transversality_rejects_orbit_directions():
     series = {}
     for arrow in pres.quiver.arrows:
         mat = rho.matrices[arrow.name]
-        bracket = linalg.mat_sub(linalg.mat_mul(mat, phi),
-                                 linalg.mat_mul(phi, mat))
+        bracket = linalg.mat_add(linalg.mat_mul(mat, phi), linalg.mat_scale(
+            -field.one(), linalg.mat_mul(phi, mat)))
         series[arrow.name] = TensorSeries(("T1",), 2, 2, field,
                                           {(): mat, (0,): bracket})
     with pytest.raises(ValueError):
@@ -307,6 +307,10 @@ def test_load_family_json():
 
     with pytest.raises(ValueError):
         load_family(base, {"pattern": "nope", "K": 3})
+    table["X"] = {"1": table["X"]["1"], "T1": [["1/0", "0"], ["0", "1"]]}
+    with pytest.raises(ValueError):
+        load_family(base, {"pattern": "explicit", "K": 3,
+                           "symbols": ["T1", "T2"], "series": table})
 
 
 def test_entrywise_fallback_when_not_scalar():

@@ -1,0 +1,267 @@
+"""The inverse series and the transversality check of ``deform`` against
+the previous paths kept in ``deform_oracle``; the columns of
+``extcalc._hom_system`` against coboundaries computed here; and the number
+of relation expansions of the CLI ``deform`` command."""
+
+import itertools
+import pathlib
+import random
+from fractions import Fraction
+
+import pytest
+
+from localquiver import deform, extcalc, linalg
+from localquiver.cli import main
+from localquiver.deform import FamilySpec, TensorSeries, geometric_inverse
+from localquiver.extcalc import Representation
+from localquiver.ncalg import (Presentation, heisenberg_presentation,
+                               surface_group_presentation)
+from localquiver.quiver import DimVector, Quiver
+from localquiver.scalars import QQ, Field
+
+import deform_oracle as oracle
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def scalar(rng, field):
+    """A random element with fractional coefficients, often zero."""
+    if rng.random() < 0.3:
+        return field.zero()
+    total = field.zero()
+    for k in range(field.degree):
+        c = Fraction(rng.randrange(-4, 5), rng.choice([1, 2, 3, 5]))
+        total = total + (field.zeta(k) if k else field.one()) * c
+    return total
+
+
+def matrix(rng, field, n):
+    return [[scalar(rng, field) for _ in range(n)] for _ in range(n)]
+
+
+def show(series):
+    return {w: [[str(x) for x in row] for row in m]
+            for w, m in series.terms.items()}
+
+
+# symbol counts per order K keep the number of words of the inverse small
+SYMBOLS_FOR_ORDER = {0: 2, 1: 3, 2: 3, 3: 2, 4: 1, 5: 1}
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("order", range(6))
+@pytest.mark.parametrize("label", ["q", "cyclo:3", "cyclo:5"])
+def test_geometric_inverse_matches_the_oracle(label, order, size):
+    field = Field.from_label(label)
+    rng = random.Random(f"{label} {order} {size}")
+    symbols = tuple(f"T{k + 1}" for k in range(SYMBOLS_FOR_ORDER[order]))
+    words = [w for d in range(1, order + 1)
+             for w in itertools.product(range(len(symbols)), repeat=d)]
+    for _ in range(2):
+        terms = {(): matrix(rng, field, size)}
+        first = [w for w in words if len(w) == 1]
+        higher = [w for w in words if len(w) > 1]
+        picked = first + rng.sample(higher, min(len(higher), 3))
+        for w in picked:
+            terms[w] = matrix(rng, field, size)
+        s = TensorSeries(symbols, size, order, field, terms)
+        try:
+            expected = oracle.geometric_inverse(s)
+        except ValueError:
+            with pytest.raises(ValueError):
+                geometric_inverse(s)
+            continue
+        assert show(geometric_inverse(s)) == show(expected)
+
+    singular = dict(terms)
+    singular[()] = linalg.zero_matrix(field, size, size)
+    s = TensorSeries(symbols, size, order, field, singular)
+    for inverse in (geometric_inverse, oracle.geometric_inverse):
+        with pytest.raises(ValueError):
+            inverse(s)
+
+
+def heisenberg_simple(m):
+    """X the cyclic shift and Y = diag(zeta^i) over cyclo:m."""
+    field = Field(m)
+    one, zero = field.one(), field.zero()
+    shift = [[one if i == (j + 1) % m else zero for j in range(m)]
+             for i in range(m)]
+    mats = {"X": shift, "X_inv": [list(col) for col in zip(*shift)],
+            "Y": [[field.zeta(i) if i == j else zero for j in range(m)]
+                  for i in range(m)],
+            "Y_inv": [[field.zeta(-i) if i == j else zero for j in range(m)]
+                      for i in range(m)]}
+    pres = heisenberg_presentation(field)
+    return Representation(pres, DimVector(pres.quiver, {"v": m}), mats,
+                          field=field)
+
+
+def surface_character(rng, genus):
+    pres = surface_group_presentation(genus)
+    mats = {}
+    for k in range(1, genus + 1):
+        for g in (f"X{k}", f"Y{k}"):
+            value = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                             rng.choice([1, 2, 5]))
+            mats[g] = [[QQ.elem(value)]]
+            mats[g + "_inv"] = [[QQ.elem(1 / value)]]
+    return Representation(pres, DimVector(pres.quiver, {"v": 1}), mats)
+
+
+def orbit_direction(rng, rho):
+    """[phi, rho(g)] = rho(g) phi - phi rho(g) on every arrow g."""
+    n, field = rho.dim(), rho.field
+    phi = matrix(rng, field, n)
+    out = {}
+    for g, mat in rho.matrices.items():
+        left, right = linalg.mat_mul(mat, phi), linalg.mat_mul(phi, mat)
+        out[g] = [[x - y for x, y in zip(rl, rr)]
+                  for rl, rr in zip(left, right)]
+    return out
+
+
+def random_direction(rng, rho):
+    return {g: matrix(rng, rho.field, rho.dim()) for g in rho.matrices}
+
+
+def combine(rho, *parts):
+    """The sum of directions, each given as (coefficient, direction)."""
+    out = {}
+    for g in rho.matrices:
+        total = linalg.zero_matrix(rho.field, rho.dim(), rho.dim())
+        for c, d in parts:
+            total = linalg.mat_add(total, linalg.mat_scale(rho.field.elem(c), d[g]))
+        out[g] = total
+    return out
+
+
+def direction_sets(rng, rho):
+    """Lists of first-order directions, one list per family."""
+    orbit1, orbit2 = orbit_direction(rng, rho), orbit_direction(rng, rho)
+    rand1, rand2 = random_direction(rng, rho), random_direction(rng, rho)
+    return [
+        [rand1],
+        [rand1, rand2],
+        [orbit1],
+        [rand1, orbit1],
+        [combine(rho, (1, orbit1), (1, rand1))],
+        [combine(rho, (1, orbit1), (1, rand1)),
+         combine(rho, (1, orbit2), (1, rand1))],
+        [combine(rho, (1, orbit1), (2, rand1)), combine(rho, (1, rand2))],
+        [rand1, combine(rho, (3, rand1))],
+        [combine(rho, (2, orbit1), (-1, orbit2))],
+    ]
+
+
+def verdicts(rho, directions):
+    """(oracle, package) transversality verdicts of one family."""
+    symbols = tuple(f"T{k + 1}" for k in range(len(directions)))
+    series = {}
+    for g, mat in rho.matrices.items():
+        terms = {(): mat}
+        for k, d in enumerate(directions):
+            terms[(k,)] = d[g]
+        series[g] = TensorSeries(symbols, rho.dim(), 2, rho.field, terms)
+    expected = oracle.is_transversal(rho, series, symbols)
+    try:
+        FamilySpec(rho.presentation, rho, series, 2, symbols)
+        got = True
+    except ValueError:
+        got = False
+    return expected, got
+
+
+def test_transversality_matches_the_oracle():
+    rng = random.Random(11)
+    bases = [heisenberg_simple(m) for m in (2, 3, 4)]
+    bases += [surface_character(rng, g) for g in (1, 1, 2)]
+    seen = set()
+    for rho in bases:
+        for directions in direction_sets(rng, rho):
+            expected, got = verdicts(rho, directions)
+            assert got == expected, (rho, len(directions))
+            seen.add(expected)
+    assert seen == {True, False}
+
+
+def two_vertex_presentation():
+    q = Quiver(["u", "w"], [("a", "w", "u"), ("b", "u", "w"),
+                            ("c", "u", "u"), ("d", "w", "u")])
+    return Presentation(q, [], flavor="graded")
+
+
+def random_rep(rng, pres, dims, field):
+    alpha = DimVector(pres.quiver, dims)
+    mats = {a.name: [[scalar(rng, field) for _ in range(alpha[a.tail])]
+                     for _ in range(alpha[a.head])]
+            for a in pres.quiver.arrows}
+    return Representation(pres, alpha, mats, field=field)
+
+
+def product(a, b, rows, inner, cols, field):
+    return [[sum((a[i][k] * b[k][j] for k in range(inner)), field.zero())
+             for j in range(cols)] for i in range(rows)]
+
+
+def coboundaries(x, y, field):
+    """y_a phi_t - phi_h x_a over the elementary phi of every vertex block."""
+    quiver = x.quiver
+    out = []
+    for v in quiver.vertices:
+        for i in range(y.alpha[v]):
+            for j in range(x.alpha[v]):
+                phi = {u: [[field.zero()] * x.alpha[u] for _ in range(y.alpha[u])]
+                       for u in quiver.vertices}
+                phi[v][i][j] = field.one()
+                vec = []
+                for a in quiver.arrows:
+                    h, t = a.head, a.tail
+                    left = product(y.matrices[a.name], phi[t], y.alpha[h],
+                                   y.alpha[t], x.alpha[t], field)
+                    right = product(phi[h], x.matrices[a.name], y.alpha[h],
+                                    x.alpha[h], x.alpha[t], field)
+                    vec += [left[p][q] - right[p][q]
+                            for p in range(y.alpha[h]) for q in range(x.alpha[t])]
+                out.append(vec)
+    return out
+
+
+@pytest.mark.parametrize("label", ["q", "cyclo:3"])
+@pytest.mark.parametrize("dims_x, dims_y", [
+    ({"u": 2, "w": 1}, {"u": 1, "w": 2}),
+    ({"u": 2, "w": 1}, {"u": 2, "w": 1}),
+    ({"u": 2, "w": 0}, {"u": 1, "w": 1}),
+    ({"u": 0, "w": 2}, {"u": 1, "w": 0}),
+    ({"u": 1, "w": 2}, {"u": 0, "w": 0}),
+])
+def test_hom_system_columns_are_the_coboundaries(label, dims_x, dims_y):
+    field = Field.from_label(label)
+    rng = random.Random(f"{label} {dims_x} {dims_y}")
+    pres = two_vertex_presentation()
+    for same in (False, True):
+        x = random_rep(rng, pres, dims_x, field)
+        y = x if same and dims_x == dims_y else random_rep(rng, pres, dims_y, field)
+        rows, total, _ = extcalc._hom_system(x, y)
+        expected = coboundaries(x, y, field)
+        assert total == len(expected)
+        assert all(len(row) == total for row in rows)
+        columns = [list(col) for col in zip(*rows)] if rows else \
+            [[] for _ in range(total)]
+        assert len(columns) == total
+        r = linalg.rank(columns)
+        assert r == linalg.rank(expected) == linalg.rank(columns + expected)
+
+
+def test_cli_deform_expands_each_relation_once(monkeypatch, capsys):
+    calls = []
+    expand = deform.expand_relation
+
+    def counted(fs, r):
+        calls.append(r)
+        return expand(fs, r)
+
+    monkeypatch.setattr(deform, "expand_relation", counted)
+    assert main([str(GOLDEN / "heisenberg_session.lq")]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "heisenberg_reports.json").read_text()
+    assert len(calls) == 6  # the six relations of H, once each

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -270,6 +271,31 @@ def test_cli_parse_error_exit(tmp_path, capsys):
     src.write_text("quiver q { vertices v }")
     assert main([str(src)]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+MALFORMED_SCALARS = [
+    ("rep", "[[1/0]]"),
+    ("relation", "1/0*X"),
+    ("rep", "[[2/]]"),
+    ("rep", "[[zeta^]]"),
+]
+
+
+@pytest.mark.parametrize("where, text", MALFORMED_SCALARS)
+def test_cli_malformed_scalar_is_a_parse_error(tmp_path, capsys, where, text):
+    relation = text if where == "relation" else ""
+    source = (
+        "quiver q { vertices: v; arrows: X: v -> v }\n"
+        f"algebra A over q {{ relations: {relation}; invertible: ; "
+        "flavor: graded }\n")
+    if where == "rep":
+        source += f"rep r of A {{ dim: v = 1; X = {text}; field: q }}\n"
+    src = tmp_path / "bad.lq"
+    src.write_text(source)
+    assert main([str(src)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"parse error: line \d+, col \d+: ", err)
+    assert "Traceback" not in err
 
 
 def test_cli_text_output(tmp_path, capsys):

@@ -232,6 +232,9 @@ def test_load_representation_json():
     for tag in ("float", "cyclo:0", "cyclo:x"):
         with pytest.raises(ValueError):
             load_representation(pres, {**data, "field": tag})
+    with pytest.raises(ValueError):
+        load_representation(pres, {**data, "matrices": {
+            **data["matrices"], "X": [["1/0", "1"], ["1", "0"]]}})
 
 
 def test_surface_loop_counts_low_genus():

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from localquiver.scalars import (Field, QQ, accumulate, cyclotomic_polynomial,
-                                 parse_scalar, signed_sum)
+from localquiver.scalars import (Field, FieldElem, QQ, accumulate,
+                                 cyclotomic_polynomial, parse_scalar,
+                                 signed_sum)
 
 
 def test_cyclotomic_polynomials():
@@ -98,3 +100,27 @@ def test_parse_rejects_garbage():
         parse_scalar("3//2", QQ)
     with pytest.raises(ValueError):
         parse_scalar("", QQ)
+    for text in ("1/0", "2/", "zeta^", "3/(1)", "zeta^-1", "2*"):
+        with pytest.raises(ValueError):
+            parse_scalar(text, Field(5))
+    with pytest.raises(ValueError):
+        QQ.elem("1/0")
+
+
+# texts of at most 40 characters over the alphabet of scalar literals,
+# drawn with "zeta" as one piece
+LITERALS = st.lists(
+    st.sampled_from(list("0123456789+-*/^() ") + ["zeta"]), max_size=40,
+).map(lambda pieces: "".join(pieces)[:40])
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=["q", "cyclo:5"])
+@settings(max_examples=300, deadline=None)
+@given(text=LITERALS)
+def test_parse_scalar_returns_or_raises_value_error(field, text):
+    try:
+        value = parse_scalar(text, field)
+    except ValueError:
+        return
+    assert isinstance(value, FieldElem)
+    assert parse_scalar(str(value), field) == value
