@@ -9,9 +9,14 @@ followed by commands.  Example::
     rep r of A { dim: v = 1; X = [[2]]; Y = [[3]]; field: q }
     ext1 r r;
 
-Polynomials use ``*`` for concatenation, ``^`` for repeated loops, ``e_v``
-for the idempotent at vertex v, rational coefficients and, over a cyclotomic
-field, the reserved scalar ``zeta``.  A trailing apostrophe on an arrow name
+Relations and matrix entries follow the literal grammar of
+``scalars.LiteralGrammar``: sums of signed products of factors, where a
+factor is a parenthesized sum, a rational ``n`` or ``n/d``, or, over a
+cyclotomic field, the reserved scalar ``zeta`` or ``zeta^k``.  In relations
+a factor may also be an arrow or ``e_v``, the idempotent at vertex v, with
+an optional power ``^k``, k >= 1; ``*`` is concatenation.  Relations end
+with ``;``.  Every printed scalar and polynomial parses back, so
+``parse(print_session(s)) == s``.  A trailing apostrophe on an arrow name
 refers to the reversed copy inside a doubled quiver and cannot be declared
 directly.  ``#`` starts a comment.
 
@@ -24,13 +29,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .deform import FamilySpec
 from .extcalc import Representation, check_representation
 from .ncalg import NCPoly, Presentation
 from .quiver import DimVector, Quiver, STAR_MARKER
-from .scalars import Field, FieldElem, QQ, parse_scalar
+from .scalars import Field, LiteralGrammar, QQ
 
 
 class ParseError(ValueError):
@@ -181,6 +185,7 @@ class Parser:
         self.tokens = tokens
         self.pos = 0
         self.field = field
+        self.entries = LiteralGrammar(self, field)  # matrix entries
 
     # ---- token plumbing -------------------------------------------------
     def peek(self) -> Token:
@@ -218,6 +223,11 @@ class Parser:
 
     def at(self, text: str) -> bool:
         return self.peek().text == text
+
+    def lookahead(self) -> str:
+        """The next token's text: with next() and error(), the cursor of
+        LiteralGrammar."""
+        return self.tokens[self.pos].text
 
     # ---- declared-name validation ---------------------------------------
     def check_declared_id(self, tok: Token, what: str, allow_e: bool = False):
@@ -314,11 +324,16 @@ class Parser:
         self.expect("relations")
         self.expect(":")
         relations = []
+        polys = LiteralGrammar(self, self.field,
+                               NCPoly.unit(quiver, self.field).scale,
+                               lambda: self.parse_poly_atom(quiver))
         while not self.at("invertible"):
             if self.at(";"):
                 self.next()
                 continue
-            relations.append(self.parse_poly(quiver))
+            relations.append(polys.sum())
+            if not self.at("invertible"):
+                self.expect(";")
         self.expect("invertible")
         self.expect(":")
         invertible = []
@@ -426,7 +441,7 @@ class Parser:
 
     def parse_row(self) -> list:
         """``[entry, ...]``; ``[]`` is a row with no entries."""
-        return self._bracketed(self.parse_scalar_entry)
+        return self._bracketed(self.entries.sum)
 
     def _bracketed(self, item) -> list:
         """A bracketed, comma-separated and possibly empty list of items."""
@@ -439,30 +454,6 @@ class Parser:
                 items.append(item())
         self.expect("]")
         return items
-
-    def parse_scalar_entry(self) -> FieldElem:
-        """Collect and parse one scalar entry of a matrix."""
-        parts = []
-        depth = 0
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                self.error("unterminated matrix entry")
-            if depth == 0 and tok.text in (",", "]"):
-                break
-            if tok.text == "(":
-                depth += 1
-            if tok.text == ")":
-                depth -= 1
-            parts.append(tok.text)
-            self.next()
-        if not parts:
-            self.error("empty matrix entry")
-        text = " ".join(parts)
-        try:
-            return parse_scalar(text, self.field)
-        except ValueError as exc:
-            self.error(str(exc))
 
     def parse_family(self, session: SessionFile):
         self.expect("family")
@@ -515,80 +506,32 @@ class Parser:
         self.expect(";")
         session.commands.append(Command(tok.text, args, tok.line))
 
-    # ---- polynomials ------------------------------------------------------
-    def parse_poly(self, quiver: Quiver) -> NCPoly:
-        poly = self.parse_poly_term(quiver)
-        while self.peek().text in ("+", "-"):
-            if self.next().text == "+":
-                poly = poly + self.parse_poly_term(quiver)
-            else:
-                poly = poly - self.parse_poly_term(quiver)
-        return poly
-
-    def parse_poly_term(self, quiver: Quiver) -> NCPoly:
-        sign = 1
-        while self.peek().text in ("+", "-"):
-            if self.next().text == "-":
-                sign = -sign
-        factors = [self.parse_poly_factor(quiver)]
-        while self.at("*"):
-            self.next()
-            factors.append(self.parse_poly_factor(quiver))
-        poly = factors[0]
-        for f in factors[1:]:
-            poly = poly * f
-        return poly.scale(self.field.from_rational(sign))
-
-    def parse_poly_factor(self, quiver: Quiver) -> NCPoly:
+    def parse_poly_atom(self, quiver: Quiver) -> NCPoly:
+        """An arrow or idempotent factor of a relation, with a power ``^k``."""
         tok = self.peek()
-        if tok.kind == "int":
+        if tok.kind != "id":
+            self.error("expected a polynomial factor")
+        self.next()
+        name = tok.text
+        if name.startswith("e_"):
+            vertex = name[2:]
+            if not quiver.has_vertex(vertex):
+                self.error(f"unknown vertex {vertex!r} in idempotent", tok)
+            base = NCPoly.vertex(quiver, vertex, self.field)
+        elif quiver.has_arrow(name):
+            base = NCPoly.arrow(quiver, name, self.field)
+        else:
+            self.error(f"unknown arrow {name!r}", tok)
+        if self.at("^"):
             self.next()
-            num = int(tok.text)
-            if self.at("/"):
-                self.next()
-                den_tok = self.peek()
-                den = self.expect_int()
-                if den == 0:
-                    self.error("zero denominator", den_tok)
-                value = Fraction(num, den)
-            else:
-                value = Fraction(num)
-            return NCPoly.unit(quiver, self.field).scale(
-                self.field.from_rational(value))
-        if tok.kind == "id" and tok.text == "zeta":
-            self.next()
-            power = 1
-            if self.at("^"):
-                self.next()
-                power = self.expect_int()
-            try:
-                z = self.field.zeta(power)
-            except ValueError as exc:
-                self.error(str(exc), tok)
-            return NCPoly.unit(quiver, self.field).scale(z)
-        if tok.kind == "id":
-            self.next()
-            name = tok.text
-            if name.startswith("e_"):
-                vertex = name[2:]
-                if not quiver.has_vertex(vertex):
-                    self.error(f"unknown vertex {vertex!r} in idempotent", tok)
-                base = NCPoly.vertex(quiver, vertex, self.field)
-            elif quiver.has_arrow(name):
-                base = NCPoly.arrow(quiver, name, self.field)
-            else:
-                self.error(f"unknown arrow {name!r}", tok)
-            if self.at("^"):
-                self.next()
-                power = self.expect_int()
-                if power < 1:
-                    self.error("power must be >= 1", tok)
-                out = base
-                for _ in range(power - 1):
-                    out = out * base
-                return out
-            return base
-        self.error("expected a polynomial factor")
+            power = self.expect_int()
+            if power < 1:
+                self.error("power must be >= 1", tok)
+            out = base
+            for _ in range(power - 1):
+                out = out * base
+            return out
+        return base
 
 
 def parse(source: str, field: Field | None = None) -> SessionFile:

@@ -279,12 +279,14 @@ def cocycle_dim(x: Representation, y: Representation) -> int:
 
 def ext1_dim(x: Representation, y: Representation) -> int:
     """dim Ext^1 between two representations, as cocycles mod coboundaries."""
-    z = cocycle_dim(x, y)
-    inner_source = sum(
-        x.alpha[v] * y.alpha[v] for v in x.quiver.vertices
-    )
-    b = inner_source - hom_dim(x, y)
-    return z - b
+    return _ext1_dim(x, y, hom_dim(x, y))
+
+
+def _ext1_dim(x: Representation, y: Representation, hom: int) -> int:
+    """dim Ext^1 given dim Hom(x, y): the coboundaries are the image of the
+    sum over v of Hom(x_v, y_v), whose kernel is Hom(x, y)."""
+    inner_source = sum(x.alpha[v] * y.alpha[v] for v in x.quiver.vertices)
+    return cocycle_dim(x, y) - (inner_source - hom)
 
 
 def is_simple(rep: Representation) -> bool:
@@ -415,10 +417,9 @@ def local_quiver(m: SemisimpleModule, cone: Presentation | None = None,
         names.append(rep.name if rep.name else f"S{idx + 1}")
     if len(set(names)) != k:
         names = [f"S{idx + 1}" for idx in range(k)]
-    ext1 = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            ext1[i][j] = ext1_dim(m.factors[i][0], m.factors[j][0])
+    # validate has certified hom(S_i, S_j) = [i = j]
+    ext1 = [[_ext1_dim(m.factors[i][0], m.factors[j][0], int(i == j))
+             for j in range(k)] for i in range(k)]
     arrows = []
     for i in range(k):
         for j in range(k):

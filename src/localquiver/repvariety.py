@@ -119,13 +119,16 @@ def _path_row(quiver: Quiver, word: PathWord, i: int, alpha: DimVector,
         for k in range(alpha[quiver.tail(first)])
     ]
     for a in word.arrows[1:]:
-        cols = alpha[quiver.tail(a)]
         nxt = []
-        for c in range(cols):
-            acc = CommPoly(field)
+        for c in range(alpha[quiver.tail(a)]):
+            terms: dict[Monomial, FieldElem] = {}
             for k, entry in enumerate(row):
-                acc = acc + entry * CommPoly.variable(field, (a, k + 1, c + 1))
-            nxt.append(acc)
+                var = (a, k + 1, c + 1)
+                for m, coeff in entry.terms.items():
+                    merged = dict(m)
+                    merged[var] = merged.get(var, 0) + 1
+                    accumulate(terms, tuple(sorted(merged.items())), coeff)
+            nxt.append(CommPoly(field, terms))
         row = nxt
     return row
 

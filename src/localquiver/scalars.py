@@ -16,6 +16,10 @@ The polynomial types of the package are dicts from monomials to nonzero
 field elements.  ``accumulate`` adds one term to such a dict and drops the
 key when the sum is zero; ``signed_sum`` prints (coefficient, monomial)
 pairs as ``a - b + c``, for scalars and polynomials alike.
+
+Literals have one grammar, :class:`LiteralGrammar`: ``parse_scalar`` runs it
+on a scalar text, and the session language runs it on relations and matrix
+entries, so every printed scalar and polynomial parses back.
 """
 
 from __future__ import annotations
@@ -333,83 +337,120 @@ class FieldElem:
         return f"FieldElem({self})"
 
 
-_SCALAR_TOKEN = re.compile(r"\s*(zeta|\d+|[+\-*/^()])")
+class LiteralGrammar:
+    """The one grammar of scalar and polynomial literals::
+
+        sum    := term (('+' | '-') term)*
+        term   := ('+' | '-')* factor ('*' factor)*
+        factor := '(' sum ')' | n | n '/' d | 'zeta' | 'zeta' '^' k | other
+
+    with n, d and k unsigned decimal integers, d nonzero.  It reads tokens
+    from a cursor with three methods: ``lookahead()`` (the next token's
+    text, "" at the end), ``next()`` (consume the next token) and
+    ``error(message)`` (raise at the next token).  Two hooks make the value
+    ring: ``embed`` maps a scalar of ``field`` into it (by default the
+    scalar itself), and ``other()`` parses any other factor at the cursor
+    (by default there is none).  Values are combined with ``+``, ``*`` and
+    unary ``-``.
+    """
+
+    __slots__ = ("cursor", "field", "embed", "other")
+
+    def __init__(self, cursor, field: Field, embed=None, other=None):
+        self.cursor = cursor
+        self.field = field
+        self.embed = embed if embed is not None else (lambda c: c)
+        self.other = other
+
+    def sum(self):
+        cur = self.cursor
+        # term absorbs the sign in front of it
+        val = self.term()
+        while cur.lookahead() in ("+", "-"):
+            val = val + self.term()
+        return val
+
+    def term(self):
+        cur = self.cursor
+        negative = False
+        while cur.lookahead() in ("+", "-"):
+            negative ^= cur.lookahead() == "-"
+            cur.next()
+        val = self.factor()
+        while cur.lookahead() == "*":
+            cur.next()
+            val = val * self.factor()
+        return -val if negative else val
+
+    def factor(self):
+        cur, field = self.cursor, self.field
+        tok = cur.lookahead()
+        if tok == "(":
+            cur.next()
+            val = self.sum()
+            if cur.lookahead() != ")":
+                cur.error("expected ')'")
+            cur.next()
+            return val
+        if tok.isdigit():
+            cur.next()
+            value = int(tok)
+            if cur.lookahead() == "/":
+                cur.next()
+                den = cur.lookahead()
+                if not den.isdigit() or int(den) == 0:
+                    cur.error("expected a nonzero denominator")
+                cur.next()
+                value = Fraction(value, int(den))
+            return self.embed(field.from_rational(value))
+        if tok == "zeta":
+            if field.is_rational:
+                cur.error("the rational field has no root of unity zeta")
+            cur.next()
+            power = "1"
+            if cur.lookahead() == "^":
+                cur.next()
+                power = cur.lookahead()
+                if not power.isdigit():
+                    cur.error("expected an exponent")
+                cur.next()
+            return self.embed(field.zeta(int(power)))
+        if self.other is None:
+            cur.error("expected a number, 'zeta' or '('")
+        return self.other()
+
+
+# a character outside the grammar is a token of its own, which no rule takes
+_SCALAR_TOKEN = re.compile(r"\s*(zeta|\d+|[+\-*/^()]|\S)")
+
+
+class _TextCursor:
+    """A cursor over the tokens of one scalar literal; failures are ValueErrors."""
+
+    __slots__ = ("text", "tokens", "pos")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _SCALAR_TOKEN.findall(text)
+        self.pos = 0
+
+    def lookahead(self) -> str:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else ""
+
+    def next(self):
+        self.pos += 1
+
+    def error(self, message: str):
+        shown = self.lookahead() or "end of input"
+        raise ValueError(
+            f"bad scalar literal {self.text!r}: {message}, got {shown!r}")
 
 
 def parse_scalar(text: str, field: Field) -> FieldElem:
-    """Parse a scalar literal like ``-3/2``, ``zeta^2`` or ``1/2*zeta - 1``."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _SCALAR_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"bad scalar literal {text!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    if not tokens:
-        raise ValueError(f"empty scalar literal {text!r}")
-
-    idx = 0
-
-    def peek():
-        return tokens[idx] if idx < len(tokens) else None
-
-    def take():
-        nonlocal idx
-        if idx == len(tokens):
-            raise ValueError(f"scalar literal {text!r} ends early")
-        tok = tokens[idx]
-        idx += 1
-        return tok
-
-    def parse_atom() -> FieldElem:
-        tok = peek()
-        if tok == "(":
-            take()
-            val = parse_sum()
-            if peek() != ")":
-                raise ValueError(f"unbalanced parentheses in scalar {text!r}")
-            take()
-            return val
-        if tok == "zeta":
-            take()
-            power = 1
-            if peek() == "^":
-                take()
-                power = int(take())
-            return field.zeta(power)
-        if tok is not None and tok.isdigit():
-            num = int(take())
-            if peek() == "/":
-                take()
-                den = take()
-                if not den.isdigit() or int(den) == 0:
-                    raise ValueError(f"bad denominator in scalar {text!r}")
-                return field.from_rational(Fraction(num, int(den)))
-            return field.from_rational(num)
-        raise ValueError(f"bad scalar literal {text!r}")
-
-    def parse_term() -> FieldElem:
-        sign = field.one()
-        while peek() in ("+", "-"):
-            if take() == "-":
-                sign = -sign
-        val = parse_atom()
-        while peek() == "*":
-            take()
-            val = val * parse_atom()
-        return sign * val
-
-    def parse_sum() -> FieldElem:
-        # parse_term absorbs the leading sign itself.
-        val = parse_term()
-        while peek() in ("+", "-"):
-            val = val + parse_term()
-        return val
-
-    result = parse_sum()
-    if idx != len(tokens):
-        raise ValueError(f"trailing garbage in scalar literal {text!r}")
-    return result
+    """Parse a scalar literal like ``-3/2``, ``zeta^2`` or ``(1 - zeta)*zeta``:
+    a :class:`LiteralGrammar` sum over the whole text."""
+    cursor = _TextCursor(text)
+    value = LiteralGrammar(cursor, field).sum()
+    if cursor.lookahead():
+        cursor.error("expected the end of the literal")
+    return value

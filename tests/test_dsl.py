@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localquiver.cli import main, run
 from localquiver.dsl import ParseError, parse, print_session
@@ -78,14 +79,60 @@ def test_session_field_consistency():
         parse(src)
 
 
+CYCLO3_SESSION = """
+quiver q { vertices: v; arrows: X: v -> v, Y: v -> v }
+algebra A over q { relations: X*Y - zeta^2*Y*X; invertible: ; flavor: graded }
+rep r of A { dim: v = 1; X = [[1 - zeta]]; Y = [[0]]; field: cyclo:3 }
+"""
+
+
 def test_round_trip_print_parse():
     heis = (GOLDEN / "heisenberg_session.lq").read_text()
-    for source in (MINIMAL, SMALL_SESSION, heis):
+    # over cyclo:3, -zeta^2 prints as (1 + zeta)
+    for source in (MINIMAL, SMALL_SESSION, heis, CYCLO3_SESSION):
         session = parse(source)
         rendered = print_session(session)
         again = parse(rendered)
         assert again == session
         assert print_session(again) == rendered
+
+
+# relations as sums of c*zeta^k*w; repeated words give cyclotomic
+# coefficients with inner signs, which print in parentheses
+TERMS = st.tuples(st.fractions(max_denominator=5), st.integers(0, 4),
+                  st.lists(st.sampled_from(["X", "Y", "e_v"]), min_size=1,
+                           max_size=2).map("*".join))
+RELATIONS = st.lists(st.lists(TERMS, min_size=1, max_size=6), min_size=1,
+                     max_size=3)
+
+
+@pytest.mark.parametrize("field", ["q", "cyclo:5"])
+@settings(max_examples=30, deadline=None)
+@given(relations=RELATIONS)
+def test_print_parse_round_trip_property(field, relations):
+    scalar = "{c}*" if field == "q" else "{c}*zeta^{k}*"
+    rels = "; ".join(" + ".join(scalar.format(c=c, k=k) + w for c, k, w in rel)
+                     for rel in relations)
+    session = parse(
+        "quiver q { vertices: v; arrows: X: v -> v, Y: v -> v }\n"
+        f"algebra A over q {{ relations: {rels}; invertible: ; "
+        "flavor: complete }\n"
+        f"rep r of A {{ dim: v = 0; X = []; Y = []; field: {field} }}\n")
+    rendered = print_session(session)
+    again = parse(rendered)
+    assert again == session
+    assert print_session(again) == rendered
+
+
+def test_relations_need_separators():
+    head = "quiver q { vertices: v; arrows: X: v -> v, Y: v -> v }\n"
+    with pytest.raises(ParseError) as err:
+        parse(head + "algebra A over q { relations: X*Y Y*X; invertible: ; "
+              "flavor: graded }")
+    assert (err.value.line, err.value.col) == (2, 35)  # the second Y
+    for rels in ("", ";", "X*Y;; Y*X", "X*Y; ;Y*X;", "X*Y"):
+        parse(head + f"algebra A over q {{ relations: {rels} invertible: ; "
+              "flavor: graded }")
 
 
 ZERO_VERTEX_SESSION = """

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from localquiver import extcalc
 from localquiver.extcalc import (Representation, SemisimpleModule,
                                  check_representation, cocycle_dim, ext1_dim,
                                  hom_dim, is_simple, load_representation,
@@ -183,6 +184,35 @@ def test_local_quiver_ext2_lower():
     result = local_quiver(SemisimpleModule([(rho, 1)]), cone=cone,
                           cone_degree=3)
     assert result.ext2_lower == [[1]]
+
+
+@pytest.mark.parametrize("case", ["surface", "two vertices"])
+def test_local_quiver_reuses_the_certified_homs(monkeypatch, case):
+    if case == "surface":
+        s2 = surface_group_presentation(2)
+        factors = [surface_character(s2, dict(zip(["X1", "Y1", "X2", "Y2"], v)), n)
+                   for v, n in [((1, 1, 1, 1), "a"), ((2, 3, 5, 7), "b"),
+                                ((3, 1, 2, 1), "c")]]
+    else:
+        q = Quiver(["u", "v"], [("a", "v", "u"), ("b", "u", "v"), ("c", "u", "u")])
+        free = Presentation(q, [], flavor="graded")
+        factors = [
+            Representation(free, DimVector(q, {"u": 1, "v": 0}),
+                           {"a": [], "b": [[]], "c": [["2"]]}, name="Su"),
+            Representation(free, DimVector(q, {"u": 0, "v": 1}),
+                           {"a": [[]], "b": [], "c": []}, name="Sv")]
+    expected = [[ext1_dim(x, y) for y in factors] for x in factors]
+    calls = []
+    counted = extcalc.hom_dim
+
+    def counting(x, y):
+        calls.append((x.name, y.name))
+        return counted(x, y)
+
+    monkeypatch.setattr(extcalc, "hom_dim", counting)
+    result = local_quiver(SemisimpleModule([(f, 1) for f in factors]))
+    assert result.ext1_matrix == expected
+    assert len(calls) == len(factors) ** 2  # validate's, and no others
 
 
 def test_ext_vs_multiplicity_accounting():
