@@ -18,7 +18,7 @@ an optional power ``^k``, k >= 1; ``*`` is concatenation.  Relations end
 with ``;``.  Every printed scalar and polynomial parses back, so
 ``parse(print_session(s)) == s``.  A trailing apostrophe on an arrow name
 refers to the reversed copy inside a doubled quiver and cannot be declared
-directly.  ``#`` starts a comment.
+directly; ``zeta`` and ``invertible`` are reserved.  ``#`` starts a comment.
 
 Parse errors carry line and column; references are resolved while parsing,
 so an unknown name or an ill-shaped matrix is reported at its source
@@ -235,8 +235,8 @@ class Parser:
         if name.endswith(STAR_MARKER):
             self.error(
                 f"{what} id {name!r} uses the reserved doubling marker", tok)
-        if name == "zeta":
-            self.error(f"{what} id cannot be the reserved scalar 'zeta'", tok)
+        if name in ("zeta", "invertible"):
+            self.error(f"{what} id cannot be the reserved word {name!r}", tok)
         if not allow_e and name.startswith("e_"):
             self.error(
                 f"{what} id {name!r} collides with idempotent syntax", tok)

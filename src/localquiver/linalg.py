@@ -24,7 +24,7 @@ from functools import reduce
 from math import gcd, lcm
 from operator import add, mul
 
-from .scalars import QQ, Field, FieldElem, cyclotomic_polynomial
+from .scalars import QQ, Field, FieldElem
 
 
 def zero_matrix(field: Field, rows: int, cols: int) -> list[list[FieldElem]]:
@@ -120,7 +120,7 @@ def integer_rows(row, field: Field) -> list[list[int]] | None:
     rows = [[x.numerator * (den // x.denominator) for x in vals]]
     if pad:
         # zeta^d = -(phi_0 + phi_1 zeta + ... + phi_{d-1} zeta^{d-1})
-        phi = cyclotomic_polynomial(field.order)[:-1]
+        phi = field.phi
         d = len(phi)
         for _ in pad:
             prev, vec = rows[-1], []

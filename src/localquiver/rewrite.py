@@ -18,9 +18,16 @@ for an arrow-ideal-adic completion of a group algebra.
 Reduction order.  ``RewriteSystem.reduce`` keeps the terms in a heap in the
 shared order and always rewrites the leading reducible term, at its leftmost
 reducible subword, with the lowest-indexed rule matching there; leads are
-looked up in a table keyed by their arrows (and by vertex for idempotent
+looked up in a table keyed by their word keys (and by vertex for idempotent
 leads).  The other terms of a rule come later in the order than its lead, so
 each step only adds later words and a word popped as irreducible is final.
+The arithmetic is fraction-free.  Each ``Rule`` holds an integer form, and
+the pending values are integers (``CycloInt`` over a cyclotomic field) over
+one common denominator.  A step on value c by a rule with integer lead L is
+a pseudo-division: with g = gcd(L, content(c)), it multiplies the pending
+values and the denominator by L/g and adds (c/g) times the rule's integer
+tail.  A settled value keeps the denominator it had then, and the normal
+form is converted back to field elements once.
 
 Settling by degree.  ``RewriteSystem.settle(top)`` runs the completion only
 through the critical pairs of degree <= top, and more polynomials may be
@@ -45,26 +52,33 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter, deque
+from fractions import Fraction
+from math import gcd
 
 from .ncalg import NCPoly, PathWord, Presentation, word_key, word_vertex_at
 from .quiver import Quiver
-from .scalars import Field, FieldElem
+from .scalars import Field, FieldElem, integer_values
 
 
 class Rule:
     """A rewrite rule lead -> lead - poly for a monic poly with that lead.
 
-    ``tail`` lists the other terms as (arrows, word key, coefficient), the
-    data one reduction step splices into the reduced word.
+    Its integer form is built once: ``scale``, the lcm of the denominators,
+    times the lead rewrites to the sum of ``tail``, a list of (word key,
+    integer value), ints over the rationals and ``CycloInt`` otherwise.
     """
 
-    __slots__ = ("lead", "poly", "tail")
+    __slots__ = ("lead", "key", "poly", "scale", "tail")
 
     def __init__(self, poly: NCPoly):
+        quiver = poly.quiver
         self.poly = poly
         self.lead = poly.leading_word()
-        self.tail = [(w.arrows, word_key(poly.quiver, w), c)
-                     for w, c in poly.terms.items() if w != self.lead]
+        self.key = word_key(quiver, self.lead)
+        values, self.scale = integer_values((-c for c in poly.terms.values()),
+                                            poly.field)
+        self.tail = [(word_key(quiver, w), x)
+                     for w, x in zip(poly.terms, values) if w != self.lead]
 
     def __repr__(self):
         lead_term = NCPoly(self.poly.quiver, self.poly.field,
@@ -119,97 +133,101 @@ class RewriteSystem:
     def field(self) -> Field:
         return self.presentation.field
 
-    def _lookup(self, skip_lead: PathWord | None):
-        """Lead index: arrow tuple -> (index, rule), vertex -> (index, rule),
-        and the sorted lengths of the arrow leads."""
-        by_arrows: dict[tuple[str, ...], tuple[int, Rule]] = {}
+    def _lookup(self, skip_lead: PathWord | None, field: Field):
+        """Lead index: word key -> (index, rule), vertex -> (index, rule);
+        the sorted lengths of the arrow leads; and the join of field with
+        the system's and every rule's field."""
+        by_key: dict[tuple[int, ...], tuple[int, Rule]] = {}
         by_vertex: dict[str, tuple[int, Rule]] = {}
+        field = field.join(self.field)
         for ri, rule in enumerate(self.rules):
+            field = field.join(rule.poly.field)
             lead = rule.lead
             if lead == skip_lead:
                 continue
             if lead.arrows:
-                by_arrows.setdefault(lead.arrows, (ri, rule))
+                by_key.setdefault(rule.key, (ri, rule))
             else:
                 by_vertex.setdefault(lead.head, (ri, rule))
-        return by_arrows, by_vertex, sorted({len(k) for k in by_arrows})
+        return by_key, by_vertex, sorted({len(k) for k in by_key}), field
 
     def reduce(self, poly: NCPoly, skip_lead: PathWord | None = None) -> NCPoly:
-        """Full normal form.
+        """Full normal form, in the reduction order of the module docstring.
 
         Words above the degree bound are discarded.  ``skip_lead`` disables
         the rule with that leading word; the canonicalization pass uses it to
-        tail-reduce a generator against the other generators only.
-
-        The terms wait in a heap in the shared order, leading word first.
-        Each pop either settles an irreducible word or rewrites its leftmost
-        reducible subword (lowest rule index on a tie); a step only adds
-        words later in the order, so a settled word is never touched again.
+        tail-reduce a generator against the other generators only.  Fields
+        are joined first, so a mix with no common field raises ValueError
+        whether or not a rule fires.  Terms are keyed by (degree, word key,
+        head), which is also their place in the heap.
         """
         quiver, bound = self.quiver, self.degree_bound
-        by_arrows, by_vertex, lengths = self._lookup(skip_lead)
-        tails = {a.name: a.tail for a in quiver.arrows} if by_vertex else None
-        field = poly.field
-        terms: dict[PathWord, FieldElem] = {}
-        heap = []
-        for w, c in poly.terms.items():
-            if len(w) > bound:
-                continue
-            terms[w] = c
-            heap.append((len(w), word_key(quiver, w), w.head, w))
+        by_key, by_vertex, lengths, field = self._lookup(skip_lead, poly.field)
+        tails = [a.tail for a in quiver.arrows]
+        rational = field.is_rational
+        values, den = integer_values(poly.terms.values(), field)
+        terms = {}
+        for w, c in zip(poly.terms, values):
+            if len(w) <= bound:
+                terms[len(w), word_key(quiver, w), w.head] = c
+        heap = list(terms)
         heapq.heapify(heap)
         queued = set(terms)
-        out: dict[PathWord, FieldElem] = {}
+        out = []
         while heap:
-            n, key, head, w = heapq.heappop(heap)
-            c = terms.pop(w, None)
+            item = heapq.heappop(heap)
+            c = terms.pop(item, None)
             if c is None:
                 continue  # cancelled after it was queued
-            arrows = w.arrows
+            n, key, head = item
             hit = None
             for pos in range(n + 1):
                 if by_vertex:
-                    hit = by_vertex.get(head if pos == 0 else tails[arrows[pos - 1]])
+                    hit = by_vertex.get(head if pos == 0 else tails[key[pos - 1]])
                 for L in lengths:
                     if pos + L > n:
                         break
-                    h = by_arrows.get(arrows[pos:pos + L])
+                    h = by_key.get(key[pos:pos + L])
                     if h is not None and (hit is None or h[0] < hit[0]):
                         hit = h
                 if hit is not None:
                     break
             if hit is None:
-                out[w] = c
+                out.append((item, c, den))
                 continue
             rule = hit[1]
-            if rule.poly.field != field:
-                field = field.join(rule.poly.field)
-            if not field.is_rational:
-                c = field.elem(c)
-            end = pos + len(rule.lead.arrows)
-            before, after = arrows[:pos], arrows[end:]
-            kbefore, kafter = key[:pos], key[end:]
-            for t_arrows, t_key, x in rule.tail:
-                nw_arrows = before + t_arrows + after
-                if len(nw_arrows) > bound:
+            g = gcd(rule.scale, c) if rational else gcd(rule.scale, *c.coords)
+            k = rule.scale // g
+            if k != 1:
+                den *= k
+                terms = {t: x * k for t, x in terms.items()}
+            c //= g
+            before, after = key[:pos], key[pos + len(rule.key):]
+            for t_key, x in rule.tail:
+                nk = before + t_key + after
+                m = len(nk)
+                if m > bound:
                     continue
-                nw = PathWord(nw_arrows, head, w.tail)
-                d = c * x
+                nw = (m, nk, head)
                 acc = terms.get(nw)
                 if acc is None:
-                    terms[nw] = -d
+                    terms[nw] = c * x
                     if nw not in queued:
                         queued.add(nw)
-                        heapq.heappush(heap, (len(nw_arrows),
-                                              kbefore + t_key + kafter, head, nw))
+                        heapq.heappush(heap, nw)
                 else:
-                    acc = acc - d
-                    if acc.is_zero():
-                        del terms[nw]
-                    else:
+                    acc = acc + c * x
+                    if acc:
                         terms[nw] = acc
-        return NCPoly.from_terms(quiver, field, out if field == poly.field else {
-            w: field.elem(c) for w, c in out.items()})
+                    else:
+                        del terms[nw]
+        names = [a.name for a in quiver.arrows]
+        return NCPoly.from_terms(quiver, field, {
+            PathWord(tuple(names[r] for r in key), head,
+                     tails[key[-1]] if key else head):
+            FieldElem(field, (Fraction(c, d),) if rational else
+                      tuple(Fraction(x, d) for x in c.coords))
+            for (_, key, head), c, d in out})
 
     def absorb(self, poly: NCPoly):
         """Reduce poly; a nonzero result becomes a monic rule, the rules its

@@ -5,7 +5,9 @@ field obtained by adjoining a primitive m-th root of unity ``zeta``.
 Cyclotomic elements are stored as dense coefficient vectors over the
 rationals of length phi(m), always fully reduced modulo the m-th cyclotomic
 polynomial, so equality is coefficient-wise.  All arithmetic is exact; there
-is no floating point anywhere in this package.
+is no floating point anywhere in this package.  ``integer_values`` takes
+elements to ints, or :class:`CycloInt` coordinates in Z[zeta], over one
+common denominator, for fraction-free loops.
 
 Mixing two cyclotomic fields of different order is rejected.  Rationals embed
 into any cyclotomic field and are coerced silently; ``Field.join`` names the
@@ -27,80 +29,65 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import add
 from typing import Iterable
-
-
-def _qtrim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _qsub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for k, c in enumerate(a):
-        out[k] += c
-    for k, c in enumerate(b):
-        out[k] -= c
-    return _qtrim(out)
-
-
-def _qmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _qtrim(out)
-
-
-def _qdivmod(num: list[Fraction], den: list[Fraction]):
-    """Polynomial division over the rationals, coefficients low-to-high."""
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    num = list(num)
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    while len(num) >= len(den):
-        shift = len(num) - len(den)
-        c = num[-1] / den[-1]
-        quot[shift] = c
-        for k, d in enumerate(den):
-            num[shift + k] -= c * d
-        _qtrim(num)
-    return quot, num
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Coefficients of the m-th cyclotomic polynomial, low-to-high, monic."""
+    """Coefficients of the m-th cyclotomic polynomial, low-to-high, monic:
+    x^m - 1 divided, exactly over the integers, by those of the proper
+    divisors of m."""
     if m < 1:
         raise ValueError(f"cyclotomic order must be >= 1, got {m}")
-    poly = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]  # x^m - 1
+    poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for d in range(1, m):
         if m % d == 0:
-            poly, rem = _qdivmod(poly, cyclotomic_polynomial(d))
-            if rem:
-                raise AssertionError("x^m - 1 not divisible by lower factor")
-    return tuple(int(c) for c in poly)
+            div = cyclotomic_polynomial(d)
+            quot = [0] * (len(poly) - len(div) + 1)
+            for s in range(len(quot) - 1, -1, -1):
+                c = quot[s] = poly[s + len(div) - 1]
+                for k, x in enumerate(div):
+                    poly[s + k] -= c * x
+            poly = quot
+    return tuple(poly)
+
+
+def _cyclo_reduce(coeffs: list, phi: tuple[int, ...]) -> tuple:
+    """coeffs (low to high, at least len(phi) of them) reduced by the monic
+    polynomial whose lower coefficients are phi: zeta^d = -(phi_0 + ... +
+    phi_{d-1} zeta^{d-1}), from the top down."""
+    d = len(phi)
+    for k in range(len(coeffs) - 1, d - 1, -1):
+        if coeffs[k]:
+            for j, p in enumerate(phi):
+                coeffs[k - d + j] -= coeffs[k] * p
+    return tuple(coeffs[:d])
+
+
+def _cyclo_product(a: tuple, b: tuple, phi: tuple[int, ...]) -> tuple:
+    """The coordinates of a*b, for coordinates (rational or integer) of two
+    elements of Q(zeta) reduced by phi as in ``_cyclo_reduce``."""
+    prod = [a[0] * 0] * (2 * len(phi) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    return _cyclo_reduce(prod, phi)
 
 
 class Field:
     """The rationals (``order=None``) or the cyclotomic field of given order."""
 
-    __slots__ = ("order", "degree", "_modulus")
+    __slots__ = ("order", "degree", "phi")
 
     def __init__(self, order: int | None = None):
         self.order = order
-        if order is None:
-            self.degree = 1
-            self._modulus = None
-        else:
-            phi = cyclotomic_polynomial(order)
-            self.degree = len(phi) - 1
-            self._modulus = tuple(Fraction(c) for c in phi)
+        # the cyclotomic polynomial below its top coefficient
+        self.phi = None if order is None else cyclotomic_polynomial(order)[:-1]
+        self.degree = 1 if order is None else len(self.phi)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.order == other.order
@@ -170,27 +157,9 @@ class Field:
         if self.order is None:
             raise ValueError("the rational field has no root of unity zeta")
         power %= self.order
-        coeffs = [Fraction(0)] * (power + 1)
+        coeffs = [Fraction(0)] * (power + self.degree)
         coeffs[power] = Fraction(1)
-        return FieldElem(self, self._reduce(coeffs))
-
-    def _reduce(self, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-        """Reduce a coefficient list modulo the cyclotomic polynomial."""
-        mod = self._modulus
-        if mod is None:
-            if any(coeffs[1:]):
-                raise AssertionError("rational element with nontrivial tail")
-            return (coeffs[0] if coeffs else Fraction(0),)
-        deg = self.degree
-        coeffs = list(coeffs)
-        for k in range(len(coeffs) - 1, deg - 1, -1):
-            c = coeffs[k]
-            if c:
-                for j in range(deg + 1):
-                    coeffs[k - deg + j] -= c * mod[j]
-        coeffs = coeffs[:deg]
-        coeffs += [Fraction(0)] * (deg - len(coeffs))
-        return tuple(coeffs)
+        return FieldElem(self, _cyclo_reduce(coeffs, self.phi))
 
 
 QQ = Field()
@@ -277,35 +246,28 @@ class FieldElem:
         a, b = self._pair(other)
         if a.field.is_rational:
             return FieldElem(a.field, (a.coeffs[0] * b.coeffs[0],))
-        n = len(a.coeffs)
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        prod[i + j] += x * y
-        return FieldElem(a.field, a.field._reduce(prod))
+        return FieldElem(a.field, _cyclo_product(a.coeffs, b.coeffs, a.field.phi))
 
     __rmul__ = __mul__
 
     def inverse(self) -> FieldElem:
+        """1/self: over Q(zeta_m), the product of the other Galois conjugates
+        zeta -> zeta^k (k prime to m) divided by the norm, on integers."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         field = self.field
         if field.is_rational:
             return FieldElem(field, (1 / self.coeffs[0],))
-        # extended Euclid in Q[x]: find s with s * self == gcd modulo Phi_m
-        r0 = _qtrim(list(self.coeffs))
-        r1 = _qtrim(list(field._modulus))
-        s0, s1 = [Fraction(1)], []
-        while r1:
-            quot, rem = _qdivmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _qsub(s0, _qmul(quot, s1))
-        if len(r0) != 1:
-            raise ZeroDivisionError("element not invertible (not coprime to modulus)")
-        inv = [c / r0[0] for c in s0]
-        return FieldElem(field, field._reduce(inv))
+        (a,), den = integer_values([self], field)
+        phi, d = field.phi, field.degree
+        conj = (1,) + (0,) * (d - 1)
+        for k in range(2, field.order):
+            if gcd(k, field.order) == 1:
+                spread = [0] * ((d - 1) * k + 1)
+                spread[::k] = a.coords
+                conj = _cyclo_product(conj, _cyclo_reduce(spread, phi), phi)
+        norm = _cyclo_product(a.coords, conj, phi)[0]
+        return FieldElem(field, tuple(Fraction(x * den, norm) for x in conj))
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -335,6 +297,46 @@ class FieldElem:
 
     def __repr__(self):
         return f"FieldElem({self})"
+
+
+class CycloInt:
+    """An element of Z[zeta_m] as its phi(m) integer coordinates, reduced by
+    the integer cyclotomic polynomial (``phi`` holds its coefficients below
+    the top): the fraction-free scalar of ``rewrite``.  It supports ``+``,
+    ``*`` (by a CycloInt or an int), ``//`` by an int dividing every
+    coordinate, and truth."""
+
+    __slots__ = ("coords", "phi")
+
+    def __init__(self, coords: tuple[int, ...], phi: tuple[int, ...]):
+        self.coords, self.phi = coords, phi
+
+    def __bool__(self):
+        return any(self.coords)
+
+    def __add__(self, other):
+        return CycloInt(tuple(map(add, self.coords, other.coords)), self.phi)
+
+    def __floordiv__(self, k: int):
+        return CycloInt(tuple(x // k for x in self.coords), self.phi)
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return CycloInt(tuple(x * other for x in self.coords), self.phi)
+        return CycloInt(_cyclo_product(self.coords, other.coords, self.phi),
+                        self.phi)
+
+
+def integer_values(coeffs: Iterable[FieldElem], field: Field) -> tuple[list, int]:
+    """Elements of field (or of the rationals) as integer values over one
+    positive common denominator: ints over the rationals, :class:`CycloInt`
+    otherwise."""
+    vecs = [field.elem(c).coeffs for c in coeffs]
+    den = lcm(*[x.denominator for v in vecs for x in v])
+    ints = [tuple(x.numerator * (den // x.denominator) for x in v) for v in vecs]
+    if field.is_rational:
+        return [v[0] for v in ints], den
+    return [CycloInt(v, field.phi) for v in ints], den
 
 
 class LiteralGrammar:

@@ -4,6 +4,12 @@ Reduction and completion: every reduction step rebuilds ``left*rule*right``
 as polynomials, re-sorts the whole polynomial and scans every rule for the
 leftmost match, and ``complete`` runs every critical pair up to the bound.
 
+Heap reduction on field elements: ``heap_reduce`` is the heap-ordered
+``RewriteSystem.reduce`` as it was before the integer form, with one
+``FieldElem`` per pending term, keyed by ``PathWord``, and the field of a
+mix joined only when a rule fires.  ``HeapRewriteSystem`` runs the
+package's completion on it.
+
 Minimal generators: ``oracle_gr_ideal`` runs one completion per candidate
 generator plus one for the canonical pass, and
 ``oracle_minimal_relation_counts`` one completion per degree, comparing
@@ -18,7 +24,8 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from localquiver.ncalg import NCPoly, PathWord, Presentation, word_vertex_at
+from localquiver.ncalg import (NCPoly, PathWord, Presentation, word_key,
+                               word_vertex_at)
 from localquiver.rewrite import (GrIdealReport, RewriteSystem, Rule,
                                  _irreducible_words, _overlaps,
                                  _require_admissible, _sort_key, _word_divides,
@@ -98,6 +105,96 @@ class OracleRewriteSystem(RewriteSystem):
             right = NCPoly(poly.quiver, poly.field, {suffix: poly.field.one()})
             delta = (left * rule.poly * right).scale(c)
             poly = _truncate(poly - delta, self.degree_bound)
+
+
+def heap_reduce(rs: RewriteSystem, poly: NCPoly,
+                skip_lead: PathWord | None = None) -> NCPoly:
+    """Full normal form on field elements, in the order of the package's
+    ``reduce``: pop the leading pending term, rewrite its leftmost
+    reducible subword with the lowest-indexed rule matching there, or
+    settle it."""
+    quiver, bound = rs.quiver, rs.degree_bound
+    by_arrows, by_vertex = {}, {}
+    for ri, rule in enumerate(rs.rules):
+        lead = rule.lead
+        if lead == skip_lead:
+            continue
+        if lead.arrows:
+            by_arrows.setdefault(lead.arrows, (ri, rule))
+        else:
+            by_vertex.setdefault(lead.head, (ri, rule))
+    lengths = sorted({len(k) for k in by_arrows})
+    tails = {a.name: a.tail for a in quiver.arrows} if by_vertex else None
+    field = poly.field
+    terms = {}
+    heap = []
+    for w, c in poly.terms.items():
+        if len(w) > bound:
+            continue
+        terms[w] = c
+        heap.append((len(w), word_key(quiver, w), w.head, w))
+    heapq.heapify(heap)
+    queued = set(terms)
+    out = {}
+    while heap:
+        n, key, head, w = heapq.heappop(heap)
+        c = terms.pop(w, None)
+        if c is None:
+            continue  # cancelled after it was queued
+        arrows = w.arrows
+        hit = None
+        for pos in range(n + 1):
+            if by_vertex:
+                hit = by_vertex.get(head if pos == 0 else tails[arrows[pos - 1]])
+            for L in lengths:
+                if pos + L > n:
+                    break
+                h = by_arrows.get(arrows[pos:pos + L])
+                if h is not None and (hit is None or h[0] < hit[0]):
+                    hit = h
+            if hit is not None:
+                break
+        if hit is None:
+            out[w] = c
+            continue
+        rule = hit[1]
+        if rule.poly.field != field:
+            field = field.join(rule.poly.field)
+        if not field.is_rational:
+            c = field.elem(c)
+        end = pos + len(rule.lead.arrows)
+        before, after = arrows[:pos], arrows[end:]
+        kbefore, kafter = key[:pos], key[end:]
+        for tw, x in rule.poly.terms.items():
+            if tw == rule.lead:
+                continue
+            nw_arrows = before + tw.arrows + after
+            if len(nw_arrows) > bound:
+                continue
+            nw = PathWord(nw_arrows, head, w.tail)
+            d = c * x
+            acc = terms.get(nw)
+            if acc is None:
+                terms[nw] = -d
+                if nw not in queued:
+                    queued.add(nw)
+                    heapq.heappush(heap, (len(nw_arrows), kbefore
+                                          + word_key(quiver, tw) + kafter,
+                                          head, nw))
+            else:
+                acc = acc - d
+                if acc.is_zero():
+                    del terms[nw]
+                else:
+                    terms[nw] = acc
+    return NCPoly.from_terms(quiver, field, out if field == poly.field else {
+        w: field.elem(c) for w, c in out.items()})
+
+
+class HeapRewriteSystem(RewriteSystem):
+    """The package's completion over ``heap_reduce``."""
+
+    reduce = heap_reduce
 
 
 def oracle_complete(p: Presentation, D: int) -> OracleRewriteSystem:

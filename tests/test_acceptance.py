@@ -450,6 +450,20 @@ def test_criterion_11_heisenberg_tangent_scale():
     _report("11 heisenberg tangent space cyclo:5", time.time() - start, 4.0)
 
 
+def test_criterion_12_sklyanin_completion_scale():
+    # derived: Sklyanin (1, 2, 3) is generic, so its quotient has the
+    # Hilbert series of a polynomial ring in three variables, C(d+2, 2)
+    q = loops("X", "Y", "Z")
+    X, Y, Z = (NCPoly.arrow(q, a) for a in "XYZ")
+    rels = [x * y + y.scale(2) * x + z.scale(3) * z
+            for x, y, z in ((X, Y, Z), (Y, Z, X), (Z, X, Y))]
+    start = time.time()
+    rs = complete(Presentation(q, rels, flavor="graded"), 10)
+    assert len(rs.rules) == 33
+    assert graded_dims(rs) == [(d + 1) * (d + 2) // 2 for d in range(11)]
+    _report("12 sklyanin completion D=10", time.time() - start, 1.5)
+
+
 def test_session_reports_match_golden():
     # the worked-example session is stable end to end
     source = (GOLDEN / "heisenberg_session.lq").read_text()

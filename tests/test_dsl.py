@@ -59,6 +59,14 @@ def test_reserved_names_rejected():
         parse("quiver q { vertices: v; arrows: e_v: v -> v }")
 
 
+def test_arrow_named_invertible_is_rejected_at_its_id():
+    src = "quiver q { vertices: v;\n arrows: X: v -> v, invertible: v -> v }"
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert (err.value.line, err.value.col) == (2, 21)
+    assert "reserved word 'invertible'" in str(err.value)
+
+
 def test_ill_shaped_matrix():
     src = (MINIMAL.replace("arrows: ", "arrows: x: v -> v ")
            + "algebra A over q { relations: ; invertible: ; flavor: graded }\n"

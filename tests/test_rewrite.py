@@ -1,13 +1,15 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localquiver import rewrite
 from localquiver.ncalg import NCPoly, PathWord, Presentation
 from localquiver.quiver import Quiver
 from localquiver.rewrite import (complete, graded_dims, gr_ideal, is_gradable,
                                  minimal_relation_counts, normal_form)
-from localquiver.scalars import QQ
+from localquiver.scalars import QQ, Field
 
 from rewrite_oracle import oracle_gr_ideal, oracle_minimal_relation_counts
 from test_rewrite_differential import random_path, two_vertex_preprojective
@@ -149,6 +151,50 @@ def test_normal_form_is_linear_and_idempotent(seed=2):
         nf = rs.reduce(f)
         assert rs.reduce(nf) == nf
         assert rs.reduce(f + g) == rs.reduce(rs.reduce(f) + rs.reduce(g))
+
+
+@functools.lru_cache(maxsize=None)
+def sklyanin_at_6(label):
+    """Sklyanin (1, 2, 3) over the field with this label, completed at D=6."""
+    field = Field.from_label(label)
+    q = loops("X", "Y", "Z")
+    rels = []
+    for x, y, z in ("XYZ", "YZX", "ZXY"):
+        w = lambda s, k: NCPoly.word(q, list(s), field, coeff=k)
+        rels.append(w(x + y, 1) + w(y + x, 2) + w(z + z, 3))
+    return complete(Presentation(q, rels, field=field), 6)
+
+
+# sums of (a/b)*zeta^k*word over words of length 0..6
+WORD_TERMS = st.lists(
+    st.tuples(st.fractions(max_denominator=9).filter(bool), st.integers(0, 3),
+              st.lists(st.sampled_from("XYZ"), max_size=6)),
+    max_size=5)
+
+
+@pytest.mark.parametrize("label", ["q", "cyclo:5"])
+@settings(max_examples=25, deadline=None)
+@given(f_terms=WORD_TERMS, g_terms=WORD_TERMS,
+       c=st.fractions(max_denominator=9), k=st.integers(0, 3))
+def test_normal_form_idempotent_and_linear_property(label, f_terms, g_terms,
+                                                    c, k):
+    rs = sklyanin_at_6(label)
+    field, q = rs.field, rs.quiver
+
+    def poly_of(terms):
+        out = NCPoly.zero(q, field)
+        for a, j, word in terms:
+            x = field.elem(a) * (field.zeta(j) if j and label != "q" else 1)
+            out = out + (NCPoly.word(q, word, field, coeff=x) if word
+                         else NCPoly.vertex(q, "v", field).scale(x))
+        return out
+
+    f, g = poly_of(f_terms), poly_of(g_terms)
+    scalar = field.elem(c) * (field.zeta(k) if label != "q" else 1)
+    nf = normal_form(rs, f)
+    assert normal_form(rs, nf) == nf
+    assert (normal_form(rs, f + g.scale(scalar))
+            == nf + normal_form(rs, g).scale(scalar))
 
 
 def test_confluence_random_reduction_orders(seed=13):

@@ -1,5 +1,6 @@
 """The heap-ordered reduction and the stopping completion against the
-previous rule-scanning path kept in ``rewrite_oracle``."""
+previous rule-scanning path kept in ``rewrite_oracle``, and the integer
+reduction against the field-element heap reduction kept there."""
 
 import itertools
 import random
@@ -8,12 +9,14 @@ import pytest
 
 from localquiver import rewrite
 from localquiver.ncalg import (NCPoly, PathWord, Presentation,
-                               heisenberg_presentation, preprojective_relations)
+                               heisenberg_presentation, preprojective_relations,
+                               surface_group_presentation)
 from localquiver.quiver import Quiver
-from localquiver.rewrite import complete, graded_dims, is_gradable, normal_form
+from localquiver.rewrite import (complete, gr_ideal, graded_dims, is_gradable,
+                                 normal_form)
 from localquiver.scalars import QQ, Field
 
-from rewrite_oracle import oracle_complete
+from rewrite_oracle import HeapRewriteSystem, heap_reduce, oracle_complete
 
 
 def loops(*names):
@@ -199,3 +202,105 @@ def test_dead_degree_detection():
     assert not rewrite._has_dead_degree(rs, 1)
     free = complete(Presentation(q, [], field=QQ), 4)
     assert not rewrite._has_dead_degree(free, 4)
+
+
+# ---- integer reduction against the field-element heap reduction -------------
+
+def cyclic_relations(q, field, a, b, c):
+    """a*XY + b*YX + c*ZZ and its images under X -> Y -> Z -> X."""
+    out = []
+    for x, y, z in ("XYZ", "YZX", "ZXY"):
+        w = lambda s, k: NCPoly.word(q, list(s), field, coeff=k)
+        out.append(w(x + y, a) + w(y + x, b) + w(z + z, c))
+    return Presentation(q, out, flavor="graded", field=field)
+
+
+def fractional():
+    return cyclic_relations(XYZ, QQ, "1/2", "-2/3", "3/7")
+
+
+def cyclo5():
+    K = Field(5)
+    return cyclic_relations(XYZ, K, 1, -K.zeta(), 1 + K.zeta(2))
+
+
+def gr_report(p, D):
+    r = gr_ideal(p, D)
+    return r.to_json(), [str(g) for g in r.lifts]
+
+
+def assert_same_as_heap(p, D, polys=()):
+    """Rules, graded dimensions and normal forms (with skip_lead too) agree
+    with the completion and reduction on field elements."""
+    new = complete(p, D)
+    old = HeapRewriteSystem(p, D).settle(D)
+    assert [str(r.poly) for r in new.rules] == [str(r.poly) for r in old.rules]
+    assert graded_dims(new) == graded_dims(old)
+    polys = [*random_polys(p, D), *random_polys(p, D + 2, seed=1), *polys]
+    for f in polys:
+        assert str(new.reduce(f)) == str(heap_reduce(old, f))
+    for f in polys[:8]:
+        assert str(normal_form(new, f)) == str(heap_reduce(new, f))
+    for rule in new.rules:
+        assert (str(new.reduce(rule.poly, skip_lead=rule.lead))
+                == str(heap_reduce(old, rule.poly, skip_lead=rule.lead)))
+
+
+EXISTING = [(baseline_quadrics, 6), (lambda: sklyanin(5), 7),
+            (counterexample, 5), (gradable_example, 5),
+            (lambda: heisenberg_presentation(Field(3)), 4),
+            (two_vertex_preprojective, 6)]
+
+
+@pytest.mark.parametrize("make, D", EXISTING)
+def test_existing_inputs_match_heap_reduction(make, D, monkeypatch):
+    p = make()
+    assert_same_as_heap(p, D)
+    if p.admissible:
+        new = gr_report(p, D)
+        monkeypatch.setattr(rewrite.RewriteSystem, "reduce", heap_reduce)
+        assert gr_report(p, D) == new
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_seeded_sklyanin_matches_heap_reduction(seed):
+    p = sklyanin(seed)
+    assert_same_as_heap(p, 9 if seed == 0 else 8)
+
+
+@pytest.mark.parametrize("make, D", [(fractional, 7), (cyclo5, 5)])
+def test_fractional_and_cyclotomic_match_heap_reduction(make, D, monkeypatch):
+    p = make()
+    rational = Presentation(XYZ, [], field=QQ)
+    assert_same_as_heap(p, D, polys=[f.scale("5/6") for f in
+                                     random_polys(rational, D, seed=2)])
+    new = gr_report(p, D)
+    monkeypatch.setattr(rewrite.RewriteSystem, "reduce", heap_reduce)
+    assert gr_report(p, D) == new
+
+
+def test_group_algebra_unit_relations_match_heap_reduction():
+    p = surface_group_presentation(1)
+    assert_same_as_heap(p, 4)
+    assert any(not r.lead.arrows for r in complete(p, 4).rules)
+
+
+def test_rules_hold_one_integer_form():
+    rule = complete(fractional(), 2).rules[0]
+    assert str(rule.poly) == "X*Y - 4/3*Y*X + 6/7*Z^2"
+    # 21*X*Y rewrites to 28*Y*X - 18*Z^2
+    assert rule.scale == 21
+    assert sorted(x for _, x in rule.tail) == [-18, 28]
+
+
+def test_normal_form_joins_fields_before_reducing():
+    rs = complete(cyclo5(), 3)
+    K3 = Field(3)
+    idle = NCPoly.word(XYZ, ["X"], K3, coeff=K3.zeta())  # no rule fires
+    fires = NCPoly.word(XYZ, ["Z", "Z"], K3, coeff=K3.zeta())
+    for f in (idle, fires):
+        with pytest.raises(ValueError, match="mixed cyclotomic orders 3 and 5"):
+            normal_form(rs, f)
+    # a rational polynomial lands in the system's field
+    nf = normal_form(rs, NCPoly.word(XYZ, ["X"]))
+    assert nf.field == Field(5) and str(nf) == "X"
