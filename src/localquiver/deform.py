@@ -20,6 +20,8 @@ asserts the hypotheses.
 
 from __future__ import annotations
 
+from operator import add
+
 from . import extcalc, linalg
 from .ncalg import NCPoly, PathWord, Presentation
 from .quiver import Quiver
@@ -114,13 +116,25 @@ class TensorSeries:
 
 
 def ts_multiply(u: TensorSeries, v: TensorSeries) -> TensorSeries:
-    """Word-concatenation convolution, truncated at the common order."""
+    """Word-concatenation convolution, truncated at the common order.
+
+    The coefficients of both series are converted to coordinates
+    (``linalg.to_layers``) once, over one denominator; products of the same
+    word are summed there and wrapped once."""
     u._compatible(v)
-    terms: dict[Word, list[list[FieldElem]]] = {}
-    for w1, m1 in u.terms.items():
-        for w2, m2 in v.terms.items():
+    n, field = u.size, u.field
+    mats, den = linalg.to_layers([*u.terms.values(), *v.terms.values()], field)
+    vterms = list(zip(v.terms, mats[len(u.terms):]))
+    acc: dict[Word, list[list[int]]] = {}
+    for w1, m1 in zip(u.terms, mats):
+        for w2, m2 in vterms:
             if len(w1) + len(w2) <= u.order:
-                _add_term(terms, w1 + w2, linalg.mat_mul(m1, m2))
+                prod = linalg.layer_product(m1, m2, n, n, n, field.phi)
+                old = acc.get(w1 + w2)
+                acc[w1 + w2] = prod if old is None else \
+                    [list(map(add, x, y)) for x, y in zip(old, prod)]
+    terms = {w: linalg.from_layers(c, den * den, field, n, n)
+             for w, c in acc.items() if any(map(any, c))}
     return TensorSeries(u.symbols, u.size, u.order, u.field, terms)
 
 

@@ -17,6 +17,8 @@ the multiplicity vector.
 
 from __future__ import annotations
 
+from math import lcm
+from operator import add
 from typing import Iterable
 
 from . import linalg
@@ -77,32 +79,55 @@ class Representation:
         if not pairs:
             return None
         (head, tail), = pairs
-        total = linalg.zero_matrix(self.field, self.alpha[head], self.alpha[tail])
-        for word, coeff in poly.terms.items():
-            mat = _path_products(self.matrices, self.alpha, self.quiver,
-                                 self.field, word.arrows, word.head)[-1]
-            if mat is not None:
-                total = linalg.mat_add(total, linalg.mat_scale(coeff, mat))
-        return total
+        field, alpha = self.field.join(poly.field), self.alpha
+        mats, den = linalg.to_layers(self.matrices.values(), field)
+        layers = dict(zip(self.matrices, mats))
+        coeffs, cden = linalg.integer_coordinates(poly.terms.values(), field)
+        parts = [(coeffs[k * field.degree:(k + 1) * field.degree],
+                  _path_products(layers, alpha, self.quiver, field, word.arrows,
+                                 word.head)[-1], cden * den ** len(word.arrows))
+                 for k, word in enumerate(poly.terms)]
+        value, vden = _weighted_sum(parts, alpha[head] * alpha[tail], field)
+        return linalg.from_layers(value, vden, field, alpha[head], alpha[tail])
 
     def __repr__(self):
         label = self.name or "rep"
         return f"Representation({label}, alpha={self.alpha.entries})"
 
 
-def _path_products(matrices, alpha: DimVector, quiver: Quiver, field: Field,
+def _path_products(layers, alpha: DimVector, quiver: Quiver, field: Field,
                    arrows, head: str) -> list:
     """The matrices of the prefixes of a path, shortest (the identity at
-    ``head``) first.  A prefix through a zero-dimensional vertex is the zero
-    matrix; it is None, because an empty matrix forgets its other size."""
-    mat = linalg.identity_matrix(field, alpha[head]) if alpha[head] else None
+    ``head``) first, in the coordinates of ``linalg.to_layers`` from the
+    arrow layers ``layers``; prefix k has their denominator to the power k.
+    A prefix through a zero-dimensional vertex is the zero matrix; it is
+    None, because an empty matrix forgets its other size."""
+    n = alpha[head]
+    mat = linalg.identity_layers(n, field) if n else None
     out = [mat]
     for a in arrows:
         if mat is not None:
-            mat = (linalg.mat_mul(mat, matrices[a])
-                   if alpha[quiver.tail(a)] else None)
+            inner, cols = alpha[quiver.head(a)], alpha[quiver.tail(a)]
+            mat = linalg.layer_product(mat, layers[a], n, inner, cols, field.phi) \
+                if cols else None
         out.append(mat)
     return out
+
+
+def _weighted_sum(parts, size: int, field: Field) -> tuple[list[list[int]], int]:
+    """sum of c * M / den over parts (c, M, den), with c the integer
+    coordinates of a scalar and M the layers of a matrix of size entries or
+    None (zero): its layers over the lcm of the dens.  c * M is the product
+    of M as a size x 1 matrix and c as a 1 x 1 matrix."""
+    den = lcm(*[part_den for _, _, part_den in parts])
+    total = [[0] * size for _ in range(field.degree)]
+    for c, mat, part_den in parts:
+        if mat is not None:
+            k = den // part_den
+            prod = linalg.layer_product(mat, [[x * k] for x in c], size, 1, 1,
+                                        field.phi)
+            total = [list(map(add, x, y)) for x, y in zip(total, prod)]
+    return total, den
 
 
 class CheckResult:
@@ -128,11 +153,18 @@ def check_representation(rep: Representation) -> CheckResult:
         mat = rep.evaluate(r)
         if mat is not None and not linalg.is_zero_matrix(mat):
             failures.append(f"relation {k} ({r}) does not vanish")
+    failures += _singular_invertibles(rep)
+    return CheckResult(not failures, failures)
+
+
+def _singular_invertibles(rep: Representation) -> list[str]:
+    """A failure message for each invertible arrow with a singular matrix."""
+    failures = []
     for a in sorted(rep.presentation.invertible):
         n = rep.alpha[rep.quiver.head(a)]
         if n != rep.alpha[rep.quiver.tail(a)] or linalg.rank(rep.matrices[a]) < n:
             failures.append(f"invertible arrow {a} has a singular matrix")
-    return CheckResult(not failures, failures)
+    return failures
 
 
 def _common_matrices(x: Representation, y: Representation):
@@ -201,58 +233,92 @@ def _leibniz_rows(relations, quiver: Quiver, field: Field, ym, y_alpha: DimVecto
     products of the word at y and its suffix products at x.  The unknowns
     are the entries of delta(a) for the arrows a in ``primary``, one block
     per arrow in that order, each row-major of shape y_alpha[head] by
-    x_alpha[tail].  ``substitutes`` maps every other arrow a of a word to
-    (p, lfac, rfac) with delta(a) = lfac delta(p) rfac.  Returns the rows
-    and the number of unknowns.
+    x_alpha[tail].  ``substitutes`` maps every other arrow a of a word to the
+    arrow p it is the formal inverse of: delta(a) = -y(a) delta(p) x(a), so
+    position t adds -y(a1...a_t) delta(p) x(a_t...ak).
+
+    The arrow matrices are converted to coordinates (``linalg.to_layers``)
+    once, over field joined with the relations' field; the products stay in
+    them, and the blocks of a relation are summed on integers over one
+    denominator and wrapped once.  Returns the rows, the number of
+    unknowns, and the indices of the relations whose value at y (the sum of
+    the longest prefix products) is not zero.
     """
+    for r in relations:
+        field = field.join(r.field)
     offsets = {}
     total = 0
     for a in primary:
         offsets[a] = total
         total += y_alpha[quiver.head(a)] * x_alpha[quiver.tail(a)]
-    rows = []
-    for r in relations:
+    xs = [] if xm is ym else list(xm.values())
+    mats, den = linalg.to_layers(list(ym.values()) + xs, field)
+    yl = dict(zip(ym, mats))
+    xl = yl if xm is ym else dict(zip(xm, mats[len(ym):]))
+    d = field.degree
+    rows, nonzero = [], []
+    for k, r in enumerate(relations):
         (rh, rt), = r.vertex_pairs()
         n_rows, n_cols = y_alpha[rh], x_alpha[rt]
-        block = [[field.zero()] * total for _ in range(n_rows * n_cols)]
-        for word, coeff in r.terms.items():
-            arrows = word.arrows
+        coeffs, cden = linalg.integer_coordinates(r.terms.values(), field)
+        ends, parts = [], []
+        for w, word in enumerate(r.terms):
+            c, arrows = coeffs[w * d:(w + 1) * d], word.arrows
             # None marks a product through a 0-dim vertex
-            lefts = _path_products(ym, y_alpha, quiver, field, arrows, word.head)
+            lefts = _path_products(yl, y_alpha, quiver, field, arrows, word.head)
+            ends.append((c, lefts[-1], cden * den ** len(arrows)))
             rights = [None] * len(arrows)
-            mat = linalg.identity_matrix(field, n_cols) if n_cols else None
+            mat = linalg.identity_layers(n_cols, field) if n_cols else None
+            rights.append(mat)
             for pos in range(len(arrows) - 1, -1, -1):
-                rights[pos] = mat
                 a = arrows[pos]
+                rows_a = x_alpha[quiver.head(a)]
                 if mat is not None:
-                    mat = (linalg.mat_mul(xm[a], mat)
-                           if x_alpha[quiver.head(a)] else None)
+                    mat = linalg.layer_product(
+                        xl[a], mat, rows_a, x_alpha[quiver.tail(a)], n_cols,
+                        field.phi) if rows_a else None
+                rights[pos] = mat
             for pos, a in enumerate(arrows):
-                if lefts[pos] is None or rights[pos] is None:
-                    continue
-                p, lfac, rfac = substitutes.get(a, (a, None, None))
-                width = x_alpha[quiver.tail(p)]
-                if not (y_alpha[quiver.head(p)] and width):
-                    continue
-                lmat = linalg.mat_scale(coeff, lefts[pos])
-                if lfac is not None:
-                    lmat = linalg.mat_mul(lmat, lfac)
-                rmat = rights[pos] if rfac is None \
-                    else linalg.mat_mul(rfac, rights[pos])
-                # entry (i, j) gains lmat[i][u] * rmat[w][j] at unknown (u, w)
-                rcols = [[(w, c) for w, c in enumerate(col) if not c.is_zero()]
-                         for col in zip(*rmat)]
-                off = offsets[p]
-                for i, lrow in enumerate(lmat):
-                    lnz = [(off + u * width, c) for u, c in enumerate(lrow)
-                           if not c.is_zero()]
-                    for j, rcol in enumerate(rcols):
-                        row = block[i * n_cols + j]
-                        for base, lu in lnz:
-                            for w, rw in rcol:
-                                row[base + w] += lu * rw
-        rows += block
-    return rows, total
+                if a in substitutes:
+                    part = (substitutes[a], lefts[pos + 1], rights[pos],
+                            [-x for x in c], cden * den ** (len(arrows) + 1))
+                else:
+                    part = (a, lefts[pos], rights[pos + 1], c,
+                            cden * den ** (len(arrows) - 1))
+                if part[1] is not None and part[2] is not None:
+                    parts.append(part)
+        value, _ = _weighted_sum(ends, n_rows * n_cols, field)
+        if any(map(any, value)):
+            nonzero.append(k)
+        size = n_rows * n_cols * total
+        acc = [[0] * size for _ in range(2 * d - 1)]
+        block_den = lcm(*[part[4] for part in parts])
+        for p, left, right, c, part_den in parts:
+            m, width = y_alpha[quiver.head(p)], x_alpha[quiver.tail(p)]
+            scale = block_den // part_den
+            left = linalg.layer_product(left, [[x * scale] for x in c], n_rows * m,
+                                        1, 1, field.phi)
+            rcols = [[y[j::n_cols] for j in range(n_cols)] if any(y) else None
+                     for y in right]
+            # entry (i, j) gains left[i][u] * right[w][j] at unknown (u, w)
+            for s, ls in enumerate(left):
+                for t, ycols in enumerate(rcols):
+                    if ycols is None:
+                        continue
+                    out = acc[s + t]
+                    for i in range(n_rows):
+                        for u in range(m):
+                            lu = ls[i * m + u]
+                            if lu:
+                                base = i * n_cols * total + offsets[p] + u * width
+                                for j, col in enumerate(ycols):
+                                    start = base + j * total
+                                    out[start:start + width] = map(
+                                        add, out[start:start + width],
+                                        [lu * y for y in col])
+        rows += linalg.from_layers(linalg.reduce_layers(acc, field.phi, size),
+                                   block_den, field, n_rows * n_cols, total)
+    return rows, total, nonzero
 
 
 def _cocycle_system(x: Representation, y: Representation):
@@ -261,12 +327,10 @@ def _cocycle_system(x: Representation, y: Representation):
     pres = x.presentation
     quiver = x.quiver
     # an eliminated inverse a of p has delta(a) = -y(a) delta(p) x(a)
-    minus = -field.one()
-    substitutes = {a: (p, linalg.mat_scale(minus, ym[a]), xm[a])
-                   for a, p in pres.eliminated_inverses().items()}
+    substitutes = pres.eliminated_inverses()
     primary = [a.name for a in quiver.arrows if a.name not in substitutes]
-    rows, total = _leibniz_rows(pres.relations, quiver, field, ym, y.alpha,
-                                xm, x.alpha, primary, substitutes)
+    rows, total, _ = _leibniz_rows(pres.relations, quiver, field, ym, y.alpha,
+                                   xm, x.alpha, primary, substitutes)
     return rows, total, field
 
 

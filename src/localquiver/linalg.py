@@ -15,12 +15,21 @@ scalars), and rows are kept as primitive integer vectors; the reduced form
 is converted back once on exit.  Because reduced forms are unique, the
 results are the same :class:`FieldElem` values, and print the same, as
 elimination in field arithmetic.
+
+Products have one kernel on integers as well.  A matrix over a field of
+degree d is held in coordinates: d integer layers A_t (flat, row-major) over
+one common denominator, with A = sum_t zeta^t A_t (``to_layers``).  Then AB
+is the 2d - 1 sums of the integer products A_s B_t with s + t = k, reduced
+from the top by the integer cyclotomic polynomial (``layer_product``); over
+the rationals d = 1 and it is one integer product.  ``mat_mul`` converts
+both operands, multiplies and wraps the result once (``from_layers``);
+callers that chain products (path, Leibniz and series assembly) convert
+their operands once and stay in layers until the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 from operator import add, mul
 
@@ -53,12 +62,93 @@ def mat_scale(c: FieldElem, a):
 
 
 def mat_mul(a, b):
+    """The product of two matrices of ints, Fractions or :class:`FieldElem`
+    (of the rationals and at most one cyclotomic field), by
+    ``layer_product``; entries are :class:`FieldElem` of the joined field
+    when an operand has one, ints or Fractions otherwise."""
     rows, inner = mat_shape(a)
     inner2, cols = mat_shape(b)
     if inner != inner2:
         raise ValueError(f"matrix shapes {mat_shape(a)} and {mat_shape(b)} do not compose")
-    bt = list(zip(*b)) if b else []
-    return [[reduce(add, map(mul, row, col)) for col in bt] for row in a]
+    field = None
+    for mat in (a, b):
+        for row in mat:
+            for x in row:
+                if type(x) is FieldElem and x.field is not field:
+                    field = x.field if field is None else field.join(x.field)
+    (la, lb), den = to_layers([a, b], field or QQ)
+    prod = layer_product(la, lb, rows, inner, cols, (field or QQ).phi)
+    if field is not None:
+        return from_layers(prod, den * den, field, rows, cols)
+    flat = prod[0] if den == 1 else [Fraction(x, den * den) for x in prod[0]]
+    return [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+
+
+def to_layers(mats, field: Field) -> tuple[list[list[list[int]]], int]:
+    """The matrices mats, with entries in field or the rationals, in
+    coordinates over one positive common denominator den: matrix k is
+    sum_t zeta^t out[k][t] / den, each layer out[k][t] a flat row-major
+    int list, t < field.degree."""
+    ints, den = integer_coordinates(
+        [x for mat in mats for row in mat for x in row], field)
+    d, out, pos = field.degree, [], 0
+    for mat in mats:
+        end = pos + d * sum(map(len, mat))
+        out.append([ints[pos + t:end:d] for t in range(d)])
+        pos = end
+    return out, den
+
+
+def identity_layers(n: int, field: Field) -> list[list[int]]:
+    """The n x n identity in coordinates over the denominator 1."""
+    one = [int(i == j) for i in range(n) for j in range(n)]
+    return [one] + [[0] * (n * n) for _ in range(field.degree - 1)]
+
+
+def layer_product(a, b, rows: int, inner: int, cols: int, phi) -> list[list[int]]:
+    """The layers of AB, for the layers of A (rows x inner) and B (inner x
+    cols) over a field whose cyclotomic polynomial below its top is phi
+    (None over the rationals): the integer products A_s B_t summed into
+    layer s + t, then ``reduce_layers``.  The denominator of AB is the
+    product of theirs."""
+    bcols = [[y[j::cols] for j in range(cols)] if any(y) else None for y in b]
+    acc = [None] * (len(a) + len(b) - 1)
+    for s, x in enumerate(a):
+        if not any(x):
+            continue
+        xrows = [x[i * inner:(i + 1) * inner] for i in range(rows)]
+        for t, ycols in enumerate(bcols):
+            if ycols is not None:
+                prod = [sum(map(mul, r, c)) for r in xrows for c in ycols]
+                k = s + t
+                acc[k] = prod if acc[k] is None else list(map(add, acc[k], prod))
+    return reduce_layers(acc, phi, rows * cols)
+
+
+def reduce_layers(acc: list, phi, size: int) -> list[list[int]]:
+    """The d = (len(acc) + 1) // 2 layers of sum_k zeta^k acc[k], for
+    layers acc[k] of size ints (None: zero), reduced from the top by
+    zeta^d = -(phi_0 + ... + phi_{d-1} zeta^(d-1))."""
+    d = (len(acc) + 1) // 2
+    for k in range(len(acc) - 1, d - 1, -1):
+        top = acc[k]
+        if top is not None:
+            for j, p in enumerate(phi):
+                if p:
+                    low = acc[k - d + j]
+                    acc[k - d + j] = [-p * y for y in top] if low is None \
+                        else [x - p * y for x, y in zip(low, top)]
+    return [[0] * size if x is None else x for x in acc[:d]]
+
+
+def from_layers(layers, den: int, field: Field, rows: int, cols: int
+                ) -> list[list[FieldElem]]:
+    """The rows x cols :class:`FieldElem` matrix with these layers over den."""
+    dens = (den,) * field.degree
+    zero = FieldElem(field, (Fraction(0),) * field.degree)
+    flat = [FieldElem(field, tuple(map(Fraction, c, dens))) if any(c) else zero
+            for c in zip(*layers)]
+    return [flat[i * cols:(i + 1) * cols] for i in range(rows)]
 
 
 def mat_eq(a, b) -> bool:
@@ -89,21 +179,18 @@ def scalar_multiple_of_identity(a) -> FieldElem | None:
     return c
 
 
-def integer_rows(row, field: Field) -> list[list[int]] | None:
-    """row over field as d = field.degree integer rows over the rationals
-    whose span is the coordinate form of its span over field; None when an
-    entry lies in a field other than field or the rationals.
-
-    Row t holds zeta^t * row, entry j's coefficients at columns j*d to
-    j*d + d - 1, zeta^d reduced by the integer cyclotomic polynomial; all d
-    rows are scaled by one common denominator.  Over the rationals (d = 1)
-    this is the row with its denominators cleared.  Entries are ints or
-    :class:`FieldElem`.
-    """
+def integer_coordinates(values, field: Field) -> tuple[list[int], int] | None:
+    """values (ints, Fractions, or :class:`FieldElem` of field or the
+    rationals) as d = field.degree integer coordinates each, value k's at k*d
+    to k*d + d - 1, over one positive common denominator: (ints, den); None
+    when a value lies in a field other than field or the rationals.  values
+    is a sequence or a view: ints pass through as they are."""
+    if field.degree == 1 and all(type(x) is int for x in values):
+        return list(values), 1
     pad = [0] * (field.degree - 1) if field.degree > 1 else None
     vals = []
-    for x in row:
-        if type(x) is not int:
+    for x in values:
+        if type(x) is FieldElem:
             if x.field is field or x.field.order == field.order:
                 if pad is None:
                     vals.append(x.coeffs[0])
@@ -117,17 +204,34 @@ def integer_rows(row, field: Field) -> list[list[int]] | None:
         if pad:
             vals += pad
     den = lcm(*[x.denominator for x in vals])
-    rows = [[x.numerator * (den // x.denominator) for x in vals]]
-    if pad:
+    return [x.numerator * (den // x.denominator) for x in vals], den
+
+
+def integer_rows(row, field: Field) -> list[list[int]] | None:
+    """row over field as d = field.degree integer rows over the rationals
+    whose span is the coordinate form of its span over field; None when an
+    entry lies in a field other than field or the rationals.
+
+    Row t holds zeta^t * row, entry j's coefficients at columns j*d to
+    j*d + d - 1 (``integer_coordinates``), zeta^d reduced by the integer
+    cyclotomic polynomial; all d rows are scaled by one common denominator.
+    Over the rationals (d = 1) this is the row with its denominators
+    cleared.
+    """
+    coords = integer_coordinates(row, field)
+    if coords is None:
+        return None
+    rows = [coords[0]]
+    phi, d = field.phi, field.degree
+    for _ in range(d - 1):
+        # coordinate k of zeta*x is x_{k-1} - phi_k x_{d-1}, as
         # zeta^d = -(phi_0 + phi_1 zeta + ... + phi_{d-1} zeta^{d-1})
-        phi = field.phi
-        d = len(phi)
-        for _ in pad:
-            prev, vec = rows[-1], []
-            for j in range(0, len(prev), d):
-                top = prev[j + d - 1]
-                vec += [x - top * p for x, p in zip([0] + prev[j:j + d - 1], phi)]
-            rows.append(vec)
+        prev = rows[-1]
+        top, vec = prev[d - 1::d], prev[:]
+        vec[::d] = [-phi[0] * y for y in top]
+        for k in range(1, d):
+            vec[k::d] = [x - phi[k] * y for x, y in zip(prev[k - 1::d], top)]
+        rows.append(vec)
     return rows
 
 

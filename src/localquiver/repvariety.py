@@ -14,7 +14,7 @@ first-order deformations cross-check each other.
 
 from __future__ import annotations
 
-from .extcalc import (Representation, _leibniz_rows, check_representation,
+from .extcalc import (Representation, _leibniz_rows, _singular_invertibles,
                       hom_dim)
 from .linalg import rank
 from .ncalg import PathWord, Presentation
@@ -191,11 +191,17 @@ def _jacobian(point: Representation) -> list[list[FieldElem]]:
     """The Jacobian of the rep-ideal generators of point's presentation at
     point: rows by generator (relation, i, j), columns by variable
     (arrow, i, j), both in ``rep_ideal`` order."""
+    return _jacobian_system(point)[0]
+
+
+def _jacobian_system(point: Representation) -> tuple[list[list[FieldElem]], list[int]]:
+    """The Jacobian at point and the indices of the relations that do not
+    vanish there, from one Leibniz assembly."""
     p, mats, alpha = point.presentation, point.matrices, point.alpha
-    rows, _ = _leibniz_rows(
+    rows, _, nonzero = _leibniz_rows(
         p.relations, p.quiver, point.field, mats, alpha, mats, alpha,
         [a.name for a in p.quiver.arrows], {})
-    return rows
+    return rows, nonzero
 
 
 def tangent_space_dim(p: Presentation, m: Representation) -> int:
@@ -206,13 +212,15 @@ def tangent_space_dim(p: Presentation, m: Representation) -> int:
     Jacobian is evaluated from the arrow matrices of m by the Leibniz rule
     (prefix and suffix products of every relation word); the symbolic
     differentiation of the ``rep_ideal`` generators is its test oracle.
-    Raises ValueError unless m satisfies p's relations and invertibility
+    Raises ValueError unless m satisfies p's relations, read from the
+    longest prefix products of the same assembly, and its invertibility
     constraints.
     """
     point = Representation(p, m.alpha, m.matrices)
-    if not check_representation(point):
+    rows, nonzero = _jacobian_system(point)
+    if nonzero or _singular_invertibles(point):
         raise ValueError("tangent space requested at an invalid representation")
-    return rep_space_dim(p.quiver, m.alpha) - rank(_jacobian(point))
+    return rep_space_dim(p.quiver, m.alpha) - rank(rows)
 
 
 def orbit_dim(m: Representation) -> int:

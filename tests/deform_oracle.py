@@ -1,10 +1,13 @@
-"""The previous inverse series and transversality check of
+"""The previous series product, inverse series and transversality check of
 ``localquiver.deform``.
 
-Kept as a test oracle only: ``geometric_inverse`` builds the inverse degree
-by degree with its own convolution next to ``ts_multiply``, and
-``is_transversal`` spans the orbit tangent space by the n^2 commutators
-mat*phi - phi*mat of every base matrix with the elementary matrices phi.
+Kept as a test oracle only, on the entry-by-entry ``linalg_oracle.mat_mul``
+so that it shares no product with the package: ``ts_multiply`` is the
+word-concatenation convolution of :class:`FieldElem` matrices,
+``geometric_inverse`` builds the inverse degree by degree with its own
+convolution, and ``is_transversal`` spans the orbit tangent space by the
+n^2 commutators mat*phi - phi*mat of every base matrix with the elementary
+matrices phi.
 The differential tests compare the package, which sums the geometric series
 with ``ts_multiply`` and reads the orbit tangent space from the coboundary
 map of ``extcalc``, against them.
@@ -13,12 +16,25 @@ map of ``extcalc``, against them.
 from __future__ import annotations
 
 from localquiver import linalg
-from localquiver.deform import TensorSeries, ts_multiply
+from localquiver.deform import TensorSeries
+
+from linalg_oracle import mat_mul
 
 
 def _add_term(terms: dict, w, mat) -> None:
     acc = terms.get(w)
     terms[w] = mat if acc is None else linalg.mat_add(acc, mat)
+
+
+def ts_multiply(u: TensorSeries, v: TensorSeries) -> TensorSeries:
+    """Word-concatenation convolution, truncated at the common order."""
+    u._compatible(v)
+    terms: dict = {}
+    for w1, m1 in u.terms.items():
+        for w2, m2 in v.terms.items():
+            if len(w1) + len(w2) <= u.order:
+                _add_term(terms, w1 + w2, mat_mul(m1, m2))
+    return TensorSeries(u.symbols, u.size, u.order, u.field, terms)
 
 
 def geometric_inverse(s: TensorSeries) -> TensorSeries:
@@ -38,8 +54,8 @@ def geometric_inverse(s: TensorSeries) -> TensorSeries:
             for w1, m1 in by_degree.get(ds, ()):  # s-part of degree ds
                 for w2, m2 in list(result.items()):
                     if len(w2) == d - ds:
-                        _add_term(new, w1 + w2, linalg.mat_mul(
-                            neg_inv0, linalg.mat_mul(m1, m2)))
+                        _add_term(new, w1 + w2,
+                                  mat_mul(neg_inv0, mat_mul(m1, m2)))
         for w, m in new.items():
             if not linalg.is_zero_matrix(m):
                 result[w] = m
@@ -74,7 +90,7 @@ def is_transversal(base, series: dict, symbols) -> bool:
             vec = []
             for arrow in arrows:
                 mat = base.matrices[arrow.name]
-                left, right = linalg.mat_mul(mat, phi), linalg.mat_mul(phi, mat)
+                left, right = mat_mul(mat, phi), mat_mul(phi, mat)
                 vec.extend(x - y for rl, rr in zip(left, right)
                            for x, y in zip(rl, rr))
             span.insert(vec)

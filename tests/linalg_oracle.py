@@ -1,20 +1,32 @@
-"""The previous elimination paths of ``localquiver.linalg`` and
-``extcalc.is_simple``.
+"""The previous elimination and product paths of ``localquiver.linalg``
+and ``extcalc.is_simple``.
 
-Kept as a test oracle only: ``row_echelon`` computes a full reduced row
-echelon form column by column on a copy, and ``rank`` reruns it on every
-call; ``solve`` and ``invert`` reduce identity-augmented copies with it.
+Kept as a test oracle only: ``mat_mul`` multiplies entry by entry in
+:class:`FieldElem` (or int and Fraction) arithmetic; ``row_echelon``
+computes a full reduced row echelon form column by column on a copy, and
+``rank`` reruns it on every call; ``solve`` and ``invert`` reduce identity-augmented copies with it.
 ``SpanOracle.insert`` is the incremental monic elimination that
 ``is_simple`` ran on its own, and that ``linalg.Echelon`` ran on rows with a
 cyclotomic entry; ``is_simple`` is the density check with
-:class:`FieldElem` path products inserted into it.  The differential tests compare the package
-against them.
+:class:`FieldElem` path products from ``mat_mul`` inserted into it.  The
+differential tests compare the package against them.
 """
 
 from __future__ import annotations
 
-from localquiver.linalg import identity_matrix, mat_mul, mat_shape, zero_matrix
+from functools import reduce
+from operator import add, mul
+
+from localquiver.linalg import identity_matrix, mat_shape, zero_matrix
 from localquiver.scalars import Field, FieldElem
+
+
+def mat_mul(a, b):
+    """The matrix product, entry by entry in the entries' own arithmetic."""
+    if mat_shape(a)[1] != mat_shape(b)[0]:
+        raise ValueError(f"matrix shapes {mat_shape(a)} and {mat_shape(b)} do not compose")
+    bt = list(zip(*b)) if b else []
+    return [[reduce(add, map(mul, row, col)) for col in bt] for row in a]
 
 
 def row_echelon(mat) -> tuple[list[list[FieldElem]], list[int]]:

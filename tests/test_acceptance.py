@@ -464,6 +464,31 @@ def test_criterion_12_sklyanin_completion_scale():
     _report("12 sklyanin completion D=10", time.time() - start, 1.5)
 
 
+def test_criterion_13_heisenberg_tangent_cone_cyclo7():
+    # the Heisenberg simple over cyclo:7 (X the cyclic shift, Y =
+    # diag(zeta^k), as in criterion 11): the unit family at K=3 has the
+    # cubic tangent cone of the heis_cyclo workload, and it is gradable
+    start = time.time()
+    n = 7
+    field = Field(n)
+    one, zero = field.one(), field.zero()
+    shift = [[one if i == (j + 1) % n else zero for j in range(n)]
+             for i in range(n)]
+    mats = {"X": shift, "X_inv": [list(col) for col in zip(*shift)],
+            "Y": [[field.zeta(i) if i == j else zero for j in range(n)]
+                  for i in range(n)],
+            "Y_inv": [[field.zeta(-i) if i == j else zero for j in range(n)]
+                      for i in range(n)]}
+    pres = heisenberg_presentation(field)
+    rho = Representation(pres, DimVector(pres.quiver, {"v": n}), mats,
+                         field=field)
+    cone = tangent_cone_relations(FamilySpec.unit_pattern(rho, 3))
+    assert [str(g) for g in cone.generators] == [
+        "T1^2*T2 - 2*T1*T2*T1 + T2*T1^2", "T1*T2^2 - 2*T2*T1*T2 + T2^2*T1"]
+    assert cone.gradable
+    _report("13 heisenberg tangent cone cyclo:7", time.time() - start, 1.5)
+
+
 def test_session_reports_match_golden():
     # the worked-example session is stable end to end
     source = (GOLDEN / "heisenberg_session.lq").read_text()

@@ -1,7 +1,7 @@
-"""The inverse series and the transversality check of ``deform`` against
-the previous paths kept in ``deform_oracle``; the columns of
-``extcalc._hom_system`` against coboundaries computed here; and the number
-of relation expansions of the CLI ``deform`` command."""
+"""The series product, the inverse series and the transversality check of
+``deform`` against the previous paths kept in ``deform_oracle``; the
+columns of ``extcalc._hom_system`` against coboundaries computed here; and
+the number of relation expansions of the CLI ``deform`` command."""
 
 import itertools
 import pathlib
@@ -9,10 +9,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localquiver import deform, extcalc, linalg
 from localquiver.cli import main
-from localquiver.deform import FamilySpec, TensorSeries, geometric_inverse
+from localquiver.deform import (FamilySpec, TensorSeries, geometric_inverse,
+                               ts_multiply)
 from localquiver.extcalc import Representation
 from localquiver.ncalg import (Presentation, heisenberg_presentation,
                                surface_group_presentation)
@@ -79,6 +81,66 @@ def test_geometric_inverse_matches_the_oracle(label, order, size):
     for inverse in (geometric_inverse, oracle.geometric_inverse):
         with pytest.raises(ValueError):
             inverse(s)
+
+
+def random_series(rng, field, symbols, order, size, density=0.6):
+    """A seeded series: a random constant term and random coefficients on a
+    random selection of the words through the order."""
+    words = [w for d in range(1, order + 1)
+             for w in itertools.product(range(len(symbols)), repeat=d)]
+    terms = {(): matrix(rng, field, size)}
+    for w in words:
+        if rng.random() < density:
+            terms[w] = matrix(rng, field, size)
+    return TensorSeries(symbols, size, order, field, terms)
+
+
+@pytest.mark.parametrize("label", ["q", "cyclo:5"])
+def test_series_product_and_inverse_match_the_oracle_convolution(label):
+    field = Field.from_label(label)
+    rng = random.Random(f"series {label}")
+    symbols, order, size = ("T1", "T2"), 3, 3
+    unit = TensorSeries.unit(symbols, size, order, field)
+    inverted = 0
+    for _ in range(3):
+        u = random_series(rng, field, symbols, order, size)
+        v = random_series(rng, field, symbols, order, size)
+        assert show(ts_multiply(u, v)) == show(oracle.ts_multiply(u, v))
+        assert show(ts_multiply(v, u)) == show(oracle.ts_multiply(v, u))
+        try:
+            inv = geometric_inverse(u)
+        except ValueError:
+            continue
+        inverted += 1
+        assert show(inv) == show(oracle.geometric_inverse(u))
+        assert oracle.ts_multiply(u, inv) == unit == oracle.ts_multiply(inv, u)
+    assert inverted
+
+
+def cyclo5_scalar():
+    coords = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                      min_size=4, max_size=4)
+    f5 = Field(5)
+    return coords.map(lambda cs: sum((f5.zeta(k) * c for k, c in enumerate(cs)),
+                                     f5.zero()))
+
+
+@st.composite
+def cyclo5_series(draw, size):
+    symbols, order = ("T1", "T2"), 2
+    words = [()] + [w for d in (1, 2) for w in itertools.product(range(2), repeat=d)]
+    picked = draw(st.lists(st.sampled_from(words), max_size=4, unique=True))
+    mat = st.lists(st.lists(cyclo5_scalar(), min_size=size, max_size=size),
+                   min_size=size, max_size=size)
+    return TensorSeries(symbols, size, order, Field(5),
+                        {w: draw(mat) for w in picked})
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(*[cyclo5_series(n)] * 3)))
+def test_series_product_is_associative_over_cyclo5(series):
+    a, b, c = series
+    assert ts_multiply(ts_multiply(a, b), c) == ts_multiply(a, ts_multiply(b, c))
 
 
 def heisenberg_simple(m):

@@ -336,3 +336,25 @@ def test_zero_dimensional_vertex_inside_a_path():
     result = check_representation(bad)
     assert not result
     assert "relation 0" in result.failures[0]
+
+
+def test_representation_over_a_subfield_of_the_relations():
+    # a rational point of a cyclo:5 presentation: relations evaluate in
+    # cyclo:5; a cyclo:3 point mixes orders and is rejected
+    f5 = Field(5)
+    q = Quiver(["v"], [("X", "v", "v"), ("Y", "v", "v")])
+    X, Y = NCPoly.arrow(q, "X", f5), NCPoly.arrow(q, "Y", f5)
+    rel = X * Y - (Y * X).scale(f5.zeta())
+    pres = Presentation(q, [rel], flavor="graded", field=f5)
+    mats = {"X": [[0]], "Y": [[1]]}
+    rep = Representation(pres, DimVector(q, {"v": 1}), mats, field=QQ)
+    assert check_representation(rep)
+    (value,), = rep.evaluate(rel + Y * Y)
+    assert value.field == f5 and value.is_one()
+    assert cocycle_dim(rep, rep) == 1 == tangent_space_dim(pres, rep)
+    mixed = Representation(pres, DimVector(q, {"v": 1}), mats, field=Field(3))
+    for call in (lambda: check_representation(mixed),
+                 lambda: cocycle_dim(mixed, mixed),
+                 lambda: tangent_space_dim(pres, mixed)):
+        with pytest.raises(ValueError):
+            call()

@@ -1,5 +1,6 @@
-"""The elimination kernel ``linalg.Echelon`` and the functions built on it
-against the previous paths kept in ``linalg_oracle``, compared as strings."""
+"""The elimination kernel ``linalg.Echelon``, the functions built on it and
+the coordinate product ``linalg.mat_mul`` against the previous paths kept in
+``linalg_oracle``, compared as strings."""
 
 import random
 from fractions import Fraction
@@ -178,6 +179,69 @@ def test_heisenberg_simple_over_cyclo5():
     rho = heisenberg_simple(5)  # asserts is_simple
     assert oracle.is_simple(rho)
     assert extcalc.ext1_dim(rho, rho) == 2
+
+
+# ---- the coordinate product against the FieldElem product -------------------
+
+# degree-1 cyclotomics (cyclo:1, cyclo:2), and Phi_12 = x^4 - x^2 + 1 with
+# zero coefficients
+PRODUCT_FIELDS = [QQ] + [Field(m) for m in (1, 2, 3, 4, 5, 7, 8, 12)]
+
+
+def product_entry(rng, field):
+    """An int, a Fraction, a rational FieldElem, or an element of field,
+    with denominators drawn from several primes."""
+    roll = rng.random()
+    if roll < 0.15:
+        return rng.randrange(-9, 10)
+    if roll < 0.3:
+        return Fraction(rng.randrange(-9, 10), rng.choice([1, 2, 3, 5, 7]))
+    if roll < 0.45:
+        return QQ.from_rational(Fraction(rng.randrange(-9, 10),
+                                         rng.choice([1, 4, 9, 11])))
+    return sum((field.zeta(k) * Fraction(rng.randrange(-5, 6), rng.choice([1, 2, 3, 13]))
+                for k in range(1, field.degree)),
+               field.from_rational(Fraction(rng.randrange(-5, 6), rng.choice([1, 6, 25]))))
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=str)
+def test_mat_mul_matches_the_field_elem_product(field):
+    rng = random.Random(f"mat_mul {field.label()}")
+    for rows, inner, cols in ((1, 1, 1), (1, 3, 2), (2, 1, 3), (3, 4, 2),
+                              (4, 4, 4), (2, 5, 1)):
+        for _ in range(4):
+            a = [[product_entry(rng, field) for _ in range(inner)] for _ in range(rows)]
+            b = [[product_entry(rng, field) for _ in range(cols)] for _ in range(inner)]
+            assert show(linalg.mat_mul(a, b)) == show(oracle.mat_mul(a, b))
+    ints = [[rng.randrange(-9, 10) for _ in range(3)] for _ in range(2)]
+    fracs = [[Fraction(rng.randrange(-9, 10), rng.choice([2, 3, 7]))] for _ in range(3)]
+    for a, b in ((ints, fracs), (fracs, [[1, 2]]), (ints, [[5], [6], [7]])):
+        assert show(linalg.mat_mul(a, b)) == show(oracle.mat_mul(a, b))
+
+
+@pytest.mark.parametrize("field", [f for f in PRODUCT_FIELDS if f.degree > 1], ids=str)
+def test_mat_mul_joins_the_field_over_every_entry(field):
+    # the first entries are rational, the later ones cyclotomic
+    rng = random.Random(f"join {field.label()}")
+    a = [[QQ.from_rational(Fraction(1, 3)), 2], [field.zeta(), Fraction(1, 2)]]
+    b = [[Fraction(-2, 5)], [field.zeta(-1) * Fraction(3, 4) + 1]]
+    got = linalg.mat_mul(a, b)
+    assert show(got) == show(oracle.mat_mul(a, b))
+    assert all(x.field == field for row in got for x in row)
+    c = [[QQ.one()] + [product_entry(rng, field) for _ in range(2)]]
+    assert show(linalg.mat_mul(c, a + [[1, field.zeta(2)]])) == \
+        show(oracle.mat_mul(c, a + [[1, field.zeta(2)]]))
+
+
+def test_mat_mul_rejects_shape_mismatch_and_mixed_orders():
+    f3, f5 = Field(3), Field(5)
+    for mul in (linalg.mat_mul, oracle.mat_mul):
+        with pytest.raises(ValueError):
+            mul([[1, 2]], [[1, 2]])
+        with pytest.raises(ValueError):
+            mul([[f3.zeta()]], [[f5.zeta()]])
+        with pytest.raises(ValueError):
+            mul([[QQ.one(), f3.zeta()]], [[f5.zeta()], [1]])
 
 
 # ---- cyclotomic rows as integer rows over Q ---------------------------------
