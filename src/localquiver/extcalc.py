@@ -25,7 +25,7 @@ from . import linalg
 from .ncalg import NCPoly, Presentation
 from .quiver import DimVector, Quiver
 from .rewrite import minimal_relation_counts
-from .scalars import Field, FieldElem, parse_scalar
+from .scalars import Field, FieldElem, integer_coordinates, parse_scalar
 
 
 class Representation:
@@ -82,7 +82,7 @@ class Representation:
         field, alpha = self.field.join(poly.field), self.alpha
         mats, den = linalg.to_layers(self.matrices.values(), field)
         layers = dict(zip(self.matrices, mats))
-        coeffs, cden = linalg.integer_coordinates(poly.terms.values(), field)
+        coeffs, cden = integer_coordinates(poly.terms.values(), field)
         parts = [(coeffs[k * field.degree:(k + 1) * field.degree],
                   _path_products(layers, alpha, self.quiver, field, word.arrows,
                                  word.head)[-1], cden * den ** len(word.arrows))
@@ -240,9 +240,10 @@ def _leibniz_rows(relations, quiver: Quiver, field: Field, ym, y_alpha: DimVecto
     The arrow matrices are converted to coordinates (``linalg.to_layers``)
     once, over field joined with the relations' field; the products stay in
     them, and the blocks of a relation are summed on integers over one
-    denominator and wrapped once.  Returns the rows, the number of
-    unknowns, and the indices of the relations whose value at y (the sum of
-    the longest prefix products) is not zero.
+    denominator.  A row is (its layers, its block's denominator), ready for
+    ``linalg.Echelon.insert_layers``.  Returns the rows, the number of
+    unknowns, the indices of the relations whose value at y (the sum of
+    the longest prefix products) is not zero, and the joined field.
     """
     for r in relations:
         field = field.join(r.field)
@@ -260,7 +261,7 @@ def _leibniz_rows(relations, quiver: Quiver, field: Field, ym, y_alpha: DimVecto
     for k, r in enumerate(relations):
         (rh, rt), = r.vertex_pairs()
         n_rows, n_cols = y_alpha[rh], x_alpha[rt]
-        coeffs, cden = linalg.integer_coordinates(r.terms.values(), field)
+        coeffs, cden = integer_coordinates(r.terms.values(), field)
         ends, parts = [], []
         for w, word in enumerate(r.terms):
             c, arrows = coeffs[w * d:(w + 1) * d], word.arrows
@@ -316,29 +317,37 @@ def _leibniz_rows(relations, quiver: Quiver, field: Field, ym, y_alpha: DimVecto
                                     out[start:start + width] = map(
                                         add, out[start:start + width],
                                         [lu * y for y in col])
-        rows += linalg.from_layers(linalg.reduce_layers(acc, field.phi, size),
-                                   block_den, field, n_rows * n_cols, total)
-    return rows, total, nonzero
+        block = linalg.reduce_layers(acc, field.phi, size)
+        rows += [([x[e * total:(e + 1) * total] for x in block], block_den)
+                 for e in range(n_rows * n_cols)]
+    return rows, total, nonzero, field
+
+
+def _layer_rank(rows, field: Field) -> int:
+    """The rank of ``_leibniz_rows`` rows over field."""
+    span = linalg.Echelon()
+    return sum(span.insert_layers(layers, field) for layers, _ in rows)
 
 
 def _cocycle_system(x: Representation, y: Representation):
-    """Equations delta(r) = 0 over the primary arrow unknowns."""
+    """Equations delta(r) = 0 over the primary arrow unknowns, as
+    ``_leibniz_rows`` rows over the returned field."""
     field, xm, ym = _common_matrices(x, y)
     pres = x.presentation
     quiver = x.quiver
     # an eliminated inverse a of p has delta(a) = -y(a) delta(p) x(a)
     substitutes = pres.eliminated_inverses()
     primary = [a.name for a in quiver.arrows if a.name not in substitutes]
-    rows, total, _ = _leibniz_rows(pres.relations, quiver, field, ym, y.alpha,
-                                   xm, x.alpha, primary, substitutes)
+    rows, total, _, field = _leibniz_rows(pres.relations, quiver, field, ym, y.alpha,
+                                          xm, x.alpha, primary, substitutes)
     return rows, total, field
 
 
 def cocycle_dim(x: Representation, y: Representation) -> int:
     """Dimension of the space of arrow cocycles (first-order deformations
     of the identity gluing, before dividing by inner derivations)."""
-    rows, total, _ = _cocycle_system(x, y)
-    return total - linalg.rank(rows)
+    rows, total, field = _cocycle_system(x, y)
+    return total - _layer_rank(rows, field)
 
 
 def ext1_dim(x: Representation, y: Representation) -> int:
@@ -356,57 +365,37 @@ def _ext1_dim(x: Representation, y: Representation, hom: int) -> int:
 def is_simple(rep: Representation) -> bool:
     """Density check: the path matrices must span the full matrix algebra.
 
-    Over a field of degree 1 (the rationals, cyclo:1, cyclo:2) each arrow
-    matrix is scaled by the lcm of its denominators
-    (:func:`linalg.integer_rows`), which leaves the span unchanged, so the
-    path products are int matrices.  Over a field of degree d > 1 they are
-    :class:`FieldElem` matrices, each entering the ``Echelon`` as its d
-    integer rows.
+    The arrow matrices, embedded in n x n blocks, and the vertex idempotents
+    are converted to coordinates once (``linalg.to_layers``); path products
+    are taken on them (``linalg.layer_product``) and enter the ``Echelon``
+    as their layers, the common denominator dropped, over every field.
     """
     n = rep.dim()
     if n == 0:
         return False
-    field = rep.field
-    quiver = rep.quiver
-    offsets = {}
-    pos = 0
+    quiver, alpha, field = rep.quiver, rep.alpha, rep.field
+    offsets, pos = {}, 0
     for v in quiver.vertices:
         offsets[v] = pos
-        pos += rep.alpha[v]
+        pos += alpha[v]
 
     def embed(mat, head, tail):
-        big = linalg.zero_matrix(field, n, n)
-        for i in range(rep.alpha[head]):
-            for j in range(rep.alpha[tail]):
-                big[offsets[head] + i][offsets[tail] + j] = mat[i][j]
-        if field.degree == 1:
-            flat = linalg.integer_rows([c for row in big for c in row], field)[0]
-            big = [flat[i:i + n] for i in range(0, n * n, n)]
+        big = [[0] * n for _ in range(n)]
+        for i, row in enumerate(mat):
+            big[offsets[head] + i][offsets[tail]:offsets[tail] + len(row)] = row
         return big
 
+    mats = [embed(rep.matrices[a.name], a.head, a.tail) for a in quiver.arrows]
+    mats += [embed([[int(i == j) for j in range(alpha[v])] for i in range(alpha[v])],
+                   v, v) for v in quiver.vertices if alpha[v]]
+    layers, _ = linalg.to_layers(mats, field)
+    arrows = layers[:len(quiver.arrows)]
     span = linalg.Echelon()  # flattened path matrices, row-reduced
-
-    frontier = []
-    for v in quiver.vertices:
-        if rep.alpha[v] == 0:
-            continue
-        mat = embed(linalg.identity_matrix(field, rep.alpha[v]), v, v)
-        if span.insert([c for row in mat for c in row]):
-            frontier.append(mat)
-    arrow_mats = {
-        a.name: embed(rep.matrices[a.name], a.head, a.tail)
-        for a in quiver.arrows
-    }
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for a in quiver.arrows:
-                prod = linalg.mat_mul(arrow_mats[a.name], m)
-                if span.insert([c for row in prod for c in row]):
-                    nxt.append(prod)
-        frontier = nxt
-        if len(span) == n * n:
-            break
+    frontier = [m for m in layers[len(arrows):] if span.insert_layers(m, field)]
+    while frontier and len(span) < n * n:
+        prods = (linalg.layer_product(a, m, n, n, n, field.phi)
+                 for m in frontier for a in arrows)
+        frontier = [m for m in prods if span.insert_layers(m, field)]
     return len(span) == n * n
 
 

@@ -8,13 +8,16 @@ that an inconsistent system yields a certificate) and ``invert`` read the
 reduced row echelon form, which is unique.  Ranks and nullspaces are
 therefore sound, which the tangent-space and Ext computations rely on.
 
-``Echelon`` works on ints for every field.  A row over a field of degree d
-is converted once on entry into d integer rows over the rationals whose
-span is the coordinate form of its span over the field (restriction of
-scalars), and rows are kept as primitive integer vectors; the reduced form
-is converted back once on exit.  Because reduced forms are unique, the
-results are the same :class:`FieldElem` values, and print the same, as
-elimination in field arithmetic.
+``Echelon`` works on ints for every field.  A row enters elimination as its
+integer coordinates in Z[zeta]: d = field.degree int layers, with any common
+denominator dropped (``Echelon.insert_layers``).  Producers that hold
+coordinates already (the Leibniz systems, the density check) hand them over
+as they are; ``Echelon.insert`` converts values with ``integer_coordinates``.
+Kept rows are primitive integer vectors over the rationals whose span is the
+coordinate form of the span over the field (restriction of scalars); the
+reduced form is converted back once on exit.  Because reduced forms are
+unique, the results are the same :class:`FieldElem` values, and print the
+same, as elimination in field arithmetic.
 
 Products have one kernel on integers as well.  A matrix over a field of
 degree d is held in coordinates: d integer layers A_t (flat, row-major) over
@@ -23,8 +26,8 @@ is the 2d - 1 sums of the integer products A_s B_t with s + t = k, reduced
 from the top by the integer cyclotomic polynomial (``layer_product``); over
 the rationals d = 1 and it is one integer product.  ``mat_mul`` converts
 both operands, multiplies and wraps the result once (``from_layers``);
-callers that chain products (path, Leibniz and series assembly) convert
-their operands once and stay in layers until the end.
+callers that chain products (path, Leibniz, density and series assembly)
+convert their operands once and stay in layers until the end.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
 
-from .scalars import QQ, Field, FieldElem
+from .scalars import QQ, Field, FieldElem, integer_coordinates
 
 
 def zero_matrix(field: Field, rows: int, cols: int) -> list[list[FieldElem]]:
@@ -179,60 +182,13 @@ def scalar_multiple_of_identity(a) -> FieldElem | None:
     return c
 
 
-def integer_coordinates(values, field: Field) -> tuple[list[int], int] | None:
-    """values (ints, Fractions, or :class:`FieldElem` of field or the
-    rationals) as d = field.degree integer coordinates each, value k's at k*d
-    to k*d + d - 1, over one positive common denominator: (ints, den); None
-    when a value lies in a field other than field or the rationals.  values
-    is a sequence or a view: ints pass through as they are."""
-    if field.degree == 1 and all(type(x) is int for x in values):
-        return list(values), 1
-    pad = [0] * (field.degree - 1) if field.degree > 1 else None
-    vals = []
-    for x in values:
-        if type(x) is FieldElem:
-            if x.field is field or x.field.order == field.order:
-                if pad is None:
-                    vals.append(x.coeffs[0])
-                else:
-                    vals += x.coeffs
-                continue
-            if x.field.order is not None:
-                return None
-            x = x.coeffs[0]
-        vals.append(x)
-        if pad:
-            vals += pad
-    den = lcm(*[x.denominator for x in vals])
-    return [x.numerator * (den // x.denominator) for x in vals], den
-
-
-def integer_rows(row, field: Field) -> list[list[int]] | None:
-    """row over field as d = field.degree integer rows over the rationals
-    whose span is the coordinate form of its span over field; None when an
-    entry lies in a field other than field or the rationals.
-
-    Row t holds zeta^t * row, entry j's coefficients at columns j*d to
-    j*d + d - 1 (``integer_coordinates``), zeta^d reduced by the integer
-    cyclotomic polynomial; all d rows are scaled by one common denominator.
-    Over the rationals (d = 1) this is the row with its denominators
-    cleared.
-    """
-    coords = integer_coordinates(row, field)
-    if coords is None:
-        return None
-    rows = [coords[0]]
-    phi, d = field.phi, field.degree
-    for _ in range(d - 1):
-        # coordinate k of zeta*x is x_{k-1} - phi_k x_{d-1}, as
-        # zeta^d = -(phi_0 + phi_1 zeta + ... + phi_{d-1} zeta^{d-1})
-        prev = rows[-1]
-        top, vec = prev[d - 1::d], prev[:]
-        vec[::d] = [-phi[0] * y for y in top]
-        for k in range(1, d):
-            vec[k::d] = [x - phi[k] * y for x, y in zip(prev[k - 1::d], top)]
-        rows.append(vec)
-    return rows
+def _interleave(layers: list[list[int]]) -> list[int]:
+    """The coordinates of a row from its layers, entry j's at j*d to j*d + d - 1."""
+    d = len(layers)
+    vec = [0] * (d * len(layers[0]))
+    for t, layer in enumerate(layers):
+        vec[t::d] = layer
+    return vec
 
 
 def _primitive(vec: list[int]) -> list[int]:
@@ -253,14 +209,17 @@ def _eliminate(vec: list[int], kept: list[int], lead: int) -> list[int]:
 class Echelon:
     """Rows in echelon form; the one elimination routine of the package.
 
-    A row over a field of degree d enters as its d :func:`integer_rows`,
-    whose span over the rationals is the coordinate form of its span over
-    the field, so the field rank is the rational rank divided by d and the
-    d rows are all kept or none is.  Each step ``p'*vec - f'*kept`` is
-    followed by division by the content (fraction-free, after Bareiss), so
-    a kept row is a primitive integer vector with a positive lead, zero at
-    the leads of the rows kept before it; one sweep in insertion order
-    reduces a new row.  All rows must have the length of the first.
+    A row over a field of degree d enters as d int layers L_t, the row
+    being sum_t zeta^t L_t up to a dropped common denominator
+    (``insert_layers``; ``insert`` takes values to them first).  Its d rows
+    zeta^t * row, entry j's coefficients at columns j*d to j*d + d - 1, span
+    over the rationals the coordinate form of its span over the field, so
+    the field rank is the rational rank divided by d and the d rows are all
+    kept or none is.  Each step ``p'*vec - f'*kept`` is followed by division
+    by the content (fraction-free, after Bareiss), so a kept row is a
+    primitive integer vector with a positive lead, zero at the leads of the
+    rows kept before it; one sweep in insertion order reduces a new row.
+    All rows must have the length of the first.
 
     ``leads`` and ``len`` count pivots over the field.  ``reduced``
     back-substitutes on the ints: the rational reduced form is the
@@ -290,29 +249,49 @@ class Echelon:
         return [lead // d for lead in self._leads[::d]] if d > 1 else self._leads[:]
 
     def insert(self, row) -> bool:
-        """Reduce row against the kept rows; keep it if it is not zero."""
-        vec = list(row)
-        if self._width is None:
-            self._width = len(vec)
-        elif len(vec) != self._width:
-            raise ValueError(
-                f"row of length {len(vec)} in an echelon of width {self._width}")
-        ints = integer_rows(vec, self._field)
-        if ints is None:  # a cyclotomic row after rational rows
-            field = self._field
+        """Reduce row (ints, Fractions or :class:`FieldElem`) against the
+        kept rows; keep it if it is not zero."""
+        vec, field = list(row), self._field
+        coords = integer_coordinates(vec, field)
+        if coords is None:  # a cyclotomic row after rational rows
             for x in vec:
-                if type(x) is not int:
+                if type(x) is FieldElem:
                     field = field.join(x.field)
-            kept, self._rows, self._leads = self._rows, [], []
-            self._field = field
-            for old in kept:
-                for spread in integer_rows(old, field):
-                    self._insert_integers(spread)
-            ints = integer_rows(vec, field)
-        if not self._insert_integers(ints[0]):
+            coords = integer_coordinates(vec, field)
+        ints, d = coords[0], field.degree
+        return self.insert_layers(
+            [ints] if d == 1 else [ints[t::d] for t in range(d)], field)
+
+    def insert_layers(self, layers, field: Field) -> bool:
+        """Reduce the row sum_t zeta^t layers[t] over field (a common
+        denominator dropped) against the kept rows; keep it if it is not
+        zero.  layers holds field.degree int lists of the echelon's width;
+        they are not copied and must not change."""
+        d = field.degree
+        width = len(layers[0]) if layers else 0
+        if len(layers) != d or d > 1 and any(len(x) != width for x in layers):
+            raise ValueError(f"a row over {field.label()} needs {d} layers "
+                             f"of one length, got {[len(x) for x in layers]}")
+        if width != self._width:
+            if self._width is not None:
+                raise ValueError(
+                    f"row of length {width} in an echelon of width {self._width}")
+            self._width = width
+        if field is not self._field and field != self._field:
+            joined = self._field.join(field)
+            if joined != self._field:  # the kept rational rows re-enter
+                kept, self._rows, self._leads = self._rows, [], []
+                self._field, zeros = joined, [[0] * width] * (joined.degree - 1)
+                for old in kept:
+                    self.insert_layers([old] + zeros, joined)
+            field, d = joined, joined.degree
+            layers = layers + [[0] * width] * (d - len(layers))
+        if not self._insert_integers(layers[0] if d == 1 else _interleave(layers)):
             return False
-        for spread in ints[1:]:  # kept as well: the span is a field span
-            self._insert_integers(spread)
+        for _ in range(d - 1):  # zeta times the last: kept as well
+            layers = reduce_layers([None, *layers] + [None] * (d - 2),
+                                   field.phi, width)
+            self._insert_integers(_interleave(layers))
         return True
 
     def _insert_integers(self, vec: list[int]) -> bool:

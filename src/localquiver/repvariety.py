@@ -14,9 +14,10 @@ first-order deformations cross-check each other.
 
 from __future__ import annotations
 
-from .extcalc import (Representation, _leibniz_rows, _singular_invertibles,
-                      hom_dim)
-from .linalg import rank
+from .extcalc import (Representation, _layer_rank, _leibniz_rows,
+                      _singular_invertibles, hom_dim)
+# rank stays bound here: perfbench/spans.py traces repvariety.rank
+from .linalg import from_layers, rank  # noqa: F401
 from .ncalg import PathWord, Presentation
 from .quiver import DimVector, Quiver, gl_dim, rep_space_dim
 from .scalars import Field, FieldElem, accumulate, signed_sum
@@ -190,18 +191,20 @@ def rep_ideal(p: Presentation, alpha: DimVector) -> RepIdeal:
 def _jacobian(point: Representation) -> list[list[FieldElem]]:
     """The Jacobian of the rep-ideal generators of point's presentation at
     point: rows by generator (relation, i, j), columns by variable
-    (arrow, i, j), both in ``rep_ideal`` order."""
-    return _jacobian_system(point)[0]
+    (arrow, i, j), both in ``rep_ideal`` order; wrapped in
+    :class:`FieldElem` for the test oracle."""
+    rows, total, _, field = _jacobian_system(point)
+    return [from_layers(layers, den, field, 1, total)[0]
+            for layers, den in rows]
 
 
-def _jacobian_system(point: Representation) -> tuple[list[list[FieldElem]], list[int]]:
-    """The Jacobian at point and the indices of the relations that do not
-    vanish there, from one Leibniz assembly."""
+def _jacobian_system(point: Representation):
+    """``extcalc._leibniz_rows`` with every arrow as an unknown: the
+    Jacobian at point in coordinates, and the indices of the relations that
+    do not vanish there, from one Leibniz assembly."""
     p, mats, alpha = point.presentation, point.matrices, point.alpha
-    rows, _, nonzero = _leibniz_rows(
-        p.relations, p.quiver, point.field, mats, alpha, mats, alpha,
-        [a.name for a in p.quiver.arrows], {})
-    return rows, nonzero
+    return _leibniz_rows(p.relations, p.quiver, point.field, mats, alpha, mats,
+                         alpha, [a.name for a in p.quiver.arrows], {})
 
 
 def tangent_space_dim(p: Presentation, m: Representation) -> int:
@@ -217,10 +220,10 @@ def tangent_space_dim(p: Presentation, m: Representation) -> int:
     constraints.
     """
     point = Representation(p, m.alpha, m.matrices)
-    rows, nonzero = _jacobian_system(point)
+    rows, _, nonzero, field = _jacobian_system(point)
     if nonzero or _singular_invertibles(point):
         raise ValueError("tangent space requested at an invalid representation")
-    return rep_space_dim(p.quiver, m.alpha) - rank(rows)
+    return rep_space_dim(p.quiver, m.alpha) - _layer_rank(rows, field)
 
 
 def orbit_dim(m: Representation) -> int:

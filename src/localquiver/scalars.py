@@ -5,9 +5,10 @@ field obtained by adjoining a primitive m-th root of unity ``zeta``.
 Cyclotomic elements are stored as dense coefficient vectors over the
 rationals of length phi(m), always fully reduced modulo the m-th cyclotomic
 polynomial, so equality is coefficient-wise.  All arithmetic is exact; there
-is no floating point anywhere in this package.  ``integer_values`` takes
-elements to ints, or :class:`CycloInt` coordinates in Z[zeta], over one
-common denominator, for fraction-free loops.
+is no floating point anywhere in this package.  ``integer_coordinates``
+takes values to their integer coordinates in Z[zeta] over one common
+denominator, the one entry of fraction-free loops (elimination, products,
+completion); ``integer_values`` groups them into ints or :class:`CycloInt`.
 
 Mixing two cyclotomic fields of different order is rejected.  Rationals embed
 into any cyclotomic field and are coerced silently; ``Field.join`` names the
@@ -327,16 +328,42 @@ class CycloInt:
                         self.phi)
 
 
+def integer_coordinates(values, field: Field) -> tuple[list[int], int] | None:
+    """values (ints, Fractions, or :class:`FieldElem` of field or the
+    rationals) as d = field.degree integer coordinates each, value k's at k*d
+    to k*d + d - 1, over one positive common denominator: (ints, den); None
+    when a value lies in a field other than field or the rationals.  values
+    is a sequence or a view: ints pass through as they are."""
+    if field.degree == 1 and all(type(x) is int for x in values):
+        return list(values), 1
+    pad = [0] * (field.degree - 1) if field.degree > 1 else None
+    vals = []
+    for x in values:
+        if type(x) is FieldElem:
+            if x.field is field or x.field.order == field.order:
+                if pad is None:
+                    vals.append(x.coeffs[0])
+                else:
+                    vals += x.coeffs
+                continue
+            if x.field.order is not None:
+                return None
+            x = x.coeffs[0]
+        vals.append(x)
+        if pad:
+            vals += pad
+    den = lcm(*[x.denominator for x in vals])
+    return [x.numerator * (den // x.denominator) for x in vals], den
+
+
 def integer_values(coeffs: Iterable[FieldElem], field: Field) -> tuple[list, int]:
     """Elements of field (or of the rationals) as integer values over one
     positive common denominator: ints over the rationals, :class:`CycloInt`
-    otherwise."""
-    vecs = [field.elem(c).coeffs for c in coeffs]
-    den = lcm(*[x.denominator for v in vecs for x in v])
-    ints = [tuple(x.numerator * (den // x.denominator) for x in v) for v in vecs]
-    if field.is_rational:
-        return [v[0] for v in ints], den
-    return [CycloInt(v, field.phi) for v in ints], den
+    chunked from their ``integer_coordinates`` otherwise."""
+    ints, den = integer_coordinates(list(coeffs), field)
+    if not field.is_rational:
+        ints = [CycloInt(c, field.phi) for c in zip(*[iter(ints)] * field.degree)]
+    return ints, den
 
 
 class LiteralGrammar:

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localquiver import extcalc
 from localquiver.extcalc import (Representation, SemisimpleModule,
@@ -119,6 +120,48 @@ def test_ext1_additive(seed=0):
     assert ext1_dim(a, ab) == ext1_dim(a, a) + ext1_dim(a, b)
     assert ext1_dim(ab, ab) == sum(
         ext1_dim(x, y) for x in (a, b) for y in (a, b))
+
+
+FREE_LOOPS = Presentation(Quiver(["v"], [("X", "v", "v"), ("Y", "v", "v")]), [],
+                          flavor="graded")
+FREE_TWO_VERTICES = Presentation(
+    Quiver(["u", "v"], [("a", "u", "v"), ("b", "v", "u"), ("c", "u", "u")]), [],
+    flavor="graded")
+
+
+def field_scalars(field):
+    """Elements of field with fractional coordinates."""
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 5]))
+    return st.lists(coeff, min_size=field.degree, max_size=field.degree).map(
+        lambda cs: sum((field.zeta(k) * c for k, c in enumerate(cs) if k),
+                       field.from_rational(cs[0])))
+
+
+@st.composite
+def nonzero_reps(draw, pres, field):
+    """A representation of pres over field with up to two dimensions per
+    vertex, not all zero."""
+    quiver = pres.quiver
+    dims = draw(st.lists(st.integers(0, 2), min_size=len(quiver.vertices),
+                         max_size=len(quiver.vertices)).filter(any))
+    alpha = DimVector(quiver, dict(zip(quiver.vertices, dims)))
+    mats = {a.name: [[draw(field_scalars(field)) for _ in range(alpha[a.tail])]
+                     for _ in range(alpha[a.head])] for a in quiver.arrows}
+    return Representation(pres, alpha, mats, field=field)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=["q", "cyclo5"])
+@pytest.mark.parametrize("pres", [FREE_LOOPS, FREE_TWO_VERTICES],
+                         ids=["two_loops", "two_vertices"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_hom_and_ext1_are_additive_over_direct_sums(pres, field, data):
+    x, y, z = (data.draw(nonzero_reps(pres, field)) for _ in range(3))
+    xy = direct_sum(x, y)
+    for dim in (hom_dim, ext1_dim):
+        assert dim(xy, z) == dim(x, z) + dim(y, z)
+        assert dim(z, xy) == dim(z, x) + dim(z, y)
+    assert not is_simple(xy)
 
 
 def test_is_simple():

@@ -1,6 +1,7 @@
-"""The elimination kernel ``linalg.Echelon``, the functions built on it and
-the coordinate product ``linalg.mat_mul`` against the previous paths kept in
-``linalg_oracle``, compared as strings."""
+"""The elimination kernel ``linalg.Echelon`` (on values and on coordinate
+rows), the functions built on it and the coordinate product
+``linalg.mat_mul`` against the previous paths kept in ``linalg_oracle``,
+compared as strings."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from math import gcd
 
 import pytest
 
-from localquiver import extcalc, linalg
+from localquiver import extcalc, linalg, repvariety
 from localquiver.extcalc import Representation
 from localquiver.ncalg import Presentation, heisenberg_presentation
 from localquiver.quiver import DimVector, Quiver
@@ -165,11 +166,18 @@ def heisenberg_simple(m=4):
     return rho
 
 
+def field_rows(system):
+    """The coordinate rows of a Leibniz system as FieldElem rows."""
+    rows, total, field = system
+    return [linalg.from_layers(layers, den, field, 1, total)[0]
+            for layers, den in rows], total, field
+
+
 def test_structured_systems_match_the_oracle():
     rho = heisenberg_simple()
     field = rho.field
     for rows, _, _ in (extcalc._hom_system(rho, rho),
-                           extcalc._cocycle_system(rho, rho)):
+                       field_rows(extcalc._cocycle_system(rho, rho))):
         assert linalg.rank(rows) == oracle.rank(rows)
         assert show(linalg.nullspace(rows, field)) == \
             show(oracle.nullspace(rows, field))
@@ -296,6 +304,84 @@ def test_fractional_rows_mixing_q_and_cyclotomic_entries_match_the_oracle(field)
         rhs = [mixed_entry(rng, field) for _ in rows]
         assert show(linalg.solve(rows, rhs, field)) == show(oracle.solve(rows, rhs, field))
         assert show(linalg.invert(square, field)) == show(oracle.invert(square, field))
+
+
+# ---- rows handed over in coordinates ----------------------------------------
+
+def row_layers(rng, row, field):
+    """row in coordinates over field (``linalg.to_layers``), its common
+    denominator dropped and a random positive factor put in its place."""
+    (layers,), _ = linalg.to_layers([[row]], field)
+    k = rng.choice([1, 2, 3, 35])
+    return [[k * x for x in layer] for layer in layers]
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=str)
+def test_insert_layers_matches_field_elem_rows(field):
+    for seed in range(3):
+        rng = random.Random(f"layers {field.label()} {seed}")
+        cols = rng.randrange(1, 7)
+        kernel, values, old = linalg.Echelon(), linalg.Echelon(), oracle.SpanOracle()
+        pool = []
+        for _ in range(10):
+            if pool and rng.random() < 0.4:
+                row = combination(rng, field, pool)
+            else:
+                row = [field.elem(product_entry(rng, field)) if rng.random() < 0.7
+                       else field.zero() for _ in range(cols)]
+            pool.append(row)
+            kept = kernel.insert_layers(row_layers(rng, row, field), field)
+            assert kept == values.insert(row) == old.insert(row)
+            assert show(kernel.reduced()) == show(values.reduced())
+            assert_reduced_matches(kernel, pool)
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS[1:], ids=str)
+def test_insert_layers_rational_then_cyclotomic_rows(field):
+    # the kept rational rows re-enter at the first row over field, and a
+    # later rational row gets zero layers above its first
+    for seed in range(3):
+        rng = random.Random(f"re-entry {field.label()} {seed}")
+        cols = rng.randrange(5, 8)
+
+        def rows_over(over, count):
+            return [[over.elem(product_entry(rng, over)) for _ in range(cols)]
+                    for _ in range(count)]
+
+        rows = rows_over(QQ, 2) + rows_over(field, 1) + rows_over(QQ, 1)
+        rows += [combination(rng, field, rows)] + rows_over(field, 1)
+        rows += rows_over(QQ, 1)
+        kernel, old = linalg.Echelon(), oracle.SpanOracle()
+        for k, row in enumerate(rows):
+            over = QQ if all(x.field.is_rational for x in row) else field
+            assert kernel.insert_layers(row_layers(rng, row, over), over) == \
+                old.insert(row)
+            assert_reduced_matches(kernel, rows[:k + 1])
+
+
+def test_insert_layers_rejects_ragged_input():
+    f5 = Field(5)
+    kernel = linalg.Echelon()
+    assert kernel.insert_layers([[1, 0], [0, 0], [0, 1], [2, 0]], f5)
+    with pytest.raises(ValueError):  # three layers over a field of degree 4
+        kernel.insert_layers([[0, 1], [1, 0], [1, 1]], f5)
+    with pytest.raises(ValueError):  # a rational row of two layers
+        kernel.insert_layers([[0, 1], [1, 0]], QQ)
+    with pytest.raises(ValueError):  # layers of unequal lengths
+        kernel.insert_layers([[0, 1], [1, 0], [1], [1, 1]], f5)
+    with pytest.raises(ValueError):  # a width other than the kept rows'
+        kernel.insert_layers([[0, 1, 0], [1, 0, 0], [0, 0, 1], [0, 0, 0]], f5)
+    assert len(kernel) == 1 and kernel.leads == [0]
+    assert kernel.insert_layers([[0, 1], [0, 0], [0, 0], [0, 0]], f5)
+    # a rejected row changes nothing: not the width of an empty echelon,
+    # and not the field of the kept rational rows
+    fresh = linalg.Echelon()
+    with pytest.raises(ValueError):
+        fresh.insert_layers([[0, 1], [1, 0], [1], [1, 1]], f5)
+    assert fresh.insert_layers([[1, 2, 3]], QQ)
+    with pytest.raises(ValueError):
+        fresh.insert_layers([[0, 1, 0], [1, 0, 0], [1], [0, 0, 1]], f5)
+    assert all(x.field == QQ for row in fresh.reduced()[0] for x in row)
 
 
 # ---- the integer path over Q: adversarial inputs ---------------------------
@@ -451,13 +537,58 @@ def seeded_q_reps(seed):
     return reps
 
 
+def seeded_cyclo_reps(seed):
+    """Cyclotomic representations with fractional coordinates: two loops at
+    n = 2 and 3 over cyclo:3 and cyclo:5, each also block upper-triangular
+    (not simple), and the two-vertex quiver over cyclo:5 at dimension
+    vectors (1, 0), (2, 0) and (0, 2), where a vertex is zero-dimensional."""
+    rng = random.Random(seed)
+    loops = Quiver(["v"], [("X", "v", "v"), ("Y", "v", "v")])
+    free = Presentation(loops, [], flavor="graded")
+    reps = []
+    for field in (Field(3), Field(5)):
+        for n in (2, 3):
+            mats = {a: random_matrix(rng, field, n, n, 0.7) for a in ("X", "Y")}
+            k = rng.randrange(1, n)  # rows k.. vanish in columns ..k
+            tri = {a: [[x if i < k or j >= k else field.zero()
+                        for j, x in enumerate(row)] for i, row in enumerate(mat)]
+                   for a, mat in mats.items()}
+            for m in (mats, tri):
+                reps.append(Representation(free, DimVector(loops, {"v": n}), m,
+                                           field=field))
+    two = Quiver(["u", "v"], [("a", "u", "v"), ("b", "v", "u"), ("c", "u", "u")])
+    pres, f5 = Presentation(two, [], flavor="graded"), Field(5)
+    for du, dv in ((1, 0), (2, 0), (0, 2)):
+        alpha = DimVector(two, {"u": du, "v": dv})
+        mats = {a.name: random_matrix(rng, f5, alpha[a.head], alpha[a.tail], 0.8)
+                for a in two.arrows}
+        reps.append(Representation(pres, alpha, mats, field=f5))
+    return reps
+
+
 def test_is_simple_matches_the_field_elem_oracle():
-    verdicts = set()
-    for seed in range(4):
-        for rep in seeded_q_reps(700 + seed):
-            got = extcalc.is_simple(rep)
-            assert got == oracle.is_simple(rep)
-            verdicts.add(got)
-    assert verdicts == {True, False}
-    rho = heisenberg_simple()  # the cyclotomic path keeps FieldElem products
+    for reps in (seeded_q_reps, seeded_cyclo_reps):
+        verdicts = set()
+        for seed in range(4):
+            for rep in reps(700 + seed):
+                got = extcalc.is_simple(rep)
+                assert got == oracle.is_simple(rep)
+                verdicts.add(got)
+        assert verdicts == {True, False}
+    rho = heisenberg_simple()
     assert extcalc.is_simple(rho) == oracle.is_simple(rho) == True
+
+
+def test_cyclotomic_ranks_build_no_field_elem_matrices(monkeypatch):
+    # the density check, the cocycles and the Jacobian insert coordinate
+    # rows: no FieldElem product and no wrapped result on the way
+    rho = heisenberg_simple(5)
+
+    def forbidden(*args):
+        raise AssertionError("a FieldElem matrix was built")
+
+    monkeypatch.setattr(linalg, "mat_mul", forbidden)
+    monkeypatch.setattr(linalg, "from_layers", forbidden)
+    assert extcalc.is_simple(rho)
+    assert extcalc.cocycle_dim(rho, rho) == 26
+    assert repvariety.tangent_space_dim(rho.presentation, rho) == 26
