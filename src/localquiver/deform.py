@@ -13,7 +13,7 @@ geometric series.  The analytic covering hypothesis on a family cannot be
 checked symbolically; what is verified exactly is that the series start at
 the base point and that the first-order directions meet the orbit tangent
 space trivially, where the orbit tangent space is read from the coboundary
-map of ``extcalc`` (the columns of ``_hom_system`` at the base point).
+map of ``extcalc`` (the columns of its coordinate rows at the base point).
 Results are therefore labeled a candidate local model unless the caller
 asserts the hypotheses.
 """
@@ -225,24 +225,26 @@ class FamilySpec:
                           asserted_hypotheses)
 
     def _check_first_order_transversality(self):
-        """Exact rank check: linear directions meet coboundaries trivially."""
-        coords = []  # flattened tangent vectors in arrow-matrix space
-        for k in range(len(self.symbols)):
-            vec = []
-            for arrow in self.presentation.quiver.arrows:
-                mat = self.series[arrow.name].coefficient((k,))
-                vec.extend(x for row in mat for x in row)
-            if any(not x.is_zero() for x in vec):
-                coords.append(vec)
-        if not coords:
+        """Exact rank check: linear directions meet coboundaries trivially.
+
+        The coboundaries are the columns of ``extcalc._hom_system`` at the
+        base point, read off its transposed layers: all its rows share one
+        denominator, which the columns may then drop."""
+        # flattened tangent vectors in arrow-matrix space, arrow by arrow
+        directions, _ = linalg.to_layers(
+            [[row for a in self.presentation.quiver.arrows
+              for row in self.series[a.name].coefficient((k,))]
+             for k in range(len(self.symbols))], self.base.field)
+        directions = [vec for vec in directions if any(map(any, vec))]
+        if not directions:
             return  # constant family: nothing to check
-        rows, _, _ = extcalc._hom_system(self.base, self.base)
-        span = linalg.Echelon(zip(*rows))  # coboundaries: the orbit's tangent space
-        if not all(span.insert(vec) for vec in coords):
-            raise ValueError(
-                "family directions are not transversal to the orbit at the "
-                "base point"
-            )
+        rows, _, field = extcalc._hom_system(self.base, self.base)
+        span = linalg.Echelon()  # coboundaries: the orbit's tangent space
+        for column in zip(*[zip(*layers) for layers, _ in rows]):
+            span.insert_layers(list(map(list, zip(*column))), field)
+        if not all(span.insert_layers(vec, field) for vec in directions):
+            raise ValueError("family directions are not transversal to the "
+                             "orbit at the base point")
 
 
 def load_family(base, data: dict) -> FamilySpec:

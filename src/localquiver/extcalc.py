@@ -1,11 +1,11 @@
 """Hom and first Ext spaces between finite-dimensional representations.
 
 A representation assigns an exact matrix to every arrow of a presentation's
-quiver.  Hom spaces are intertwiner nullspaces; Ext^1 is computed from
-arrow-indexed cocycles with the Leibniz rule, modulo inner derivations.
-Invertible arrows that carry a formal inverse loop are eliminated from the
-cocycle unknowns: the value on the inverse is forced by differentiating the
-unit relation.
+quiver.  Hom is the kernel of the coboundary map, and Ext^1 the arrow
+cocycles (Leibniz rule) modulo its image.  Both systems, like repvariety's
+Jacobian, are one block assembly on integer coordinates (``_block_rows``)
+ranked by ``linalg.Echelon.insert_layers``.  Formal inverses of invertible
+arrows are eliminated from the cocycle unknowns by their unit relations.
 
 Simplicity is certified by a density argument: a representation of total
 dimension n is simple exactly when the matrices of all paths span the full
@@ -167,60 +167,97 @@ def _singular_invertibles(rep: Representation) -> list[str]:
     return failures
 
 
-def _common_matrices(x: Representation, y: Representation):
-    """The field that x and y both embed in, and their arrow matrices with
-    entries in it; x and y must share a presentation."""
+def _common_field(x: Representation, y: Representation) -> Field:
+    """The field that x and y both embed in (``to_layers`` takes rational
+    entries into it); x and y must share a presentation."""
     px, py = x.presentation, y.presentation
     if px is not py and (
             px.quiver != py.quiver or len(px.relations) != len(py.relations)
             or any(a != b for a, b in zip(px.relations, py.relations))):
         raise ValueError("presentation mismatch between the representations")
-    field = x.field.join(y.field)
+    return x.field.join(y.field)
 
-    def coerced(rep: Representation):
-        if rep.field == field:
-            return rep.matrices
-        return {a: [[field.elem(c) for c in row] for row in mat]
-                for a, mat in rep.matrices.items()}
 
-    return field, coerced(x), coerced(y)
+def _arrow_layers(field: Field, ym, xm):
+    """(y layers, x layers, den): the arrow matrices ym and xm converted by
+    one ``linalg.to_layers``, once when xm is ym."""
+    xs = [] if xm is ym else list(xm.values())
+    mats, den = linalg.to_layers(list(ym.values()) + xs, field)
+    yl = dict(zip(ym, mats))
+    return yl, yl if xm is ym else dict(zip(xm, mats[len(ym):])), den
+
+
+def _block_rows(parts, blocks: dict, total: int, n_rows: int, n_cols: int,
+                field: Field) -> list:
+    """The rows, one per entry (i, j) and row-major, of the n_rows x n_cols
+    block sum over parts (p, L, R, c, den) of c * L delta(p) R / den.
+
+    delta(p) is the unknown block at ``blocks[p]`` = (offset, m, width),
+    row-major among ``total`` columns; L and R are layers and c the integer
+    coordinates of a scalar.  On integers over the lcm of the dens, entry
+    (i, j) gains c * L[i][u] * R[w][j] at unknown (u, w) of p.  A row is
+    (its layers, that lcm), ready for ``linalg.Echelon.insert_layers``."""
+    size = n_rows * n_cols * total
+    acc = [[0] * size for _ in range(2 * field.degree - 1)]
+    block_den = lcm(*[part[4] for part in parts])
+    for p, left, right, c, part_den in parts:
+        offset, m, width = blocks[p]
+        k = block_den // part_den  # a rational c scales L on its own
+        left = linalg.layer_product(left, [[x * k] for x in c], n_rows * m, 1, 1,
+                                    field.phi) if any(c[1:]) else \
+            [[c[0] * k * x for x in ls] for ls in left]
+        rcols = [(t, [y[j::n_cols] for j in range(n_cols)])
+                 for t, y in enumerate(right) if any(y)]
+        for s, ls in enumerate(left):
+            for t, ycols in rcols:
+                out = acc[s + t]
+                for i in range(n_rows):
+                    for u in range(m):
+                        lu = ls[i * m + u]
+                        if lu:
+                            base = i * n_cols * total + offset + u * width
+                            for j, col in enumerate(ycols):
+                                start = base + j * total
+                                out[start:start + width] = map(
+                                    add, out[start:start + width],
+                                    [lu * y for y in col])
+    block = linalg.reduce_layers(acc, field.phi, size)
+    return [([x[e * total:(e + 1) * total] for x in block], block_den)
+            for e in range(n_rows * n_cols)]
 
 
 def _hom_system(x: Representation, y: Representation):
-    """The coboundary map phi -> (y_a phi_t - phi_h x_a)_a as a matrix.
+    """The coboundary map phi -> (y_a phi_t - phi_h x_a)_a as
+    ``_leibniz_rows`` rows over the returned field.
 
     The unknowns (columns) are the vertex blocks of phi, row-major in vertex
     order; the rows are the arrow entries, in arrow order and row-major.  Its
     kernel is Hom(x, y), and at x = y its columns span the coboundaries, the
-    tangent space of the orbit of x."""
-    field, xm, ym = _common_matrices(x, y)
-    quiver = x.quiver
-    offsets = {}
-    total = 0
+    tangent space of the orbit of x.  Arrow a: t -> h has the block parts
+    (phi_t, y_a, I, 1) and (phi_h, I, x_a, -1), both over the denominator
+    of the arrow layers, so every row has that one denominator."""
+    field = _common_field(x, y)
+    quiver, xa, ya = x.quiver, x.alpha, y.alpha
+    blocks, total = {}, 0
     for v in quiver.vertices:
-        offsets[v] = total
-        total += x.alpha[v] * y.alpha[v]
+        blocks[v] = (total, ya[v], xa[v])
+        total += xa[v] * ya[v]
+    yl, xl, den = _arrow_layers(field, y.matrices, x.matrices)
+    one = [1] + [0] * (field.degree - 1)
     rows = []
-    for arrow in quiver.arrows:
-        ya, xa = ym[arrow.name], xm[arrow.name]
-        h, t = arrow.head, arrow.tail
-        for i in range(y.alpha[h]):
-            for j in range(x.alpha[t]):
-                row = [field.zero()] * total
-                # (y_a phi_t)_{ij} = sum_k ya[i][k] phi_t[k][j]
-                for k in range(y.alpha[t]):
-                    row[offsets[t] + k * x.alpha[t] + j] += ya[i][k]
-                # (phi_h x_a)_{ij} = sum_k phi_h[i][k] xa[k][j]
-                for k in range(x.alpha[h]):
-                    row[offsets[h] + i * x.alpha[h] + k] -= xa[k][j]
-                rows.append(row)
+    for a in quiver.arrows:
+        h, t = a.head, a.tail
+        parts = [(t, yl[a.name], linalg.identity_layers(xa[t], field), one, den),
+                 (h, linalg.identity_layers(ya[h], field), xl[a.name],
+                  [-c for c in one], den)]
+        rows += _block_rows(parts, blocks, total, ya[h], xa[t], field)
     return rows, total, field
 
 
 def hom_dim(x: Representation, y: Representation) -> int:
     """Dimension of the space of intertwiners from x to y."""
-    rows, total, _ = _hom_system(x, y)
-    return total - linalg.rank(rows)
+    rows, total, field = _hom_system(x, y)
+    return total - _layer_rank(rows, field)
 
 
 def _leibniz_rows(relations, quiver: Quiver, field: Field, ym, y_alpha: DimVector,
@@ -237,25 +274,20 @@ def _leibniz_rows(relations, quiver: Quiver, field: Field, ym, y_alpha: DimVecto
     arrow p it is the formal inverse of: delta(a) = -y(a) delta(p) x(a), so
     position t adds -y(a1...a_t) delta(p) x(a_t...ak).
 
-    The arrow matrices are converted to coordinates (``linalg.to_layers``)
-    once, over field joined with the relations' field; the products stay in
-    them, and the blocks of a relation are summed on integers over one
-    denominator.  A row is (its layers, its block's denominator), ready for
-    ``linalg.Echelon.insert_layers``.  Returns the rows, the number of
-    unknowns, the indices of the relations whose value at y (the sum of
-    the longest prefix products) is not zero, and the joined field.
+    The products are taken in coordinates over field joined with the
+    relations' field, and each relation's parts go to ``_block_rows``.
+    Returns the rows, the number of unknowns, the indices of the relations
+    whose value at y (the sum of the longest prefix products) is not zero,
+    and the joined field.
     """
     for r in relations:
         field = field.join(r.field)
-    offsets = {}
-    total = 0
+    blocks, total = {}, 0
     for a in primary:
-        offsets[a] = total
-        total += y_alpha[quiver.head(a)] * x_alpha[quiver.tail(a)]
-    xs = [] if xm is ym else list(xm.values())
-    mats, den = linalg.to_layers(list(ym.values()) + xs, field)
-    yl = dict(zip(ym, mats))
-    xl = yl if xm is ym else dict(zip(xm, mats[len(ym):]))
+        m, width = y_alpha[quiver.head(a)], x_alpha[quiver.tail(a)]
+        blocks[a] = (total, m, width)
+        total += m * width
+    yl, xl, den = _arrow_layers(field, ym, xm)
     d = field.degree
     rows, nonzero = [], []
     for k, r in enumerate(relations):
@@ -291,35 +323,7 @@ def _leibniz_rows(relations, quiver: Quiver, field: Field, ym, y_alpha: DimVecto
         value, _ = _weighted_sum(ends, n_rows * n_cols, field)
         if any(map(any, value)):
             nonzero.append(k)
-        size = n_rows * n_cols * total
-        acc = [[0] * size for _ in range(2 * d - 1)]
-        block_den = lcm(*[part[4] for part in parts])
-        for p, left, right, c, part_den in parts:
-            m, width = y_alpha[quiver.head(p)], x_alpha[quiver.tail(p)]
-            scale = block_den // part_den
-            left = linalg.layer_product(left, [[x * scale] for x in c], n_rows * m,
-                                        1, 1, field.phi)
-            rcols = [[y[j::n_cols] for j in range(n_cols)] if any(y) else None
-                     for y in right]
-            # entry (i, j) gains left[i][u] * right[w][j] at unknown (u, w)
-            for s, ls in enumerate(left):
-                for t, ycols in enumerate(rcols):
-                    if ycols is None:
-                        continue
-                    out = acc[s + t]
-                    for i in range(n_rows):
-                        for u in range(m):
-                            lu = ls[i * m + u]
-                            if lu:
-                                base = i * n_cols * total + offsets[p] + u * width
-                                for j, col in enumerate(ycols):
-                                    start = base + j * total
-                                    out[start:start + width] = map(
-                                        add, out[start:start + width],
-                                        [lu * y for y in col])
-        block = linalg.reduce_layers(acc, field.phi, size)
-        rows += [([x[e * total:(e + 1) * total] for x in block], block_den)
-                 for e in range(n_rows * n_cols)]
+        rows += _block_rows(parts, blocks, total, n_rows, n_cols, field)
     return rows, total, nonzero, field
 
 
@@ -332,14 +336,13 @@ def _layer_rank(rows, field: Field) -> int:
 def _cocycle_system(x: Representation, y: Representation):
     """Equations delta(r) = 0 over the primary arrow unknowns, as
     ``_leibniz_rows`` rows over the returned field."""
-    field, xm, ym = _common_matrices(x, y)
-    pres = x.presentation
-    quiver = x.quiver
+    field, pres, quiver = _common_field(x, y), x.presentation, x.quiver
     # an eliminated inverse a of p has delta(a) = -y(a) delta(p) x(a)
     substitutes = pres.eliminated_inverses()
     primary = [a.name for a in quiver.arrows if a.name not in substitutes]
-    rows, total, _, field = _leibniz_rows(pres.relations, quiver, field, ym, y.alpha,
-                                          xm, x.alpha, primary, substitutes)
+    rows, total, _, field = _leibniz_rows(pres.relations, quiver, field,
+                                          y.matrices, y.alpha, x.matrices, x.alpha,
+                                          primary, substitutes)
     return rows, total, field
 
 

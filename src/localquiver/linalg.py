@@ -10,9 +10,9 @@ therefore sound, which the tangent-space and Ext computations rely on.
 
 ``Echelon`` works on ints for every field.  A row enters elimination as its
 integer coordinates in Z[zeta]: d = field.degree int layers, with any common
-denominator dropped (``Echelon.insert_layers``).  Producers that hold
-coordinates already (the Leibniz systems, the density check) hand them over
-as they are; ``Echelon.insert`` converts values with ``integer_coordinates``.
+denominator dropped (``Echelon.insert_layers``).  The producers in extcalc
+(the Hom, cocycle and Jacobian systems, the density check) hand coordinates
+over; ``Echelon.insert`` converts values with ``integer_coordinates``.
 Kept rows are primitive integer vectors over the rationals whose span is the
 coordinate form of the span over the field (restriction of scalars); the
 reduced form is converted back once on exit.  Because reduced forms are
@@ -288,9 +288,11 @@ class Echelon:
             layers = layers + [[0] * width] * (d - len(layers))
         if not self._insert_integers(layers[0] if d == 1 else _interleave(layers)):
             return False
-        for _ in range(d - 1):  # zeta times the last: kept as well
-            layers = reduce_layers([None, *layers] + [None] * (d - 2),
-                                   field.phi, width)
+        for _ in range(d - 1):  # zeta times the last, its top folded by phi: kept
+            top = layers[-1]
+            layers = [[-field.phi[0] * y for y in top]] + [
+                [x - p * y for x, y in zip(low, top)] if p else low
+                for low, p in zip(layers, field.phi[1:])]
             self._insert_integers(_interleave(layers))
         return True
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from .extcalc import (Representation, _layer_rank, _leibniz_rows,
                       _singular_invertibles, hom_dim)
 # rank stays bound here: perfbench/spans.py traces repvariety.rank
-from .linalg import from_layers, rank  # noqa: F401
+from .linalg import rank  # noqa: F401
 from .ncalg import PathWord, Presentation
 from .quiver import DimVector, Quiver, gl_dim, rep_space_dim
 from .scalars import Field, FieldElem, accumulate, signed_sum
@@ -186,16 +186,6 @@ def rep_ideal(p: Presentation, alpha: DimVector) -> RepIdeal:
                 polys = [acc + f.scale(coeff) for acc, f in zip(polys, row)]
             gens += [((k, i, j), poly) for j, poly in enumerate(polys, 1)]
     return RepIdeal(p, alpha, gens)
-
-
-def _jacobian(point: Representation) -> list[list[FieldElem]]:
-    """The Jacobian of the rep-ideal generators of point's presentation at
-    point: rows by generator (relation, i, j), columns by variable
-    (arrow, i, j), both in ``rep_ideal`` order; wrapped in
-    :class:`FieldElem` for the test oracle."""
-    rows, total, _, field = _jacobian_system(point)
-    return [from_layers(layers, den, field, 1, total)[0]
-            for layers, den in rows]
 
 
 def _jacobian_system(point: Representation):

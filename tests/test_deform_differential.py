@@ -289,7 +289,7 @@ def coboundaries(x, y, field):
     return out
 
 
-@pytest.mark.parametrize("label", ["q", "cyclo:3"])
+@pytest.mark.parametrize("label", ["q", "cyclo:3", "q/cyclo:3"])
 @pytest.mark.parametrize("dims_x, dims_y", [
     ({"u": 2, "w": 1}, {"u": 1, "w": 2}),
     ({"u": 2, "w": 1}, {"u": 2, "w": 1}),
@@ -298,13 +298,18 @@ def coboundaries(x, y, field):
     ({"u": 1, "w": 2}, {"u": 0, "w": 0}),
 ])
 def test_hom_system_columns_are_the_coboundaries(label, dims_x, dims_y):
-    field = Field.from_label(label)
+    # "q/cyclo:3": x over the rationals, y over cyclo:3, which the system
+    # joins without coercing x's matrices first
+    x_label, _, y_label = label.partition("/")
+    x_field, field = Field.from_label(x_label), Field.from_label(y_label or x_label)
     rng = random.Random(f"{label} {dims_x} {dims_y}")
     pres = two_vertex_presentation()
     for same in (False, True):
-        x = random_rep(rng, pres, dims_x, field)
+        x = random_rep(rng, pres, dims_x, x_field)
         y = x if same and dims_x == dims_y else random_rep(rng, pres, dims_y, field)
-        rows, total, _ = extcalc._hom_system(x, y)
+        rows, total, hom_field = extcalc._hom_system(x, y)
+        rows = [linalg.from_layers(layers, den, hom_field, 1, total)[0]
+                for layers, den in rows]
         expected = coboundaries(x, y, field)
         assert total == len(expected)
         assert all(len(row) == total for row in rows)

@@ -322,16 +322,63 @@ def test_surface_loop_counts_low_genus():
         assert ext1_dim(s, s) == 2 * g
 
 
-def test_tangent_accounting_on_surface_semisimple():
-    from localquiver.repvariety import orbit_dim, tangent_space_dim
+NONZERO = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 3))
+
+
+def surface_factors(data):
+    """Pairwise distinct characters of the genus-2 surface group."""
     s2 = surface_group_presentation(2)
-    a = surface_character(s2, {"X1": 1, "Y1": 1, "X2": 1, "Y2": 1}, "a")
-    b = surface_character(s2, {"X1": 2, "Y1": 3, "X2": 5, "Y2": 7}, "b")
-    m = direct_sum(a, b)
-    result = local_quiver(SemisimpleModule([(a, 1), (b, 1)]))
-    ext_total = sum(result.ext1_matrix[i][j] for i in range(2)
-                    for j in range(2))
-    assert tangent_space_dim(s2, m) == ext_total + orbit_dim(m)
+    values = data.draw(st.lists(st.tuples(*[NONZERO] * 4), min_size=1,
+                                max_size=3, unique=True))
+    return [surface_character(s2, dict(zip(("X1", "Y1", "X2", "Y2"), v)), f"s{k}")
+            for k, v in enumerate(values)]
+
+
+def heisenberg_factors(data):
+    """The two-dimensional Heisenberg simple over cyclo:2."""
+    return [heisenberg_rho11()[1]]
+
+
+def two_vertex_factors(data):
+    """Simples of c = a*b on u <-> v with a loop c at u: the vertex simples
+    and the (1, 1) simples a = 1, b = c = mu, one for each mu != 0."""
+    q, p = _loop_through_v()
+    u, v = DimVector(q, {"u": 1, "v": 0}), DimVector(q, {"u": 0, "v": 1})
+    factors = []
+    if data.draw(st.booleans()):
+        factors.append(Representation(p, u, {"a": [[]], "b": [], "c": [["0"]]}))
+    if data.draw(st.booleans()):
+        factors.append(Representation(p, v, {"a": [], "b": [[]], "c": []}))
+    mus = data.draw(st.lists(NONZERO, min_size=0 if factors else 1, max_size=2,
+                             unique=True))
+    factors += [Representation(p, DimVector(q, {"u": 1, "v": 1}),
+                               {"a": [["1"]], "b": [[str(mu)]], "c": [[str(mu)]]})
+                for mu in mus]
+    return factors
+
+
+@pytest.mark.parametrize("factors", [surface_factors, heisenberg_factors,
+                                     two_vertex_factors],
+                         ids=["surface_q", "heisenberg_cyclo2", "two_vertices"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_slice_identity_at_semisimple_points(factors, data):
+    # near M = sum S_i^alpha_i, Rep_beta(A) is GL_beta x^GL_alpha Rep_alpha(A_M)
+    # and A_M has no linear relations, so dim T_M Rep_beta(A) =
+    # sum_ij ext1[i][j] alpha_i alpha_j + dim GL_beta - sum_i alpha_i^2
+    simples = factors(data)
+    alpha = data.draw(st.lists(st.integers(1, 3), min_size=len(simples),
+                               max_size=len(simples)).filter(
+        lambda a: sum(k * s.dim() for k, s in zip(a, simples)) <= 6))
+    copies = [s for s, k in zip(simples, alpha) for _ in range(k)]
+    m = copies[0]
+    for s in copies[1:]:
+        m = direct_sum(m, s)
+    ext1 = local_quiver(SemisimpleModule(zip(simples, alpha))).ext1_matrix
+    normal = sum(ext1[i][j] * a * b for i, a in enumerate(alpha)
+                 for j, b in enumerate(alpha))
+    assert tangent_space_dim(m.presentation, m) == \
+        normal + gl_dim(m.alpha) - sum(a * a for a in alpha)
 
 
 def test_presentation_mismatch_rejected():

@@ -9,7 +9,7 @@ from math import gcd
 
 import pytest
 
-from localquiver import extcalc, linalg, repvariety
+from localquiver import deform, extcalc, linalg, repvariety
 from localquiver.extcalc import Representation
 from localquiver.ncalg import Presentation, heisenberg_presentation
 from localquiver.quiver import DimVector, Quiver
@@ -176,7 +176,7 @@ def field_rows(system):
 def test_structured_systems_match_the_oracle():
     rho = heisenberg_simple()
     field = rho.field
-    for rows, _, _ in (extcalc._hom_system(rho, rho),
+    for rows, _, _ in (field_rows(extcalc._hom_system(rho, rho)),
                        field_rows(extcalc._cocycle_system(rho, rho))):
         assert linalg.rank(rows) == oracle.rank(rows)
         assert show(linalg.nullspace(rows, field)) == \
@@ -580,15 +580,24 @@ def test_is_simple_matches_the_field_elem_oracle():
 
 
 def test_cyclotomic_ranks_build_no_field_elem_matrices(monkeypatch):
-    # the density check, the cocycles and the Jacobian insert coordinate
-    # rows: no FieldElem product and no wrapped result on the way
+    # the density check, the Hom, cocycle and Jacobian systems and the
+    # transversality check insert coordinate rows: no FieldElem product, no
+    # wrapped result and no FieldElem row on the way
     rho = heisenberg_simple(5)
+    # the unit family inverts a FieldElem matrix (geometric_inverse)
+    fs = deform.FamilySpec.unit_pattern(rho, 2)
 
     def forbidden(*args):
-        raise AssertionError("a FieldElem matrix was built")
+        raise AssertionError("a FieldElem matrix or row was built")
 
     monkeypatch.setattr(linalg, "mat_mul", forbidden)
     monkeypatch.setattr(linalg, "from_layers", forbidden)
     assert extcalc.is_simple(rho)
     assert extcalc.cocycle_dim(rho, rho) == 26
+    # the invertibility check ranks the arrow matrices through linalg.rank
     assert repvariety.tangent_space_dim(rho.presentation, rho) == 26
+    monkeypatch.setattr(linalg, "rank", forbidden)
+    monkeypatch.setattr(linalg.Echelon, "insert", forbidden)
+    assert extcalc.hom_dim(rho, rho) == 1
+    assert extcalc.ext1_dim(rho, rho) == 2
+    fs._check_first_order_transversality()

@@ -13,7 +13,7 @@ from localquiver.extcalc import Representation, check_representation
 from localquiver.ncalg import (NCPoly, Presentation, heisenberg_presentation,
                                surface_group_presentation)
 from localquiver.quiver import DimVector, Quiver, rep_space_dim
-from localquiver.repvariety import _jacobian, rep_ideal, tangent_space_dim
+from localquiver.repvariety import _jacobian_system, rep_ideal, tangent_space_dim
 from localquiver.scalars import QQ, Field
 
 import repvariety_oracle as oracle
@@ -94,7 +94,9 @@ def assert_matches_oracle(p, m):
     assert new.to_text() == ideal.to_text()
     point = Representation(p, m.alpha, m.matrices)
     rows = oracle.jacobian_rows(ideal, m)
-    assert show(_jacobian(point)) == show(rows)
+    jacobian, total, _, field = _jacobian_system(point)
+    assert show(linalg.from_layers(layers, den, field, 1, total)[0]
+                for layers, den in jacobian) == show(rows)
     if check_representation(point):
         dim = rep_space_dim(p.quiver, m.alpha) - linalg.rank(rows)
         assert tangent_space_dim(p, m) == dim

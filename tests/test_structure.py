@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localquiver.ncalg import (NCPoly, PathWord, Superpotential,
                                cyclic_derivative, preprojective_relations)
@@ -226,30 +228,106 @@ def test_darboux_base_change_is_symplectic(seed=2024):
                     add(f"l{i}", f"l{j}", loops_m[i][j])
         rels = [r for r in rel.values() if not r.is_zero()]
 
-        qp = extract_quadratic(rels)
         verdict = preprojective_form(rels)
         assert verdict, case
-        scal = verdict.vertex_scalars
+        assert_darboux(rels, verdict)
 
-        def pairing(xp, yp):
-            total = QQ.zero()
-            for wx, cx in xp.terms.items():
-                for wy, cy in yp.terms.items():
-                    a, b = wx.arrows[0], wy.arrows[0]
-                    g = qp.g.get((a, b))
-                    if g is not None:
-                        total = total + cx * cy * scal[q.tail(a)] * g
-            return total
 
-        names = [n for pair in verdict.pairs for n in pair]
-        polys = {n: verdict.base_change[n] for n in names}
-        partner = dict(verdict.pairs)
-        partner.update({b: a for a, b in verdict.pairs})
-        for na, nb in verdict.pairs:
-            assert pairing(polys[nb], polys[na]).is_one()
-            assert (-pairing(polys[na], polys[nb])).is_one()
-        for x in names:
-            for y in names:
-                if y in (x, partner[x]):
-                    continue
-                assert pairing(polys[x], polys[y]).is_zero()
+def assert_darboux(rels, verdict):
+    """The returned base change brings the scaled pairing to exact
+    symplectic normal form: unit pairing on couples, zero elsewhere."""
+    qp = extract_quadratic(rels)
+    q, scal = qp.quiver, verdict.vertex_scalars
+
+    def pairing(xp, yp):
+        total = QQ.zero()
+        for wx, cx in xp.terms.items():
+            for wy, cy in yp.terms.items():
+                a, b = wx.arrows[0], wy.arrows[0]
+                g = qp.g.get((a, b))
+                if g is not None:
+                    total = total + cx * cy * scal[q.tail(a)] * g
+        return total
+
+    names = [n for pair in verdict.pairs for n in pair]
+    polys = {n: verdict.base_change[n] for n in names}
+    partner = dict(verdict.pairs)
+    partner.update({b: a for a, b in verdict.pairs})
+    for na, nb in verdict.pairs:
+        assert pairing(polys[nb], polys[na]).is_one()
+        assert (-pairing(polys[na], polys[nb])).is_one()
+    for x in names:
+        for y in names:
+            if y in (x, partner[x]):
+                continue
+            assert pairing(polys[x], polys[y]).is_zero()
+
+
+NONZERO = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def doubled_quivers(draw):
+    vertices = [str(k + 1) for k in range(draw(st.integers(1, 4)))]
+    ends = draw(st.lists(st.tuples(st.sampled_from(vertices),
+                                   st.sampled_from(vertices)),
+                         min_size=1, max_size=5))
+    return Quiver(vertices, [(f"a{k}", h, t) for k, (h, t) in enumerate(ends)]).double()
+
+
+@settings(max_examples=30, deadline=None)
+@given(qd=doubled_quivers(), data=st.data())
+def test_preprojective_form_round_trip_property(qd, data):
+    rels = preprojective_relations(qd)
+    verdict = preprojective_form(rels)
+    assert verdict
+    assert verdict.pairs == qd.star_pairs()
+    assert all(c.is_one() for c in verdict.vertex_scalars.values())
+    assert all(str(p) == a for a, p in verdict.base_change.items())
+    # rescaling the relation at each vertex keeps the verdict, with a
+    # symplectic base change for the rescaled pairing
+    scales = data.draw(st.lists(NONZERO, min_size=len(rels), max_size=len(rels)))
+    rescaled = [r.scale(c) for r, c in zip(rels, scales)]
+    verdict = preprojective_form(rescaled)
+    assert verdict
+    assert len(verdict.pairs) == len(qd.star_pairs())
+    assert_darboux(rescaled, verdict)
+
+
+def closed_words(q, length):
+    """The arrow words a1*...*ak with tail(a_i) = head(a_i+1) and
+    tail(ak) = head(a1)."""
+    words = [[a.name] for a in q.arrows]
+    for _ in range(length - 1):
+        words = [w + [a.name] for w in words for a in q.arrows
+                 if q.tail(w[-1]) == a.head]
+    return [tuple(w) for w in words if q.tail(w[-1]) == q.head(w[0])]
+
+
+@st.composite
+def quivers_with_cycles(draw):
+    """A cycle c1, ..., ck through k vertices plus up to two arrows."""
+    k = draw(st.integers(1, 3))
+    vertices = [str(v + 1) for v in range(k)]
+    arrows = [(f"c{v + 1}", vertices[(v + 1) % k], vertices[v]) for v in range(k)]
+    extra = draw(st.lists(st.tuples(st.sampled_from(vertices),
+                                    st.sampled_from(vertices)), max_size=2))
+    return Quiver(vertices, arrows + [(f"e{j}", h, t)
+                                      for j, (h, t) in enumerate(extra)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=quivers_with_cycles(), data=st.data())
+def test_superpotential_form_round_trip_property(q, data):
+    cycles = [w for length in (2, 3, 4) for w in closed_words(q, length)]
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(cycles),
+                                         st.integers(-3, 3).filter(bool)),
+                               min_size=1, max_size=4))
+    w = Superpotential(q)
+    for word, c in terms:
+        w.add_term(PathWord.of(q, word), c)
+    rels = {a.name: cyclic_derivative(w, a.name) for a in q.arrows}
+    verdict = superpotential_form(rels)
+    assert verdict
+    for a, r in rels.items():
+        assert cyclic_derivative(verdict.w, a) == r
