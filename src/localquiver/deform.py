@@ -13,7 +13,7 @@ geometric series.  The analytic covering hypothesis on a family cannot be
 checked symbolically; what is verified exactly is that the series start at
 the base point and that the first-order directions meet the orbit tangent
 space trivially, where the orbit tangent space is read from the coboundary
-map of ``extcalc`` (the columns of its coordinate rows at the base point).
+map of ``extcalc`` (``_coboundary_columns`` at the base point).
 Results are therefore labeled a candidate local model unless the caller
 asserts the hypotheses.
 """
@@ -225,11 +225,7 @@ class FamilySpec:
                           asserted_hypotheses)
 
     def _check_first_order_transversality(self):
-        """Exact rank check: linear directions meet coboundaries trivially.
-
-        The coboundaries are the columns of ``extcalc._hom_system`` at the
-        base point, read off its transposed layers: all its rows share one
-        denominator, which the columns may then drop."""
+        """Exact rank check: linear directions meet coboundaries trivially."""
         # flattened tangent vectors in arrow-matrix space, arrow by arrow
         directions, _ = linalg.to_layers(
             [[row for a in self.presentation.quiver.arrows
@@ -238,10 +234,10 @@ class FamilySpec:
         directions = [vec for vec in directions if any(map(any, vec))]
         if not directions:
             return  # constant family: nothing to check
-        rows, _, field = extcalc._hom_system(self.base, self.base)
+        columns, field = extcalc._coboundary_columns(self.base, self.base)
         span = linalg.Echelon()  # coboundaries: the orbit's tangent space
-        for column in zip(*[zip(*layers) for layers, _ in rows]):
-            span.insert_layers(list(map(list, zip(*column))), field)
+        for column in columns:
+            span.insert_layers(column, field)
         if not all(span.insert_layers(vec, field) for vec in directions):
             raise ValueError("family directions are not transversal to the "
                              "orbit at the base point")

@@ -190,24 +190,21 @@ def _arrow_layers(field: Field, ym, xm):
 def _block_rows(parts, blocks: dict, total: int, n_rows: int, n_cols: int,
                 field: Field) -> list:
     """The rows, one per entry (i, j) and row-major, of the n_rows x n_cols
-    block sum over parts (p, L, R, c, den) of c * L delta(p) R / den.
-
-    delta(p) is the unknown block at ``blocks[p]`` = (offset, m, width),
-    row-major among ``total`` columns; L and R are layers and c the integer
-    coordinates of a scalar.  On integers over the lcm of the dens, entry
-    (i, j) gains c * L[i][u] * R[w][j] at unknown (u, w) of p.  A row is
-    (its layers, that lcm), ready for ``linalg.Echelon.insert_layers``."""
+    block sum over parts (p, L, R, c, den) of c * L delta(p) R / den: L and
+    R are layers, c integer coordinates, and delta(p) the unknown block at
+    ``blocks[p]`` = (offset, m, width), row-major among ``total`` columns.
+    A row is (its layers, the lcm of the dens), for ``insert_layers``."""
     size = n_rows * n_cols * total
     acc = [[0] * size for _ in range(2 * field.degree - 1)]
     block_den = lcm(*[part[4] for part in parts])
     for p, left, right, c, part_den in parts:
         offset, m, width = blocks[p]
-        k = block_den // part_den  # a rational c scales L on its own
-        left = linalg.layer_product(left, [[x * k] for x in c], n_rows * m, 1, 1,
-                                    field.phi) if any(c[1:]) else \
-            [[c[0] * k * x for x in ls] for ls in left]
+        scale = block_den // part_den
+        left = linalg.layer_product(left, [[x * scale] for x in c], n_rows * m,
+                                    1, 1, field.phi)
         rcols = [(t, [y[j::n_cols] for j in range(n_cols)])
                  for t, y in enumerate(right) if any(y)]
+        # entry (i, j) gains left[i][u] * right[w][j] at unknown (u, w)
         for s, ls in enumerate(left):
             for t, ycols in rcols:
                 out = acc[s + t]
@@ -254,6 +251,15 @@ def _hom_system(x: Representation, y: Representation):
     return rows, total, field
 
 
+def _coboundary_columns(x: Representation, y: Representation):
+    """The columns of ``_hom_system(x, y)`` as layers over the returned
+    field: its rows share one denominator, so its transposed layers are the
+    columns times it, which ``Echelon.insert_layers`` drops."""
+    rows, total, field = _hom_system(x, y)
+    return [[[layers[t][j] for layers, _ in rows] for t in range(field.degree)]
+            for j in range(total)], field
+
+
 def hom_dim(x: Representation, y: Representation) -> int:
     """Dimension of the space of intertwiners from x to y."""
     rows, total, field = _hom_system(x, y)
@@ -274,11 +280,10 @@ def _leibniz_rows(relations, quiver: Quiver, field: Field, ym, y_alpha: DimVecto
     arrow p it is the formal inverse of: delta(a) = -y(a) delta(p) x(a), so
     position t adds -y(a1...a_t) delta(p) x(a_t...ak).
 
-    The products are taken in coordinates over field joined with the
-    relations' field, and each relation's parts go to ``_block_rows``.
-    Returns the rows, the number of unknowns, the indices of the relations
-    whose value at y (the sum of the longest prefix products) is not zero,
-    and the joined field.
+    Products are taken in coordinates over field joined with the relations'
+    field; each relation's parts go to ``_block_rows``.  Returns the rows,
+    the number of unknowns, the indices of the relations whose value at y
+    (the sum of the longest prefix products) is not zero, and the field.
     """
     for r in relations:
         field = field.join(r.field)

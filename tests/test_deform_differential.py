@@ -1,7 +1,8 @@
 """The series product, the inverse series and the transversality check of
 ``deform`` against the previous paths kept in ``deform_oracle``; the
-columns of ``extcalc._hom_system`` against coboundaries computed here; and
-the number of relation expansions of the CLI ``deform`` command."""
+columns of ``extcalc._hom_system`` and ``extcalc._coboundary_columns``
+against coboundaries computed here; and the number of relation expansions
+of the CLI ``deform`` command."""
 
 import itertools
 import pathlib
@@ -318,6 +319,15 @@ def test_hom_system_columns_are_the_coboundaries(label, dims_x, dims_y):
         assert len(columns) == total
         r = linalg.rank(columns)
         assert r == linalg.rank(expected) == linalg.rank(columns + expected)
+        # the transposed layers are the columns times the rows' one denominator
+        layer_columns, col_field = extcalc._coboundary_columns(x, y)
+        assert col_field == hom_field and len(layer_columns) == total
+        dens = {den for _, den in extcalc._hom_system(x, y)[0]}
+        assert len(dens) <= 1
+        scale = hom_field.from_rational(dens.pop() if dens else 1)
+        assert [linalg.from_layers(layers, 1, hom_field, 1, len(rows))[0]
+                for layers in layer_columns] == \
+            [[v * scale for v in col] for col in columns]
 
 
 def test_cli_deform_expands_each_relation_once(monkeypatch, capsys):
