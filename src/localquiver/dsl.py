@@ -44,6 +44,7 @@ class ParseError(ValueError):
         self.col = col
 
 
+# a character no other group takes is a token of its own, reported as bad
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<comment>#[^\n]*)"
@@ -51,10 +52,12 @@ _TOKEN = re.compile(
     r"|(?P<id>[A-Za-z_][A-Za-z0-9_]*'*)"
     r"|(?P<int>\d+)"
     r"|(?P<sym>[{}\[\]():;,=^*+\-/])"
+    r"|(?P<bad>.)",
+    re.S,
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str  # "id" | "int" | "sym" | "eof"
     text: str
@@ -63,28 +66,25 @@ class Token:
 
 
 def tokenize(source: str) -> list[Token]:
+    """The tokens of source, each with its 1-based line and column, then an
+    "eof" token; a character outside the language is a ParseError there."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
-        text = m.group(0)
+    line, line_start = 1, 0  # line_start: the offset of the line's first char
+    for m in _TOKEN.finditer(source):
         kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            if kind == "arrowsym":
-                tokens.append(Token("sym", "->", line, col))
-            else:
-                tokens.append(Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind == "ws":
+            text = m.group()
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + text.rfind("\n") + 1
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}",
+                             line, m.start() - line_start + 1)
+        elif kind != "comment":
+            tokens.append(Token("sym" if kind == "arrowsym" else kind,
+                                m.group(), line, m.start() - line_start + 1))
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -185,7 +185,6 @@ class Parser:
         self.tokens = tokens
         self.pos = 0
         self.field = field
-        self.entries = LiteralGrammar(self, field)  # matrix entries
 
     # ---- token plumbing -------------------------------------------------
     def peek(self) -> Token:
@@ -441,7 +440,9 @@ class Parser:
 
     def parse_row(self) -> list:
         """``[entry, ...]``; ``[]`` is a row with no entries."""
-        return self._bracketed(self.entries.sum)
+        # a grammar per row: kept on the parser it would form a reference
+        # cycle, and every parse would wait for the cycle collector
+        return self._bracketed(LiteralGrammar(self, self.field).sum)
 
     def _bracketed(self, item) -> list:
         """A bracketed, comma-separated and possibly empty list of items."""

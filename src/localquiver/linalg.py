@@ -3,9 +3,10 @@
 Matrices are plain lists of lists of :class:`FieldElem`.  All elimination
 goes through one exact kernel, :class:`Echelon`, which takes rows one at a
 time and reports whether each was independent of those before it.  ``rank``
-is its forward elimination; ``nullspace``, ``solve`` (on ``[A | b | I]``, so
-that an inconsistent system yields a certificate) and ``invert`` read the
-reduced row echelon form, which is unique.  Ranks and nullspaces are
+is its forward elimination; ``nullspace``, ``solve`` and ``invert`` read the
+reduced row echelon form, which is unique.  ``solve`` eliminates ``[A | b]``
+and builds ``[A | b | I]`` only for an inconsistent system, whose
+certificate is read off the identity block.  Ranks and nullspaces are
 therefore sound, which the tangent-space and Ext computations rely on.
 
 ``Echelon`` works on ints for every field.  A row enters elimination as its
@@ -310,6 +311,21 @@ class Echelon:
         self._leads.append(lead)
         return True
 
+    def nullspace(self, cols: int, field: Field) -> list[list[FieldElem]]:
+        """A basis of {v : row v = 0 for every kept row}, vectors of length
+        cols (the width, or anything for an empty echelon) over field: one
+        vector per free column f, 1 at f and zero at the other free columns."""
+        rows, pivots = self.reduced()
+        basis = []
+        zero, one = field.zero(), field.one()
+        for f in sorted(set(range(cols)) - set(pivots)):
+            vec = [zero] * cols
+            vec[f] = one
+            for row, p in zip(rows, pivots):
+                vec[p] = -row[f]
+            basis.append(vec)
+        return basis
+
     def reduced(self) -> tuple[list[list[FieldElem]], list[int]]:
         """Back-substitute in place to the reduced row echelon form of the
         kept rows; return its rows over the field and their pivot columns."""
@@ -337,36 +353,31 @@ def rank(mat) -> int:
 
 def nullspace(mat, field: Field) -> list[list[FieldElem]]:
     """A basis of the right nullspace {v : mat v = 0}."""
-    cols = mat_shape(mat)[1]
-    rows, pivots = Echelon(mat).reduced()
-    basis = []
-    zero, one = field.zero(), field.one()
-    for f in sorted(set(range(cols)) - set(pivots)):
-        vec = [zero] * cols
-        vec[f] = one
-        for row, p in zip(rows, pivots):
-            vec[p] = -row[f]
-        basis.append(vec)
-    return basis
+    return Echelon(mat).nullspace(mat_shape(mat)[1], field)
 
 
 def solve(mat, rhs, field: Field):
     """One exact solution of mat x = rhs, or (None, certificate).
 
-    On success returns ``(x, None)`` with free variables set to zero.  On an
-    inconsistent system returns ``(None, y)`` where y is a row functional
+    On success returns ``(x, None)`` with free variables set to zero, read
+    off the reduced form of ``[mat | rhs]``.  On an inconsistent system (the
+    rhs column is a pivot) returns ``(None, y)`` where y is a row functional
     with y*mat = 0 but y*rhs != 0: the identity block of the reduced row of
-    ``[mat | rhs | I]`` whose lead is the rhs column.
+    ``[mat | rhs | I]`` whose lead is the rhs column.  The rows of that form
+    with leads below the rhs column, cut to ``[mat | rhs]``, are the reduced
+    form of ``[mat | rhs]``, so only the certificate needs the identity.
     """
     rows, cols = mat_shape(mat)
-    ident = identity_matrix(field, rows)
-    ech = Echelon(mat[i] + [rhs[i]] + ident[i] for i in range(rows))
+    reduced, pivots = Echelon(mat[i] + [rhs[i]] for i in range(rows)).reduced()
+    if pivots and pivots[-1] == cols:
+        ident = identity_matrix(field, rows)
+        ech = Echelon(mat[i] + [rhs[i]] + ident[i] for i in range(rows))
+        for row, p in zip(*ech.reduced()):
+            if p == cols:
+                return None, row[cols + 1:]
     x = [field.zero()] * cols
-    for row, p in zip(*ech.reduced()):
-        if p == cols:
-            return None, row[cols + 1:]
-        if p < cols:
-            x[p] = row[cols]
+    for row, p in zip(reduced, pivots):
+        x[p] = row[cols]
     return x, None
 
 

@@ -145,7 +145,7 @@ class NCPoly:
 
     @staticmethod
     def arrow(quiver: Quiver, name: str, field: Field = QQ) -> "NCPoly":
-        return NCPoly.word(quiver, [name], field)
+        return NCPoly.word(quiver, [name], field, field.one())
 
     # ---- ring structure -----------------------------------------------
     def _require_compatible(self, other: "NCPoly") -> Field:

@@ -10,6 +10,12 @@ takes values to their integer coordinates in Z[zeta] over one common
 denominator, the one entry of fraction-free loops (elimination, products,
 completion); ``integer_values`` groups them into ints or :class:`CycloInt`.
 
+A :class:`FieldElem` never changes after it is built, so values are shared
+freely: each field hands out one zero and one one (``Field.zero`` and
+``Field.one``), and ``from_rational`` keeps a given ``Fraction`` as it is.
+Over a field of degree 1 (the rationals, cyclo:1 and cyclo:2) arithmetic
+works on the single coefficient.
+
 Mixing two cyclotomic fields of different order is rejected.  Rationals embed
 into any cyclotomic field and are coerced silently; ``Field.join`` names the
 field a mix lands in, and ``Field.from_label`` turns a tag (``q`` or
@@ -31,7 +37,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 from typing import Iterable
 
 
@@ -82,16 +88,18 @@ def _cyclo_product(a: tuple, b: tuple, phi: tuple[int, ...]) -> tuple:
 class Field:
     """The rationals (``order=None``) or the cyclotomic field of given order."""
 
-    __slots__ = ("order", "degree", "phi")
+    __slots__ = ("order", "degree", "phi", "_zero", "_one")
 
     def __init__(self, order: int | None = None):
         self.order = order
         # the cyclotomic polynomial below its top coefficient
         self.phi = None if order is None else cyclotomic_polynomial(order)[:-1]
         self.degree = 1 if order is None else len(self.phi)
+        # built on first use: QQ is made before FieldElem exists
+        self._zero = self._one = None
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.order == other.order
+        return self is other or isinstance(other, Field) and self.order == other.order
 
     def __hash__(self):
         return hash(("Field", self.order))
@@ -141,17 +149,27 @@ class Field:
             )
         if isinstance(value, str):
             return parse_scalar(value, self)
-        return self.from_rational(Fraction(value))
+        return self.from_rational(value)
 
     def from_rational(self, q) -> FieldElem:
-        q = Fraction(q)
-        return FieldElem(self, (q,) + (Fraction(0),) * (self.degree - 1))
+        """The rational q (an int, or a Fraction kept as it is) in this field."""
+        if type(q) is not Fraction:
+            q = Fraction(q)
+        if self.degree == 1:
+            return FieldElem(self, (q,))
+        return FieldElem(self, (q,) + self.zero().coeffs[1:])
 
     def zero(self) -> FieldElem:
-        return self.from_rational(0)
+        """The zero of the field, one instance for every caller."""
+        if self._zero is None:
+            self._zero = FieldElem(self, (Fraction(0),) * self.degree)
+        return self._zero
 
     def one(self) -> FieldElem:
-        return self.from_rational(1)
+        """The one of the field, one instance for every caller."""
+        if self._one is None:
+            self._one = FieldElem(self, (Fraction(1),) + self.zero().coeffs[1:])
+        return self._one
 
     def zeta(self, power: int = 1) -> FieldElem:
         """zeta^power, reduced; only available on cyclotomic fields."""
@@ -218,6 +236,8 @@ class FieldElem:
         return self.coeffs[0] == 1 and not any(self.coeffs[1:])
 
     def _pair(self, other) -> tuple[FieldElem, FieldElem]:
+        if type(other) is FieldElem and other.field is self.field:
+            return self, other
         if isinstance(other, (int, Fraction)):
             other = self.field.from_rational(other)
         if not isinstance(other, FieldElem):
@@ -229,23 +249,29 @@ class FieldElem:
 
     def __add__(self, other):
         a, b = self._pair(other)
-        return FieldElem(a.field, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if a.field.degree == 1:
+            return FieldElem(a.field, (a.coeffs[0] + b.coeffs[0],))
+        return FieldElem(a.field, tuple(map(add, a.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         a, b = self._pair(other)
-        return FieldElem(a.field, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        if a.field.degree == 1:
+            return FieldElem(a.field, (a.coeffs[0] - b.coeffs[0],))
+        return FieldElem(a.field, tuple(map(sub, a.coeffs, b.coeffs)))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
+        if self.field.degree == 1:
+            return FieldElem(self.field, (-self.coeffs[0],))
         return FieldElem(self.field, tuple(-x for x in self.coeffs))
 
     def __mul__(self, other):
         a, b = self._pair(other)
-        if a.field.is_rational:
+        if a.field.degree == 1:
             return FieldElem(a.field, (a.coeffs[0] * b.coeffs[0],))
         return FieldElem(a.field, _cyclo_product(a.coeffs, b.coeffs, a.field.phi))
 
@@ -278,9 +304,7 @@ class FieldElem:
         return self.inverse() * other
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
-        if not isinstance(other, FieldElem):
+        if not isinstance(other, (FieldElem, int, Fraction)):
             return NotImplemented
         try:
             a, b = self._pair(other)

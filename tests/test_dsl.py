@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -152,6 +153,20 @@ rep s of A { dim: u = 2, v = 0; a = [[], []]; b = []; c = [[0, 0], [0, 0]];
 ext1 r r;
 ext1 r s;
 """
+
+
+def test_parse_leaves_no_reference_cycles():
+    # the parser keeps no grammar that points back at it, so a session's
+    # tokens and parser are freed when parse returns, not by the collector
+    for source in (SMALL_SESSION, ZERO_VERTEX_SESSION):
+        parse(source)
+        gc.collect()
+        gc.disable()
+        try:
+            parse(source)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_zero_size_matrices_round_trip():

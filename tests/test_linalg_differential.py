@@ -121,6 +121,27 @@ def test_solve_matches_the_oracle(field):
     assert inconsistent > 10  # the certificate path is exercised
 
 
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=str)
+def test_consistent_solve_builds_no_identity_block(field, monkeypatch):
+    # [A | b | I] is built only for the certificate of an inconsistent system
+    rng = random.Random(200)
+    cases = []
+    for seed in range(3):
+        for m in matrices(seed, field):
+            if m and m[0]:
+                v = [entry(rng, field) for _ in m[0]]
+                rhs = [sum((a * b for a, b in zip(row, v)), field.zero()) for row in m]
+                cases.append((m, rhs, oracle.solve(m, rhs, field)))
+
+    def forbidden(*args):
+        raise AssertionError("an identity block was built")
+
+    monkeypatch.setattr(linalg, "identity_matrix", forbidden)
+    for m, rhs, want in cases:
+        assert want[0] is not None
+        assert show(linalg.solve(m, rhs, field)) == show(want)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_invert_matches_the_oracle(field):
     singular = 0

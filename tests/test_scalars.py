@@ -27,6 +27,27 @@ def test_rational_arithmetic():
     assert a.coeffs == (Fraction(3, 2),)
 
 
+@pytest.mark.parametrize("field", [QQ, Field(2), Field(5)], ids=str)
+def test_zero_and_one_are_shared_and_never_change(field):
+    zero, one = field.zero(), field.one()
+    assert zero is field.zero() and one is field.one()
+    x = field.elem("3/2") if field.degree == 1 else field.elem("3/2 - zeta^2")
+    results = [zero + x, x + zero, zero - x, x - one, -zero, -one, zero * x,
+               one * x, x * one, one / x, one + one, zero + 1, 1 - one,
+               one * Fraction(1, 3), one.inverse(), zero == x]
+    acc = zero
+    acc += one
+    acc *= x
+    acc -= one
+    assert zero.field is field and zero.coeffs == (Fraction(0),) * field.degree
+    assert one.field is field and one.coeffs == (Fraction(1),) + zero.coeffs[1:]
+    assert acc == x - 1 and results[0] == x and results[6].is_zero()
+    # a given Fraction is kept as it is, with zeros up to the degree
+    q = Fraction(3, 7)
+    assert field.from_rational(q).coeffs[0] is q and field.elem(q).coeffs[0] is q
+    assert len(field.from_rational(q).coeffs) == field.degree
+
+
 def test_cyclotomic_reduction_and_inverse():
     f4 = Field(4)
     i = f4.zeta()
