@@ -4,15 +4,18 @@ A representation assigns an exact matrix to every arrow of a presentation's
 quiver.  Hom is the kernel of the coboundary map, and Ext^1 the arrow
 cocycles (Leibniz rule) modulo its image.  Both systems, like repvariety's
 Jacobian, are one block assembly on integer coordinates (``_block_rows``)
-ranked by ``linalg.Echelon.insert_layers``.  Formal inverses of invertible
-arrows are eliminated from the cocycle unknowns by their unit relations.
+ranked by ``_layer_rank``: over the rationals by ``linalg.certified_rank``
+first, by ``linalg.Echelon.insert_layers`` otherwise.  Formal inverses of
+invertible arrows are eliminated from the cocycle unknowns by their unit
+relations.
 
 Simplicity is certified by a density argument: a representation of total
 dimension n is simple exactly when the matrices of all paths span the full
-n-by-n matrix algebra.  This check is deterministic and exact, and together
-with vanishing Hom spaces it certifies the factor list of a semisimple
-module, from which ``local_quiver`` builds the Ext matrix, the quiver and
-the multiplicity vector.
+n-by-n matrix algebra.  Over the rationals the check runs mod p first,
+which can only certify "simple"; it is deterministic and exact, and
+together with vanishing Hom spaces it certifies the factor list of a
+semisimple module, from which ``local_quiver`` builds the Ext matrix, the
+quiver and the multiplicity vector.
 """
 
 from __future__ import annotations
@@ -333,7 +336,18 @@ def _leibniz_rows(relations, quiver: Quiver, field: Field, ym, y_alpha: DimVecto
 
 
 def _layer_rank(rows, field: Field) -> int:
-    """The rank of ``_leibniz_rows`` rows over field."""
+    """The rank of ``_leibniz_rows`` rows over field.
+
+    Over the rationals the integer rows go to ``linalg.certified_rank``
+    first: its rank mod p comes with an exact certificate (or is already
+    the largest possible), so it is the rank.  When it returns None, and
+    over every cyclotomic field, ``Echelon.insert_layers`` ranks the rows.
+    """
+    if field.degree == 1:
+        width = len(rows[0][0][0]) if rows else 0
+        rank = linalg.certified_rank((layers[0] for layers, _ in rows), width)
+        if rank is not None:
+            return rank
     span = linalg.Echelon()
     return sum(span.insert_layers(layers, field) for layers, _ in rows)
 
@@ -377,6 +391,13 @@ def is_simple(rep: Representation) -> bool:
     are converted to coordinates once (``linalg.to_layers``); path products
     are taken on them (``linalg.layer_product``) and enter the ``Echelon``
     as their layers, the common denominator dropped, over every field.
+
+    Over the rationals the same breadth-first closure runs mod p first, on
+    the integer arrow matrices and the idempotents reduced mod p, through
+    ``linalg.ModEchelon``.  If it reaches n^2, the integer path matrices
+    behind its rows are independent over the rationals (a minor nonzero mod
+    p is nonzero), so the rep is simple.  That certificate is one-sided:
+    otherwise the exact closure reruns, so "not simple" is always exact.
     """
     n = rep.dim()
     if n == 0:
@@ -398,12 +419,30 @@ def is_simple(rep: Representation) -> bool:
                    v, v) for v in quiver.vertices if alpha[v]]
     layers, _ = linalg.to_layers(mats, field)
     arrows = layers[:len(quiver.arrows)]
+    if field.degree == 1 and _dense_mod_p(
+            [linalg.residues(a[0]) for a in arrows],
+            [[x for row in m for x in row] for m in mats[len(arrows):]], n):
+        return True
     span = linalg.Echelon()  # flattened path matrices, row-reduced
     frontier = [m for m in layers[len(arrows):] if span.insert_layers(m, field)]
     while frontier and len(span) < n * n:
         prods = (linalg.layer_product(a, m, n, n, n, field.phi)
                  for m in frontier for a in arrows)
         frontier = [m for m in prods if span.insert_layers(m, field)]
+    return len(span) == n * n
+
+
+def _dense_mod_p(arrows: list[list[int]], idempotents: list[list[int]],
+                 n: int) -> bool:
+    """Whether the path matrices, the idempotents times products of the
+    arrow matrices (flat n x n int lists), span all n x n matrices mod p:
+    the closure of ``is_simple`` on residues, each product reduced mod p."""
+    span = linalg.ModEchelon()
+    frontier = [m for m in idempotents if span.insert(m)]
+    while frontier and len(span) < n * n:
+        prods = (linalg.residues(linalg.layer_product([a], [m], n, n, n, None)[0])
+                 for m in frontier for a in arrows)
+        frontier = [m for m in prods if span.insert(m)]
     return len(span) == n * n
 
 

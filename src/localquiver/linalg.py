@@ -1,13 +1,15 @@
 """Exact dense linear algebra over a :class:`~localquiver.scalars.Field`.
 
-Matrices are plain lists of lists of :class:`FieldElem`.  All elimination
-goes through one exact kernel, :class:`Echelon`, which takes rows one at a
-time and reports whether each was independent of those before it.  ``rank``
-is its forward elimination; ``nullspace``, ``solve`` and ``invert`` read the
-reduced row echelon form, which is unique.  ``solve`` eliminates ``[A | b]``
-and builds ``[A | b | I]`` only for an inconsistent system, whose
-certificate is read off the identity block.  Ranks and nullspaces are
-therefore sound, which the tangent-space and Ext computations rely on.
+Matrices are plain lists of lists of :class:`FieldElem`.  The ranks of the
+Hom, cocycle and Jacobian systems over the rationals are certified mod p
+first (``certified_rank``); :class:`Echelon` is the exact kernel and the
+fallback.  It takes rows one at a time and reports whether each was
+independent of those before it.  ``rank`` is its forward elimination;
+``nullspace``, ``solve`` and ``invert`` read the reduced row echelon form,
+which is unique.  ``solve`` eliminates ``[A | b]`` and builds
+``[A | b | I]`` only for an inconsistent system, whose certificate is read
+off the identity block.  Ranks and nullspaces are therefore sound, which
+the tangent-space and Ext computations rely on.
 
 ``Echelon`` works on ints for every field.  A row enters elimination as its
 integer coordinates in Z[zeta]: d = field.degree int layers, with any common
@@ -29,12 +31,19 @@ the rationals d = 1 and it is one integer product.  ``mat_mul`` converts
 both operands, multiplies and wraps the result once (``from_layers``);
 callers that chain products (path, Leibniz, density and series assembly)
 convert their operands once and stay in layers until the end.
+
+The modular kernel is :class:`ModEchelon`, the same elimination on
+residues mod one fixed prime p (Dumas, Giorgi and Pernet, ACM TOMS 35,
+2008).  ``certified_rank`` takes integer rows to it and returns their rank
+over the rationals only with a certificate, None otherwise, and then the
+caller ranks them with ``Echelon``; ``extcalc.is_simple`` runs its density
+closure through it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add, mul
 
 from .scalars import QQ, Field, FieldElem, integer_coordinates
@@ -391,3 +400,106 @@ def invert(mat, field: Field):
     if any(p >= n for p in ech.leads):
         return None
     return [row[n:] for row in ech.reduced()[0]]
+
+
+# The largest prime below 2^30: the product of two residues is a small int.
+_P = 1073741789
+# Wang's bound: a fraction a/b with |a|, b <= _BOUND is determined by a/b mod p.
+_BOUND = isqrt(_P // 2)
+
+
+def residues(ints) -> list[int]:
+    """The ints reduced mod the prime of :class:`ModEchelon`."""
+    return [x % _P for x in ints]
+
+
+class ModEchelon:
+    """Rows of residues mod p in echelon form; the one modular elimination
+    of the package, behind ``certified_rank`` and the density check.
+
+    A kept row is stored from its lead on, monic there and zero at the
+    leads of the rows kept before it.  A new row is reduced against each
+    kept row whose lead it does not vanish at, from that lead onward; the
+    entries are reduced mod p only where a lead is read and once at the
+    end.  All rows must have one length.
+    """
+
+    __slots__ = ("tails", "leads")
+
+    def __init__(self):
+        self.tails: list[list[int]] = []
+        self.leads: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.leads)
+
+    def insert(self, ints) -> bool:
+        """Reduce the ints mod p against the kept rows; keep the result if
+        it is not zero."""
+        vec = residues(ints)
+        for lead, tail in zip(self.leads, self.tails):
+            c = vec[lead] % _P
+            if c:
+                vec[lead:] = [x - c * y for x, y in zip(vec[lead:], tail)]
+        vec = residues(vec)
+        lead = next((k for k, x in enumerate(vec) if x), None)
+        if lead is None:
+            return False
+        inv = pow(vec[lead], -1, _P)
+        self.tails.append([x * inv % _P for x in vec[lead:]])
+        self.leads.append(lead)
+        return True
+
+    def kernel_vector(self, free: int, width: int) -> list[int]:
+        """The vector mod p of length width that every kept row annihilates,
+        1 at the free column ``free`` and 0 at the other non-pivot columns:
+        back-substitution in decreasing lead order."""
+        vec = [0] * width
+        vec[free] = 1
+        for lead, tail in sorted(zip(self.leads, self.tails), reverse=True):
+            vec[lead] = -sum(map(mul, tail[1:], vec[lead + 1:])) % _P
+        return vec
+
+
+def _rational(u: int) -> tuple[int, int] | None:
+    """(a, b) with a = b*u mod p, |a| and 0 < b at most ``_BOUND`` and a, b
+    coprime, or None: the extended Euclidean algorithm on (p, u), stopped
+    at the first remainder within the bound."""
+    r0, r1, t0, t1 = _P, u, 0, 1
+    while r1 > _BOUND:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > _BOUND or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def certified_rank(rows, width: int) -> int | None:
+    """The rank over the rationals of integer rows of length width, or None.
+
+    The rank r_p mod p is a lower bound, since a minor that is nonzero mod
+    p is nonzero.  It is the rank when it equals min(len(rows), width).
+    Otherwise each kernel vector mod p (one per free column) is
+    rational-reconstructed within Wang's bound (Monagan, ISSAC 2004), its
+    denominators cleared, and checked on the integer rows: when all pass,
+    they are width - r_p independent kernel vectors over the rationals, so
+    the rank is r_p.  None means a reconstruction or a check failed.
+    """
+    rows = list(rows)
+    span = ModEchelon()
+    for row in rows:
+        span.insert(row)
+    if len(span) == min(len(rows), width):
+        return len(span)
+    pivots = set(span.leads)
+    for free in range(width):
+        if free in pivots:
+            continue
+        fracs = [_rational(u) for u in span.kernel_vector(free, width)]
+        if None in fracs:
+            return None
+        den = lcm(*[b for _, b in fracs])
+        vec = [a * (den // b) for a, b in fracs]
+        if any(sum(map(mul, row, vec)) for row in rows):
+            return None
+    return len(span)

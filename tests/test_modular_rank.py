@@ -1,0 +1,263 @@
+"""The modular rank ``linalg.certified_rank`` and the density check mod p
+of ``extcalc.is_simple`` against the exact kernel ``linalg.Echelon`` and
+the field-arithmetic density check of ``linalg_oracle``.
+
+Over the rationals the Hom, cocycle and Jacobian ranks and the density
+check are tried mod p first.  A modular answer is taken only with its
+certificate; otherwise ``Echelon`` decides.  These tests pin both halves:
+the modular answer agrees with ``Echelon`` wherever it is given, and the
+fallback is reached (and right) where the certificate fails.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from localquiver import extcalc, linalg
+from localquiver.extcalc import (Representation, ext1_dim, hom_dim,
+                                 is_simple)
+from localquiver.ncalg import Presentation
+from localquiver.quiver import DimVector, Quiver
+from localquiver.scalars import QQ
+
+import linalg_oracle as oracle
+from test_acceptance import _spans_matrix_algebra_mod_p
+
+P = linalg._P
+
+
+def exact_rank(rows) -> int:
+    return len(linalg.Echelon(rows))
+
+
+def layer_rows(rows):
+    """rows as ``_leibniz_rows`` rows over the rationals."""
+    return [([list(row)], 1) for row in rows]
+
+
+def check_rank(rows, width):
+    """certified_rank is None or the exact rank; _layer_rank is the exact
+    rank either way.  Returns certified_rank's answer."""
+    expected = exact_rank(rows)
+    got = linalg.certified_rank(rows, width)
+    assert got in (None, expected)
+    assert extcalc._layer_rank(layer_rows(rows), QQ) == expected
+    return got
+
+
+def two_loops(field=QQ):
+    q = Quiver(["v"], [("X", "v", "v"), ("Y", "v", "v")])
+    return Presentation(q, [], flavor="graded", field=field)
+
+
+def rep_of(mats, name=""):
+    pres = two_loops()
+    n = len(mats["X"])
+    return Representation(pres, DimVector(pres.quiver, {"v": n}), mats, name=name)
+
+
+def free_simple_matrices(n, seed):
+    """Random integer loops X, Y on Q^n whose rep of the free algebra is
+    certified absolutely simple by the acceptance suite's own mod-p
+    closure."""
+    rng = random.Random(seed)
+    while True:
+        mats = {a: [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
+                for a in ("X", "Y")}
+        if _spans_matrix_algebra_mod_p(list(mats.values())):
+            return mats
+
+
+def free_simple(n, seed):
+    return rep_of(free_simple_matrices(n, seed))
+
+
+def p_identity_plus_rank_one(k):
+    """p*I + u v^T: rank 1 mod p, rank k over the rationals."""
+    u, v = list(range(1, k + 1)), [(-1) ** j * (j + 2) for j in range(k)]
+    return [[P * (i == j) + u[i] * v[j] for j in range(k)] for i in range(k)]
+
+
+def test_empty_and_zero_width_systems():
+    assert linalg.certified_rank([], 0) == 0
+    assert linalg.certified_rank([], 5) == 0
+    assert linalg.certified_rank([[], [], []], 0) == 0
+    assert extcalc._layer_rank([], QQ) == 0
+    assert extcalc._layer_rank(layer_rows([[], []]), QQ) == 0
+
+
+def test_zero_rows():
+    assert check_rank([[0] * 4] * 3, 4) == 0
+    assert check_rank([[0, 0, 0], [1, 2, 3], [0, 0, 0], [2, 4, 6]], 3) == 1
+
+
+def test_entries_divisible_by_p():
+    # zero mod p but not over the rationals: no certificate, Echelon decides
+    assert check_rank([[P, 2 * P], [3 * P, P * P]], 2) is None
+    assert check_rank([[P, 0, 1], [0, P, 1]], 3) is None
+    assert check_rank([[P, 1, 0], [1, 0, 0]], 3) == 2
+    assert check_rank([[P, 1, 0], [2 * P, 2, 0], [0, 0, 5 * P]], 3) is None
+    # a multiple of p that is a genuine dependency certifies
+    assert check_rank([[1, 2, 3], [P, 2 * P, 3 * P]], 3) == 1
+
+
+def test_p_identity_plus_rank_one_falls_back():
+    for k in (2, 3, 5):
+        rows = p_identity_plus_rank_one(k)
+        assert linalg.certified_rank(rows, k) is None
+        assert extcalc._layer_rank(layer_rows(rows), QQ) == k == exact_rank(rows)
+
+
+def test_kernel_past_the_reconstruction_bound():
+    bound = linalg._BOUND
+    assert bound == 23170
+    for big in (bound + 1, 30000, 10 ** 6):
+        # the kernel is spanned by (big, 1), past the bound: no certificate
+        rows = [[1, -big], [3, -3 * big]]
+        assert linalg.certified_rank(rows, 2) is None
+        assert extcalc._layer_rank(layer_rows(rows), QQ) == 1
+        # and by (1, big) / (big, 1) as a fraction: the same
+        rows = [[big, -1], [2 * big, -2]]
+        assert check_rank(rows, 2) is None
+    # within the bound the kernel vector certifies
+    assert check_rank([[1, -bound], [3, -3 * bound]], 2) == 1
+    assert check_rank([[bound, 7, 0], [0, 0, 0]], 3) == 1
+
+
+def test_rational_reconstruction_round_trips_within_the_bound():
+    bound, rng = linalg._BOUND, random.Random(3)
+    for _ in range(300):
+        b = rng.randrange(1, bound + 1)
+        a = rng.randrange(-bound, bound + 1)
+        if Fraction(a, b).denominator != b:
+            continue
+        assert linalg._rational(a * pow(b, -1, P) % P) == (a, b)
+    assert linalg._rational(0) == (0, 1)
+    assert linalg._rational(P - 1) == (-1, 1)
+    assert linalg._rational(bound + 1) is None
+
+
+def test_kernel_vectors_mod_p_annihilate_the_rows():
+    rng = random.Random(5)
+    for _ in range(20):
+        width = rng.randrange(2, 8)
+        rows = [[rng.randrange(-5, 6) for _ in range(width)]
+                for _ in range(rng.randrange(1, width))]
+        span = linalg.ModEchelon()
+        for row in rows:
+            span.insert(row)
+        for free in set(range(width)) - set(span.leads):
+            vec = span.kernel_vector(free, width)
+            assert vec[free] == 1
+            assert all(vec[g] == 0 for g in set(range(width)) - set(span.leads) - {free})
+            assert all(sum(x * y for x, y in zip(row, vec)) % P == 0 for row in rows)
+
+
+@st.composite
+def planted_rank(draw):
+    m = draw(st.integers(0, 7))
+    n = draw(st.integers(0, 7))
+    r = draw(st.integers(0, min(m, n)))
+    scale = draw(st.sampled_from([1, 1, 1, P, 10 ** 5]))
+    entry = st.integers(-4, 4).map(lambda x: x * scale if x % 3 == 0 else x)
+    left = draw(st.lists(st.lists(entry, min_size=r, max_size=r),
+                         min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                          min_size=r, max_size=r))
+    rows = [[sum(left[i][k] * right[k][j] for k in range(r)) for j in range(n)]
+            for i in range(m)]
+    return rows, n, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_rank())
+def test_certified_rank_matches_echelon_on_planted_ranks(case):
+    rows, width, r = case
+    got = check_rank(rows, width)
+    assert exact_rank(rows) <= r
+    if got is not None:
+        assert got <= r
+
+
+def test_hom_and_ext_with_denominator_p():
+    mats = free_simple_matrices(3, 1)
+    base = rep_of(mats)
+    scaled = rep_of({a: [[Fraction(x, P) for x in row] for row in m]
+                     for a, m in mats.items()})
+    for x, y in ((scaled, scaled), (scaled, base), (base, scaled)):
+        rows, total, field = extcalc._hom_system(x, y)
+        expected = exact_rank([layers[0] for layers, _ in rows])
+        assert extcalc._layer_rank(rows, field) == expected
+        assert hom_dim(x, y) == total - expected
+    assert hom_dim(scaled, scaled) == 1
+    assert hom_dim(scaled, base) == 0
+    assert ext1_dim(scaled, scaled) == 10
+    assert is_simple(scaled) is oracle.is_simple(scaled) is True
+
+
+def upper_block_triangular(rng, n, k):
+    """Two random n x n integer loops with a zero lower-left (n-k) x k
+    block: the first k coordinates span a subrepresentation."""
+    return {a: [[0 if i >= k and j < k else rng.randrange(-3, 4)
+                 for j in range(n)] for i in range(n)] for a in ("X", "Y")}
+
+
+def test_is_simple_on_block_triangular_reps_matches_the_oracle():
+    rng = random.Random(11)
+    for n, k in ((2, 1), (3, 1), (3, 2), (4, 2), (5, 3)):
+        rep = rep_of(upper_block_triangular(rng, n, k))
+        assert is_simple(rep) is oracle.is_simple(rep) is False
+    for n in (2, 3, 4):
+        rep = free_simple(n, n)
+        assert is_simple(rep) is oracle.is_simple(rep) is True
+
+
+def not_dense_mod_p():
+    """Simple over the rationals, but Y vanishes mod p, so the reduced
+    matrices span only I and X mod p."""
+    return rep_of({"X": [[0, 1], [0, 0]], "Y": [[0, 0], [P, 0]]})
+
+
+def test_simple_rep_not_dense_mod_p_reruns_exactly():
+    rep = not_dense_mod_p()
+    assert is_simple(rep) is oracle.is_simple(rep) is True
+    # the same over the denominator p: p*X vanishes mod p instead
+    rep = rep_of({"X": [[0, Fraction(1, P)], [0, 0]], "Y": [[0, 0], [1, 0]]})
+    assert is_simple(rep) is oracle.is_simple(rep) is True
+
+
+def test_ext_q_ranks_never_reach_echelon(monkeypatch):
+    rep = free_simple(5, 5)
+
+    def refuse(*args):
+        raise AssertionError("Echelon.insert_layers reached")
+
+    monkeypatch.setattr(linalg.Echelon, "insert_layers", refuse)
+    assert hom_dim(rep, rep) == 1
+    assert ext1_dim(rep, rep) == 26
+    assert is_simple(rep) is True
+
+
+def count_echelon_rows(monkeypatch):
+    calls = []
+    insert = linalg.Echelon.insert_layers
+
+    def counted(self, layers, field):
+        calls.append(field)
+        return insert(self, layers, field)
+
+    monkeypatch.setattr(linalg.Echelon, "insert_layers", counted)
+    return calls
+
+
+def test_failed_certificates_reach_echelon(monkeypatch):
+    calls = count_echelon_rows(monkeypatch)
+    assert extcalc._layer_rank(layer_rows(p_identity_plus_rank_one(3)), QQ) == 3
+    assert len(calls) == 3
+    calls.clear()
+    assert is_simple(not_dense_mod_p()) is True
+    assert calls
+    calls.clear()
+    assert is_simple(free_simple(3, 3)) is True
+    assert not calls
