@@ -33,18 +33,25 @@ callers that chain products (path, Leibniz, density and series assembly)
 convert their operands once and stay in layers until the end.
 
 The modular kernel is :class:`ModEchelon`, the same elimination on
-residues mod one fixed prime p (Dumas, Giorgi and Pernet, ACM TOMS 35,
-2008).  ``certified_rank`` takes integer rows to it and returns their rank
-over the rationals only with a certificate, None otherwise, and then the
-caller ranks them with ``Echelon``; ``extcalc.is_simple`` runs its density
-closure through it.
+residues mod one fixed prime p < 2^30 (Dumas, Giorgi and Pernet, ACM TOMS
+35, 2008).  ``certified_rank`` takes integer rows to it and returns their
+rank over the rationals only with a certificate, None otherwise, and then
+the caller ranks them with ``Echelon``; ``extcalc.is_simple`` runs its
+density closure through it.  Its rows are packed residues (Dumas, Fousse
+and Salvy, J. Symb. Comput. 46, 2011): a row of width w is one int with
+entry j in bits [S*j, S*j + S), S a multiple of 8 and at least 61 +
+w.bit_length(), so one elimination step is one bigint multiply-add.  A
+slot starts below p and each of at most w steps adds less than p^2 <
+2^60, so it stays below 2^S and never carries into the next slot.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, isqrt, lcm
-from operator import add, mul
+from operator import add, lshift, mod, mul
 
 from .scalars import QQ, Field, FieldElem, integer_coordinates
 
@@ -413,51 +420,103 @@ def residues(ints) -> list[int]:
     return [x % _P for x in ints]
 
 
+def _slot_bits(width: int) -> int:
+    """The slot width S of a packed row of width entries: 64 bits and 1, 2,
+    4 or 8 high bytes, the fewest with S >= 61 + width.bit_length()."""
+    return next(s for s in (72, 80, 96, 128) if s >= 61 + width.bit_length())
+
+
 class ModEchelon:
     """Rows of residues mod p in echelon form; the one modular elimination
     of the package, behind ``certified_rank`` and the density check.
 
-    A kept row is stored from its lead on, monic there and zero at the
-    leads of the rows kept before it.  A new row is reduced against each
-    kept row whose lead it does not vanish at, from that lead onward; the
-    entries are reduced mod p only where a lead is read and once at the
-    end.  All rows must have one length.
+    A row is one packed int, entry j in bits [S*j, S*j + S), where the slot
+    width S = ``_slot_bits(width)`` is a multiple of 8 with S >= 61 +
+    width.bit_length().  A kept row is stored monic at its lead, zero at
+    the leads of the rows kept before it, and negated: slot j holds
+    -t_j mod p, so the row is zero below its lead and p - 1 there.  A new
+    row is packed once from its residues; the step against a kept row with
+    lead l reads c, slot l mod p, and adds c times that row, one bigint
+    multiply-add that leaves slot l divisible by p.  A slot starts below p
+    and gains at most (p - 1)^2 < 2^60 per kept row, of which there are at
+    most width, so it stays below p + width * (p - 1)^2 < 2^S: no slot
+    carries into the next.  The reduced row is unpacked once, mod p, to
+    find its lead and normalize it.  Slots below the first nonzero entry of
+    the new row stay zero, since every kept row is zero below its lead, so
+    kept rows with a lead there are skipped.  All rows must have one length.
     """
 
-    __slots__ = ("tails", "leads")
+    __slots__ = ("leads", "_rows", "_unpacked", "_width", "_slot", "_small",
+                 "_wide")
 
     def __init__(self):
-        self.tails: list[list[int]] = []
         self.leads: list[int] = []
+        self._rows: list[int] = []  # negated monic rows, packed
+        self._unpacked: list[tuple[int, ...]] = []  # for kernel_vector
+        self._width: int | None = None
 
     def __len__(self) -> int:
         return len(self.leads)
 
     def insert(self, ints) -> bool:
         """Reduce the ints mod p against the kept rows; keep the result if
-        it is not zero."""
-        vec = residues(ints)
-        for lead, tail in zip(self.leads, self.tails):
-            c = vec[lead] % _P
-            if c:
-                vec[lead:] = [x - c * y for x, y in zip(vec[lead:], tail)]
-        vec = residues(vec)
-        lead = next((k for k, x in enumerate(vec) if x), None)
-        if lead is None:
+        it is not zero.  The first row fixes the width; a row of another
+        length raises ValueError."""
+        if len(ints) != self._width:
+            if self._width is not None:
+                raise ValueError(
+                    f"row of length {len(ints)} in an echelon of width {self._width}")
+            self._layout(len(ints))
+        vec = self._pack(map(mod, ints, repeat(_P)))
+        if not vec:
             return False
-        inv = pow(vec[lead], -1, _P)
-        self.tails.append([x * inv % _P for x in vec[lead:]])
+        slot, mask = self._slot, (1 << self._slot) - 1
+        first = ((vec & -vec).bit_length() - 1) // slot
+        for lead, neg in zip(self.leads, self._rows):
+            if lead >= first:
+                c = (vec >> slot * lead & mask) % _P
+                if c:
+                    vec += c * neg
+        fields = self._wide.unpack(vec.to_bytes(self._wide.size, "little"))
+        res = list(map(mod, map(add, fields[::2], map(lshift, fields[1::2],
+                                                      repeat(64))), repeat(_P)))
+        pivot = next(filter(None, res), 0)  # at the lead, its first occurrence
+        if not pivot:
+            return False
+        lead = res.index(pivot)
+        ninv = _P - pow(pivot, -1, _P)
+        self._rows.append(self._pack(map(mod, map(mul, res, repeat(ninv)), repeat(_P))))
         self.leads.append(lead)
         return True
+
+    def _layout(self, width: int) -> None:
+        """Fix the width, the slot width and the two struct layouts of a
+        row, little-endian: ``_small`` for residues (8 low bytes, the high
+        bytes zero) and ``_wide`` for any slot (8 low bytes, high bytes)."""
+        self._width, self._slot = width, _slot_bits(width)
+        high = self._slot // 8 - 8  # the bytes above the low 8
+        self._small = struct.Struct(f"<{f'Q{high}x' * width}")
+        code = {1: "B", 2: "H", 4: "I", 8: "Q"}[high]
+        self._wide = struct.Struct(f"<{('Q' + code) * width}")
+
+    def _pack(self, entries) -> int:
+        """The packed row of width residues."""
+        return int.from_bytes(self._small.pack(*entries), "little")
 
     def kernel_vector(self, free: int, width: int) -> list[int]:
         """The vector mod p of length width that every kept row annihilates,
         1 at the free column ``free`` and 0 at the other non-pivot columns:
-        back-substitution in decreasing lead order."""
+        back-substitution in decreasing lead order.  A kept row's negated
+        entries give -sum t_j vec_j directly.  Each kept row is unpacked on
+        the first call after it was kept and reused by later calls, since
+        ``certified_rank`` asks for one vector per free column."""
+        unpacked = self._unpacked
+        unpacked += [self._small.unpack(neg.to_bytes(self._small.size, "little"))
+                     for neg in self._rows[len(unpacked):]]
         vec = [0] * width
         vec[free] = 1
-        for lead, tail in sorted(zip(self.leads, self.tails), reverse=True):
-            vec[lead] = -sum(map(mul, tail[1:], vec[lead + 1:])) % _P
+        for lead, tail in sorted(zip(self.leads, unpacked), reverse=True):
+            vec[lead] = sum(map(mul, tail[lead + 1:], vec[lead + 1:])) % _P
         return vec
 
 
@@ -478,7 +537,8 @@ def certified_rank(rows, width: int) -> int | None:
     """The rank over the rationals of integer rows of length width, or None.
 
     The rank r_p mod p is a lower bound, since a minor that is nonzero mod
-    p is nonzero.  It is the rank when it equals min(len(rows), width).
+    p is nonzero.  It is the rank when it equals min(len(rows), width), so
+    the rows left once it reaches width are not inserted.
     Otherwise each kernel vector mod p (one per free column) is
     rational-reconstructed within Wang's bound (Monagan, ISSAC 2004), its
     denominators cleared, and checked on the integer rows: when all pass,
@@ -488,6 +548,8 @@ def certified_rank(rows, width: int) -> int | None:
     rows = list(rows)
     span = ModEchelon()
     for row in rows:
+        if len(span) == width:
+            break
         span.insert(row)
     if len(span) == min(len(rows), width):
         return len(span)

@@ -8,7 +8,9 @@ computes a full reduced row echelon form column by column on a copy, and
 ``SpanOracle.insert`` is the incremental monic elimination that
 ``is_simple`` ran on its own, and that ``linalg.Echelon`` ran on rows with a
 cyclotomic entry; ``is_simple`` is the density check with
-:class:`FieldElem` path products from ``mat_mul`` inserted into it.  The
+:class:`FieldElem` path products from ``mat_mul`` inserted into it.
+``ModEchelon`` is the modular elimination that ``linalg.ModEchelon`` ran on
+lists of residues, one interpreter step per entry and reduction step.  The
 differential tests compare the package against them.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import add, mul
 
-from localquiver.linalg import identity_matrix, mat_shape, zero_matrix
+from localquiver.linalg import _P, identity_matrix, mat_shape, residues, zero_matrix
 from localquiver.scalars import Field, FieldElem
 
 
@@ -170,3 +172,40 @@ def is_simple(rep) -> bool:
                     nxt.append(prod)
         frontier = nxt
     return len(span.basis) == n * n
+
+
+class ModEchelon:
+    """Rows of residues mod p in echelon form, each kept row a list stored
+    from its lead on, monic there and zero at the leads of the rows kept
+    before it.  A new row is reduced against each kept row whose lead it
+    does not vanish at, from that lead onward; the entries are reduced mod p
+    only where a lead is read and once at the end."""
+
+    def __init__(self):
+        self.tails: list[list[int]] = []
+        self.leads: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.leads)
+
+    def insert(self, ints) -> bool:
+        vec = residues(ints)
+        for lead, tail in zip(self.leads, self.tails):
+            c = vec[lead] % _P
+            if c:
+                vec[lead:] = [x - c * y for x, y in zip(vec[lead:], tail)]
+        vec = residues(vec)
+        lead = next((k for k, x in enumerate(vec) if x), None)
+        if lead is None:
+            return False
+        inv = pow(vec[lead], -1, _P)
+        self.tails.append([x * inv % _P for x in vec[lead:]])
+        self.leads.append(lead)
+        return True
+
+    def kernel_vector(self, free: int, width: int) -> list[int]:
+        vec = [0] * width
+        vec[free] = 1
+        for lead, tail in sorted(zip(self.leads, self.tails), reverse=True):
+            vec[lead] = -sum(map(mul, tail[1:], vec[lead + 1:])) % _P
+        return vec

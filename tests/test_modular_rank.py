@@ -6,12 +6,15 @@ Over the rationals the Hom, cocycle and Jacobian ranks and the density
 check are tried mod p first.  A modular answer is taken only with its
 certificate; otherwise ``Echelon`` decides.  These tests pin both halves:
 the modular answer agrees with ``Echelon`` wherever it is given, and the
-fallback is reached (and right) where the certificate fails.
+fallback is reached (and right) where the certificate fails.  The packed
+kernel ``linalg.ModEchelon`` is compared with the list kernel it replaced,
+kept as ``linalg_oracle.ModEchelon``.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from localquiver import extcalc, linalg
@@ -123,6 +126,116 @@ def test_kernel_past_the_reconstruction_bound():
     # within the bound the kernel vector certifies
     assert check_rank([[1, -bound], [3, -3 * bound]], 2) == 1
     assert check_rank([[bound, 7, 0], [0, 0, 0]], 3) == 1
+
+
+def mod_pair():
+    return linalg.ModEchelon(), oracle.ModEchelon()
+
+
+def insert_both(new, old, row):
+    """Insert row into the packed kernel and the list oracle; both must
+    agree on the result, the rank and the leads."""
+    kept = new.insert(row)
+    assert kept is old.insert(row)
+    assert len(new) == len(old)
+    assert new.leads == old.leads
+    return kept
+
+
+def assert_same_kernel(new, old, width):
+    for free in sorted(set(range(width)) - set(old.leads)):
+        assert new.kernel_vector(free, width) == old.kernel_vector(free, width)
+
+
+# residues and their lifts: small, negative, p - 1, multiples of p, past 2^64
+POOL = [-3, -2, -1, 1, 2, 3, P - 1, P, P + 1, 2 * P, -P, -(P - 1),
+        2 ** 64, 2 ** 64 + 1, -(2 ** 64) - 7, 3 ** 50, -(5 ** 40), P * 2 ** 70]
+
+
+@st.composite
+def mod_rows(draw):
+    """A width (0, 1, small, or at least 200) and rows of it: sparse rows
+    drawn from POOL, rows that are combinations of earlier ones with lifts
+    from POOL plus p times a third, and p times a row."""
+    width = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 9),
+                           st.integers(200, 230)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    rows = []
+    for _ in range(draw(st.integers(0, 7 if width < 200 else 5))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "combination", "times_p"]))
+        if kind == "fresh" or not rows:
+            zeros = rng.random()
+            rows.append([0 if rng.random() < zeros else rng.choice(POOL)
+                         for _ in range(width)])
+        elif kind == "combination":
+            a, b = rng.choice(POOL), rng.choice(POOL)
+            x, y, z = (rng.choice(rows) for _ in range(3))
+            rows.append([a * u + b * v + P * w for u, v, w in zip(x, y, z)])
+        else:
+            rows.append([P * u for u in rng.choice(rows)])
+    return width, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(mod_rows())
+def test_packed_mod_echelon_matches_the_list_oracle(case):
+    width, rows = case
+    new, old = mod_pair()
+    for k, row in enumerate(rows):
+        insert_both(new, old, row)
+        if width < 200 or k == len(rows) // 2:  # kernels between inserts too
+            assert_same_kernel(new, old, width)
+    assert_same_kernel(new, old, width)
+
+
+def test_worst_case_slot_growth():
+    # row k is p - 1 at columns 0..k, so it is reduced by every kept row
+    # with the largest coefficient p - 1; its two last columns hold
+    # p - 1 - k, which makes every kept row monic 1 there, so each step
+    # adds (p - 1)^2 to both and the last slots reach (p - 1 - k) +
+    # k (p - 1)^2, past 2^64 for k >= 16; a carry out of the first of them
+    # would change the residue of the second
+    for w in (1, 2, 30, 300):
+        width = w + 2
+        assert (P - 1) + w * (P - 1) ** 2 < 2 ** linalg._slot_bits(width)
+        new, old = mod_pair()
+        for k in range(w):
+            row = [P - 1 if j <= k else 0 for j in range(w)] + [P - 1 - k] * 2
+            assert insert_both(new, old, row)
+        assert new.leads == list(range(w))
+        assert old.tails[-1][-2:] == [1, 1]
+        assert_same_kernel(new, old, width)
+        assert new.kernel_vector(w, width)[:w] == [P - 1] * w
+    for width in (0, 1, 7, 8, 200, 2047, 2048, 10 ** 6):
+        slot = linalg._slot_bits(width)
+        assert slot % 8 == 0 and slot >= 61 + width.bit_length()
+        assert (P - 1) + width * (P - 1) ** 2 < 2 ** slot
+
+
+def test_mod_echelon_rejects_rows_of_another_length():
+    span = linalg.ModEchelon()
+    assert span.insert([1, 2, 3])
+    for row in ([2, 5], [1, 2, 3, 4], []):
+        with pytest.raises(ValueError,
+                           match=f"row of length {len(row)} in an echelon of width 3"):
+            span.insert(row)
+    assert span.leads == [0] and len(span) == 1
+    assert span.insert([0, 1, 1]) and span.leads == [0, 1]
+
+
+def test_certified_rank_stops_at_full_width(monkeypatch):
+    calls = []
+    insert = linalg.ModEchelon.insert
+
+    def counted(self, ints):
+        calls.append(ints)
+        return insert(self, ints)
+
+    monkeypatch.setattr(linalg.ModEchelon, "insert", counted)
+    rows = [[int(i == j) for j in range(3)] for i in range(3)]
+    rows += [[1, 2, 3], [4, 5, 6], [0, 0, 0], [P, 1, 2], [7, 8, 10 ** 30]]
+    assert linalg.certified_rank(rows, 3) == 3
+    assert len(calls) == 3
 
 
 def test_rational_reconstruction_round_trips_within_the_bound():
