@@ -378,6 +378,8 @@ class Parser:
             v_tok = self.expect_id()
             if not pres.quiver.has_vertex(v_tok.text):
                 self.error(f"unknown vertex {v_tok.text!r}", v_tok)
+            if v_tok.text in dims:
+                self.error(f"vertex {v_tok.text!r} given twice", v_tok)
             self.expect("=")
             dims[v_tok.text] = self.expect_int()
             if self.at(","):
@@ -406,6 +408,8 @@ class Parser:
             a2 = self.expect_id()
             if not pres.quiver.has_arrow(a2.text):
                 self.error(f"unknown arrow {a2.text!r}", a2)
+            if a2.text in matrices:
+                self.error(f"matrix for arrow {a2.text!r} given twice", a2)
             self.expect("=")
             matrices[a2.text] = self.parse_matrix()
             if self.at(";"):

@@ -20,6 +20,7 @@ quiver and the multiplicity vector.
 
 from __future__ import annotations
 
+from itertools import permutations
 from math import lcm
 from operator import add
 from typing import Iterable
@@ -460,18 +461,18 @@ class SemisimpleModule:
                 raise ValueError("multiplicities must be >= 1")
 
     def validate(self):
-        """Certify simplicity and pairwise distinctness of the factors."""
+        """Certify simplicity and pairwise distinctness of the factors.
+
+        Density certifies a factor simple, with End the scalars, so
+        ``hom_dim(rep, rep)`` runs only to word a failure."""
         for k, (rep, _) in enumerate(self.factors):
-            if hom_dim(rep, rep) != 1:
-                raise ValueError(f"factor {k} has endomorphisms: not simple")
             if not is_simple(rep):
-                raise ValueError(f"factor {k} fails the density check: not simple")
-        for i in range(len(self.factors)):
-            for j in range(len(self.factors)):
-                if i == j:
-                    continue
-                if hom_dim(self.factors[i][0], self.factors[j][0]) != 0:
-                    raise ValueError(f"factors {i} and {j} are isomorphic")
+                why = ("has endomorphisms" if hom_dim(rep, rep) > 1
+                       else "fails the density check")
+                raise ValueError(f"factor {k} {why}: not simple")
+        for i, j in permutations(range(len(self.factors)), 2):
+            if hom_dim(self.factors[i][0], self.factors[j][0]) != 0:
+                raise ValueError(f"factors {i} and {j} are isomorphic")
 
 
 class LocalQuiverResult:

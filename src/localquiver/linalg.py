@@ -15,7 +15,7 @@ the tangent-space and Ext computations rely on.
 integer coordinates in Z[zeta]: d = field.degree int layers, with any common
 denominator dropped (``Echelon.insert_layers``).  The producers in extcalc
 (the Hom, cocycle and Jacobian systems, the density check) hand coordinates
-over; ``Echelon.insert`` converts values with ``integer_coordinates``.
+over; ``Echelon.insert`` converts values with ``to_layers``.
 Kept rows are primitive integer vectors over the rationals whose span is the
 coordinate form of the span over the field (restriction of scalars); the
 reduced form is converted back once on exit.  Because reduced forms are
@@ -263,30 +263,28 @@ class Echelon:
     def leads(self) -> list[int]:
         """The pivot columns over the field."""
         d = self._field.degree
-        return [lead // d for lead in self._leads[::d]] if d > 1 else self._leads[:]
+        return [lead // d for lead in self._leads[::d]]
 
     def insert(self, row) -> bool:
         """Reduce row (ints, Fractions or :class:`FieldElem`) against the
-        kept rows; keep it if it is not zero."""
+        kept rows; keep it if it is not zero.  Its layers are over the join
+        of the echelon's field and its entries', so kept rows re-enter only
+        in ``insert_layers``."""
         vec, field = list(row), self._field
-        coords = integer_coordinates(vec, field)
-        if coords is None:  # a cyclotomic row after rational rows
-            for x in vec:
-                if type(x) is FieldElem:
-                    field = field.join(x.field)
-            coords = integer_coordinates(vec, field)
-        ints, d = coords[0], field.degree
-        return self.insert_layers(
-            [ints] if d == 1 else [ints[t::d] for t in range(d)], field)
+        for x in vec:
+            if type(x) is FieldElem and x.field is not field:
+                field = field.join(x.field)
+        (layers,), _ = to_layers([[vec]], field)
+        return self.insert_layers(layers, field)
 
     def insert_layers(self, layers, field: Field) -> bool:
         """Reduce the row sum_t zeta^t layers[t] over field (a common
         denominator dropped) against the kept rows; keep it if it is not
         zero.  layers holds field.degree int lists of the echelon's width;
-        they are not copied and must not change."""
+        they are read, never kept or changed."""
         d = field.degree
         width = len(layers[0]) if layers else 0
-        if len(layers) != d or d > 1 and any(len(x) != width for x in layers):
+        if len(layers) != d or any(len(x) != width for x in layers):
             raise ValueError(f"a row over {field.label()} needs {d} layers "
                              f"of one length, got {[len(x) for x in layers]}")
         if width != self._width:
@@ -303,13 +301,11 @@ class Echelon:
                     self.insert_layers([old] + zeros, joined)
             field, d = joined, joined.degree
             layers = layers + [[0] * width] * (d - len(layers))
-        if not self._insert_integers(layers[0] if d == 1 else _interleave(layers)):
+        if not self._insert_integers(_interleave(layers)):
             return False
         for _ in range(d - 1):  # zeta times the last, its top folded by phi: kept
-            top = layers[-1]
-            layers = [[-field.phi[0] * y for y in top]] + [
-                [x - p * y for x, y in zip(low, top)] if p else low
-                for low, p in zip(layers, field.phi[1:])]
+            layers = reduce_layers([None, *layers] + [None] * (d - 2),
+                                   field.phi, width)
             self._insert_integers(_interleave(layers))
         return True
 

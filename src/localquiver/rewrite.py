@@ -275,28 +275,19 @@ class RewriteSystem:
 
 
 def _overlaps(r1: Rule, r2: Rule, quiver: Quiver, bound: int):
-    """Critical pairs between two rules as (degree, item) entries.
+    """Critical pairs between two rules as (degree, (r1, left, right, r2))
+    entries with r1.lead * right == left * r2.lead; none when a lead is
+    empty.
 
-    An ``overlap`` item has r1.lead * right == left * r2.lead; an
-    ``inclusion`` item has the idempotent lead of r1 sitting at a junction of
-    r2.lead between left and right.  Inclusions between two arrow leads
-    cannot occur: the containing rule is retired when the smaller one is
-    added.
+    Inclusions cannot occur between live rules.  Between two arrow leads
+    the containing rule is retired when the smaller one is added.  An
+    idempotent lead e_u retires, in ``absorb``, every rule whose lead passes
+    through u (``_word_divides`` tests every junction), and ``reduce``
+    rewrites every later lead through u, so no live arrow lead passes
+    through the vertex of a live idempotent lead (Mora, TCS 134, 1994).
     """
     out = []
     u, v = r1.lead, r2.lead
-    if len(u.arrows) == 0:
-        if len(v.arrows) == 0:
-            return out
-        for pos in range(len(v.arrows) + 1):
-            if word_vertex_at(quiver, v, pos) == u.head:
-                mid = word_vertex_at(quiver, v, pos)
-                left = PathWord(v.arrows[:pos], v.head, mid)
-                right = PathWord(v.arrows[pos:], mid, v.tail)
-                out.append((len(v.arrows), (r1, left, right, r2, "inclusion")))
-        return out
-    if len(v.arrows) == 0:
-        return _overlaps(r2, r1, quiver, bound)
     for L in range(1, min(len(u.arrows), len(v.arrows))):
         if u.arrows[len(u.arrows) - L:] == v.arrows[:L]:
             deg = len(u.arrows) + len(v.arrows) - L
@@ -305,20 +296,17 @@ def _overlaps(r1: Rule, r2: Rule, quiver: Quiver, bound: int):
                                 word_vertex_at(quiver, u, len(u.arrows) - L))
                 right = PathWord(v.arrows[L:], word_vertex_at(quiver, v, L),
                                  v.tail)
-                out.append((deg, (r1, left, right, r2, "overlap")))
+                out.append((deg, (r1, left, right, r2)))
     return out
 
 
 def _spoly(item, field: Field) -> NCPoly:
-    r1, left, right, r2, kind = item
+    r1, left, right, r2 = item
     quiver = r1.poly.quiver
     one = field.one()
     lpoly = NCPoly(quiver, field, {left: one})
     rpoly = NCPoly(quiver, field, {right: one})
-    if kind == "overlap":
-        return r1.poly * rpoly - lpoly * r2.poly
-    # idempotent lead of r1 inserted at a junction of r2.lead
-    return lpoly * r1.poly * rpoly - r2.poly
+    return r1.poly * rpoly - lpoly * r2.poly
 
 
 def _check_bound(p: Presentation, D: int):

@@ -352,29 +352,21 @@ class CycloInt:
                         self.phi)
 
 
-def integer_coordinates(values, field: Field) -> tuple[list[int], int] | None:
+def integer_coordinates(values, field: Field) -> tuple[list[int], int]:
     """values (ints, Fractions, or :class:`FieldElem` of field or the
     rationals) as d = field.degree integer coordinates each, value k's at k*d
-    to k*d + d - 1, over one positive common denominator: (ints, den); None
-    when a value lies in a field other than field or the rationals.  values
-    is a sequence or a view: ints pass through as they are."""
-    if field.degree == 1 and all(type(x) is int for x in values):
-        return list(values), 1
-    pad = [0] * (field.degree - 1) if field.degree > 1 else None
+    to k*d + d - 1, over one positive common denominator: (ints, den).
+    values is a sequence or a view; a cyclotomic value outside field raises
+    ValueError."""
+    pad = [0] * (field.degree - 1)
     vals = []
     for x in values:
         if type(x) is FieldElem:
-            if x.field is field or x.field.order == field.order:
-                if pad is None:
-                    vals.append(x.coeffs[0])
-                else:
-                    vals += x.coeffs
-                continue
-            if x.field.order is not None:
-                return None
-            x = x.coeffs[0]
-        vals.append(x)
-        if pad:
+            if x.field is not field and x.field.order != field.order:
+                x = field.elem(x)
+            vals += x.coeffs
+        else:
+            vals.append(x)
             vals += pad
     den = lcm(*[x.denominator for x in vals])
     return [x.numerator * (den // x.denominator) for x in vals], den

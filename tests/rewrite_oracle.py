@@ -10,6 +10,15 @@ Heap reduction on field elements: ``heap_reduce`` is the heap-ordered
 mix joined only when a rule fires.  ``HeapRewriteSystem`` runs the
 package's completion on it.
 
+Critical pairs: ``_overlaps`` and ``_spoly`` are the pair forms as they
+were before inclusion items were dropped from the package: an idempotent
+lead forms an ``inclusion`` item at every junction of an arrow lead through
+its vertex.  ``oracle_complete`` runs on them.
+
+Brute-force counts: ``avoiding_path_counts`` enumerates the paths that
+avoid a set of vertices, the irreducible words left once the idempotents
+of those vertices are rewritten to longer paths and truncated away.
+
 Minimal generators: ``oracle_gr_ideal`` runs one completion per candidate
 generator plus one for the canonical pass, and
 ``oracle_minimal_relation_counts`` one completion per degree, comparing
@@ -27,10 +36,44 @@ import itertools
 from localquiver.ncalg import (NCPoly, PathWord, Presentation, word_key,
                                word_vertex_at)
 from localquiver.rewrite import (GrIdealReport, RewriteSystem, Rule,
-                                 _irreducible_words, _overlaps,
-                                 _require_admissible, _sort_key, _word_divides,
-                                 complete)
+                                 _irreducible_words, _require_admissible,
+                                 _sort_key, _word_divides, complete)
 from localquiver.scalars import Field
+
+
+def _overlaps(r1: Rule, r2: Rule, quiver, bound: int):
+    """Critical pairs between two rules as (degree, item) entries.
+
+    An ``overlap`` item has r1.lead * right == left * r2.lead; an
+    ``inclusion`` item has the idempotent lead of r1 sitting at a junction of
+    r2.lead between left and right.  Inclusions between two arrow leads
+    cannot occur: the containing rule is retired when the smaller one is
+    added.
+    """
+    out = []
+    u, v = r1.lead, r2.lead
+    if len(u.arrows) == 0:
+        if len(v.arrows) == 0:
+            return out
+        for pos in range(len(v.arrows) + 1):
+            if word_vertex_at(quiver, v, pos) == u.head:
+                mid = word_vertex_at(quiver, v, pos)
+                left = PathWord(v.arrows[:pos], v.head, mid)
+                right = PathWord(v.arrows[pos:], mid, v.tail)
+                out.append((len(v.arrows), (r1, left, right, r2, "inclusion")))
+        return out
+    if len(v.arrows) == 0:
+        return _overlaps(r2, r1, quiver, bound)
+    for L in range(1, min(len(u.arrows), len(v.arrows))):
+        if u.arrows[len(u.arrows) - L:] == v.arrows[:L]:
+            deg = len(u.arrows) + len(v.arrows) - L
+            if deg <= bound:
+                left = PathWord(u.arrows[:len(u.arrows) - L], u.head,
+                                word_vertex_at(quiver, u, len(u.arrows) - L))
+                right = PathWord(v.arrows[L:], word_vertex_at(quiver, v, L),
+                                 v.tail)
+                out.append((deg, (r1, left, right, r2, "overlap")))
+    return out
 
 
 def _spoly(item, field: Field) -> NCPoly:
@@ -316,3 +359,18 @@ def oracle_minimal_relation_counts(p: Presentation, D: int):
             if n_sub != n_full:
                 counts[pair] = counts.get(pair, 0) + (n_sub - n_full)
     return {pair: n for pair, n in counts.items() if n}
+
+
+def avoiding_path_counts(quiver, avoid, D: int, forbidden=()) -> list[int]:
+    """Entry d counts, by enumeration, the paths of length d through no
+    vertex in avoid and with no arrow-name tuple of forbidden as a subword."""
+    counts = [0] * (D + 1)
+    level = [((), v) for v in quiver.vertices if v not in avoid]
+    for d in range(D + 1):
+        for arrows, _ in level:
+            if not any(arrows[i:i + len(f)] == f for f in forbidden
+                       for i in range(len(arrows) - len(f) + 1)):
+                counts[d] += 1
+        level = [(arrows + (a.name,), a.tail) for arrows, tail in level
+                 for a in quiver.arrows if a.head == tail and a.tail not in avoid]
+    return counts

@@ -521,3 +521,71 @@ def test_invalid_representation_rejected_at_parse():
     with pytest.raises(ParseError) as err:
         parse(src)
     assert "not a representation" in str(err.value)
+
+
+REPEATED_ENTRIES = [
+    ("dim: v = 1, v = 2; X = [[1, 0], [0, 1]]", (3, 26), "vertex 'v' given twice"),
+    ("dim: v = 2; X = [[1, 0], [0, 1]]; X = [[0, 1], [1, 0]]", (3, 48),
+     "matrix for arrow 'X' given twice"),
+]
+
+
+@pytest.mark.parametrize("body, where, message", REPEATED_ENTRIES)
+def test_repeated_rep_entry_is_a_parse_error(body, where, message):
+    source = (
+        "quiver q { vertices: v; arrows: X: v -> v }\n"
+        "algebra A over q { relations: ; invertible: ; flavor: graded }\n"
+        f"rep r of A {{ {body}; field: q }}\n")
+    with pytest.raises(ParseError, match=message) as err:
+        parse(source)
+    assert (err.value.line, err.value.col) == where  # the repeated name
+
+
+def test_zero_factor_fails_the_density_check():
+    src = (
+        "quiver q { vertices: v; arrows: x: v -> v }\n"
+        "algebra A over q { relations: ; invertible: ; flavor: graded }\n"
+        "rep z of A { dim: v = 0; x = []; field: q }\n"
+        "localquiver z;\n")
+    reports, code = run(parse(src), {})
+    assert code == 1
+    assert reports[0]["error"] == "factor 0 fails the density check: not simple"
+
+
+DEGREE_SESSION = """
+quiver q { vertices: v; arrows: X: v -> v, Y: v -> v }
+algebra A over q { relations: X*Y - Y*X; invertible: ; flavor: graded }
+algebra F over q { relations: ; invertible: ; flavor: graded }
+gradable A;
+gradable F;
+mincounts A;
+gradable A 4;
+"""
+
+
+@pytest.mark.parametrize("flag, bounds", [
+    ([], [5, 5, 5, 4]),  # the largest relation degree + 3, or 5 without relations
+    (["--degree", "3"], [3, 3, 3, 4]),  # a bound in the command wins
+])
+def test_degree_flag_and_default(tmp_path, capsys, flag, bounds):
+    src = tmp_path / "degree.lq"
+    src.write_text(DEGREE_SESSION)
+    assert main([str(src), *flag]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert [r["degree_bound"] for r in reports] == bounds
+    assert reports[2]["counts"] == [{"head": "v", "tail": "v", "count": 1}]
+
+
+def test_localquiver_dot_and_repideal_text(tmp_path, capsys):
+    src = tmp_path / "full.lq"
+    src.write_text(FULL_COMMAND_SESSION)
+    assert main([str(src), "--output", "dot"]) == 0
+    by = {r["command"]: r for r in json.loads(capsys.readouterr().out)}
+    dot = by["localquiver"]["dot"]
+    assert dot.startswith("digraph") and dot.count("->") == 4
+    assert "text" not in by["repideal"]
+    assert main([str(src), "--output", "text"]) == 0
+    text = capsys.readouterr().out
+    block = text.split("== repideal\n")[1].split("\n== ")[0]
+    generators = [g["poly"] for g in by["repideal"]["generators"]]
+    assert f"text: {chr(10).join(generators)}" in block

@@ -217,6 +217,35 @@ def test_local_quiver_rejects_bad_factors():
         local_quiver(SemisimpleModule([(double, 1)]))  # not simple
 
 
+def test_validate_words_each_failure(monkeypatch):
+    pres, rho = heisenberg_rho11()
+    calls = []
+    counted = extcalc.hom_dim
+
+    def counting(x, y):
+        calls.append((x.name, y.name))
+        return counted(x, y)
+
+    monkeypatch.setattr(extcalc, "hom_dim", counting)
+    with pytest.raises(ValueError, match="factor 0 has endomorphisms: not simple"):
+        SemisimpleModule([(direct_sum(rho, rho, "rr"), 1)]).validate()
+    assert calls == [("rr", "rr")]
+    zero = Representation(pres, DimVector(pres.quiver, {"v": 0}),
+                          {a: [] for a in ("X", "X_inv", "Y", "Y_inv")},
+                          field=Field(2), name="z")
+    with pytest.raises(ValueError,
+                       match="factor 1 fails the density check: not simple"):
+        SemisimpleModule([(rho, 1), (zero, 1)]).validate()
+    # a brick that is not simple: End is the scalars, the density check fails
+    q = Quiver(["1", "2"], [("a", "2", "1")])
+    path = Presentation(q, [], flavor="graded")
+    brick = Representation(path, DimVector(q, {"1": 1, "2": 1}), {"a": [["1"]]},
+                           name="P")
+    with pytest.raises(ValueError,
+                       match="factor 0 fails the density check: not simple"):
+        SemisimpleModule([(brick, 1)]).validate()
+
+
 def test_local_quiver_ext2_lower():
     pres, rho = heisenberg_rho11()
     # tangent-cone presentation over the factor vertex: the two cubics
@@ -255,7 +284,9 @@ def test_local_quiver_reuses_the_certified_homs(monkeypatch, case):
     monkeypatch.setattr(extcalc, "hom_dim", counting)
     result = local_quiver(SemisimpleModule([(f, 1) for f in factors]))
     assert result.ext1_matrix == expected
-    assert len(calls) == len(factors) ** 2  # validate's, and no others
+    # validate's distinctness checks, and no others: the density check
+    # certifies End = scalars without hom_dim(S_i, S_i)
+    assert len(calls) == len(factors) * (len(factors) - 1)
 
 
 def test_ext_vs_multiplicity_accounting():

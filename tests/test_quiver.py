@@ -34,6 +34,21 @@ def test_double_double_and_pairing():
     assert taken.star_pairs() == [("x", "x''"), ("x'", "x'''")]
 
 
+def test_star_pairs_without_a_recorded_pairing():
+    q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "2"),
+                            ("a'", "2", "1"), ("b'", "2", "2")])
+    assert q.pairing is None
+    assert q.star_pairs() == [("a", "a'"), ("b", "b'")]
+    with pytest.raises(ValueError, match="arrow 'b' has no star partner"):
+        Quiver(["1", "2"], [("a", "1", "2"), ("a'", "2", "1"),
+                            ("b", "2", "2")]).star_pairs()
+    with pytest.raises(ValueError, match="star partner \"a'\" does not reverse"):
+        Quiver(["1", "2"], [("a", "1", "2"), ("a'", "1", "2")]).star_pairs()
+    with pytest.raises(ValueError, match="star arrow \"c'\" has no base partner"):
+        Quiver(["1", "2"], [("a", "1", "2"), ("a'", "2", "1"),
+                            ("c'", "1", "1")]).star_pairs()
+
+
 def test_restrict_examples():
     q = Quiver(["1", "2"], [("b", "1", "1"), ("a", "2", "1")])
     assert q.restrict(["1", "2"]) == q

@@ -16,7 +16,8 @@ from localquiver.rewrite import (complete, gr_ideal, graded_dims, is_gradable,
                                  normal_form)
 from localquiver.scalars import QQ, Field
 
-from rewrite_oracle import HeapRewriteSystem, heap_reduce, oracle_complete
+from rewrite_oracle import (HeapRewriteSystem, _overlaps, avoiding_path_counts,
+                            heap_reduce, oracle_complete)
 
 
 def loops(*names):
@@ -146,6 +147,95 @@ def test_rational_rules_reduce_cyclotomic_input():
     nf = rs.reduce(f)
     assert nf.field == Field(4)
     assert str(nf) == str(oracle_complete(p, 4).reduce(f))
+
+
+# ---- idempotent leads -------------------------------------------------------
+
+UNIT_LOOPS = Quiver(["u", "v"], [("g", "u", "u"), ("h", "u", "u"),
+                                 ("a", "v", "u"), ("c", "u", "v"),
+                                 ("b", "v", "v")])
+
+
+def unit_loops(before=(), after=()):
+    """Loops g, h at u with g*h = h*g = e_u, arrows a: u -> v and c: v -> u,
+    a loop b at v; the relations x - y for (x, y) in before come first and
+    those in after last."""
+    w = lambda s: NCPoly.word(UNIT_LOOPS, s.split("*"))
+    e_u = NCPoly.vertex(UNIT_LOOPS, "u")
+    rels = ([w(x) - w(y) for x, y in before]
+            + [w("g*h") - e_u, w("h*g") - e_u]
+            + [w(x) - w(y) for x, y in after])
+    return Presentation(UNIT_LOOPS, rels, flavor="complete")
+
+
+# (presentation, idempotent-lead vertices, forbidden subwords once those
+# vertices are gone, degree bounds)
+IDEMPOTENT_LEADS = [
+    (heisenberg_presentation, ["v"], (), [4, 5, 6]),
+    (unit_loops, ["u"], (), [2, 4, 6]),
+    (lambda: unit_loops(after=[("b*b", "a*c")]), ["u"], [("b", "b")], [2, 4, 6]),
+    (lambda: unit_loops(before=[("h*h", "g*g")]), ["u"], (), [2, 4, 6]),
+]
+
+
+@pytest.mark.parametrize("make, avoid, forbidden, bounds", IDEMPOTENT_LEADS)
+def test_idempotent_leads_match_brute_force_and_oracle(make, avoid, forbidden,
+                                                       bounds):
+    p = make()
+    for D in bounds:
+        rs = complete(p, D)
+        assert sorted(r.lead.head for r in rs.rules if not r.lead.arrows) == avoid
+        assert graded_dims(rs) == avoiding_path_counts(p.quiver, avoid, D,
+                                                       forbidden)
+        assert_same_as_oracle(p, D)
+    if not any(v not in avoid for v in p.quiver.vertices):
+        assert all(normal_form(rs, f).is_zero() for f in random_polys(p, D))
+
+
+def test_idempotent_leads_dims():
+    assert graded_dims(complete(heisenberg_presentation(), 5)) == [0] * 6
+    assert graded_dims(complete(unit_loops(), 4)) == [1] * 5
+    assert graded_dims(complete(unit_loops(after=[("b*b", "a*c")]), 4)) == \
+        [1, 1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("make, avoid, forbidden, bounds", IDEMPOTENT_LEADS)
+def test_no_inclusion_pair_between_live_rules(make, avoid, forbidden, bounds,
+                                              monkeypatch):
+    """The inclusion items of the old pair form never arise: every pair of
+    rules that completion forms, and every pair of its final rules, has
+    none."""
+    pairs, formed = [], []
+    live_overlaps = rewrite._overlaps
+
+    def both(r1, r2, quiver, bound):
+        pairs.append((r1, r2))
+        formed.extend(item[-1] for _, item in _overlaps(r1, r2, quiver, bound))
+        return live_overlaps(r1, r2, quiver, bound)
+
+    monkeypatch.setattr(rewrite, "_overlaps", both)
+    p, D = make(), bounds[-1]
+    rs = complete(p, D)
+    assert any(not r.lead.arrows for pair in pairs for r in pair)
+    assert "inclusion" not in formed
+    for r1, r2 in itertools.product(rs.rules, repeat=2):
+        assert all(item[-1] != "inclusion"
+                   for _, item in _overlaps(r1, r2, p.quiver, D))
+
+
+def test_idempotent_lead_retires_a_rule_through_its_vertex(monkeypatch):
+    retired = []
+    divides = rewrite._word_divides
+
+    def recording(small, big, quiver):
+        hit = divides(small, big, quiver)
+        if hit and not small.arrows:
+            retired.append(str(big))
+        return hit
+
+    monkeypatch.setattr(rewrite, "_word_divides", recording)
+    complete(unit_loops(before=[("h*h", "g*g")]), 4)
+    assert retired == ["g^2"]  # the lead of h*h - g*g
 
 
 # ---- early stop -------------------------------------------------------------

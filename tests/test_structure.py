@@ -8,8 +8,8 @@ from localquiver.ncalg import (NCPoly, PathWord, Superpotential,
                                cyclic_derivative, preprojective_relations)
 from localquiver.quiver import Quiver
 from localquiver.scalars import QQ
-from localquiver.structure import (extract_quadratic, preprojective_form,
-                                   superpotential_form)
+from localquiver.structure import (_symplectic_pairs, extract_quadratic,
+                                   preprojective_form, superpotential_form)
 
 
 def loops(*names):
@@ -114,6 +114,17 @@ def test_preprojective_form_unbalanced():
     verdict = preprojective_form([r1, r2])
     assert not verdict
     assert verdict.witness["reason"] == "unbalanced arrow counts"
+
+
+def test_symplectic_pairs_rejects_a_degenerate_pairing():
+    # preprojective_form checks every block first; a degenerate
+    # antisymmetric form that slips past it is an internal error
+    one, zero = QQ.one(), QQ.zero()
+    m = [[zero, one, zero], [-one, zero, zero], [zero, zero, zero]]
+    with pytest.raises(AssertionError):
+        _symplectic_pairs(["a", "b", "c"], m, QQ)
+    couples, _ = _symplectic_pairs(["a", "b"], [row[:2] for row in m[:2]], QQ)
+    assert couples == [(0, 1)]
 
 
 def test_preprojective_round_trip_random_doubles(seed=70):
