@@ -22,22 +22,33 @@ class CommandError(ValueError):
     pass
 
 
-def _arg_names(args, count=None):
-    names = [a for a in args if isinstance(a, str)]
+# the argument kinds besides names that a command takes
+_TAKES = {"grideal": ("integer",), "gradable": ("integer",), "mincounts": ("integer",),
+          "repideal": ("integer", "v = n entry")}
+
+
+def _arg_names(cmd: Command, count=None):
+    """The name arguments of cmd; an argument of a kind it does not take raises."""
+    for arg in cmd.args:
+        kind = None if isinstance(arg, str) else "integer" if isinstance(arg, int) \
+            else "v = n entry" if len(arg) == 3 else "power x^k"
+        if kind and kind not in _TAKES.get(cmd.name, ()):
+            raise CommandError(f"{cmd.name} takes no {kind} argument")
+    names = [a for a in cmd.args if isinstance(a, str)]
     if count is not None and len(names) != count:
         raise CommandError(f"expected {count} name argument(s), got {names}")
     return names
 
 
-def _degree_for(args, options, presentation=None) -> int:
-    ints = [a for a in args if isinstance(a, int)]
+def _degree_for(cmd: Command, options, presentation) -> int:
+    ints = [a for a in cmd.args if isinstance(a, int)]
+    if len(ints) > 1:
+        raise CommandError(f"{cmd.name} takes one degree, got a second: {ints[1]}")
     if ints:
-        return ints[-1]
+        return ints[0]
     if options.get("degree") is not None:
         return options["degree"]
-    if presentation is not None and presentation.relations:
-        return presentation.max_relation_degree() + 3
-    return 5
+    return presentation.max_relation_degree() + 3 if presentation.relations else 5
 
 
 def _quiver_report(report: dict, quiver: Quiver, options) -> dict:
@@ -58,18 +69,18 @@ def run_command(session: SessionFile, cmd: Command, options) -> dict:
     report = {"schema": 1, "command": cmd.name}
 
     if cmd.name == "double":
-        quiver = _lookup(session, "quivers", _arg_names(cmd.args, 1)[0])
+        quiver = _lookup(session, "quivers", _arg_names(cmd, 1)[0])
         return _quiver_report(report, quiver.double(), options)
 
     if cmd.name == "preproj":
-        quiver = _lookup(session, "quivers", _arg_names(cmd.args, 1)[0])
+        quiver = _lookup(session, "quivers", _arg_names(cmd, 1)[0])
         doubled = quiver.double()
         rels = preprojective_relations(doubled, session.field)
         report["relations"] = [str(r) for r in rels]
         return _quiver_report(report, doubled, options)
 
     if cmd.name == "ext1":
-        names = _arg_names(cmd.args, 2)
+        names = _arg_names(cmd, 2)
         x = _lookup(session, "reps", names[0])
         y = _lookup(session, "reps", names[1])
         report["ext1"] = extcalc.ext1_dim(x, y)
@@ -91,8 +102,8 @@ def run_command(session: SessionFile, cmd: Command, options) -> dict:
         return report
 
     if cmd.name in ("grideal", "gradable"):
-        pres = _lookup(session, "algebras", _arg_names(cmd.args, 1)[0])
-        degree = _degree_for(cmd.args, options, pres)
+        pres = _lookup(session, "algebras", _arg_names(cmd, 1)[0])
+        degree = _degree_for(cmd, options, pres)
         gr = rewrite.gr_ideal(pres, degree)
         if cmd.name == "grideal":
             report.update(gr.to_json())
@@ -103,8 +114,8 @@ def run_command(session: SessionFile, cmd: Command, options) -> dict:
         return report
 
     if cmd.name == "mincounts":
-        pres = _lookup(session, "algebras", _arg_names(cmd.args, 1)[0])
-        degree = _degree_for(cmd.args, options, pres)
+        pres = _lookup(session, "algebras", _arg_names(cmd, 1)[0])
+        degree = _degree_for(cmd, options, pres)
         counts = rewrite.minimal_relation_counts(pres, degree)
         report["degree_bound"] = degree
         report["counts"] = [
@@ -114,15 +125,16 @@ def run_command(session: SessionFile, cmd: Command, options) -> dict:
         return report
 
     if cmd.name == "repideal":
-        names = _arg_names(cmd.args)
-        if not names:
-            raise CommandError("repideal needs an algebra name")
-        pres = _lookup(session, "algebras", names[0])
+        pres = _lookup(session, "algebras", _arg_names(cmd, 1)[0])
         entries = {}
         for arg in cmd.args:
-            if isinstance(arg, tuple) and len(arg) == 3:
+            if isinstance(arg, tuple):
+                if arg[0] in entries:
+                    raise CommandError(f"repideal gives vertex {arg[0]!r} twice")
                 entries[arg[0]] = arg[2]
         ints = [a for a in cmd.args if isinstance(a, int)]
+        if entries and ints:
+            raise CommandError("repideal takes vertex = dim entries or one dimension")
         if not entries and len(ints) == 1 and len(pres.quiver.vertices) == 1:
             entries = {pres.quiver.vertices[0]: ints[0]}
         if set(entries) != set(pres.quiver.vertices):
@@ -136,13 +148,13 @@ def run_command(session: SessionFile, cmd: Command, options) -> dict:
         return report
 
     if cmd.name == "tangent":
-        rep = _lookup(session, "reps", _arg_names(cmd.args, 1)[0])
+        rep = _lookup(session, "reps", _arg_names(cmd, 1)[0])
         report["tangent_space_dim"] = repvariety.tangent_space_dim(
             rep.presentation, rep)
         return report
 
     if cmd.name == "deform":
-        fam = _lookup(session, "families", _arg_names(cmd.args, 1)[0])
+        fam = _lookup(session, "families", _arg_names(cmd, 1)[0])
         rels = deform.local_model_relations(fam)
         cone = deform._tangent_cone(fam, rels)
         report["candidate"] = not fam.asserted_hypotheses
@@ -152,13 +164,13 @@ def run_command(session: SessionFile, cmd: Command, options) -> dict:
         return report
 
     if cmd.name == "preprojform":
-        pres = _lookup(session, "algebras", _arg_names(cmd.args, 1)[0])
+        pres = _lookup(session, "algebras", _arg_names(cmd, 1)[0])
         verdict = structure.preprojective_form(list(pres.relations))
         report.update(verdict.to_json())
         return report
 
     if cmd.name == "spform":
-        pres = _lookup(session, "algebras", _arg_names(cmd.args, 1)[0])
+        pres = _lookup(session, "algebras", _arg_names(cmd, 1)[0])
         arrows = [a.name for a in pres.quiver.arrows]
         if len(pres.relations) != len(arrows):
             raise CommandError(

@@ -7,6 +7,10 @@ cancels, the relations of a candidate local model in the symbols; taking the
 associated-graded of that truncated presentation yields the tangent-cone
 relations.
 
+Series coefficients are int layers (``linalg.layer_product`` multiplies
+them); field elements are made only to invert a constant term
+(``geometric_inverse``) and to emit the local model's polynomials.
+
 The unit pattern covers the standard situation: each primary generator g
 moves as (1 + T_g) tensor its base matrix, and formal inverses follow by the
 geometric series.  The analytic covering hypothesis on a family cannot be
@@ -20,79 +24,100 @@ asserts the hypotheses.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from operator import add
 
 from . import extcalc, linalg
 from .ncalg import NCPoly, PathWord, Presentation
 from .quiver import Quiver
 from .rewrite import GrIdealReport, gr_ideal
-from .scalars import Field, FieldElem
+from .scalars import Field, FieldElem, integer_coordinates
 
 Word = tuple[int, ...]
 
 
-def _add_term(terms: dict[Word, list[list[FieldElem]]], w: Word, mat) -> None:
-    """Add the matrix mat to terms[w]."""
-    acc = terms.get(w)
-    terms[w] = mat if acc is None else linalg.mat_add(acc, mat)
+def _add_layers(acc: dict, w: Word, c: list[list[int]]) -> None:
+    """Add the layers c to acc[w]."""
+    old = acc.get(w)
+    acc[w] = c if old is None else [list(map(add, x, y)) for x, y in zip(old, c)]
 
 
 class TensorSeries:
-    """A truncated series: words in symbols, matrix coefficients."""
+    """A truncated series: words in symbols, matrix coefficients.
 
-    __slots__ = ("symbols", "size", "order", "field", "terms")
+    ``layers[w]`` is the nonzero coefficient of the word w as field.degree
+    int layers over the series' one denominator ``den`` (``to_layers``);
+    ``terms`` and ``coefficient`` give :class:`FieldElem` matrices.
+    """
+
+    __slots__ = ("symbols", "size", "order", "field", "layers", "den")
 
     def __init__(self, symbols: tuple[str, ...], size: int, order: int,
                  field: Field, terms: dict[Word, list[list[FieldElem]]] | None = None):
-        self.symbols = symbols
-        self.size = size
-        self.order = order
-        self.field = field
-        self.terms = {}
-        if terms:
-            for w, mat in terms.items():
-                if len(w) > order:
-                    continue
-                if any(s >= len(symbols) for s in w):
-                    raise ValueError(f"word {w} uses an undeclared symbol")
-                if len(mat) != size or any(len(row) != size for row in mat):
-                    raise ValueError("coefficient matrices must all be size x size")
-                if not linalg.is_zero_matrix(mat):
-                    self.terms[w] = mat
+        self.symbols, self.size, self.order, self.field = symbols, size, order, field
+        kept = {}
+        for w, mat in (terms or {}).items():
+            if len(w) > order:
+                continue
+            if any(s >= len(symbols) for s in w):
+                raise ValueError(f"word {w} uses an undeclared symbol")
+            if len(mat) != size or any(len(row) != size for row in mat):
+                raise ValueError("coefficient matrices must all be size x size")
+            kept[w] = mat
+        mats, self.den = linalg.to_layers(kept.values(), field)
+        self.layers = {w: c for w, c in zip(kept, mats) if any(map(any, c))}
+
+    def _like(self, layers: dict[Word, list[list[int]]], den: int) -> "TensorSeries":
+        """The series of this shape with these coefficient layers over den."""
+        out = TensorSeries(self.symbols, self.size, self.order, self.field)
+        out.layers = {w: c for w, c in layers.items() if any(map(any, c))}
+        out.den = den
+        return out
 
     # ---- constructors ---------------------------------------------------
     @staticmethod
     def unit(symbols: tuple[str, ...], size: int, order: int,
              field: Field) -> "TensorSeries":
-        return TensorSeries(symbols, size, order, field,
-                            {(): linalg.identity_matrix(field, size)})
+        return TensorSeries(symbols, size, order, field)._like(
+            {(): linalg.identity_layers(size, field)}, 1)
 
     def _compatible(self, other: "TensorSeries"):
         if self.symbols != other.symbols or self.size != other.size \
                 or self.order != other.order or self.field != other.field:
             raise ValueError("tensor series shapes do not match")
 
+    @property
+    def terms(self) -> dict[Word, list[list[FieldElem]]]:
+        n = self.size
+        return {w: linalg.from_layers(c, self.den, self.field, n, n)
+                for w, c in self.layers.items()}
+
     def __add__(self, other: "TensorSeries") -> "TensorSeries":
         self._compatible(other)
-        terms = dict(self.terms)
-        for w, m in other.terms.items():
-            _add_term(terms, w, m)
-        return TensorSeries(self.symbols, self.size, self.order, self.field, terms)
+        den, acc = lcm(self.den, other.den), {}
+        for s in (self, other):
+            k = den // s.den
+            for w, c in s.layers.items():
+                _add_layers(acc, w, c if k == 1 else [[k * x for x in y] for y in c])
+        return self._like(acc, den)
 
     def __sub__(self, other: "TensorSeries") -> "TensorSeries":
-        return self + other.scale(-self.field.one())
+        return self + other.scale(-1)
 
     def scale(self, c: FieldElem) -> "TensorSeries":
-        c = self.field.elem(c)
-        terms = {w: linalg.mat_scale(c, m) for w, m in self.terms.items()}
-        return TensorSeries(self.symbols, self.size, self.order, self.field, terms)
+        """Each coefficient, a size^2 x 1 matrix, times c as a 1 x 1 matrix."""
+        ints, cden = integer_coordinates([self.field.elem(c)], self.field)
+        return self._like({w: linalg.layer_product(
+            m, [[x] for x in ints], self.size ** 2, 1, 1, self.field.phi)
+            for w, m in self.layers.items()}, self.den * cden)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.layers
 
     def degree_part(self, d: int) -> "TensorSeries":
-        return TensorSeries(self.symbols, self.size, self.order, self.field,
-                            {w: m for w, m in self.terms.items() if len(w) == d})
+        return self._like({w: c for w, c in self.layers.items() if len(w) == d},
+                          self.den)
 
     def coefficient(self, word: Word):
         return self.terms.get(
@@ -110,32 +135,22 @@ class TensorSeries:
     def __repr__(self):
         words = ", ".join(
             "*".join(self.symbols[s] for s in w) if w else "1"
-            for w in sorted(self.terms, key=lambda w: (len(w), w))
+            for w in sorted(self.layers, key=lambda w: (len(w), w))
         )
         return f"TensorSeries(order={self.order}, words=[{words}])"
 
 
 def ts_multiply(u: TensorSeries, v: TensorSeries) -> TensorSeries:
-    """Word-concatenation convolution, truncated at the common order.
-
-    The coefficients of both series are converted to coordinates
-    (``linalg.to_layers``) once, over one denominator; products of the same
-    word are summed there and wrapped once."""
+    """Word-concatenation convolution, truncated at the common order: layer
+    products summed by word, over u.den * v.den."""
     u._compatible(v)
-    n, field = u.size, u.field
-    mats, den = linalg.to_layers([*u.terms.values(), *v.terms.values()], field)
-    vterms = list(zip(v.terms, mats[len(u.terms):]))
+    n, phi = u.size, u.field.phi
     acc: dict[Word, list[list[int]]] = {}
-    for w1, m1 in zip(u.terms, mats):
-        for w2, m2 in vterms:
+    for w1, m1 in u.layers.items():
+        for w2, m2 in v.layers.items():
             if len(w1) + len(w2) <= u.order:
-                prod = linalg.layer_product(m1, m2, n, n, n, field.phi)
-                old = acc.get(w1 + w2)
-                acc[w1 + w2] = prod if old is None else \
-                    [list(map(add, x, y)) for x, y in zip(old, prod)]
-    terms = {w: linalg.from_layers(c, den * den, field, n, n)
-             for w, c in acc.items() if any(map(any, c))}
-    return TensorSeries(u.symbols, u.size, u.order, u.field, terms)
+                _add_layers(acc, w1 + w2, linalg.layer_product(m1, m2, n, n, n, phi))
+    return u._like(acc, u.den * v.den)
 
 
 def geometric_inverse(s: TensorSeries) -> TensorSeries:
@@ -144,14 +159,13 @@ def geometric_inverse(s: TensorSeries) -> TensorSeries:
     With c the constant term, which must be invertible, and
     n = -c^-1 (s - c), the series s = c (1 - n) has the inverse
     sum_{k <= K} n^k c^-1, since n^(K+1) vanishes at truncation order K.
+    Only c^-1 is computed on field elements.
     """
     inv0 = linalg.invert(s.coefficient(()), s.field)
     if inv0 is None:
         raise ValueError("series has a singular constant term")
-    neg_inv0 = linalg.mat_scale(-s.field.one(), inv0)
-    nil = TensorSeries(s.symbols, s.size, s.order, s.field, {
-        w: linalg.mat_mul(neg_inv0, m) for w, m in s.terms.items() if w})
     power = out = TensorSeries(s.symbols, s.size, s.order, s.field, {(): inv0})
+    nil = ts_multiply(out, s - s.degree_part(0)).scale(-1)
     for _ in range(s.order):
         power = ts_multiply(nil, power)
         out = out + power
@@ -192,7 +206,8 @@ class FamilySpec:
             if arrow.name not in series:
                 raise ValueError(f"missing series for generator {arrow.name!r}")
             s = series[arrow.name]
-            if not linalg.mat_eq(s.coefficient(()), base.matrices[arrow.name]):
+            if s.degree_part(0) != TensorSeries(s.symbols, s.size, s.order, base.field,
+                                                {(): base.matrices[arrow.name]}):
                 raise ValueError(
                     f"series for {arrow.name!r} does not start at the base point"
                 )
@@ -226,11 +241,14 @@ class FamilySpec:
 
     def _check_first_order_transversality(self):
         """Exact rank check: linear directions meet coboundaries trivially."""
-        # flattened tangent vectors in arrow-matrix space, arrow by arrow
-        directions, _ = linalg.to_layers(
-            [[row for a in self.presentation.quiver.arrows
-              for row in self.series[a.name].coefficient((k,))]
-             for k in range(len(self.symbols))], self.base.field)
+        # flattened tangent vectors in arrow-matrix space, arrow by arrow,
+        # each arrow's degree-1 layers over the lcm of the denominators
+        series = [self.series[a.name] for a in self.presentation.quiver.arrows]
+        den, d = lcm(*[s.den for s in series]), self.base.field.degree
+        zero = [[0] * self.base.dim() ** 2] * d
+        directions = [[[den // s.den * x for s in series
+                        for x in s.layers.get((k,), zero)[t]] for t in range(d)]
+                      for k in range(len(self.symbols))]
         directions = [vec for vec in directions if any(map(any, vec))]
         if not directions:
             return  # constant family: nothing to check
@@ -305,36 +323,31 @@ def local_model_relations(fs: FamilySpec) -> list[NCPoly]:
     """Relations of the candidate local model, in the deformation symbols.
 
     When every coefficient matrix of an expanded relation is a scalar
-    multiple of the identity the relation collapses to one symbol
-    polynomial; otherwise each matrix entry is emitted separately.  Each
-    emitted polynomial is normalized to have a monic lowest part.
+    multiple of the identity (read on its layers) the relation collapses to
+    one symbol polynomial; otherwise each matrix entry is emitted
+    separately.  Each emitted polynomial is normalized to have a monic
+    lowest part.
     """
-    field = fs.base.field
+    field, n = fs.base.field, fs.base.dim()
     quiver = fs.symbol_quiver
     vertex = PathWord.vertex(quiver.vertices[0])
+    eye = linalg.identity_layers(n, field)[0]
     out: list[NCPoly] = []
     for r in fs.presentation.relations:
         series = expand_relation(fs, r)
         if series.is_zero():
             continue
         words = {w: PathWord.of(quiver, [fs.symbols[s] for s in w]) if w else vertex
-                 for w in series.terms}
-        polys = []
-        scalars: dict = {}
-        collapsed = True
-        for w, mat in series.terms.items():
-            c = linalg.scalar_multiple_of_identity(mat)
-            if c is None:
-                collapsed = False
-                break
-            scalars[w] = c
-        if collapsed:
-            polys.append(scalars)
+                 for w in series.layers}
+        if all(layer == [layer[0] * e for e in eye]
+               for c in series.layers.values() for layer in c):
+            dens = (series.den,) * field.degree
+            polys = [{w: FieldElem(field, tuple(map(Fraction, [x[0] for x in c], dens)))
+                      for w, c in series.layers.items()}]
         else:
-            for i in range(fs.base.dim()):
-                for j in range(fs.base.dim()):
-                    entry = {w: mat[i][j] for w, mat in series.terms.items()}
-                    polys.append(entry)
+            terms = series.terms
+            polys = [{w: mat[i][j] for w, mat in terms.items()}
+                     for i in range(n) for j in range(n)]
         for table in polys:
             poly = NCPoly(quiver, field, {words[w]: c for w, c in table.items()})
             if not poly.is_zero():
@@ -350,9 +363,7 @@ def tangent_cone_relations(fs: FamilySpec) -> GrIdealReport:
 def _tangent_cone(fs: FamilySpec, rels: list[NCPoly]) -> GrIdealReport:
     """The tangent cone of fs from its local model relations ``rels``."""
     if not rels:
-        nontrivial = any(
-            any(len(w) > 0 for w in s.terms) for s in fs.series.values()
-        )
+        nontrivial = any(w for s in fs.series.values() for w in s.layers)
         units = fs.presentation.unit_relation_indices()
         proper = [k for k in range(len(fs.presentation.relations))
                   if k not in units]

@@ -155,7 +155,7 @@ def check_representation(rep: Representation) -> CheckResult:
     failures = []
     for k, r in enumerate(rep.presentation.relations):
         mat = rep.evaluate(r)
-        if mat is not None and not linalg.is_zero_matrix(mat):
+        if mat is not None and not all(x.is_zero() for row in mat for x in row):
             failures.append(f"relation {k} ({r}) does not vanish")
     failures += _singular_invertibles(rep)
     return CheckResult(not failures, failures)

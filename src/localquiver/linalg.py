@@ -1,6 +1,8 @@
 """Exact dense linear algebra over a :class:`~localquiver.scalars.Field`.
 
-Matrices are plain lists of lists of :class:`FieldElem`.  The ranks of the
+Matrices enter and leave as plain lists of lists of :class:`FieldElem`;
+below that boundary they are held in integer coordinates (``to_layers``),
+the one matrix format of the package's arithmetic.  The ranks of the
 Hom, cocycle and Jacobian systems over the rationals are certified mod p
 first (``certified_rank``); :class:`Echelon` is the exact kernel and the
 fallback.  It takes rows one at a time and reports whether each was
@@ -27,10 +29,11 @@ degree d is held in coordinates: d integer layers A_t (flat, row-major) over
 one common denominator, with A = sum_t zeta^t A_t (``to_layers``).  Then AB
 is the 2d - 1 sums of the integer products A_s B_t with s + t = k, reduced
 from the top by the integer cyclotomic polynomial (``layer_product``); over
-the rationals d = 1 and it is one integer product.  ``mat_mul`` converts
-both operands, multiplies and wraps the result once (``from_layers``);
-callers that chain products (path, Leibniz, density and series assembly)
-convert their operands once and stay in layers until the end.
+the rationals d = 1 and it is one integer product.  Callers that chain
+products (path, Leibniz, density assembly and the series of ``deform``)
+convert their operands once and stay in layers until the end;
+``from_layers`` wraps a result in :class:`FieldElem` where a caller needs
+values.
 
 The modular kernel is :class:`ModEchelon`, the same elimination on
 residues mod one fixed prime p < 2^30 (Dumas, Giorgi and Pernet, ACM TOMS
@@ -73,19 +76,14 @@ def mat_shape(mat) -> tuple[int, int]:
     return len(mat), len(mat[0]) if mat else 0
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c: FieldElem, a):
-    return [[c * x for x in row] for row in a]
-
-
 def mat_mul(a, b):
     """The product of two matrices of ints, Fractions or :class:`FieldElem`
     (of the rationals and at most one cyclotomic field), by
     ``layer_product``; entries are :class:`FieldElem` of the joined field
-    when an operand has one, ints or Fractions otherwise."""
+    when an operand has one, ints or Fractions otherwise.
+
+    No module of the package calls it; it stays because perfbench/spans.py
+    traces linalg.mat_mul."""
     rows, inner = mat_shape(a)
     inner2, cols = mat_shape(b)
     if inner != inner2:
@@ -169,34 +167,6 @@ def from_layers(layers, den: int, field: Field, rows: int, cols: int
     flat = [FieldElem(field, tuple(map(Fraction, c, dens))) if any(c) else zero
             for c in zip(*layers)]
     return [flat[i * cols:(i + 1) * cols] for i in range(rows)]
-
-
-def mat_eq(a, b) -> bool:
-    return mat_shape(a) == mat_shape(b) and all(
-        x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
-    )
-
-
-def is_zero_matrix(a) -> bool:
-    return all(x.is_zero() for row in a for x in row)
-
-
-def scalar_multiple_of_identity(a) -> FieldElem | None:
-    """The scalar c with a == c*I, or None if a is not scalar."""
-    n = len(a)
-    if n == 0:
-        return None
-    if any(len(row) != n for row in a):
-        return None
-    c = a[0][0]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                if a[i][j] != c:
-                    return None
-            elif not a[i][j].is_zero():
-                return None
-    return c
 
 
 def _interleave(layers: list[list[int]]) -> list[int]:

@@ -12,8 +12,9 @@ antisymmetry systems are coordinate rows for ``linalg.Echelon.insert_layers``,
 so field elements are built only for the scalars, pairs and base change.
 
 ``superpotential_form`` inverts the cyclic-derivative map: given one
-relation per arrow it solves the exact linear system for a superpotential
-with those derivatives, degree by degree.
+relation per arrow it solves the exact linear system, whose matrix is
+integer rows counting rotations, for a superpotential with those
+derivatives, degree by degree.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .ncalg import (NCPoly, PathWord, Superpotential, cyclic_derivative,
-                    word_key)
+from .ncalg import NCPoly, PathWord, Superpotential, word_key
 from .quiver import Quiver, STAR_MARKER
 from .scalars import Field, FieldElem, integer_coordinates
 
@@ -435,38 +435,26 @@ def superpotential_form(relations: dict[str, NCPoly]) -> SuperpotentialVerdict:
     total = Superpotential(quiver, field)
     for d in degrees:
         classes = _cycle_classes(quiver, d + 1)
-        # rows: (arrow, word of length d); columns: cycle classes
-        row_index: dict[tuple[str, PathWord], int] = {}
-        rows: list[list[FieldElem]] = []
-        rhs: list[FieldElem] = []
-
-        def row_for(key):
-            if key not in row_index:
-                row_index[key] = len(rows)
-                rows.append([field.zero()] * len(classes))
-                rhs.append(field.zero())
-            return row_index[key]
-
+        # rows: (arrow, word of length d) in order of first use; columns: cycle classes
+        rows: dict[tuple[str, PathWord], list[int]] = {}
+        rhs: dict[tuple[str, PathWord], FieldElem] = {}
         for col, cls in enumerate(classes):
-            single = Superpotential(quiver, field)
-            single.add_term(cls, field.one())
-            for arrow in quiver.arrows:
-                der = cyclic_derivative(single, arrow.name)
-                for word, coeff in der.terms.items():
-                    rows[row_for((arrow.name, word))][col] = coeff
+            # d/da of a cycle: each rotation ending in a, without it (a in quiver order)
+            rots = [cls.arrows[i:] + cls.arrows[:i] for i in range(len(cls.arrows))]
+            for rot in sorted(rots, key=lambda rot: quiver.arrow_rank(rot[-1])):
+                word = PathWord(rot[:-1], quiver.head(rot[0]), quiver.head(rot[-1]))
+                rows.setdefault((rot[-1], word), [0] * len(classes))[col] += 1
         for name, r in relations.items():
             part = r.degree_part(d) if not r.is_zero() else r
             for word, coeff in part.terms.items():
-                rhs[row_for((name, word))] = coeff
-        sol, cert = linalg.solve(rows, rhs, field)
+                rows.setdefault((name, word), [0] * len(classes))
+                rhs[(name, word)] = coeff
+        sol, cert = linalg.solve(list(rows.values()),
+                                 [rhs.get(key, field.zero()) for key in rows], field)
         if sol is None:
-            keys = sorted(row_index, key=lambda k: row_index[k])
-            certificate = {
-                f"{name}:{word}": str(cert[row_index[(name, word)]])
-                for (name, word) in keys
-                if not cert[row_index[(name, word)]].is_zero()
-            }
-            return SuperpotentialVerdict(False, None, certificate)
+            return SuperpotentialVerdict(False, None, {
+                f"{name}:{word}": str(y) for (name, word), y in zip(rows, cert)
+                if not y.is_zero()})
         for col, cls in enumerate(classes):
             if not sol[col].is_zero():
                 total.add_term(cls, sol[col])

@@ -12,6 +12,10 @@ cyclotomic entry; ``is_simple`` is the density check with
 ``ModEchelon`` is the modular elimination that ``linalg.ModEchelon`` ran on
 lists of residues, one interpreter step per entry and reduction step.  The
 differential tests compare the package against them.
+``mat_add``, ``mat_scale``, ``mat_eq``, ``is_zero_matrix`` and
+``scalar_multiple_of_identity`` are the :class:`FieldElem` matrix helpers
+that ``linalg`` exported while ``deform`` kept its series coefficients as
+field elements; the tests use them on :class:`FieldElem` matrices.
 """
 
 from __future__ import annotations
@@ -29,6 +33,42 @@ def mat_mul(a, b):
         raise ValueError(f"matrix shapes {mat_shape(a)} and {mat_shape(b)} do not compose")
     bt = list(zip(*b)) if b else []
     return [[reduce(add, map(mul, row, col)) for col in bt] for row in a]
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(c: FieldElem, a):
+    return [[c * x for x in row] for row in a]
+
+
+def mat_eq(a, b) -> bool:
+    return mat_shape(a) == mat_shape(b) and all(
+        x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
+    )
+
+
+def is_zero_matrix(a) -> bool:
+    return all(x.is_zero() for row in a for x in row)
+
+
+def scalar_multiple_of_identity(a) -> FieldElem | None:
+    """The scalar c with a == c*I, or None if a is not scalar."""
+    n = len(a)
+    if n == 0:
+        return None
+    if any(len(row) != n for row in a):
+        return None
+    c = a[0][0]
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                if a[i][j] != c:
+                    return None
+            elif not a[i][j].is_zero():
+                return None
+    return c
 
 
 def row_echelon(mat) -> tuple[list[list[FieldElem]], list[int]]:

@@ -29,6 +29,7 @@ from localquiver.rewrite import complete, graded_dims, gr_ideal, is_gradable
 from localquiver.scalars import Field, QQ
 from localquiver.structure import preprojective_form, superpotential_form
 
+from linalg_oracle import scalar_multiple_of_identity
 from test_rewrite_differential import baseline_quadrics
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -109,7 +110,7 @@ def test_criterion_3_heisenberg_pipeline():
             assert series.degree_part(d).is_zero()
         cubic = NCPoly(fs.symbol_quiver, field)
         for word, mat in series.degree_part(3).terms.items():
-            c = linalg.scalar_multiple_of_identity(mat)
+            c = scalar_multiple_of_identity(mat)
             assert c is not None
             cubic = cubic + NCPoly.word(
                 fs.symbol_quiver, [fs.symbols[k] for k in word], field, coeff=c)

@@ -14,15 +14,16 @@ from hypothesis import given, settings, strategies as st
 
 from localquiver import deform, extcalc, linalg
 from localquiver.cli import main
-from localquiver.deform import (FamilySpec, TensorSeries, geometric_inverse,
-                               ts_multiply)
+from localquiver.deform import (FamilySpec, TensorSeries, expand_relation,
+                               geometric_inverse, ts_multiply)
 from localquiver.extcalc import Representation
-from localquiver.ncalg import (Presentation, heisenberg_presentation,
-                               surface_group_presentation)
+from localquiver.ncalg import (NCPoly, PathWord, Presentation,
+                               heisenberg_presentation, surface_group_presentation)
 from localquiver.quiver import DimVector, Quiver
 from localquiver.scalars import QQ, Field
 
 import deform_oracle as oracle
+from linalg_oracle import mat_add, mat_scale
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -114,34 +115,60 @@ def test_series_product_and_inverse_match_the_oracle_convolution(label):
             continue
         inverted += 1
         assert show(inv) == show(oracle.geometric_inverse(u))
-        assert oracle.ts_multiply(u, inv) == unit == oracle.ts_multiply(inv, u)
+        unit_oracle = oracle.series(unit)
+        assert oracle.ts_multiply(u, inv) == unit_oracle == oracle.ts_multiply(inv, u)
     assert inverted
 
 
-def cyclo5_scalar():
+def field_scalar(field):
     coords = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
-                      min_size=4, max_size=4)
-    f5 = Field(5)
-    return coords.map(lambda cs: sum((f5.zeta(k) * c for k, c in enumerate(cs)),
-                                     f5.zero()))
+                      min_size=field.degree, max_size=field.degree)
+    return coords.map(lambda cs: sum(
+        ((field.zeta(k) if k else field.one()) * c for k, c in enumerate(cs)),
+        field.zero()))
 
 
 @st.composite
-def cyclo5_series(draw, size):
+def field_series(draw, size, field=Field(5)):
     symbols, order = ("T1", "T2"), 2
     words = [()] + [w for d in (1, 2) for w in itertools.product(range(2), repeat=d)]
     picked = draw(st.lists(st.sampled_from(words), max_size=4, unique=True))
-    mat = st.lists(st.lists(cyclo5_scalar(), min_size=size, max_size=size),
+    mat = st.lists(st.lists(field_scalar(field), min_size=size, max_size=size),
                    min_size=size, max_size=size)
-    return TensorSeries(symbols, size, order, Field(5),
+    return TensorSeries(symbols, size, order, field,
                         {w: draw(mat) for w in picked})
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(1, 3).flatmap(lambda n: st.tuples(*[cyclo5_series(n)] * 3)))
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(*[field_series(n)] * 3)))
 def test_series_product_is_associative_over_cyclo5(series):
     a, b, c = series
     assert ts_multiply(ts_multiply(a, b), c) == ts_multiply(a, ts_multiply(b, c))
+
+
+@settings(max_examples=30, deadline=None)
+@given(label=st.sampled_from(["q", "cyclo:5"]), data=st.data())
+def test_series_arithmetic_matches_the_field_elem_oracle(label, data):
+    field = Field.from_label(label)
+    n = data.draw(st.integers(1, 3))
+    a, b = data.draw(field_series(n, field)), data.draw(field_series(n, field))
+    c = data.draw(field_scalar(field))
+    oa, ob = oracle.series(a), oracle.series(b)
+    assert show(a + b) == show(oa + ob)
+    assert show(a - b) == show(oa - ob)
+    assert show(a.scale(c)) == show(oa.scale(c))
+    for d in range(3):
+        assert show(a.degree_part(d)) == show(oa.degree_part(d))
+    assert (a == b) == (oa == ob)
+    assert ((a + b) - b == a) == ((oa + ob) - ob == oa) == True
+    assert show(ts_multiply(a, b)) == show(oracle.ts_multiply(oa, ob))
+    try:
+        expected = oracle.geometric_inverse(oa)
+    except ValueError:
+        with pytest.raises(ValueError):
+            geometric_inverse(a)
+    else:
+        assert show(geometric_inverse(a)) == show(expected)
 
 
 def heisenberg_simple(m):
@@ -158,6 +185,47 @@ def heisenberg_simple(m):
     pres = heisenberg_presentation(field)
     return Representation(pres, DimVector(pres.quiver, {"v": m}), mats,
                           field=field)
+
+
+def commuting_family(label):
+    """The unit family, K = 2, at a 2 x 2 point of the genus-1 surface
+    group over label: X1 upper triangular with a non-integral entry, Y1 =
+    X1 + 1, so the two commute, and their inverses."""
+    field = Field.from_label(label)
+    pres = surface_group_presentation(1, field)
+    s = field.zeta() if field.degree > 1 else field.elem(Fraction(1, 2))
+    one, zero = field.one(), field.zero()
+    x = [[s, one], [zero, field.elem(2)]]
+    y = [[s + one, one], [zero, field.elem(3)]]
+    mats = {"X1": x, "Y1": y, "X1_inv": linalg.invert(x, field),
+            "Y1_inv": linalg.invert(y, field)}
+    rho = Representation(pres, DimVector(pres.quiver, {"v": 2}), mats,
+                         field=field)
+    return FamilySpec.unit_pattern(rho, 2)
+
+
+@st.composite
+def relations(draw, fs):
+    """A polynomial in the generators of fs: up to three words of length at
+    most three, with scalar coefficients."""
+    quiver, field = fs.presentation.quiver, fs.base.field
+    names = [a.name for a in quiver.arrows]
+    words = draw(st.lists(st.lists(st.sampled_from(names), max_size=3),
+                          min_size=1, max_size=3))
+    return NCPoly(quiver, field, {
+        PathWord.of(quiver, w) if w else PathWord.vertex("v"):
+        draw(field_scalar(field)) for w in words})
+
+
+FAMILIES = {label: commuting_family(label) for label in ("q", "cyclo:5")}
+
+
+@settings(max_examples=30, deadline=None)
+@given(label=st.sampled_from(sorted(FAMILIES)), data=st.data())
+def test_expand_relation_matches_the_field_elem_oracle(label, data):
+    fs = FAMILIES[label]
+    r = data.draw(relations(fs))
+    assert show(expand_relation(fs, r)) == show(oracle.expand_relation(fs, r))
 
 
 def surface_character(rng, genus):
@@ -194,7 +262,7 @@ def combine(rho, *parts):
     for g in rho.matrices:
         total = linalg.zero_matrix(rho.field, rho.dim(), rho.dim())
         for c, d in parts:
-            total = linalg.mat_add(total, linalg.mat_scale(rho.field.elem(c), d[g]))
+            total = mat_add(total, mat_scale(rho.field.elem(c), d[g]))
         out[g] = total
     return out
 

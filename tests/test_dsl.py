@@ -589,3 +589,43 @@ def test_localquiver_dot_and_repideal_text(tmp_path, capsys):
     block = text.split("== repideal\n")[1].split("\n== ")[0]
     generators = [g["poly"] for g in by["repideal"]["generators"]]
     assert f"text: {chr(10).join(generators)}" in block
+
+
+ARGUMENT_SESSION = """
+quiver Q { vertices: v; arrows: X: v -> v, Y: v -> v }
+algebra A over Q { relations: X*Y - Y*X; invertible: ; flavor: graded }
+"""
+
+
+def command_error(command):
+    reports, code = run(parse(ARGUMENT_SESSION + command + "\n"), {})
+    assert code == 1 and len(reports) == 1
+    return reports[0]["error"]
+
+
+def test_repideal_rejects_a_repeated_vertex():
+    assert command_error("repideal A v = 1 v = 2;") == \
+        "repideal gives vertex 'v' twice"
+
+
+def test_gradable_rejects_a_second_degree():
+    assert command_error("gradable A 4 6;") == \
+        "gradable takes one degree, got a second: 6"
+
+
+def test_mincounts_rejects_a_second_degree():
+    assert command_error("mincounts A 3 5;") == \
+        "mincounts takes one degree, got a second: 5"
+
+
+@pytest.mark.parametrize("command, message", [
+    ("double Q 5;", "double takes no integer argument"),
+    ("ext1 A A 2;", "ext1 takes no integer argument"),
+    ("preprojform A v = 3;", "preprojform takes no v = n entry argument"),
+    ("gradable A v = 3;", "gradable takes no v = n entry argument"),
+    ("grideal A Q^2;", "grideal takes no power x^k argument"),
+    ("repideal A X^2;", "repideal takes no power x^k argument"),
+    ("repideal A v = 1 2;", "repideal takes vertex = dim entries or one dimension"),
+])
+def test_commands_reject_arguments_they_do_not_take(command, message):
+    assert command_error(command) == message

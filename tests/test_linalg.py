@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from localquiver import linalg
 from localquiver.scalars import Field, QQ
 
+import linalg_oracle as oracle
+
 F5 = Field(5)
 
 
@@ -50,7 +52,7 @@ def test_invert_over_cyclotomic():
     m = [[f4.one(), i], [i, f4.one()]]
     inv = linalg.invert(m, f4)
     prod = linalg.mat_mul(m, inv)
-    assert linalg.mat_eq(prod, linalg.identity_matrix(f4, 2))
+    assert oracle.mat_eq(prod, linalg.identity_matrix(f4, 2))
     singular = [[f4.one(), i], [i, f4.elem(-1)]]
     assert linalg.invert(singular, f4) is None
 
@@ -130,7 +132,7 @@ def test_invert_or_rank_deficient_property(field, data):
     if inv is None:
         assert linalg.rank(m) < n
     else:
-        assert linalg.mat_eq(linalg.mat_mul(inv, m),
+        assert oracle.mat_eq(linalg.mat_mul(inv, m),
                              linalg.identity_matrix(field, n))
 
 

@@ -622,3 +622,23 @@ def test_cyclotomic_ranks_build_no_field_elem_matrices(monkeypatch):
     assert extcalc.hom_dim(rho, rho) == 1
     assert extcalc.ext1_dim(rho, rho) == 2
     fs._check_first_order_transversality()
+
+
+def test_heisenberg_family_runs_on_integer_layers(monkeypatch):
+    # past the unit pattern, whose geometric inverses invert one FieldElem
+    # constant term each, the expansion, the local model, the cone and the
+    # transversality check multiply, wrap and invert no FieldElem matrix
+    fs = deform.FamilySpec.unit_pattern(heisenberg_simple(5), 3)
+
+    def forbidden(*args):
+        raise AssertionError("a FieldElem matrix was multiplied, wrapped or inverted")
+
+    for name in ("mat_mul", "from_layers", "invert"):
+        monkeypatch.setattr(linalg, name, forbidden)
+    expanded = [deform.expand_relation(fs, r) for r in fs.presentation.relations]
+    assert sum(not s.is_zero() for s in expanded) == 2  # the unit relations vanish
+    local = ["T1^2*T2 - 2*T1*T2*T1 + T2*T1^2", "T1*T2^2 - 2*T2*T1*T2 + T2^2*T1"]
+    assert [str(r) for r in deform.local_model_relations(fs)] == local
+    cone = deform.tangent_cone_relations(fs)
+    assert cone.gradable and [str(g) for g in cone.generators] == local
+    fs._check_first_order_transversality()
