@@ -202,23 +202,14 @@ def run(session: SessionFile, options=None) -> tuple[list[dict], int]:
     for index, cmd in enumerate(session.commands):
         try:
             reports.append(run_command(session, cmd, options))
+            continue
         except (CommandError, ValueError, ZeroDivisionError) as exc:
-            code = max(code, 1)
-            reports.append({
-                "schema": 1,
-                "command": cmd.name,
-                "command_index": index,
-                "error": str(exc),
-            })
+            code, error = max(code, 1), {"error": str(exc)}
         except INTERNAL_ERRORS as exc:
-            code = 3
-            reports.append({
-                "schema": 1,
-                "command": cmd.name,
-                "command_index": index,
-                "error": f"{type(exc).__name__}: {exc}",
-                "error_kind": "internal",
-            })
+            code, error = 3, {"error": f"{type(exc).__name__}: {exc}",
+                              "error_kind": "internal"}
+        reports.append({"schema": 1, "command": cmd.name, "command_index": index,
+                        **error})
     return reports, code
 
 

@@ -304,18 +304,19 @@ def load_family(base, data: dict) -> FamilySpec:
 
 
 def expand_relation(fs: FamilySpec, r: NCPoly) -> TensorSeries:
-    """Substitute the family series into a relation, word by word."""
+    """Substitute the family series into a relation, word by word: a word
+    is the product of its factors' series, and an idempotent the unit."""
     field = fs.base.field
     n = fs.base.dim()
     total = TensorSeries(fs.symbols, n, fs.order, field)
     unit = TensorSeries.unit(fs.symbols, n, fs.order, field)
     for word, coeff in r.terms.items():
-        prod = unit
+        prod = None
         for a in word.arrows:
             if a not in fs.series:
                 raise ValueError(f"no series for generator {a!r}")
-            prod = ts_multiply(prod, fs.series[a])
-        total = total + prod.scale(field.elem(coeff))
+            prod = fs.series[a] if prod is None else ts_multiply(prod, fs.series[a])
+        total = total + (unit if prod is None else prod).scale(field.elem(coeff))
     return total
 
 

@@ -180,6 +180,12 @@ def _prescan_field(tokens: list[Token], declared: Field | None) -> Field:
     return declared if declared is not None else QQ
 
 
+# block keyword -> the word before the block's reference and the session
+# table the reference names; a quiver block has none
+_BLOCKS = {"quiver": (None, None), "algebra": ("over", "quivers"),
+           "rep": ("of", "algebras"), "family": ("at", "reps")}
+
+
 class Parser:
     def __init__(self, tokens: list[Token], field: Field):
         self.tokens = tokens
@@ -223,13 +229,22 @@ class Parser:
     def at(self, text: str) -> bool:
         return self.peek().text == text
 
+    def accept(self, text: str) -> bool:
+        """Whether the next token is text, which is then read."""
+        found = self.at(text)
+        if found:
+            self.pos += 1
+        return found
+
     def lookahead(self) -> str:
         """The next token's text: with next() and error(), the cursor of
         LiteralGrammar."""
         return self.tokens[self.pos].text
 
-    # ---- declared-name validation ---------------------------------------
-    def check_declared_id(self, tok: Token, what: str, allow_e: bool = False):
+    # ---- one reader per grammar shape -------------------------------------
+    def declared_id(self, what: str, allow_e: bool = False) -> Token:
+        """The identifier that declares a quiver, vertex or arrow."""
+        tok = self.expect_id()
         name = tok.text
         if name.endswith(STAR_MARKER):
             self.error(
@@ -239,200 +254,168 @@ class Parser:
         if not allow_e and name.startswith("e_"):
             self.error(
                 f"{what} id {name!r} collides with idempotent syntax", tok)
+        return tok
+
+    def known_id(self, exists, what: str) -> Token:
+        """An identifier that exists(name) accepts, else 'unknown <what>'."""
+        tok = self.expect_id()
+        if not exists(tok.text):
+            self.error(f"unknown {what} {tok.text!r}", tok)
+        return tok
+
+    def header(self, session: SessionFile, keyword: str):
+        """``keyword name [link reference] {``: the name token, which no
+        block has declared yet, and the reference's name and value."""
+        link, table = _BLOCKS[keyword]
+        self.expect(keyword)
+        name_tok = (self.declared_id("quiver", allow_e=True) if link is None
+                    else self.expect_id())
+        if any(name_tok.text in taken for taken in (
+                session.quivers, session.algebras, session.reps, session.families)):
+            self.error(f"name {name_tok.text!r} is already declared", name_tok)
+        ref = value = None
+        if link is not None:
+            self.expect(link)
+            store = getattr(session, table)
+            ref = self.known_id(store.__contains__, table[:-1]).text
+            value = store[ref]
+        self.expect("{")
+        return name_tok, ref, value
+
+    def key(self, name: str):
+        """``name :``"""
+        self.expect(name)
+        self.expect(":")
+
+    def items(self, read, end: str) -> list:
+        """What read returns, item by item, up to a ';', which is consumed,
+        or up to end, which is not; a ',' may follow each item."""
+        out = []
+        while not self.at(";") and not self.at(end):
+            out.append(read())
+            self.accept(",")
+        self.accept(";")
+        return out
+
+    def close(self):
+        """An optional ';', then the '}' that ends a block."""
+        self.accept(";")
+        self.expect("}")
+
+    def build(self, name_tok: Token, make):
+        """What make() returns; a ValueError it raises becomes a ParseError at
+        the block's name."""
+        try:
+            return make()
+        except ValueError as exc:
+            self.error(str(exc), name_tok)
 
     # ---- session ---------------------------------------------------------
     def parse_session(self) -> SessionFile:
         session = SessionFile(self.field)
-        while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.text == "quiver":
-                self.parse_quiver(session)
-            elif tok.text == "algebra":
-                self.parse_algebra(session)
-            elif tok.text == "rep":
-                self.parse_rep(session)
-            elif tok.text == "family":
-                self.parse_family(session)
+        while (tok := self.peek()).kind != "eof":
+            if tok.text in _BLOCKS:
+                getattr(self, f"parse_{tok.text}")(session)
             elif tok.kind == "id" and tok.text in COMMAND_NAMES:
                 self.parse_command(session)
             else:
                 self.error("expected a block keyword or command")
         return session
 
-    def _unique(self, session: SessionFile, name_tok: Token):
-        name = name_tok.text
-        taken = (set(session.quivers) | set(session.algebras)
-                 | set(session.reps) | set(session.families))
-        if name in taken:
-            self.error(f"name {name!r} is already declared", name_tok)
-        return name
-
     def parse_quiver(self, session: SessionFile):
-        self.expect("quiver")
-        name_tok = self.expect_id()
-        self.check_declared_id(name_tok, "quiver", allow_e=True)
-        name = self._unique(session, name_tok)
-        self.expect("{")
-        self.expect("vertices")
-        self.expect(":")
-        vertices = []
-        while not self.at(";"):
-            tok = self.expect_id()
-            self.check_declared_id(tok, "vertex", allow_e=True)
-            vertices.append(tok.text)
-            if self.at(","):
-                self.next()
-        self.expect(";")
-        self.expect("arrows")
-        self.expect(":")
-        arrows = []
-        while not self.at("}") and not self.at(";"):
-            a_tok = self.expect_id()
-            self.check_declared_id(a_tok, "arrow")
-            self.expect(":")
-            tail = self.expect_id().text
-            self.expect("->")
-            head = self.expect_id().text
-            if tail not in vertices:
-                self.error(f"unknown vertex {tail!r}", a_tok)
-            if head not in vertices:
-                self.error(f"unknown vertex {head!r}", a_tok)
-            arrows.append((a_tok.text, head, tail))
-            if self.at(","):
-                self.next()
-        if self.at(";"):
-            self.next()
+        name_tok, _, _ = self.header(session, "quiver")
+        self.key("vertices")
+        vertices = self.items(
+            lambda: self.declared_id("vertex", allow_e=True).text, ";")
+        self.key("arrows")
+        arrows = self.items(lambda: self.parse_arrow(vertices), "}")
         self.expect("}")
-        try:
-            quiver = Quiver(vertices, arrows)
-        except ValueError as exc:
-            self.error(str(exc), name_tok)
-        session.quivers[name] = quiver
-        session.blocks.append(QuiverBlock(name, quiver))
+        quiver = self.build(name_tok, lambda: Quiver(vertices, arrows))
+        session.quivers[name_tok.text] = quiver
+        session.blocks.append(QuiverBlock(name_tok.text, quiver))
+
+    def parse_arrow(self, vertices: list) -> tuple:
+        """``name: tail -> head`` as (name, head, tail)."""
+        a_tok = self.declared_id("arrow")
+        self.expect(":")
+        tail = self.expect_id().text
+        self.expect("->")
+        head = self.expect_id().text
+        for end in (tail, head):
+            if end not in vertices:
+                self.error(f"unknown vertex {end!r}", a_tok)
+        return a_tok.text, head, tail
 
     def parse_algebra(self, session: SessionFile):
-        self.expect("algebra")
-        name_tok = self.expect_id()
-        name = self._unique(session, name_tok)
-        self.expect("over")
-        q_tok = self.expect_id()
-        if q_tok.text not in session.quivers:
-            self.error(f"unknown quiver {q_tok.text!r}", q_tok)
-        quiver = session.quivers[q_tok.text]
-        self.expect("{")
-        self.expect("relations")
-        self.expect(":")
+        name_tok, q_name, quiver = self.header(session, "algebra")
+        self.key("relations")
         relations = []
         polys = LiteralGrammar(self, self.field,
                                NCPoly.unit(quiver, self.field).scale,
                                lambda: self.parse_poly_atom(quiver))
         while not self.at("invertible"):
-            if self.at(";"):
-                self.next()
+            if self.accept(";"):
                 continue
             relations.append(polys.sum())
             if not self.at("invertible"):
                 self.expect(";")
-        self.expect("invertible")
-        self.expect(":")
-        invertible = []
-        while not self.at(";"):
-            tok = self.expect_id()
-            if not quiver.has_arrow(tok.text):
-                self.error(f"unknown arrow {tok.text!r}", tok)
-            invertible.append(tok.text)
-            if self.at(","):
-                self.next()
-        self.expect(";")
-        self.expect("flavor")
-        self.expect(":")
+        self.key("invertible")
+        invertible = self.items(
+            lambda: self.known_id(quiver.has_arrow, "arrow").text, ";")
+        self.key("flavor")
         flavor_tok = self.expect_id()
-        if flavor_tok.text not in ("graded", "complete"):
+        flavor = flavor_tok.text
+        if flavor not in ("graded", "complete"):
             self.error("flavor must be 'graded' or 'complete'", flavor_tok)
-        if self.at(";"):
-            self.next()
-        self.expect("}")
-        try:
-            pres = Presentation(quiver, relations, invertible=invertible,
-                                flavor=flavor_tok.text, field=self.field)
-        except ValueError as exc:
-            self.error(str(exc), name_tok)
-        session.algebras[name] = pres
+        self.close()
+        pres = self.build(name_tok, lambda: Presentation(
+            quiver, relations, invertible=invertible, flavor=flavor, field=self.field))
+        session.algebras[name_tok.text] = pres
         session.blocks.append(AlgebraBlock(
-            name, q_tok.text, relations, invertible, flavor_tok.text))
+            name_tok.text, q_name, relations, invertible, flavor))
 
     def parse_rep(self, session: SessionFile):
-        self.expect("rep")
-        name_tok = self.expect_id()
-        name = self._unique(session, name_tok)
-        self.expect("of")
-        a_tok = self.expect_id()
-        if a_tok.text not in session.algebras:
-            self.error(f"unknown algebra {a_tok.text!r}", a_tok)
-        pres = session.algebras[a_tok.text]
-        self.expect("{")
-        self.expect("dim")
-        self.expect(":")
+        name_tok, a_name, pres = self.header(session, "rep")
+        quiver = pres.quiver
+        self.key("dim")
         dims = {}
-        while not self.at(";"):
-            v_tok = self.expect_id()
-            if not pres.quiver.has_vertex(v_tok.text):
-                self.error(f"unknown vertex {v_tok.text!r}", v_tok)
+
+        def dim():
+            v_tok = self.known_id(quiver.has_vertex, "vertex")
             if v_tok.text in dims:
                 self.error(f"vertex {v_tok.text!r} given twice", v_tok)
             self.expect("=")
             dims[v_tok.text] = self.expect_int()
-            if self.at(","):
-                self.next()
-        self.expect(";")
+
+        self.items(dim, ";")
         matrices = {}
-        field_tag = None
-        while True:
-            tok = self.peek()
-            if tok.text == "field":
-                self.next()
-                self.expect(":")
-                if self.at("q"):
-                    self.next()
-                    field_tag = "q"
-                elif self.at("cyclo"):
-                    self.next()
-                    self.expect(":")
-                    order = self.expect_int()
-                    field_tag = f"cyclo:{order}"
-                else:
-                    self.error("field must be 'q' or 'cyclo:m'")
-                if self.at(";"):
-                    self.next()
-                break
-            a2 = self.expect_id()
-            if not pres.quiver.has_arrow(a2.text):
-                self.error(f"unknown arrow {a2.text!r}", a2)
-            if a2.text in matrices:
-                self.error(f"matrix for arrow {a2.text!r} given twice", a2)
+        while not self.at("field"):
+            a_tok = self.known_id(quiver.has_arrow, "arrow")
+            if a_tok.text in matrices:
+                self.error(f"matrix for arrow {a_tok.text!r} given twice", a_tok)
             self.expect("=")
-            matrices[a2.text] = self.parse_matrix()
-            if self.at(";"):
-                self.next()
-        self.expect("}")
-        rep_field = Field.from_label(field_tag)
-        if not rep_field.is_rational and rep_field != self.field:
-            self.error(f"rep field {field_tag} differs from the session field "
-                       f"{self.field.label()}", name_tok)
-        try:
-            alpha = DimVector(pres.quiver, dims)
-            rep = Representation(pres, alpha, matrices, field=self.field,
-                                 name=name)
-        except ValueError as exc:
-            self.error(str(exc), name_tok)
+            matrices[a_tok.text] = self.parse_matrix()
+            self.accept(";")
+        self.key("field")
+        field_tag = self.peek().text
+        if field_tag not in ("q", "cyclo"):
+            self.error("field must be 'q' or 'cyclo:m'")
+        self.next()
+        if field_tag == "cyclo":
+            self.expect(":")
+            field_tag = f"cyclo:{self.expect_int()}"
+        self.close()
+        rep = self.build(name_tok, lambda: Representation(
+            pres, DimVector(quiver, dims), matrices, field=self.field,
+            name=name_tok.text))
         result = check_representation(rep)
         if not result:
             self.error("not a representation: " + "; ".join(result.failures),
                        name_tok)
-        session.reps[name] = rep
+        session.reps[name_tok.text] = rep
         texts = {arrow: [[str(x) for x in row] for row in mat]
                  for arrow, mat in matrices.items()}
-        session.blocks.append(RepBlock(name, a_tok.text, dims, texts,
+        session.blocks.append(RepBlock(name_tok.text, a_name, dims, texts,
                                        field_tag))
 
     def parse_matrix(self) -> list:
@@ -454,39 +437,24 @@ class Parser:
         items = []
         if not self.at("]"):
             items.append(item())
-            while self.at(","):
-                self.next()
+            while self.accept(","):
                 items.append(item())
         self.expect("]")
         return items
 
     def parse_family(self, session: SessionFile):
-        self.expect("family")
-        name_tok = self.expect_id()
-        name = self._unique(session, name_tok)
-        self.expect("at")
-        r_tok = self.expect_id()
-        if r_tok.text not in session.reps:
-            self.error(f"unknown rep {r_tok.text!r}", r_tok)
-        self.expect("{")
-        self.expect("pattern")
-        self.expect(":")
+        name_tok, r_name, base = self.header(session, "family")
+        self.key("pattern")
         pat_tok = self.expect_id()
         if pat_tok.text != "unit":
             self.error("only the 'unit' pattern is supported", pat_tok)
         self.expect(";")
-        self.expect("K")
-        self.expect(":")
+        self.key("K")
         order = self.expect_int()
-        if self.at(";"):
-            self.next()
-        self.expect("}")
-        try:
-            fam = FamilySpec.unit_pattern(session.reps[r_tok.text], order)
-        except ValueError as exc:
-            self.error(str(exc), name_tok)
-        session.families[name] = fam
-        session.blocks.append(FamilyBlock(name, r_tok.text, "unit", order))
+        self.close()
+        fam = self.build(name_tok, lambda: FamilySpec.unit_pattern(base, order))
+        session.families[name_tok.text] = fam
+        session.blocks.append(FamilyBlock(name_tok.text, r_name, "unit", order))
 
     def parse_command(self, session: SessionFile):
         tok = self.expect_id()
@@ -496,15 +464,12 @@ class Parser:
             if cur.kind == "eof":
                 self.error("unterminated command (missing ';')")
             if cur.kind == "int":
-                args.append(int(cur.text))
-                self.next()
+                args.append(self.expect_int())
                 continue
             ident = self.expect_id().text
-            if self.at("^"):
-                self.next()
+            if self.accept("^"):
                 args.append((ident, self.expect_int()))
-            elif self.at("="):
-                self.next()
+            elif self.accept("="):
                 args.append((ident, "=", self.expect_int()))
             else:
                 args.append(ident)
@@ -527,16 +492,13 @@ class Parser:
             base = NCPoly.arrow(quiver, name, self.field)
         else:
             self.error(f"unknown arrow {name!r}", tok)
-        if self.at("^"):
-            self.next()
-            power = self.expect_int()
-            if power < 1:
-                self.error("power must be >= 1", tok)
-            out = base
-            for _ in range(power - 1):
-                out = out * base
-            return out
-        return base
+        power = self.expect_int() if self.accept("^") else 1
+        if power < 1:
+            self.error("power must be >= 1", tok)
+        out = base
+        for _ in range(power - 1):
+            out = out * base
+        return out
 
 
 def parse(source: str, field: Field | None = None) -> SessionFile:

@@ -100,6 +100,15 @@ def word_key(quiver: Quiver, word: PathWord):
     return tuple(quiver.arrow_rank(a) for a in word.arrows)
 
 
+def canonical_cycle(quiver: Quiver, arrows: tuple[str, ...]) -> PathWord:
+    """The rotation of a cycle, given by its arrows, with the smallest word
+    key."""
+    rot = min((arrows[i:] + arrows[:i] for i in range(len(arrows))),
+              key=lambda r: tuple(map(quiver.arrow_rank, r)))
+    v = quiver.head(rot[0])
+    return PathWord(rot, v, v)
+
+
 class NCPoly:
     """A finitely supported map from path words to exact scalars."""
 
@@ -312,20 +321,8 @@ class Superpotential:
     def add_term(self, word: PathWord, coeff) -> None:
         if not word.arrows or word.head != word.tail:
             raise ValueError(f"superpotential term {word} is not a cycle")
-        accumulate(self.terms, self._canonical(word), self.field.elem(coeff))
-
-    def _canonical(self, word: PathWord) -> PathWord:
-        best = None
-        best_key = None
-        n = len(word.arrows)
-        for i in range(n):
-            rot = word.arrows[i:] + word.arrows[:i]
-            key = tuple(self.quiver.arrow_rank(a) for a in rot)
-            if best_key is None or key < best_key:
-                best_key = key
-                v = self.quiver.head(rot[0])
-                best = PathWord(rot, v, v)
-        return best
+        accumulate(self.terms, canonical_cycle(self.quiver, word.arrows),
+                   self.field.elem(coeff))
 
     @staticmethod
     def from_words(quiver: Quiver, data: dict[tuple[str, ...], object],

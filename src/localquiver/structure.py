@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .ncalg import NCPoly, PathWord, Superpotential, word_key
+from .ncalg import NCPoly, PathWord, Superpotential, canonical_cycle, word_key
 from .quiver import Quiver, STAR_MARKER
 from .scalars import Field, FieldElem, integer_coordinates
 
@@ -382,8 +382,7 @@ def _cycle_classes(quiver: Quiver, length: int) -> list[PathWord]:
     def extend(word: list[str]):
         if len(word) == length:
             if quiver.tail(word[-1]) == quiver.head(word[0]):
-                sp = Superpotential(quiver)
-                canon = sp._canonical(PathWord.of(quiver, word))
+                canon = canonical_cycle(quiver, tuple(word))
                 if canon not in reps:
                     reps.add(canon)
                     out.append(canon)

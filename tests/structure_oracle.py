@@ -314,3 +314,20 @@ def superpotential_form(relations: dict[str, NCPoly]) -> SuperpotentialVerdict:
             if not sol[col].is_zero():
                 total.add_term(cls, sol[col])
     return SuperpotentialVerdict(True, total)
+
+
+def canonical_rotation(quiver, word: PathWord) -> PathWord:
+    """The canonical representative of a cycle as ``Superpotential`` found it
+    before ``ncalg.canonical_cycle``: a loop over the rotations that keeps
+    the one with the smallest word key."""
+    best = None
+    best_key = None
+    n = len(word.arrows)
+    for i in range(n):
+        rot = word.arrows[i:] + word.arrows[:i]
+        key = tuple(quiver.arrow_rank(a) for a in rot)
+        if best_key is None or key < best_key:
+            best_key = key
+            v = quiver.head(rot[0])
+            best = PathWord(rot, v, v)
+    return best

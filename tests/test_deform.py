@@ -181,6 +181,30 @@ def test_local_model_relations_golden():
     assert [str(r) for r in rels1] == ["T1*T2 - T2*T1"]
 
 
+def test_expansion_multiplies_each_word_from_its_first_factor(monkeypatch):
+    from localquiver import deform
+
+    real = deform.ts_multiply
+    calls = []
+
+    def counting(u, v):
+        calls.append(v)
+        return real(u, v)
+
+    fs = heisenberg_family(3)
+    monkeypatch.setattr(deform, "ts_multiply", counting)
+    rels = local_model_relations(fs)
+    assert [str(r) for r in rels] == [
+        "T1^2*T2 - 2*T1*T2*T1 + T2*T1^2",
+        "T1*T2^2 - 2*T2*T1*T2 + T2^2*T1",
+    ]
+    # 24 letters in 8 words of length >= 1: one product per letter after
+    # the first of its word, none with the unit series
+    words = [w for r in fs.presentation.relations for w in r.terms if w.arrows]
+    assert len(words) == 8 and sum(map(len, words)) == 24
+    assert len(calls) == 16
+
+
 def test_tangent_cone_relations():
     fs = heisenberg_family(3)
     report = tangent_cone_relations(fs)

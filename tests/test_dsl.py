@@ -541,6 +541,94 @@ def test_repeated_rep_entry_is_a_parse_error(body, where, message):
     assert (err.value.line, err.value.col) == where  # the repeated name
 
 
+PRELUDE_Q = "quiver q { vertices: v; arrows: X: v -> v, Y: v -> v }\n"
+PRELUDE_A = PRELUDE_Q + ("algebra A over q { relations: X*Y - Y*X; invertible: ; "
+                         "flavor: graded }\n")
+PRELUDE_R = PRELUDE_A + "rep r of A { dim: v = 1; X = [[2]]; Y = [[3]]; field: q }\n"
+PRELUDE_RS = PRELUDE_R + "rep s of A { dim: v = 1; X = [[2]]; Y = [[5]]; field: q }\n"
+
+# one source per error branch of the block, relation and command parsers
+PARSE_ERRORS = [
+    (PRELUDE_A + "rep r of A { dim: v = x; X = [[2]]; Y = [[3]]; field: q }",
+     (3, 23), "expected an integer, got 'x'"),
+    (PRELUDE_Q + "quiver q { vertices: v; arrows: }",
+     (2, 8), "name 'q' is already declared, got 'q'"),
+    (PRELUDE_R + "family F at r { pattern: unit; K: 3 }\nquiver F { vertices: v; arrows: }",
+     (5, 8), "name 'F' is already declared, got 'F'"),
+    ("quiver q { vertices: v; arrows: a: w -> u }",
+     (1, 33), "unknown vertex 'w', got 'a'"),
+    ("quiver q { vertices: v; arrows: a: v -> w }",
+     (1, 33), "unknown vertex 'w', got 'a'"),
+    ("quiver q { vertices: v, v; arrows: }", (1, 8), "duplicate vertex ids, got 'q'"),
+    (PRELUDE_Q + "algebra A over q { relations: ; invertible: Z; flavor: graded }",
+     (2, 45), "unknown arrow 'Z', got 'Z'"),
+    (PRELUDE_Q + "algebra A over q { relations: ; invertible: ; flavor: smooth }",
+     (2, 55), "flavor must be 'graded' or 'complete', got 'smooth'"),
+    (PRELUDE_Q + "algebra A over q { relations: X - Y*X; invertible: ; flavor: graded }",
+     (2, 9), "graded flavor requires homogeneous relations, got X - Y*X, got 'A'"),
+    (PRELUDE_A + "rep r of A { dim: w = 1; field: q }",
+     (3, 19), "unknown vertex 'w', got 'w'"),
+    (PRELUDE_A + "rep r of A { dim: v = 1; X = [[2]]; Y = [[3]]; field: r }",
+     (3, 55), "field must be 'q' or 'cyclo:m', got 'r'"),
+    (PRELUDE_A + "rep r of A { dim: v = 1; Z = [[2]]; field: q }",
+     (3, 26), "unknown arrow 'Z', got 'Z'"),
+    (PRELUDE_A + "rep r of A { dim: v = 1; X = [[2]]; field: q }",
+     (3, 5), "missing matrix for arrow 'Y', got 'r'"),
+    (PRELUDE_R + "family F at s { pattern: unit; K: 3 }",
+     (4, 13), "unknown rep 's', got 's'"),
+    (PRELUDE_R + "family F at r { pattern: ext; K: 3 }",
+     (4, 26), "only the 'unit' pattern is supported, got 'ext'"),
+    ("quiver p { vertices: u, w; arrows: a: u -> u }\n"
+     "algebra B over p { relations: ; invertible: ; flavor: graded }\n"
+     "rep t of B { dim: u = 1, w = 0; a = [[1]]; field: q }\n"
+     "family F at t { pattern: unit; K: 3 }",
+     (4, 8), "families are supported over one-vertex quivers, got 'F'"),
+    (PRELUDE_R + "ext1 r r", (4, 9), "unterminated command (missing ';'), got 'end of input'"),
+    (PRELUDE_Q + "algebra A over q { relations: X*); invertible: ; flavor: graded }",
+     (2, 33), "expected a polynomial factor, got ')'"),
+    (PRELUDE_Q + "algebra A over q { relations: e_w; invertible: ; flavor: complete }",
+     (2, 31), "unknown vertex 'w' in idempotent, got 'e_w'"),
+    (PRELUDE_Q + "algebra A over q { relations: Z; invertible: ; flavor: graded }",
+     (2, 31), "unknown arrow 'Z', got 'Z'"),
+    (PRELUDE_Q + "algebra A over q { relations: X^0; invertible: ; flavor: graded }",
+     (2, 31), "power must be >= 1, got 'X'"),
+]
+
+
+@pytest.mark.parametrize("source, where, message", PARSE_ERRORS)
+def test_parse_error_message_and_position(source, where, message):
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert (err.value.line, err.value.col) == where
+    assert str(err.value) == f"line {where[0]}, col {where[1]}: {message}"
+
+
+# a ';' before a block's closing '}' may be left out
+OPTIONAL_SEMICOLONS = [
+    ("arrows: X: v -> v, Y: v -> v }", "arrows: X: v -> v, Y: v -> v; }"),
+    ("flavor: graded }", "flavor: graded; }"),
+    ("field: q }", "field: q; }"),
+    ("K: 3 }", "K: 3; }"),
+]
+
+
+@pytest.mark.parametrize("bare, with_semicolon", OPTIONAL_SEMICOLONS)
+def test_semicolon_before_a_closing_brace_is_optional(bare, with_semicolon):
+    source = PRELUDE_R + "family F at r { pattern: unit; K: 3 }\n"
+    assert bare in source
+    assert parse(source.replace(bare, with_semicolon)) == parse(source)
+
+
+@pytest.mark.parametrize("command", [
+    "repideal A v = 1;", "localquiver r^2 s;", "gradable A 4;",
+])
+def test_every_command_argument_shape_round_trips(command):
+    session = parse(PRELUDE_RS + command + "\n")
+    rendered = print_session(session)
+    assert rendered.endswith(command + "\n")
+    assert parse(rendered) == session
+
+
 def test_zero_factor_fails_the_density_check():
     src = (
         "quiver q { vertices: v; arrows: x: v -> v }\n"
@@ -619,6 +707,10 @@ def test_mincounts_rejects_a_second_degree():
 
 
 @pytest.mark.parametrize("command, message", [
+    ("ext1 A;", "expected 2 name argument(s), got ['A']"),
+    ("localquiver 2;", "bad localquiver argument 2"),
+    ("repideal A;", "repideal needs one vertex=dim entry per vertex"),
+    ("spform A;", "spform needs one relation per arrow (2 arrows, 1 relations)"),
     ("double Q 5;", "double takes no integer argument"),
     ("ext1 A A 2;", "ext1 takes no integer argument"),
     ("preprojform A v = 3;", "preprojform takes no v = n entry argument"),

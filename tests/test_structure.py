@@ -2,14 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from localquiver.ncalg import (NCPoly, PathWord, Superpotential,
+from localquiver.ncalg import (NCPoly, PathWord, Superpotential, canonical_cycle,
                                cyclic_derivative, preprojective_relations)
 from localquiver.quiver import Quiver
 from localquiver.scalars import QQ
 from localquiver.structure import (_symplectic_pairs, extract_quadratic,
                                    preprojective_form, superpotential_form)
+
+from structure_oracle import canonical_rotation
 
 
 def loops(*names):
@@ -342,3 +344,12 @@ def test_superpotential_form_round_trip_property(q, data):
     assert verdict
     for a, r in rels.items():
         assert cyclic_derivative(verdict.w, a) == r
+
+
+@settings(max_examples=50, deadline=None)
+@given(q=quivers_with_cycles(), data=st.data())
+def test_canonical_cycle_matches_the_rotation_loop(q, data):
+    cycles = closed_words(q, data.draw(st.integers(1, 5)))
+    assume(cycles)
+    word = PathWord.of(q, data.draw(st.sampled_from(cycles)))
+    assert canonical_cycle(q, word.arrows) == canonical_rotation(q, word)
