@@ -192,8 +192,7 @@ class FamilySpec:
     def __init__(self, presentation: Presentation, base, series: dict,
                  order: int, symbols: tuple[str, ...],
                  asserted_hypotheses: bool = False):
-        if len(presentation.quiver.vertices) != 1:
-            raise ValueError("families are supported over one-vertex quivers")
+        FamilySpec._check_one_vertex(presentation)
         self.presentation = presentation
         self.base = base
         self.series = series
@@ -214,6 +213,11 @@ class FamilySpec:
         self._check_first_order_transversality()
 
     @staticmethod
+    def _check_one_vertex(presentation: Presentation) -> None:
+        if len(presentation.quiver.vertices) != 1:
+            raise ValueError("families are supported over one-vertex quivers")
+
+    @staticmethod
     def unit_pattern(base, order: int, asserted_hypotheses: bool = False
                      ) -> "FamilySpec":
         """The family (1 + T_g) tensor base(g) on each primary generator.
@@ -222,13 +226,12 @@ class FamilySpec:
         geometric series of their partner and share its symbol.
         """
         pres = base.presentation
+        FamilySpec._check_one_vertex(pres)  # before series of the wrong size
         eliminated = pres.eliminated_inverses()
         primary = [a.name for a in pres.quiver.arrows if a.name not in eliminated]
         symbols = tuple(f"T{k + 1}" for k in range(len(primary)))
         sym_index = {g: k for k, g in enumerate(primary)}
-        field = base.field
-        n = base.dim()
-        series = {}
+        field, n, series = base.field, base.dim(), {}
         for g in primary:
             mat = base.matrices[g]
             series[g] = TensorSeries(symbols, n, order, field, {

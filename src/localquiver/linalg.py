@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over a :class:`~localquiver.scalars.Field`.
+"""Exact linear algebra over a :class:`~localquiver.scalars.Field`.
 
 Matrices enter and leave as plain lists of lists of :class:`FieldElem`;
 below that boundary they are held in integer coordinates (``to_layers``),
@@ -17,12 +17,13 @@ the tangent-space and Ext computations rely on.
 integer coordinates in Z[zeta]: d = field.degree int layers, with any common
 denominator dropped (``Echelon.insert_layers``).  The producers in extcalc
 (the Hom, cocycle and Jacobian systems, the density check) hand coordinates
-over; ``Echelon.insert`` converts values with ``to_layers``.
-Kept rows are primitive integer vectors over the rationals whose span is the
-coordinate form of the span over the field (restriction of scalars); the
-reduced form is converted back once on exit.  Because reduced forms are
-unique, the results are the same :class:`FieldElem` values, and print the
-same, as elimination in field arithmetic.
+over; ``Echelon.insert`` converts values with ``integer_coordinates``.
+Kept rows are primitive integer vectors over the rationals, held sparse as
+maps from column to nonzero int, whose span is the coordinate form of the
+span over the field (restriction of scalars); the reduced form is made dense
+and converted back once on exit.  Because reduced forms are unique, the
+results are the same :class:`FieldElem` values, and print the same, as
+elimination in field arithmetic.
 
 Products have one kernel on integers as well.  A matrix over a field of
 degree d is held in coordinates: d integer layers A_t (flat, row-major) over
@@ -41,18 +42,15 @@ residues mod one fixed prime p < 2^30 (Dumas, Giorgi and Pernet, ACM TOMS
 rank over the rationals only with a certificate, None otherwise, and then
 the caller ranks them with ``Echelon``; ``extcalc.is_simple`` runs its
 density closure through it.  Its rows are packed residues (Dumas, Fousse
-and Salvy, J. Symb. Comput. 46, 2011): a row of width w is one int with
-entry j in bits [S*j, S*j + S), S a multiple of 8 and at least 61 +
-w.bit_length(), so one elimination step is one bigint multiply-add.  A
-slot starts below p and each of at most w steps adds less than p^2 <
-2^60, so it stays below 2^S and never carries into the next slot.
+and Salvy, J. Symb. Comput. 46, 2011), one int per row, so one elimination
+step is one bigint multiply-add; its docstring gives the slot bound.
 """
 
 from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd, isqrt, lcm
 from operator import add, lshift, mod, mul
 
@@ -60,16 +58,12 @@ from .scalars import QQ, Field, FieldElem, integer_coordinates
 
 
 def zero_matrix(field: Field, rows: int, cols: int) -> list[list[FieldElem]]:
-    z = field.zero()
-    return [[z] * cols for _ in range(rows)]
+    return [[field.zero()] * cols for _ in range(rows)]
 
 
 def identity_matrix(field: Field, n: int) -> list[list[FieldElem]]:
-    mat = zero_matrix(field, n, n)
-    one = field.one()
-    for i in range(n):
-        mat[i][i] = one
-    return mat
+    one, zero = field.one(), field.zero()
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def mat_shape(mat) -> tuple[int, int]:
@@ -169,28 +163,43 @@ def from_layers(layers, den: int, field: Field, rows: int, cols: int
     return [flat[i * cols:(i + 1) * cols] for i in range(rows)]
 
 
-def _interleave(layers: list[list[int]]) -> list[int]:
-    """The coordinates of a row from its layers, entry j's at j*d to j*d + d - 1."""
+def _sparse(layers: list[list[int]]) -> dict[int, int]:
+    """The nonzero coordinates of a row from its layers: L_t[j] at j*d + t."""
     d = len(layers)
-    vec = [0] * (d * len(layers[0]))
-    for t, layer in enumerate(layers):
-        vec[t::d] = layer
-    return vec
+    if d == 1:
+        return dict(compress(enumerate(layers[0]), layers[0]))
+    return {j * d + t: x for t, layer in enumerate(layers)
+            for j, x in enumerate(layer) if x}
 
 
-def _primitive(vec: list[int]) -> list[int]:
-    """vec divided by its content."""
-    g = gcd(*vec)
-    return vec if g <= 1 else [x // g for x in vec]
+def _primitive(vec: dict[int, int]) -> None:
+    """Divide vec by its content, in place.  The gcd is taken entry by entry:
+    a tuple of the entries, of a new length for each row, fragments memory."""
+    g = 0
+    for x in vec.values():
+        if (g := gcd(g, x)) == 1:
+            return
+    for c, x in vec.items():  # g > 1, or vec is empty
+        vec[c] = x // g
 
 
-def _eliminate(vec: list[int], kept: list[int], lead: int) -> list[int]:
-    """The primitive part of p'*vec - f'*kept, where p' and f' are kept[lead]
-    and vec[lead] divided by their gcd; it is zero at lead."""
+def _eliminate(vec: dict[int, int], kept: dict[int, int], lead: int) -> None:
+    """Make vec, in place, the primitive part of p'*vec - f'*kept (zero at
+    lead), p' and f' being kept[lead] and vec[lead] over their gcd."""
     p, f = kept[lead], vec[lead]
     g = gcd(p, f)
     p, f = p // g, f // g
-    return _primitive([p * x - f * y for x, y in zip(vec, kept)])
+    if p != 1:
+        for c, x in vec.items():
+            vec[c] = p * x
+    get = vec.get
+    for c, y in kept.items():
+        x = get(c, 0) - f * y
+        if x:
+            vec[c] = x
+        else:
+            del vec[c]
+    _primitive(vec)
 
 
 class Echelon:
@@ -206,20 +215,23 @@ class Echelon:
     by the content (fraction-free, after Bareiss), so a kept row is a
     primitive integer vector with a positive lead, zero at the leads of the
     rows kept before it; one sweep in insertion order reduces a new row.
-    All rows must have the length of the first.
+    Rows are ``{column: int}`` maps of their nonzero coordinates: a step
+    with p' = 1 rewrites the kept row's support only, and the content, the
+    lead and the hit test read the nonzeros.  Rows must share one length.
 
     ``leads`` and ``len`` count pivots over the field.  ``reduced``
-    back-substitutes on the ints: the rational reduced form is the
-    coordinate form of the reduced form over the field, which is unique,
-    and its row with lead ``p*d`` is the field row with pivot ``p``, entry
-    x becoming x divided by the lead.  A cyclotomic row after rational rows
-    makes the kept rows re-enter, each as its d rows.
+    back-substitutes on the sparse rows and makes them dense on exit: the
+    rational reduced form is the coordinate form of the reduced form over
+    the field, which is unique, and its row with lead ``p*d`` is the field
+    row with pivot ``p``, entry x becoming x divided by the lead.  A
+    cyclotomic row after rational rows makes the kept rows re-enter, each
+    as its d rows.
     """
 
     __slots__ = ("_rows", "_leads", "_width", "_field")
 
     def __init__(self, rows=()):
-        self._rows: list[list[int]] = []
+        self._rows: list[dict[int, int]] = []
         self._leads: list[int] = []  # over the rationals
         self._width: int | None = None
         self._field = QQ
@@ -244,8 +256,9 @@ class Echelon:
         for x in vec:
             if type(x) is FieldElem and x.field is not field:
                 field = field.join(x.field)
-        (layers,), _ = to_layers([[vec]], field)
-        return self.insert_layers(layers, field)
+        ints, d = integer_coordinates(vec, field)[0], field.degree
+        return self.insert_layers([ints] if d == 1 else [ints[t::d] for t in range(d)],
+                                  field)
 
     def insert_layers(self, layers, field: Field) -> bool:
         """Reduce the row sum_t zeta^t layers[t] over field (a common
@@ -254,7 +267,7 @@ class Echelon:
         they are read, never kept or changed."""
         d = field.degree
         width = len(layers[0]) if layers else 0
-        if len(layers) != d or any(len(x) != width for x in layers):
+        if len(layers) != d or d > 1 and any(len(x) != width for x in layers):
             raise ValueError(f"a row over {field.label()} needs {d} layers "
                              f"of one length, got {[len(x) for x in layers]}")
         if width != self._width:
@@ -268,27 +281,28 @@ class Echelon:
                 kept, self._rows, self._leads = self._rows, [], []
                 self._field, zeros = joined, [[0] * width] * (joined.degree - 1)
                 for old in kept:
-                    self.insert_layers([old] + zeros, joined)
+                    self.insert_layers([[old.get(j, 0) for j in range(width)]]
+                                       + zeros, joined)
             field, d = joined, joined.degree
             layers = layers + [[0] * width] * (d - len(layers))
-        if not self._insert_integers(_interleave(layers)):
+        if not self._insert_integers(_sparse(layers)):
             return False
         for _ in range(d - 1):  # zeta times the last, its top folded by phi: kept
             layers = reduce_layers([None, *layers] + [None] * (d - 2),
                                    field.phi, width)
-            self._insert_integers(_interleave(layers))
+            self._insert_integers(_sparse(layers))
         return True
 
-    def _insert_integers(self, vec: list[int]) -> bool:
-        vec = _primitive(vec)
+    def _insert_integers(self, vec: dict[int, int]) -> bool:
+        _primitive(vec)
         for lead, kept in zip(self._leads, self._rows):
-            if vec[lead]:
-                vec = _eliminate(vec, kept, lead)
-        lead = next((k for k, x in enumerate(vec) if x), None)
-        if lead is None:
+            if lead in vec:
+                _eliminate(vec, kept, lead)
+        if not vec:
             return False
+        lead = min(vec)
         if vec[lead] < 0:
-            vec = [-x for x in vec]
+            vec = {c: -x for c, x in vec.items()}
         self._rows.append(vec)
         self._leads.append(lead)
         return True
@@ -298,8 +312,7 @@ class Echelon:
         cols (the width, or anything for an empty echelon) over field: one
         vector per free column f, 1 at f and zero at the other free columns."""
         rows, pivots = self.reduced()
-        basis = []
-        zero, one = field.zero(), field.one()
+        basis, zero, one = [], field.zero(), field.one()
         for f in sorted(set(range(cols)) - set(pivots)):
             vec = [zero] * cols
             vec[f] = one
@@ -312,19 +325,18 @@ class Echelon:
         """Back-substitute in place to the reduced row echelon form of the
         kept rows; return its rows over the field and their pivot columns."""
         order = sorted(range(len(self._leads)), key=self._leads.__getitem__)
-        rows = [self._rows[k] for k in order]
-        leads = [self._leads[k] for k in order]
+        rows, leads = [self._rows[k] for k in order], [self._leads[k] for k in order]
         for k in range(len(rows) - 1, 0, -1):
             lead, pivot = leads[k], rows[k]
             for i in range(k):
-                if rows[i][lead]:
-                    rows[i] = _eliminate(rows[i], pivot, lead)
+                if lead in rows[i]:
+                    _eliminate(rows[i], pivot, lead)
         self._rows, self._leads = rows, leads
-        field, d = self._field, self._field.degree
-        out = []
+        field, d, out, zero = self._field, self._field.degree, [], Fraction(0)
         for row, lead in zip(rows[::d], leads[::d]):
             p = row[lead]
-            coeffs = [Fraction(x, p) for x in row]
+            coeffs = [Fraction(row[c], p) if c in row else zero
+                      for c in range(d * self._width)]
             out.append([FieldElem(field, c) for c in zip(*[iter(coeffs)] * d)])
         return out, self.leads
 

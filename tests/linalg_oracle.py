@@ -9,6 +9,9 @@ computes a full reduced row echelon form column by column on a copy, and
 ``is_simple`` ran on its own, and that ``linalg.Echelon`` ran on rows with a
 cyclotomic entry; ``is_simple`` is the density check with
 :class:`FieldElem` path products from ``mat_mul`` inserted into it.
+``DenseEchelon`` is ``linalg.Echelon`` as it was on dense integer rows,
+and ``dense_kernel`` runs ``linalg.rank``, ``nullspace``, ``solve`` and
+``invert`` on it.
 ``ModEchelon`` is the modular elimination that ``linalg.ModEchelon`` ran on
 lists of residues, one interpreter step per entry and reduction step.  The
 differential tests compare the package against them.
@@ -20,10 +23,15 @@ field elements; the tests use them on :class:`FieldElem` matrices.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from fractions import Fraction
 from functools import reduce
+from math import gcd
 from operator import add, mul
 
-from localquiver.linalg import _P, identity_matrix, mat_shape, residues, zero_matrix
+from localquiver import linalg
+from localquiver.linalg import (_P, identity_matrix, mat_shape, reduce_layers,
+                                residues, zero_matrix)
 from localquiver.scalars import Field, FieldElem
 
 
@@ -152,6 +160,112 @@ def invert(mat, field: Field):
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in ech[:n]]
+
+
+def _interleave(layers: list[list[int]]) -> list[int]:
+    """The coordinates of a row from its layers, entry j's at j*d to j*d + d - 1."""
+    d = len(layers)
+    vec = [0] * (d * len(layers[0]))
+    for t, layer in enumerate(layers):
+        vec[t::d] = layer
+    return vec
+
+
+def _primitive(vec: list[int]) -> list[int]:
+    """vec divided by its content."""
+    g = gcd(*vec)
+    return vec if g <= 1 else [x // g for x in vec]
+
+
+def _eliminate(vec: list[int], kept: list[int], lead: int) -> list[int]:
+    """The primitive part of p'*vec - f'*kept, where p' and f' are kept[lead]
+    and vec[lead] divided by their gcd; it is zero at lead."""
+    p, f = kept[lead], vec[lead]
+    g = gcd(p, f)
+    p, f = p // g, f // g
+    return _primitive([p * x - f * y for x, y in zip(vec, kept)])
+
+
+class DenseEchelon(linalg.Echelon):
+    """``linalg.Echelon`` on dense integer rows: every step rewrites the
+    whole row, and the content and the lead are read off every entry."""
+
+    def insert_layers(self, layers, field: Field) -> bool:
+        """Reduce the row sum_t zeta^t layers[t] over field (a common
+        denominator dropped) against the kept rows; keep it if it is not
+        zero.  layers holds field.degree int lists of the echelon's width;
+        they are read, never kept or changed."""
+        d = field.degree
+        width = len(layers[0]) if layers else 0
+        if len(layers) != d or any(len(x) != width for x in layers):
+            raise ValueError(f"a row over {field.label()} needs {d} layers "
+                             f"of one length, got {[len(x) for x in layers]}")
+        if width != self._width:
+            if self._width is not None:
+                raise ValueError(
+                    f"row of length {width} in an echelon of width {self._width}")
+            self._width = width
+        if field is not self._field and field != self._field:
+            joined = self._field.join(field)
+            if joined != self._field:  # the kept rational rows re-enter
+                kept, self._rows, self._leads = self._rows, [], []
+                self._field, zeros = joined, [[0] * width] * (joined.degree - 1)
+                for old in kept:
+                    self.insert_layers([old] + zeros, joined)
+            field, d = joined, joined.degree
+            layers = layers + [[0] * width] * (d - len(layers))
+        if not self._insert_integers(_interleave(layers)):
+            return False
+        for _ in range(d - 1):  # zeta times the last, its top folded by phi: kept
+            layers = reduce_layers([None, *layers] + [None] * (d - 2),
+                                   field.phi, width)
+            self._insert_integers(_interleave(layers))
+        return True
+
+    def _insert_integers(self, vec: list[int]) -> bool:
+        vec = _primitive(vec)
+        for lead, kept in zip(self._leads, self._rows):
+            if vec[lead]:
+                vec = _eliminate(vec, kept, lead)
+        lead = next((k for k, x in enumerate(vec) if x), None)
+        if lead is None:
+            return False
+        if vec[lead] < 0:
+            vec = [-x for x in vec]
+        self._rows.append(vec)
+        self._leads.append(lead)
+        return True
+
+    def reduced(self) -> tuple[list[list[FieldElem]], list[int]]:
+        """Back-substitute in place to the reduced row echelon form of the
+        kept rows; return its rows over the field and their pivot columns."""
+        order = sorted(range(len(self._leads)), key=self._leads.__getitem__)
+        rows = [self._rows[k] for k in order]
+        leads = [self._leads[k] for k in order]
+        for k in range(len(rows) - 1, 0, -1):
+            lead, pivot = leads[k], rows[k]
+            for i in range(k):
+                if rows[i][lead]:
+                    rows[i] = _eliminate(rows[i], pivot, lead)
+        self._rows, self._leads = rows, leads
+        field, d = self._field, self._field.degree
+        out = []
+        for row, lead in zip(rows[::d], leads[::d]):
+            p = row[lead]
+            coeffs = [Fraction(x, p) for x in row]
+            out.append([FieldElem(field, c) for c in zip(*[iter(coeffs)] * d)])
+        return out, self.leads
+
+
+@contextmanager
+def dense_kernel():
+    """Within the block, ``linalg`` eliminates with ``DenseEchelon``."""
+    sparse = linalg.Echelon
+    linalg.Echelon = DenseEchelon
+    try:
+        yield
+    finally:
+        linalg.Echelon = sparse
 
 
 class SpanOracle:

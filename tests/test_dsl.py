@@ -583,6 +583,13 @@ PARSE_ERRORS = [
      "rep t of B { dim: u = 1, w = 0; a = [[1]]; field: q }\n"
      "family F at t { pattern: unit; K: 3 }",
      (4, 8), "families are supported over one-vertex quivers, got 'F'"),
+    # an arrow between two vertices: the vertex count is checked before the
+    # series, whose size is the total dimension
+    ("quiver p { vertices: u, w; arrows: a: u -> w }\n"
+     "algebra B over p { relations: ; invertible: ; flavor: graded }\n"
+     "rep t of B { dim: u = 1, w = 1; a = [[1]]; field: q }\n"
+     "family F at t { pattern: unit; K: 3 }",
+     (4, 8), "families are supported over one-vertex quivers, got 'F'"),
     (PRELUDE_R + "ext1 r r", (4, 9), "unterminated command (missing ';'), got 'end of input'"),
     (PRELUDE_Q + "algebra A over q { relations: X*); invertible: ; flavor: graded }",
      (2, 33), "expected a polynomial factor, got ')'"),

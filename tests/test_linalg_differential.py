@@ -1,13 +1,15 @@
 """The elimination kernel ``linalg.Echelon`` (on values and on coordinate
 rows), the functions built on it and the coordinate product
 ``linalg.mat_mul`` against the previous paths kept in ``linalg_oracle``,
-compared as strings."""
+compared as strings; the sparse rows of ``Echelon`` against the dense
+kernel ``linalg_oracle.DenseEchelon``, compared integer for integer."""
 
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localquiver import deform, extcalc, linalg, repvariety
 from localquiver.extcalc import Representation
@@ -484,10 +486,11 @@ def test_integer_rows_are_primitive_with_positive_leads():
                 inserted.append(row)
                 assert kernel.insert(row) == old.insert(row)
                 assert_reduced_matches(kernel, inserted)
+            # a kept row maps columns to its nonzero ints
             for vec, lead in zip(kernel._rows, kernel._leads):
-                assert all(type(x) is int for x in vec)
-                assert vec[lead] > 0 and gcd(*vec) == 1
-                assert not any(vec[:lead])
+                assert all(type(x) is int and x for x in vec.values())
+                assert vec[lead] > 0 and gcd(*vec.values()) == 1
+                assert not any(c < lead for c in vec)
 
 
 def test_rational_then_cyclotomic_rows_match_the_oracle():
@@ -642,3 +645,189 @@ def test_heisenberg_family_runs_on_integer_layers(monkeypatch):
     cone = deform.tangent_cone_relations(fs)
     assert cone.gradable and [str(g) for g in cone.generators] == local
     fs._check_first_order_transversality()
+
+
+# ---- sparse rows against the dense kernel they replaced --------------------
+
+# the rationals, and the fields of the Heisenberg workloads: cyclo:4 (phi =
+# x^2 + 1) and cyclo:7 (degree 6, every coefficient of phi nonzero)
+SPARSE_FIELDS = [QQ, Field(4), Field(7)]
+
+
+def dense_rows(kernel):
+    """The kept rows of the sparse kernel as dense int lists."""
+    width = (kernel._width or 0) * kernel._field.degree
+    return [[row.get(c, 0) for c in range(width)] for row in kernel._rows]
+
+
+def assert_same_state(kernel, dense):
+    """The same kept integer rows, leads and field in both kernels."""
+    assert dense_rows(kernel) == dense._rows
+    assert kernel._leads == dense._leads
+    assert kernel._field == dense._field
+    assert len(kernel) == len(dense) and kernel.leads == dense.leads
+
+
+def multiplier(rng, field):
+    """zeta^k for 0 < k < m over cyclo:m, a rational other than 1 over q."""
+    if field.degree == 1:
+        return field.from_rational(Fraction(rng.choice([-1, 2, -3]), rng.choice([1, 5])))
+    return field.zeta(rng.randrange(1, field.order))
+
+
+def sparse_entry(rng, field):
+    """A nonzero rational entry, or a short sum of zeta powers."""
+    if field.degree == 1 or rng.random() < 0.4:
+        return field.from_rational(Fraction(rng.choice([1, -1, 2, -3, 6]),
+                                            rng.choice([1, 1, 2, 3])))
+    return sum((field.zeta(k) * rng.choice([1, -1, 2])
+                for k in rng.sample(range(field.degree), rng.randrange(1, 3))),
+               field.zero())
+
+
+def sparse_rows(rng, field, count, cols):
+    """Rows with long zero runs, zero rows, duplicates, zeta multiples (or
+    rational multiples over q), combinations and denser rows."""
+    rows = []
+    for _ in range(count):
+        kind = rng.choice(["run", "run", "zero", "dup", "zeta", "comb", "dense"])
+        if not rows or kind == "run":
+            row = [field.zero()] * cols
+            for j in rng.sample(range(cols), min(cols, rng.randrange(1, 4))):
+                row[j] = sparse_entry(rng, field)
+        elif kind == "zero":
+            row = [field.zero()] * cols
+        elif kind == "dup":
+            row = list(rng.choice(rows))
+        elif kind == "zeta":
+            c = multiplier(rng, field)
+            row = [c * x for x in rng.choice(rows)]
+        elif kind == "comb":
+            row = combination(rng, field, rng.sample(rows, min(len(rows), 3)))
+        else:
+            row = [entry(rng, field, 0.5) for _ in range(cols)]
+        rows.append(row)
+    return rows
+
+
+def compare_kernels(rows, field, more=()):
+    """Insert rows into the sparse and the dense kernel, by value and by
+    layers (over q for a rational row, so kept rows re-enter at the first
+    cyclotomic one), comparing each verdict and the kept rows after it; then
+    the reduced forms, and the rows more inserted after the back-substitution."""
+    kernels = [(linalg.Echelon(), oracle.DenseEchelon()) for _ in range(2)]
+    for k, row in enumerate(list(rows) + list(more)):
+        over = QQ if all(x.field.is_rational for x in row) else field
+        (layers,), _ = linalg.to_layers([[row]], over)
+        for by_layers, (kernel, dense) in enumerate(kernels):
+            if by_layers:
+                got = kernel.insert_layers(layers, over), dense.insert_layers(layers, over)
+            else:
+                got = kernel.insert(row), dense.insert(row)
+            assert got[0] == got[1]
+            assert_same_state(kernel, dense)
+            if k == len(rows) - 1:
+                assert show(kernel.reduced()) == show(dense.reduced())
+                assert_same_state(kernel, dense)
+    for kernel, dense in kernels:
+        assert show(kernel.reduced()) == show(dense.reduced())
+        assert_same_state(kernel, dense)
+
+
+def compare_functions(m, field, rng):
+    """rank, nullspace, solve (an arbitrary and a consistent right-hand side)
+    and invert on the sparse kernel and on the dense one."""
+    cols = len(m[0]) if m else 0
+    v = [entry(rng, field) for _ in range(cols)]
+    rhs = [[entry(rng, field) for _ in m],
+           [sum((a * b for a, b in zip(row, v)), field.zero()) for row in m]]
+    got = [linalg.rank(m), show(linalg.nullspace(m, field)),
+           [show(linalg.solve(m, b, field)) for b in rhs], show(linalg.invert(m, field))]
+    with oracle.dense_kernel():
+        want = [linalg.rank(m), show(linalg.nullspace(m, field)),
+                [show(linalg.solve(m, b, field)) for b in rhs],
+                show(linalg.invert(m, field))]
+    assert got == want
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=str)
+def test_sparse_rows_match_the_dense_kernel_step_by_step(field):
+    for seed in range(6):
+        rng = random.Random(f"sparse {field.label()} {seed}")
+        cols = rng.choice([3, 8, 20])
+        rows = sparse_rows(rng, field, rng.randrange(4, 12), cols)
+        compare_kernels(rows, field, sparse_rows(rng, field, 3, cols))
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS[1:], ids=str)
+def test_rational_rows_then_a_cyclotomic_row_match_the_dense_kernel(field):
+    # the kept rational rows re-enter, each as its d rows, at the first
+    # cyclotomic row, from the sparse rows as from the dense ones
+    for seed in range(4):
+        rng = random.Random(f"re-entry sparse {field.label()} {seed}")
+        cols = rng.choice([4, 12])
+        rational = sparse_rows(rng, QQ, rng.randrange(1, 5), cols)
+        cyclo = sparse_rows(rng, field, 1, cols)
+        cyclo[0][rng.randrange(cols)] = field.zeta(1)
+        compare_kernels(rational + cyclo + sparse_rows(rng, QQ, 2, cols), field,
+                        sparse_rows(rng, field, 2, cols))
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=str)
+def test_sparse_rank_nullspace_solve_invert_match_the_dense_kernel(field):
+    for seed in range(4):
+        rng = random.Random(f"functions {field.label()} {seed}")
+        for rows, cols in ((3, 3), (5, 5), (4, 12), (9, 6)):
+            compare_functions(sparse_rows(rng, field, rows, cols), field, rng)
+    if field.degree > 1:
+        rng = random.Random("functions re-entry")
+        mixed = sparse_rows(rng, QQ, 3, 4) + sparse_rows(rng, field, 1, 4)
+        compare_functions(mixed, field, rng)
+
+
+def test_heisenberg_systems_match_the_dense_kernel():
+    # the Kronecker-block Hom, cocycle and Jacobian rows of the workloads
+    rho = heisenberg_simple()
+    jacobian, _, _, field = repvariety._jacobian_system(rho)
+    for rows in (extcalc._hom_system(rho, rho)[0], extcalc._cocycle_system(rho, rho)[0],
+                 jacobian):
+        kernel, dense = linalg.Echelon(), oracle.DenseEchelon()
+        for layers, _ in rows:
+            assert kernel.insert_layers(layers, field) == dense.insert_layers(layers, field)
+        assert_same_state(kernel, dense)
+        assert show(kernel.reduced()) == show(dense.reduced())
+        assert_same_state(kernel, dense)
+
+
+# few nonzero coordinates, so most rows have long zero runs
+COORDS = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)])
+
+
+@st.composite
+def sparse_cases(draw):
+    """A field of SPARSE_FIELDS and rows over it, with duplicates, zeta (or
+    rational) multiples and zero rows put in among them."""
+    field = draw(st.sampled_from(SPARSE_FIELDS))
+    cols, d = draw(st.integers(1, 9)), field.degree
+    coords = st.lists(st.lists(COORDS, min_size=d, max_size=d), min_size=cols, max_size=cols)
+    rows = [[sum((field.zeta(k) * c for k, c in enumerate(x) if k and c),
+                 field.from_rational(x[0])) for x in draw(coords)]
+            for _ in range(draw(st.integers(1, 6)))]
+    for kind, i, at in draw(st.lists(st.tuples(st.sampled_from(["dup", "zeta", "zero"]),
+                                               st.integers(0, 99), st.integers(0, 99)),
+                                     max_size=4)):
+        row = rows[i % len(rows)]
+        if kind == "zeta":
+            row = [multiplier(random.Random(i), field) * x for x in row]
+        elif kind == "zero":
+            row = [field.zero()] * cols
+        rows.insert(at % (len(rows) + 1), list(row))
+    return field, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_cases())
+def test_sparse_and_dense_kernels_agree_on_every_row(case):
+    field, rows = case
+    compare_kernels(rows, field)
+    compare_functions(rows, field, random.Random(len(rows)))
