@@ -304,11 +304,11 @@ class Parser:
 
     def build(self, name_tok: Token, make):
         """What make() returns; a ValueError it raises becomes a ParseError at
-        the block's name."""
+        the block's name, with the ValueError's own text."""
         try:
             return make()
         except ValueError as exc:
-            self.error(str(exc), name_tok)
+            raise ParseError(str(exc), name_tok.line, name_tok.col) from None
 
     # ---- session ---------------------------------------------------------
     def parse_session(self) -> SessionFile:

@@ -15,19 +15,21 @@ junction of a word through its vertex.  Presentations containing them
 normally collapse to zero in every truncation, which is the honest answer
 for an arrow-ideal-adic completion of a group algebra.
 
-Reduction order.  ``RewriteSystem.reduce`` keeps the terms in a heap in the
-shared order and always rewrites the leading reducible term, at its leftmost
-reducible subword, with the lowest-indexed rule matching there; leads are
-looked up in a table keyed by their word keys (and by vertex for idempotent
-leads).  The other terms of a rule come later in the order than its lead, so
-each step only adds later words and a word popped as irreducible is final.
-The arithmetic is fraction-free.  Each ``Rule`` holds an integer form, and
-the pending values are integers (``CycloInt`` over a cyclotomic field) over
-one common denominator.  A step on value c by a rule with integer lead L is
-a pseudo-division: with g = gcd(L, content(c)), it multiplies the pending
-values and the denominator by L/g and adds (c/g) times the rule's integer
-tail.  A settled value keeps the denominator it had then, and the normal
-form is converted back to field elements once.
+Reduction order.  Inside a system a word is one int (``WordCodes``), a
+smaller code for a larger word; ``PathWord`` and ``FieldElem`` are made
+only when a polynomial comes in or a normal form or rule goes out.
+``RewriteSystem.reduce`` keeps the term codes in a heap and always rewrites
+the leading reducible term, at its leftmost reducible subword, with the one
+rule matching there (leads form an antichain), found by walking the codes
+of that subword's prefixes in the lead table.  The other terms of a rule
+come later in the order than its lead, so each step only adds later words
+and a word popped as irreducible is final.  The arithmetic is fraction-free.  Each ``Rule`` holds an integer
+form, and the pending values are integers (``CycloInt`` over a cyclotomic
+field) over one common denominator.  A step on value c by a rule with
+integer lead L is a pseudo-division: with g = gcd(L, content(c)), it
+multiplies the pending values and the denominator by L/g and adds (c/g)
+times the rule's integer tail.  A settled value keeps the denominator it
+had then, and the normal form is converted back to field elements once.
 
 Settling by degree.  ``RewriteSystem.settle(top)`` runs the completion only
 through the critical pairs of degree <= top, and more polynomials may be
@@ -51,33 +53,81 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_right
 from collections import Counter, deque
 from fractions import Fraction
 from math import gcd
 
 from .ncalg import NCPoly, PathWord, Presentation, word_key, word_vertex_at
 from .quiver import Quiver
-from .scalars import Field, FieldElem, integer_values
+from .scalars import CycloInt, Field, FieldElem, integer_values
+
+
+class WordCodes:
+    """One int per word of a quiver, words of length <= top decodable.
+
+    The V vertex idempotents take 0..V-1 by name.  A word of n >= 1 arrows
+    takes offsets[n] plus its arrow ranks as base-B digits, B = max(#arrows,
+    2), offsets[1] = V and offsets[n + 1] = offsets[n] + B^n: codes order
+    words by length, then by word key, and never collide.  Appending the
+    arrow of rank r takes c to c*B + r + ``shift``, from V - 1 for no arrow.
+    """
+
+    __slots__ = ("base", "shift", "offsets", "powers", "vertices", "vertex",
+                 "arrows", "rank", "heads", "tails")
+
+    def __init__(self, quiver: Quiver, top: int):
+        B, V = max(len(quiver.arrows), 2), len(quiver.vertices)
+        self.base, self.shift = B, B - V * (B - 1)
+        self.powers = [B ** n for n in range(top + 2)]
+        self.offsets = [0, *itertools.accumulate(self.powers[1:-1], initial=V)]
+        self.vertices = sorted(quiver.vertices)
+        self.vertex = {v: i for i, v in enumerate(self.vertices)}
+        self.arrows = quiver.arrows
+        self.rank = {a.name: r + self.shift for r, a in enumerate(self.arrows)}
+        self.heads = [self.vertex[a.head] for a in self.arrows]
+        self.tails = [self.vertex[a.tail] for a in self.arrows]
+
+    def code(self, word: PathWord) -> int:
+        if not word.arrows:
+            return self.vertex[word.head]
+        c = len(self.vertices) - 1
+        for a in word.arrows:
+            c = c * self.base + self.rank[a]
+        return c
+
+    def word(self, code: int) -> PathWord:
+        n = bisect_right(self.offsets, code) - 1
+        if not n:
+            return PathWord.vertex(self.vertices[code])
+        arrows, v = [], code - self.offsets[n]
+        for _ in range(n):
+            v, r = divmod(v, self.base)
+            arrows.insert(0, self.arrows[r])
+        return PathWord(tuple(a.name for a in arrows), arrows[0].head,
+                        arrows[-1].tail)
 
 
 class Rule:
     """A rewrite rule lead -> lead - poly for a monic poly with that lead.
 
     Its integer form is built once: ``scale``, the lcm of the denominators,
-    times the lead rewrites to the sum of ``tail``, a list of (word key,
-    integer value), ints over the rationals and ``CycloInt`` otherwise.
+    times the lead (code ``code``) rewrites to the sum of ``tail``, a list of
+    (length, B^length, digit value, integer value), ints over the rationals
+    and ``CycloInt`` otherwise, per tail word.  No tail word is an
+    idempotent: it would be a lead of lower degree in the same vertex pair.
     """
 
-    __slots__ = ("lead", "key", "poly", "scale", "tail")
+    __slots__ = ("lead", "code", "poly", "scale", "tail")
 
-    def __init__(self, poly: NCPoly):
-        quiver = poly.quiver
+    def __init__(self, poly: NCPoly, codes: WordCodes):
         self.poly = poly
         self.lead = poly.leading_word()
-        self.key = word_key(quiver, self.lead)
+        self.code = codes.code(self.lead)
         values, self.scale = integer_values((-c for c in poly.terms.values()),
                                             poly.field)
-        self.tail = [(word_key(quiver, w), x)
+        off, pw = codes.offsets, codes.powers
+        self.tail = [(len(w), pw[len(w)], codes.code(w) - off[len(w)], x)
                      for w, x in zip(poly.terms, values) if w != self.lead]
 
     def __repr__(self):
@@ -88,18 +138,12 @@ class Rule:
 
 def _word_divides(small: PathWord, big: PathWord, quiver: Quiver) -> bool:
     """Whether the small lead matches somewhere inside the big word."""
-    L = len(small.arrows)
+    L, n = len(small.arrows), len(big.arrows)
     if L == 0:
-        return any(
-            word_vertex_at(quiver, big, pos) == small.head
-            for pos in range(len(big.arrows) + 1)
-        )
-    if L > len(big.arrows):
-        return False
-    return any(
-        big.arrows[pos:pos + L] == small.arrows
-        for pos in range(len(big.arrows) - L + 1)
-    )
+        return any(word_vertex_at(quiver, big, pos) == small.head
+                   for pos in range(n + 1))
+    return any(big.arrows[pos:pos + L] == small.arrows
+               for pos in range(n - L + 1))
 
 
 class RewriteSystem:
@@ -108,12 +152,13 @@ class RewriteSystem:
     It starts with the relations pending.  After ``settle(D)`` normal forms
     are exact in the quotient by the ideal plus the (D+1)-st power of the
     arrow ideal, for every input of degree at most D.  ``live`` holds the
-    rules by identity, ``pairs`` the queued critical pairs, and ``checked``
-    the pair degree of the last dead-degree test.
+    rules by identity, ``pairs`` the queued critical pairs, ``checked`` the
+    pair degree of the last dead-degree test, ``table`` the lead table (see
+    ``_add``), ``joined`` the join of the system's and the rules' fields.
     """
 
     __slots__ = ("presentation", "degree_bound", "rules", "live", "pending",
-                 "pairs", "counter", "checked")
+                 "pairs", "counter", "checked", "codes", "table", "joined")
 
     def __init__(self, presentation: Presentation, degree_bound: int):
         self.presentation = presentation
@@ -124,6 +169,8 @@ class RewriteSystem:
         self.pairs: list[tuple[int, int, tuple]] = []
         self.counter = itertools.count()
         self.checked = 0
+        self.codes = WordCodes(presentation.quiver, degree_bound)
+        self.table, self.joined = {}, presentation.field
 
     @property
     def quiver(self) -> Quiver:
@@ -133,24 +180,6 @@ class RewriteSystem:
     def field(self) -> Field:
         return self.presentation.field
 
-    def _lookup(self, skip_lead: PathWord | None, field: Field):
-        """Lead index: word key -> (index, rule), vertex -> (index, rule);
-        the sorted lengths of the arrow leads; and the join of field with
-        the system's and every rule's field."""
-        by_key: dict[tuple[int, ...], tuple[int, Rule]] = {}
-        by_vertex: dict[str, tuple[int, Rule]] = {}
-        field = field.join(self.field)
-        for ri, rule in enumerate(self.rules):
-            field = field.join(rule.poly.field)
-            lead = rule.lead
-            if lead == skip_lead:
-                continue
-            if lead.arrows:
-                by_key.setdefault(rule.key, (ri, rule))
-            else:
-                by_vertex.setdefault(lead.head, (ri, rule))
-        return by_key, by_vertex, sorted({len(k) for k in by_key}), field
-
     def reduce(self, poly: NCPoly, skip_lead: PathWord | None = None) -> NCPoly:
         """Full normal form, in the reduction order of the module docstring.
 
@@ -158,155 +187,174 @@ class RewriteSystem:
         the rule with that leading word; the canonicalization pass uses it to
         tail-reduce a generator against the other generators only.  Fields
         are joined first, so a mix with no common field raises ValueError
-        whether or not a rule fires.  Terms are keyed by (degree, word key,
-        head), which is also their place in the heap.
+        whether or not a rule fires.  Terms are keyed by their word codes,
+        which are also their places in the heap.
         """
-        quiver, bound = self.quiver, self.degree_bound
-        by_key, by_vertex, lengths, field = self._lookup(skip_lead, poly.field)
-        tails = [a.tail for a in quiver.arrows]
-        rational = field.is_rational
+        field, table = poly.field.join(self.joined), self.table
+        code, bound = self.codes.code, self.degree_bound
+        if skip_lead is not None and table.get(skip := code(skip_lead)):
+            table = dict(table)  # a lead, not a prefix: drop it from a copy
+            del table[skip]
         values, den = integer_values(poly.terms.values(), field)
-        terms = {}
-        for w, c in zip(poly.terms, values):
-            if len(w) <= bound:
-                terms[len(w), word_key(quiver, w), w.head] = c
-        heap = list(terms)
+        return self._normal({code(w): c for w, c in zip(poly.terms, values)
+                             if len(w) <= bound}, den, table, field)
+
+    def _normal(self, terms: dict, den: int, table: dict,
+                field: Field) -> NCPoly:
+        """The normal form of terms (code -> integer value over den)."""
+        codes, bound = self.codes, self.degree_bound
+        B, K, off, pw = codes.base, codes.shift, codes.offsets, codes.powers
+        heads, tails, empty = codes.heads, codes.tails, len(codes.vertices) - 1
+        rational = field.is_rational
+        idempotent = any(v in table for v in range(empty + 1))
+        heap, queued, out = list(terms), set(terms), []
         heapq.heapify(heap)
-        queued = set(terms)
-        out = []
         while heap:
-            item = heapq.heappop(heap)
-            c = terms.pop(item, None)
+            code = heapq.heappop(heap)
+            c = terms.pop(code, None)
             if c is None:
                 continue  # cancelled after it was queued
-            n, key, head = item
+            n = bisect_right(off, code) - 1
+            v = code - off[n] if n else 0
+            d, x = [0] * n, v
+            for i in range(n - 1, -1, -1):
+                x, d[i] = divmod(x, B)
             hit = None
             for pos in range(n + 1):
-                if by_vertex:
-                    hit = by_vertex.get(head if pos == 0 else tails[key[pos - 1]])
-                for L in lengths:
-                    if pos + L > n:
+                if idempotent:
+                    hit = table.get(code if not n else heads[d[0]] if not pos
+                                    else tails[d[pos - 1]])
+                    if hit:
                         break
-                    h = by_key.get(key[pos:pos + L])
-                    if h is not None and (hit is None or h[0] < hit[0]):
-                        hit = h
-                if hit is not None:
+                # up to a lead (a tuple) or a code starting none (0)
+                w = empty
+                for i in range(pos, n):
+                    w = w * B + d[i] + K
+                    hit = table.get(w, 0)
+                    if hit is not None:
+                        break
+                if hit:
                     break
-            if hit is None:
-                out.append((item, c, den))
+            if not hit:
+                out.append((code, c, den))
                 continue
-            rule = hit[1]
+            L, rule = hit
             g = gcd(rule.scale, c) if rational else gcd(rule.scale, *c.coords)
             k = rule.scale // g
             if k != 1:
                 den *= k
                 terms = {t: x * k for t, x in terms.items()}
             c //= g
-            before, after = key[:pos], key[pos + len(rule.key):]
-            for t_key, x in rule.tail:
-                nk = before + t_key + after
-                m = len(nk)
+            shift = pw[n - pos - L]
+            hi, lo, base = v // pw[n - pos], v % shift, n - L
+            for m, p, tv, x in rule.tail:
+                m += base
                 if m > bound:
                     continue
-                nw = (m, nk, head)
+                nw = off[m] + (hi * p + tv) * shift + lo
                 acc = terms.get(nw)
                 if acc is None:
                     terms[nw] = c * x
                     if nw not in queued:
                         queued.add(nw)
                         heapq.heappush(heap, nw)
+                elif acc := acc + c * x:
+                    terms[nw] = acc
                 else:
-                    acc = acc + c * x
-                    if acc:
-                        terms[nw] = acc
-                    else:
-                        del terms[nw]
-        names = [a.name for a in quiver.arrows]
-        return NCPoly.from_terms(quiver, field, {
-            PathWord(tuple(names[r] for r in key), head,
-                     tails[key[-1]] if key else head):
-            FieldElem(field, (Fraction(c, d),) if rational else
-                      tuple(Fraction(x, d) for x in c.coords))
-            for (_, key, head), c, d in out})
+                    del terms[nw]
+        word = codes.word
+        return NCPoly.from_terms(self.quiver, field, {
+            word(code): FieldElem(field, (Fraction(c, d),) if rational else
+                                  tuple(Fraction(x, d) for x in c.coords))
+            for code, c, d in out})
 
-    def absorb(self, poly: NCPoly):
-        """Reduce poly; a nonzero result becomes a monic rule, the rules its
-        lead divides go back to pending, and its critical pairs are queued."""
-        poly = self.reduce(poly)
-        if poly.is_zero():
-            return
-        quiver, bound = self.quiver, self.degree_bound
-        rule = Rule(poly.scale(poly.leading_coeff().inverse()))
+    def _pair(self, item) -> NCPoly:
+        """The normal form of the S-polynomial r1*right - left*r2 of a
+        critical pair (r1, L, r2).  Reduction is linear and rewrites the
+        overlap word with r1 first, so r1*right reduces to zero, and this
+        is the normal form of -left*r2, formed on codes."""
+        r1, L, r2 = item
+        off, pw, field = self.codes.offsets, self.codes.powers, self.joined
+        n, m2 = len(r1.lead.arrows) - L, len(r2.lead.arrows)
+        left = (r1.code - off[n + L]) // pw[L]
+        one = (1 if field.is_rational else
+               CycloInt((1,) + (0,) * (field.degree - 1), field.phi))
+        terms = {off[n + m2] + left * pw[m2] + r2.code - off[m2]:
+                 one * -r2.scale}
+        for m, p, tv, x in r2.tail:
+            if n + m <= self.degree_bound:
+                terms[off[n + m] + left * p + tv] = one * x
+        return self._normal(terms, r2.scale, self.table, field)
+
+    def _add(self, poly: NCPoly):
+        """Make a reduced nonzero poly a monic rule: the rules its lead
+        divides go back to pending, and its critical pairs are queued.  The
+        lead table maps lead codes to (lead length, rule) and proper prefixes
+        of arrow leads to None; a stale prefix only lengthens a scan."""
+        quiver, bound, codes = self.quiver, self.degree_bound, self.codes
+        rule = Rule(poly.scale(poly.leading_coeff().inverse()), codes)
         for old in self.rules:
             if _word_divides(rule.lead, old.lead, quiver):
                 self.pending.append(old.poly)
                 self.live.discard(old)
+                del self.table[old.code]
         self.rules = [old for old in self.rules if old in self.live] + [rule]
         self.live.add(rule)
+        self.table[rule.code] = (len(rule.lead.arrows), rule)
+        w = len(codes.vertices) - 1
+        for a in rule.lead.arrows[:-1]:
+            w = w * codes.base + codes.rank[a]
+            self.table.setdefault(w, None)
+        self.joined = self.field
         for other in self.rules:
-            for deg, item in _overlaps(rule, other, quiver, bound):
+            self.joined = self.joined.join(other.poly.field)
+            for deg, item in _overlaps(rule, other, bound):
                 heapq.heappush(self.pairs, (deg, next(self.counter), item))
             if other is not rule:
-                for deg, item in _overlaps(other, rule, quiver, bound):
+                for deg, item in _overlaps(other, rule, bound):
                     heapq.heappush(self.pairs, (deg, next(self.counter), item))
 
     def settle(self, top: int) -> "RewriteSystem":
-        """Absorb everything pending, then run the critical pairs of degree
-        <= top in degree order; the others wait, or are dropped once some
-        degree has no irreducible word.  Returns the system."""
+        """Reduce everything pending, then the critical pairs of degree <=
+        top in degree order; the others wait, or are dropped once some
+        degree has no irreducible word.  Each nonzero normal form becomes a
+        rule.  Returns the system."""
         pairs, live = self.pairs, self.live
         while self.pending or (pairs and pairs[0][0] <= top):
             if self.pending:
-                self.absorb(self.pending.popleft())
-                continue
-            deg = pairs[0][0]
-            if deg > self.checked:
-                self.checked = deg
-                if deg > 1 and _has_dead_degree(self, deg - 1):
-                    pairs.clear()
-                    break
-            _, _, item = heapq.heappop(pairs)
-            if item[0] not in live or item[3] not in live:
-                continue
-            s = _spoly(item, self.field)
-            if not s.is_zero():
-                self.absorb(s)
+                rest = self.reduce(self.pending.popleft())
+            else:
+                deg = pairs[0][0]
+                if deg > self.checked:
+                    self.checked = deg
+                    if deg > 1 and _has_dead_degree(self, deg - 1):
+                        pairs.clear()
+                        break
+                _, _, item = heapq.heappop(pairs)
+                if item[0] not in live or item[2] not in live:
+                    continue
+                rest = self._pair(item)
+            if not rest.is_zero():
+                self._add(rest)
         return self
 
 
-def _overlaps(r1: Rule, r2: Rule, quiver: Quiver, bound: int):
-    """Critical pairs between two rules as (degree, (r1, left, right, r2))
-    entries with r1.lead * right == left * r2.lead; none when a lead is
-    empty.
+def _overlaps(r1: Rule, r2: Rule, bound: int):
+    """Critical pairs between two rules as (degree, (r1, L, r2)) entries:
+    the last L arrows of r1.lead are the first L of r2.lead, so
+    r1.lead * right == left * r2.lead; none when a lead is empty.
 
     Inclusions cannot occur between live rules.  Between two arrow leads
     the containing rule is retired when the smaller one is added.  An
-    idempotent lead e_u retires, in ``absorb``, every rule whose lead passes
+    idempotent lead e_u retires, in ``_add``, every rule whose lead passes
     through u (``_word_divides`` tests every junction), and ``reduce``
     rewrites every later lead through u, so no live arrow lead passes
     through the vertex of a live idempotent lead (Mora, TCS 134, 1994).
     """
-    out = []
-    u, v = r1.lead, r2.lead
-    for L in range(1, min(len(u.arrows), len(v.arrows))):
-        if u.arrows[len(u.arrows) - L:] == v.arrows[:L]:
-            deg = len(u.arrows) + len(v.arrows) - L
-            if deg <= bound:
-                left = PathWord(u.arrows[:len(u.arrows) - L], u.head,
-                                word_vertex_at(quiver, u, len(u.arrows) - L))
-                right = PathWord(v.arrows[L:], word_vertex_at(quiver, v, L),
-                                 v.tail)
-                out.append((deg, (r1, left, right, r2)))
-    return out
-
-
-def _spoly(item, field: Field) -> NCPoly:
-    r1, left, right, r2 = item
-    quiver = r1.poly.quiver
-    one = field.one()
-    lpoly = NCPoly(quiver, field, {left: one})
-    rpoly = NCPoly(quiver, field, {right: one})
-    return r1.poly * rpoly - lpoly * r2.poly
+    u, v = r1.lead.arrows, r2.lead.arrows
+    return [(len(u) + len(v) - L, (r1, L, r2))
+            for L in range(1, min(len(u), len(v)))
+            if u[len(u) - L:] == v[:L] and len(u) + len(v) - L <= bound]
 
 
 def _check_bound(p: Presentation, D: int):
@@ -340,34 +388,25 @@ def normal_form(rs: RewriteSystem, f: NCPoly) -> NCPoly:
 
 
 def _irreducible_words(rs: RewriteSystem, top: int | None = None):
-    """Yield (degree, word) for every irreducible word up to degree top
-    (default: the bound), degree by degree."""
-    quiver = rs.quiver
-    e_leads = {r.lead.head for r in rs.rules if len(r.lead.arrows) == 0}
-    arrow_leads = [r.lead.arrows for r in rs.rules if r.lead.arrows]
-    level = []
-    for v in quiver.vertices:
-        if v not in e_leads:
-            w = PathWord.vertex(v)
-            level.append(w)
-            yield 0, w
+    """Yield (degree, code) for every irreducible word up to degree top
+    (default: the bound), degree by degree; no lead is a suffix of one."""
+    codes = rs.codes
+    B, K, off, pw = codes.base, codes.shift, codes.offsets, codes.powers
+    leads = {r.code for r in rs.rules}
+    lengths = sorted({len(r.lead.arrows) for r in rs.rules} - {0})
+    arrows = list(enumerate(zip(codes.heads, codes.tails)))
+    steps = [[(r + K, t) for r, (h, t) in arrows if h == v and t not in leads]
+             for v in range(len(codes.vertices))]  # (rank + K, tail) by head
+    # (code, tail vertex); V - 1 codes the empty arrow string at degree 0
+    level = [(len(codes.vertices) - 1, v) for v in range(len(codes.vertices))
+             if v not in leads]
+    yield from ((0, v) for _, v in level)
     for d in range(1, (rs.degree_bound if top is None else top) + 1):
-        nxt = []
-        for w in level:
-            for a in quiver.arrows:
-                if a.head != w.tail or a.tail in e_leads:
-                    continue
-                arrows = w.arrows + (a.name,)
-                if any(
-                    len(lead) <= len(arrows)
-                    and arrows[len(arrows) - len(lead):] == lead
-                    for lead in arrow_leads
-                ):
-                    continue
-                nw = PathWord(arrows, w.head, a.tail)
-                nxt.append(nw)
-                yield d, nw
-        level = nxt
+        level = [(c, t) for w, s in level for r, t in steps[s]
+                 for c in [w * B + r]
+                 if not any(off[L] + (c - off[d]) % pw[L] in leads
+                            for L in lengths if L <= d)]
+        yield from ((d, c) for c, _ in level)
         if not level:
             return
 

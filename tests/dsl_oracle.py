@@ -6,7 +6,8 @@ differential tests.
 (``test_dsl_tokenize_differential.py``).  ``Parser`` and ``_prescan_field``
 are the parser before its blocks shared one reader per grammar shape: each
 block writes out its header, keys, item lists and closing brace by hand
-(``test_dsl_parse_differential.py``).
+(``test_dsl_parse_differential.py``).  A ValueError raised while building a
+block is reported at the block's name with its own text, as in the package.
 """
 
 import re
@@ -209,7 +210,7 @@ class Parser:
         try:
             quiver = Quiver(vertices, arrows)
         except ValueError as exc:
-            self.error(str(exc), name_tok)
+            raise ParseError(str(exc), name_tok.line, name_tok.col) from None
         session.quivers[name] = quiver
         session.blocks.append(QuiverBlock(name, quiver))
 
@@ -259,7 +260,7 @@ class Parser:
             pres = Presentation(quiver, relations, invertible=invertible,
                                 flavor=flavor_tok.text, field=self.field)
         except ValueError as exc:
-            self.error(str(exc), name_tok)
+            raise ParseError(str(exc), name_tok.line, name_tok.col) from None
         session.algebras[name] = pres
         session.blocks.append(AlgebraBlock(
             name, q_tok.text, relations, invertible, flavor_tok.text))
@@ -327,7 +328,7 @@ class Parser:
             rep = Representation(pres, alpha, matrices, field=self.field,
                                  name=name)
         except ValueError as exc:
-            self.error(str(exc), name_tok)
+            raise ParseError(str(exc), name_tok.line, name_tok.col) from None
         result = check_representation(rep)
         if not result:
             self.error("not a representation: " + "; ".join(result.failures),
@@ -387,7 +388,7 @@ class Parser:
         try:
             fam = FamilySpec.unit_pattern(session.reps[r_tok.text], order)
         except ValueError as exc:
-            self.error(str(exc), name_tok)
+            raise ParseError(str(exc), name_tok.line, name_tok.col) from None
         session.families[name] = fam
         session.blocks.append(FamilyBlock(name, r_tok.text, "unit", order))
 

@@ -8,7 +8,8 @@ Heap reduction on field elements: ``heap_reduce`` is the heap-ordered
 ``RewriteSystem.reduce`` as it was before the integer form, with one
 ``FieldElem`` per pending term, keyed by ``PathWord``, and the field of a
 mix joined only when a rule fires.  ``HeapRewriteSystem`` runs the
-package's completion on it.
+package's completion on it, with each critical pair formed by ``_spoly``
+as polynomial products instead of on word codes.
 
 Critical pairs: ``_overlaps`` and ``_spoly`` are the pair forms as they
 were before inclusion items were dropped from the package: an idempotent
@@ -234,10 +235,24 @@ def heap_reduce(rs: RewriteSystem, poly: NCPoly,
         w: field.elem(c) for w, c in out.items()})
 
 
+def overlap_item(quiver, item):
+    """The package's pair (r1, L, r2) as an ``overlap`` item of ``_spoly``."""
+    r1, L, r2 = item
+    u, v = r1.lead, r2.lead
+    n = len(u.arrows) - L
+    left = PathWord(u.arrows[:n], u.head, word_vertex_at(quiver, u, n))
+    right = PathWord(v.arrows[L:], word_vertex_at(quiver, v, L), v.tail)
+    return r1, left, right, r2, "overlap"
+
+
 class HeapRewriteSystem(RewriteSystem):
-    """The package's completion over ``heap_reduce``."""
+    """The package's completion over ``heap_reduce`` and ``_spoly``."""
 
     reduce = heap_reduce
+
+    def _pair(self, item):
+        return heap_reduce(self, _spoly(overlap_item(self.quiver, item),
+                                        self.field))
 
 
 def oracle_complete(p: Presentation, D: int) -> OracleRewriteSystem:
@@ -257,7 +272,7 @@ def oracle_complete(p: Presentation, D: int) -> OracleRewriteSystem:
         poly = rs.reduce(poly)
         if poly.is_zero():
             return
-        rule = Rule(poly.scale(poly.leading_coeff().inverse()))
+        rule = Rule(poly.scale(poly.leading_coeff().inverse()), rs.codes)
         kept = []
         for old in rs.rules:
             if _word_divides(rule.lead, old.lead, p.quiver):
@@ -289,7 +304,8 @@ def oracle_complete(p: Presentation, D: int) -> OracleRewriteSystem:
 def graded_dims_by_pair(rs: RewriteSystem) -> dict[tuple[str, str], list[int]]:
     """Irreducible word counts per (head, tail) vertex pair."""
     out: dict[tuple[str, str], list[int]] = {}
-    for d, w in _irreducible_words(rs):
+    for d, code in _irreducible_words(rs):
+        w = rs.codes.word(code)
         key = (w.head, w.tail)
         if key not in out:
             out[key] = [0] * (rs.degree_bound + 1)

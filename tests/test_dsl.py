@@ -559,13 +559,13 @@ PARSE_ERRORS = [
      (1, 33), "unknown vertex 'w', got 'a'"),
     ("quiver q { vertices: v; arrows: a: v -> w }",
      (1, 33), "unknown vertex 'w', got 'a'"),
-    ("quiver q { vertices: v, v; arrows: }", (1, 8), "duplicate vertex ids, got 'q'"),
+    ("quiver q { vertices: v, v; arrows: }", (1, 8), "duplicate vertex ids"),
     (PRELUDE_Q + "algebra A over q { relations: ; invertible: Z; flavor: graded }",
      (2, 45), "unknown arrow 'Z', got 'Z'"),
     (PRELUDE_Q + "algebra A over q { relations: ; invertible: ; flavor: smooth }",
      (2, 55), "flavor must be 'graded' or 'complete', got 'smooth'"),
     (PRELUDE_Q + "algebra A over q { relations: X - Y*X; invertible: ; flavor: graded }",
-     (2, 9), "graded flavor requires homogeneous relations, got X - Y*X, got 'A'"),
+     (2, 9), "graded flavor requires homogeneous relations, got X - Y*X"),
     (PRELUDE_A + "rep r of A { dim: w = 1; field: q }",
      (3, 19), "unknown vertex 'w', got 'w'"),
     (PRELUDE_A + "rep r of A { dim: v = 1; X = [[2]]; Y = [[3]]; field: r }",
@@ -573,7 +573,7 @@ PARSE_ERRORS = [
     (PRELUDE_A + "rep r of A { dim: v = 1; Z = [[2]]; field: q }",
      (3, 26), "unknown arrow 'Z', got 'Z'"),
     (PRELUDE_A + "rep r of A { dim: v = 1; X = [[2]]; field: q }",
-     (3, 5), "missing matrix for arrow 'Y', got 'r'"),
+     (3, 5), "missing matrix for arrow 'Y'"),
     (PRELUDE_R + "family F at s { pattern: unit; K: 3 }",
      (4, 13), "unknown rep 's', got 's'"),
     (PRELUDE_R + "family F at r { pattern: ext; K: 3 }",
@@ -582,14 +582,14 @@ PARSE_ERRORS = [
      "algebra B over p { relations: ; invertible: ; flavor: graded }\n"
      "rep t of B { dim: u = 1, w = 0; a = [[1]]; field: q }\n"
      "family F at t { pattern: unit; K: 3 }",
-     (4, 8), "families are supported over one-vertex quivers, got 'F'"),
+     (4, 8), "families are supported over one-vertex quivers"),
     # an arrow between two vertices: the vertex count is checked before the
     # series, whose size is the total dimension
     ("quiver p { vertices: u, w; arrows: a: u -> w }\n"
      "algebra B over p { relations: ; invertible: ; flavor: graded }\n"
      "rep t of B { dim: u = 1, w = 1; a = [[1]]; field: q }\n"
      "family F at t { pattern: unit; K: 3 }",
-     (4, 8), "families are supported over one-vertex quivers, got 'F'"),
+     (4, 8), "families are supported over one-vertex quivers"),
     (PRELUDE_R + "ext1 r r", (4, 9), "unterminated command (missing ';'), got 'end of input'"),
     (PRELUDE_Q + "algebra A over q { relations: X*); invertible: ; flavor: graded }",
      (2, 33), "expected a polynomial factor, got ')'"),

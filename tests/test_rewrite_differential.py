@@ -6,18 +6,22 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localquiver import rewrite
+from localquiver.deform import FamilySpec, local_model_relations
+from localquiver.extcalc import Representation
 from localquiver.ncalg import (NCPoly, PathWord, Presentation,
                                heisenberg_presentation, preprojective_relations,
                                surface_group_presentation)
-from localquiver.quiver import Quiver
+from localquiver.quiver import DimVector, Quiver
 from localquiver.rewrite import (complete, gr_ideal, graded_dims, is_gradable,
                                  normal_form)
 from localquiver.scalars import QQ, Field
 
-from rewrite_oracle import (HeapRewriteSystem, _overlaps, avoiding_path_counts,
-                            heap_reduce, oracle_complete)
+from rewrite_oracle import (HeapRewriteSystem, _overlaps, _spoly,
+                            avoiding_path_counts, heap_reduce, oracle_complete,
+                            overlap_item)
 
 
 def loops(*names):
@@ -208,10 +212,10 @@ def test_no_inclusion_pair_between_live_rules(make, avoid, forbidden, bounds,
     pairs, formed = [], []
     live_overlaps = rewrite._overlaps
 
-    def both(r1, r2, quiver, bound):
+    def both(r1, r2, bound):
         pairs.append((r1, r2))
-        formed.extend(item[-1] for _, item in _overlaps(r1, r2, quiver, bound))
-        return live_overlaps(r1, r2, quiver, bound)
+        formed.extend(item[-1] for _, item in _overlaps(r1, r2, p.quiver, bound))
+        return live_overlaps(r1, r2, bound)
 
     monkeypatch.setattr(rewrite, "_overlaps", both)
     p, D = make(), bounds[-1]
@@ -248,13 +252,13 @@ def test_quadrics_stop_once_degree_five_dies(monkeypatch):
     assert graded_dims(complete(p, 7)) == [1, 3, 6, 9, 9, 0, 0, 0]
 
     calls = []
-    spoly = rewrite._spoly
+    pair = rewrite.RewriteSystem._pair
 
-    def counting(*args):
-        calls.append(args[0])
-        return spoly(*args)
+    def counting(self, item):
+        calls.append(item)
+        return pair(self, item)
 
-    monkeypatch.setattr(rewrite, "_spoly", counting)
+    monkeypatch.setattr(rewrite.RewriteSystem, "_pair", counting)
     complete(p, 5)
     at_five = len(calls)
     calls.clear()
@@ -266,13 +270,13 @@ def test_dead_degree_forms_no_pair(monkeypatch):
     q = loops("X")
     p = Presentation(q, [NCPoly.word(q, ["X", "X"])])
     calls = []
-    spoly = rewrite._spoly
+    pair = rewrite.RewriteSystem._pair
 
-    def counting(*args):
-        calls.append(args[0])
-        return spoly(*args)
+    def counting(self, item):
+        calls.append(item)
+        return pair(self, item)
 
-    monkeypatch.setattr(rewrite, "_spoly", counting)
+    monkeypatch.setattr(rewrite.RewriteSystem, "_pair", counting)
     rs = complete(p, 4)
     assert [str(r.poly) for r in rs.rules] == ["X^2"]
     # degree 2 is dead at once, so the overlap X^2*X = X*X^2 is never formed
@@ -319,6 +323,13 @@ def gr_report(p, D):
     return r.to_json(), [str(g) for g in r.lifts]
 
 
+def on_field_elements(monkeypatch):
+    """Run every completion and reduction of the package through
+    ``heap_reduce`` and the oracle's S-polynomials."""
+    monkeypatch.setattr(rewrite.RewriteSystem, "reduce", heap_reduce)
+    monkeypatch.setattr(rewrite.RewriteSystem, "_pair", HeapRewriteSystem._pair)
+
+
 def assert_same_as_heap(p, D, polys=()):
     """Rules, graded dimensions and normal forms (with skip_lead too) agree
     with the completion and reduction on field elements."""
@@ -348,7 +359,7 @@ def test_existing_inputs_match_heap_reduction(make, D, monkeypatch):
     assert_same_as_heap(p, D)
     if p.admissible:
         new = gr_report(p, D)
-        monkeypatch.setattr(rewrite.RewriteSystem, "reduce", heap_reduce)
+        on_field_elements(monkeypatch)
         assert gr_report(p, D) == new
 
 
@@ -365,7 +376,7 @@ def test_fractional_and_cyclotomic_match_heap_reduction(make, D, monkeypatch):
     assert_same_as_heap(p, D, polys=[f.scale("5/6") for f in
                                      random_polys(rational, D, seed=2)])
     new = gr_report(p, D)
-    monkeypatch.setattr(rewrite.RewriteSystem, "reduce", heap_reduce)
+    on_field_elements(monkeypatch)
     assert gr_report(p, D) == new
 
 
@@ -380,7 +391,7 @@ def test_rules_hold_one_integer_form():
     assert str(rule.poly) == "X*Y - 4/3*Y*X + 6/7*Z^2"
     # 21*X*Y rewrites to 28*Y*X - 18*Z^2
     assert rule.scale == 21
-    assert sorted(x for _, x in rule.tail) == [-18, 28]
+    assert sorted(x for *_, x in rule.tail) == [-18, 28]
 
 
 def test_normal_form_joins_fields_before_reducing():
@@ -394,3 +405,184 @@ def test_normal_form_joins_fields_before_reducing():
     # a rational polynomial lands in the system's field
     nf = normal_form(rs, NCPoly.word(XYZ, ["X"]))
     assert nf.field == Field(5) and str(nf) == "X"
+
+
+# ---- word codes -------------------------------------------------------------
+
+def all_words(quiver, D):
+    """Every vertex idempotent and every path of length at most D."""
+    level = [PathWord.vertex(v) for v in quiver.vertices]
+    words = list(level)
+    for _ in range(D):
+        level = [PathWord(w.arrows + (a.name,), w.head, a.tail)
+                 for w in level for a in quiver.arrows if a.head == w.tail]
+        words += level
+    return words
+
+
+def assert_codes_order_words(quiver, D):
+    """Codes are distinct, decode to their words and sort like the heap
+    items (length, word key, head) of the field-element reduction."""
+    codes = rewrite.WordCodes(quiver, D)
+    words = all_words(quiver, D)
+    by_code = sorted(words, key=codes.code)
+    assert len({codes.code(w) for w in words}) == len(words)
+    assert [codes.word(codes.code(w)) for w in words] == words
+    assert by_code == sorted(words, key=lambda w: (
+        len(w), tuple(map(quiver.arrow_rank, w.arrows)), w.head))
+
+
+@st.composite
+def quivers(draw):
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, 5)))]
+    draw(st.randoms()).shuffle(vertices)
+    ends = st.sampled_from(vertices)
+    arrows = [(f"a{i}", draw(ends), draw(ends))
+              for i in range(draw(st.integers(0, 4)))]
+    return Quiver(vertices, arrows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(quivers(), st.integers(0, 4))
+def test_word_codes_round_trip_on_random_quivers(quiver, D):
+    assert_codes_order_words(quiver, D)
+
+
+def many_vertices():
+    """20 vertices and 2 arrows, so at D = 3 there are more vertices than
+    base^(D + 1) = 16 codes of each arrow length."""
+    q = Quiver([f"v{i:02d}" for i in reversed(range(20))],
+               [("a", "v00", "v01"), ("b", "v01", "v00")])
+    a, b = (NCPoly.word(q, [x]) for x in "ab")
+    return Presentation(q, [a * b * a - a.scale(3), b * a * b],
+                        flavor="complete")
+
+
+def one_arrow():
+    q = loops("X")
+    x2, x3 = NCPoly.word(q, ["X", "X"]), NCPoly.word(q, ["X", "X", "X"])
+    return Presentation(q, [x2 - x3.scale(3)], flavor="complete")
+
+
+def unit_loops_reordered():
+    """``unit_loops`` with the vertices declared v, u: codes follow the
+    names, not the declaration order."""
+    q = Quiver(["v", "u"], [(a.name, a.head, a.tail) for a in UNIT_LOOPS.arrows])
+    w = lambda s: NCPoly.word(q, s.split("*"))
+    return Presentation(q, [w("g*h") - NCPoly.vertex(q, "u"),
+                            w("h*g") - NCPoly.vertex(q, "u"),
+                            w("b*b") - w("a*c")], flavor="complete")
+
+
+def mixed_fields():
+    """A rational relation first, so the system field is the rationals and
+    later rules are cyclotomic: pairs mix int and CycloInt tails."""
+    K = Field(3)
+    return Presentation(XYZ, [NCPoly.word(XYZ, ["X", "Y"]) -
+                              NCPoly.word(XYZ, ["Y", "X"], coeff=2),
+                              NCPoly.word(XYZ, ["Y", "Z"], K) -
+                              NCPoly.word(XYZ, ["Z", "Y"], K, coeff=K.zeta()),
+                              NCPoly.word(XYZ, ["X", "Z"], K, coeff=3) -
+                              NCPoly.word(XYZ, ["Z", "Z"], K)],
+                        flavor="graded")
+
+
+@pytest.mark.parametrize("make, D", [
+    (many_vertices, 3), (many_vertices, 6), (one_arrow, 5),
+    (unit_loops, 4), (unit_loops_reordered, 5),
+    (lambda: unit_loops(after=[("b*b", "a*c")]), 5), (mixed_fields, 5)])
+def test_word_code_edge_cases_match_heap_reduction(make, D):
+    p = make()
+    assert_codes_order_words(p.quiver, min(D, 4))
+    assert_same_as_heap(p, D)
+
+
+def test_many_vertex_idempotents_keep_their_own_codes():
+    p = many_vertices()
+    rs = complete(p, 3)
+    codes = rs.codes
+    assert codes.base ** 4 < len(p.quiver.vertices) <= codes.offsets[1]
+    unit = NCPoly.unit(p.quiver).scale("2/3")
+    assert str(normal_form(rs, unit)) == str(heap_reduce(rs, unit))
+    assert len(normal_form(rs, unit).terms) == 20
+
+
+def test_cyclotomic_rules_reduce_rational_input_and_the_reverse():
+    cyclo, rational = complete(cyclo5(), 5), complete(baseline_quadrics(), 5)
+    K = Field(5)
+    for f in random_polys(Presentation(XYZ, [], field=QQ), 7, seed=3):
+        nf = cyclo.reduce(f)
+        assert nf.field == K and str(nf) == str(heap_reduce(cyclo, f))
+    for f in random_polys(Presentation(XYZ, [], field=K), 7, seed=4):
+        nf = rational.reduce(f)
+        assert nf.field == K and str(nf) == str(heap_reduce(rational, f))
+
+
+def test_words_above_the_bound_are_dropped():
+    rs = complete(sklyanin(1), 4)
+    high = NCPoly.word(XYZ, list("XYZXY")) + NCPoly.word(XYZ, list("ZZZZZZ"))
+    assert rs.reduce(high).is_zero()
+    # X*Y*Z*Y rewrites X*Y into degree-2 words and stays at degree 4; with
+    # a word above the bound beside it only the low part survives
+    f = NCPoly.word(XYZ, list("XYZY")) + high.scale(7)
+    assert str(rs.reduce(f)) == str(heap_reduce(rs, f))
+    assert str(rs.reduce(f)) == str(rs.reduce(NCPoly.word(XYZ, list("XYZY"))))
+
+
+def test_skip_lead_drops_only_that_lead():
+    rs = complete(sklyanin(2), 6)
+    f = random_polys(sklyanin(2), 6, seed=5)[0]
+    lead = next(r.lead for r in rs.rules if len(r.lead) == 3)
+    prefix = PathWord.of(XYZ, lead.arrows[:2])  # reducible, not a lead
+    assert str(rs.reduce(f, skip_lead=prefix)) == str(rs.reduce(f))
+    for skip in (lead, prefix, rs.rules[0].lead):
+        assert (str(rs.reduce(f, skip_lead=skip))
+                == str(heap_reduce(rs, f, skip_lead=skip)))
+    # the table of the system is untouched by a skipped lead
+    assert str(rs.reduce(rs.rules[0].poly)) == "0"
+
+
+# ---- integer S-pairs against the oracle S-polynomial ----------------------
+
+def heisenberg_cone_cyclo3():
+    """The local model of the unit pattern (K = 4) at the Heisenberg simple
+    over cyclo:3 given by the cyclic shift and diag(1, zeta, zeta^2)."""
+    K = Field(3)
+    pres = heisenberg_presentation(K)
+    shift = [[K.elem(int((i + 1) % 3 == j)) for j in range(3)] for i in range(3)]
+    diag = lambda s: [[K.zeta(s * i % 3) if i == j else K.zero()
+                       for j in range(3)] for i in range(3)]
+    rho = Representation(pres, DimVector(pres.quiver, {"v": 3}),
+                         {"X": shift, "X_inv": [list(r) for r in zip(*shift)],
+                          "Y": diag(1), "Y_inv": diag(-1)}, field=K)
+    fs = FamilySpec.unit_pattern(rho, 4)
+    return Presentation(fs.symbol_quiver, local_model_relations(fs),
+                        flavor="complete", field=K)
+
+
+@pytest.mark.parametrize("make, D", [
+    (baseline_quadrics, 5), (lambda: sklyanin(0), 7),
+    (lambda: heisenberg_presentation(Field(3)), 5), (heisenberg_cone_cyclo3, 8),
+    (lambda: cyclic_relations(XYZ, Field(3), 1, -Field(3).zeta(), 2), 6),
+    (two_vertex_preprojective, 6), (mixed_fields, 5)])
+def test_integer_pairs_match_oracle_spoly(make, D, monkeypatch):
+    """Every pair popped in the completion reduces to the normal form of
+    the oracle's S-polynomial r1*right - left*r2, by the package's reduce
+    and by the field-element heap reduction."""
+    pair = rewrite.RewriteSystem._pair
+    seen = []
+
+    def both(self, item):
+        new = pair(self, item)
+        s = _spoly(overlap_item(self.quiver, item), self.field)
+        assert str(new) == str(self.reduce(s)) == str(heap_reduce(self, s))
+        seen.append(new.is_zero())
+        return new
+
+    monkeypatch.setattr(rewrite.RewriteSystem, "_pair", both)
+    rs = complete(make(), D)
+    # the group algebra dies in degree 1 before its first pair
+    assert seen or not any(r.lead.arrows for r in rs.rules)
+    monkeypatch.undo()
+    assert ([str(r.poly) for r in rs.rules]
+            == [str(r.poly) for r in complete(make(), D).rules])
