@@ -39,10 +39,16 @@ of degree above d and retires only leads of degree >= d, so after
 ``complete`` is one ``settle(D)``; minimal generators are fed into one
 system degree by degree.
 
-Early stop.  Once some degree d >= 1 has no irreducible word, every longer
-word contains a reducible one.  The terms of a critical pair all have at
-least its degree, so every remaining pair (of degree above d) reduces to
-zero, and ``settle`` drops them and keeps the rule list it has.
+Early stop.  ``RewriteSystem.dead`` is the first degree d >= 1 with no
+irreducible word (D + 1 until one is found); it stays valid, as a new rule
+only removes irreducible words and retires only leads its lead divides.  A
+word of length >= dead is reducible and a rewrite never lowers degree, so
+such a term never reaches a normal form nor changes a shorter term: the
+reductions discard it like a word above D (but for ``skip_lead``, which
+drops a lead), and no pair of that degree is formed.  ``settle`` extends
+the irreducible words of the tested degree to each new pair degree, and
+every new rule strikes those it divides; once none are left, lower pairs
+and pending polynomials are still reduced.
 
 Gradability.  ``gr_ideal`` gives the verdict and cross-checks it with the
 irreducible word counts of the completions of the relations and of their
@@ -152,13 +158,16 @@ class RewriteSystem:
     It starts with the relations pending.  After ``settle(D)`` normal forms
     are exact in the quotient by the ideal plus the (D+1)-st power of the
     arrow ideal, for every input of degree at most D.  ``live`` holds the
-    rules by identity, ``pairs`` the queued critical pairs, ``checked`` the
-    pair degree of the last dead-degree test, ``table`` the lead table (see
-    ``_add``), ``joined`` the join of the system's and the rules' fields.
+    rules by identity, ``pairs`` the queued critical pairs, ``survivors``
+    the irreducible words of the pair degree ``checked`` as (code, tail
+    vertex) pairs, ``dead`` the first degree with none (module docstring),
+    ``table`` the lead table (see ``_add``), ``joined`` the join of the
+    system's and the rules' fields.
     """
 
     __slots__ = ("presentation", "degree_bound", "rules", "live", "pending",
-                 "pairs", "counter", "checked", "codes", "table", "joined")
+                 "pairs", "counter", "checked", "survivors", "dead", "codes",
+                 "table", "joined")
 
     def __init__(self, presentation: Presentation, degree_bound: int):
         self.presentation = presentation
@@ -168,7 +177,7 @@ class RewriteSystem:
         self.pending: deque[NCPoly] = deque(presentation.relations)
         self.pairs: list[tuple[int, int, tuple]] = []
         self.counter = itertools.count()
-        self.checked = 0
+        self.checked, self.survivors, self.dead = 0, [], degree_bound + 1
         self.codes = WordCodes(presentation.quiver, degree_bound)
         self.table, self.joined = {}, presentation.field
 
@@ -183,26 +192,29 @@ class RewriteSystem:
     def reduce(self, poly: NCPoly, skip_lead: PathWord | None = None) -> NCPoly:
         """Full normal form, in the reduction order of the module docstring.
 
-        Words above the degree bound are discarded.  ``skip_lead`` disables
-        the rule with that leading word; the canonicalization pass uses it to
-        tail-reduce a generator against the other generators only.  Fields
-        are joined first, so a mix with no common field raises ValueError
-        whether or not a rule fires.  Terms are keyed by their word codes,
-        which are also their places in the heap.
+        Words of degree ``dead`` and above are discarded (module docstring,
+        early stop).  ``skip_lead`` disables the rule with that leading word,
+        so only words above the bound are; the canonicalization pass uses it
+        to tail-reduce a generator against the other generators only.
+        Fields are joined first, so a mix with no common field raises
+        ValueError whether or not a rule fires.  Terms are keyed by their
+        word codes, which are also their places in the heap.
         """
         field, table = poly.field.join(self.joined), self.table
-        code, bound = self.codes.code, self.degree_bound
+        code, bound = self.codes.code, self.dead - 1
         if skip_lead is not None and table.get(skip := code(skip_lead)):
             table = dict(table)  # a lead, not a prefix: drop it from a copy
             del table[skip]
+            bound = self.degree_bound
         values, den = integer_values(poly.terms.values(), field)
         return self._normal({code(w): c for w, c in zip(poly.terms, values)
-                             if len(w) <= bound}, den, table, field)
+                             if len(w) <= bound}, den, table, field, bound)
 
-    def _normal(self, terms: dict, den: int, table: dict,
-                field: Field) -> NCPoly:
-        """The normal form of terms (code -> integer value over den)."""
-        codes, bound = self.codes, self.degree_bound
+    def _normal(self, terms: dict, den: int, table: dict, field: Field,
+                bound: int) -> NCPoly:
+        """The normal form of terms (code -> integer value over den), with
+        words above bound discarded."""
+        codes = self.codes
         B, K, off, pw = codes.base, codes.shift, codes.offsets, codes.powers
         heads, tails, empty = codes.heads, codes.tails, len(codes.vertices) - 1
         rational = field.is_rational
@@ -282,16 +294,17 @@ class RewriteSystem:
         terms = {off[n + m2] + left * pw[m2] + r2.code - off[m2]:
                  one * -r2.scale}
         for m, p, tv, x in r2.tail:
-            if n + m <= self.degree_bound:
+            if n + m < self.dead:
                 terms[off[n + m] + left * p + tv] = one * x
-        return self._normal(terms, r2.scale, self.table, field)
+        return self._normal(terms, r2.scale, self.table, field, self.dead - 1)
 
     def _add(self, poly: NCPoly):
         """Make a reduced nonzero poly a monic rule: the rules its lead
-        divides go back to pending, and its critical pairs are queued.  The
-        lead table maps lead codes to (lead length, rule) and proper prefixes
-        of arrow leads to None; a stale prefix only lengthens a scan."""
-        quiver, bound, codes = self.quiver, self.degree_bound, self.codes
+        divides go back to pending, its critical pairs below ``dead`` are
+        queued, and it strikes the survivors it divides.  The lead table maps
+        lead codes to (lead length, rule) and proper prefixes of arrow leads
+        to None; a stale prefix only lengthens a scan."""
+        quiver, bound, codes = self.quiver, self.dead - 1, self.codes
         rule = Rule(poly.scale(poly.leading_coeff().inverse()), codes)
         for old in self.rules:
             if _word_divides(rule.lead, old.lead, quiver):
@@ -313,10 +326,33 @@ class RewriteSystem:
             if other is not rule:
                 for deg, item in _overlaps(other, rule, bound):
                     heapq.heappush(self.pairs, (deg, next(self.counter), item))
+        L, n = len(rule.lead.arrows), self.checked
+        if self.survivors and L <= n:
+            self.survivors = [(c, t) for c, t in self.survivors if c != rule.code
+                              and (L == n or not _word_divides(
+                                  rule.lead, codes.word(c), quiver))]
+            if not self.survivors:
+                self._die(_dead_degree(self, self.checked))
+
+    def _watch(self, deg: int):
+        """Extend the survivors to pair degree deg, or die on the first
+        degree with no irreducible word."""
+        start = (self.checked, self.survivors) if self.checked else (0, None)
+        *_, (d, level) = _levels(self, deg, *start)
+        self.checked, self.survivors = deg, level
+        if not level:
+            self._die(max(d, 1))
+
+    def _die(self, dead: int):
+        """Record the first degree with no irreducible word and drop the
+        pairs at or above it, which can only reduce to zero."""
+        self.dead = dead
+        self.pairs[:] = [p for p in self.pairs if p[0] < dead]
+        heapq.heapify(self.pairs)
 
     def settle(self, top: int) -> "RewriteSystem":
         """Reduce everything pending, then the critical pairs of degree <=
-        top in degree order; the others wait, or are dropped once some
+        top in degree order; the others wait, or are dropped once their
         degree has no irreducible word.  Each nonzero normal form becomes a
         rule.  Returns the system."""
         pairs, live = self.pairs, self.live
@@ -324,12 +360,9 @@ class RewriteSystem:
             if self.pending:
                 rest = self.reduce(self.pending.popleft())
             else:
-                deg = pairs[0][0]
-                if deg > self.checked:
-                    self.checked = deg
-                    if deg > 1 and _has_dead_degree(self, deg - 1):
-                        pairs.clear()
-                        break
+                if pairs[0][0] > self.checked:
+                    self._watch(pairs[0][0])
+                    continue  # the pairs may be gone
                 _, _, item = heapq.heappop(pairs)
                 if item[0] not in live or item[2] not in live:
                     continue
@@ -368,8 +401,9 @@ def _check_bound(p: Presentation, D: int):
 def complete(p: Presentation, D: int) -> RewriteSystem:
     """Confluent-up-to-degree-D rewrite system for the presentation.
 
-    Words above D are dropped as they appear, and the run stops once some
-    degree has no irreducible word (see the module docstring).
+    Words above D are dropped as they appear, and so are words and pairs
+    at or above the first degree with no irreducible word (see the module
+    docstring).
     """
     _check_bound(p, D)
     return RewriteSystem(p, D).settle(D)
@@ -387,40 +421,50 @@ def normal_form(rs: RewriteSystem, f: NCPoly) -> NCPoly:
     return rs.reduce(f)
 
 
-def _irreducible_words(rs: RewriteSystem, top: int | None = None):
-    """Yield (degree, code) for every irreducible word up to degree top
-    (default: the bound), degree by degree; no lead is a suffix of one."""
+def _levels(rs: RewriteSystem, top: int, d: int = 0, level=None):
+    """Yield (degree, level) from degree d through top, a level being the
+    irreducible words of one degree as (code, tail vertex) pairs, and stop
+    after an empty one.  ``level`` is the one of degree d, by default the
+    vertices that are no lead (V - 1 codes the empty arrow string).  A word
+    is irreducible when its prefix is and no lead is a suffix of it; only
+    the lengths of the leads ending in its last arrow are tested."""
     codes = rs.codes
     B, K, off, pw = codes.base, codes.shift, codes.offsets, codes.powers
     leads = {r.code for r in rs.rules}
-    lengths = sorted({len(r.lead.arrows) for r in rs.rules} - {0})
+    ends = {r: set() for r in codes.rank.values()}  # lead lengths by last arrow
+    for rule in rs.rules:
+        if rule.lead.arrows:
+            ends[codes.rank[rule.lead.arrows[-1]]].add(len(rule.lead.arrows))
     arrows = list(enumerate(zip(codes.heads, codes.tails)))
-    steps = [[(r + K, t) for r, (h, t) in arrows if h == v and t not in leads]
-             for v in range(len(codes.vertices))]  # (rank + K, tail) by head
-    # (code, tail vertex); V - 1 codes the empty arrow string at degree 0
-    level = [(len(codes.vertices) - 1, v) for v in range(len(codes.vertices))
-             if v not in leads]
-    yield from ((0, v) for _, v in level)
-    for d in range(1, (rs.degree_bound if top is None else top) + 1):
-        level = [(c, t) for w, s in level for r, t in steps[s]
-                 for c in [w * B + r]
-                 if not any(off[L] + (c - off[d]) % pw[L] in leads
-                            for L in lengths if L <= d)]
-        yield from ((d, c) for c, _ in level)
+    steps = [[(r + K, t, sorted(ends[r + K])) for r, (h, t) in arrows
+              if h == v and t not in leads]
+             for v in range(len(codes.vertices))]  # (rank + K, tail, lengths)
+    if level is None:
+        level = [(len(codes.vertices) - 1, v)
+                 for v in range(len(codes.vertices)) if v not in leads]
+    yield d, level
+    for d in range(d + 1, top + 1):
         if not level:
             return
+        level = [(c, t) for w, s in level for r, t, lengths in steps[s]
+                 for c in [w * B + r]
+                 if not lengths or not any(off[L] + (c - off[d]) % pw[L]
+                                           in leads for L in lengths if L <= d)]
+        yield d, level
 
 
-def _has_dead_degree(rs: RewriteSystem, top: int) -> bool:
-    """Whether some degree 1 <= d <= top has no irreducible word."""
-    return max((d for d, _ in _irreducible_words(rs, top)), default=-1) < top
+def _dead_degree(rs: RewriteSystem, top: int) -> int | None:
+    """The first degree 1 <= d <= top with no irreducible word, or None
+    (top >= 1)."""
+    return next((max(d, 1) for d, level in _levels(rs, top) if not level),
+                None)
 
 
 def graded_dims(rs: RewriteSystem) -> list[int]:
     """Entry d counts the irreducible words of length d, for 0 <= d <= D."""
     counts = [0] * (rs.degree_bound + 1)
-    for d, _ in _irreducible_words(rs):
-        counts[d] += 1
+    for d, level in _levels(rs, rs.degree_bound):
+        counts[d] = len(level)
     return counts
 
 

@@ -37,7 +37,7 @@ import itertools
 from localquiver.ncalg import (NCPoly, PathWord, Presentation, word_key,
                                word_vertex_at)
 from localquiver.rewrite import (GrIdealReport, RewriteSystem, Rule,
-                                 _irreducible_words, _require_admissible,
+                                 _levels, _require_admissible,
                                  _sort_key, _word_divides, complete)
 from localquiver.scalars import Field
 
@@ -304,12 +304,13 @@ def oracle_complete(p: Presentation, D: int) -> OracleRewriteSystem:
 def graded_dims_by_pair(rs: RewriteSystem) -> dict[tuple[str, str], list[int]]:
     """Irreducible word counts per (head, tail) vertex pair."""
     out: dict[tuple[str, str], list[int]] = {}
-    for d, code in _irreducible_words(rs):
-        w = rs.codes.word(code)
-        key = (w.head, w.tail)
-        if key not in out:
-            out[key] = [0] * (rs.degree_bound + 1)
-        out[key][d] += 1
+    for d, level in _levels(rs, rs.degree_bound):
+        for code, tail in level:
+            w = rs.codes.word(code if d else tail)
+            key = (w.head, w.tail)
+            if key not in out:
+                out[key] = [0] * (rs.degree_bound + 1)
+            out[key][d] += 1
     return out
 
 

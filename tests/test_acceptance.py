@@ -6,6 +6,7 @@ by the independent oracles in this file before the implementation existed,
 and are frozen here.
 """
 
+import importlib.util
 import itertools
 import json
 import pathlib
@@ -25,7 +26,8 @@ from localquiver.ncalg import (NCPoly, PathWord, Presentation, Superpotential,
                                surface_group_presentation)
 from localquiver.quiver import DimVector, Quiver, cb_arrow_count, surface_local_quiver
 from localquiver.repvariety import tangent_space_dim
-from localquiver.rewrite import complete, graded_dims, gr_ideal, is_gradable
+from localquiver.rewrite import (complete, graded_dims, gr_ideal, is_gradable,
+                                 normal_form)
 from localquiver.scalars import Field, QQ
 from localquiver.structure import preprojective_form, superpotential_form
 
@@ -528,6 +530,60 @@ def test_criterion_13_heisenberg_tangent_cone_cyclo7():
         "T1^2*T2 - 2*T1*T2*T1 + T2*T1^2", "T1*T2^2 - 2*T2*T1*T2 + T2^2*T1"]
     assert cone.gradable
     _report("13 heisenberg tangent cone cyclo:7", time.time() - start, 1.5)
+
+
+def _perfbench_oracles():
+    """perfbench/oracles.py, which shares no code with the package."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_criterion_17_quadrics_normal_forms_scale_d12():
+    # derived: degrees 0..2 of the quotient are 1, 3 and 9 minus the rank of
+    # the quadrics' coefficient rows; products u*r*v lie in the ideal, and
+    # normal forms are idempotent and linear
+    p = baseline_quadrics()
+    q, D = p.quiver, 12
+    coefficients = random.Random(3)  # of XX, XY, ..., ZZ, as drawn there
+    rows = [[coefficients.randrange(-2, 3) for _ in range(9)] for _ in range(3)]
+    low = [1, 3, 9 - _perfbench_oracles().rational_rank(rows)]
+    rng = random.Random(12)
+
+    def word(n):
+        letters = [rng.choice("XYZ") for _ in range(n)]
+        return NCPoly.word(q, letters) if n else NCPoly.unit(q)
+
+    def poly():
+        out = NCPoly.zero(q)
+        for _ in range(4):
+            out = out + word(rng.randrange(1, D + 1)).scale(rng.choice((-3, -1, 2)))
+        return out
+
+    members = []
+    for _ in range(12):
+        du = rng.randrange(0, D - 1)
+        members.append(word(du) * rng.choice(p.relations)
+                       * word(rng.randrange(0, D - 1 - du)))
+    samples = []
+    for _ in range(12):
+        f, g = poly(), poly()
+        samples.append((f, g, f + g.scale(3)))
+    start = time.time()
+    rs = complete(p, D)
+    zeros = [str(normal_form(rs, m)) for m in members]
+    forms = [[normal_form(rs, h) for h in sample] for sample in samples]
+    twice = [normal_form(rs, nf) for nf, _, _ in forms]
+    elapsed = time.time() - start
+    assert graded_dims(rs)[:3] == low
+    assert zeros == ["0"] * 12
+    assert any(f.max_degree() == D for f, _, _ in samples)
+    for (nf, ng, ncombo), nnf in zip(forms, twice):
+        assert str(nnf) == str(nf)
+        assert str(ncombo) == str(nf + ng.scale(3))
+    _report("17 quadrics normal forms D=12", elapsed, 1.0)
 
 
 def test_session_reports_match_golden():

@@ -4,6 +4,7 @@ reduction against the field-element heap reduction kept there."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,6 +111,7 @@ def assert_same_as_oracle(p, D):
     new = complete(p, D)
     old = oracle_complete(p, D)
     assert [str(r.poly) for r in new.rules] == [str(r.poly) for r in old.rules]
+    assert graded_dims(new) == graded_dims(old)
     for f in random_polys(p, D):
         assert str(normal_form(new, f)) == str(old.reduce(f))
     # words above the bound are dropped as they appear
@@ -292,10 +294,150 @@ def test_dead_degree_detection():
     q = loops("X")
     rs = complete(Presentation(q, [NCPoly.word(q, ["X", "X"])]), 6)
     assert graded_dims(rs) == [1, 1, 0, 0, 0, 0, 0]
-    assert rewrite._has_dead_degree(rs, 2)
-    assert not rewrite._has_dead_degree(rs, 1)
+    assert rewrite._dead_degree(rs, 2) == 2
+    assert rewrite._dead_degree(rs, 1) is None
     free = complete(Presentation(q, [], field=QQ), 4)
-    assert not rewrite._has_dead_degree(free, 4)
+    assert rewrite._dead_degree(free, 4) is None
+
+
+# ---- the cutoff at the first dead degree ------------------------------------
+
+def x_squared():
+    q = loops("X")
+    return Presentation(q, [NCPoly.word(q, ["X", "X"])])
+
+
+def dying_inhomogeneous():
+    """X^2 -> Y^3 and Y^2 -> X*Y*X: graded dims 1, 2, 2, 2, 1, then 0."""
+    q = loops("X", "Y")
+    w = lambda s: NCPoly.word(q, list(s))
+    return Presentation(q, [w("XX") - w("YYY"), w("YY") - w("XYX")],
+                        flavor="complete")
+
+
+def two_vertex_dying():
+    """A loop at each of two vertices and an arrow each way; dies in
+    degree 3."""
+    q = Quiver(["u", "w"], [("x", "u", "u"), ("y", "w", "w"),
+                            ("a", "u", "w"), ("b", "w", "u")])
+    w = lambda s: NCPoly.word(q, s.split("*"))
+    return Presentation(q, [w("x*x"), w("y*y"), w("x*a") - w("a*y"),
+                            w("b*x") - w("y*b"), w("a*b"), w("b*a")],
+                        flavor="graded")
+
+
+def ideal_members(p, D, seed=0, count=12):
+    """Nonzero products u*r*v of paths and relations, of degree <= D."""
+    rng, out = random.Random(seed), []
+    one = p.field.one()
+    while len(out) < count:
+        r = rng.choice(p.relations)
+        room = D - r.max_degree()
+        du = rng.randrange(0, room + 1)
+        u = random_path(rng, p.quiver, du)
+        v = random_path(rng, p.quiver, rng.randrange(0, room - len(u) + 1))
+        f = (NCPoly(p.quiver, p.field, {u: one}) * r
+             * NCPoly(p.quiver, p.field, {v: one}))
+        if not f.is_zero():
+            out.append(f)
+    return out
+
+
+CUTOFF = [(baseline_quadrics, 5, 5), (baseline_quadrics, 6, 5),
+          (baseline_quadrics, 7, 5), (x_squared, 4, 2),
+          (dying_inhomogeneous, 7, 5), (two_vertex_dying, 6, 3),
+          (lambda: unit_loops(after=[("b*b", "a*c")]), 6, 2)]
+
+
+@pytest.mark.parametrize("make, D, dead", CUTOFF)
+def test_cutoff_reduction_matches_heap_reduction(make, D, dead):
+    """Words at and above ``dead`` are dropped; ``heap_reduce`` keeps them
+    up to D and still reaches the same normal forms."""
+    p = make()
+    rs = complete(p, D)
+    assert rs.dead == dead
+    assert rewrite._dead_degree(rs, D) == dead
+    members = ideal_members(p, D)
+    polys = [*random_polys(p, D, count=12), *members]
+    assert any(len(w) >= dead for f in polys for w in f.terms)
+    for f in polys:
+        assert str(rs.reduce(f)) == str(heap_reduce(rs, f))
+    assert all(rs.reduce(f).is_zero() for f in members)
+
+
+def test_skip_lead_keeps_words_at_the_dead_degree():
+    """Without the lead X^2, words at and above ``dead`` can be irreducible,
+    so ``skip_lead`` cuts at the degree bound only."""
+    rs = complete(x_squared(), 4)
+    assert rs.dead == 2
+    f = NCPoly.word(rs.quiver, ["X"] * 2) + NCPoly.word(rs.quiver, ["X"] * 3)
+    skip = PathWord.of(rs.quiver, ["X", "X"])
+    assert str(rs.reduce(f)) == "0"
+    assert (str(rs.reduce(f, skip_lead=skip))
+            == str(heap_reduce(rs, f, skip_lead=skip)) == "X^2 + X^3")
+    quadrics = complete(baseline_quadrics(), 6)
+    x5, skip = NCPoly.word(XYZ, ["X"] * 5), PathWord.of(XYZ, ["X", "X"])
+    assert quadrics.dead == 5 and str(quadrics.reduce(x5)) == "0"
+    assert (str(quadrics.reduce(x5, skip_lead=skip))
+            == str(heap_reduce(quadrics, x5, skip_lead=skip)) == "X^5")
+
+
+@pytest.mark.parametrize("D", [5, 6, 7])
+def test_quadrics_reduce_nine_of_their_degree_five_pairs(D, monkeypatch):
+    """The nine degree-5 pairs that add rules kill degree 5; the other 15
+    are dropped.  Rules, graded dims and normal forms are compared with
+    ``oracle_complete`` in ``test_baseline_quadrics_match_oracle``."""
+    degrees = []
+    pair = rewrite.RewriteSystem._pair
+
+    def counting(self, item):
+        r1, L, r2 = item
+        degrees.append(len(r1.lead.arrows) + len(r2.lead.arrows) - L)
+        return pair(self, item)
+
+    monkeypatch.setattr(rewrite.RewriteSystem, "_pair", counting)
+    rs = complete(baseline_quadrics(), D)
+    assert rs.dead == 5 and not rs.pairs
+    assert sorted(Counter(degrees).items()) == [(3, 3), (4, 9), (5, 9)]
+
+
+def test_a_shorter_rule_strikes_the_survivors_it_divides():
+    q = loops("X", "Y")
+    rs = complete(Presentation(q, [NCPoly.word(q, ["X", "X"])]), 5)
+    # the overlap X^2*X was tested at degree 3, where X*Y*X and others live
+    assert (rs.checked, rs.dead) == (3, 6)
+    assert len(rs.survivors) == 5
+    rs.pending.append(NCPoly.word(q, ["Y"]))
+    rs.settle(5)
+    # Y strikes every survivor, and degree 2 is the first one left empty
+    assert rs.survivors == [] and rs.dead == 2
+    assert graded_dims(rs) == [1, 1, 0, 0, 0, 0]
+
+
+def test_pending_rule_after_dead_still_forms_lower_pairs(monkeypatch):
+    p = baseline_quadrics()
+    rs = complete(p, 5)
+    assert rs.dead == 5
+    degrees = []
+    pair = rewrite.RewriteSystem._pair
+
+    def counting(self, item):
+        r1, L, r2 = item
+        degrees.append(len(r1.lead.arrows) + len(r2.lead.arrows) - L)
+        return pair(self, item)
+
+    monkeypatch.setattr(rewrite.RewriteSystem, "_pair", counting)
+    z3 = NCPoly.word(XYZ, ["Z"] * 3)
+    assert str(rs.reduce(z3)) == "Z^3"
+    rs.pending.append(z3)
+    rs.settle(5)
+    assert degrees and max(degrees) < 5
+    monkeypatch.undo()
+    old = oracle_complete(Presentation(XYZ, [*p.relations, z3],
+                                       flavor="graded"), 5)
+    assert graded_dims(rs) == graded_dims(old)
+    for f in [*random_polys(p, 5), *random_polys(p, 5, seed=1)]:
+        assert str(rs.reduce(f)) == str(old.reduce(f))
 
 
 # ---- integer reduction against the field-element heap reduction -------------
