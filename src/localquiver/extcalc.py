@@ -11,11 +11,10 @@ relations.
 
 Simplicity is certified by a density argument: a representation of total
 dimension n is simple exactly when the matrices of all paths span the full
-n-by-n matrix algebra.  Over the rationals the check runs mod p first,
-which can only certify "simple"; it is deterministic and exact, and
-together with vanishing Hom spaces it certifies the factor list of a
-semisimple module, from which ``local_quiver`` builds the Ext matrix, the
-quiver and the multiplicity vector.
+n-by-n matrix algebra.  The check runs mod p first, which can only certify
+"simple"; it is deterministic and exact, and with vanishing Hom spaces it
+certifies the factor list of a semisimple module, from which
+``local_quiver`` builds the Ext matrix, the quiver and the multiplicities.
 """
 
 from __future__ import annotations
@@ -389,16 +388,14 @@ def is_simple(rep: Representation) -> bool:
     """Density check: the path matrices must span the full matrix algebra.
 
     The arrow matrices, embedded in n x n blocks, and the vertex idempotents
-    are converted to coordinates once (``linalg.to_layers``); path products
-    are taken on them (``linalg.layer_product``) and enter the ``Echelon``
-    as their layers, the common denominator dropped, over every field.
-
-    Over the rationals the same breadth-first closure runs mod p first, on
-    the integer arrow matrices and the idempotents reduced mod p, through
-    ``linalg.ModEchelon``.  If it reaches n^2, the integer path matrices
-    behind its rows are independent over the rationals (a minor nonzero mod
-    p is nonzero), so the rep is simple.  That certificate is one-sided:
-    otherwise the exact closure reruns, so "not simple" is always exact.
+    are converted to coordinates once (``linalg.to_layers``), and the
+    breadth-first closure of path products (``linalg.layer_product``) runs
+    mod p first, with (p, r) = ``linalg.cyclotomic_prime(m)`` (m = 1 over
+    the rationals): zeta -> r is a ring map Z[zeta] -> F_p, so entry j of
+    the arrow layers L_t goes to sum_t L_t[j] r^t.  Reaching n^2 there
+    gives the integer path matrices a minor nonzero mod p, hence nonzero:
+    the rep is simple.  Otherwise the exact closure reruns on the layers
+    through ``Echelon``, so "not simple" is always exact.
     """
     n = rep.dim()
     if n == 0:
@@ -420,30 +417,26 @@ def is_simple(rep: Representation) -> bool:
                    v, v) for v in quiver.vertices if alpha[v]]
     layers, _ = linalg.to_layers(mats, field)
     arrows = layers[:len(quiver.arrows)]
-    if field.degree == 1 and _dense_mod_p(
-            [linalg.residues(a[0]) for a in arrows],
-            [[x for row in m for x in row] for m in mats[len(arrows):]], n):
+    prime, root = linalg.cyclotomic_prime(field.order or 1)
+    mod_p = linalg.ModEchelon(prime)
+    if _spans_all(mod_p, mod_p.insert, [linalg.residues(a, prime, root) for a in arrows],
+                  [[x for row in m for x in row] for m in mats[len(arrows):]], n,
+                  lambda a, m: linalg.residues(
+                      linalg.layer_product([a], [m], n, n, n, None), prime)):
         return True
     span = linalg.Echelon()  # flattened path matrices, row-reduced
-    frontier = [m for m in layers[len(arrows):] if span.insert_layers(m, field)]
-    while frontier and len(span) < n * n:
-        prods = (linalg.layer_product(a, m, n, n, n, field.phi)
-                 for m in frontier for a in arrows)
-        frontier = [m for m in prods if span.insert_layers(m, field)]
-    return len(span) == n * n
+    return _spans_all(span, lambda m: span.insert_layers(m, field), arrows,
+                      layers[len(arrows):], n,
+                      lambda a, m: linalg.layer_product(a, m, n, n, n, field.phi))
 
 
-def _dense_mod_p(arrows: list[list[int]], idempotents: list[list[int]],
-                 n: int) -> bool:
-    """Whether the path matrices, the idempotents times products of the
-    arrow matrices (flat n x n int lists), span all n x n matrices mod p:
-    the closure of ``is_simple`` on residues, each product reduced mod p."""
-    span = linalg.ModEchelon()
-    frontier = [m for m in idempotents if span.insert(m)]
+def _spans_all(span, insert, arrows, idempotents, n: int, product) -> bool:
+    """Whether the idempotents times products of the arrow matrices span all
+    n x n matrices: closed under product(arrow, m), each new m kept by insert."""
+    frontier = [m for m in idempotents if insert(m)]
     while frontier and len(span) < n * n:
-        prods = (linalg.residues(linalg.layer_product([a], [m], n, n, n, None)[0])
-                 for m in frontier for a in arrows)
-        frontier = [m for m in prods if span.insert(m)]
+        prods = (product(a, m) for m in frontier for a in arrows)
+        frontier = [m for m in prods if insert(m)]
     return len(span) == n * n
 
 

@@ -37,20 +37,21 @@ convert their operands once and stay in layers until the end;
 values.
 
 The modular kernel is :class:`ModEchelon`, the same elimination on
-residues mod one fixed prime p < 2^30 (Dumas, Giorgi and Pernet, ACM TOMS
-35, 2008).  ``certified_rank`` takes integer rows to it and returns their
+residues mod a prime p < 2^30 (Dumas, Giorgi and Pernet, ACM TOMS 35,
+2008).  ``certified_rank`` takes integer rows to it and returns their
 rank over the rationals only with a certificate, None otherwise, and then
 the caller ranks them with ``Echelon``; ``extcalc.is_simple`` runs its
-density closure through it.  Its rows are packed residues (Dumas, Fousse
-and Salvy, J. Symb. Comput. 46, 2011), one int per row, so one elimination
-step is one bigint multiply-add; its docstring gives the slot bound.
+density closure through it, mod ``cyclotomic_prime(m)`` over Q(zeta_m).  Its
+rows are packed residues (Dumas, Fousse and Salvy, J. Symb. Comput. 46,
+2011), one int per row, so one elimination step is one bigint multiply-add.
 """
 
 from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from itertools import compress, repeat
+from functools import cache
+from itertools import compress, count, repeat
 from math import gcd, isqrt, lcm
 from operator import add, lshift, mod, mul
 
@@ -139,17 +140,20 @@ def layer_product(a, b, rows: int, inner: int, cols: int, phi) -> list[list[int]
 
 def reduce_layers(acc: list, phi, size: int) -> list[list[int]]:
     """The d = (len(acc) + 1) // 2 layers of sum_k zeta^k acc[k], for
-    layers acc[k] of size ints (None: zero), reduced from the top by
-    zeta^d = -(phi_0 + ... + phi_{d-1} zeta^(d-1))."""
+    layers acc[k] of size ints (None: zero), folded in place from the top,
+    nonzeros only, by zeta^d = -(phi_0 + ... + phi_{d-1} zeta^(d-1))."""
     d = (len(acc) + 1) // 2
     for k in range(len(acc) - 1, d - 1, -1):
         top = acc[k]
         if top is not None:
+            at = list(compress(range(size), top))
             for j, p in enumerate(phi):
                 if p:
                     low = acc[k - d + j]
-                    acc[k - d + j] = [-p * y for y in top] if low is None \
-                        else [x - p * y for x, y in zip(low, top)]
+                    if low is None:
+                        low = acc[k - d + j] = [0] * size
+                    for i in at:
+                        low[i] -= p * top[i]
     return [[0] * size if x is None else x for x in acc[:d]]
 
 
@@ -170,6 +174,20 @@ def _sparse(layers: list[list[int]]) -> dict[int, int]:
         return dict(compress(enumerate(layers[0]), layers[0]))
     return {j * d + t: x for t, layer in enumerate(layers)
             for j, x in enumerate(layer) if x}
+
+
+def _times_zeta(vec: dict[int, int], d: int, phi) -> dict[int, int]:
+    """zeta times the sparse row vec over a field of degree d: a coordinate
+    moves up within its entry block, the top one folded by phi."""
+    out = {}
+    for c, x in vec.items():
+        if c % d < d - 1:
+            out[c + 1] = out.get(c + 1, 0) + x
+        else:
+            for j, p in enumerate(phi, c - d + 1):
+                if p:
+                    out[j] = out.get(j, 0) - p * x
+    return {c: x for c, x in out.items() if x}
 
 
 def _primitive(vec: dict[int, int]) -> None:
@@ -214,7 +232,10 @@ class Echelon:
     kept or none is.  Each step ``p'*vec - f'*kept`` is followed by division
     by the content (fraction-free, after Bareiss), so a kept row is a
     primitive integer vector with a positive lead, zero at the leads of the
-    rows kept before it; one sweep in insertion order reduces a new row.
+    rows kept before it, and unique in its coset; one sweep in insertion
+    order reduces a new row.  The rest of its group are zeta times the last
+    kept (``_times_zeta``): the leads before the group fill whole entry
+    blocks (their span is zeta-stable), so a multiple meets its group only.
     Rows are ``{column: int}`` maps of their nonzero coordinates: a step
     with p' = 1 rewrites the kept row's support only, and the content, the
     lead and the hit test read the nonzeros.  Rows must share one length.
@@ -287,15 +308,14 @@ class Echelon:
             layers = layers + [[0] * width] * (d - len(layers))
         if not self._insert_integers(_sparse(layers)):
             return False
-        for _ in range(d - 1):  # zeta times the last, its top folded by phi: kept
-            layers = reduce_layers([None, *layers] + [None] * (d - 2),
-                                   field.phi, width)
-            self._insert_integers(_sparse(layers))
+        group = len(self._rows) - 1
+        for _ in range(d - 1):  # zeta times the last kept row meets its group only
+            self._insert_integers(_times_zeta(self._rows[-1], d, field.phi), group)
         return True
 
-    def _insert_integers(self, vec: dict[int, int]) -> bool:
+    def _insert_integers(self, vec: dict[int, int], start: int = 0) -> bool:
         _primitive(vec)
-        for lead, kept in zip(self._leads, self._rows):
+        for lead, kept in zip(self._leads[start:], self._rows[start:]):
             if lead in vec:
                 _eliminate(vec, kept, lead)
         if not vec:
@@ -393,9 +413,38 @@ _P = 1073741789
 _BOUND = isqrt(_P // 2)
 
 
-def residues(ints) -> list[int]:
-    """The ints reduced mod the prime of :class:`ModEchelon`."""
-    return [x % _P for x in ints]
+def residues(layers, prime: int = _P, root: int = 1) -> list[int]:
+    """The entries sum_t zeta^t layers[t][j] mod prime, zeta -> root."""
+    acc = layers[-1]
+    for layer in layers[-2::-1]:
+        acc = [x * root + y for x, y in zip(acc, layer)]
+    return [x % prime for x in acc]
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 3, 5 and 7, exact below 3.2 * 10^9."""
+    if n < 11:
+        return n in (2, 3, 5, 7)
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd
+    for a in (2, 3, 5, 7):
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in (pow(x, 1 << i, n) for i in range(s)):
+            return False
+    return True
+
+
+@cache
+def cyclotomic_prime(m: int) -> tuple[int, int]:
+    """(p, r): the largest prime p < 2^30 with p = 1 (mod m), and r a root
+    of Phi_m mod p (a primitive m-th root of unity g^((p - 1)/m)), so that
+    zeta -> r is a ring map Z[zeta] -> F_p; m = 1 gives (``_P``, 1)."""
+    p = (2 ** 30 - 2) // m * m + 1
+    while not _is_prime(p):
+        p -= m
+    for g in count(2):
+        r = pow(g, (p - 1) // m, p)
+        if all(pow(r, k, p) != 1 for k in range(1, m) if m % k == 0):
+            return p, r
 
 
 def _slot_bits(width: int) -> int:
@@ -405,8 +454,8 @@ def _slot_bits(width: int) -> int:
 
 
 class ModEchelon:
-    """Rows of residues mod p in echelon form; the one modular elimination
-    of the package, behind ``certified_rank`` and the density check.
+    """Rows of residues mod a prime p = ``prime`` < 2^30 in echelon form; the
+    one modular elimination, behind ``certified_rank`` and the density check.
 
     A row is one packed int, entry j in bits [S*j, S*j + S), where the slot
     width S = ``_slot_bits(width)`` is a multiple of 8 with S >= 61 +
@@ -424,10 +473,11 @@ class ModEchelon:
     kept rows with a lead there are skipped.  All rows must have one length.
     """
 
-    __slots__ = ("leads", "_rows", "_unpacked", "_width", "_slot", "_small",
-                 "_wide")
+    __slots__ = ("prime", "leads", "_rows", "_unpacked", "_width", "_slot",
+                 "_small", "_wide")
 
-    def __init__(self):
+    def __init__(self, prime: int = _P):
+        self.prime = prime
         self.leads: list[int] = []
         self._rows: list[int] = []  # negated monic rows, packed
         self._unpacked: list[tuple[int, ...]] = []  # for kernel_vector
@@ -445,25 +495,26 @@ class ModEchelon:
                 raise ValueError(
                     f"row of length {len(ints)} in an echelon of width {self._width}")
             self._layout(len(ints))
-        vec = self._pack(map(mod, ints, repeat(_P)))
+        p = self.prime
+        vec = self._pack(map(mod, ints, repeat(p)))
         if not vec:
             return False
         slot, mask = self._slot, (1 << self._slot) - 1
         first = ((vec & -vec).bit_length() - 1) // slot
         for lead, neg in zip(self.leads, self._rows):
             if lead >= first:
-                c = (vec >> slot * lead & mask) % _P
+                c = (vec >> slot * lead & mask) % p
                 if c:
                     vec += c * neg
         fields = self._wide.unpack(vec.to_bytes(self._wide.size, "little"))
         res = list(map(mod, map(add, fields[::2], map(lshift, fields[1::2],
-                                                      repeat(64))), repeat(_P)))
+                                                      repeat(64))), repeat(p)))
         pivot = next(filter(None, res), 0)  # at the lead, its first occurrence
         if not pivot:
             return False
         lead = res.index(pivot)
-        ninv = _P - pow(pivot, -1, _P)
-        self._rows.append(self._pack(map(mod, map(mul, res, repeat(ninv)), repeat(_P))))
+        ninv = p - pow(pivot, -1, p)
+        self._rows.append(self._pack(map(mod, map(mul, res, repeat(ninv)), repeat(p))))
         self.leads.append(lead)
         return True
 
@@ -494,7 +545,7 @@ class ModEchelon:
         vec = [0] * width
         vec[free] = 1
         for lead, tail in sorted(zip(self.leads, unpacked), reverse=True):
-            vec[lead] = sum(map(mul, tail[lead + 1:], vec[lead + 1:])) % _P
+            vec[lead] = sum(map(mul, tail[lead + 1:], vec[lead + 1:])) % self.prime
         return vec
 
 

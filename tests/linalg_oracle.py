@@ -12,6 +12,9 @@ cyclotomic entry; ``is_simple`` is the density check with
 ``DenseEchelon`` is ``linalg.Echelon`` as it was on dense integer rows,
 and ``dense_kernel`` runs ``linalg.rank``, ``nullspace``, ``solve`` and
 ``invert`` on it.
+``UnreducedZetaEchelon`` is ``linalg.Echelon`` as it built the zeta
+multiples of a cyclotomic row: from the dense layers of the unreduced row,
+each multiple reduced against every kept row.
 ``ModEchelon`` is the modular elimination that ``linalg.ModEchelon`` ran on
 lists of residues, one interpreter step per entry and reduction step.  The
 differential tests compare the package against them.
@@ -30,8 +33,8 @@ from math import gcd
 from operator import add, mul
 
 from localquiver import linalg
-from localquiver.linalg import (_P, identity_matrix, mat_shape, reduce_layers,
-                                residues, zero_matrix)
+from localquiver.linalg import (_P, _sparse, identity_matrix, mat_shape,
+                                reduce_layers, residues, zero_matrix)
 from localquiver.scalars import Field, FieldElem
 
 
@@ -217,7 +220,8 @@ class DenseEchelon(linalg.Echelon):
         if not self._insert_integers(_interleave(layers)):
             return False
         for _ in range(d - 1):  # zeta times the last, its top folded by phi: kept
-            layers = reduce_layers([None, *layers] + [None] * (d - 2),
+            # copied: reduce_layers folds into the layers it is given
+            layers = reduce_layers([None, *map(list, layers)] + [None] * (d - 2),
                                    field.phi, width)
             self._insert_integers(_interleave(layers))
         return True
@@ -255,6 +259,43 @@ class DenseEchelon(linalg.Echelon):
             coeffs = [Fraction(x, p) for x in row]
             out.append([FieldElem(field, c) for c in zip(*[iter(coeffs)] * d)])
         return out, self.leads
+
+
+class UnreducedZetaEchelon(linalg.Echelon):
+    """``linalg.Echelon`` with each zeta multiple made from the dense layers
+    of the row as it came in, unreduced, and reduced against every kept
+    row; the kept rows are the same integers, since a kept row is the one
+    primitive vector with a positive lead in its coset."""
+
+    def insert_layers(self, layers, field: Field) -> bool:
+        d = field.degree
+        width = len(layers[0]) if layers else 0
+        if len(layers) != d or d > 1 and any(len(x) != width for x in layers):
+            raise ValueError(f"a row over {field.label()} needs {d} layers "
+                             f"of one length, got {[len(x) for x in layers]}")
+        if width != self._width:
+            if self._width is not None:
+                raise ValueError(
+                    f"row of length {width} in an echelon of width {self._width}")
+            self._width = width
+        if field is not self._field and field != self._field:
+            joined = self._field.join(field)
+            if joined != self._field:  # the kept rational rows re-enter
+                kept, self._rows, self._leads = self._rows, [], []
+                self._field, zeros = joined, [[0] * width] * (joined.degree - 1)
+                for old in kept:
+                    self.insert_layers([[old.get(j, 0) for j in range(width)]]
+                                       + zeros, joined)
+            field, d = joined, joined.degree
+            layers = layers + [[0] * width] * (d - len(layers))
+        if not self._insert_integers(_sparse(layers)):
+            return False
+        for _ in range(d - 1):  # zeta times the last, its top folded by phi: kept
+            # copied: reduce_layers folds into the layers it is given
+            layers = reduce_layers([None, *map(list, layers)] + [None] * (d - 2),
+                                   field.phi, width)
+            self._insert_integers(_sparse(layers))
+        return True
 
 
 @contextmanager
@@ -343,12 +384,12 @@ class ModEchelon:
         return len(self.leads)
 
     def insert(self, ints) -> bool:
-        vec = residues(ints)
+        vec = residues([ints])
         for lead, tail in zip(self.leads, self.tails):
             c = vec[lead] % _P
             if c:
                 vec[lead:] = [x - c * y for x, y in zip(vec[lead:], tail)]
-        vec = residues(vec)
+        vec = residues([vec])
         lead = next((k for k, x in enumerate(vec) if x), None)
         if lead is None:
             return False

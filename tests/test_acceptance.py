@@ -532,6 +532,45 @@ def test_criterion_13_heisenberg_tangent_cone_cyclo7():
     _report("13 heisenberg tangent cone cyclo:7", time.time() - start, 1.5)
 
 
+def conjugated_heisenberg(m):
+    """The Heisenberg simple over cyclo:m (X the cyclic shift, Y =
+    diag(zeta^k)) conjugated by the upper-bidiagonal P = I + N, N[i][i+1] =
+    (-1)^i, whose inverse has entries 0 and +-1: every entry of the
+    conjugated Y is a sum of zeta powers, so the rows are dense in Z[zeta]."""
+    field = Field(m)
+    p = [[int(j == i) + (-1) ** i * int(j == i + 1) for j in range(m)]
+         for i in range(m)]
+    # (I + N)^-1 has (-N[i][i+1]) * ... * (-N[j-1][j]) at (i, j), j >= i
+    p_inv = [[0 if j < i else (-1) ** (sum(range(i, j)) + j - i) for j in range(m)]
+             for i in range(m)]
+    shift = [[int(i == (j + 1) % m) for j in range(m)] for i in range(m)]
+
+    def conj(a):
+        return linalg.mat_mul(linalg.mat_mul(p, a), p_inv)
+
+    diag = [[field.zeta(k) if k == j else field.zero() for j in range(m)]
+            for k in range(m)]
+    diag_inv = [[field.zeta(-k) if k == j else field.zero() for j in range(m)]
+                for k in range(m)]
+    mats = {"X": conj(shift), "X_inv": conj([list(c) for c in zip(*shift)]),
+            "Y": conj(diag), "Y_inv": conj(diag_inv)}
+    pres = heisenberg_presentation(field)
+    rho = Representation(pres, DimVector(pres.quiver, {"v": m}), mats,
+                         field=field, name="rho")
+    return pres, rho
+
+
+def test_criterion_16_conjugated_heisenberg_cyclo7():
+    # derived, as in criterion 11: dim T = dim Z^1 = n^2 - 1 + dim Ext^1 =
+    # 50 at n = 7; conjugation keeps the point but fills every entry of the
+    # 294-column Jacobian rows with coordinates over Z[zeta]
+    pres, rho = conjugated_heisenberg(7)
+    start = time.time()
+    assert tangent_space_dim(pres, rho) == 50
+    assert ext1_dim(rho, rho) == 2
+    _report("16 conjugated heisenberg cyclo:7", time.time() - start, 3.0)
+
+
 def _perfbench_oracles():
     """perfbench/oracles.py, which shares no code with the package."""
     path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
@@ -586,10 +625,19 @@ def test_criterion_17_quadrics_normal_forms_scale_d12():
     _report("17 quadrics normal forms D=12", elapsed, 1.0)
 
 
-def test_session_reports_match_golden():
-    # the worked-example session is stable end to end
-    source = (GOLDEN / "heisenberg_session.lq").read_text()
+def assert_session_matches_golden(session):
+    source = (GOLDEN / f"{session}_session.lq").read_text()
     reports, code = run(parse(source), {})
     assert code == 0
-    golden = json.loads((GOLDEN / "heisenberg_reports.json").read_text())
+    golden = json.loads((GOLDEN / f"{session}_reports.json").read_text())
     assert reports == golden
+
+
+def test_session_reports_match_golden():
+    # the worked-example session is stable end to end
+    assert_session_matches_golden("heisenberg")
+
+
+def test_cyclo5_session_reports_match_golden():
+    # the same over cyclo:5, a field of degree 4, at a conjugated simple
+    assert_session_matches_golden("heisenberg_cyclo5")

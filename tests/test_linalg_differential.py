@@ -2,7 +2,9 @@
 rows), the functions built on it and the coordinate product
 ``linalg.mat_mul`` against the previous paths kept in ``linalg_oracle``,
 compared as strings; the sparse rows of ``Echelon`` against the dense
-kernel ``linalg_oracle.DenseEchelon``, compared integer for integer."""
+kernel ``linalg_oracle.DenseEchelon``, and its zeta multiples of a kept row
+against those of the unreduced row (``linalg_oracle.UnreducedZetaEchelon``),
+compared integer for integer."""
 
 import random
 from fractions import Fraction
@@ -18,6 +20,7 @@ from localquiver.quiver import DimVector, Quiver
 from localquiver.scalars import QQ, Field
 
 import linalg_oracle as oracle
+from test_acceptance import conjugated_heisenberg
 
 # cyclo:2 has degree 1 (the golden session's field); at cyclo:7 the degree
 # is 6 and zeta^6 = -(1 + zeta + ... + zeta^5)
@@ -831,3 +834,79 @@ def test_sparse_and_dense_kernels_agree_on_every_row(case):
     field, rows = case
     compare_kernels(rows, field)
     compare_functions(rows, field, random.Random(len(rows)))
+
+
+# ---- zeta multiples of the kept row against those of the unreduced row -----
+
+# Phi_8 = x^4 + 1 has zero coefficients and Phi_12 = x^4 - x^2 + 1 a
+# negative one; cyclo:7 has degree 6 with every coefficient of Phi_7 one
+ZETA_FIELDS = [Field(3), Field(5), Field(7), Field(8), Field(12)]
+
+
+def assert_kept_rows_reduced(kernel):
+    """Each kept row is primitive, positive at its lead, its least column,
+    and zero at the leads of the rows kept before it."""
+    for k, (row, lead) in enumerate(zip(kernel._rows, kernel._leads)):
+        assert min(row) == lead and row[lead] > 0 and gcd(*row.values()) == 1
+        assert not any(earlier in row for earlier in kernel._leads[:k])
+
+
+def compare_zeta_multiples(rows, field):
+    """Insert rows by layers (a rational row over q, so the kept rows
+    re-enter at the first cyclotomic one) into ``Echelon`` and into
+    ``UnreducedZetaEchelon``: the same verdicts and the same kept rows and
+    leads as integers after every insert, then the same reduced form and
+    nullspace."""
+    kernel, old = linalg.Echelon(), oracle.UnreducedZetaEchelon()
+    for row in rows:
+        over = QQ if all(x.field.is_rational for x in row) else field
+        (layers,), _ = linalg.to_layers([[row]], over)
+        assert kernel.insert_layers(layers, over) == old.insert_layers(layers, over)
+        assert kernel._rows == old._rows and kernel._leads == old._leads
+        assert kernel._field == old._field
+        assert_kept_rows_reduced(kernel)
+    cols = len(rows[0])
+    assert show(kernel.reduced()) == show(old.reduced())
+    assert show(kernel.nullspace(cols, field)) == show(old.nullspace(cols, field))
+    assert kernel._rows == old._rows and kernel._leads == old._leads
+
+
+@pytest.mark.parametrize("field", ZETA_FIELDS, ids=str)
+def test_zeta_multiples_of_the_kept_row_match_the_unreduced_row(field):
+    # sparse_rows puts zero rows, duplicates, zeta multiples and
+    # combinations (dependent rows) among the independent ones
+    for seed in range(6):
+        rng = random.Random(f"kept zeta {field.label()} {seed}")
+        cols = rng.choice([2, 5, 9])
+        compare_zeta_multiples(sparse_rows(rng, field, rng.randrange(3, 10), cols), field)
+
+
+@pytest.mark.parametrize("field", ZETA_FIELDS, ids=str)
+def test_rational_rows_re_enter_under_kept_zeta_multiples(field):
+    for seed in range(4):
+        rng = random.Random(f"kept zeta re-entry {field.label()} {seed}")
+        cols = rng.choice([3, 6])
+        rational = sparse_rows(rng, QQ, rng.randrange(1, 4), cols)
+        cyclo = sparse_rows(rng, field, 1, cols)
+        cyclo[0][rng.randrange(cols)] = field.zeta(1)
+        compare_zeta_multiples(rational + cyclo + sparse_rows(rng, QQ, 2, cols)
+                               + sparse_rows(rng, field, 3, cols), field)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_conjugated_heisenberg_systems_match_the_unreduced_row(m):
+    # the Hom, cocycle and Jacobian rows at the conjugated simple, whose
+    # Z[zeta] coordinates are dense (Phi_4 = x^2 + 1 has a zero coefficient)
+    pres, rho = conjugated_heisenberg(m)
+    jacobian, _, _, field = repvariety._jacobian_system(rho)
+    for rows in (extcalc._hom_system(rho, rho)[0], extcalc._cocycle_system(rho, rho)[0],
+                 jacobian):
+        kernel, old = linalg.Echelon(), oracle.UnreducedZetaEchelon()
+        for layers, _ in rows:
+            kept = len(kernel._rows)  # a forward insert leaves the kept rows as they are
+            assert kernel.insert_layers(layers, field) == old.insert_layers(layers, field)
+            assert kernel._rows[kept:] == old._rows[kept:]
+            assert kernel._leads == old._leads
+        assert kernel._rows == old._rows
+        assert_kept_rows_reduced(kernel)
+        assert show(kernel.reduced()) == show(old.reduced())

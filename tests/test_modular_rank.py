@@ -2,9 +2,11 @@
 of ``extcalc.is_simple`` against the exact kernel ``linalg.Echelon`` and
 the field-arithmetic density check of ``linalg_oracle``.
 
-Over the rationals the Hom, cocycle and Jacobian ranks and the density
-check are tried mod p first.  A modular answer is taken only with its
-certificate; otherwise ``Echelon`` decides.  These tests pin both halves:
+Over the rationals the Hom, cocycle and Jacobian ranks are tried mod p
+first, and the density check is, over every field: over cyclo:m mod the
+prime p = 1 (mod m) of ``linalg.cyclotomic_prime``, zeta sent to a root of
+Phi_m.  A modular answer is taken only with its certificate; otherwise
+``Echelon`` decides.  These tests pin both halves:
 the modular answer agrees with ``Echelon`` wherever it is given, and the
 fallback is reached (and right) where the certificate fails.  The packed
 kernel ``linalg.ModEchelon`` is compared with the list kernel it replaced,
@@ -12,7 +14,9 @@ kept as ``linalg_oracle.ModEchelon``.
 """
 
 import random
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +26,7 @@ from localquiver.extcalc import (Representation, ext1_dim, hom_dim,
                                  is_simple)
 from localquiver.ncalg import Presentation
 from localquiver.quiver import DimVector, Quiver
-from localquiver.scalars import QQ
+from localquiver.scalars import QQ, Field
 
 import linalg_oracle as oracle
 from test_acceptance import _spans_matrix_algebra_mod_p
@@ -374,3 +378,98 @@ def test_failed_certificates_reach_echelon(monkeypatch):
     calls.clear()
     assert is_simple(free_simple(3, 3)) is True
     assert not calls
+
+
+# ---- the density check mod a prime that splits Phi_m --------------------------
+
+def phi_at(m, r, p):
+    """The m-th cyclotomic polynomial at r, mod p, from its coefficients."""
+    coeffs = list(Field(m).phi) + [1]
+    return sum(c * pow(r, k, p) for k, c in enumerate(coeffs)) % p
+
+
+def trial_division_prime(n):
+    return n > 1 and all(n % q for q in range(2, isqrt(n) + 1))
+
+
+def test_miller_rabin_is_exact_on_small_numbers_and_pseudoprimes():
+    assert [n for n in range(3000) if linalg._is_prime(n)] == \
+        [n for n in range(3000) if trial_division_prime(n)]
+    # strong pseudoprimes to base 2, Carmichael numbers, and 25326001, a
+    # strong pseudoprime to the bases 2, 3 and 5 that base 7 exposes
+    for n in (2047, 3277, 4033, 4681, 8321, 561, 1105, 1729, 25326001):
+        assert linalg._is_prime(n) is trial_division_prime(n)
+    assert linalg._is_prime(P) and linalg._is_prime(2 ** 30 - 35)
+
+
+def test_cyclotomic_primes_split_phi_m():
+    # m = 1 and 2 (degree 1) give the prime of the rational kernel
+    assert linalg.cyclotomic_prime(1) == (P, 1)
+    assert linalg.cyclotomic_prime(2) == (P, P - 1)
+    for m in range(3, 61):
+        linalg.cyclotomic_prime.cache_clear()
+        start = time.perf_counter()
+        p, r = linalg.cyclotomic_prime(m)
+        assert time.perf_counter() - start < 0.005, m
+        assert p % m == 1 and p < 2 ** 30 and trial_division_prime(p)
+        assert not any(trial_division_prime(q) for q in range(p + m, 2 ** 30, m))
+        assert phi_at(m, r, p) == 0
+        assert linalg.cyclotomic_prime(m) == (p, r)  # cached
+
+
+def cyclo_entry(rng, field):
+    """Zero, or a short sum of zeta powers with small, sometimes fractional,
+    coefficients."""
+    if rng.random() < 0.3:
+        return field.zero()
+    return sum((field.zeta(k) * Fraction(rng.randrange(-3, 4), rng.choice([1, 1, 2]))
+                for k in rng.sample(range(field.degree), rng.randrange(1, 3))),
+               field.zero())
+
+
+def seeded_cyclo_loops(field, seed):
+    """Two loops at n = 2 and 3 over field: seeded matrices, and the same
+    with a zero lower-left block (a subrepresentation, so not simple)."""
+    rng = random.Random(f"{field.label()} {seed}")
+    pres = two_loops(field)
+    reps = []
+    for n in (2, 3):
+        mats = {a: [[cyclo_entry(rng, field) for _ in range(n)] for _ in range(n)]
+                for a in ("X", "Y")}
+        k = rng.randrange(1, n)
+        tri = {a: [[x if i < k or j >= k else field.zero() for j, x in enumerate(row)]
+                   for i, row in enumerate(mat)] for a, mat in mats.items()}
+        for m in (mats, tri):
+            reps.append(Representation(pres, DimVector(pres.quiver, {"v": n}), m,
+                                       field=field))
+    return reps
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 7, 8])
+def test_cyclotomic_density_mod_p_matches_the_exact_closure(m, monkeypatch):
+    calls = count_echelon_rows(monkeypatch)
+    verdicts = set()
+    for seed in range(3):
+        for rep in seeded_cyclo_loops(Field(m), seed):
+            calls.clear()
+            got = is_simple(rep)
+            assert got is oracle.is_simple(rep)
+            # a simple rep is certified mod p; "not simple" is the exact closure's
+            assert bool(calls) is not got
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_cyclotomic_arrow_scaled_by_p_reruns_exactly(monkeypatch):
+    # Y times the prime of cyclo:5 vanishes mod p: I and X span at most 2 of
+    # the 4 dimensions there, so the exact closure decides, and it says simple
+    field = Field(5)
+    p, _ = linalg.cyclotomic_prime(5)
+    z = field.zeta(1)
+    mats = {"X": [[z, field.one()], [field.zero(), z * z]],
+            "Y": [[field.zero(), field.zero()], [z * p, field.from_rational(p)]]}
+    pres = two_loops(field)
+    rep = Representation(pres, DimVector(pres.quiver, {"v": 2}), mats, field=field)
+    calls = count_echelon_rows(monkeypatch)
+    assert is_simple(rep) is oracle.is_simple(rep) is True
+    assert calls
