@@ -157,7 +157,7 @@ def run_command(session: SessionFile, cmd: Command, options) -> dict:
         fam = _lookup(session, "families", _arg_names(cmd, 1)[0])
         rels = deform.local_model_relations(fam)
         cone = deform._tangent_cone(fam, rels)
-        report["candidate"] = not fam.asserted_hypotheses
+        report["candidate"] = True
         report["truncation"] = fam.order
         report["local_model"] = [str(r) for r in rels]
         report["tangent_cone"] = cone.to_json()

@@ -18,13 +18,11 @@ checked symbolically; what is verified exactly is that the series start at
 the base point and that the first-order directions meet the orbit tangent
 space trivially, where the orbit tangent space is read from the coboundary
 map of ``extcalc`` (``_coboundary_columns`` at the base point).
-Results are therefore labeled a candidate local model unless the caller
-asserts the hypotheses.
+Results are therefore labeled a candidate local model.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from operator import add
 
@@ -178,38 +176,48 @@ def geometric_inverse(s: TensorSeries) -> TensorSeries:
 class FamilySpec:
     """A parameterized family of representations around a base point.
 
+    ``series`` maps each arrow of ``base.presentation`` to its
+    :class:`TensorSeries`; a formal inverse left out follows its partner by
+    the geometric series.  Every series must have truncation ``order`` and
+    the symbols of the others, which become the family's (none over a quiver
+    without arrows).
+
     Currently restricted to one-vertex quivers (the base point is meant to
-    be simple, so the family lives in square matrices).  Three analytic
-    hypotheses on a family cannot be verified symbolically and stay the
-    caller's responsibility, recorded in ``asserted_hypotheses``; what is
-    checked exactly is that every series starts at the base matrix and that
-    the first-order directions meet the orbit tangent space trivially.
+    be simple, so the family lives in square matrices).  The analytic
+    hypotheses on a family cannot be verified symbolically, so its local
+    model is a candidate; what is checked exactly is that every series
+    starts at the base matrix and that the first-order directions meet the
+    orbit tangent space trivially.
     """
 
     __slots__ = ("presentation", "base", "series", "order", "symbols",
-                 "symbol_quiver", "asserted_hypotheses")
+                 "symbol_quiver")
 
-    def __init__(self, presentation: Presentation, base, series: dict,
-                 order: int, symbols: tuple[str, ...],
-                 asserted_hypotheses: bool = False):
-        FamilySpec._check_one_vertex(presentation)
-        self.presentation = presentation
-        self.base = base
-        self.series = series
-        self.order = order
+    def __init__(self, base, series: dict, order: int):
+        pres = base.presentation
+        FamilySpec._check_one_vertex(pres)
+        series = dict(series)
+        for ginv, g in pres.eliminated_inverses().items():
+            if ginv not in series and g in series:
+                series[ginv] = geometric_inverse(series[g])
+        arrows = [a.name for a in pres.quiver.arrows]
+        for name in arrows:
+            if name not in series:
+                raise ValueError(f"missing series for generator {name!r}")
+        symbols = series[arrows[0]].symbols if arrows else ()
+        for name in arrows:
+            s = series[name]
+            if s.order != order or s.symbols != symbols:
+                raise ValueError(f"series for {name!r} has order {s.order} and symbols "
+                                 f"{s.symbols}, not {order} and {symbols}")
+            if s.degree_part(0) != TensorSeries(symbols, s.size, order, base.field,
+                                                {(): base.matrices[name]}):
+                raise ValueError(f"series for {name!r} does not start at the base point")
+        self.presentation, self.base, self.order = pres, base, order
+        self.series = {name: series[name] for name in arrows}
         self.symbols = symbols
-        self.asserted_hypotheses = asserted_hypotheses
-        vertex = presentation.quiver.vertices[0]
+        vertex = pres.quiver.vertices[0]
         self.symbol_quiver = Quiver([vertex], [(s, vertex, vertex) for s in symbols])
-        for arrow in presentation.quiver.arrows:
-            if arrow.name not in series:
-                raise ValueError(f"missing series for generator {arrow.name!r}")
-            s = series[arrow.name]
-            if s.degree_part(0) != TensorSeries(s.symbols, s.size, s.order, base.field,
-                                                {(): base.matrices[arrow.name]}):
-                raise ValueError(
-                    f"series for {arrow.name!r} does not start at the base point"
-                )
         self._check_first_order_transversality()
 
     @staticmethod
@@ -218,8 +226,7 @@ class FamilySpec:
             raise ValueError("families are supported over one-vertex quivers")
 
     @staticmethod
-    def unit_pattern(base, order: int, asserted_hypotheses: bool = False
-                     ) -> "FamilySpec":
+    def unit_pattern(base, order: int) -> "FamilySpec":
         """The family (1 + T_g) tensor base(g) on each primary generator.
 
         Formal inverse loops detected from the unit relations follow the
@@ -230,17 +237,10 @@ class FamilySpec:
         eliminated = pres.eliminated_inverses()
         primary = [a.name for a in pres.quiver.arrows if a.name not in eliminated]
         symbols = tuple(f"T{k + 1}" for k in range(len(primary)))
-        sym_index = {g: k for k, g in enumerate(primary)}
-        field, n, series = base.field, base.dim(), {}
-        for g in primary:
-            mat = base.matrices[g]
-            series[g] = TensorSeries(symbols, n, order, field, {
-                (): mat, (sym_index[g],): mat,
-            })
-        for ginv, g in eliminated.items():
-            series[ginv] = geometric_inverse(series[g])
-        return FamilySpec(pres, base, series, order, symbols,
-                          asserted_hypotheses)
+        series = {g: TensorSeries(symbols, base.dim(), order, base.field,
+                                  {(): base.matrices[g], (k,): base.matrices[g]})
+                  for k, g in enumerate(primary)}
+        return FamilySpec(base, series, order)
 
     def _check_first_order_transversality(self):
         """Exact rank check: linear directions meet coboundaries trivially."""
@@ -277,8 +277,7 @@ def load_family(base, data: dict) -> FamilySpec:
     order = int(data["K"])
     pattern = data.get("pattern", "unit")
     if pattern == "unit":
-        return FamilySpec.unit_pattern(
-            base, order, asserted_hypotheses=bool(data.get("asserted", False)))
+        return FamilySpec.unit_pattern(base, order)
     if pattern != "explicit":
         raise ValueError(f"unknown family pattern {pattern!r}")
     symbols = tuple(data["symbols"])
@@ -298,12 +297,7 @@ def load_family(base, data: dict) -> FamilySpec:
                     raise ValueError(f"unknown symbol {exc} in {word_text!r}")
             terms[word] = [[field.elem(str(x)) for x in row] for row in mat]
         series[arrow] = TensorSeries(symbols, n, order, field, terms)
-    pres = base.presentation
-    for ginv, g in pres.eliminated_inverses().items():
-        if ginv not in series and g in series:
-            series[ginv] = geometric_inverse(series[g])
-    return FamilySpec(pres, base, series, order, symbols,
-                      asserted_hypotheses=bool(data.get("asserted", False)))
+    return FamilySpec(base, series, order)
 
 
 def expand_relation(fs: FamilySpec, r: NCPoly) -> TensorSeries:
@@ -316,8 +310,6 @@ def expand_relation(fs: FamilySpec, r: NCPoly) -> TensorSeries:
     for word, coeff in r.terms.items():
         prod = None
         for a in word.arrows:
-            if a not in fs.series:
-                raise ValueError(f"no series for generator {a!r}")
             prod = fs.series[a] if prod is None else ts_multiply(prod, fs.series[a])
         total = total + (unit if prod is None else prod).scale(field.elem(coeff))
     return total
@@ -345,8 +337,7 @@ def local_model_relations(fs: FamilySpec) -> list[NCPoly]:
                  for w in series.layers}
         if all(layer == [layer[0] * e for e in eye]
                for c in series.layers.values() for layer in c):
-            dens = (series.den,) * field.degree
-            polys = [{w: FieldElem(field, tuple(map(Fraction, [x[0] for x in c], dens)))
+            polys = [{w: field.from_coordinates([x[0] for x in c], series.den)
                       for w, c in series.layers.items()}]
         else:
             terms = series.terms

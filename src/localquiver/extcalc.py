@@ -19,7 +19,7 @@ certifies the factor list of a semisimple module, from which
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations
 from math import lcm
 from operator import add
 from typing import Iterable
@@ -457,13 +457,15 @@ class SemisimpleModule:
         """Certify simplicity and pairwise distinctness of the factors.
 
         Density certifies a factor simple, with End the scalars, so
-        ``hom_dim(rep, rep)`` runs only to word a failure."""
+        ``hom_dim(rep, rep)`` runs only to word a failure.  By Schur a
+        nonzero map between simples is an isomorphism, so Hom(S_i, S_j) = 0
+        exactly when Hom(S_j, S_i) = 0 and one order per pair is checked."""
         for k, (rep, _) in enumerate(self.factors):
             if not is_simple(rep):
                 why = ("has endomorphisms" if hom_dim(rep, rep) > 1
                        else "fails the density check")
                 raise ValueError(f"factor {k} {why}: not simple")
-        for i, j in permutations(range(len(self.factors)), 2):
+        for i, j in combinations(range(len(self.factors)), 2):
             if hom_dim(self.factors[i][0], self.factors[j][0]) != 0:
                 raise ValueError(f"factors {i} and {j} are isomorphic")
 

@@ -160,10 +160,8 @@ def reduce_layers(acc: list, phi, size: int) -> list[list[int]]:
 def from_layers(layers, den: int, field: Field, rows: int, cols: int
                 ) -> list[list[FieldElem]]:
     """The rows x cols :class:`FieldElem` matrix with these layers over den."""
-    dens = (den,) * field.degree
-    zero = FieldElem(field, (Fraction(0),) * field.degree)
-    flat = [FieldElem(field, tuple(map(Fraction, c, dens))) if any(c) else zero
-            for c in zip(*layers)]
+    zero = field.zero()
+    flat = [field.from_coordinates(c, den) if any(c) else zero for c in zip(*layers)]
     return [flat[i * cols:(i + 1) * cols] for i in range(rows)]
 
 

@@ -159,6 +159,10 @@ class Field:
             return FieldElem(self, (q,))
         return FieldElem(self, (q,) + self.zero().coeffs[1:])
 
+    def from_coordinates(self, coords, den: int) -> FieldElem:
+        """The element with these field.degree integer coordinates over den."""
+        return FieldElem(self, tuple(map(Fraction, coords, [den] * self.degree)))
+
     def zero(self) -> FieldElem:
         """The zero of the field, one instance for every caller."""
         if self._zero is None:

@@ -323,13 +323,9 @@ def preprojective_form(relations: list[NCPoly]) -> PreprojectiveVerdict:
                 na, nb = f"p{k}", f"p{k}{STAR_MARKER}"
                 new_names[i], new_names[j] = na, nb
                 pairs.append((na, nb))
-            for idx, a in enumerate(rows_group):
-                poly = NCPoly.zero(quiver, field)
-                for col, c in enumerate(basis[idx]):
-                    if not c.is_zero():
-                        poly = poly + NCPoly.arrow(quiver, rows_group[col],
-                                                   field).scale(c)
-                base_change[new_names[idx]] = poly
+            for idx, row in enumerate(basis):
+                base_change[new_names[idx]] = NCPoly(quiver, field, {
+                    PathWord.of(quiver, [b]): c for b, c in zip(rows_group, row)})
             done.add((tail, head))
             continue
         cols_group = groups.get((head, tail), [])
@@ -344,12 +340,8 @@ def preprojective_form(relations: list[NCPoly]) -> PreprojectiveVerdict:
             na, nb = f"p{k}", f"p{k}{STAR_MARKER}"
             pairs.append((na, nb))
             base_change[na] = NCPoly.arrow(quiver, a, field)
-            poly = NCPoly.zero(quiver, field)
-            for col, b in enumerate(cols_group):
-                c = minv[idx][col]
-                if not c.is_zero():
-                    poly = poly + NCPoly.arrow(quiver, b, field).scale(c)
-            base_change[nb] = poly
+            base_change[nb] = NCPoly(quiver, field, {
+                PathWord.of(quiver, [b]): c for b, c in zip(cols_group, minv[idx])})
         done.add((tail, head))
         done.add((head, tail))
     return PreprojectiveVerdict(True, scalars, pairs, base_change)

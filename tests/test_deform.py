@@ -161,7 +161,7 @@ def test_expand_relation_constant_family():
         a.name: TensorSeries(("T1",), 1, 3, QQ, {(): w.matrices[a.name]})
         for a in pres.quiver.arrows
     }
-    fs = FamilySpec(pres, w, series, 3, ("T1",))
+    fs = FamilySpec(w, series, 3)
     for r in pres.relations:
         assert expand_relation(fs, r).is_zero()
     assert local_model_relations(fs) == []
@@ -310,7 +310,48 @@ def test_transversality_rejects_orbit_directions():
         series[arrow.name] = TensorSeries(("T1",), 2, 2, field,
                                           {(): mat, (0,): bracket})
     with pytest.raises(ValueError):
-        FamilySpec(pres, rho, series, 2, ("T1",))
+        FamilySpec(rho, series, 2)
+
+
+def heisenberg_series(fs, order=None, symbols=None):
+    """The series of the unit family fs on its primary generators X and Y,
+    rebuilt at another order or over other symbols."""
+    out = {}
+    for k, g in enumerate(("X", "Y")):
+        mat = fs.base.matrices[g]
+        out[g] = TensorSeries(symbols or fs.symbols, fs.base.dim(),
+                              order or fs.order, fs.base.field,
+                              {(): mat, (k,): mat})
+    return out
+
+
+@pytest.mark.parametrize("case", ["order of X", "order of Y", "family order",
+                                  "symbols of Y"])
+def test_series_must_share_the_family_order_and_symbols(case):
+    fs = heisenberg_family(2)
+    series, order = heisenberg_series(fs), 2
+    if case == "order of X":
+        series["X"] = heisenberg_series(fs, order=3)["X"]
+    elif case == "order of Y":
+        series["Y"] = heisenberg_series(fs, order=3)["Y"]
+    elif case == "family order":
+        order = 5
+    else:
+        series["Y"] = heisenberg_series(fs, symbols=("S1", "S2"))["Y"]
+    arrow = "Y" if case.endswith("of Y") else "X"
+    with pytest.raises(ValueError, match=f"series for '{arrow}' has order"):
+        FamilySpec(fs.base, series, order)
+
+
+def test_inverse_series_follow_their_partners():
+    fs = heisenberg_family(3)
+    derived = FamilySpec(fs.base, heisenberg_series(fs), 3)
+    assert set(derived.series) == {"X", "X_inv", "Y", "Y_inv"}
+    for g in ("X", "Y"):
+        assert derived.series[g + "_inv"] == geometric_inverse(fs.series[g])
+    assert local_model_relations(derived) == local_model_relations(fs)
+    with pytest.raises(ValueError, match="missing series for generator 'Y'"):
+        FamilySpec(fs.base, {"X": fs.series["X"]}, 3)
 
 
 def test_load_family_json():

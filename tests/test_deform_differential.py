@@ -296,7 +296,7 @@ def verdicts(rho, directions):
         series[g] = TensorSeries(symbols, rho.dim(), 2, rho.field, terms)
     expected = oracle.is_transversal(rho, series, symbols)
     try:
-        FamilySpec(rho.presentation, rho, series, 2, symbols)
+        FamilySpec(rho, series, 2)
         got = True
     except ValueError:
         got = False

@@ -284,9 +284,10 @@ def test_local_quiver_reuses_the_certified_homs(monkeypatch, case):
     monkeypatch.setattr(extcalc, "hom_dim", counting)
     result = local_quiver(SemisimpleModule([(f, 1) for f in factors]))
     assert result.ext1_matrix == expected
-    # validate's distinctness checks, and no others: the density check
-    # certifies End = scalars without hom_dim(S_i, S_i)
-    assert len(calls) == len(factors) * (len(factors) - 1)
+    # validate's distinctness checks, one per unordered pair by Schur, and
+    # no others: the density check certifies End = scalars without
+    # hom_dim(S_i, S_i)
+    assert len(calls) == len(factors) * (len(factors) - 1) // 2
 
 
 def test_ext_vs_multiplicity_accounting():
