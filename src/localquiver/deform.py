@@ -8,8 +8,8 @@ associated-graded of that truncated presentation yields the tangent-cone
 relations.
 
 Series coefficients are int layers (``linalg.layer_product`` multiplies
-them); field elements are made only to invert a constant term
-(``geometric_inverse``) and to emit the local model's polynomials.
+them); field elements are made only for a constant term, to invert it
+or check it against the base point, and for the local model's polynomials.
 
 The unit pattern covers the standard situation: each primary generator g
 moves as (1 + T_g) tensor its base matrix, and formal inverses follow by the
@@ -87,9 +87,7 @@ class TensorSeries:
 
     @property
     def terms(self) -> dict[Word, list[list[FieldElem]]]:
-        n = self.size
-        return {w: linalg.from_layers(c, self.den, self.field, n, n)
-                for w, c in self.layers.items()}
+        return {w: self.coefficient(w) for w in self.layers}
 
     def __add__(self, other: "TensorSeries") -> "TensorSeries":
         self._compatible(other)
@@ -117,9 +115,12 @@ class TensorSeries:
         return self._like({w: c for w, c in self.layers.items() if len(w) == d},
                           self.den)
 
-    def coefficient(self, word: Word):
-        return self.terms.get(
-            word, linalg.zero_matrix(self.field, self.size, self.size))
+    def coefficient(self, word: Word) -> list[list[FieldElem]]:
+        """The :class:`FieldElem` matrix of one word, from its layers only."""
+        n, c = self.size, self.layers.get(word)
+        if c is None:
+            return linalg.zero_matrix(self.field, n, n)
+        return linalg.from_layers(c, self.den, self.field, n, n)
 
     def __eq__(self, other):
         if not isinstance(other, TensorSeries):
@@ -176,11 +177,11 @@ def geometric_inverse(s: TensorSeries) -> TensorSeries:
 class FamilySpec:
     """A parameterized family of representations around a base point.
 
-    ``series`` maps each arrow of ``base.presentation`` to its
-    :class:`TensorSeries`; a formal inverse left out follows its partner by
-    the geometric series.  Every series must have truncation ``order`` and
-    the symbols of the others, which become the family's (none over a quiver
-    without arrows).
+    ``series`` maps each arrow of ``base.presentation``, and nothing else,
+    to its :class:`TensorSeries`; a formal inverse left out follows its
+    partner by the geometric series.  Every series must have the base's
+    field, truncation ``order`` >= 1 and the symbols of the others, which
+    become the family's (none over a quiver without arrows).
 
     Currently restricted to one-vertex quivers (the base point is meant to
     be simple, so the family lives in square matrices).  The analytic
@@ -194,24 +195,29 @@ class FamilySpec:
                  "symbol_quiver")
 
     def __init__(self, base, series: dict, order: int):
+        if order < 1:
+            raise ValueError(f"truncation order K must be at least 1, not {order}")
         pres = base.presentation
         FamilySpec._check_one_vertex(pres)
+        arrows = [a.name for a in pres.quiver.arrows]
+        unknown = sorted(set(series) - set(arrows))
+        if unknown:
+            raise ValueError(f"series given for unknown arrows {unknown}")
         series = dict(series)
         for ginv, g in pres.eliminated_inverses().items():
             if ginv not in series and g in series:
                 series[ginv] = geometric_inverse(series[g])
-        arrows = [a.name for a in pres.quiver.arrows]
         for name in arrows:
             if name not in series:
                 raise ValueError(f"missing series for generator {name!r}")
         symbols = series[arrows[0]].symbols if arrows else ()
         for name in arrows:
             s = series[name]
-            if s.order != order or s.symbols != symbols:
-                raise ValueError(f"series for {name!r} has order {s.order} and symbols "
-                                 f"{s.symbols}, not {order} and {symbols}")
-            if s.degree_part(0) != TensorSeries(symbols, s.size, order, base.field,
-                                                {(): base.matrices[name]}):
+            if s.order != order or s.symbols != symbols or s.field != base.field:
+                raise ValueError(f"series for {name!r} has order {s.order}, symbols "
+                                 f"{s.symbols} and field {s.field}, not {order}, "
+                                 f"{symbols} and {base.field}")
+            if s.coefficient(()) != base.matrices[name]:
                 raise ValueError(f"series for {name!r} does not start at the base point")
         self.presentation, self.base, self.order = pres, base, order
         self.series = {name: series[name] for name in arrows}
@@ -311,18 +317,20 @@ def expand_relation(fs: FamilySpec, r: NCPoly) -> TensorSeries:
         prod = None
         for a in word.arrows:
             prod = fs.series[a] if prod is None else ts_multiply(prod, fs.series[a])
-        total = total + (unit if prod is None else prod).scale(field.elem(coeff))
+        total = total + (unit if prod is None else prod).scale(coeff)
     return total
 
 
 def local_model_relations(fs: FamilySpec) -> list[NCPoly]:
     """Relations of the candidate local model, in the deformation symbols.
 
-    When every coefficient matrix of an expanded relation is a scalar
-    multiple of the identity (read on its layers) the relation collapses to
-    one symbol polynomial; otherwise each matrix entry is emitted
-    separately.  Each emitted polynomial is normalized to have a monic
-    lowest part.
+    A relation's expanded series has size x size coefficient matrices, held
+    as int layers (``TensorSeries.layers``).  Matrix entry k in row-major
+    order gives the symbol polynomial whose coefficient at a word is
+    ``field.from_coordinates`` of that entry's coordinates in the word's
+    layers.  When every layer is a scalar matrix only entry 0 is emitted;
+    otherwise every entry is, in order.  Each nonzero polynomial is
+    normalized to have a monic lowest part.
     """
     field, n = fs.base.field, fs.base.dim()
     quiver = fs.symbol_quiver
@@ -331,20 +339,14 @@ def local_model_relations(fs: FamilySpec) -> list[NCPoly]:
     out: list[NCPoly] = []
     for r in fs.presentation.relations:
         series = expand_relation(fs, r)
-        if series.is_zero():
-            continue
         words = {w: PathWord.of(quiver, [fs.symbols[s] for s in w]) if w else vertex
                  for w in series.layers}
-        if all(layer == [layer[0] * e for e in eye]
-               for c in series.layers.values() for layer in c):
-            polys = [{w: field.from_coordinates([x[0] for x in c], series.den)
-                      for w, c in series.layers.items()}]
-        else:
-            terms = series.terms
-            polys = [{w: mat[i][j] for w, mat in terms.items()}
-                     for i in range(n) for j in range(n)]
-        for table in polys:
-            poly = NCPoly(quiver, field, {words[w]: c for w, c in table.items()})
+        scalar = all(layer == [layer[0] * e for e in eye]
+                     for c in series.layers.values() for layer in c)
+        for k in range(1 if scalar else n * n):
+            poly = NCPoly(quiver, field, {
+                words[w]: field.from_coordinates([x[k] for x in c], series.den)
+                for w, c in series.layers.items()})
             if not poly.is_zero():
                 out.append(poly.monic())
     return out

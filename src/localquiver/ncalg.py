@@ -496,11 +496,9 @@ def preprojective_relations(qd: Quiver, field: Field = QQ) -> list[NCPoly]:
 
 def superpotential_relations(w: Superpotential) -> Presentation:
     """The quotient by all cyclic derivatives of a superpotential."""
-    rels = []
-    for a in w.quiver.arrows:
-        d = cyclic_derivative(w, a.name)
-        if not d.is_zero():
-            rels.append(d)
+    sym = cyclic_symmetrize(w)
+    rels = [d for d in (right_strip(sym, a.name) for a in w.quiver.arrows)
+            if not d.is_zero()]
     flavor = "graded" if all(r.is_homogeneous() for r in rels) else "complete"
     return Presentation(w.quiver, rels, flavor=flavor, field=w.field)
 

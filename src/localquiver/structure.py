@@ -31,27 +31,19 @@ class QuadraticPairing:
     """Degree-2 coefficient tensor of vertex-diagonal relations.
 
     ``g[(a, b)]`` is the coefficient of the word b*a in the relation at the
-    tail vertex of a; it can be nonzero only for opposite arrow pairs.  The
-    vertex scalars are those found by ``preprojective_form`` (all ones until
-    then).  Higher-degree parts of the relations are kept separately.
+    tail vertex of a; it can be nonzero only for opposite arrow pairs.  Only
+    the pairing is kept: the higher-degree parts of the relations do not
+    enter the preprojective test, and the vertex scalars it finds belong to
+    its :class:`PreprojectiveVerdict`.
     """
 
-    __slots__ = ("quiver", "field", "g", "vertex_scalars", "tails")
+    __slots__ = ("quiver", "field", "g")
 
     def __init__(self, quiver: Quiver, field: Field,
-                 g: dict[tuple[str, str], FieldElem],
-                 tails: dict[str, NCPoly]):
+                 g: dict[tuple[str, str], FieldElem]):
         self.quiver = quiver
         self.field = field
         self.g = g
-        self.vertex_scalars = {v: field.one() for v in quiver.vertices}
-        self.tails = tails
-
-    def to_json(self) -> dict:
-        return {
-            "pairing": {f"{a},{b}": str(c) for (a, b), c in sorted(self.g.items())},
-            "vertex_scalars": {v: str(c) for v, c in self.vertex_scalars.items()},
-        }
 
 
 def extract_quadratic(relations: list[NCPoly]) -> QuadraticPairing:
@@ -62,7 +54,6 @@ def extract_quadratic(relations: list[NCPoly]) -> QuadraticPairing:
     field = relations[0].field
     seen_vertices = set()
     g: dict[tuple[str, str], FieldElem] = {}
-    tails: dict[str, NCPoly] = {}
     for r in relations:
         pairs = r.vertex_pairs()
         if len(pairs) != 1:
@@ -76,16 +67,11 @@ def extract_quadratic(relations: list[NCPoly]) -> QuadraticPairing:
         if head in seen_vertices:
             raise ValueError(f"two relations at vertex {head!r}")
         seen_vertices.add(head)
-        higher = {}
         for word, coeff in r.terms.items():
             if len(word) == 2:
                 b, a = word.arrows  # the word is b*a; the pairing index is (a, b)
                 g[(a, b)] = coeff
-            else:
-                higher[word] = coeff
-        if higher:
-            tails[head] = NCPoly.from_terms(r.quiver, r.field, higher)
-    return QuadraticPairing(quiver, field, g, tails)
+    return QuadraticPairing(quiver, field, g)
 
 
 class PreprojectiveVerdict:
@@ -274,7 +260,6 @@ def preprojective_form(relations: list[NCPoly]) -> PreprojectiveVerdict:
             "reason": "no nonzero vertex scalars make the pairing antisymmetric",
             "vertex": bad_vertex,
         })
-    qp.vertex_scalars = scalars
 
     scaled_g = {(a, b): scalars[quiver.tail(a)] * c for (a, b), c in qp.g.items()}
 
@@ -418,11 +403,7 @@ def superpotential_form(relations: dict[str, NCPoly]) -> SuperpotentialVerdict:
                 f"e_{expected[0]} A e_{expected[1]}"
             )
 
-    degrees = sorted({
-        d for r in relations.values() if not r.is_zero()
-        for d in range(r.min_degree(), r.max_degree() + 1)
-        if not r.degree_part(d).is_zero()
-    })
+    degrees = sorted({len(w) for r in relations.values() for w in r.terms})
     total = Superpotential(quiver, field)
     for d in degrees:
         classes = _cycle_classes(quiver, d + 1)
@@ -436,8 +417,7 @@ def superpotential_form(relations: dict[str, NCPoly]) -> SuperpotentialVerdict:
                 word = PathWord(rot[:-1], quiver.head(rot[0]), quiver.head(rot[-1]))
                 rows.setdefault((rot[-1], word), [0] * len(classes))[col] += 1
         for name, r in relations.items():
-            part = r.degree_part(d) if not r.is_zero() else r
-            for word, coeff in part.terms.items():
+            for word, coeff in r.degree_part(d).terms.items():
                 rows.setdefault((name, word), [0] * len(classes))
                 rhs[(name, word)] = coeff
         sol, cert = linalg.solve(list(rows.values()),

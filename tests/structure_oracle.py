@@ -31,7 +31,6 @@ def extract_quadratic(relations: list[NCPoly]) -> QuadraticPairing:
     field = relations[0].field
     seen_vertices = set()
     g: dict[tuple[str, str], FieldElem] = {}
-    tails: dict[str, NCPoly] = {}
     for r in relations:
         pairs = r.vertex_pairs()
         if len(pairs) != 1:
@@ -45,14 +44,10 @@ def extract_quadratic(relations: list[NCPoly]) -> QuadraticPairing:
         if head in seen_vertices:
             raise ValueError(f"two relations at vertex {head!r}")
         seen_vertices.add(head)
-        quad = r.degree_part(2)
-        for word, coeff in quad.terms.items():
+        for word, coeff in r.degree_part(2).terms.items():
             b, a = word.arrows  # the word is b*a; the pairing index is (a, b)
             g[(a, b)] = coeff
-        higher = r - quad
-        if not higher.is_zero():
-            tails[head] = higher
-    return QuadraticPairing(quiver, field, g, tails)
+    return QuadraticPairing(quiver, field, g)
 
 
 def _solve_vertex_scalars(qp: QuadraticPairing):
@@ -139,7 +134,6 @@ def preprojective_form(relations: list[NCPoly]) -> PreprojectiveVerdict:
             "reason": "no nonzero vertex scalars make the pairing antisymmetric",
             "vertex": bad_vertex,
         })
-    qp.vertex_scalars = scalars
 
     def scaled(a, b):
         return scalars[quiver.tail(a)] * qp.g.get((a, b), field.zero())

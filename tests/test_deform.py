@@ -381,6 +381,35 @@ def test_load_family_json():
                            "symbols": ["T1", "T2"], "series": table})
 
 
+
+def test_series_for_an_unknown_arrow_is_rejected():
+    from localquiver.deform import load_family
+    base = heisenberg_family(3).base
+    table = {}
+    for g, sym in (("X", "T1"), ("Y", "T2")):
+        mat = [[str(x) for x in row] for row in base.matrices[g]]
+        table[g] = {"1": mat, sym: mat}
+    table["X_Inv"] = {"1": table["X"]["1"]}  # a misspelt X_inv
+    with pytest.raises(ValueError, match=r"unknown arrows \['X_Inv'\]"):
+        load_family(base, {"pattern": "explicit", "K": 3,
+                           "symbols": ["T1", "T2"], "series": table})
+
+
+@pytest.mark.parametrize("order", [0, -2])
+def test_truncation_order_below_one_is_rejected(order):
+    base = heisenberg_family(1).base
+    with pytest.raises(ValueError, match=f"K must be at least 1, not {order}"):
+        FamilySpec.unit_pattern(base, order)
+
+
+def test_series_over_another_field_is_rejected():
+    fs = heisenberg_family(2)  # over cyclo:2, where zeta = -1
+    base = {"X": [[0, 1], [1, 0]], "Y": [[-1, 0], [0, 1]]}
+    series = {g: TensorSeries(fs.symbols, 2, 2, QQ, {(): qmat(QQ, base[g])})
+              for g in base}
+    with pytest.raises(ValueError, match="series for 'X' has order 2, .* field"):
+        FamilySpec(fs.base, series, 2)
+
 def test_entrywise_fallback_when_not_scalar():
     # commutator relation at a base point whose word values are not scalar
     from localquiver.ncalg import Presentation

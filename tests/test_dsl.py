@@ -487,6 +487,20 @@ def test_session_cyclotomic_order_zero_is_a_parse_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("parse error:")
 
 
+
+def test_session_family_order_zero_is_a_parse_error(tmp_path, capsys):
+    source = (GOLDEN / "heisenberg_session.lq").read_text()
+    source = source.replace("pattern: unit; K: 3", "pattern: unit; K: 0")
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert (err.value.line, err.value.col) == (19, 8)  # the family's name
+    src = tmp_path / "k0.lq"
+    src.write_text(source)
+    assert main([str(src)]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: line 19, col 8: "
+        "truncation order K must be at least 1, not 0\n")
+
 def test_reports_do_not_depend_on_the_hash_seed():
     golden = (GOLDEN / "heisenberg_reports.json").read_bytes()
     src_dir = str(pathlib.Path(__file__).resolve().parent.parent / "src")

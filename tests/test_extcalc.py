@@ -256,6 +256,9 @@ def test_local_quiver_ext2_lower():
     result = local_quiver(SemisimpleModule([(rho, 1)]), cone=cone,
                           cone_degree=3)
     assert result.ext2_lower == [[1]]
+    assert result.to_json()["ext2_lower"] == [[1]]
+    plain = local_quiver(SemisimpleModule([(rho, 1)]))
+    assert plain.ext2_lower is None and "ext2_lower" not in plain.to_json()
 
 
 @pytest.mark.parametrize("case", ["surface", "two vertices"])

@@ -24,7 +24,6 @@ def test_extract_quadratic_examples():
     qp = extract_quadratic(rels)
     assert qp.g[("x'", "x")] == QQ.one()     # coefficient of x * x'
     assert qp.g[("x", "x'")] == QQ.elem(-1)  # coefficient of x' * x
-    assert qp.tails == {}
 
     q = loops("a", "b")
     r = (NCPoly.word(q, ["b", "a"]) - NCPoly.word(q, ["a", "b"])
@@ -32,7 +31,6 @@ def test_extract_quadratic_examples():
     qp2 = extract_quadratic([r])
     assert qp2.g[("a", "b")] == QQ.one()
     assert qp2.g[("b", "a")] == QQ.elem(-1)
-    assert str(qp2.tails["v"]) == "b^3"
 
     q1 = loops("a")
     qp3 = extract_quadratic([NCPoly.word(q1, ["a", "a"])])
