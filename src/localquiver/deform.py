@@ -195,10 +195,8 @@ class FamilySpec:
                  "symbol_quiver")
 
     def __init__(self, base, series: dict, order: int):
-        if order < 1:
-            raise ValueError(f"truncation order K must be at least 1, not {order}")
         pres = base.presentation
-        FamilySpec._check_one_vertex(pres)
+        FamilySpec._check(pres, order)
         arrows = [a.name for a in pres.quiver.arrows]
         unknown = sorted(set(series) - set(arrows))
         if unknown:
@@ -227,7 +225,10 @@ class FamilySpec:
         self._check_first_order_transversality()
 
     @staticmethod
-    def _check_one_vertex(presentation: Presentation) -> None:
+    def _check(presentation: Presentation, order) -> None:
+        """The checks that need no series: an int order K >= 1 and one vertex."""
+        if type(order) is not int or order < 1:  # bool is an int
+            raise ValueError(f"truncation order K must be at least 1, not {order!r}")
         if len(presentation.quiver.vertices) != 1:
             raise ValueError("families are supported over one-vertex quivers")
 
@@ -239,7 +240,7 @@ class FamilySpec:
         geometric series of their partner and share its symbol.
         """
         pres = base.presentation
-        FamilySpec._check_one_vertex(pres)  # before series of the wrong size
+        FamilySpec._check(pres, order)  # before series of the wrong size
         eliminated = pres.eliminated_inverses()
         primary = [a.name for a in pres.quiver.arrows if a.name not in eliminated]
         symbols = tuple(f"T{k + 1}" for k in range(len(primary)))
@@ -262,10 +263,10 @@ class FamilySpec:
         if not directions:
             return  # constant family: nothing to check
         columns, field = extcalc._coboundary_columns(self.base, self.base)
-        span = linalg.Echelon()  # coboundaries: the orbit's tangent space
+        span = linalg.Echelon(field)  # coboundaries: the orbit's tangent space
         for column in columns:
-            span.insert_layers(column, field)
-        if not all(span.insert_layers(vec, field) for vec in directions):
+            span.insert(column)
+        if not all(map(span.insert, directions)):
             raise ValueError("family directions are not transversal to the "
                              "orbit at the base point")
 
@@ -280,12 +281,13 @@ def load_family(base, data: dict) -> FamilySpec:
     word; missing arrows with a detected inverse partner are derived by the
     geometric series.
     """
-    order = int(data["K"])
+    order = data["K"]
     pattern = data.get("pattern", "unit")
     if pattern == "unit":
         return FamilySpec.unit_pattern(base, order)
     if pattern != "explicit":
         raise ValueError(f"unknown family pattern {pattern!r}")
+    FamilySpec._check(base.presentation, order)  # before any series
     symbols = tuple(data["symbols"])
     index = {name: k for k, name in enumerate(symbols)}
     field = base.field

@@ -4,10 +4,8 @@ A representation assigns an exact matrix to every arrow of a presentation's
 quiver.  Hom is the kernel of the coboundary map, and Ext^1 the arrow
 cocycles (Leibniz rule) modulo its image.  Both systems, like repvariety's
 Jacobian, are one block assembly on integer coordinates (``_block_rows``)
-ranked by ``_layer_rank``: over the rationals by ``linalg.certified_rank``
-first, by ``linalg.Echelon.insert_layers`` otherwise.  Formal inverses of
-invertible arrows are eliminated from the cocycle unknowns by their unit
-relations.
+ranked by ``linalg.layer_rank``.  Formal inverses of invertible arrows are
+eliminated from the cocycle unknowns by their unit relations.
 
 Simplicity is certified by a density argument: a representation of total
 dimension n is simple exactly when the matrices of all paths span the full
@@ -196,7 +194,7 @@ def _block_rows(parts, blocks: dict, total: int, n_rows: int, n_cols: int,
     block sum over parts (p, L, R, c, den) of c * L delta(p) R / den: L and
     R are layers, c integer coordinates, and delta(p) the unknown block at
     ``blocks[p]`` = (offset, m, width), row-major among ``total`` columns.
-    A row is (its layers, the lcm of the dens), for ``insert_layers``."""
+    A row is (its layers, the lcm of the dens)."""
     size = n_rows * n_cols * total
     acc = [[0] * size for _ in range(2 * field.degree - 1)]
     block_den = lcm(*[part[4] for part in parts])
@@ -257,7 +255,7 @@ def _hom_system(x: Representation, y: Representation):
 def _coboundary_columns(x: Representation, y: Representation):
     """The columns of ``_hom_system(x, y)`` as layers over the returned
     field: its rows share one denominator, so its transposed layers are the
-    columns times it, which ``Echelon.insert_layers`` drops."""
+    columns times it, which ``Echelon.insert`` drops."""
     rows, total, field = _hom_system(x, y)
     return [[[layers[t][j] for layers, _ in rows] for t in range(field.degree)]
             for j in range(total)], field
@@ -266,7 +264,7 @@ def _coboundary_columns(x: Representation, y: Representation):
 def hom_dim(x: Representation, y: Representation) -> int:
     """Dimension of the space of intertwiners from x to y."""
     rows, total, field = _hom_system(x, y)
-    return total - _layer_rank(rows, field)
+    return total - linalg.layer_rank([layers for layers, _ in rows], field)
 
 
 def _leibniz_rows(relations, quiver: Quiver, field: Field, ym, y_alpha: DimVector,
@@ -335,23 +333,6 @@ def _leibniz_rows(relations, quiver: Quiver, field: Field, ym, y_alpha: DimVecto
     return rows, total, nonzero, field
 
 
-def _layer_rank(rows, field: Field) -> int:
-    """The rank of ``_leibniz_rows`` rows over field.
-
-    Over the rationals the integer rows go to ``linalg.certified_rank``
-    first: its rank mod p comes with an exact certificate (or is already
-    the largest possible), so it is the rank.  When it returns None, and
-    over every cyclotomic field, ``Echelon.insert_layers`` ranks the rows.
-    """
-    if field.degree == 1:
-        width = len(rows[0][0][0]) if rows else 0
-        rank = linalg.certified_rank((layers[0] for layers, _ in rows), width)
-        if rank is not None:
-            return rank
-    span = linalg.Echelon()
-    return sum(span.insert_layers(layers, field) for layers, _ in rows)
-
-
 def _cocycle_system(x: Representation, y: Representation):
     """Equations delta(r) = 0 over the primary arrow unknowns, as
     ``_leibniz_rows`` rows over the returned field."""
@@ -369,7 +350,7 @@ def cocycle_dim(x: Representation, y: Representation) -> int:
     """Dimension of the space of arrow cocycles (first-order deformations
     of the identity gluing, before dividing by inner derivations)."""
     rows, total, field = _cocycle_system(x, y)
-    return total - _layer_rank(rows, field)
+    return total - linalg.layer_rank([layers for layers, _ in rows], field)
 
 
 def ext1_dim(x: Representation, y: Representation) -> int:
@@ -419,24 +400,24 @@ def is_simple(rep: Representation) -> bool:
     arrows = layers[:len(quiver.arrows)]
     prime, root = linalg.cyclotomic_prime(field.order or 1)
     mod_p = linalg.ModEchelon(prime)
-    if _spans_all(mod_p, mod_p.insert, [linalg.residues(a, prime, root) for a in arrows],
+    if _spans_all(mod_p, [linalg.residues(a, prime, root) for a in arrows],
                   [[x for row in m for x in row] for m in mats[len(arrows):]], n,
                   lambda a, m: linalg.residues(
                       linalg.layer_product([a], [m], n, n, n, None), prime)):
         return True
-    span = linalg.Echelon()  # flattened path matrices, row-reduced
-    return _spans_all(span, lambda m: span.insert_layers(m, field), arrows,
-                      layers[len(arrows):], n,
+    # flattened path matrices, row-reduced
+    return _spans_all(linalg.Echelon(field), arrows, layers[len(arrows):], n,
                       lambda a, m: linalg.layer_product(a, m, n, n, n, field.phi))
 
 
-def _spans_all(span, insert, arrows, idempotents, n: int, product) -> bool:
+def _spans_all(span, arrows, idempotents, n: int, product) -> bool:
     """Whether the idempotents times products of the arrow matrices span all
-    n x n matrices: closed under product(arrow, m), each new m kept by insert."""
-    frontier = [m for m in idempotents if insert(m)]
+    n x n matrices: closed under product(arrow, m), each new m kept by
+    ``span.insert``."""
+    frontier = [m for m in idempotents if span.insert(m)]
     while frontier and len(span) < n * n:
         prods = (product(a, m) for m in frontier for a in arrows)
-        frontier = [m for m in prods if insert(m)]
+        frontier = [m for m in prods if span.insert(m)]
     return len(span) == n * n
 
 
@@ -546,9 +527,7 @@ def load_representation(presentation: Presentation, data: dict,
     "field": "q" | "cyclo:m"}``; matrix entries are exact scalar literals.
     """
     field = Field.from_label(data.get("field", "q"))
-    alpha = DimVector(presentation.quiver, {
-        v: int(n) for v, n in data["alpha"].items()
-    })
+    alpha = DimVector(presentation.quiver, data["alpha"])
     matrices = {}
     for arrow, mat in data["matrices"].items():
         matrices[arrow] = [

@@ -2,22 +2,23 @@
 
 Matrices enter and leave as plain lists of lists of :class:`FieldElem`;
 below that boundary they are held in integer coordinates (``to_layers``),
-the one matrix format of the package's arithmetic.  The ranks of the
-Hom, cocycle and Jacobian systems over the rationals are certified mod p
-first (``certified_rank``); :class:`Echelon` is the exact kernel and the
-fallback.  It takes rows one at a time and reports whether each was
-independent of those before it.  ``rank`` is its forward elimination;
-``nullspace``, ``solve`` and ``invert`` read the reduced row echelon form,
-which is unique.  ``solve`` eliminates ``[A | b]`` and builds
-``[A | b | I]`` only for an inconsistent system, whose certificate is read
-off the identity block.  Ranks and nullspaces are therefore sound, which
-the tangent-space and Ext computations rely on.
+the one matrix format of the package's arithmetic.  Every rank goes
+through ``layer_rank``: certified mod p first over the rationals
+(``certified_rank``), with :class:`Echelon` as the exact kernel and the
+fallback.  An echelon has one field for its life; it takes rows one at a
+time and reports whether each was independent of those before it.
+``rank``, ``nullspace``, ``solve`` and ``invert`` convert their matrix
+once (identity blocks appended as the ints 0 and 1); the last three read
+the reduced row echelon form, which is unique.  ``solve`` eliminates
+``[A | b]`` and builds ``[A | b | I]`` only for an inconsistent system,
+whose certificate is read off the identity block.  Ranks and nullspaces
+are therefore sound, which the tangent-space and Ext computations rely on.
 
 ``Echelon`` works on ints for every field.  A row enters elimination as its
 integer coordinates in Z[zeta]: d = field.degree int layers, with any common
-denominator dropped (``Echelon.insert_layers``).  The producers in extcalc
-(the Hom, cocycle and Jacobian systems, the density check) hand coordinates
-over; ``Echelon.insert`` converts values with ``integer_coordinates``.
+denominator dropped (``Echelon.insert``), from ``to_layers`` or from the
+producers in extcalc (the Hom, cocycle and Jacobian systems, the density
+check).
 Kept rows are primitive integer vectors over the rationals, held sparse as
 maps from column to nonzero int, whose span is the coordinate form of the
 span over the field (restriction of scalars); the reduced form is made dense
@@ -40,7 +41,7 @@ The modular kernel is :class:`ModEchelon`, the same elimination on
 residues mod a prime p < 2^30 (Dumas, Giorgi and Pernet, ACM TOMS 35,
 2008).  ``certified_rank`` takes integer rows to it and returns their
 rank over the rationals only with a certificate, None otherwise, and then
-the caller ranks them with ``Echelon``; ``extcalc.is_simple`` runs its
+``layer_rank`` ranks them with ``Echelon``; ``extcalc.is_simple`` runs its
 density closure through it, mod ``cyclotomic_prime(m)`` over Q(zeta_m).  Its
 rows are packed residues (Dumas, Fousse and Salvy, J. Symb. Comput. 46,
 2011), one int per row, so one elimination step is one bigint multiply-add.
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import compress, count, repeat
 from math import gcd, isqrt, lcm
 from operator import add, lshift, mod, mul
@@ -60,11 +61,6 @@ from .scalars import QQ, Field, FieldElem, integer_coordinates
 
 def zero_matrix(field: Field, rows: int, cols: int) -> list[list[FieldElem]]:
     return [[field.zero()] * cols for _ in range(rows)]
-
-
-def identity_matrix(field: Field, n: int) -> list[list[FieldElem]]:
-    one, zero = field.one(), field.zero()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def mat_shape(mat) -> tuple[int, int]:
@@ -83,18 +79,21 @@ def mat_mul(a, b):
     inner2, cols = mat_shape(b)
     if inner != inner2:
         raise ValueError(f"matrix shapes {mat_shape(a)} and {mat_shape(b)} do not compose")
-    field = None
-    for mat in (a, b):
-        for row in mat:
-            for x in row:
-                if type(x) is FieldElem and x.field is not field:
-                    field = x.field if field is None else field.join(x.field)
+    field = _entry_field([a, b])
     (la, lb), den = to_layers([a, b], field or QQ)
     prod = layer_product(la, lb, rows, inner, cols, (field or QQ).phi)
     if field is not None:
         return from_layers(prod, den * den, field, rows, cols)
     flat = prod[0] if den == 1 else [Fraction(x, den * den) for x in prod[0]]
     return [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+
+
+def _entry_field(mats) -> Field | None:
+    """The join of the fields of the :class:`FieldElem` entries of mats, or
+    None when no entry is one."""
+    fields = dict.fromkeys(x.field for mat in mats for row in mat for x in row
+                           if type(x) is FieldElem)
+    return reduce(Field.join, fields) if fields else None
 
 
 def to_layers(mats, field: Field) -> tuple[list[list[list[int]]], int]:
@@ -219,43 +218,39 @@ def _eliminate(vec: dict[int, int], kept: dict[int, int], lead: int) -> None:
 
 
 class Echelon:
-    """Rows in echelon form; the one elimination routine of the package.
+    """Rows over one field in echelon form; the one elimination routine.
 
-    A row over a field of degree d enters as d int layers L_t, the row
-    being sum_t zeta^t L_t up to a dropped common denominator
-    (``insert_layers``; ``insert`` takes values to them first).  Its d rows
-    zeta^t * row, entry j's coefficients at columns j*d to j*d + d - 1, span
-    over the rationals the coordinate form of its span over the field, so
-    the field rank is the rational rank divided by d and the d rows are all
-    kept or none is.  Each step ``p'*vec - f'*kept`` is followed by division
-    by the content (fraction-free, after Bareiss), so a kept row is a
-    primitive integer vector with a positive lead, zero at the leads of the
-    rows kept before it, and unique in its coset; one sweep in insertion
-    order reduces a new row.  The rest of its group are zeta times the last
-    kept (``_times_zeta``): the leads before the group fill whole entry
-    blocks (their span is zeta-stable), so a multiple meets its group only.
-    Rows are ``{column: int}`` maps of their nonzero coordinates: a step
-    with p' = 1 rewrites the kept row's support only, and the content, the
-    lead and the hit test read the nonzeros.  Rows must share one length.
+    A row over the field, of degree d, enters as d int layers L_t, the row
+    being sum_t zeta^t L_t up to a dropped common denominator (``insert``).
+    Its d rows zeta^t * row, entry j's coefficients at columns j*d to
+    j*d + d - 1, span over the rationals the coordinate form of its span
+    over the field, so the field rank is the rational rank divided by d and
+    the d rows are all kept or none is.  Each step ``p'*vec - f'*kept`` is
+    followed by division by the content (fraction-free, after Bareiss), so
+    a kept row is a primitive integer vector with a positive lead, zero at
+    the leads of the rows kept before it, and unique in its coset; one
+    sweep in insertion order reduces a new row.  The rest of its group are
+    zeta times the last kept (``_times_zeta``): the leads before the group
+    fill whole entry blocks (their span is zeta-stable), so a multiple
+    meets its group only.  Rows are ``{column: int}`` maps of their nonzero
+    coordinates: a step with p' = 1 rewrites the kept row's support only,
+    and the content, the lead and the hit test read the nonzeros.  Rows
+    must share one length.
 
     ``leads`` and ``len`` count pivots over the field.  ``reduced``
     back-substitutes on the sparse rows and makes them dense on exit: the
     rational reduced form is the coordinate form of the reduced form over
     the field, which is unique, and its row with lead ``p*d`` is the field
-    row with pivot ``p``, entry x becoming x divided by the lead.  A
-    cyclotomic row after rational rows makes the kept rows re-enter, each
-    as its d rows.
+    row with pivot ``p``, entry x becoming x divided by the lead.
     """
 
     __slots__ = ("_rows", "_leads", "_width", "_field")
 
-    def __init__(self, rows=()):
+    def __init__(self, field: Field):
         self._rows: list[dict[int, int]] = []
         self._leads: list[int] = []  # over the rationals
         self._width: int | None = None
-        self._field = QQ
-        for row in rows:
-            self.insert(row)
+        self._field = field
 
     def __len__(self) -> int:
         return len(self._rows) // self._field.degree
@@ -266,25 +261,12 @@ class Echelon:
         d = self._field.degree
         return [lead // d for lead in self._leads[::d]]
 
-    def insert(self, row) -> bool:
-        """Reduce row (ints, Fractions or :class:`FieldElem`) against the
-        kept rows; keep it if it is not zero.  Its layers are over the join
-        of the echelon's field and its entries', so kept rows re-enter only
-        in ``insert_layers``."""
-        vec, field = list(row), self._field
-        for x in vec:
-            if type(x) is FieldElem and x.field is not field:
-                field = field.join(x.field)
-        ints, d = integer_coordinates(vec, field)[0], field.degree
-        return self.insert_layers([ints] if d == 1 else [ints[t::d] for t in range(d)],
-                                  field)
-
-    def insert_layers(self, layers, field: Field) -> bool:
-        """Reduce the row sum_t zeta^t layers[t] over field (a common
-        denominator dropped) against the kept rows; keep it if it is not
-        zero.  layers holds field.degree int lists of the echelon's width;
-        they are read, never kept or changed."""
-        d = field.degree
+    def insert(self, layers) -> bool:
+        """Reduce the row sum_t zeta^t layers[t] (a common denominator
+        dropped) against the kept rows; keep it if it is not zero.  layers
+        holds field.degree int lists of the echelon's width; they are read,
+        never kept or changed."""
+        field, d = self._field, self._field.degree
         width = len(layers[0]) if layers else 0
         if len(layers) != d or d > 1 and any(len(x) != width for x in layers):
             raise ValueError(f"a row over {field.label()} needs {d} layers "
@@ -294,16 +276,6 @@ class Echelon:
                 raise ValueError(
                     f"row of length {width} in an echelon of width {self._width}")
             self._width = width
-        if field is not self._field and field != self._field:
-            joined = self._field.join(field)
-            if joined != self._field:  # the kept rational rows re-enter
-                kept, self._rows, self._leads = self._rows, [], []
-                self._field, zeros = joined, [[0] * width] * (joined.degree - 1)
-                for old in kept:
-                    self.insert_layers([[old.get(j, 0) for j in range(width)]]
-                                       + zeros, joined)
-            field, d = joined, joined.degree
-            layers = layers + [[0] * width] * (d - len(layers))
         if not self._insert_integers(_sparse(layers)):
             return False
         group = len(self._rows) - 1
@@ -325,12 +297,13 @@ class Echelon:
         self._leads.append(lead)
         return True
 
-    def nullspace(self, cols: int, field: Field) -> list[list[FieldElem]]:
+    def nullspace(self, cols: int) -> list[list[FieldElem]]:
         """A basis of {v : row v = 0 for every kept row}, vectors of length
-        cols (the width, or anything for an empty echelon) over field: one
-        vector per free column f, 1 at f and zero at the other free columns."""
+        cols (the width, or anything for an empty echelon) over the field:
+        one vector per free column f, 1 at f and zero at the other free
+        columns."""
         rows, pivots = self.reduced()
-        basis, zero, one = [], field.zero(), field.one()
+        basis, zero, one = [], self._field.zero(), self._field.one()
         for f in sorted(set(range(cols)) - set(pivots)):
             vec = [zero] * cols
             vec[f] = one
@@ -359,13 +332,48 @@ class Echelon:
         return out, self.leads
 
 
+def _layer_rows(mat, field: Field) -> list[list[list[int]]]:
+    """The rows of mat over field as ``Echelon.insert`` takes them, from one
+    ``to_layers`` call; a row of another length than the first raises
+    ValueError."""
+    rows, cols = mat_shape(mat)
+    if bad := [len(row) for row in mat if len(row) != cols]:
+        raise ValueError(f"row of length {bad[0]} in a matrix of width {cols}")
+    (layers,), _ = to_layers([mat], field)
+    return [[x[i * cols:(i + 1) * cols] for x in layers] for i in range(rows)]
+
+
+def _echelon(mat, field: Field) -> Echelon:
+    span = Echelon(field)
+    for row in _layer_rows(mat, field):
+        span.insert(row)
+    return span
+
+
+def layer_rank(rows, field: Field) -> int:
+    """The rank over field of a list of rows as ``Echelon.insert`` takes
+    them.  Over the rationals ``certified_rank`` comes first: its rank mod p
+    has an exact certificate (or is the largest possible), so it is the
+    rank; when it returns None, and over every cyclotomic field, ``Echelon``
+    ranks the rows."""
+    if field.degree == 1:
+        width = len(rows[0][0]) if rows else 0
+        rank = certified_rank([layers[0] for layers in rows], width)
+        if rank is not None:
+            return rank
+    span = Echelon(field)
+    return sum(map(span.insert, rows))
+
+
 def rank(mat) -> int:
-    return len(Echelon(mat))
+    """The rank over the join of the fields of the entries."""
+    field = _entry_field([mat]) or QQ
+    return layer_rank(_layer_rows(mat, field), field)
 
 
 def nullspace(mat, field: Field) -> list[list[FieldElem]]:
     """A basis of the right nullspace {v : mat v = 0}."""
-    return Echelon(mat).nullspace(mat_shape(mat)[1], field)
+    return _echelon(mat, field).nullspace(mat_shape(mat)[1])
 
 
 def solve(mat, rhs, field: Field):
@@ -380,10 +388,10 @@ def solve(mat, rhs, field: Field):
     form of ``[mat | rhs]``, so only the certificate needs the identity.
     """
     rows, cols = mat_shape(mat)
-    reduced, pivots = Echelon(mat[i] + [rhs[i]] for i in range(rows)).reduced()
+    reduced, pivots = _echelon([mat[i] + [rhs[i]] for i in range(rows)], field).reduced()
     if pivots and pivots[-1] == cols:
-        ident = identity_matrix(field, rows)
-        ech = Echelon(mat[i] + [rhs[i]] + ident[i] for i in range(rows))
+        ech = _echelon([mat[i] + [rhs[i]] + [int(i == j) for j in range(rows)]
+                        for i in range(rows)], field)
         for row, p in zip(*ech.reduced()):
             if p == cols:
                 return None, row[cols + 1:]
@@ -398,8 +406,7 @@ def invert(mat, field: Field):
     n = len(mat)
     if any(len(row) != n for row in mat):
         return None
-    ident = identity_matrix(field, n)
-    ech = Echelon(mat[i] + ident[i] for i in range(n))
+    ech = _echelon([mat[i] + [int(i == j) for j in range(n)] for i in range(n)], field)
     if any(p >= n for p in ech.leads):
         return None
     return [row[n:] for row in ech.reduced()[0]]

@@ -176,7 +176,7 @@ class DimVector:
         if set(entries) != set(quiver.vertices):
             raise ValueError("dimension vector keys must be exactly the vertices")
         for v, n in entries.items():
-            if not isinstance(n, int) or n < 0:
+            if type(n) is not int or n < 0:  # bool is an int
                 raise ValueError(f"dimension at {v!r} must be a nonnegative integer")
         self.quiver = quiver
         self.entries = {v: entries[v] for v in quiver.vertices}

@@ -14,10 +14,10 @@ first-order deformations cross-check each other.
 
 from __future__ import annotations
 
-from .extcalc import (Representation, _layer_rank, _leibniz_rows,
-                      _singular_invertibles, hom_dim)
+from .extcalc import (Representation, _leibniz_rows, _singular_invertibles,
+                      hom_dim)
 # rank stays bound here: perfbench/spans.py traces repvariety.rank
-from .linalg import rank  # noqa: F401
+from .linalg import layer_rank, rank  # noqa: F401
 from .ncalg import PathWord, Presentation
 from .quiver import DimVector, Quiver, gl_dim, rep_space_dim
 from .scalars import Field, FieldElem, accumulate, signed_sum
@@ -213,7 +213,7 @@ def tangent_space_dim(p: Presentation, m: Representation) -> int:
     rows, _, nonzero, field = _jacobian_system(point)
     if nonzero or _singular_invertibles(point):
         raise ValueError("tangent space requested at an invalid representation")
-    return rep_space_dim(p.quiver, m.alpha) - _layer_rank(rows, field)
+    return rep_space_dim(p.quiver, m.alpha) - layer_rank([x for x, _ in rows], field)
 
 
 def orbit_dim(m: Representation) -> int:

@@ -8,7 +8,7 @@ scaled pairing is brought to its symplectic normal form.  Nondegeneracy does
 not depend on the choice of nonzero scalars (they only rescale rows), so it
 is checked once on the raw pairing blocks.  The pairing values are taken to
 integer coordinates once (``_pairing_coordinates``); the block and
-antisymmetry systems are coordinate rows for ``linalg.Echelon.insert_layers``,
+antisymmetry systems are coordinate rows for ``linalg.Echelon.insert``,
 so field elements are built only for the scalars, pairs and base change.
 
 ``superpotential_form`` inverts the cyclic-derivative map: given one
@@ -132,14 +132,14 @@ def _solve_vertex_scalars(qp: QuadraticPairing, coords: dict):
     vertices = list(quiver.vertices)
     index = {v: k for k, v in enumerate(vertices)}
     # the condition of (a, b) is the one of (b, a): one row per unordered pair
-    span = linalg.Echelon()
+    span = linalg.Echelon(field)
     for (a, b) in sorted({min(k, k[::-1]) for k in qp.g}):
         layers = [[0] * len(vertices) for _ in range(field.degree)]
         for pair, v in (((a, b), quiver.tail(a)), ((b, a), quiver.tail(b))):
             for layer, x in zip(layers, coords.get(pair, ())):
                 layer[index[v]] += x
-        span.insert_layers(layers, field)
-    basis = span.nullspace(len(vertices), field)
+        span.insert(layers)
+    basis = span.nullspace(len(vertices))
     if not basis:
         return None, vertices[0] if vertices else None
     for k, v in enumerate(vertices):
@@ -244,10 +244,9 @@ def preprojective_form(relations: list[NCPoly]) -> PreprojectiveVerdict:
                 "counts": [len(rows_group), len(cols_group)],
             })
         # the square block is nondegenerate when every row is kept
-        span = linalg.Echelon()
-        if not all(span.insert_layers(
-                [list(layer) for layer in
-                 zip(*[coords.get((a, b), absent) for b in cols_group])], field)
+        span = linalg.Echelon(field)
+        if not all(span.insert([list(layer) for layer in zip(
+                *[coords.get((a, b), absent) for b in cols_group])])
                 for a in rows_group):
             return PreprojectiveVerdict(False, witness={
                 "reason": "degenerate pairing block",

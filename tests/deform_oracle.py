@@ -10,8 +10,8 @@ word-concatenation convolution on the entry-by-entry
 ``geometric_inverse`` builds the inverse degree by degree with its own
 convolution; ``expand_relation`` substitutes a family's series, as oracle
 series, into a relation; and ``is_transversal`` spans the orbit tangent
-space by the n^2 commutators mat*phi - phi*mat of every base matrix with
-the elementary matrices phi.  The differential tests compare the package,
+space, in a ``linalg_oracle.SpanOracle``, by the n^2 commutators
+mat*phi - phi*mat of every base matrix with the elementary matrices phi.  The differential tests compare the package,
 which sums the geometric series with ``ts_multiply`` and reads the orbit
 tangent space from the coboundary map of ``extcalc``, against them, through
 ``terms``.
@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from localquiver import linalg
 
-from linalg_oracle import is_zero_matrix, mat_add, mat_mul, mat_scale
+from linalg_oracle import (SpanOracle, identity_matrix, is_zero_matrix, mat_add,
+                           mat_mul, mat_scale)
 
 
 def _add_term(terms: dict, w, mat) -> None:
@@ -53,7 +54,7 @@ class TensorSeries:
     @staticmethod
     def unit(symbols, size, order, field) -> "TensorSeries":
         return TensorSeries(symbols, size, order, field,
-                            {(): linalg.identity_matrix(field, size)})
+                            {(): identity_matrix(field, size)})
 
     def _compatible(self, other):
         if self.symbols != other.symbols or self.size != other.size \
@@ -176,7 +177,7 @@ def is_transversal(base, series: dict, symbols) -> bool:
             coords.append(vec)
     if not coords:
         return True
-    span = linalg.Echelon()
+    span = SpanOracle()
     for i in range(n):
         for j in range(n):
             phi = linalg.zero_matrix(field, n, n)

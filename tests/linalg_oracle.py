@@ -11,17 +11,20 @@ cyclotomic entry; ``is_simple`` is the density check with
 :class:`FieldElem` path products from ``mat_mul`` inserted into it.
 ``DenseEchelon`` is ``linalg.Echelon`` as it was on dense integer rows,
 and ``dense_kernel`` runs ``linalg.rank``, ``nullspace``, ``solve`` and
-``invert`` on it.
+``invert`` on it.  ``value_layers`` takes a row of values to the
+coordinate layers that ``linalg.Echelon(field).insert`` takes.
 ``UnreducedZetaEchelon`` is ``linalg.Echelon`` as it built the zeta
 multiples of a cyclotomic row: from the dense layers of the unreduced row,
 each multiple reduced against every kept row.
 ``ModEchelon`` is the modular elimination that ``linalg.ModEchelon`` ran on
 lists of residues, one interpreter step per entry and reduction step.  The
 differential tests compare the package against them.
-``mat_add``, ``mat_scale``, ``mat_eq``, ``is_zero_matrix`` and
-``scalar_multiple_of_identity`` are the :class:`FieldElem` matrix helpers
-that ``linalg`` exported while ``deform`` kept its series coefficients as
-field elements; the tests use them on :class:`FieldElem` matrices.
+``identity_matrix``, ``mat_add``, ``mat_scale``, ``mat_eq``,
+``is_zero_matrix`` and ``scalar_multiple_of_identity`` are the
+:class:`FieldElem` matrix helpers that ``linalg`` exported while ``deform``
+kept its series coefficients as field elements and ``solve`` and
+``invert`` built their identity blocks from field elements; the tests use
+them on :class:`FieldElem` matrices.
 """
 
 from __future__ import annotations
@@ -33,9 +36,22 @@ from math import gcd
 from operator import add, mul
 
 from localquiver import linalg
-from localquiver.linalg import (_P, _sparse, identity_matrix, mat_shape,
-                                reduce_layers, residues, zero_matrix)
+from localquiver.linalg import (_P, _sparse, mat_shape, reduce_layers, residues,
+                                zero_matrix)
 from localquiver.scalars import Field, FieldElem
+
+
+def identity_matrix(field: Field, n: int) -> list[list[FieldElem]]:
+    one, zero = field.one(), field.zero()
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def value_layers(row, field: Field) -> list[list[int]]:
+    """row (ints, Fractions, or :class:`FieldElem` of field or the
+    rationals) in coordinates over field (``linalg.to_layers``), the common
+    denominator dropped: the layers ``linalg.Echelon(field).insert`` takes."""
+    (layers,), _ = linalg.to_layers([[row]], field)
+    return layers
 
 
 def mat_mul(a, b):
@@ -193,11 +209,12 @@ class DenseEchelon(linalg.Echelon):
     """``linalg.Echelon`` on dense integer rows: every step rewrites the
     whole row, and the content and the lead are read off every entry."""
 
-    def insert_layers(self, layers, field: Field) -> bool:
-        """Reduce the row sum_t zeta^t layers[t] over field (a common
-        denominator dropped) against the kept rows; keep it if it is not
-        zero.  layers holds field.degree int lists of the echelon's width;
-        they are read, never kept or changed."""
+    def insert(self, layers) -> bool:
+        """Reduce the row sum_t zeta^t layers[t] (a common denominator
+        dropped) against the kept rows; keep it if it is not zero.  layers
+        holds field.degree int lists of the echelon's width; they are read,
+        never kept or changed."""
+        field = self._field
         d = field.degree
         width = len(layers[0]) if layers else 0
         if len(layers) != d or any(len(x) != width for x in layers):
@@ -208,15 +225,6 @@ class DenseEchelon(linalg.Echelon):
                 raise ValueError(
                     f"row of length {width} in an echelon of width {self._width}")
             self._width = width
-        if field is not self._field and field != self._field:
-            joined = self._field.join(field)
-            if joined != self._field:  # the kept rational rows re-enter
-                kept, self._rows, self._leads = self._rows, [], []
-                self._field, zeros = joined, [[0] * width] * (joined.degree - 1)
-                for old in kept:
-                    self.insert_layers([old] + zeros, joined)
-            field, d = joined, joined.degree
-            layers = layers + [[0] * width] * (d - len(layers))
         if not self._insert_integers(_interleave(layers)):
             return False
         for _ in range(d - 1):  # zeta times the last, its top folded by phi: kept
@@ -267,7 +275,8 @@ class UnreducedZetaEchelon(linalg.Echelon):
     row; the kept rows are the same integers, since a kept row is the one
     primitive vector with a positive lead in its coset."""
 
-    def insert_layers(self, layers, field: Field) -> bool:
+    def insert(self, layers) -> bool:
+        field = self._field
         d = field.degree
         width = len(layers[0]) if layers else 0
         if len(layers) != d or d > 1 and any(len(x) != width for x in layers):
@@ -278,16 +287,6 @@ class UnreducedZetaEchelon(linalg.Echelon):
                 raise ValueError(
                     f"row of length {width} in an echelon of width {self._width}")
             self._width = width
-        if field is not self._field and field != self._field:
-            joined = self._field.join(field)
-            if joined != self._field:  # the kept rational rows re-enter
-                kept, self._rows, self._leads = self._rows, [], []
-                self._field, zeros = joined, [[0] * width] * (joined.degree - 1)
-                for old in kept:
-                    self.insert_layers([[old.get(j, 0) for j in range(width)]]
-                                       + zeros, joined)
-            field, d = joined, joined.degree
-            layers = layers + [[0] * width] * (d - len(layers))
         if not self._insert_integers(_sparse(layers)):
             return False
         for _ in range(d - 1):  # zeta times the last, its top folded by phi: kept

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 import linalg_oracle
-from localquiver.linalg import identity_matrix
+from linalg_oracle import identity_matrix
 from localquiver.ncalg import NCPoly, PathWord, Superpotential, cyclic_derivative
 from localquiver.quiver import STAR_MARKER
 from localquiver.scalars import FieldElem

@@ -31,7 +31,7 @@ from localquiver.rewrite import (complete, graded_dims, gr_ideal, is_gradable,
 from localquiver.scalars import Field, QQ
 from localquiver.structure import preprojective_form, superpotential_form
 
-from linalg_oracle import scalar_multiple_of_identity
+from linalg_oracle import identity_matrix, scalar_multiple_of_identity
 from test_rewrite_differential import baseline_quadrics
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -182,7 +182,7 @@ def test_criterion_5_ext_vs_jacobian():
             continue
         columns = []
         for word in words:
-            mat = linalg.identity_matrix(QQ, n)
+            mat = identity_matrix(QQ, n)
             for a in word:
                 mat = linalg.mat_mul(mat, mats[a])
             columns.append([x for row in mat for x in row])

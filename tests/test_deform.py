@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -13,7 +14,7 @@ from localquiver.ncalg import (NCPoly, Superpotential, cyclic_derivative,
 from localquiver.quiver import DimVector
 from localquiver.scalars import Field, QQ
 
-from linalg_oracle import (mat_add, mat_eq, mat_scale,
+from linalg_oracle import (identity_matrix, mat_add, mat_eq, mat_scale,
                            scalar_multiple_of_identity)
 
 
@@ -59,7 +60,7 @@ def test_ts_multiply_examples():
     assert mat_eq(prod.terms[(0, 1)], qmat(QQ, [[2, 2], [0, 2]]))
 
     # (1 + T1)(1 - T1 + T1^2) = 1 + T1^3, so equals 1 through order 2
-    one = linalg.identity_matrix(QQ, 1)
+    one = identity_matrix(QQ, 1)
     neg = mat_scale(QQ.elem(-1), one)
     u = TensorSeries(("T1",), 1, 2, QQ, {(): one, (0,): one})
     v = TensorSeries(("T1",), 1, 2, QQ, {(): one, (0,): neg, (0, 0): one})
@@ -74,7 +75,7 @@ def test_ts_multiply_shape_mismatch():
 
 
 def test_geometric_inverse():
-    one = linalg.identity_matrix(QQ, 1)
+    one = identity_matrix(QQ, 1)
     s = TensorSeries(("T1",), 1, 4, QQ, {(): qmat(QQ, [[2]]),
                                          (0,): qmat(QQ, [[2]])})
     inv = geometric_inverse(s)
@@ -393,6 +394,19 @@ def test_series_for_an_unknown_arrow_is_rejected():
     with pytest.raises(ValueError, match=r"unknown arrows \['X_Inv'\]"):
         load_family(base, {"pattern": "explicit", "K": 3,
                            "symbols": ["T1", "T2"], "series": table})
+
+
+@pytest.mark.parametrize("order", [2.7, True, 3.0, "3", None])
+@pytest.mark.parametrize("pattern", ["unit", "explicit"])
+def test_load_family_rejects_a_count_that_is_not_an_int(pattern, order):
+    # a float or a bool K is refused, not truncated to a smaller order
+    from localquiver.deform import load_family
+    base = heisenberg_family(1).base
+    mat = [[str(x) for x in row] for row in base.matrices["X"]]
+    data = {"pattern": pattern, "K": order, "symbols": ["T1"],
+            "series": {"X": {"1": mat, "T1": mat}}}
+    with pytest.raises(ValueError, match=re.escape(f"K must be at least 1, not {order!r}")):
+        load_family(base, data)
 
 
 @pytest.mark.parametrize("order", [0, -2])

@@ -208,6 +208,19 @@ def test_local_quiver_free_loops():
     assert len(result.quiver.arrows) == 3
 
 
+def test_local_quiver_renames_factors_that_share_a_name():
+    # two distinct simples both named "S": the vertices fall back to S1, S2
+    q = Quiver(["v"], [("a", "v", "v"), ("b", "v", "v"), ("c", "v", "v")])
+    free = Presentation(q, [], flavor="graded")
+    s, t = (Representation(free, DimVector(q, {"v": 1}),
+                           {"a": [[x]], "b": [["2"]], "c": [["3"]]}, name="S")
+            for x in ("1", "5"))
+    result = local_quiver(SemisimpleModule([(s, 1), (t, 2)]))
+    assert list(result.quiver.vertices) == ["S1", "S2"]
+    assert [result.alpha[v] for v in result.quiver.vertices] == [1, 2]
+    assert result.ext1_matrix == [[3, 2], [2, 3]]
+
+
 def test_local_quiver_rejects_bad_factors():
     pres, rho = heisenberg_rho11()
     with pytest.raises(ValueError):
@@ -343,6 +356,16 @@ def test_load_representation_json():
     with pytest.raises(ValueError):
         load_representation(pres, {**data, "matrices": {
             **data["matrices"], "X": [["1/0", "1"], ["1", "0"]]}})
+
+
+@pytest.mark.parametrize("n", [2.7, 2.0, True, "2"])
+def test_load_representation_rejects_a_dimension_that_is_not_an_int(n):
+    # a float, bool or string dimension is refused, not truncated
+    pres = heisenberg_presentation(QQ)
+    data = {"alpha": {"v": n}, "matrices": {
+        a: [["1", "0"], ["0", "1"]] for a in ("X", "X_inv", "Y", "Y_inv")}}
+    with pytest.raises(ValueError, match="must be a nonnegative integer"):
+        load_representation(pres, data)
 
 
 def test_surface_loop_counts_low_genus():

@@ -1,5 +1,5 @@
-"""The elimination kernel ``linalg.Echelon`` (on values and on coordinate
-rows), the functions built on it and the coordinate product
+"""The elimination kernel ``linalg.Echelon`` (on the coordinate rows of
+values and of the Leibniz systems), the functions built on it and the coordinate product
 ``linalg.mat_mul`` against the previous paths kept in ``linalg_oracle``,
 compared as strings; the sparse rows of ``Echelon`` against the dense
 kernel ``linalg_oracle.DenseEchelon``, and its zeta multiples of a kept row
@@ -138,13 +138,20 @@ def test_consistent_solve_builds_no_identity_block(field, monkeypatch):
                 rhs = [sum((a * b for a, b in zip(row, v)), field.zero()) for row in m]
                 cases.append((m, rhs, oracle.solve(m, rhs, field)))
 
-    def forbidden(*args):
-        raise AssertionError("an identity block was built")
+    made = []
 
-    monkeypatch.setattr(linalg, "identity_matrix", forbidden)
+    class Counted(linalg.Echelon):
+        def __init__(self, field):
+            super().__init__(field)
+            made.append(self)
+
+    monkeypatch.setattr(linalg, "Echelon", Counted)
     for m, rhs, want in cases:
         assert want[0] is not None
+        made.clear()
         assert show(linalg.solve(m, rhs, field)) == show(want)
+        # one elimination, of [A | b] only
+        assert len(made) == 1 and made[0]._width in (None, len(m[0]) + 1)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -163,7 +170,7 @@ def test_echelon_insert_matches_the_is_simple_loop(field):
     for seed in range(3):
         rng = random.Random(200 + seed)
         cols = rng.randrange(1, 8)
-        kernel, old = linalg.Echelon(), oracle.SpanOracle()
+        kernel, old = linalg.Echelon(field), oracle.SpanOracle()
         pool = []
         for _ in range(12):
             if pool and rng.random() < 0.4:
@@ -171,7 +178,7 @@ def test_echelon_insert_matches_the_is_simple_loop(field):
             else:
                 row = [entry(rng, field, 0.5) for _ in range(cols)]
             pool.append(row)
-            assert kernel.insert(row) == old.insert(row)
+            assert kernel.insert(oracle.value_layers(row, field)) == old.insert(row)
             assert_reduced_matches(kernel, pool)
 
 
@@ -287,7 +294,8 @@ def test_zeta_multiples_of_a_kept_row_are_dependent(field):
         cols = rng.randrange(1, 5)
         row = [entry(rng, field) for _ in range(cols)]
         row[rng.randrange(cols)] = field.zeta(rng.randrange(field.order))
-        kernel = linalg.Echelon([row])
+        kernel = linalg.Echelon(field)
+        assert kernel.insert(oracle.value_layers(row, field))
         for k in range(1, field.order):
             shifted = [field.zeta(k) * x for x in row]
             if k == 1:
@@ -295,7 +303,7 @@ def test_zeta_multiples_of_a_kept_row_are_dependent(field):
                 coords = [[QQ.from_rational(c) for x in r for c in x.coeffs]
                           for r in (row, shifted)]
                 assert linalg.rank(coords) == 2
-            assert not kernel.insert(shifted)
+            assert not kernel.insert(oracle.value_layers(shifted, field))
         assert len(kernel) == 1
         assert_reduced_matches(kernel, [row])
 
@@ -321,9 +329,9 @@ def test_fractional_rows_mixing_q_and_cyclotomic_entries_match_the_oracle(field)
         square = [[mixed_entry(rng, field) for _ in range(n)] for _ in range(n)]
         rows = square + [combination(rng, field, square),
                          [mixed_entry(rng, field) for _ in range(n)]]
-        kernel, old = linalg.Echelon(), oracle.SpanOracle()
+        kernel, old = linalg.Echelon(field), oracle.SpanOracle()
         for k, row in enumerate(rows):
-            assert kernel.insert(row) == old.insert(row)
+            assert kernel.insert(oracle.value_layers(row, field)) == old.insert(row)
             assert_reduced_matches(kernel, rows[:k + 1])
         assert linalg.rank(rows) == oracle.rank(rows)
         assert show(linalg.nullspace(rows, field)) == show(oracle.nullspace(rows, field))
@@ -347,7 +355,8 @@ def test_insert_layers_matches_field_elem_rows(field):
     for seed in range(3):
         rng = random.Random(f"layers {field.label()} {seed}")
         cols = rng.randrange(1, 7)
-        kernel, values, old = linalg.Echelon(), linalg.Echelon(), oracle.SpanOracle()
+        kernel, values = linalg.Echelon(field), linalg.Echelon(field)
+        old = oracle.SpanOracle()
         pool = []
         for _ in range(10):
             if pool and rng.random() < 0.4:
@@ -356,16 +365,16 @@ def test_insert_layers_matches_field_elem_rows(field):
                 row = [field.elem(product_entry(rng, field)) if rng.random() < 0.7
                        else field.zero() for _ in range(cols)]
             pool.append(row)
-            kept = kernel.insert_layers(row_layers(rng, row, field), field)
-            assert kept == values.insert(row) == old.insert(row)
+            kept = kernel.insert(row_layers(rng, row, field))
+            assert kept == values.insert(oracle.value_layers(row, field)) == old.insert(row)
             assert show(kernel.reduced()) == show(values.reduced())
             assert_reduced_matches(kernel, pool)
 
 
 @pytest.mark.parametrize("field", PRODUCT_FIELDS[1:], ids=str)
 def test_insert_layers_rational_then_cyclotomic_rows(field):
-    # the kept rational rows re-enter at the first row over field, and a
-    # later rational row gets zero layers above its first
+    # the rational rows enter the echelon over field with zero layers above
+    # their first, before, between and after the rows over field
     for seed in range(3):
         rng = random.Random(f"re-entry {field.label()} {seed}")
         cols = rng.randrange(5, 8)
@@ -377,37 +386,36 @@ def test_insert_layers_rational_then_cyclotomic_rows(field):
         rows = rows_over(QQ, 2) + rows_over(field, 1) + rows_over(QQ, 1)
         rows += [combination(rng, field, rows)] + rows_over(field, 1)
         rows += rows_over(QQ, 1)
-        kernel, old = linalg.Echelon(), oracle.SpanOracle()
+        kernel, old = linalg.Echelon(field), oracle.SpanOracle()
         for k, row in enumerate(rows):
-            over = QQ if all(x.field.is_rational for x in row) else field
-            assert kernel.insert_layers(row_layers(rng, row, over), over) == \
-                old.insert(row)
+            assert kernel.insert(row_layers(rng, row, field)) == old.insert(row)
             assert_reduced_matches(kernel, rows[:k + 1])
 
 
 def test_insert_layers_rejects_ragged_input():
     f5 = Field(5)
-    kernel = linalg.Echelon()
-    assert kernel.insert_layers([[1, 0], [0, 0], [0, 1], [2, 0]], f5)
+    kernel = linalg.Echelon(f5)
+    assert kernel.insert([[1, 0], [0, 0], [0, 1], [2, 0]])
     with pytest.raises(ValueError):  # three layers over a field of degree 4
-        kernel.insert_layers([[0, 1], [1, 0], [1, 1]], f5)
+        kernel.insert([[0, 1], [1, 0], [1, 1]])
     with pytest.raises(ValueError):  # a rational row of two layers
-        kernel.insert_layers([[0, 1], [1, 0]], QQ)
+        linalg.Echelon(QQ).insert([[0, 1], [1, 0]])
     with pytest.raises(ValueError):  # layers of unequal lengths
-        kernel.insert_layers([[0, 1], [1, 0], [1], [1, 1]], f5)
+        kernel.insert([[0, 1], [1, 0], [1], [1, 1]])
     with pytest.raises(ValueError):  # a width other than the kept rows'
-        kernel.insert_layers([[0, 1, 0], [1, 0, 0], [0, 0, 1], [0, 0, 0]], f5)
+        kernel.insert([[0, 1, 0], [1, 0, 0], [0, 0, 1], [0, 0, 0]])
     assert len(kernel) == 1 and kernel.leads == [0]
-    assert kernel.insert_layers([[0, 1], [0, 0], [0, 0], [0, 0]], f5)
+    assert kernel.insert([[0, 1], [0, 0], [0, 0], [0, 0]])
     # a rejected row changes nothing: not the width of an empty echelon,
-    # and not the field of the kept rational rows
-    fresh = linalg.Echelon()
+    # and not the kept rows
+    fresh = linalg.Echelon(f5)
     with pytest.raises(ValueError):
-        fresh.insert_layers([[0, 1], [1, 0], [1], [1, 1]], f5)
-    assert fresh.insert_layers([[1, 2, 3]], QQ)
+        fresh.insert([[0, 1], [1, 0], [1], [1, 1]])
+    assert fresh.insert([[1, 2, 3], [0, 0, 0], [0, 0, 0], [0, 0, 0]])
     with pytest.raises(ValueError):
-        fresh.insert_layers([[0, 1, 0], [1, 0, 0], [1], [0, 0, 1]], f5)
-    assert all(x.field == QQ for row in fresh.reduced()[0] for x in row)
+        fresh.insert([[0, 1, 0], [1, 0, 0], [1], [0, 0, 1]])
+    assert show(fresh.reduced()) == "[[[1, 2, 3]], [0]]"
+    assert all(x.field == f5 for row in fresh.reduced()[0] for x in row)
 
 
 # ---- the integer path over Q: adversarial inputs ---------------------------
@@ -483,11 +491,11 @@ def test_integer_rows_are_primitive_with_positive_leads():
     for seed in range(3):
         rng = random.Random(500 + seed)
         for m in adversarial_matrices(300 + seed):
-            kernel, old = linalg.Echelon(), oracle.SpanOracle()
+            kernel, old = linalg.Echelon(QQ), oracle.SpanOracle()
             inserted = []
             for row in rng.sample(m, len(m)):
                 inserted.append(row)
-                assert kernel.insert(row) == old.insert(row)
+                assert kernel.insert(oracle.value_layers(row, QQ)) == old.insert(row)
                 assert_reduced_matches(kernel, inserted)
             # a kept row maps columns to its nonzero ints
             for vec, lead in zip(kernel._rows, kernel._leads):
@@ -497,8 +505,8 @@ def test_integer_rows_are_primitive_with_positive_leads():
 
 
 def test_rational_then_cyclotomic_rows_match_the_oracle():
-    # the integer rows kept so far re-enter, each as its d rows, at the
-    # first cyclotomic row, and the results are the oracle's
+    # rational rows, then cyclotomic ones, then rational ones, all over
+    # cyclo:4: the results are the oracle's
     f4 = Field(4)
     for seed in range(3):
         rng = random.Random(600 + seed)
@@ -506,9 +514,9 @@ def test_rational_then_cyclotomic_rows_match_the_oracle():
         rows = [[entry(rng, QQ) for _ in range(cols)] for _ in range(3)]
         rows += [[entry(rng, f4) for _ in range(cols)] for _ in range(2)]
         rows += [[entry(rng, QQ) for _ in range(cols)] for _ in range(2)]
-        kernel, old = linalg.Echelon(), oracle.SpanOracle()
+        kernel, old = linalg.Echelon(f4), oracle.SpanOracle()
         for k, row in enumerate(rows):
-            assert kernel.insert(row) == old.insert(row)
+            assert kernel.insert(oracle.value_layers(row, f4)) == old.insert(row)
             assert_reduced_matches(kernel, rows[:k + 1])
         assert show(linalg.nullspace(rows, f4)) == show(oracle.nullspace(rows, f4))
 
@@ -624,7 +632,7 @@ def test_cyclotomic_ranks_build_no_field_elem_matrices(monkeypatch):
     # the invertibility check ranks the arrow matrices through linalg.rank
     assert repvariety.tangent_space_dim(rho.presentation, rho) == 26
     monkeypatch.setattr(linalg, "rank", forbidden)
-    monkeypatch.setattr(linalg.Echelon, "insert", forbidden)
+    monkeypatch.setattr(linalg, "_layer_rows", forbidden)
     assert extcalc.hom_dim(rho, rho) == 1
     assert extcalc.ext1_dim(rho, rho) == 2
     fs._check_first_order_transversality()
@@ -714,27 +722,20 @@ def sparse_rows(rng, field, count, cols):
 
 
 def compare_kernels(rows, field, more=()):
-    """Insert rows into the sparse and the dense kernel, by value and by
-    layers (over q for a rational row, so kept rows re-enter at the first
-    cyclotomic one), comparing each verdict and the kept rows after it; then
-    the reduced forms, and the rows more inserted after the back-substitution."""
-    kernels = [(linalg.Echelon(), oracle.DenseEchelon()) for _ in range(2)]
+    """Insert rows into the sparse and the dense kernel over field (a
+    rational row with zero layers above its first), comparing each verdict
+    and the kept rows after it; then the reduced forms, and the rows more
+    inserted after the back-substitution."""
+    kernel, dense = linalg.Echelon(field), oracle.DenseEchelon(field)
     for k, row in enumerate(list(rows) + list(more)):
-        over = QQ if all(x.field.is_rational for x in row) else field
-        (layers,), _ = linalg.to_layers([[row]], over)
-        for by_layers, (kernel, dense) in enumerate(kernels):
-            if by_layers:
-                got = kernel.insert_layers(layers, over), dense.insert_layers(layers, over)
-            else:
-                got = kernel.insert(row), dense.insert(row)
-            assert got[0] == got[1]
-            assert_same_state(kernel, dense)
-            if k == len(rows) - 1:
-                assert show(kernel.reduced()) == show(dense.reduced())
-                assert_same_state(kernel, dense)
-    for kernel, dense in kernels:
-        assert show(kernel.reduced()) == show(dense.reduced())
+        layers = oracle.value_layers(row, field)
+        assert kernel.insert(layers) == dense.insert(layers)
         assert_same_state(kernel, dense)
+        if k == len(rows) - 1:
+            assert show(kernel.reduced()) == show(dense.reduced())
+            assert_same_state(kernel, dense)
+    assert show(kernel.reduced()) == show(dense.reduced())
+    assert_same_state(kernel, dense)
 
 
 def compare_functions(m, field, rng):
@@ -764,8 +765,8 @@ def test_sparse_rows_match_the_dense_kernel_step_by_step(field):
 
 @pytest.mark.parametrize("field", SPARSE_FIELDS[1:], ids=str)
 def test_rational_rows_then_a_cyclotomic_row_match_the_dense_kernel(field):
-    # the kept rational rows re-enter, each as its d rows, at the first
-    # cyclotomic row, from the sparse rows as from the dense ones
+    # rational rows with zero upper layers, then a cyclotomic row, then
+    # more rational rows: the sparse rows are the dense ones
     for seed in range(4):
         rng = random.Random(f"re-entry sparse {field.label()} {seed}")
         cols = rng.choice([4, 12])
@@ -794,9 +795,9 @@ def test_heisenberg_systems_match_the_dense_kernel():
     jacobian, _, _, field = repvariety._jacobian_system(rho)
     for rows in (extcalc._hom_system(rho, rho)[0], extcalc._cocycle_system(rho, rho)[0],
                  jacobian):
-        kernel, dense = linalg.Echelon(), oracle.DenseEchelon()
+        kernel, dense = linalg.Echelon(field), oracle.DenseEchelon(field)
         for layers, _ in rows:
-            assert kernel.insert_layers(layers, field) == dense.insert_layers(layers, field)
+            assert kernel.insert(layers) == dense.insert(layers)
         assert_same_state(kernel, dense)
         assert show(kernel.reduced()) == show(dense.reduced())
         assert_same_state(kernel, dense)
@@ -852,22 +853,20 @@ def assert_kept_rows_reduced(kernel):
 
 
 def compare_zeta_multiples(rows, field):
-    """Insert rows by layers (a rational row over q, so the kept rows
-    re-enter at the first cyclotomic one) into ``Echelon`` and into
-    ``UnreducedZetaEchelon``: the same verdicts and the same kept rows and
-    leads as integers after every insert, then the same reduced form and
-    nullspace."""
-    kernel, old = linalg.Echelon(), oracle.UnreducedZetaEchelon()
+    """Insert rows by layers over field (a rational row with zero layers
+    above its first) into ``Echelon`` and into ``UnreducedZetaEchelon``:
+    the same verdicts and the same kept rows and leads as integers after
+    every insert, then the same reduced form and nullspace."""
+    kernel, old = linalg.Echelon(field), oracle.UnreducedZetaEchelon(field)
     for row in rows:
-        over = QQ if all(x.field.is_rational for x in row) else field
-        (layers,), _ = linalg.to_layers([[row]], over)
-        assert kernel.insert_layers(layers, over) == old.insert_layers(layers, over)
+        layers = oracle.value_layers(row, field)
+        assert kernel.insert(layers) == old.insert(layers)
         assert kernel._rows == old._rows and kernel._leads == old._leads
         assert kernel._field == old._field
         assert_kept_rows_reduced(kernel)
     cols = len(rows[0])
     assert show(kernel.reduced()) == show(old.reduced())
-    assert show(kernel.nullspace(cols, field)) == show(old.nullspace(cols, field))
+    assert show(kernel.nullspace(cols)) == show(old.nullspace(cols))
     assert kernel._rows == old._rows and kernel._leads == old._leads
 
 
@@ -901,10 +900,10 @@ def test_conjugated_heisenberg_systems_match_the_unreduced_row(m):
     jacobian, _, _, field = repvariety._jacobian_system(rho)
     for rows in (extcalc._hom_system(rho, rho)[0], extcalc._cocycle_system(rho, rho)[0],
                  jacobian):
-        kernel, old = linalg.Echelon(), oracle.UnreducedZetaEchelon()
+        kernel, old = linalg.Echelon(field), oracle.UnreducedZetaEchelon(field)
         for layers, _ in rows:
             kept = len(kernel._rows)  # a forward insert leaves the kept rows as they are
-            assert kernel.insert_layers(layers, field) == old.insert_layers(layers, field)
+            assert kernel.insert(layers) == old.insert(layers)
             assert kernel._rows[kept:] == old._rows[kept:]
             assert kernel._leads == old._leads
         assert kernel._rows == old._rows

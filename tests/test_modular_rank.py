@@ -34,22 +34,25 @@ from test_acceptance import _spans_matrix_algebra_mod_p
 P = linalg._P
 
 
-def exact_rank(rows) -> int:
-    return len(linalg.Echelon(rows))
-
-
 def layer_rows(rows):
-    """rows as ``_leibniz_rows`` rows over the rationals."""
-    return [([list(row)], 1) for row in rows]
+    """Integer rows as coordinate rows over the rationals: one layer each."""
+    return [[list(row)] for row in rows]
+
+
+def exact_rank(rows) -> int:
+    span = linalg.Echelon(QQ)
+    for row in layer_rows(rows):
+        span.insert(row)
+    return len(span)
 
 
 def check_rank(rows, width):
-    """certified_rank is None or the exact rank; _layer_rank is the exact
+    """certified_rank is None or the exact rank; layer_rank is the exact
     rank either way.  Returns certified_rank's answer."""
     expected = exact_rank(rows)
     got = linalg.certified_rank(rows, width)
     assert got in (None, expected)
-    assert extcalc._layer_rank(layer_rows(rows), QQ) == expected
+    assert linalg.layer_rank(layer_rows(rows), QQ) == expected
     return got
 
 
@@ -90,8 +93,8 @@ def test_empty_and_zero_width_systems():
     assert linalg.certified_rank([], 0) == 0
     assert linalg.certified_rank([], 5) == 0
     assert linalg.certified_rank([[], [], []], 0) == 0
-    assert extcalc._layer_rank([], QQ) == 0
-    assert extcalc._layer_rank(layer_rows([[], []]), QQ) == 0
+    assert linalg.layer_rank([], QQ) == 0
+    assert linalg.layer_rank(layer_rows([[], []]), QQ) == 0
 
 
 def test_zero_rows():
@@ -113,7 +116,7 @@ def test_p_identity_plus_rank_one_falls_back():
     for k in (2, 3, 5):
         rows = p_identity_plus_rank_one(k)
         assert linalg.certified_rank(rows, k) is None
-        assert extcalc._layer_rank(layer_rows(rows), QQ) == k == exact_rank(rows)
+        assert linalg.layer_rank(layer_rows(rows), QQ) == k == exact_rank(rows)
 
 
 def test_kernel_past_the_reconstruction_bound():
@@ -123,7 +126,7 @@ def test_kernel_past_the_reconstruction_bound():
         # the kernel is spanned by (big, 1), past the bound: no certificate
         rows = [[1, -big], [3, -3 * big]]
         assert linalg.certified_rank(rows, 2) is None
-        assert extcalc._layer_rank(layer_rows(rows), QQ) == 1
+        assert linalg.layer_rank(layer_rows(rows), QQ) == 1
         # and by (1, big) / (big, 1) as a fraction: the same
         rows = [[big, -1], [2 * big, -2]]
         assert check_rank(rows, 2) is None
@@ -305,7 +308,7 @@ def test_hom_and_ext_with_denominator_p():
     for x, y in ((scaled, scaled), (scaled, base), (base, scaled)):
         rows, total, field = extcalc._hom_system(x, y)
         expected = exact_rank([layers[0] for layers, _ in rows])
-        assert extcalc._layer_rank(rows, field) == expected
+        assert linalg.layer_rank([layers for layers, _ in rows], field) == expected
         assert hom_dim(x, y) == total - expected
     assert hom_dim(scaled, scaled) == 1
     assert hom_dim(scaled, base) == 0
@@ -348,9 +351,9 @@ def test_ext_q_ranks_never_reach_echelon(monkeypatch):
     rep = free_simple(5, 5)
 
     def refuse(*args):
-        raise AssertionError("Echelon.insert_layers reached")
+        raise AssertionError("Echelon.insert reached")
 
-    monkeypatch.setattr(linalg.Echelon, "insert_layers", refuse)
+    monkeypatch.setattr(linalg.Echelon, "insert", refuse)
     assert hom_dim(rep, rep) == 1
     assert ext1_dim(rep, rep) == 26
     assert is_simple(rep) is True
@@ -358,19 +361,19 @@ def test_ext_q_ranks_never_reach_echelon(monkeypatch):
 
 def count_echelon_rows(monkeypatch):
     calls = []
-    insert = linalg.Echelon.insert_layers
+    insert = linalg.Echelon.insert
 
-    def counted(self, layers, field):
-        calls.append(field)
-        return insert(self, layers, field)
+    def counted(self, layers):
+        calls.append(self._field)
+        return insert(self, layers)
 
-    monkeypatch.setattr(linalg.Echelon, "insert_layers", counted)
+    monkeypatch.setattr(linalg.Echelon, "insert", counted)
     return calls
 
 
 def test_failed_certificates_reach_echelon(monkeypatch):
     calls = count_echelon_rows(monkeypatch)
-    assert extcalc._layer_rank(layer_rows(p_identity_plus_rank_one(3)), QQ) == 3
+    assert linalg.layer_rank(layer_rows(p_identity_plus_rank_one(3)), QQ) == 3
     assert len(calls) == 3
     calls.clear()
     assert is_simple(not_dense_mod_p()) is True

@@ -309,3 +309,27 @@ def test_poly_rendering():
     assert str(f) == "X*Y - 3/2*Y*X^2"
     assert str(NCPoly.zero(q)) == "0"
     assert str(NCPoly.vertex(q, "v") - NCPoly.arrow(q, "X")) == "e_v - X"
+
+
+def test_one_sided_unit_relation_derives_the_later_arrow():
+    # Y*X - e_v with X declared first: Y is the derived inverse of X
+    q = Quiver(["v"], [("X", "v", "v"), ("Y", "v", "v")])
+    unit = NCPoly.word(q, ["Y", "X"]) - NCPoly.vertex(q, "v")
+    pres = Presentation(q, [unit], invertible=["X", "Y"], flavor="complete")
+    assert pres.inverse_pairs() == {"Y": "X"}
+    assert pres.eliminated_inverses() == {"Y": "X"}
+
+
+def test_superpotential_terms_are_cycles_up_to_rotation():
+    q = Quiver(["v"], [("X", "v", "v"), ("Y", "v", "v")])
+    xy, yx = PathWord.of(q, ["X", "Y"]), PathWord.of(q, ["Y", "X"])
+    w = Superpotential(q, QQ, {xy: QQ.elem(2), yx: QQ.elem(1)})
+    assert w == Superpotential(q, QQ, {yx: QQ.elem(3)})
+    assert w == Superpotential.from_words(q, {("X", "Y"): 3})
+    assert w != Superpotential(q, QQ, {yx: QQ.elem(2)})
+    assert w != Superpotential(Quiver(["v"], [("X", "v", "v"), ("Y", "v", "v"),
+                                              ("Z", "v", "v")]), QQ, {xy: QQ.elem(3)})
+    assert (w == "X*Y") is False
+    assert not w.is_zero()
+    assert Superpotential(q, QQ, {xy: QQ.elem(1), yx: QQ.elem(-1)}).is_zero()
+    assert Superpotential(q).is_zero() and Superpotential(q) == Superpotential(q, QQ, {})

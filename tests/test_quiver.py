@@ -65,6 +65,15 @@ def test_restrict_functorial():
     assert q.restrict(["1", "2"]).restrict(["1"]) == q.restrict(["1"])
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, -1])
+def test_dim_vector_takes_nonnegative_ints_only(n):
+    # bool is an int in Python, but not a dimension
+    q = Quiver(["v"], [])
+    with pytest.raises(ValueError, match="must be a nonnegative integer"):
+        DimVector(q, {"v": n})
+    assert DimVector(q, {"v": 0}).total() == 0
+
+
 def test_gl_and_rep_space_dims():
     q = Quiver(["1", "2"], [("a", "2", "1")])
     assert gl_dim(DimVector(q, {"1": 1, "2": 0})) == 1
