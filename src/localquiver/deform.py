@@ -227,7 +227,9 @@ class FamilySpec:
     @staticmethod
     def _check(presentation: Presentation, order) -> None:
         """The checks that need no series: an int order K >= 1 and one vertex."""
-        if type(order) is not int or order < 1:  # bool is an int
+        if type(order) is not int:  # bool is an int
+            raise ValueError(f"truncation order K must be an int, not {order!r}")
+        if order < 1:
             raise ValueError(f"truncation order K must be at least 1, not {order!r}")
         if len(presentation.quiver.vertices) != 1:
             raise ValueError("families are supported over one-vertex quivers")

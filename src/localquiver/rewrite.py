@@ -17,19 +17,24 @@ for an arrow-ideal-adic completion of a group algebra.
 
 Reduction order.  Inside a system a word is one int (``WordCodes``), a
 smaller code for a larger word; ``PathWord`` and ``FieldElem`` are made
-only when a polynomial comes in or a normal form or rule goes out.
-``RewriteSystem.reduce`` keeps the term codes in a heap and always rewrites
-the leading reducible term, at its leftmost reducible subword, with the one
-rule matching there (leads form an antichain), found by walking the codes
-of that subword's prefixes in the lead table.  The other terms of a rule
-come later in the order than its lead, so each step only adds later words
-and a word popped as irreducible is final.  The arithmetic is fraction-free.  Each ``Rule`` holds an integer
-form, and the pending values are integers (``CycloInt`` over a cyclotomic
-field) over one common denominator.  A step on value c by a rule with
-integer lead L is a pseudo-division: with g = gcd(L, content(c)), it
-multiplies the pending values and the denominator by L/g and adds (c/g)
-times the rule's integer tail.  A settled value keeps the denominator it
-had then, and the normal form is converted back to field elements once.
+only when a polynomial comes in or a normal form or rule polynomial goes
+out.  ``RewriteSystem.reduce`` keeps the term codes in a heap and always
+rewrites the leading reducible term, at its leftmost reducible subword,
+with the one rule matching there (leads form an antichain), found by
+walking the codes of that subword's prefixes in the lead table.  That
+verdict is kept per word code until the table next changes.  The other
+terms of a rule come later in the order than its lead, so each step only
+adds later words and a word popped as irreducible is final.  The arithmetic
+is fraction-free.  Each ``Rule`` holds an integer form, and the pending
+values are integers (``CycloInt`` over a cyclotomic field) over one common
+denominator.  A step on value c by a rule with integer lead L is a
+pseudo-division: with g = gcd(L, content(c)), it multiplies the pending
+values and the denominator by L/g and adds (c/g) times the rule's integer
+tail.  A settled value keeps the denominator it had then.  A normal form is
+converted back to field elements once, when ``reduce`` returns it; in the
+completion, critical-pair and pending remainders stay integers, each new
+``Rule`` is built from them, and its monic polynomial is built on first
+read.
 
 Settling by degree.  ``RewriteSystem.settle(top)`` runs the completion only
 through the critical pairs of degree <= top, and more polynomials may be
@@ -66,7 +71,7 @@ from math import gcd
 
 from .ncalg import NCPoly, PathWord, Presentation, word_key, word_vertex_at
 from .quiver import Quiver
-from .scalars import CycloInt, Field, FieldElem, integer_values
+from .scalars import CycloInt, Field, FieldElem, integer_values, norm_cofactor
 
 
 class WordCodes:
@@ -79,10 +84,11 @@ class WordCodes:
     arrow of rank r takes c to c*B + r + ``shift``, from V - 1 for no arrow.
     """
 
-    __slots__ = ("base", "shift", "offsets", "powers", "vertices", "vertex",
-                 "arrows", "rank", "heads", "tails")
+    __slots__ = ("quiver", "base", "shift", "offsets", "powers", "vertices",
+                 "vertex", "arrows", "rank", "heads", "tails")
 
     def __init__(self, quiver: Quiver, top: int):
+        self.quiver = quiver
         B, V = max(len(quiver.arrows), 2), len(quiver.vertices)
         self.base, self.shift = B, B - V * (B - 1)
         self.powers = [B ** n for n in range(top + 2)]
@@ -113,28 +119,68 @@ class WordCodes:
         return PathWord(tuple(a.name for a in arrows), arrows[0].head,
                         arrows[-1].tail)
 
+    def poly(self, field: Field, terms) -> NCPoly:
+        """The polynomial of (code, value, denominator) triples over field."""
+        word = self.word
+        return NCPoly.from_terms(self.quiver, field, {
+            word(code): _elem(field, c, d) for code, c, d in terms})
+
+
+def _elem(field: Field, value, den: int) -> FieldElem:
+    """An integer value (int or ``CycloInt``) over den as a field element."""
+    if field.is_rational:
+        return FieldElem(field, (Fraction(value, den),))
+    return field.from_coordinates(value.coords, den)
+
 
 class Rule:
     """A rewrite rule lead -> lead - poly for a monic poly with that lead.
 
-    Its integer form is built once: ``scale``, the lcm of the denominators,
-    times the lead (code ``code``) rewrites to the sum of ``tail``, a list of
-    (length, B^length, digit value, integer value), ints over the rationals
-    and ``CycloInt`` otherwise, per tail word.  No tail word is an
-    idempotent: it would be a lead of lower degree in the same vertex pair.
+    It is built from the integer terms of a nonzero normal form (the
+    ``_normal`` triples, lead first) into its integer form: ``scale``, the
+    lcm of the denominators of the monic poly, times the lead (code
+    ``code``) rewrites to the sum of ``tail``, a list of (length, B^length,
+    digit value, integer value), ints over the rationals and ``CycloInt``
+    otherwise, per tail word.  Over the rationals, with the values on one
+    denominator, content g and lead value c, scale = |c|/g and a tail value
+    is -sign(c)*value/g; over Q(zeta) the values are first multiplied by
+    the norm cofactor of the lead, which makes the lead an int.  The monic
+    ``poly`` is built on first read.  No tail word is an idempotent: it
+    would be a lead of lower degree in the same vertex pair.
     """
 
-    __slots__ = ("lead", "code", "poly", "scale", "tail")
+    __slots__ = ("lead", "code", "field", "scale", "tail", "codes", "_poly")
 
-    def __init__(self, poly: NCPoly, codes: WordCodes):
-        self.poly = poly
-        self.lead = poly.leading_word()
-        self.code = codes.code(self.lead)
-        values, self.scale = integer_values((-c for c in poly.terms.values()),
-                                            poly.field)
+    def __init__(self, terms: list, field: Field, codes: WordCodes):
+        self.code, self.field, self.codes, self._poly = (terms[0][0], field,
+                                                         codes, None)
+        self.lead = codes.word(self.code)
+        top = terms[-1][2]  # every denominator divides the last one
+        values = [c if d == top else c * (top // d) for _, c, d in terms]
+        lead, rest = values[0], values[1:]
+        if field.is_rational:
+            g = gcd(*values)
+        else:
+            conj, lead = norm_cofactor(lead, field.order)
+            rest = [x * conj for x in rest]
+            g = gcd(lead, *(y for x in rest for y in x.coords))
+        self.scale, sign = abs(lead) // g, -1 if lead > 0 else 1
         off, pw = codes.offsets, codes.powers
-        self.tail = [(len(w), pw[len(w)], codes.code(w) - off[len(w)], x)
-                     for w, x in zip(poly.terms, values) if w != self.lead]
+        self.tail = [(n, pw[n], code - off[n], x // g * sign)
+                     for (code, _, _), x in zip(terms[1:], rest)
+                     for n in [bisect_right(off, code) - 1]]
+
+    @property
+    def poly(self) -> NCPoly:
+        """lead + sum of (-value/scale) * word over the tail, monic."""
+        if self._poly is None:
+            codes, field, scale = self.codes, self.field, self.scale
+            off, word = codes.offsets, codes.word
+            terms = {self.lead: field.one()}
+            for n, _, tv, x in self.tail:
+                terms[word(off[n] + tv)] = _elem(field, x * -1, scale)
+            self._poly = NCPoly.from_terms(codes.quiver, field, terms)
+        return self._poly
 
     def __repr__(self):
         lead_term = NCPoly(self.poly.quiver, self.poly.field,
@@ -161,13 +207,14 @@ class RewriteSystem:
     rules by identity, ``pairs`` the queued critical pairs, ``survivors``
     the irreducible words of the pair degree ``checked`` as (code, tail
     vertex) pairs, ``dead`` the first degree with none (module docstring),
-    ``table`` the lead table (see ``_add``), ``joined`` the join of the
-    system's and the rules' fields.
+    ``table`` the lead table (see ``_add``), ``memo`` the verdict of the
+    table on each word code met since it last changed (see ``_normal``),
+    ``joined`` the join of the system's and the rules' fields.
     """
 
     __slots__ = ("presentation", "degree_bound", "rules", "live", "pending",
                  "pairs", "counter", "checked", "survivors", "dead", "codes",
-                 "table", "joined")
+                 "table", "memo", "joined")
 
     def __init__(self, presentation: Presentation, degree_bound: int):
         self.presentation = presentation
@@ -179,7 +226,7 @@ class RewriteSystem:
         self.counter = itertools.count()
         self.checked, self.survivors, self.dead = 0, [], degree_bound + 1
         self.codes = WordCodes(presentation.quiver, degree_bound)
-        self.table, self.joined = {}, presentation.field
+        self.table, self.memo, self.joined = {}, {}, presentation.field
 
     @property
     def quiver(self) -> Quiver:
@@ -197,23 +244,36 @@ class RewriteSystem:
         so only words above the bound are; the canonicalization pass uses it
         to tail-reduce a generator against the other generators only.
         Fields are joined first, so a mix with no common field raises
-        ValueError whether or not a rule fires.  Terms are keyed by their
-        word codes, which are also their places in the heap.
+        ValueError whether or not a rule fires.
         """
-        field, table = poly.field.join(self.joined), self.table
+        return self.codes.poly(*self._reduce(poly, skip_lead))
+
+    def _reduce(self, poly: NCPoly, skip_lead: PathWord | None = None):
+        """``reduce`` on integers: (field, ``_normal`` triples).  Terms are
+        keyed by their word codes, which are also their places in the heap.
+        A skipped lead is dropped from a copy of the lead table, which gets
+        its own memo."""
+        field, table, memo = poly.field.join(self.joined), self.table, self.memo
         code, bound = self.codes.code, self.dead - 1
         if skip_lead is not None and table.get(skip := code(skip_lead)):
-            table = dict(table)  # a lead, not a prefix: drop it from a copy
+            table, memo = dict(table), {}  # a lead, not a prefix
             del table[skip]
             bound = self.degree_bound
         values, den = integer_values(poly.terms.values(), field)
-        return self._normal({code(w): c for w, c in zip(poly.terms, values)
-                             if len(w) <= bound}, den, table, field, bound)
+        return field, self._normal(
+            {code(w): c for w, c in zip(poly.terms, values) if len(w) <= bound},
+            den, table, memo, field, bound)
 
-    def _normal(self, terms: dict, den: int, table: dict, field: Field,
-                bound: int) -> NCPoly:
+    def _normal(self, terms: dict, den: int, table: dict, memo: dict,
+                field: Field, bound: int) -> list:
         """The normal form of terms (code -> integer value over den), with
-        words above bound discarded."""
+        words above bound discarded, as (code, value, denominator) triples
+        in code order, each value over the denominator at its settling.
+
+        The verdict of the table on a popped code, from its digits and
+        prefix scan, is kept in memo: () for irreducible, else what a step
+        needs, (digits before the match, digits after, B^#after, length
+        less the lead's, rule)."""
         codes = self.codes
         B, K, off, pw = codes.base, codes.shift, codes.offsets, codes.powers
         heads, tails, empty = codes.heads, codes.tails, len(codes.vertices) - 1
@@ -226,39 +286,46 @@ class RewriteSystem:
             c = terms.pop(code, None)
             if c is None:
                 continue  # cancelled after it was queued
-            n = bisect_right(off, code) - 1
-            v = code - off[n] if n else 0
-            d, x = [0] * n, v
-            for i in range(n - 1, -1, -1):
-                x, d[i] = divmod(x, B)
-            hit = None
-            for pos in range(n + 1):
-                if idempotent:
-                    hit = table.get(code if not n else heads[d[0]] if not pos
-                                    else tails[d[pos - 1]])
+            step = memo.get(code)
+            if step is None:
+                n = bisect_right(off, code) - 1
+                v = code - off[n] if n else 0
+                d, x = [0] * n, v
+                for i in range(n - 1, -1, -1):
+                    x, d[i] = divmod(x, B)
+                hit = None
+                for pos in range(n + 1):
+                    if idempotent:
+                        hit = table.get(code if not n else heads[d[0]]
+                                        if not pos else tails[d[pos - 1]])
+                        if hit:
+                            break
+                    # up to a lead (a tuple) or a code starting none (0)
+                    w = empty
+                    for i in range(pos, n):
+                        w = w * B + d[i] + K
+                        hit = table.get(w, 0)
+                        if hit is not None:
+                            break
                     if hit:
                         break
-                # up to a lead (a tuple) or a code starting none (0)
-                w = empty
-                for i in range(pos, n):
-                    w = w * B + d[i] + K
-                    hit = table.get(w, 0)
-                    if hit is not None:
-                        break
                 if hit:
-                    break
-            if not hit:
+                    L, rule = hit
+                    shift = pw[n - pos - L]
+                    step = (v // pw[n - pos], v % shift, shift, n - L, rule)
+                else:
+                    step = ()
+                memo[code] = step
+            if not step:
                 out.append((code, c, den))
                 continue
-            L, rule = hit
+            hi, lo, shift, base, rule = step
             g = gcd(rule.scale, c) if rational else gcd(rule.scale, *c.coords)
             k = rule.scale // g
             if k != 1:
                 den *= k
                 terms = {t: x * k for t, x in terms.items()}
             c //= g
-            shift = pw[n - pos - L]
-            hi, lo, base = v // pw[n - pos], v % shift, n - L
             for m, p, tv, x in rule.tail:
                 m += base
                 if m > bound:
@@ -274,17 +341,14 @@ class RewriteSystem:
                     terms[nw] = acc
                 else:
                     del terms[nw]
-        word = codes.word
-        return NCPoly.from_terms(self.quiver, field, {
-            word(code): FieldElem(field, (Fraction(c, d),) if rational else
-                                  tuple(Fraction(x, d) for x in c.coords))
-            for code, c, d in out})
+        return out
 
-    def _pair(self, item) -> NCPoly:
-        """The normal form of the S-polynomial r1*right - left*r2 of a
-        critical pair (r1, L, r2).  Reduction is linear and rewrites the
-        overlap word with r1 first, so r1*right reduces to zero, and this
-        is the normal form of -left*r2, formed on codes."""
+    def _pair(self, item) -> list:
+        """The normal form, as ``_normal`` triples over ``joined``, of the
+        S-polynomial r1*right - left*r2 of a critical pair (r1, L, r2).
+        Reduction is linear and rewrites the overlap word with r1 first, so
+        r1*right reduces to zero, and this is the normal form of -left*r2,
+        formed on codes."""
         r1, L, r2 = item
         off, pw, field = self.codes.offsets, self.codes.powers, self.joined
         n, m2 = len(r1.lead.arrows) - L, len(r2.lead.arrows)
@@ -296,16 +360,19 @@ class RewriteSystem:
         for m, p, tv, x in r2.tail:
             if n + m < self.dead:
                 terms[off[n + m] + left * p + tv] = one * x
-        return self._normal(terms, r2.scale, self.table, field, self.dead - 1)
+        return self._normal(terms, r2.scale, self.table, self.memo, field,
+                            self.dead - 1)
 
-    def _add(self, poly: NCPoly):
-        """Make a reduced nonzero poly a monic rule: the rules its lead
-        divides go back to pending, its critical pairs below ``dead`` are
-        queued, and it strikes the survivors it divides.  The lead table maps
-        lead codes to (lead length, rule) and proper prefixes of arrow leads
-        to None; a stale prefix only lengthens a scan."""
+    def _add(self, terms: list, field: Field):
+        """Make a nonzero normal form over field (``_normal`` triples) a
+        rule: the rules its lead divides go back to pending, its critical
+        pairs below ``dead`` are queued, and it strikes the survivors it
+        divides.  The lead table maps lead codes to (lead length, rule) and
+        proper prefixes of arrow leads to None; a stale prefix only
+        lengthens a scan.  The table changes here only, so the memo of its
+        verdicts starts afresh."""
         quiver, bound, codes = self.quiver, self.dead - 1, self.codes
-        rule = Rule(poly.scale(poly.leading_coeff().inverse()), codes)
+        rule, self.memo = Rule(terms, field, codes), {}
         for old in self.rules:
             if _word_divides(rule.lead, old.lead, quiver):
                 self.pending.append(old.poly)
@@ -320,7 +387,7 @@ class RewriteSystem:
             self.table.setdefault(w, None)
         self.joined = self.field
         for other in self.rules:
-            self.joined = self.joined.join(other.poly.field)
+            self.joined = self.joined.join(other.field)
             for deg, item in _overlaps(rule, other, bound):
                 heapq.heappush(self.pairs, (deg, next(self.counter), item))
             if other is not rule:
@@ -358,7 +425,7 @@ class RewriteSystem:
         pairs, live = self.pairs, self.live
         while self.pending or (pairs and pairs[0][0] <= top):
             if self.pending:
-                rest = self.reduce(self.pending.popleft())
+                field, rest = self._reduce(self.pending.popleft())
             else:
                 if pairs[0][0] > self.checked:
                     self._watch(pairs[0][0])
@@ -366,9 +433,9 @@ class RewriteSystem:
                 _, _, item = heapq.heappop(pairs)
                 if item[0] not in live or item[2] not in live:
                     continue
-                rest = self._pair(item)
-            if not rest.is_zero():
-                self._add(rest)
+                field, rest = self.joined, self._pair(item)
+            if rest:
+                self._add(rest, field)
         return self
 
 

@@ -290,15 +290,9 @@ class FieldElem:
         if field.is_rational:
             return FieldElem(field, (1 / self.coeffs[0],))
         (a,), den = integer_values([self], field)
-        phi, d = field.phi, field.degree
-        conj = (1,) + (0,) * (d - 1)
-        for k in range(2, field.order):
-            if gcd(k, field.order) == 1:
-                spread = [0] * ((d - 1) * k + 1)
-                spread[::k] = a.coords
-                conj = _cyclo_product(conj, _cyclo_reduce(spread, phi), phi)
-        norm = _cyclo_product(a.coords, conj, phi)[0]
-        return FieldElem(field, tuple(Fraction(x * den, norm) for x in conj))
+        conj, norm = norm_cofactor(a, field.order)
+        return FieldElem(field, tuple(Fraction(x * den, norm)
+                                      for x in conj.coords))
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -354,6 +348,20 @@ class CycloInt:
             return CycloInt(tuple(x * other for x in self.coords), self.phi)
         return CycloInt(_cyclo_product(self.coords, other.coords, self.phi),
                         self.phi)
+
+
+def norm_cofactor(a: CycloInt, order: int) -> tuple[CycloInt, int]:
+    """For a nonzero a in Z[zeta_m], m = order: the product b of its other
+    Galois conjugates zeta -> zeta^k (k prime to m), and the norm a*b, an
+    int."""
+    phi, d = a.phi, len(a.phi)
+    conj = (1,) + (0,) * (d - 1)
+    for k in range(2, order):
+        if gcd(k, order) == 1:
+            spread = [0] * ((d - 1) * k + 1)
+            spread[::k] = a.coords
+            conj = _cyclo_product(conj, _cyclo_reduce(spread, phi), phi)
+    return CycloInt(conj, phi), _cyclo_product(a.coords, conj, phi)[0]
 
 
 def integer_coordinates(values, field: Field) -> tuple[list[int], int]:

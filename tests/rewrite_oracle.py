@@ -9,7 +9,14 @@ Heap reduction on field elements: ``heap_reduce`` is the heap-ordered
 ``FieldElem`` per pending term, keyed by ``PathWord``, and the field of a
 mix joined only when a rule fires.  ``HeapRewriteSystem`` runs the
 package's completion on it, with each critical pair formed by ``_spoly``
-as polynomial products instead of on word codes.
+as polynomial products instead of on word codes; ``integer_terms`` hands
+its remainders to the package's ``_add`` as integer triples.
+
+Rules from polynomials: ``PolyRule`` is ``Rule`` as it was built before
+rules came straight from integer terms, from the monic polynomial (the
+remainder scaled by its inverted leading coefficient) through
+``leading_word`` and ``integer_values``; ``oracle_rule`` takes a remainder
+there.  ``oracle_complete`` makes its rules with it.
 
 Critical pairs: ``_overlaps`` and ``_spoly`` are the pair forms as they
 were before inclusion items were dropped from the package: an idempotent
@@ -36,13 +43,42 @@ import itertools
 
 from localquiver.ncalg import (NCPoly, PathWord, Presentation, word_key,
                                word_vertex_at)
-from localquiver.rewrite import (GrIdealReport, RewriteSystem, Rule,
+from localquiver.rewrite import (GrIdealReport, RewriteSystem, WordCodes,
                                  _levels, _require_admissible,
                                  _sort_key, _word_divides, complete)
-from localquiver.scalars import Field
+from localquiver.scalars import Field, integer_values
 
 
-def _overlaps(r1: Rule, r2: Rule, quiver, bound: int):
+class PolyRule:
+    """A rewrite rule lead -> lead - poly for a monic poly with that lead,
+    its integer form (``scale``, ``tail``) taken from the poly."""
+
+    __slots__ = ("lead", "code", "poly", "scale", "tail")
+
+    def __init__(self, poly: NCPoly, codes: WordCodes):
+        self.poly = poly
+        self.lead = poly.leading_word()
+        self.code = codes.code(self.lead)
+        values, self.scale = integer_values((-c for c in poly.terms.values()),
+                                            poly.field)
+        off, pw = codes.offsets, codes.powers
+        self.tail = [(len(w), pw[len(w)], codes.code(w) - off[len(w)], x)
+                     for w, x in zip(poly.terms, values) if w != self.lead]
+
+
+def oracle_rule(poly: NCPoly, codes: WordCodes) -> PolyRule:
+    """The rule of a nonzero remainder: its monic form as a ``PolyRule``."""
+    return PolyRule(poly.scale(poly.leading_coeff().inverse()), codes)
+
+
+def integer_terms(codes: WordCodes, poly: NCPoly, field: Field) -> list:
+    """A normal form as the package's (code, value, denominator) triples
+    over field, in code order."""
+    values, den = integer_values(poly.terms.values(), field)
+    return sorted((codes.code(w), x, den) for w, x in zip(poly.terms, values))
+
+
+def _overlaps(r1, r2, quiver, bound: int):
     """Critical pairs between two rules as (degree, item) entries.
 
     An ``overlap`` item has r1.lead * right == left * r2.lead; an
@@ -250,9 +286,14 @@ class HeapRewriteSystem(RewriteSystem):
 
     reduce = heap_reduce
 
+    def _reduce(self, poly, skip_lead=None):
+        field = poly.field.join(self.joined)
+        return field, integer_terms(self.codes,
+                                    heap_reduce(self, poly, skip_lead), field)
+
     def _pair(self, item):
-        return heap_reduce(self, _spoly(overlap_item(self.quiver, item),
-                                        self.field))
+        s = _spoly(overlap_item(self.quiver, item), self.field)
+        return integer_terms(self.codes, heap_reduce(self, s), self.joined)
 
 
 def oracle_complete(p: Presentation, D: int) -> OracleRewriteSystem:
@@ -272,7 +313,7 @@ def oracle_complete(p: Presentation, D: int) -> OracleRewriteSystem:
         poly = rs.reduce(poly)
         if poly.is_zero():
             return
-        rule = Rule(poly.scale(poly.leading_coeff().inverse()), rs.codes)
+        rule = oracle_rule(poly, rs.codes)
         kept = []
         for old in rs.rules:
             if _word_divides(rule.lead, old.lead, p.quiver):

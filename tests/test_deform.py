@@ -405,8 +405,16 @@ def test_load_family_rejects_a_count_that_is_not_an_int(pattern, order):
     mat = [[str(x) for x in row] for row in base.matrices["X"]]
     data = {"pattern": pattern, "K": order, "symbols": ["T1"],
             "series": {"X": {"1": mat, "T1": mat}}}
-    with pytest.raises(ValueError, match=re.escape(f"K must be at least 1, not {order!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"K must be an int, not {order!r}")):
         load_family(base, data)
+
+
+@pytest.mark.parametrize("order", [2.7, "3", True])
+def test_truncation_order_that_is_not_an_int_is_rejected(order):
+    base = heisenberg_family(1).base
+    with pytest.raises(ValueError, match=re.escape(
+            f"truncation order K must be an int, not {order!r}")):
+        FamilySpec.unit_pattern(base, order)
 
 
 @pytest.mark.parametrize("order", [0, -2])

@@ -22,7 +22,7 @@ from localquiver.scalars import QQ, Field
 
 from rewrite_oracle import (HeapRewriteSystem, _overlaps, _spoly,
                             avoiding_path_counts, heap_reduce, oracle_complete,
-                            overlap_item)
+                            oracle_rule, overlap_item)
 
 
 def loops(*names):
@@ -469,6 +469,8 @@ def on_field_elements(monkeypatch):
     """Run every completion and reduction of the package through
     ``heap_reduce`` and the oracle's S-polynomials."""
     monkeypatch.setattr(rewrite.RewriteSystem, "reduce", heap_reduce)
+    monkeypatch.setattr(rewrite.RewriteSystem, "_reduce",
+                        HeapRewriteSystem._reduce)
     monkeypatch.setattr(rewrite.RewriteSystem, "_pair", HeapRewriteSystem._pair)
 
 
@@ -710,15 +712,17 @@ def heisenberg_cone_cyclo3():
 def test_integer_pairs_match_oracle_spoly(make, D, monkeypatch):
     """Every pair popped in the completion reduces to the normal form of
     the oracle's S-polynomial r1*right - left*r2, by the package's reduce
-    and by the field-element heap reduction."""
+    and by the field-element heap reduction; the pair's integer triples
+    are turned into a polynomial over ``joined`` first."""
     pair = rewrite.RewriteSystem._pair
     seen = []
 
     def both(self, item):
         new = pair(self, item)
         s = _spoly(overlap_item(self.quiver, item), self.field)
-        assert str(new) == str(self.reduce(s)) == str(heap_reduce(self, s))
-        seen.append(new.is_zero())
+        assert (str(self.codes.poly(self.joined, new)) == str(self.reduce(s))
+                == str(heap_reduce(self, s)))
+        seen.append(not new)
         return new
 
     monkeypatch.setattr(rewrite.RewriteSystem, "_pair", both)
@@ -728,3 +732,99 @@ def test_integer_pairs_match_oracle_spoly(make, D, monkeypatch):
     monkeypatch.undo()
     assert ([str(r.poly) for r in rs.rules]
             == [str(r.poly) for r in complete(make(), D).rules])
+
+
+# ---- rules from integer terms against rules from monic polynomials ---------
+
+def integer_form(rule):
+    """code, scale and tail of a rule, with CycloInt values as coordinates."""
+    return rule.code, rule.scale, [
+        (*entry, x if type(x) is int else x.coords) for *entry, x in rule.tail]
+
+
+@pytest.mark.parametrize("make, D", [
+    (lambda: sklyanin(1), 10), (lambda: sklyanin(4), 9), (baseline_quadrics, 6),
+    (heisenberg_cone_cyclo3, 8),
+    (lambda: cyclic_relations(XYZ, Field(3), 1, -Field(3).zeta(), 2), 6),
+    (lambda: cyclic_relations(XYZ, Field(2), -3, 2, 5), 6),  # negative norm
+    (fractional, 7), (cyclo5, 5), (two_vertex_preprojective, 6),
+    (mixed_fields, 5)])
+def test_integer_rules_match_the_poly_rule_oracle(make, D, monkeypatch):
+    """Every rule the completion makes, retired ones too, equals the rule
+    built from the monic polynomial of its remainder: code, scale, tail
+    and the printed polynomial."""
+    integer_rule, made = rewrite.Rule, []
+
+    def both(terms, field, codes):
+        rule = integer_rule(terms, field, codes)
+        old = oracle_rule(codes.poly(field, terms), codes)
+        assert integer_form(rule) == integer_form(old)
+        assert rule.lead == old.lead and rule.field == old.poly.field
+        assert str(rule.poly) == str(old.poly)
+        made.append(rule)
+        return rule
+
+    monkeypatch.setattr(rewrite, "Rule", both)
+    rs = complete(make(), D)
+    assert set(rs.rules) <= set(made)
+    assert any(not rule.field.is_rational for rule in made) == (
+        not make().field.is_rational or make is mixed_fields)
+
+
+def test_rule_poly_is_built_on_first_read():
+    rs = complete(sklyanin(1), 6)
+    assert all(rule._poly is None for rule in rs.rules)
+    rule = rs.rules[0]
+    assert rule.poly is rule.poly and rule._poly is not None
+
+
+# ---- the memo of reducibility verdicts --------------------------------------
+
+def test_settling_in_steps_matches_a_fresh_completion():
+    """Relations fed one by one into one system, settled through each
+    degree and reduced against in between, as ``_minimal_generators``
+    does, reach the rules and normal forms of one fresh completion."""
+    for p, D in [(sklyanin(2), 7), (baseline_quadrics(), 6),
+                 (two_vertex_preprojective(), 6), (cyclo5(), 5)]:
+        probes = [*random_polys(p, D, count=12, seed=6), *ideal_members(p, D)]
+        rs = rewrite.RewriteSystem(Presentation(p.quiver, [], field=p.field), D)
+        for d, relation in enumerate(p.relations, start=2):
+            for f in probes:
+                rs.reduce(f)  # fills the memo under the current table
+            rs.pending.append(relation)
+            rs.settle(d)
+        rs.settle(D)
+        fresh = complete(p, D)
+        assert ([str(r.poly) for r in rs.rules]
+                == [str(r.poly) for r in fresh.rules])
+        for f in probes:
+            assert str(rs.reduce(f)) == str(fresh.reduce(f))
+
+
+def test_skip_lead_leaves_the_memo_unchanged():
+    rs = complete(sklyanin(3), 6)
+    polys = random_polys(sklyanin(3), 6, seed=7)
+    for f in polys:
+        rs.reduce(f)
+    memo = dict(rs.memo)
+    assert memo
+    for rule in rs.rules:
+        for f in polys:
+            skipped = rs.reduce(f, skip_lead=rule.lead)
+            assert str(skipped) == str(heap_reduce(rs, f, skip_lead=rule.lead))
+        assert rs.memo == memo
+    for f in polys:
+        assert str(rs.reduce(f)) == str(heap_reduce(rs, f))
+
+
+def test_a_new_rule_starts_the_memo_afresh():
+    q = loops("X", "Y")
+    xy, yx = NCPoly.word(q, ["X", "Y"]), NCPoly.word(q, ["Y", "X"])
+    rs = rewrite.RewriteSystem(Presentation(q, [], field=QQ), 4)
+    assert str(rs.reduce(xy)) == "X*Y"  # irreducible, and so remembered
+    assert rs.memo[rs.codes.code(xy.leading_word())] == ()
+    rs.pending.append(xy - yx)
+    rs.settle(4)
+    assert [str(r.lead) for r in rs.rules] == ["X*Y"]
+    assert str(rs.reduce(xy)) == "Y*X"
+    assert str(rs.reduce(xy * yx)) == "Y^2*X^2"
