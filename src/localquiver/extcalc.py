@@ -5,7 +5,9 @@ quiver.  Hom is the kernel of the coboundary map, and Ext^1 the arrow
 cocycles (Leibniz rule) modulo its image.  Both systems, like repvariety's
 Jacobian, are one block assembly on integer coordinates (``_block_rows``)
 ranked by ``linalg.layer_rank``.  Formal inverses of invertible arrows are
-eliminated from the cocycle unknowns by their unit relations.
+eliminated from the cocycle unknowns by their unit relations, and those
+unit relations add no cocycle rows: their derivatives vanish wherever x
+and y satisfy the relations, which every Ext and cocycle count assumes.
 
 Simplicity is certified by a density argument: a representation of total
 dimension n is simple exactly when the matrices of all paths span the full
@@ -17,6 +19,7 @@ certifies the factor list of a semisimple module, from which
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 from math import lcm
 from operator import add
@@ -194,7 +197,7 @@ def _block_rows(parts, blocks: dict, total: int, n_rows: int, n_cols: int,
     block sum over parts (p, L, R, c, den) of c * L delta(p) R / den: L and
     R are layers, c integer coordinates, and delta(p) the unknown block at
     ``blocks[p]`` = (offset, m, width), row-major among ``total`` columns.
-    A row is (its layers, the lcm of the dens)."""
+    A row is its layers over the lcm of the dens, which is dropped."""
     size = n_rows * n_cols * total
     acc = [[0] * size for _ in range(2 * field.degree - 1)]
     block_den = lcm(*[part[4] for part in parts])
@@ -220,13 +223,13 @@ def _block_rows(parts, blocks: dict, total: int, n_rows: int, n_cols: int,
                                     add, out[start:start + width],
                                     [lu * y for y in col])
     block = linalg.reduce_layers(acc, field.phi, size)
-    return [([x[e * total:(e + 1) * total] for x in block], block_den)
+    return [[x[e * total:(e + 1) * total] for x in block]
             for e in range(n_rows * n_cols)]
 
 
 def _hom_system(x: Representation, y: Representation):
     """The coboundary map phi -> (y_a phi_t - phi_h x_a)_a as
-    ``_leibniz_rows`` rows over the returned field.
+    ``_leibniz_rows`` rows over the returned field, and their denominator.
 
     The unknowns (columns) are the vertex blocks of phi, row-major in vertex
     order; the rows are the arrow entries, in arrow order and row-major.  Its
@@ -249,22 +252,22 @@ def _hom_system(x: Representation, y: Representation):
                  (h, linalg.identity_layers(ya[h], field), xl[a.name],
                   [-c for c in one], den)]
         rows += _block_rows(parts, blocks, total, ya[h], xa[t], field)
-    return rows, total, field
+    return rows, total, field, den
 
 
 def _coboundary_columns(x: Representation, y: Representation):
     """The columns of ``_hom_system(x, y)`` as layers over the returned
     field: its rows share one denominator, so its transposed layers are the
     columns times it, which ``Echelon.insert`` drops."""
-    rows, total, field = _hom_system(x, y)
-    return [[[layers[t][j] for layers, _ in rows] for t in range(field.degree)]
+    rows, total, field, _ = _hom_system(x, y)
+    return [[[layers[t][j] for layers in rows] for t in range(field.degree)]
             for j in range(total)], field
 
 
 def hom_dim(x: Representation, y: Representation) -> int:
     """Dimension of the space of intertwiners from x to y."""
-    rows, total, field = _hom_system(x, y)
-    return total - linalg.layer_rank([layers for layers, _ in rows], field)
+    rows, total, field, _ = _hom_system(x, y)
+    return total - linalg.layer_rank(rows, field)
 
 
 def _leibniz_rows(relations, quiver: Quiver, field: Field, ym, y_alpha: DimVector,
@@ -335,12 +338,23 @@ def _leibniz_rows(relations, quiver: Quiver, field: Field, ym, y_alpha: DimVecto
 
 def _cocycle_system(x: Representation, y: Representation):
     """Equations delta(r) = 0 over the primary arrow unknowns, as
-    ``_leibniz_rows`` rows over the returned field."""
-    field, pres, quiver = _common_field(x, y), x.presentation, x.quiver
-    # an eliminated inverse a of p has delta(a) = -y(a) delta(p) x(a)
+    ``_leibniz_rows`` rows over the returned field; x and y must satisfy
+    the relations.
+
+    An eliminated inverse h of g has delta(h) = -y(h) delta(g) x(h), so the
+    unit relations of the pair add no rows: delta(g*h - e) is
+    (I - y(gh)) delta(g) x(h) and delta(h*g - e) is y(h) delta(g) (I - x(hg)),
+    zero at valid x and y.  An involution's g*g - e is a unit relation by
+    shape, but g is primary and its rows are not zero.  The field is joined
+    with every relation's, the skipped ones too, so it does not depend on
+    which rows are built."""
+    pres, quiver = x.presentation, x.quiver
+    field = reduce(Field.join, [r.field for r in pres.relations], _common_field(x, y))
     substitutes = pres.eliminated_inverses()
     primary = [a.name for a in quiver.arrows if a.name not in substitutes]
-    rows, total, _, field = _leibniz_rows(pres.relations, quiver, field,
+    skipped = pres.eliminated_unit_relations()
+    relations = [r for k, r in enumerate(pres.relations) if k not in skipped]
+    rows, total, _, field = _leibniz_rows(relations, quiver, field,
                                           y.matrices, y.alpha, x.matrices, x.alpha,
                                           primary, substitutes)
     return rows, total, field
@@ -348,13 +362,16 @@ def _cocycle_system(x: Representation, y: Representation):
 
 def cocycle_dim(x: Representation, y: Representation) -> int:
     """Dimension of the space of arrow cocycles (first-order deformations
-    of the identity gluing, before dividing by inner derivations)."""
+    of the identity gluing, before dividing by inner derivations).  x and y
+    must satisfy the relations (``check_representation``): the unit
+    relations of eliminated inverse pairs add no rows."""
     rows, total, field = _cocycle_system(x, y)
-    return total - linalg.layer_rank([layers for layers, _ in rows], field)
+    return total - linalg.layer_rank(rows, field)
 
 
 def ext1_dim(x: Representation, y: Representation) -> int:
-    """dim Ext^1 between two representations, as cocycles mod coboundaries."""
+    """dim Ext^1 between two representations, as cocycles mod coboundaries;
+    x and y must satisfy the relations, as for ``cocycle_dim``."""
     return _ext1_dim(x, y, hom_dim(x, y))
 
 
@@ -413,12 +430,14 @@ def is_simple(rep: Representation) -> bool:
 def _spans_all(span, arrows, idempotents, n: int, product) -> bool:
     """Whether the idempotents times products of the arrow matrices span all
     n x n matrices: closed under product(arrow, m), each new m kept by
-    ``span.insert``."""
+    ``span.insert``.  No product is formed once the span holds n^2
+    matrices, also within a level."""
+    full = n * n
     frontier = [m for m in idempotents if span.insert(m)]
-    while frontier and len(span) < n * n:
-        prods = (product(a, m) for m in frontier for a in arrows)
+    while frontier and len(span) < full:
+        prods = (product(a, m) for m in frontier for a in arrows if len(span) < full)
         frontier = [m for m in prods if span.insert(m)]
-    return len(span) == n * n
+    return len(span) == full
 
 
 class SemisimpleModule:
@@ -435,13 +454,19 @@ class SemisimpleModule:
                 raise ValueError("multiplicities must be >= 1")
 
     def validate(self):
-        """Certify simplicity and pairwise distinctness of the factors.
+        """Certify that the factors are representations (they satisfy the
+        relations and invertibility constraints, ``check_representation``),
+        simple and pairwise distinct.
 
         Density certifies a factor simple, with End the scalars, so
         ``hom_dim(rep, rep)`` runs only to word a failure.  By Schur a
         nonzero map between simples is an isomorphism, so Hom(S_i, S_j) = 0
         exactly when Hom(S_j, S_i) = 0 and one order per pair is checked."""
         for k, (rep, _) in enumerate(self.factors):
+            check = check_representation(rep)
+            if not check:
+                raise ValueError(f"factor {k} is not a representation: "
+                                 + "; ".join(check.failures))
             if not is_simple(rep):
                 why = ("has endomorphisms" if hom_dim(rep, rep) > 1
                        else "fails the density check")
@@ -486,6 +511,8 @@ def local_quiver(m: SemisimpleModule, cone: Presentation | None = None,
     ``ext1_matrix[i][j]``.  The dimension vector records multiplicities.
     When a tangent-cone presentation over matching vertices is supplied, its
     minimal relation counts fill the lower bound for the second Ext matrix.
+    Raises ValueError unless ``m.validate()`` passes, so every factor
+    satisfies the relations that the Ext counts assume.
     """
     m.validate()
     k = len(m.factors)

@@ -41,7 +41,11 @@ The modular kernel is :class:`ModEchelon`, the same elimination on
 residues mod a prime p < 2^30 (Dumas, Giorgi and Pernet, ACM TOMS 35,
 2008).  ``certified_rank`` takes integer rows to it and returns their
 rank over the rationals only with a certificate, None otherwise, and then
-``layer_rank`` ranks them with ``Echelon``; ``extcalc.is_simple`` runs its
+``layer_rank`` ranks them with ``Echelon``.  Once the span mod p has
+corank 1, its one kernel vector k decides each later row by a dot product
+(a row is in the span mod p exactly when row . k = 0 mod p) and is the
+vector the exact check reads, so the certificate is the same as from
+inserting every row.  ``extcalc.is_simple`` runs its
 density closure through it, mod ``cyclotomic_prime(m)`` over Q(zeta_m).  Its
 rows are packed residues (Dumas, Fousse and Salvy, J. Symb. Comput. 46,
 2011), one int per row, so one elimination step is one bigint multiply-add.
@@ -578,11 +582,26 @@ def certified_rank(rows, width: int) -> int | None:
     denominators cleared, and checked on the integer rows: when all pass,
     they are width - r_p independent kernel vectors over the rationals, so
     the rank is r_p.  None means a reconstruction or a check failed.
+
+    At corank 1 (width - 1 rows kept, as Hom(S, S) at a simple S has by
+    Schur) the span mod p is the annihilator of its one kernel vector k, so
+    a row is in it exactly when row . k = 0 mod p.  From there k, taken
+    once, decides each later row by that dot product instead of an
+    elimination: a row with row . k = 0 is skipped, as ``insert`` would
+    have dropped it, and the first other one is inserted, which fills the
+    span.  The kept rows, and so r_p, are those of inserting every row, and
+    k is the vector that is reconstructed and checked on all rows.
     """
     rows = list(rows)
-    span = ModEchelon()
+    span, kernel = ModEchelon(), None
     for row in rows:
-        if len(span) == width:
+        if len(span) == width - 1:
+            if kernel is None:
+                free = min(set(range(width)) - set(span.leads))
+                kernel = span.kernel_vector(free, width)
+            if not sum(map(mul, row, kernel)) % _P:
+                continue
+        elif len(span) == width:
             break
         span.insert(row)
     if len(span) == min(len(rows), width):

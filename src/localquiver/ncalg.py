@@ -465,6 +465,13 @@ class Presentation:
             seen.update((g, h))
         return out
 
+    def eliminated_unit_relations(self) -> set[int]:
+        """Indices of the unit relations g*h - e and h*g - e of the pairs of
+        ``eliminated_inverses``; an involution's g*g - e is not one."""
+        pairs = {frozenset(pair) for pair in self.eliminated_inverses().items()}
+        return {k for k, r in enumerate(self.relations)
+                if frozenset(self._unit_relation_shape(r) or ()) in pairs}
+
     def __repr__(self):
         return (
             f"Presentation({len(self.quiver.vertices)} vertices, "

@@ -213,7 +213,7 @@ def tangent_space_dim(p: Presentation, m: Representation) -> int:
     rows, _, nonzero, field = _jacobian_system(point)
     if nonzero or _singular_invertibles(point):
         raise ValueError("tangent space requested at an invalid representation")
-    return rep_space_dim(p.quiver, m.alpha) - layer_rank([x for x, _ in rows], field)
+    return rep_space_dim(p.quiver, m.alpha) - layer_rank(rows, field)
 
 
 def orbit_dim(m: Representation) -> int:

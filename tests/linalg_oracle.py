@@ -17,8 +17,11 @@ coordinate layers that ``linalg.Echelon(field).insert`` takes.
 multiples of a cyclotomic row: from the dense layers of the unreduced row,
 each multiple reduced against every kept row.
 ``ModEchelon`` is the modular elimination that ``linalg.ModEchelon`` ran on
-lists of residues, one interpreter step per entry and reduction step.  The
-differential tests compare the package against them.
+lists of residues, one interpreter step per entry and reduction step.
+``certified_rank`` is ``linalg.certified_rank`` as it inserted every row
+into ``linalg.ModEchelon`` until the span was full, and took one kernel
+vector per free column only after the last row.  The differential tests
+compare the package against them.
 ``identity_matrix``, ``mat_add``, ``mat_scale``, ``mat_eq``,
 ``is_zero_matrix`` and ``scalar_multiple_of_identity`` are the
 :class:`FieldElem` matrix helpers that ``linalg`` exported while ``deform``
@@ -32,7 +35,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 from operator import add, mul
 
 from localquiver import linalg
@@ -403,3 +406,37 @@ class ModEchelon:
         for lead, tail in sorted(zip(self.leads, self.tails), reverse=True):
             vec[lead] = -sum(map(mul, tail[1:], vec[lead + 1:])) % _P
         return vec
+
+
+def certified_rank(rows, width: int) -> int | None:
+    """The rank over the rationals of integer rows of length width, or None.
+
+    The rank r_p mod p is a lower bound, since a minor that is nonzero mod
+    p is nonzero.  It is the rank when it equals min(len(rows), width), so
+    the rows left once it reaches width are not inserted.
+    Otherwise each kernel vector mod p (one per free column) is
+    rational-reconstructed within Wang's bound (Monagan, ISSAC 2004), its
+    denominators cleared, and checked on the integer rows: when all pass,
+    they are width - r_p independent kernel vectors over the rationals, so
+    the rank is r_p.  None means a reconstruction or a check failed.
+    """
+    rows = list(rows)
+    span = linalg.ModEchelon()
+    for row in rows:
+        if len(span) == width:
+            break
+        span.insert(row)
+    if len(span) == min(len(rows), width):
+        return len(span)
+    pivots = set(span.leads)
+    for free in range(width):
+        if free in pivots:
+            continue
+        fracs = [linalg._rational(u) for u in span.kernel_vector(free, width)]
+        if None in fracs:
+            return None
+        den = lcm(*[b for _, b in fracs])
+        vec = [a * (den // b) for a, b in fracs]
+        if any(sum(map(mul, row, vec)) for row in rows):
+            return None
+    return len(span)

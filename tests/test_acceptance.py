@@ -471,6 +471,27 @@ def test_criterion_15_free_algebra_scale_n15():
     _report("15 free algebra scale n=15", time.time() - start, 2.5)
 
 
+def test_criterion_18_free_algebra_scale_n20():
+    # criterion 15 at n=20: the 800 x 400 Hom system, of corank 1 by Schur,
+    # and the density check on 400-entry path matrices, so End = Q and
+    # dim Ext^1 = 401; the budget covers the package calls, not the draw
+    # through this file's oracle
+    n, rng = 20, random.Random(20)
+    while True:
+        mats = {a: [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
+                for a in ("X", "Y")}
+        if _spans_matrix_algebra_mod_p(list(mats.values())):
+            break
+    q = loops("X", "Y")
+    start = time.time()
+    rep = Representation(Presentation(q, [], flavor="graded"),
+                         DimVector(q, {"v": n}), mats)
+    assert is_simple(rep)
+    assert hom_dim(rep, rep) == 1
+    assert ext1_dim(rep, rep) == 2 * n * n - n * n + 1 == 401
+    _report("18 free algebra scale n=20", time.time() - start, 2.0)
+
+
 def test_criterion_11_heisenberg_tangent_scale():
     # the Heisenberg simple over cyclo:5 (X the cyclic shift, Y =
     # diag(zeta^k)): derived, dim T = dim Z^1 = n^2 - 1 + dim Ext^1 with

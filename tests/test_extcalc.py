@@ -259,6 +259,24 @@ def test_validate_words_each_failure(monkeypatch):
         SemisimpleModule([(brick, 1)]).validate()
 
 
+def test_validate_rejects_a_factor_off_the_relations():
+    """The cocycle system drops the unit-relation rows of eliminated inverse
+    pairs, which vanish only at points of the relations; a JSON factor whose
+    X_inv is not the inverse of X passes the density check, so validate
+    runs ``check_representation`` first."""
+    pres, rho = heisenberg_rho11()
+    flip = [["0", "1"], ["1", "0"]]
+    diag = [["zeta", "0"], ["0", "1"]]
+    bad = load_representation(pres, {
+        "alpha": {"v": 2}, "field": "cyclo:2",
+        "matrices": {"X": flip, "X_inv": [["0", "2"], ["2", "0"]],
+                     "Y": diag, "Y_inv": diag}}, name="bad")
+    assert is_simple(bad)
+    with pytest.raises(ValueError, match=r"factor 1 is not a representation: "
+                       r"relation 0 \(-e_v \+ X\*X_inv\) does not vanish"):
+        local_quiver(SemisimpleModule([(rho, 1), (bad, 1)]))
+
+
 def test_local_quiver_ext2_lower():
     pres, rho = heisenberg_rho11()
     # tangent-cone presentation over the factor vertex: the two cubics

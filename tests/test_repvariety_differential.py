@@ -1,5 +1,7 @@
 """The Jacobian of ``repvariety``, evaluated from path matrices, against the
-symbolic Jacobian kept in ``repvariety_oracle``, compared as strings; and
+symbolic Jacobian kept in ``repvariety_oracle``, compared as strings row by
+row up to one positive integer per relation (its rows drop their common
+denominator); and
 ``rep_ideal`` against the oracle's entry-by-entry expansion, byte for byte."""
 
 import json
@@ -86,6 +88,26 @@ def vanishing_relations(rng, q, point, count, max_len=3):
     return rng.sample(rels, min(count, len(rels)))
 
 
+def assert_rows_match_up_to_block_scale(layer_rows, rows, keys, field, total):
+    """Each Jacobian row, in layers with its denominator dropped, is the
+    oracle row times the lcm of its relation's denominators: one positive
+    integer per relation, the same for every row of that relation's block
+    (``keys`` are the oracle's (relation index, i, j) generator keys)."""
+    assert len(layer_rows) == len(rows) == len(keys)
+    scales = {}
+    for layers, row, (relation, _, _) in zip(layer_rows, rows, keys):
+        new = linalg.from_layers(layers, 1, field, 1, total)[0]
+        lead = next((j for j, x in enumerate(row) if not x.is_zero()), None)
+        if lead is None:
+            assert all(x.is_zero() for x in new)
+            continue
+        scale = new[lead] / row[lead]
+        assert not any(scale.coeffs[1:])
+        den = scales.setdefault(relation, scale.coeffs[0])
+        assert den == scale.coeffs[0] and den > 0 and den.denominator == 1
+        assert show([new]) == show([[scale * x for x in row]])
+
+
 def assert_matches_oracle(p, m):
     """Jacobian, rep ideal and (at a valid point) tangent dimension agree."""
     ideal = oracle.rep_ideal(p, m.alpha)
@@ -95,8 +117,8 @@ def assert_matches_oracle(p, m):
     point = Representation(p, m.alpha, m.matrices)
     rows = oracle.jacobian_rows(ideal, m)
     jacobian, total, _, field = _jacobian_system(point)
-    assert show(linalg.from_layers(layers, den, field, 1, total)[0]
-                for layers, den in jacobian) == show(rows)
+    keys = [key for key, _ in ideal.generators]
+    assert_rows_match_up_to_block_scale(jacobian, rows, keys, field, total)
     if check_representation(point):
         dim = rep_space_dim(p.quiver, m.alpha) - linalg.rank(rows)
         assert tangent_space_dim(p, m) == dim
