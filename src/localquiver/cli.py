@@ -156,7 +156,7 @@ def run_command(session: SessionFile, cmd: Command, options) -> dict:
     if cmd.name == "deform":
         fam = _lookup(session, "families", _arg_names(cmd, 1)[0])
         rels = deform.local_model_relations(fam)
-        cone = deform._tangent_cone(fam, rels)
+        cone = deform.tangent_cone(fam, rels)
         report["candidate"] = True
         report["truncation"] = fam.order
         report["local_model"] = [str(r) for r in rels]

@@ -16,8 +16,8 @@ moves as (1 + T_g) tensor its base matrix, and formal inverses follow by the
 geometric series.  The analytic covering hypothesis on a family cannot be
 checked symbolically; what is verified exactly is that the series start at
 the base point and that the first-order directions meet the orbit tangent
-space trivially, where the orbit tangent space is read from the coboundary
-map of ``extcalc`` (``_coboundary_columns`` at the base point).
+space trivially (``extcalc.transversal_to_orbit``, which reads it from the
+coboundary map at the base point).
 Results are therefore labeled a candidate local model.
 """
 
@@ -264,11 +264,7 @@ class FamilySpec:
         directions = [vec for vec in directions if any(map(any, vec))]
         if not directions:
             return  # constant family: nothing to check
-        columns, field = extcalc._coboundary_columns(self.base, self.base)
-        span = linalg.Echelon(field)  # coboundaries: the orbit's tangent space
-        for column in columns:
-            span.insert(column)
-        if not all(map(span.insert, directions)):
+        if not extcalc.transversal_to_orbit(self.base, directions):
             raise ValueError("family directions are not transversal to the "
                              "orbit at the base point")
 
@@ -358,10 +354,10 @@ def local_model_relations(fs: FamilySpec) -> list[NCPoly]:
 
 def tangent_cone_relations(fs: FamilySpec) -> GrIdealReport:
     """Associated-graded relations of the candidate local model at bound K."""
-    return _tangent_cone(fs, local_model_relations(fs))
+    return tangent_cone(fs, local_model_relations(fs))
 
 
-def _tangent_cone(fs: FamilySpec, rels: list[NCPoly]) -> GrIdealReport:
+def tangent_cone(fs: FamilySpec, rels: list[NCPoly]) -> GrIdealReport:
     """The tangent cone of fs from its local model relations ``rels``."""
     if not rels:
         nontrivial = any(w for s in fs.series.values() for w in s.layers)

@@ -2,12 +2,13 @@
 
 A representation assigns an exact matrix to every arrow of a presentation's
 quiver.  Hom is the kernel of the coboundary map, and Ext^1 the arrow
-cocycles (Leibniz rule) modulo its image.  Both systems, like repvariety's
-Jacobian, are one block assembly on integer coordinates (``_block_rows``)
-ranked by ``linalg.layer_rank``.  Formal inverses of invertible arrows are
-eliminated from the cocycle unknowns by their unit relations, and those
-unit relations add no cocycle rows: their derivatives vanish wherever x
-and y satisfy the relations, which every Ext and cocycle count assumes.
+cocycles (Leibniz rule) modulo its image; at x = y the cocycles are the
+tangent space of the representation scheme.  Both systems are one block
+assembly on integer coordinates (``_block_rows``) ranked by
+``linalg.layer_rank``.  Formal inverses of invertible arrows are eliminated
+from the cocycle unknowns by their unit relations, and those unit
+relations add no cocycle rows: their derivatives vanish wherever x and y
+satisfy the relations, which every Ext and cocycle count assumes.
 
 Simplicity is certified by a density argument: a representation of total
 dimension n is simple exactly when the matrices of all paths span the full
@@ -77,6 +78,12 @@ class Representation:
 
     def evaluate(self, poly: NCPoly):
         """The matrix of a single-vertex-pair polynomial at this point."""
+        value = self._value(poly)
+        return None if value is None else linalg.from_layers(*value)
+
+    def _value(self, poly: NCPoly):
+        """``evaluate`` in coordinates: (layers, den, field, rows, cols), the
+        arguments of ``linalg.from_layers``, or None for the zero polynomial."""
         pairs = poly.vertex_pairs()
         if len(pairs) > 1:
             raise ValueError("evaluation needs a single vertex-pair polynomial")
@@ -92,7 +99,7 @@ class Representation:
                                  word.head)[-1], cden * den ** len(word.arrows))
                  for k, word in enumerate(poly.terms)]
         value, vden = _weighted_sum(parts, alpha[head] * alpha[tail], field)
-        return linalg.from_layers(value, vden, field, alpha[head], alpha[tail])
+        return value, vden, field, alpha[head], alpha[tail]
 
     def __repr__(self):
         label = self.name or "rep"
@@ -151,11 +158,12 @@ class CheckResult:
 
 
 def check_representation(rep: Representation) -> CheckResult:
-    """Exact verification of all relations and invertibility constraints."""
+    """Exact verification of all relations and invertibility constraints;
+    a relation's value is tested on its integer coordinates."""
     failures = []
     for k, r in enumerate(rep.presentation.relations):
-        mat = rep.evaluate(r)
-        if mat is not None and not all(x.is_zero() for row in mat for x in row):
+        value = rep._value(r)
+        if value is not None and any(map(any, value[0])):
             failures.append(f"relation {k} ({r}) does not vanish")
     failures += _singular_invertibles(rep)
     return CheckResult(not failures, failures)
@@ -229,7 +237,7 @@ def _block_rows(parts, blocks: dict, total: int, n_rows: int, n_cols: int,
 
 def _hom_system(x: Representation, y: Representation):
     """The coboundary map phi -> (y_a phi_t - phi_h x_a)_a as
-    ``_leibniz_rows`` rows over the returned field, and their denominator.
+    ``_block_rows`` rows over the returned field, and their denominator.
 
     The unknowns (columns) are the vertex blocks of phi, row-major in vertex
     order; the rows are the arrow entries, in arrow order and row-major.  Its
@@ -255,13 +263,20 @@ def _hom_system(x: Representation, y: Representation):
     return rows, total, field, den
 
 
-def _coboundary_columns(x: Representation, y: Representation):
-    """The columns of ``_hom_system(x, y)`` as layers over the returned
-    field: its rows share one denominator, so its transposed layers are the
-    columns times it, which ``Echelon.insert`` drops."""
-    rows, total, field, _ = _hom_system(x, y)
-    return [[[layers[t][j] for layers in rows] for t in range(field.degree)]
-            for j in range(total)], field
+def transversal_to_orbit(x: Representation, vectors) -> bool:
+    """Whether the arrow-space vectors are linearly independent modulo the
+    coboundaries at x, the tangent space of its orbit.
+
+    A vector is layers over x's field of the arrow matrices, flattened arrow
+    by arrow and row-major, over any one denominator.  The coboundaries are
+    the columns of ``_hom_system(x, x)``: its rows share one denominator, so
+    its transposed layers are the columns times it, which ``Echelon.insert``
+    drops."""
+    rows, total, field, _ = _hom_system(x, x)
+    span = linalg.Echelon(field)
+    for j in range(total):
+        span.insert([[layers[t][j] for layers in rows] for t in range(field.degree)])
+    return all(map(span.insert, vectors))
 
 
 def hom_dim(x: Representation, y: Representation) -> int:
@@ -270,93 +285,70 @@ def hom_dim(x: Representation, y: Representation) -> int:
     return total - linalg.layer_rank(rows, field)
 
 
-def _leibniz_rows(relations, quiver: Quiver, field: Field, ym, y_alpha: DimVector,
-                  xm, x_alpha: DimVector, primary: list[str], substitutes: dict):
-    """Rows of the derivatives of the relations' matrix entries, one row per
-    relation and entry (i, j), in relation order and then row-major.
+def _cocycle_system(x: Representation, y: Representation):
+    """Equations delta(r) = 0 over the primary arrow unknowns, one row per
+    relation and entry (i, j), in relation order and then row-major, as
+    ``_block_rows`` rows over the returned field; x and y must satisfy the
+    relations.
 
     By the Leibniz rule, delta(a1...ak) is the sum over positions t of
     y(a1...a_t-1) delta(a_t) x(a_t+1...ak): a Kronecker block from the prefix
     products of the word at y and its suffix products at x.  The unknowns
-    are the entries of delta(a) for the arrows a in ``primary``, one block
-    per arrow in that order, each row-major of shape y_alpha[head] by
-    x_alpha[tail].  ``substitutes`` maps every other arrow a of a word to the
-    arrow p it is the formal inverse of: delta(a) = -y(a) delta(p) x(a), so
-    position t adds -y(a1...a_t) delta(p) x(a_t...ak).
-
-    Products are taken in coordinates over field joined with the relations'
-    field; each relation's parts go to ``_block_rows``.  Returns the rows,
-    the number of unknowns, the indices of the relations whose value at y
-    (the sum of the longest prefix products) is not zero, and the field.
-    """
-    for r in relations:
-        field = field.join(r.field)
+    are the entries of delta(a) for the primary arrows a, one block per
+    arrow in arrow order, each row-major of shape y.alpha[head] by
+    x.alpha[tail].  An eliminated inverse h of g has
+    delta(h) = -y(h) delta(g) x(h), so position t of h adds
+    -y(a1...a_t) delta(g) x(a_t...ak), and the unit relations of the pair add
+    no rows: delta(g*h - e) is (I - y(gh)) delta(g) x(h) and delta(h*g - e)
+    is y(h) delta(g) (I - x(hg)), zero at valid x and y.  An involution's
+    g*g - e is a unit relation by shape, but g is primary and its rows are
+    not zero.  The field is joined with every relation's, the skipped ones
+    too, so it does not depend on which rows are built."""
+    pres, quiver = x.presentation, x.quiver
+    field = reduce(Field.join, [r.field for r in pres.relations], _common_field(x, y))
+    substitutes = pres.eliminated_inverses()
+    skipped = pres.eliminated_unit_relations()
     blocks, total = {}, 0
-    for a in primary:
-        m, width = y_alpha[quiver.head(a)], x_alpha[quiver.tail(a)]
-        blocks[a] = (total, m, width)
-        total += m * width
-    yl, xl, den = _arrow_layers(field, ym, xm)
+    for a in quiver.arrows:
+        if a.name not in substitutes:
+            m, width = y.alpha[a.head], x.alpha[a.tail]
+            blocks[a.name] = (total, m, width)
+            total += m * width
+    yl, xl, den = _arrow_layers(field, y.matrices, x.matrices)
     d = field.degree
-    rows, nonzero = [], []
-    for k, r in enumerate(relations):
+    rows = []
+    for k, r in enumerate(pres.relations):
+        if k in skipped:
+            continue
         (rh, rt), = r.vertex_pairs()
-        n_rows, n_cols = y_alpha[rh], x_alpha[rt]
+        n_rows, n_cols = y.alpha[rh], x.alpha[rt]
         coeffs, cden = integer_coordinates(r.terms.values(), field)
-        ends, parts = [], []
+        parts = []
         for w, word in enumerate(r.terms):
             c, arrows = coeffs[w * d:(w + 1) * d], word.arrows
             # None marks a product through a 0-dim vertex
-            lefts = _path_products(yl, y_alpha, quiver, field, arrows, word.head)
-            ends.append((c, lefts[-1], cden * den ** len(arrows)))
+            lefts = _path_products(yl, y.alpha, quiver, field, arrows, word.head)
             rights = [None] * len(arrows)
             mat = linalg.identity_layers(n_cols, field) if n_cols else None
             rights.append(mat)
             for pos in range(len(arrows) - 1, -1, -1):
                 a = arrows[pos]
-                rows_a = x_alpha[quiver.head(a)]
+                rows_a = x.alpha[quiver.head(a)]
                 if mat is not None:
                     mat = linalg.layer_product(
-                        xl[a], mat, rows_a, x_alpha[quiver.tail(a)], n_cols,
+                        xl[a], mat, rows_a, x.alpha[quiver.tail(a)], n_cols,
                         field.phi) if rows_a else None
                 rights[pos] = mat
             for pos, a in enumerate(arrows):
                 if a in substitutes:
                     part = (substitutes[a], lefts[pos + 1], rights[pos],
-                            [-x for x in c], cden * den ** (len(arrows) + 1))
+                            [-u for u in c], cden * den ** (len(arrows) + 1))
                 else:
                     part = (a, lefts[pos], rights[pos + 1], c,
                             cden * den ** (len(arrows) - 1))
                 if part[1] is not None and part[2] is not None:
                     parts.append(part)
-        value, _ = _weighted_sum(ends, n_rows * n_cols, field)
-        if any(map(any, value)):
-            nonzero.append(k)
         rows += _block_rows(parts, blocks, total, n_rows, n_cols, field)
-    return rows, total, nonzero, field
-
-
-def _cocycle_system(x: Representation, y: Representation):
-    """Equations delta(r) = 0 over the primary arrow unknowns, as
-    ``_leibniz_rows`` rows over the returned field; x and y must satisfy
-    the relations.
-
-    An eliminated inverse h of g has delta(h) = -y(h) delta(g) x(h), so the
-    unit relations of the pair add no rows: delta(g*h - e) is
-    (I - y(gh)) delta(g) x(h) and delta(h*g - e) is y(h) delta(g) (I - x(hg)),
-    zero at valid x and y.  An involution's g*g - e is a unit relation by
-    shape, but g is primary and its rows are not zero.  The field is joined
-    with every relation's, the skipped ones too, so it does not depend on
-    which rows are built."""
-    pres, quiver = x.presentation, x.quiver
-    field = reduce(Field.join, [r.field for r in pres.relations], _common_field(x, y))
-    substitutes = pres.eliminated_inverses()
-    primary = [a.name for a in quiver.arrows if a.name not in substitutes]
-    skipped = pres.eliminated_unit_relations()
-    relations = [r for k, r in enumerate(pres.relations) if k not in skipped]
-    rows, total, _, field = _leibniz_rows(relations, quiver, field,
-                                          y.matrices, y.alpha, x.matrices, x.alpha,
-                                          primary, substitutes)
     return rows, total, field
 
 

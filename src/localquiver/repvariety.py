@@ -2,24 +2,23 @@
 
 Every arrow contributes a matrix of commuting variables; a path contributes
 the corresponding matrix-product entry polynomials, and a relation the
-entries of its evaluation (``rep_ideal``).  The tangent space at a
-representation is the kernel of the exact Jacobian of those generators.  It
-is evaluated from the arrow matrices (the derivative of a path is a sum of
-products of its prefix and suffix matrices), not from the symbolic
-generators, which serve as its test oracle.  Its assembly is that of
-extcalc's cocycle system, but with every arrow, inverse arrows included, as
-an unknown where the cocycles eliminate the inverses; the two counts of
-first-order deformations cross-check each other.
+entries of its evaluation (``rep_ideal``).  The tangent space at a point
+is the kernel of the exact Jacobian of those generators, which is the
+cocycle space Z^1(x, x) of extcalc's one cocycle assembly (``cocycle_dim``):
+the unit relations fix the derivative of each eliminated inverse.  The
+Jacobian itself, with every arrow as an unknown, is built only by the
+tests, from the arrow matrices and from the symbolic generators, as the
+oracles that the cocycle count is checked against.
 """
 
 from __future__ import annotations
 
-from .extcalc import (Representation, _leibniz_rows, _singular_invertibles,
+from .extcalc import (Representation, check_representation, cocycle_dim,
                       hom_dim)
 # rank stays bound here: perfbench/spans.py traces repvariety.rank
-from .linalg import layer_rank, rank  # noqa: F401
+from .linalg import rank  # noqa: F401
 from .ncalg import PathWord, Presentation
-from .quiver import DimVector, Quiver, gl_dim, rep_space_dim
+from .quiver import DimVector, Quiver, gl_dim
 from .scalars import Field, FieldElem, accumulate, signed_sum
 
 # A commutative variable is (arrow, row, col), rows and columns 1-based.
@@ -188,32 +187,20 @@ def rep_ideal(p: Presentation, alpha: DimVector) -> RepIdeal:
     return RepIdeal(p, alpha, gens)
 
 
-def _jacobian_system(point: Representation):
-    """``extcalc._leibniz_rows`` with every arrow as an unknown: the
-    Jacobian at point in coordinates, and the indices of the relations that
-    do not vanish there, from one Leibniz assembly."""
-    p, mats, alpha = point.presentation, point.matrices, point.alpha
-    return _leibniz_rows(p.relations, p.quiver, point.field, mats, alpha, mats,
-                         alpha, [a.name for a in p.quiver.arrows], {})
-
-
 def tangent_space_dim(p: Presentation, m: Representation) -> int:
     """Dimension of the scheme tangent space of p at the point m.
 
-    The ambient arrow-matrix space has dimension rep_space_dim; subtract the
-    exact rank of the Jacobian of all ideal generators at the point.  The
-    Jacobian is evaluated from the arrow matrices of m by the Leibniz rule
-    (prefix and suffix products of every relation word); the symbolic
-    differentiation of the ``rep_ideal`` generators is its test oracle.
-    Raises ValueError unless m satisfies p's relations, read from the
-    longest prefix products of the same assembly, and its invertibility
-    constraints.
+    It is dim Z^1(m, m) (``cocycle_dim`` at the point over p): a tangent
+    vector moves every arrow, and at a valid point the unit relations of an
+    eliminated inverse h of g fix delta(h) = -m(h) delta(g) m(h), so the
+    kernel of the Jacobian of all ``rep_ideal`` generators is the cocycle
+    space on the primary arrows.  Raises ValueError unless m satisfies p's
+    relations and invertibility constraints (``check_representation``).
     """
     point = Representation(p, m.alpha, m.matrices)
-    rows, _, nonzero, field = _jacobian_system(point)
-    if nonzero or _singular_invertibles(point):
+    if not check_representation(point):
         raise ValueError("tangent space requested at an invalid representation")
-    return rep_space_dim(p.quiver, m.alpha) - layer_rank(rows, field)
+    return cocycle_dim(point, point)
 
 
 def orbit_dim(m: Representation) -> int:

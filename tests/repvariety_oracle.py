@@ -1,20 +1,27 @@
-"""The previous symbolic Jacobian of ``localquiver.repvariety``.
+"""Earlier forms of the tangent space of ``localquiver.repvariety``, kept
+as test oracles only; the package counts it as the cocycles Z^1(x, x).
 
-Kept as a test oracle only: ``rep_ideal`` expands every generator with one
-``path_function`` call per matrix entry, each rebuilding the symbolic row of
-its path; ``jacobian_rows`` differentiates every generator in every variable
-and evaluates the derivative at the point.  None of it shares code with the cocycle assembly of
-``extcalc``, so the differential tests compare the package's Jacobian,
-evaluated from path matrices, against an independent route.
+``jacobian_system`` is the Jacobian with every arrow, inverse arrows
+included, as an unknown, built by the Leibniz assembly of
+``extcalc_oracle.leibniz_rows`` from the arrow matrices, and
+``tangent_space_dim`` is the tangent count that ranked it.  The symbolic
+route shares no code with either: ``rep_ideal`` expands every generator
+with one ``path_function`` call per matrix entry, each rebuilding the
+symbolic row of its path, and ``jacobian_rows`` differentiates every
+generator in every variable and evaluates the derivative at the point.
+The differential tests compare the package against both.
 """
 
 from __future__ import annotations
 
-from localquiver.extcalc import Representation
+from localquiver.extcalc import Representation, _singular_invertibles
+from localquiver.linalg import layer_rank
 from localquiver.ncalg import PathWord, Presentation
-from localquiver.quiver import DimVector, Quiver
+from localquiver.quiver import DimVector, Quiver, rep_space_dim
 from localquiver.repvariety import CommPoly, RepIdeal, Var
 from localquiver.scalars import Field, FieldElem, accumulate
+
+from extcalc_oracle import leibniz_rows
 
 
 def differentiate(poly: CommPoly, v: Var) -> CommPoly:
@@ -108,3 +115,24 @@ def jacobian_rows(ideal: RepIdeal, m: Representation) -> list[list[FieldElem]]:
     return [[evaluate(differentiate(gen, v), point) for v in variables]
             for _, gen in ideal.generators]
 
+
+
+def jacobian_system(point: Representation):
+    """``leibniz_rows`` with every arrow as an unknown: the Jacobian at
+    point in coordinates, and the indices of the relations that do not
+    vanish there, from one Leibniz assembly."""
+    p, mats, alpha = point.presentation, point.matrices, point.alpha
+    return leibniz_rows(p.relations, p.quiver, point.field, mats, alpha, mats,
+                        alpha, [a.name for a in p.quiver.arrows], {})
+
+
+def tangent_space_dim(p: Presentation, m: Representation) -> int:
+    """rep_space_dim minus the rank of ``jacobian_system`` at the point;
+    ValueError unless every relation vanishes there, read from the longest
+    prefix products of the same assembly, and no invertible arrow is
+    singular."""
+    point = Representation(p, m.alpha, m.matrices)
+    rows, _, nonzero, field = jacobian_system(point)
+    if nonzero or _singular_invertibles(point):
+        raise ValueError("tangent space requested at an invalid representation")
+    return rep_space_dim(p.quiver, m.alpha) - layer_rank(rows, field)

@@ -13,6 +13,7 @@ import pathlib
 import random
 import time
 from fractions import Fraction
+from operator import mul
 
 from localquiver import linalg
 from localquiver.cli import run
@@ -384,18 +385,20 @@ def _spans_matrix_algebra_mod_p(mats, p=1_000_003):
     M_n over the rationals, so True certifies absolute simplicity.
     """
     n = len(mats[0])
-    basis = {}  # lead -> row with a leading 1, zero before its lead
+    basis = {}  # lead -> row with a leading 1, stored from its lead on
 
     def insert(mat):
-        vec = [x % p for row in mat for x in row]
+        # entries are reduced mod p only where they are read: at the lead
+        # and when a row is kept
+        vec = [x for row in mat for x in row]
         for k in range(n * n):
-            if vec[k]:
+            c = vec[k] % p
+            if c:
                 if k not in basis:
-                    inv = pow(vec[k], -1, p)
-                    basis[k] = [x * inv % p for x in vec]
+                    inv = pow(c, -1, p)
+                    basis[k] = [x * inv % p for x in vec[k:]]
                     return True
-                c = vec[k]
-                vec = [(x - c * y) % p for x, y in zip(vec, basis[k])]
+                vec[k:] = [x - c * y for x, y in zip(vec[k:], basis[k])]
         return False
 
     frontier = [[[int(i == j) for j in range(n)] for i in range(n)]]
@@ -403,9 +406,9 @@ def _spans_matrix_algebra_mod_p(mats, p=1_000_003):
     while frontier and len(basis) < n * n:
         nxt = []
         for m in frontier:
+            cols = list(zip(*m))
             for a in mats:
-                prod = [[sum(a[i][k] * m[k][j] for k in range(n)) % p
-                         for j in range(n)] for i in range(n)]
+                prod = [[sum(map(mul, row, col)) % p for col in cols] for row in a]
                 if insert(prod):
                     nxt.append(prod)
         frontier = nxt

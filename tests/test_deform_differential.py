@@ -1,8 +1,9 @@
 """The series product, the inverse series and the transversality check of
-``deform`` against the previous paths kept in ``deform_oracle``; the
-columns of ``extcalc._hom_system`` and ``extcalc._coboundary_columns``
-against coboundaries computed here; and the number of relation expansions
-of the CLI ``deform`` command."""
+``deform`` against the previous paths kept in ``deform_oracle``;
+``extcalc.transversal_to_orbit`` against the coboundary columns and
+``Echelon`` of ``extcalc_oracle``; the columns of ``extcalc._hom_system``
+and ``extcalc_oracle.coboundary_columns`` against coboundaries computed
+here; and the number of relation expansions of the CLI ``deform`` command."""
 
 import itertools
 import pathlib
@@ -23,6 +24,7 @@ from localquiver.quiver import DimVector, Quiver
 from localquiver.scalars import QQ, Field
 
 import deform_oracle as oracle
+import extcalc_oracle
 from linalg_oracle import mat_add, mat_scale
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -316,6 +318,44 @@ def test_transversality_matches_the_oracle():
     assert seen == {True, False}
 
 
+def assert_transversal_matches_the_oracle(x, vectors):
+    """Both verdicts on the FieldElem vectors, in layers over one
+    denominator; returns the verdict."""
+    layers, _ = linalg.to_layers([[v] for v in vectors], x.field)
+    expected = extcalc_oracle.transversal(x, layers)
+    assert extcalc.transversal_to_orbit(x, layers) == expected
+    return expected
+
+
+def test_transversal_to_orbit_matches_the_oracle():
+    # directions inside B^1 (the coboundary of a random phi), outside it and
+    # mixed, flattened arrow by arrow and row-major
+    rng = random.Random(13)
+    seen = set()
+    for rho in [heisenberg_simple(m) for m in (2, 3, 4)] + \
+            [surface_character(rng, g) for g in (1, 2)]:
+        for directions in direction_sets(rng, rho) + [[]]:
+            seen.add(assert_transversal_matches_the_oracle(
+                rho, [[x for a in rho.quiver.arrows for row in d[a.name] for x in row]
+                      for d in directions]))
+    pres = two_vertex_presentation()
+    for label, dims in itertools.product(["q", "cyclo:3"],
+                                         [{"u": 2, "w": 1}, {"u": 1, "w": 0}]):
+        field = Field.from_label(label)
+        x = random_rep(rng, pres, dims, field)
+        columns = coboundaries(x, x, field)
+        width = sum(x.alpha[a.head] * x.alpha[a.tail] for a in pres.quiver.arrows)
+        for _ in range(4):
+            inside = [sum((scalar(rng, field) * c for c in col), field.zero())
+                      for col in zip(*columns)]
+            outside = [scalar(rng, field) for _ in range(width)]
+            for vectors in ([inside], [outside], [outside, inside],
+                            [[u + v for u, v in zip(outside, inside)]],
+                            [outside, [u * 2 for u in outside]]):
+                seen.add(assert_transversal_matches_the_oracle(x, vectors))
+    assert seen == {True, False}
+
+
 def two_vertex_presentation():
     q = Quiver(["u", "w"], [("a", "w", "u"), ("b", "u", "w"),
                             ("c", "u", "u"), ("d", "w", "u")])
@@ -388,7 +428,7 @@ def test_hom_system_columns_are_the_coboundaries(label, dims_x, dims_y):
         r = linalg.rank(columns)
         assert r == linalg.rank(expected) == linalg.rank(columns + expected)
         # the transposed layers are the columns times the rows' one denominator
-        layer_columns, col_field = extcalc._coboundary_columns(x, y)
+        layer_columns, col_field = extcalc_oracle.coboundary_columns(x, y)
         assert col_field == hom_field and len(layer_columns) == total
         scale = hom_field.from_rational(den)
         assert [linalg.from_layers(layers, 1, hom_field, 1, len(rows))[0]

@@ -1,7 +1,9 @@
 """No dead exports: every public module-level function of ``localquiver``
 is exported by the package, used in it (by another module or its own), or
 traced by the benchmark harness (a ``perfbench/spans.py`` ``TARGETS``
-binding).  A helper that only tests call belongs in a ``tests/`` oracle."""
+binding).  A helper that only tests call belongs in a ``tests/`` oracle.
+And no private reads: no module imports or reads a ``_``-prefixed name of
+another module of the package."""
 
 import ast
 import importlib.util
@@ -49,3 +51,31 @@ def test_every_public_function_is_exported_used_or_traced():
             and node.name not in localquiver.__all__ and node.name not in used
             and (module, node.name) not in kept]
     assert not dead, f"public functions nobody exports, calls or traces: {dead}"
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reads(tree: ast.Module) -> list[str]:
+    """``from .m import _x``, and ``m._x`` for a sibling module m bound by
+    ``from . import m``."""
+    siblings, out = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                siblings.update(alias.asname or alias.name for alias in node.names)
+            else:
+                out += [f"from .{node.module} import {alias.name}"
+                        for alias in node.names if is_private(alias.name)]
+    out += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in siblings and is_private(node.attr)]
+    return out
+
+
+def test_no_module_reads_another_modules_private_names():
+    reads = {path.stem: private_reads(ast.parse(path.read_text()))
+             for path in SRC.glob("*.py")}
+    reads = {module: found for module, found in reads.items() if found}
+    assert not reads, f"private names read across modules: {reads}"

@@ -20,6 +20,7 @@ from localquiver.quiver import DimVector, Quiver
 from localquiver.scalars import QQ, Field
 
 import linalg_oracle as oracle
+import repvariety_oracle
 from test_acceptance import conjugated_heisenberg
 
 # cyclo:2 has degree 1 (the golden session's field); at cyclo:7 the degree
@@ -629,6 +630,7 @@ def test_cyclotomic_ranks_build_no_field_elem_matrices(monkeypatch):
     assert extcalc.is_simple(rho)
     assert extcalc.cocycle_dim(rho, rho) == 26
     # the invertibility check ranks the arrow matrices through linalg.rank
+    assert extcalc.check_representation(rho)
     assert repvariety.tangent_space_dim(rho.presentation, rho) == 26
     monkeypatch.setattr(linalg, "rank", forbidden)
     monkeypatch.setattr(linalg, "_layer_rows", forbidden)
@@ -791,7 +793,7 @@ def test_sparse_rank_nullspace_solve_invert_match_the_dense_kernel(field):
 def test_heisenberg_systems_match_the_dense_kernel():
     # the Kronecker-block Hom, cocycle and Jacobian rows of the workloads
     rho = heisenberg_simple()
-    jacobian, _, _, field = repvariety._jacobian_system(rho)
+    jacobian, _, _, field = repvariety_oracle.jacobian_system(rho)
     for rows in (extcalc._hom_system(rho, rho)[0], extcalc._cocycle_system(rho, rho)[0],
                  jacobian):
         kernel, dense = linalg.Echelon(field), oracle.DenseEchelon(field)
@@ -896,7 +898,7 @@ def test_conjugated_heisenberg_systems_match_the_unreduced_row(m):
     # the Hom, cocycle and Jacobian rows at the conjugated simple, whose
     # Z[zeta] coordinates are dense (Phi_4 = x^2 + 1 has a zero coefficient)
     pres, rho = conjugated_heisenberg(m)
-    jacobian, _, _, field = repvariety._jacobian_system(rho)
+    jacobian, _, _, field = repvariety_oracle.jacobian_system(rho)
     for rows in (extcalc._hom_system(rho, rho)[0], extcalc._cocycle_system(rho, rho)[0],
                  jacobian):
         kernel, old = linalg.Echelon(field), oracle.UnreducedZetaEchelon(field)

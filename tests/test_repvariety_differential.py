@@ -1,11 +1,16 @@
-"""The Jacobian of ``repvariety``, evaluated from path matrices, against the
-symbolic Jacobian kept in ``repvariety_oracle``, compared as strings row by
-row up to one positive integer per relation (its rows drop their common
-denominator); and
-``rep_ideal`` against the oracle's entry-by-entry expansion, byte for byte."""
+"""``tangent_space_dim``, the cocycle count Z^1(x, x), against the ranks of
+the all-arrows Jacobian kept in ``repvariety_oracle``, both the one
+evaluated from path matrices and the symbolic one, at every tangent input
+of the tests and at valid and invalid Heisenberg points (an invalid point
+raises the same error), with ``check_representation`` against the check on
+evaluated matrices kept in ``extcalc_oracle``; the two Jacobians compared
+as strings row by row up to one positive integer per relation (its rows
+drop their common denominator); and ``rep_ideal`` against the oracle's
+entry-by-entry expansion, byte for byte."""
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,10 +20,15 @@ from localquiver.extcalc import Representation, check_representation
 from localquiver.ncalg import (NCPoly, Presentation, heisenberg_presentation,
                                surface_group_presentation)
 from localquiver.quiver import DimVector, Quiver, rep_space_dim
-from localquiver.repvariety import _jacobian_system, rep_ideal, tangent_space_dim
+from localquiver.repvariety import rep_ideal, tangent_space_dim
 from localquiver.scalars import QQ, Field
 
+import extcalc_oracle
 import repvariety_oracle as oracle
+import test_acceptance
+import test_repvariety
+
+INVALID = "tangent space requested at an invalid representation"
 
 
 def show(rows):
@@ -108,23 +118,52 @@ def assert_rows_match_up_to_block_scale(layer_rows, rows, keys, field, total):
         assert show([new]) == show([[scale * x for x in row]])
 
 
+def assert_tangent_matches_jacobian(p, m):
+    """``tangent_space_dim(p, m)`` against rep_space_dim minus the rank of
+    the all-arrows Jacobian (``oracle.tangent_space_dim``): the same int, or
+    the same ValueError, raised again; and ``check_representation`` at the
+    point against the check on evaluated matrices."""
+    point = Representation(p, m.alpha, m.matrices)
+    assert check_representation(point).failures == \
+        extcalc_oracle.check_representation(point).failures
+    try:
+        expected = oracle.tangent_space_dim(p, m)
+    except ValueError as exc:
+        assert str(exc) == INVALID
+        with pytest.raises(ValueError, match=f"^{INVALID}$"):
+            tangent_space_dim(p, m)
+        raise
+    assert tangent_space_dim(p, m) == expected
+    return expected
+
+
+def checked_tangent_space_dim(p, m):
+    """``assert_tangent_matches_jacobian``, and at a valid point also the
+    rank count of the symbolic Jacobian."""
+    dim = assert_tangent_matches_jacobian(p, m)
+    rows = oracle.jacobian_rows(oracle.rep_ideal(p, m.alpha), m)
+    assert dim == rep_space_dim(p.quiver, m.alpha) - linalg.rank(rows)
+    return dim
+
+
 def assert_matches_oracle(p, m):
-    """Jacobian, rep ideal and (at a valid point) tangent dimension agree."""
+    """Jacobian, rep ideal and tangent dimension (or, at an invalid point,
+    its error) agree."""
     ideal = oracle.rep_ideal(p, m.alpha)
     new = rep_ideal(p, m.alpha)
     assert json.dumps(new.to_json()) == json.dumps(ideal.to_json())
     assert new.to_text() == ideal.to_text()
     point = Representation(p, m.alpha, m.matrices)
     rows = oracle.jacobian_rows(ideal, m)
-    jacobian, total, _, field = _jacobian_system(point)
+    jacobian, total, _, field = oracle.jacobian_system(point)
     keys = [key for key, _ in ideal.generators]
     assert_rows_match_up_to_block_scale(jacobian, rows, keys, field, total)
     if check_representation(point):
         dim = rep_space_dim(p.quiver, m.alpha) - linalg.rank(rows)
-        assert tangent_space_dim(p, m) == dim
+        assert assert_tangent_matches_jacobian(p, m) == dim
         return True
     with pytest.raises(ValueError):
-        tangent_space_dim(p, m)
+        assert_tangent_matches_jacobian(p, m)
     return False
 
 
@@ -219,3 +258,46 @@ def test_jacobian_matches_oracle_on_heisenberg_simples(order, conjugate):
     pres, rho = heisenberg_simple(order, conjugate)
     assert assert_matches_oracle(pres, rho)
     assert tangent_space_dim(pres, rho) == order * order + 1
+
+
+@pytest.mark.parametrize("test", [
+    test_repvariety.test_tangent_space_dim_examples,
+    test_repvariety.test_tangent_space_dim_checks_the_point_against_its_argument,
+    test_repvariety.test_tangent_matches_cocycles_on_named_cases,
+    test_repvariety.test_tangent_matches_cocycles_rectangular,
+    test_acceptance.test_criterion_5_ext_vs_jacobian,
+], ids=lambda test: test.__name__)
+def test_tangent_inputs_of_the_tests_match_the_jacobian(test, monkeypatch):
+    # every tangent_space_dim call of these tests, valid point or not
+    points = []
+
+    def checked(p, m):
+        points.append(m)
+        return checked_tangent_space_dim(p, m)
+
+    monkeypatch.setattr(sys.modules[test.__module__], "tangent_space_dim", checked)
+    test()
+    assert points
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 7])
+def test_tangent_and_check_match_the_oracles_at_heisenberg_points(m):
+    # the conjugated simples of criterion 16 and the linalg differential
+    # tests, and three invalid points near each
+    pres, rho = test_acceptance.conjugated_heisenberg(m)
+    assert assert_tangent_matches_jacobian(pres, rho) == m * m + 1
+    field, mats = rho.field, rho.matrices
+    bumped = [list(row) for row in mats["X"]]
+    bumped[0][1] = bumped[0][1] + field.zeta()
+    variants = [  # (matrices, a failure that the check must report)
+        (dict(mats, X=bumped), "relation 0 "),
+        (dict(mats, X_inv=[[x * 2 for x in row] for row in mats["X_inv"]]),
+         "relation 1 "),
+        (dict(mats, Y=[[field.zero()] * m for _ in range(m)]),
+         "invertible arrow Y has a singular matrix"),
+    ]
+    for matrices, reason in variants:
+        point = Representation(pres, rho.alpha, matrices, field=field)
+        assert any(f.startswith(reason) for f in check_representation(point).failures)
+        with pytest.raises(ValueError):
+            assert_tangent_matches_jacobian(pres, point)
