@@ -3,9 +3,10 @@
 A representation assigns an exact matrix to every arrow of a presentation's
 quiver.  Hom is the kernel of the coboundary map, and Ext^1 the arrow
 cocycles (Leibniz rule) modulo its image; at x = y the cocycles are the
-tangent space of the representation scheme.  Both systems are one block
-assembly on integer coordinates (``_block_rows``) ranked by
-``linalg.layer_rank``.  Formal inverses of invertible arrows are eliminated
+tangent space of the representation scheme.  Both systems are integer
+rows ranked by ``linalg.layer_rank``: the coboundary rows copy the arrow
+layers entry by entry, and the cocycle rows are a Leibniz block assembly
+(``_block_rows``).  Formal inverses of invertible arrows are eliminated
 from the cocycle unknowns by their unit relations, and those unit
 relations add no cocycle rows: their derivatives vanish wherever x and y
 satisfy the relations, which every Ext and cocycle count assumes.
@@ -21,9 +22,9 @@ certifies the factor list of a semisimple module, from which
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations
+from itertools import accumulate, combinations, product
 from math import lcm
-from operator import add
+from operator import add, sub
 from typing import Iterable
 
 from . import linalg
@@ -78,12 +79,14 @@ class Representation:
 
     def evaluate(self, poly: NCPoly):
         """The matrix of a single-vertex-pair polynomial at this point."""
-        value = self._value(poly)
+        value = self._value(poly, {})
         return None if value is None else linalg.from_layers(*value)
 
-    def _value(self, poly: NCPoly):
+    def _value(self, poly: NCPoly, converted: dict):
         """``evaluate`` in coordinates: (layers, den, field, rows, cols), the
-        arguments of ``linalg.from_layers``, or None for the zero polynomial."""
+        arguments of ``linalg.from_layers``, or None for the zero polynomial.
+        The arrow layers over the joined field are read from ``converted``,
+        keyed by field, and put there when missing."""
         pairs = poly.vertex_pairs()
         if len(pairs) > 1:
             raise ValueError("evaluation needs a single vertex-pair polynomial")
@@ -91,8 +94,9 @@ class Representation:
             return None
         (head, tail), = pairs
         field, alpha = self.field.join(poly.field), self.alpha
-        mats, den = linalg.to_layers(self.matrices.values(), field)
-        layers = dict(zip(self.matrices, mats))
+        if field not in converted:
+            converted[field] = _arrow_layers(field, self.matrices, self.matrices)[1:]
+        layers, den = converted[field]
         coeffs, cden = integer_coordinates(poly.terms.values(), field)
         parts = [(coeffs[k * field.degree:(k + 1) * field.degree],
                   _path_products(layers, alpha, self.quiver, field, word.arrows,
@@ -160,9 +164,9 @@ class CheckResult:
 def check_representation(rep: Representation) -> CheckResult:
     """Exact verification of all relations and invertibility constraints;
     a relation's value is tested on its integer coordinates."""
-    failures = []
+    failures, converted = [], {}
     for k, r in enumerate(rep.presentation.relations):
-        value = rep._value(r)
+        value = rep._value(r, converted)
         if value is not None and any(map(any, value[0])):
             failures.append(f"relation {k} ({r}) does not vanish")
     failures += _singular_invertibles(rep)
@@ -236,30 +240,32 @@ def _block_rows(parts, blocks: dict, total: int, n_rows: int, n_cols: int,
 
 
 def _hom_system(x: Representation, y: Representation):
-    """The coboundary map phi -> (y_a phi_t - phi_h x_a)_a as
-    ``_block_rows`` rows over the returned field, and their denominator.
+    """The coboundary map phi -> (y_a phi_t - phi_h x_a)_a as rows over the
+    returned field, in the format of ``_block_rows``, and their denominator,
+    that of the arrow layers.
 
     The unknowns (columns) are the vertex blocks of phi, row-major in vertex
     order; the rows are the arrow entries, in arrow order and row-major.  Its
     kernel is Hom(x, y), and at x = y its columns span the coboundaries, the
-    tangent space of the orbit of x.  Arrow a: t -> h has the block parts
-    (phi_t, y_a, I, 1) and (phi_h, I, x_a, -1), both over the denominator
-    of the arrow layers, so every row has that one denominator."""
+    tangent space of the orbit of x.  In layer s, row (i, j) of arrow a:
+    t -> h has y_a[i, k] at phi_t's column (k, j) and -x_a[k, j] at phi_h's
+    column (i, k), summed where the two blocks meet (a loop, k = i, j)."""
     field = _common_field(x, y)
     quiver, xa, ya = x.quiver, x.alpha, y.alpha
-    blocks, total = {}, 0
-    for v in quiver.vertices:
-        blocks[v] = (total, ya[v], xa[v])
-        total += xa[v] * ya[v]
+    sizes = [xa[v] * ya[v] for v in quiver.vertices]
+    offsets = dict(zip(quiver.vertices, accumulate(sizes, initial=0)))
+    total = sum(sizes)
     yl, xl, den = _arrow_layers(field, y.matrices, x.matrices)
-    one = [1] + [0] * (field.degree - 1)
     rows = []
     for a in quiver.arrows:
-        h, t = a.head, a.tail
-        parts = [(t, yl[a.name], linalg.identity_layers(xa[t], field), one, den),
-                 (h, linalg.identity_layers(ya[h], field), xl[a.name],
-                  [-c for c in one], den)]
-        rows += _block_rows(parts, blocks, total, ya[h], xa[t], field)
+        m, n, k = ya[a.tail], xa[a.tail], xa[a.head]
+        ot, layers = offsets[a.tail], list(zip(yl[a.name], xl[a.name]))
+        for i, j in product(range(ya[a.head]), range(n)):
+            oh, row = offsets[a.head] + i * k, [[0] * total for _ in layers]
+            for layer, (ys, xs) in zip(row, layers):
+                layer[ot + j:ot + m * n:n] = ys[i * m:(i + 1) * m]
+                layer[oh:oh + k] = map(sub, layer[oh:oh + k], xs[j::n])
+            rows.append(row)
     return rows, total, field, den
 
 
@@ -508,22 +514,15 @@ def local_quiver(m: SemisimpleModule, cone: Presentation | None = None,
     """
     m.validate()
     k = len(m.factors)
-    names = []
-    for idx, (rep, _) in enumerate(m.factors):
-        names.append(rep.name if rep.name else f"S{idx + 1}")
+    names = [rep.name or f"S{idx + 1}" for idx, (rep, _) in enumerate(m.factors)]
     if len(set(names)) != k:
         names = [f"S{idx + 1}" for idx in range(k)]
     # validate has certified hom(S_i, S_j) = [i = j]
     ext1 = [[_ext1_dim(m.factors[i][0], m.factors[j][0], int(i == j))
              for j in range(k)] for i in range(k)]
-    arrows = []
-    for i in range(k):
-        for j in range(k):
-            for t in range(ext1[i][j]):
-                if k == 1:
-                    arrows.append((f"T{t + 1}", names[i], names[j]))
-                else:
-                    arrows.append((f"T{j + 1}_{i + 1}_{t + 1}", names[i], names[j]))
+    arrows = [(f"T{t + 1}" if k == 1 else f"T{j + 1}_{i + 1}_{t + 1}",
+               names[i], names[j])
+              for i in range(k) for j in range(k) for t in range(ext1[i][j])]
     quiver = Quiver(names, arrows)
     alpha = DimVector(quiver, {names[i]: m.factors[i][1] for i in range(k)})
     ext2 = None

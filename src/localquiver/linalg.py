@@ -17,8 +17,7 @@ are therefore sound, which the tangent-space and Ext computations rely on.
 ``Echelon`` works on ints for every field.  A row enters elimination as its
 integer coordinates in Z[zeta]: d = field.degree int layers, with any common
 denominator dropped (``Echelon.insert``), from ``to_layers`` or from the
-producers in extcalc (the Hom, cocycle and Jacobian systems, the density
-check).
+producers in extcalc (the Hom and cocycle systems, the density check).
 Kept rows are primitive integer vectors over the rationals, held sparse as
 maps from column to nonzero int, whose span is the coordinate form of the
 span over the field (restriction of scalars); the reduced form is made dense

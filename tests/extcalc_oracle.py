@@ -10,8 +10,10 @@ the slice of its rows that each relation owns, and ``cocycle_dim`` and
 ``ext1_dim`` rank it.  ``check_representation`` tests each relation's value
 as a matrix of field elements (``Representation.evaluate``), and
 ``transversal`` inserts the coboundary columns (``coboundary_columns``) and
-then the vectors into one ``Echelon``.  The differential tests compare the
-package against them.
+then the vectors into one ``Echelon``.  ``hom_system`` is
+``extcalc._hom_system`` when it assembled d^0 as ``_block_rows`` Kronecker
+blocks, (phi_t, y_a, I, 1) and (phi_h, I, x_a, -1) per arrow.  The
+differential tests compare the package against them.
 """
 
 from __future__ import annotations
@@ -134,6 +136,34 @@ def check_representation(rep) -> extcalc.CheckResult:
             failures.append(f"relation {k} ({r}) does not vanish")
     failures += extcalc._singular_invertibles(rep)
     return extcalc.CheckResult(not failures, failures)
+
+
+def hom_system(x, y):
+    """The coboundary map phi -> (y_a phi_t - phi_h x_a)_a as
+    ``_block_rows`` rows over the returned field, and their denominator.
+
+    The unknowns (columns) are the vertex blocks of phi, row-major in vertex
+    order; the rows are the arrow entries, in arrow order and row-major.  Its
+    kernel is Hom(x, y), and at x = y its columns span the coboundaries, the
+    tangent space of the orbit of x.  Arrow a: t -> h has the block parts
+    (phi_t, y_a, I, 1) and (phi_h, I, x_a, -1), both over the denominator
+    of the arrow layers, so every row has that one denominator."""
+    field = extcalc._common_field(x, y)
+    quiver, xa, ya = x.quiver, x.alpha, y.alpha
+    blocks, total = {}, 0
+    for v in quiver.vertices:
+        blocks[v] = (total, ya[v], xa[v])
+        total += xa[v] * ya[v]
+    yl, xl, den = _arrow_layers(field, y.matrices, x.matrices)
+    one = [1] + [0] * (field.degree - 1)
+    rows = []
+    for a in quiver.arrows:
+        h, t = a.head, a.tail
+        parts = [(t, yl[a.name], linalg.identity_layers(xa[t], field), one, den),
+                 (h, linalg.identity_layers(ya[h], field), xl[a.name],
+                  [-c for c in one], den)]
+        rows += _block_rows(parts, blocks, total, ya[h], xa[t], field)
+    return rows, total, field, den
 
 
 def coboundary_columns(x, y):

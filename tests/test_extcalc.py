@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localquiver import extcalc
+from localquiver import extcalc, linalg
 from localquiver.extcalc import (Representation, SemisimpleModule,
                                  check_representation, cocycle_dim, ext1_dim,
                                  hom_dim, is_simple, load_representation,
@@ -13,6 +13,8 @@ from localquiver.ncalg import (NCPoly, Presentation, heisenberg_presentation,
 from localquiver.quiver import DimVector, Quiver, gl_dim
 from localquiver.repvariety import tangent_space_dim
 from localquiver.scalars import Field, QQ
+
+from test_acceptance import conjugated_heisenberg
 
 
 def heisenberg_rho11():
@@ -524,3 +526,34 @@ def test_representation_over_a_subfield_of_the_relations():
                  lambda: tangent_space_dim(pres, mixed)):
         with pytest.raises(ValueError):
             call()
+
+
+def test_check_representation_converts_the_arrows_once_per_field(monkeypatch):
+    calls = []
+    convert = linalg.to_layers
+
+    def counted(mats, field):
+        calls.append(field)
+        return convert(mats, field)
+
+    monkeypatch.setattr(linalg, "to_layers", counted)
+    # the conjugated cyclo:7 Heisenberg simple: its six relations read one
+    # conversion of the arrows, and linalg.rank converts each of the four
+    # invertible arrows
+    _, rho = conjugated_heisenberg(7)
+    calls.clear()
+    assert check_representation(rho)
+    assert calls == [rho.field] * 5
+    # relations over the rationals and over cyclo:5 at a rational point:
+    # one conversion per joined field
+    f5 = Field(5)
+    q = Quiver(["v"], [("X", "v", "v"), ("Y", "v", "v")])
+    X, Y = NCPoly.arrow(q, "X"), NCPoly.arrow(q, "Y")
+    X5, Y5 = NCPoly.arrow(q, "X", f5), NCPoly.arrow(q, "Y", f5)
+    rels = [X * Y - Y * X, X5 * Y5 - (Y5 * X5).scale(f5.zeta()), Y * X - X * Y]
+    pres = Presentation(q, rels, flavor="graded", field=f5)
+    rep = Representation(pres, DimVector(q, {"v": 1}), {"X": [[0]], "Y": [[1]]},
+                         field=QQ)
+    calls.clear()
+    assert check_representation(rep)
+    assert calls == [QQ, f5]
