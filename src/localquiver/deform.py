@@ -13,7 +13,10 @@ or check it against the base point, and for the local model's polynomials.
 
 The unit pattern covers the standard situation: each primary generator g
 moves as (1 + T_g) tensor its base matrix, and formal inverses follow by the
-geometric series.  The analytic covering hypothesis on a family cannot be
+geometric series.  Every family's inverse series is its partner's inverse
+(given ones are checked), so the local model expands no unit relation of
+an eliminated pair, and it multiplies each distinct word prefix once.
+The analytic covering hypothesis on a family cannot be
 checked symbolically; what is verified exactly is that the series start at
 the base point and that the first-order directions meet the orbit tangent
 space trivially (``extcalc.transversal_to_orbit``, which reads it from the
@@ -179,7 +182,8 @@ class FamilySpec:
 
     ``series`` maps each arrow of ``base.presentation``, and nothing else,
     to its :class:`TensorSeries`; a formal inverse left out follows its
-    partner by the geometric series.  Every series must have the base's
+    partner by the geometric series, and one given must equal it, so the
+    unit relations of the pair vanish.  Every series must have the base's
     field, truncation ``order`` >= 1 and the symbols of the others, which
     become the family's (none over a quiver without arrows).
 
@@ -201,9 +205,11 @@ class FamilySpec:
         unknown = sorted(set(series) - set(arrows))
         if unknown:
             raise ValueError(f"series given for unknown arrows {unknown}")
-        series = dict(series)
+        series, given = dict(series), []
         for ginv, g in pres.eliminated_inverses().items():
-            if ginv not in series and g in series:
+            if ginv in series and g in series:
+                given.append((ginv, g))
+            elif g in series:
                 series[ginv] = geometric_inverse(series[g])
         for name in arrows:
             if name not in series:
@@ -217,6 +223,10 @@ class FamilySpec:
                                  f"{symbols} and {base.field}")
             if s.coefficient(()) != base.matrices[name]:
                 raise ValueError(f"series for {name!r} does not start at the base point")
+        for ginv, g in given:  # local_model_relations skips their unit relations
+            if series[ginv] != geometric_inverse(series[g]):
+                raise ValueError(f"series for {ginv!r} is not the inverse of the "
+                                 f"series for {g!r}")
         self.presentation, self.base, self.order = pres, base, order
         self.series = {name: series[name] for name in arrows}
         self.symbols = symbols
@@ -309,21 +319,35 @@ def load_family(base, data: dict) -> FamilySpec:
 def expand_relation(fs: FamilySpec, r: NCPoly) -> TensorSeries:
     """Substitute the family series into a relation, word by word: a word
     is the product of its factors' series, and an idempotent the unit."""
+    return _expand(fs, r, {})
+
+
+def _expand(fs: FamilySpec, r: NCPoly, products: dict) -> TensorSeries:
+    """``expand_relation`` with the series products of arrow words read from
+    and put in ``products``: a word's product is its longest prefix's times
+    its last factor, so each distinct prefix is multiplied out once."""
     field = fs.base.field
     n = fs.base.dim()
     total = TensorSeries(fs.symbols, n, fs.order, field)
     unit = TensorSeries.unit(fs.symbols, n, fs.order, field)
     for word, coeff in r.terms.items():
-        prod = None
-        for a in word.arrows:
-            prod = fs.series[a] if prod is None else ts_multiply(prod, fs.series[a])
-        total = total + (unit if prod is None else prod).scale(coeff)
+        prod, arrows = unit, word.arrows
+        for k in range(1, len(arrows) + 1):
+            if arrows[:k] not in products:
+                products[arrows[:k]] = fs.series[arrows[0]] if k == 1 else \
+                    ts_multiply(prod, fs.series[arrows[k - 1]])
+            prod = products[arrows[:k]]
+        total = total + prod.scale(coeff)
     return total
 
 
 def local_model_relations(fs: FamilySpec) -> list[NCPoly]:
     """Relations of the candidate local model, in the deformation symbols.
 
+    The relations are expanded with one table of word products (``_expand``)
+    except the unit relations of eliminated inverse pairs
+    (``Presentation.eliminated_unit_relations``), which vanish: ``FamilySpec``
+    makes an inverse's series the inverse of its partner's.
     A relation's expanded series has size x size coefficient matrices, held
     as int layers (``TensorSeries.layers``).  Matrix entry k in row-major
     order gives the symbol polynomial whose coefficient at a word is
@@ -336,9 +360,12 @@ def local_model_relations(fs: FamilySpec) -> list[NCPoly]:
     quiver = fs.symbol_quiver
     vertex = PathWord.vertex(quiver.vertices[0])
     eye = linalg.identity_layers(n, field)[0]
+    skipped, products = fs.presentation.eliminated_unit_relations(), {}
     out: list[NCPoly] = []
-    for r in fs.presentation.relations:
-        series = expand_relation(fs, r)
+    for j, r in enumerate(fs.presentation.relations):
+        if j in skipped:
+            continue
+        series = _expand(fs, r, products)
         words = {w: PathWord.of(quiver, [fs.symbols[s] for s in w]) if w else vertex
                  for w in series.layers}
         scalar = all(layer == [layer[0] * e for e in eye]

@@ -6,7 +6,10 @@ cocycles (Leibniz rule) modulo its image; at x = y the cocycles are the
 tangent space of the representation scheme.  Both systems are integer
 rows ranked by ``linalg.layer_rank``: the coboundary rows copy the arrow
 layers entry by entry, and the cocycle rows are a Leibniz block assembly
-(``_block_rows``).  Formal inverses of invertible arrows are eliminated
+(``_block_rows``).  At x = y the identity is in the kernel of the
+coboundary map, so ``hom_dim(x, x)`` and ``transversal_to_orbit`` rank it
+without the identity's first column (``_orbit_system``), which has full
+column rank at a Schur point.  Formal inverses of invertible arrows are eliminated
 from the cocycle unknowns by their unit relations, and those unit
 relations add no cocycle rows: their derivatives vanish wherever x and y
 satisfy the relations, which every Ext and cocycle count assumes.
@@ -269,25 +272,45 @@ def _hom_system(x: Representation, y: Representation):
     return rows, total, field, den
 
 
-def transversal_to_orbit(x: Representation, vectors) -> bool:
+def _orbit_system(x: Representation):
+    """The rows of ``_hom_system(x, x)`` without column 0, over the returned
+    field, and the width of the whole system.
+
+    Column 0 is phi_v[0, 0] at the first vertex v with x.alpha[v] > 0 (the
+    vertices before it have no columns).  Since d^0(I) = 0 it is minus the
+    sum of the other diagonal columns, so the cut rows have the rank and
+    the column span of the whole system, and at a Schur point, where
+    Hom(x, x) is the scalars, they have full column rank."""
+    rows, total, field, _ = _hom_system(x, x)
+    return [[layer[1:] for layer in row] for row in rows], total, field
+
+
+def transversal_to_orbit(x: Representation, vectors: list) -> bool:
     """Whether the arrow-space vectors are linearly independent modulo the
     coboundaries at x, the tangent space of its orbit.
 
     A vector is layers over x's field of the arrow matrices, flattened arrow
     by arrow and row-major, over any one denominator.  The coboundaries are
-    the columns of ``_hom_system(x, x)``: its rows share one denominator, so
-    its transposed layers are the columns times it, which ``Echelon.insert``
-    drops."""
-    rows, total, field, _ = _hom_system(x, x)
-    span = linalg.Echelon(field)
-    for j in range(total):
-        span.insert([[layers[t][j] for layers in rows] for t in range(field.degree)])
-    return all(map(span.insert, vectors))
+    the columns of ``_orbit_system(x)``, so the vectors are transversal
+    exactly when rank [d^0 | V] = rank d^0 + len(V), for V the vectors as
+    columns.  Both systems go to ``linalg.layer_rank``: the rows of d^0
+    share one denominator and the vectors another, and scaling a column
+    does not change a rank."""
+    rows, _, field = _orbit_system(x)
+    widened = [[layer + [vec[t][i] for vec in vectors] for t, layer in enumerate(row)]
+               for i, row in enumerate(rows)]
+    return linalg.layer_rank(widened, field) == \
+        linalg.layer_rank(rows, field) + len(vectors)
 
 
 def hom_dim(x: Representation, y: Representation) -> int:
-    """Dimension of the space of intertwiners from x to y."""
-    rows, total, field, _ = _hom_system(x, y)
+    """Dimension of the space of intertwiners from x to y; when x is y, its
+    coboundary rows leave out the column of the identity
+    (``_orbit_system``)."""
+    if x is y:
+        rows, total, field = _orbit_system(x)
+    else:
+        rows, total, field, _ = _hom_system(x, y)
     return total - linalg.layer_rank(rows, field)
 
 

@@ -5,7 +5,10 @@ below that boundary they are held in integer coordinates (``to_layers``),
 the one matrix format of the package's arithmetic.  Every rank goes
 through ``layer_rank``: certified mod p first over the rationals
 (``certified_rank``), with :class:`Echelon` as the exact kernel and the
-fallback.  An echelon has one field for its life; it takes rows one at a
+fallback; both stop once the rank equals the width, so a system of full
+column rank (d^0 at a Schur point once ``extcalc`` drops the column of the
+identity) needs no kernel vector and not all of its rows.  An echelon has
+one field for its life; it takes rows one at a
 time and reports whether each was independent of those before it.
 ``rank``, ``nullspace``, ``solve`` and ``invert`` convert their matrix
 once (identity blocks appended as the ints 0 and 1); the last three read
@@ -241,10 +244,11 @@ class Echelon:
     must share one length.
 
     ``leads`` and ``len`` count pivots over the field.  ``reduced``
-    back-substitutes on the sparse rows and makes them dense on exit: the
-    rational reduced form is the coordinate form of the reduced form over
-    the field, which is unique, and its row with lead ``p*d`` is the field
-    row with pivot ``p``, entry x becoming x divided by the lead.
+    back-substitutes the first row of each group on the sparse rows and
+    makes the others its zeta multiples, dense on exit: the rational
+    reduced form is the coordinate form of the reduced form over the field,
+    which is unique, and its row with lead ``p*d`` is the field row with
+    pivot ``p``, entry x becoming x divided by the lead.
     """
 
     __slots__ = ("_rows", "_leads", "_width", "_field")
@@ -317,16 +321,26 @@ class Echelon:
 
     def reduced(self) -> tuple[list[list[FieldElem]], list[int]]:
         """Back-substitute in place to the reduced row echelon form of the
-        kept rows; return its rows over the field and their pivot columns."""
+        kept rows; return its rows over the field and their pivot columns.
+
+        Sorted by lead, group g is the d rows with leads p*d to p*d + d - 1.
+        Groups are reduced from the last to the first, and in each only its
+        first row: against the rest of its group in lead order (row t is
+        zero before p*d + t), then against the reduced rows after it.  The
+        reduced row with lead p*d + t is zeta^t times that row, which is
+        primitive with the same positive lead, so ``_times_zeta`` makes it."""
         order = sorted(range(len(self._leads)), key=self._leads.__getitem__)
         rows, leads = [self._rows[k] for k in order], [self._leads[k] for k in order]
-        for k in range(len(rows) - 1, 0, -1):
-            lead, pivot = leads[k], rows[k]
-            for i in range(k):
-                if lead in rows[i]:
-                    _eliminate(rows[i], pivot, lead)
+        field, d = self._field, self._field.degree
+        for g in range(len(rows) - d, -1, -d):
+            row = rows[g]
+            for k in range(g + 1, len(rows)):
+                if leads[k] in row:
+                    _eliminate(row, rows[k], leads[k])
+            for t in range(g + 1, g + d):
+                rows[t] = _times_zeta(rows[t - 1], d, field.phi)
         self._rows, self._leads = rows, leads
-        field, d, out, zero = self._field, self._field.degree, [], Fraction(0)
+        out, zero = [], Fraction(0)
         for row, lead in zip(rows[::d], leads[::d]):
             p = row[lead]
             coeffs = [Fraction(row[c], p) if c in row else zero
@@ -358,14 +372,19 @@ def layer_rank(rows, field: Field) -> int:
     them.  Over the rationals ``certified_rank`` comes first: its rank mod p
     has an exact certificate (or is the largest possible), so it is the
     rank; when it returns None, and over every cyclotomic field, ``Echelon``
-    ranks the rows."""
+    ranks the rows, and the rows left once the rank equals the width are
+    not inserted."""
+    width = len(rows[0][0]) if rows else 0
     if field.degree == 1:
-        width = len(rows[0][0]) if rows else 0
         rank = certified_rank([layers[0] for layers in rows], width)
         if rank is not None:
             return rank
     span = Echelon(field)
-    return sum(map(span.insert, rows))
+    for layers in rows:
+        if len(span) == width:
+            break
+        span.insert(layers)
+    return len(span)
 
 
 def rank(mat) -> int:

@@ -9,20 +9,22 @@ word-concatenation convolution on the entry-by-entry
 ``linalg_oracle.mat_mul``, so it shares no product with the package;
 ``geometric_inverse`` builds the inverse degree by degree with its own
 convolution; ``expand_relation`` substitutes a family's series, as oracle
-series, into a relation; and ``is_transversal`` spans the orbit tangent
-space, in a ``linalg_oracle.SpanOracle``, by the n^2 commutators
-mat*phi - phi*mat of every base matrix with the elementary matrices phi.  The differential tests compare the package,
-which sums the geometric series with ``ts_multiply`` and reads the orbit
-tangent space from the coboundary map of ``extcalc``, against them, through
-``terms``.
+series, into a relation, word by word, and ``local_model_relations`` reads
+the local model off every relation so expanded; and ``is_transversal``
+spans the orbit tangent space, in a ``linalg_oracle.SpanOracle``, by the
+n^2 commutators mat*phi - phi*mat of every base matrix with the elementary
+matrices phi.  The differential tests compare the package, which sums
+the geometric series with ``ts_multiply`` and reads the orbit tangent space
+from the coboundary map of ``extcalc``, against them, through ``terms``.
 """
 
 from __future__ import annotations
 
 from localquiver import linalg
+from localquiver.ncalg import NCPoly, PathWord
 
 from linalg_oracle import (SpanOracle, identity_matrix, is_zero_matrix, mat_add,
-                           mat_mul, mat_scale)
+                           mat_mul, mat_scale, scalar_multiple_of_identity)
 
 
 def _add_term(terms: dict, w, mat) -> None:
@@ -159,6 +161,30 @@ def expand_relation(fs, r) -> TensorSeries:
             prod = ts_multiply(prod, family[a])
         total = total + prod.scale(coeff)
     return total
+
+
+def local_model_relations(fs) -> list:
+    """The local model's relations of fs as the package read them off before
+    it skipped the unit relations of eliminated inverse pairs and shared
+    word prefixes: every relation expanded word by word
+    (``expand_relation``), then matrix entry k of the coefficients, row-major,
+    as a symbol polynomial, only entry 0 when every coefficient is a scalar
+    matrix; each nonzero one monic."""
+    quiver, field, n = fs.symbol_quiver, fs.base.field, fs.base.dim()
+    vertex = PathWord.vertex(quiver.vertices[0])
+    out = []
+    for r in fs.presentation.relations:
+        terms = expand_relation(fs, r).terms
+        words = {w: PathWord.of(quiver, [fs.symbols[s] for s in w]) if w else vertex
+                 for w in terms}
+        scalar = all(scalar_multiple_of_identity(m) is not None
+                     for m in terms.values())
+        for k in range(1 if scalar else n * n):
+            poly = NCPoly(quiver, field, {words[w]: m[k // n][k % n]
+                                          for w, m in terms.items()})
+            if not poly.is_zero():
+                out.append(poly.monic())
+    return out
 
 
 def is_transversal(base, series: dict, symbols) -> bool:

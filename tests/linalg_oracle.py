@@ -15,7 +15,9 @@ and ``dense_kernel`` runs ``linalg.rank``, ``nullspace``, ``solve`` and
 coordinate layers that ``linalg.Echelon(field).insert`` takes.
 ``UnreducedZetaEchelon`` is ``linalg.Echelon`` as it built the zeta
 multiples of a cyclotomic row: from the dense layers of the unreduced row,
-each multiple reduced against every kept row.
+each multiple reduced against every kept row; its ``reduced``
+back-substitutes every kept row, where ``linalg.Echelon.reduced`` does
+only the first row of each zeta group.
 ``ModEchelon`` is the modular elimination that ``linalg.ModEchelon`` ran on
 lists of residues, one interpreter step per entry and reduction step.
 ``certified_rank`` is ``linalg.certified_rank`` as it inserted every row
@@ -276,7 +278,8 @@ class UnreducedZetaEchelon(linalg.Echelon):
     """``linalg.Echelon`` with each zeta multiple made from the dense layers
     of the row as it came in, unreduced, and reduced against every kept
     row; the kept rows are the same integers, since a kept row is the one
-    primitive vector with a positive lead in its coset."""
+    primitive vector with a positive lead in its coset.  ``reduced``
+    back-substitutes every kept row, the zeta multiples too."""
 
     def insert(self, layers) -> bool:
         field = self._field
@@ -298,6 +301,26 @@ class UnreducedZetaEchelon(linalg.Echelon):
                                    field.phi, width)
             self._insert_integers(_sparse(layers))
         return True
+
+    def reduced(self) -> tuple[list[list[FieldElem]], list[int]]:
+        """Back-substitute in place, every kept row against every row after
+        it in lead order; return the reduced rows over the field and their
+        pivot columns."""
+        order = sorted(range(len(self._leads)), key=self._leads.__getitem__)
+        rows, leads = [self._rows[k] for k in order], [self._leads[k] for k in order]
+        for k in range(len(rows) - 1, 0, -1):
+            lead, pivot = leads[k], rows[k]
+            for i in range(k):
+                if lead in rows[i]:
+                    linalg._eliminate(rows[i], pivot, lead)
+        self._rows, self._leads = rows, leads
+        field, d, out, zero = self._field, self._field.degree, [], Fraction(0)
+        for row, lead in zip(rows[::d], leads[::d]):
+            p = row[lead]
+            coeffs = [Fraction(row[c], p) if c in row else zero
+                      for c in range(d * self._width)]
+            out.append([FieldElem(field, c) for c in zip(*[iter(coeffs)] * d)])
+        return out, self.leads
 
 
 @contextmanager

@@ -199,11 +199,16 @@ def test_expansion_multiplies_each_word_from_its_first_factor(monkeypatch):
         "T1^2*T2 - 2*T1*T2*T1 + T2*T1^2",
         "T1*T2^2 - 2*T2*T1*T2 + T2^2*T1",
     ]
-    # 24 letters in 8 words of length >= 1: one product per letter after
-    # the first of its word, none with the unit series
-    words = [w for r in fs.presentation.relations for w in r.terms if w.arrows]
-    assert len(words) == 8 and sum(map(len, words)) == 24
-    assert len(calls) == 16
+    # the four unit relations are not expanded; the proper relations have
+    # four words of length 4, X*Y*X_inv*Y_inv twice, whose 9 distinct
+    # prefixes of length >= 2 take one product each, none with the unit
+    skipped = fs.presentation.eliminated_unit_relations()
+    assert len(skipped) == 4
+    words = {w.arrows for k, r in enumerate(fs.presentation.relations)
+             if k not in skipped for w in r.terms if w.arrows}
+    assert len(words) == 3 and all(len(w) == 4 for w in words)
+    assert len({w[:k] for w in words for k in range(2, 5)}) == 9
+    assert len(calls) == 9
 
 
 def test_tangent_cone_relations():
@@ -355,6 +360,29 @@ def test_inverse_series_follow_their_partners():
         FamilySpec(fs.base, {"X": fs.series["X"]}, 3)
 
 
+def test_a_given_inverse_series_must_invert_its_partner():
+    # at the 1-dim Heisenberg point X = 2, Y = 3, X_inv: 1/2 + 5*T1 is not
+    # the inverse of X: 2 + T1, whose T1 coefficient is -1/4; the unit
+    # relations X*X_inv - e and X_inv*X - e would not vanish
+    from localquiver.deform import load_family
+    pres = heisenberg_presentation()
+    base = Representation(pres, DimVector(pres.quiver, {"v": 1}),
+                          {"X": [["2"]], "X_inv": [["1/2"]], "Y": [["3"]],
+                           "Y_inv": [["1/3"]]})
+    table = {"X": {"1": [["2"]], "T1": [["1"]]},
+             "X_inv": {"1": [["1/2"]], "T1": [["5"]]},
+             "Y": {"1": [["3"]], "T2": [["1"]]}}
+    data = {"pattern": "explicit", "K": 2, "symbols": ["T1", "T2"],
+            "series": table}
+    with pytest.raises(ValueError, match="series for 'X_inv' is not the "
+                                         "inverse of the series for 'X'"):
+        load_family(base, data)
+    table["X_inv"] = {"1": [["1/2"]], "T1": [["-1/4"]], "T1*T1": [["1/8"]]}
+    fs = load_family(base, data)
+    assert fs.series["X_inv"] == geometric_inverse(fs.series["X"])
+    assert local_model_relations(fs) == []
+
+
 def test_load_family_json():
     from localquiver.deform import load_family
     fs_unit = heisenberg_family(3)
@@ -432,8 +460,9 @@ def test_series_over_another_field_is_rejected():
     with pytest.raises(ValueError, match="series for 'X' has order 2, .* field"):
         FamilySpec(fs.base, series, 2)
 
-def test_entrywise_fallback_when_not_scalar():
-    # commutator relation at a base point whose word values are not scalar
+def entrywise_family():
+    """The unit family, K = 2, of the commutator relation at a base point
+    whose word values are not scalar."""
     from localquiver.ncalg import Presentation
     from localquiver.quiver import Quiver
     q = Quiver(["v"], [("X", "v", "v"), ("Y", "v", "v")])
@@ -442,28 +471,37 @@ def test_entrywise_fallback_when_not_scalar():
     base = Representation(pres, DimVector(q, {"v": 2}),
                           {"X": [["1", "0"], ["0", "2"]],
                            "Y": [["1", "0"], ["0", "1"]]})
-    fs = FamilySpec.unit_pattern(base, 2)
-    rels = local_model_relations(fs)
+    return FamilySpec.unit_pattern(base, 2)
+
+
+def test_entrywise_fallback_when_not_scalar():
+    rels = local_model_relations(entrywise_family())
     # each nonzero matrix entry is emitted separately and normalized
     assert [str(r) for r in rels] == ["T1*T2 - T2*T1", "T1*T2 - T2*T1"]
+
+
+def surface2_character(vals):
+    """The unit family, K = 2, at the 1-dim character vals of the genus-2
+    group."""
+    from fractions import Fraction
+    pres = surface_group_presentation(2)
+    mats = {}
+    for g, v in vals.items():
+        mats[g] = [[str(v)]]
+        mats[g + "_inv"] = [[str(Fraction(1, v))]]
+    w = Representation(pres, DimVector(pres.quiver, {"v": 1}), mats)
+    return FamilySpec.unit_pattern(w, 2)
 
 
 def test_surface2_tangent_cone_is_preprojective():
     # around any 1-dim character of the genus-2 group algebra the tangent
     # cone is the one-vertex four-loop preprojective relation, and the
     # structure test recognizes it with the canonical pairing
-    from fractions import Fraction
-    from localquiver.ncalg import Presentation, surface_group_presentation
+    from localquiver.ncalg import Presentation
     from localquiver.structure import preprojective_form
     for vals in ({"X1": 1, "Y1": 1, "X2": 1, "Y2": 1},
                  {"X1": 2, "Y1": 3, "X2": 5, "Y2": 7}):
-        pres = surface_group_presentation(2)
-        mats = {}
-        for g, v in vals.items():
-            mats[g] = [[str(v)]]
-            mats[g + "_inv"] = [[str(Fraction(1, v))]]
-        w = Representation(pres, DimVector(pres.quiver, {"v": 1}), mats)
-        fam = FamilySpec.unit_pattern(w, 2)
+        fam = surface2_character(vals)
         cone = tangent_cone_relations(fam)
         assert [str(g) for g in cone.generators] == \
             ["T1*T2 - T2*T1 + T3*T4 - T4*T3"]

@@ -230,6 +230,41 @@ def test_expand_relation_matches_the_field_elem_oracle(label, data):
     assert show(expand_relation(fs, r)) == show(oracle.expand_relation(fs, r))
 
 
+def existing_families():
+    """Every family the tests build: the unit families of the Heisenberg
+    simples (cyclo:2, 3 and 5, the golden sessions' among them), of
+    characters of the genus-1 and genus-2 groups, of Z/2 at its sign
+    character and at the swap (g*g - e is no eliminated unit relation) and
+    of a commutator at a non-scalar point; the commuting families; the
+    constant family; and the unit family with its inverse series given."""
+    from test_deform import (entrywise_family, heisenberg_family,
+                             surface1_family, surface2_character)
+    from test_rank_stops_differential import z2_points
+    fams = [heisenberg_family(2), heisenberg_family(3), surface1_family(),
+            surface1_family(5, 7, 3), entrywise_family(),
+            surface2_character({"X1": 1, "Y1": 1, "X2": 1, "Y2": 1}),
+            surface2_character({"X1": 2, "Y1": 3, "X2": 5, "Y2": 7}),
+            *FAMILIES.values()]
+    fams += [FamilySpec.unit_pattern(heisenberg_simple(m), order)
+             for m, order in ((3, 4), (5, 3))]
+    fams += [FamilySpec.unit_pattern(rho, 2) for rho in z2_points()[1][1:3]]
+    unit = heisenberg_family(3)
+    fams.append(FamilySpec(unit.base, unit.series, 3))
+    base = surface1_family().base
+    fams.append(FamilySpec(base, {a: TensorSeries(("T1",), 1, 3, QQ, {(): m})
+                                  for a, m in base.matrices.items()}, 3))
+    return fams
+
+
+def test_local_model_relations_match_the_word_by_word_oracle():
+    seen = set()
+    for fs in existing_families():
+        got = [str(r) for r in deform.local_model_relations(fs)]
+        assert got == [str(r) for r in oracle.local_model_relations(fs)]
+        seen.add(len(got))
+    assert {0, 1, 2} <= seen
+
+
 def surface_character(rng, genus):
     pres = surface_group_presentation(genus)
     mats = {}
@@ -288,7 +323,9 @@ def direction_sets(rng, rho):
 
 
 def verdicts(rho, directions):
-    """(oracle, package) transversality verdicts of one family."""
+    """(oracle, package) transversality verdicts of one family; a formal
+    inverse's series is the inverse of its partner's, as a family needs,
+    and its direction follows."""
     symbols = tuple(f"T{k + 1}" for k in range(len(directions)))
     series = {}
     for g, mat in rho.matrices.items():
@@ -296,6 +333,8 @@ def verdicts(rho, directions):
         for k, d in enumerate(directions):
             terms[(k,)] = d[g]
         series[g] = TensorSeries(symbols, rho.dim(), 2, rho.field, terms)
+    for ginv, g in rho.presentation.eliminated_inverses().items():
+        series[ginv] = geometric_inverse(series[g])
     expected = oracle.is_transversal(rho, series, symbols)
     try:
         FamilySpec(rho, series, 2)
@@ -438,13 +477,19 @@ def test_hom_system_columns_are_the_coboundaries(label, dims_x, dims_y):
 
 def test_cli_deform_expands_each_relation_once(monkeypatch, capsys):
     calls = []
-    expand = deform.expand_relation
+    expand = deform._expand
 
-    def counted(fs, r):
-        calls.append(r)
-        return expand(fs, r)
+    def counted(fs, r, products):
+        calls.append((fs.presentation, r))
+        return expand(fs, r, products)
 
-    monkeypatch.setattr(deform, "expand_relation", counted)
+    monkeypatch.setattr(deform, "_expand", counted)
     assert main([str(GOLDEN / "heisenberg_session.lq")]) == 0
     assert capsys.readouterr().out == (GOLDEN / "heisenberg_reports.json").read_text()
-    assert len(calls) == 6  # the six relations of H, once each
+    # the two proper relations of H, once each; its four eliminated unit
+    # relations never
+    (pres, _), = set((p, None) for p, _ in calls)
+    skipped = pres.eliminated_unit_relations()
+    assert len(pres.relations) == 6 and len(skipped) == 4
+    assert [r for _, r in calls] == [r for k, r in enumerate(pres.relations)
+                                     if k not in skipped]

@@ -3,9 +3,11 @@ from the arrow layers, against ``extcalc_oracle.hom_system``, its Kronecker
 block assembly: the same rows layer by layer, the same number of unknowns,
 field and denominator.  ``hom_dim``, ``ext1_dim`` and
 ``transversal_to_orbit`` are checked against the rank of the oracle's
-system.  The inputs are every case of
-``test_hom_system_columns_are_the_coboundaries``, free 2-loop simples,
-the conjugated Heisenberg simples, the genus-2 simple and a two-vertex
+system, and at x = y the rows of ``extcalc._orbit_system`` against the
+oracle's without column 0.  The inputs are every case of
+``test_hom_system_columns_are_the_coboundaries``, the 0-dim point and
+points whose first vertex has dimension 0, free 2-loop simples, the
+conjugated Heisenberg simples, the genus-2 simple and a two-vertex
 preprojective point."""
 
 import random
@@ -39,6 +41,20 @@ def assert_matches_oracle(x, y):
     assert extcalc.hom_dim(x, y) == total - rank
     # Ext^1 = Z^1 / B^1, and B^1 is the image of d^0
     assert extcalc.ext1_dim(x, y) == extcalc.cocycle_dim(x, y) - rank
+    if x is y:
+        assert_orbit_system_matches_oracle(x)
+
+
+def assert_orbit_system_matches_oracle(x):
+    """d^0 at (x, x) as hom_dim(x, x) and transversal_to_orbit rank it: the
+    oracle's rows without column 0, of the oracle's rank."""
+    rows, total, field = extcalc._orbit_system(x)
+    o_rows, o_total, o_field, _ = extcalc_oracle.hom_system(x, x)
+    assert (total, field) == (o_total, o_field)
+    assert rows == [[layer[1:] for layer in row] for row in o_rows]
+    rank = linalg.layer_rank(o_rows, o_field)
+    assert linalg.layer_rank(rows, field) == rank
+    assert extcalc.hom_dim(x, x) == total - rank
 
 
 def assert_transversal_matches_oracle(x, seed):
@@ -79,6 +95,23 @@ def test_hom_system_matches_the_oracle_on_the_coboundary_cases(label, dims_x, di
         y = x if same and dims_x == dims_y else random_rep(rng, pres, dims_y, field)
         assert_matches_oracle(x, y)
         assert_transversal_matches_oracle(x, f"{label} {dims_x} {same}")
+
+
+@pytest.mark.parametrize("label", ["q", "cyclo:3"])
+@pytest.mark.parametrize("dims", [{"u": 0, "w": 0}, {"u": 0, "w": 1},
+                                  {"u": 0, "w": 2}, {"u": 0, "w": 3}])
+def test_orbit_system_drops_the_first_column_of_the_first_vertex_with_a_dimension(
+        label, dims):
+    # the 0-dim point, and points whose first vertex has dimension 0, so
+    # that column 0 is phi_w[0, 0]; w carries two loops
+    field = Field.from_label(label)
+    quiver = Quiver(["u", "w"], [("a", "w", "u"), ("c", "w", "w"), ("e", "w", "w")])
+    pres = Presentation(quiver, [], flavor="graded")
+    x = random_rep(random.Random(f"{label} {dims}"), pres, dims, field)
+    assert_matches_oracle(x, x)
+    assert_transversal_matches_oracle(x, f"{label} {dims}")
+    if dims["w"] == 0:
+        assert extcalc._orbit_system(x) == ([], 0, field)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 6, 12])

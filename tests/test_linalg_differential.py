@@ -3,8 +3,9 @@ values and of the Leibniz systems), the functions built on it and the coordinate
 ``linalg.mat_mul`` against the previous paths kept in ``linalg_oracle``,
 compared as strings; the sparse rows of ``Echelon`` against the dense
 kernel ``linalg_oracle.DenseEchelon``, and its zeta multiples of a kept row
-against those of the unreduced row (``linalg_oracle.UnreducedZetaEchelon``),
-compared integer for integer."""
+and its reduced form, made from the first row of each zeta group, against
+those of the unreduced row, back-substituted row by row
+(``linalg_oracle.UnreducedZetaEchelon``), compared integer for integer."""
 
 import random
 from fractions import Fraction
@@ -893,7 +894,7 @@ def test_rational_rows_re_enter_under_kept_zeta_multiples(field):
                                + sparse_rows(rng, field, 3, cols), field)
 
 
-@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("m", [3, 4, 5, 7])
 def test_conjugated_heisenberg_systems_match_the_unreduced_row(m):
     # the Hom, cocycle and Jacobian rows at the conjugated simple, whose
     # Z[zeta] coordinates are dense (Phi_4 = x^2 + 1 has a zero coefficient)
@@ -910,3 +911,4 @@ def test_conjugated_heisenberg_systems_match_the_unreduced_row(m):
         assert kernel._rows == old._rows
         assert_kept_rows_reduced(kernel)
         assert show(kernel.reduced()) == show(old.reduced())
+        assert kernel._rows == old._rows and kernel._leads == old._leads

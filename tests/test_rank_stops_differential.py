@@ -265,3 +265,22 @@ def test_eliminated_unit_relations_are_those_of_the_pairs():
     s2 = surface_group_presentation(2)
     assert s2.eliminated_unit_relations() == s2.unit_relation_indices()
     assert len(s2.relations) - len(s2.eliminated_unit_relations()) == 1
+
+
+def test_cyclotomic_hom_rank_stops_at_the_width(monkeypatch):
+    # d^0 at the conjugated cyclo:4 Heisenberg simple has 64 rows over 16
+    # unknowns; without the identity's column it has full column rank 15,
+    # which its first 19 rows reach, and Echelon takes no row after them
+    _, rho = acceptance.conjugated_heisenberg(4)
+    rows, total, field, _ = extcalc._hom_system(rho, rho)
+    assert (len(rows), total, field.degree) == (64, 16, 2)
+    inserted = []
+    insert = linalg.Echelon.insert
+
+    def counted(self, layers):
+        inserted.append(layers)
+        return insert(self, layers)
+
+    monkeypatch.setattr(linalg.Echelon, "insert", counted)
+    assert hom_dim(rho, rho) == 1
+    assert len(inserted) == 19
