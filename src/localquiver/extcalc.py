@@ -9,8 +9,8 @@ layers entry by entry, and the cocycle rows are a Leibniz block assembly
 (``_block_rows``).  At x = y the identity is in the kernel of the
 coboundary map, so ``hom_dim(x, x)`` and ``transversal_to_orbit`` rank it
 without the identity's first column (``_orbit_system``), which has full
-column rank at a Schur point.  Formal inverses of invertible arrows are eliminated
-from the cocycle unknowns by their unit relations, and those unit
+column rank at a Schur point.  Formal inverses of invertible arrows are
+eliminated from the cocycle unknowns by their unit relations, and those unit
 relations add no cocycle rows: their derivatives vanish wherever x and y
 satisfy the relations, which every Ext and cocycle count assumes.
 

@@ -8,8 +8,8 @@ through ``layer_rank``: certified mod p first over the rationals
 fallback; both stop once the rank equals the width, so a system of full
 column rank (d^0 at a Schur point once ``extcalc`` drops the column of the
 identity) needs no kernel vector and not all of its rows.  An echelon has
-one field for its life; it takes rows one at a
-time and reports whether each was independent of those before it.
+one field for its life; it takes rows one at a time and reports whether
+each was independent of those before it.
 ``rank``, ``nullspace``, ``solve`` and ``invert`` convert their matrix
 once (identity blocks appended as the ints 0 and 1); the last three read
 the reduced row echelon form, which is unique.  ``solve`` eliminates
