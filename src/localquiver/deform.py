@@ -263,9 +263,10 @@ class FamilySpec:
 
     def _check_first_order_transversality(self):
         """Exact rank check: linear directions meet coboundaries trivially."""
-        # flattened tangent vectors in arrow-matrix space, arrow by arrow,
-        # each arrow's degree-1 layers over the lcm of the denominators
-        series = [self.series[a.name] for a in self.presentation.quiver.arrows]
+        # flattened tangent vectors on the primary arrows (an inverse's series
+        # follows its partner's), each arrow's degree-1 layers over the lcm
+        eliminated = self.presentation.eliminated_inverses()
+        series = [s for a, s in self.series.items() if a not in eliminated]
         den, d = lcm(*[s.den for s in series]), self.base.field.degree
         zero = [[0] * self.base.dim() ** 2] * d
         directions = [[[den // s.den * x for s in series

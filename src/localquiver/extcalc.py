@@ -1,18 +1,15 @@
 """Hom and first Ext spaces between finite-dimensional representations.
 
 A representation assigns an exact matrix to every arrow of a presentation's
-quiver.  Hom is the kernel of the coboundary map, and Ext^1 the arrow
-cocycles (Leibniz rule) modulo its image; at x = y the cocycles are the
-tangent space of the representation scheme.  Both systems are integer
-rows ranked by ``linalg.layer_rank``: the coboundary rows copy the arrow
-layers entry by entry, and the cocycle rows are a Leibniz block assembly
-(``_block_rows``).  At x = y the identity is in the kernel of the
-coboundary map, so ``hom_dim(x, x)`` and ``transversal_to_orbit`` rank it
-without the identity's first column (``_orbit_system``), which has full
-column rank at a Schur point.  Formal inverses of invertible arrows are
-eliminated from the cocycle unknowns by their unit relations, and those unit
-relations add no cocycle rows: their derivatives vanish wherever x and y
-satisfy the relations, which every Ext and cocycle count assumes.
+quiver.  A pair (x, y) has one cochain complex C^0 -> C^1 -> C^2
+(``Cochains``): Hom is the kernel of the coboundary map d^0, and Ext^1 the
+arrow cocycles (the kernel of the Leibniz map d^1) modulo its image; at
+x = y the cocycles are the tangent space of the representation scheme.
+C^1 holds only the primary arrows: formal inverses of invertible arrows are
+eliminated, since wherever x and y satisfy the relations, which every Hom,
+Ext and cocycle count assumes, an inverse's rows of d^0 follow from its
+partner's and the unit relations of the pair give d^1 no rows.  At x = y,
+d^0 leaves out the identity's column.
 
 Simplicity is certified by a density argument: a representation of total
 dimension n is simple exactly when the matrices of all paths span the full
@@ -186,17 +183,6 @@ def _singular_invertibles(rep: Representation) -> list[str]:
     return failures
 
 
-def _common_field(x: Representation, y: Representation) -> Field:
-    """The field that x and y both embed in (``to_layers`` takes rational
-    entries into it); x and y must share a presentation."""
-    px, py = x.presentation, y.presentation
-    if px is not py and (
-            px.quiver != py.quiver or len(px.relations) != len(py.relations)
-            or any(a != b for a, b in zip(px.relations, py.relations))):
-        raise ValueError("presentation mismatch between the representations")
-    return x.field.join(y.field)
-
-
 def _arrow_layers(field: Field, ym, xm):
     """(y layers, x layers, den): the arrow matrices ym and xm converted by
     one ``linalg.to_layers``, once when xm is ym."""
@@ -242,165 +228,173 @@ def _block_rows(parts, blocks: dict, total: int, n_rows: int, n_cols: int,
             for e in range(n_rows * n_cols)]
 
 
-def _hom_system(x: Representation, y: Representation):
-    """The coboundary map phi -> (y_a phi_t - phi_h x_a)_a as rows over the
-    returned field, in the format of ``_block_rows``, and their denominator,
-    that of the arrow layers.
+class Cochains:
+    """The complex C^0 -> C^1 -> C^2 of the pair (x, y), whose cohomology
+    in degrees 0 and 1 is Hom(x, y) and Ext^1(x, y); x and y must satisfy
+    the relations (``check_representation``).
 
-    The unknowns (columns) are the vertex blocks of phi, row-major in vertex
-    order; the rows are the arrow entries, in arrow order and row-major.  Its
-    kernel is Hom(x, y), and at x = y its columns span the coboundaries, the
-    tangent space of the orbit of x.  In layer s, row (i, j) of arrow a:
-    t -> h has y_a[i, k] at phi_t's column (k, j) and -x_a[k, j] at phi_h's
-    column (i, k), summed where the two blocks meet (a loop, k = i, j)."""
-    field = _common_field(x, y)
-    quiver, xa, ya = x.quiver, x.alpha, y.alpha
-    sizes = [xa[v] * ya[v] for v in quiver.vertices]
-    offsets = dict(zip(quiver.vertices, accumulate(sizes, initial=0)))
-    total = sum(sizes)
-    yl, xl, den = _arrow_layers(field, y.matrices, x.matrices)
-    rows = []
-    for a in quiver.arrows:
-        m, n, k = ya[a.tail], xa[a.tail], xa[a.head]
-        ot, layers = offsets[a.tail], list(zip(yl[a.name], xl[a.name]))
-        for i, j in product(range(ya[a.head]), range(n)):
-            oh, row = offsets[a.head] + i * k, [[0] * total for _ in layers]
-            for layer, (ys, xs) in zip(row, layers):
-                layer[ot + j:ot + m * n:n] = ys[i * m:(i + 1) * m]
-                layer[oh:oh + k] = map(sub, layer[oh:oh + k], xs[j::n])
-            rows.append(row)
-    return rows, total, field, den
+    C^0 holds the vertex blocks phi_v, y.alpha[v] by x.alpha[v], in vertex
+    order; C^1 the blocks delta(a) of the primary arrows a, the ones not
+    eliminated as formal inverses, y.alpha[head] by x.alpha[tail], in arrow
+    order; C^2 the entries of the relations other than the unit relations
+    of eliminated pairs.  Blocks are row-major.  Both maps are integer
+    layer rows over one field, the join of x's, y's and every relation's,
+    from arrow layers converted once."""
 
+    __slots__ = ("x", "y", "field", "substitutes", "c0", "yl", "xl", "den")
 
-def _orbit_system(x: Representation):
-    """The rows of ``_hom_system(x, x)`` without column 0, over the returned
-    field, and the width of the whole system.
+    def __init__(self, x: Representation, y: Representation):
+        px, py = x.presentation, y.presentation
+        if px is not py and (px.quiver, px.relations) != (py.quiver, py.relations):
+            raise ValueError("presentation mismatch between the representations")
+        self.x, self.y = x, y
+        self.field = reduce(Field.join, [r.field for r in px.relations],
+                            x.field.join(y.field))
+        self.substitutes = px.eliminated_inverses()
+        self.c0 = sum(x.alpha[v] * y.alpha[v] for v in x.quiver.vertices)
+        self.yl, self.xl, self.den = _arrow_layers(self.field, y.matrices, x.matrices)
 
-    Column 0 is phi_v[0, 0] at the first vertex v with x.alpha[v] > 0 (the
-    vertices before it have no columns).  Since d^0(I) = 0 it is minus the
-    sum of the other diagonal columns, so the cut rows have the rank and
-    the column span of the whole system, and at a Schur point, where
-    Hom(x, x) is the scalars, they have full column rank."""
-    rows, total, field, _ = _hom_system(x, x)
-    return [[layer[1:] for layer in row] for row in rows], total, field
+    def d0(self):
+        """The coboundary map phi -> (y_a phi_t - phi_h x_a)_a as rows, one
+        per coordinate of C^1, over the denominator of the arrow layers, and
+        its width.  Its kernel is Hom(x, y) and its columns span B^1.
+
+        In layer s, row (i, j) of arrow a: t -> h has y_a[i, k] at phi_t's
+        column (k, j) and -x_a[k, j] at phi_h's column (i, k), summed where
+        the two blocks meet (a loop, k = i, j).  An eliminated inverse h of
+        g needs no rows: at valid points y_h phi_t - phi_h x_h is
+        -y_h (y_g phi_t - phi_h x_g) x_h.  When x is y, d^0(I) = 0 makes
+        column 0 (phi_v[0, 0] at the first vertex v with x.alpha[v] > 0)
+        minus the sum of the other diagonal columns, so it is left out: at
+        a Schur point the rows then have full column rank."""
+        quiver, xa, ya = self.x.quiver, self.x.alpha, self.y.alpha
+        sizes = [xa[v] * ya[v] for v in quiver.vertices]
+        offsets = dict(zip(quiver.vertices, accumulate(sizes, initial=0)))
+        cut = int(self.x is self.y and self.c0 > 0)
+        rows = []
+        for a in quiver.arrows:
+            if a.name in self.substitutes:
+                continue
+            m, n, k = ya[a.tail], xa[a.tail], xa[a.head]
+            ot, layers = offsets[a.tail], list(zip(self.yl[a.name], self.xl[a.name]))
+            for i, j in product(range(ya[a.head]), range(n)):
+                oh, row = offsets[a.head] + i * k, [[0] * self.c0 for _ in layers]
+                for layer, (ys, xs) in zip(row, layers):
+                    layer[ot + j:ot + m * n:n] = ys[i * m:(i + 1) * m]
+                    layer[oh:oh + k] = map(sub, layer[oh:oh + k], xs[j::n])
+                    del layer[:cut]
+                rows.append(row)
+        return rows, self.c0 - cut
+
+    def d1(self):
+        """The Leibniz map delta -> (delta(r))_r as ``_block_rows`` rows, one
+        per coordinate of C^2, and its width, dim C^1.
+
+        By the Leibniz rule, delta(a1...ak) is the sum over positions t of
+        y(a1...a_t-1) delta(a_t) x(a_t+1...ak): a Kronecker block from the
+        prefix products of the word at y and its suffix products at x.  An
+        eliminated inverse h of g has delta(h) = -y(h) delta(g) x(h), so
+        position t of h adds -y(a1...a_t) delta(g) x(a_t...ak), and the unit
+        relations of the pair add no rows: delta(g*h - e) is
+        (I - y(gh)) delta(g) x(h) and delta(h*g - e) is
+        y(h) delta(g) (I - x(hg)), zero at valid x and y.  An involution's
+        g*g - e is a unit relation by shape, but g is primary and its rows
+        are not zero."""
+        x, y, field, substitutes = self.x, self.y, self.field, self.substitutes
+        pres, quiver, den, d = x.presentation, x.quiver, self.den, field.degree
+        skipped = pres.eliminated_unit_relations()
+        blocks, total = {}, 0
+        for a in quiver.arrows:
+            if a.name not in substitutes:
+                m, width = y.alpha[a.head], x.alpha[a.tail]
+                blocks[a.name] = (total, m, width)
+                total += m * width
+        rows = []
+        for k, r in enumerate(pres.relations):
+            if k in skipped:
+                continue
+            (rh, rt), = r.vertex_pairs()
+            n_rows, n_cols = y.alpha[rh], x.alpha[rt]
+            coeffs, cden = integer_coordinates(r.terms.values(), field)
+            parts = []
+            for w, word in enumerate(r.terms):
+                c, arrows = coeffs[w * d:(w + 1) * d], word.arrows
+                # None marks a product through a 0-dim vertex
+                lefts = _path_products(self.yl, y.alpha, quiver, field, arrows,
+                                       word.head)
+                rights = [None] * len(arrows)
+                mat = linalg.identity_layers(n_cols, field) if n_cols else None
+                rights.append(mat)
+                for pos in range(len(arrows) - 1, -1, -1):
+                    a = arrows[pos]
+                    rows_a = x.alpha[quiver.head(a)]
+                    if mat is not None:
+                        mat = linalg.layer_product(
+                            self.xl[a], mat, rows_a, x.alpha[quiver.tail(a)],
+                            n_cols, field.phi) if rows_a else None
+                    rights[pos] = mat
+                for pos, a in enumerate(arrows):
+                    if a in substitutes:
+                        part = (substitutes[a], lefts[pos + 1], rights[pos],
+                                [-u for u in c], cden * den ** (len(arrows) + 1))
+                    else:
+                        part = (a, lefts[pos], rights[pos + 1], c,
+                                cden * den ** (len(arrows) - 1))
+                    if part[1] is not None and part[2] is not None:
+                        parts.append(part)
+            rows += _block_rows(parts, blocks, total, n_rows, n_cols, field)
+        return rows, total
+
+    def hom(self) -> int:
+        """dim Hom(x, y) = dim C^0 - rank d^0."""
+        return self.c0 - linalg.layer_rank(self.d0()[0], self.field)
+
+    def cocycles(self) -> int:
+        """dim Z^1 = dim C^1 - rank d^1."""
+        rows, total = self.d1()
+        return total - linalg.layer_rank(rows, self.field)
+
+    def ext1(self, hom: int) -> int:
+        """dim Ext^1 = dim Z^1 - rank d^0, given hom = dim Hom(x, y)."""
+        return self.cocycles() - (self.c0 - hom)
 
 
 def transversal_to_orbit(x: Representation, vectors: list) -> bool:
-    """Whether the arrow-space vectors are linearly independent modulo the
-    coboundaries at x, the tangent space of its orbit.
+    """Whether the vectors of C^1 at (x, x) are linearly independent modulo
+    B^1, the tangent space of the orbit of x.
 
-    A vector is layers over x's field of the arrow matrices, flattened arrow
-    by arrow and row-major, over any one denominator.  The coboundaries are
-    the columns of ``_orbit_system(x)``, so the vectors are transversal
-    exactly when rank [d^0 | V] = rank d^0 + len(V), for V the vectors as
-    columns.  Both systems go to ``linalg.layer_rank``: the rows of d^0
-    share one denominator and the vectors another, and scaling a column
-    does not change a rank."""
-    rows, _, field = _orbit_system(x)
-    widened = [[layer + [vec[t][i] for vec in vectors] for t, layer in enumerate(row)]
-               for i, row in enumerate(rows)]
-    return linalg.layer_rank(widened, field) == \
-        linalg.layer_rank(rows, field) + len(vectors)
+    A vector is layers over x's field of the primary arrow matrices
+    (``Cochains``), flattened arrow by arrow and row-major, over any one
+    denominator; a layer past x's field degree is zero.  The vectors are
+    transversal exactly when rank [d^0 | V] = rank d^0 + len(V), for V the
+    vectors as columns: the rows of d^0 share one denominator and the
+    vectors another, and scaling a column does not change a rank."""
+    cochains = Cochains(x, x)
+    rows, _ = cochains.d0()
+    widened = [[layer + [vec[t][i] if t < len(vec) else 0 for vec in vectors]
+                for t, layer in enumerate(row)] for i, row in enumerate(rows)]
+    return linalg.layer_rank(widened, cochains.field) == \
+        linalg.layer_rank(rows, cochains.field) + len(vectors)
 
 
 def hom_dim(x: Representation, y: Representation) -> int:
-    """Dimension of the space of intertwiners from x to y; when x is y, its
-    coboundary rows leave out the column of the identity
-    (``_orbit_system``)."""
-    if x is y:
-        rows, total, field = _orbit_system(x)
-    else:
-        rows, total, field, _ = _hom_system(x, y)
-    return total - linalg.layer_rank(rows, field)
-
-
-def _cocycle_system(x: Representation, y: Representation):
-    """Equations delta(r) = 0 over the primary arrow unknowns, one row per
-    relation and entry (i, j), in relation order and then row-major, as
-    ``_block_rows`` rows over the returned field; x and y must satisfy the
-    relations.
-
-    By the Leibniz rule, delta(a1...ak) is the sum over positions t of
-    y(a1...a_t-1) delta(a_t) x(a_t+1...ak): a Kronecker block from the prefix
-    products of the word at y and its suffix products at x.  The unknowns
-    are the entries of delta(a) for the primary arrows a, one block per
-    arrow in arrow order, each row-major of shape y.alpha[head] by
-    x.alpha[tail].  An eliminated inverse h of g has
-    delta(h) = -y(h) delta(g) x(h), so position t of h adds
-    -y(a1...a_t) delta(g) x(a_t...ak), and the unit relations of the pair add
-    no rows: delta(g*h - e) is (I - y(gh)) delta(g) x(h) and delta(h*g - e)
-    is y(h) delta(g) (I - x(hg)), zero at valid x and y.  An involution's
-    g*g - e is a unit relation by shape, but g is primary and its rows are
-    not zero.  The field is joined with every relation's, the skipped ones
-    too, so it does not depend on which rows are built."""
-    pres, quiver = x.presentation, x.quiver
-    field = reduce(Field.join, [r.field for r in pres.relations], _common_field(x, y))
-    substitutes = pres.eliminated_inverses()
-    skipped = pres.eliminated_unit_relations()
-    blocks, total = {}, 0
-    for a in quiver.arrows:
-        if a.name not in substitutes:
-            m, width = y.alpha[a.head], x.alpha[a.tail]
-            blocks[a.name] = (total, m, width)
-            total += m * width
-    yl, xl, den = _arrow_layers(field, y.matrices, x.matrices)
-    d = field.degree
-    rows = []
-    for k, r in enumerate(pres.relations):
-        if k in skipped:
-            continue
-        (rh, rt), = r.vertex_pairs()
-        n_rows, n_cols = y.alpha[rh], x.alpha[rt]
-        coeffs, cden = integer_coordinates(r.terms.values(), field)
-        parts = []
-        for w, word in enumerate(r.terms):
-            c, arrows = coeffs[w * d:(w + 1) * d], word.arrows
-            # None marks a product through a 0-dim vertex
-            lefts = _path_products(yl, y.alpha, quiver, field, arrows, word.head)
-            rights = [None] * len(arrows)
-            mat = linalg.identity_layers(n_cols, field) if n_cols else None
-            rights.append(mat)
-            for pos in range(len(arrows) - 1, -1, -1):
-                a = arrows[pos]
-                rows_a = x.alpha[quiver.head(a)]
-                if mat is not None:
-                    mat = linalg.layer_product(
-                        xl[a], mat, rows_a, x.alpha[quiver.tail(a)], n_cols,
-                        field.phi) if rows_a else None
-                rights[pos] = mat
-            for pos, a in enumerate(arrows):
-                if a in substitutes:
-                    part = (substitutes[a], lefts[pos + 1], rights[pos],
-                            [-u for u in c], cden * den ** (len(arrows) + 1))
-                else:
-                    part = (a, lefts[pos], rights[pos + 1], c,
-                            cden * den ** (len(arrows) - 1))
-                if part[1] is not None and part[2] is not None:
-                    parts.append(part)
-        rows += _block_rows(parts, blocks, total, n_rows, n_cols, field)
-    return rows, total, field
+    """Dimension of the space of intertwiners from x to y; x and y must
+    satisfy the relations (``Cochains``)."""
+    return Cochains(x, y).hom()
 
 
 def cocycle_dim(x: Representation, y: Representation) -> int:
     """Dimension of the space of arrow cocycles (first-order deformations
-    of the identity gluing, before dividing by inner derivations).  x and y
-    must satisfy the relations (``check_representation``): the unit
-    relations of eliminated inverse pairs add no rows."""
-    rows, total, field = _cocycle_system(x, y)
-    return total - linalg.layer_rank(rows, field)
+    of the identity gluing, before dividing by inner derivations); x and y
+    must satisfy the relations (``Cochains``)."""
+    return Cochains(x, y).cocycles()
 
 
 def ext1_dim(x: Representation, y: Representation) -> int:
     """dim Ext^1 between two representations, as cocycles mod coboundaries;
     x and y must satisfy the relations, as for ``cocycle_dim``."""
-    return _ext1_dim(x, y, hom_dim(x, y))
-
-
-def _ext1_dim(x: Representation, y: Representation, hom: int) -> int:
-    """dim Ext^1 given dim Hom(x, y): the coboundaries are the image of the
-    sum over v of Hom(x_v, y_v), whose kernel is Hom(x, y)."""
-    inner_source = sum(x.alpha[v] * y.alpha[v] for v in x.quiver.vertices)
-    return cocycle_dim(x, y) - (inner_source - hom)
+    cochains = Cochains(x, y)
+    return cochains.ext1(cochains.hom())
 
 
 def is_simple(rep: Representation) -> bool:
@@ -541,7 +535,7 @@ def local_quiver(m: SemisimpleModule, cone: Presentation | None = None,
     if len(set(names)) != k:
         names = [f"S{idx + 1}" for idx in range(k)]
     # validate has certified hom(S_i, S_j) = [i = j]
-    ext1 = [[_ext1_dim(m.factors[i][0], m.factors[j][0], int(i == j))
+    ext1 = [[Cochains(m.factors[i][0], m.factors[j][0]).ext1(int(i == j))
              for j in range(k)] for i in range(k)]
     arrows = [(f"T{t + 1}" if k == 1 else f"T{j + 1}_{i + 1}_{t + 1}",
                names[i], names[j])

@@ -204,7 +204,7 @@ def tangent_space_dim(p: Presentation, m: Representation) -> int:
 
 
 def orbit_dim(m: Representation) -> int:
-    """Dimension of the base-change orbit: group dimension minus stabilizer."""
+    """Dimension of the base-change orbit; m must satisfy the relations."""
     return gl_dim(m.alpha) - hom_dim(m, m)
 
 

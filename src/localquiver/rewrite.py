@@ -582,17 +582,17 @@ def _minimal_generators(p: Presentation, polys, D: int):
 
     In the shared order, each poly is reduced by one system settled through
     its degree; a nonzero remainder is not in the ideal of the earlier
-    ones, so its monic form is kept and queued.  Returns the kept polys and
-    the system, which ``settle(D)`` completes.
+    ones, and as a normal form it becomes a rule at once, its monic form
+    kept.  Returns the kept polys and the system, which ``settle(D)`` ends.
     """
     quiver = p.quiver
     rs = RewriteSystem(Presentation(quiver, [], field=p.field), D)
     kept: list[NCPoly] = []
     for g in sorted(polys, key=_sort_key(quiver)):
-        red = rs.settle(len(g.leading_word())).reduce(g)
-        if not red.is_zero():
-            kept.append(red.monic())
-            rs.pending.append(kept[-1])
+        field, rest = rs.settle(len(g.leading_word()))._reduce(g)
+        if rest:
+            rs._add(rest, field)
+            kept.append(rs.rules[-1].poly)
     return kept, rs
 
 

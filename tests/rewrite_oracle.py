@@ -32,6 +32,9 @@ generator plus one for the canonical pass, and
 ``oracle_minimal_relation_counts`` one completion per degree, comparing
 irreducible word counts per vertex pair.  Both use the package's
 ``complete``, which the differential tests check separately.
+``queued_minimal_generators`` is ``rewrite._minimal_generators`` as it was
+when each remainder's monic form went back through ``pending``, to be
+reduced again before it became a rule.
 
 The differential tests compare the package against them.
 """
@@ -432,3 +435,17 @@ def avoiding_path_counts(quiver, avoid, D: int, forbidden=()) -> list[int]:
         level = [(arrows + (a.name,), a.tail) for arrows, tail in level
                  for a in quiver.arrows if a.head == tail and a.tail not in avoid]
     return counts
+
+
+def queued_minimal_generators(p: Presentation, polys, D: int):
+    """Minimal generators of the ideal of homogeneous polys, through D,
+    each nonzero remainder kept monic and queued in ``pending``."""
+    quiver = p.quiver
+    rs = RewriteSystem(Presentation(quiver, [], field=p.field), D)
+    kept: list[NCPoly] = []
+    for g in sorted(polys, key=_sort_key(quiver)):
+        red = rs.settle(len(g.leading_word())).reduce(g)
+        if not red.is_zero():
+            kept.append(red.monic())
+            rs.pending.append(kept[-1])
+    return kept, rs

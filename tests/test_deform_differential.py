@@ -1,7 +1,7 @@
 """The series product, the inverse series and the transversality check of
 ``deform`` against the previous paths kept in ``deform_oracle``;
 ``extcalc.transversal_to_orbit`` against the coboundary columns and
-``Echelon`` of ``extcalc_oracle``; the columns of ``extcalc._hom_system``
+``Echelon`` of ``extcalc_oracle``; the columns of ``extcalc.Cochains.d0``
 and ``extcalc_oracle.coboundary_columns`` against coboundaries computed
 here; and the number of relation expansions of the CLI ``deform`` command."""
 
@@ -357,13 +357,29 @@ def test_transversality_matches_the_oracle():
     assert seen == {True, False}
 
 
-def assert_transversal_matches_the_oracle(x, vectors):
-    """Both verdicts on the FieldElem vectors, in layers over one
-    denominator; returns the verdict."""
-    layers, _ = linalg.to_layers([[v] for v in vectors], x.field)
+def assert_transversal_matches_the_oracle(x, vectors, every_arrow):
+    """Both verdicts, the package's on the FieldElem vectors of the primary
+    arrows and the oracle's on the same vectors on every arrow, each in
+    layers over one denominator; returns the verdict."""
+    layers, _ = linalg.to_layers([[v] for v in every_arrow], x.field)
     expected = extcalc_oracle.transversal(x, layers)
+    layers, _ = linalg.to_layers([[v] for v in vectors], x.field)
     assert extcalc.transversal_to_orbit(x, layers) == expected
     return expected
+
+
+def flattened(rho, direction):
+    """A direction flattened arrow by arrow and row-major, on the primary
+    arrows and on every arrow, an eliminated inverse h of g moving as
+    -rho(h) delta(g) rho(h), the first order of the inverse series."""
+    eliminated = rho.presentation.eliminated_inverses()
+    moved = {h: mat_scale(rho.field.elem(-1), linalg.mat_mul(
+        linalg.mat_mul(rho.matrices[h], direction[g]), rho.matrices[h]))
+        for h, g in eliminated.items()}
+    arrows = [a.name for a in rho.quiver.arrows]
+    primary = [a for a in arrows if a not in eliminated]
+    return ([x for a in primary for row in direction[a] for x in row],
+            [x for a in arrows for row in moved.get(a, direction[a]) for x in row])
 
 
 def test_transversal_to_orbit_matches_the_oracle():
@@ -374,9 +390,9 @@ def test_transversal_to_orbit_matches_the_oracle():
     for rho in [heisenberg_simple(m) for m in (2, 3, 4)] + \
             [surface_character(rng, g) for g in (1, 2)]:
         for directions in direction_sets(rng, rho) + [[]]:
+            pairs = [flattened(rho, d) for d in directions]
             seen.add(assert_transversal_matches_the_oracle(
-                rho, [[x for a in rho.quiver.arrows for row in d[a.name] for x in row]
-                      for d in directions]))
+                rho, [p for p, _ in pairs], [e for _, e in pairs]))
     pres = two_vertex_presentation()
     for label, dims in itertools.product(["q", "cyclo:3"],
                                          [{"u": 2, "w": 1}, {"u": 1, "w": 0}]):
@@ -391,7 +407,7 @@ def test_transversal_to_orbit_matches_the_oracle():
             for vectors in ([inside], [outside], [outside, inside],
                             [[u + v for u, v in zip(outside, inside)]],
                             [outside, [u * 2 for u in outside]]):
-                seen.add(assert_transversal_matches_the_oracle(x, vectors))
+                seen.add(assert_transversal_matches_the_oracle(x, vectors, vectors))
     assert seen == {True, False}
 
 
@@ -455,23 +471,27 @@ def test_hom_system_columns_are_the_coboundaries(label, dims_x, dims_y):
     for same in (False, True):
         x = random_rep(rng, pres, dims_x, x_field)
         y = x if same and dims_x == dims_y else random_rep(rng, pres, dims_y, field)
-        rows, total, hom_field, den = extcalc._hom_system(x, y)
-        rows = [linalg.from_layers(layers, den, hom_field, 1, total)[0]
+        cochains = extcalc.Cochains(x, y)
+        rows, width = cochains.d0()
+        hom_field, den = cochains.field, cochains.den
+        rows = [linalg.from_layers(layers, den, hom_field, 1, width)[0]
                 for layers in rows]
         expected = coboundaries(x, y, field)
-        assert total == len(expected)
-        assert all(len(row) == total for row in rows)
+        # at x is y the identity's column, column 0, is left out
+        cut = len(expected) - width
+        assert cut == (x is y and len(expected) > 0)
+        assert all(len(row) == width for row in rows)
         columns = [list(col) for col in zip(*rows)] if rows else \
-            [[] for _ in range(total)]
-        assert len(columns) == total
+            [[] for _ in range(width)]
+        assert len(columns) == width
         r = linalg.rank(columns)
         assert r == linalg.rank(expected) == linalg.rank(columns + expected)
         # the transposed layers are the columns times the rows' one denominator
         layer_columns, col_field = extcalc_oracle.coboundary_columns(x, y)
-        assert col_field == hom_field and len(layer_columns) == total
+        assert col_field == hom_field and len(layer_columns) == len(expected)
         scale = hom_field.from_rational(den)
         assert [linalg.from_layers(layers, 1, hom_field, 1, len(rows))[0]
-                for layers in layer_columns] == \
+                for layers in layer_columns[cut:]] == \
             [[v * scale for v in col] for col in columns]
 
 

@@ -557,3 +557,39 @@ def test_check_representation_converts_the_arrows_once_per_field(monkeypatch):
     calls.clear()
     assert check_representation(rep)
     assert calls == [QQ, f5]
+
+
+def test_representation_rejects_malformed_input():
+    pres, rho = heisenberg_rho11()
+    other = Quiver(["v"], [("X", "v", "v")])
+    mats = dict(rho.matrices)
+    with pytest.raises(ValueError, match="belongs to a different quiver"):
+        Representation(pres, DimVector(other, {"v": 2}), mats)
+    with pytest.raises(ValueError, match="matrix for 'Y' must be 2x2"):
+        Representation(pres, rho.alpha, {**mats, "Y": [[1, 0]]})
+    with pytest.raises(ValueError, match=r"matrices for unknown arrows \['Z'\]"):
+        Representation(pres, rho.alpha, {**mats, "Z": [[1]]})
+    free = Presentation(other, [])
+    point = Representation(free, DimVector(other, {"v": 2}), {"X": [[1, 0], [0, 1]]})
+    with pytest.raises(ValueError, match="presentation mismatch"):
+        hom_dim(point, rho)
+
+
+def test_evaluate_needs_one_vertex_pair():
+    q = Quiver(["u", "w"], [("a", "w", "u")])
+    pres = Presentation(q, [])
+    rep = Representation(pres, DimVector(q, {"u": 1, "w": 1}), {"a": [[2]]})
+    assert rep.evaluate(NCPoly.arrow(q, "a")) == [[QQ.elem(2)]]
+    with pytest.raises(ValueError, match="evaluation needs a single vertex-pair"):
+        rep.evaluate(NCPoly.vertex(q, "u") + NCPoly.vertex(q, "w"))
+
+
+def test_semisimple_module_and_cone_checks():
+    pres, rho = heisenberg_rho11()
+    with pytest.raises(ValueError, match="needs at least one factor"):
+        SemisimpleModule([])
+    with pytest.raises(ValueError, match="multiplicities must be >= 1"):
+        SemisimpleModule([(rho, 0)])
+    cone = Presentation(Quiver(["w"], [("T", "w", "w")]), [])
+    with pytest.raises(ValueError, match="cone presentation vertices must match"):
+        local_quiver(SemisimpleModule([(rho, 1)]), cone=cone)

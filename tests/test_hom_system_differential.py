@@ -1,14 +1,16 @@
-"""The coboundary map d^0 of ``extcalc._hom_system``, written entry by entry
-from the arrow layers, against ``extcalc_oracle.hom_system``, its Kronecker
-block assembly: the same rows layer by layer, the same number of unknowns,
-field and denominator.  ``hom_dim``, ``ext1_dim`` and
-``transversal_to_orbit`` are checked against the rank of the oracle's
-system, and at x = y the rows of ``extcalc._orbit_system`` against the
-oracle's without column 0.  The inputs are every case of
+"""The cochain complex of ``extcalc.Cochains`` against the systems it
+replaced, kept in ``extcalc_oracle``: ``d0()`` is the old Hom rows
+(``entrywise_hom_system``, itself equal to the Kronecker block assembly
+``hom_system``) without the rows of the eliminated inverses and, at x is y,
+without column 0; ``d1()`` is the old cocycle rows
+(``unit_free_cocycle_system``); and d^1 d^0 = 0 exactly.  ``hom_dim``,
+``cocycle_dim``, ``ext1_dim`` and ``transversal_to_orbit`` are checked
+against the ranks of the oracle's systems.  The inputs are every case of
 ``test_hom_system_columns_are_the_coboundaries``, the 0-dim point and
 points whose first vertex has dimension 0, free 2-loop simples, the
-conjugated Heisenberg simples, the genus-2 simple and a two-vertex
-preprojective point."""
+conjugated Heisenberg simples, the genus-2 simple, a two-vertex
+preprojective point, and Heisenberg points on a quiver declared X, X_inv,
+Y, Y_inv, where the primary arrows do not come first."""
 
 import random
 from operator import mul
@@ -17,51 +19,62 @@ import pytest
 
 from localquiver import extcalc, linalg
 from localquiver.extcalc import Representation, check_representation
-from localquiver.ncalg import Presentation, preprojective_relations
+from localquiver.deform import FamilySpec
+from localquiver.ncalg import (NCPoly, Presentation, heisenberg_presentation,
+                               preprojective_relations)
 from localquiver.quiver import DimVector, Quiver
 from localquiver.scalars import QQ, Field
 
 import extcalc_oracle
 from test_acceptance import conjugated_heisenberg
-from test_deform_differential import random_rep, two_vertex_presentation
+from test_deform_differential import (heisenberg_simple, random_rep,
+                                      two_vertex_presentation)
 from test_modular_rank import free_simple
 from test_rank_stops_differential import genus2_simple
 
 
+def complex_product(cochains) -> list:
+    """d^1 d^0 as layers over the field of the complex, from integer layer
+    products; empty when either map has no entries."""
+    d0, width = cochains.d0()
+    d1, c1 = cochains.d1()
+    assert len(d0) == c1
+    if not (d0 and d1 and width):
+        return []
+    degree = cochains.field.degree
+    left = [[v for row in d1 for v in row[t]] for t in range(degree)]
+    right = [[v for row in d0 for v in row[t]] for t in range(degree)]
+    return linalg.layer_product(left, right, len(d1), c1, width, cochains.field.phi)
+
+
 def assert_matches_oracle(x, y):
-    rows, total, field, den = extcalc._hom_system(x, y)
+    rows, total, field, den = extcalc_oracle.entrywise_hom_system(x, y)
     o_rows, o_total, o_field, o_den = extcalc_oracle.hom_system(x, y)
     assert (total, field, den) == (o_total, o_field, o_den)
-    assert len(rows) == len(o_rows)
-    for row, o_row in zip(rows, o_rows):
-        assert len(row) == len(o_row) == field.degree
-        for layer, o_layer in zip(row, o_row):
-            assert layer == o_layer
+    assert rows == o_rows
+    cochains = extcalc.Cochains(x, y)
+    d0_rows, width, d0_field = extcalc_oracle.cochain_d0(x, y)
+    d1_rows, c1, d1_field = extcalc_oracle.unit_free_cocycle_system(x, y)
+    assert cochains.field == d0_field == d1_field
+    assert cochains.d0() == (d0_rows, width)
+    assert cochains.d1() == (d1_rows, c1)
+    assert not any(map(any, complex_product(cochains)))
     rank = linalg.layer_rank(o_rows, o_field)
+    assert linalg.layer_rank(d0_rows, field) == rank
     assert extcalc.hom_dim(x, y) == total - rank
+    cocycles = c1 - linalg.layer_rank(d1_rows, field)
+    assert extcalc.cocycle_dim(x, y) == cocycles
     # Ext^1 = Z^1 / B^1, and B^1 is the image of d^0
-    assert extcalc.ext1_dim(x, y) == extcalc.cocycle_dim(x, y) - rank
-    if x is y:
-        assert_orbit_system_matches_oracle(x)
-
-
-def assert_orbit_system_matches_oracle(x):
-    """d^0 at (x, x) as hom_dim(x, x) and transversal_to_orbit rank it: the
-    oracle's rows without column 0, of the oracle's rank."""
-    rows, total, field = extcalc._orbit_system(x)
-    o_rows, o_total, o_field, _ = extcalc_oracle.hom_system(x, x)
-    assert (total, field) == (o_total, o_field)
-    assert rows == [[layer[1:] for layer in row] for row in o_rows]
-    rank = linalg.layer_rank(o_rows, o_field)
-    assert linalg.layer_rank(rows, field) == rank
-    assert extcalc.hom_dim(x, x) == total - rank
+    assert extcalc.ext1_dim(x, y) == cocycles - rank
 
 
 def assert_transversal_matches_oracle(x, seed):
-    """A random direction, then it and a direction inside B^1 (a sum of
-    coboundary columns): independent modulo B^1 exactly when appending them
-    to the oracle's d^0 as columns raises its rank by their number."""
+    """A random direction on the primary arrows, then it and a direction
+    inside B^1 (a sum of coboundary columns): independent modulo B^1
+    exactly when appending them to the oracle's d^0 on the primary arrows
+    as columns raises its rank by their number."""
     rows, total, field, _ = extcalc_oracle.hom_system(x, x)
+    rows = extcalc_oracle.primary_rows(x, x, rows)
     rng = random.Random(seed)
     size, phi = len(rows), [rng.randrange(-2, 3) for _ in range(total)]
     inside = [[sum(map(mul, layers[t], phi)) for layers in rows]
@@ -111,7 +124,7 @@ def test_orbit_system_drops_the_first_column_of_the_first_vertex_with_a_dimensio
     assert_matches_oracle(x, x)
     assert_transversal_matches_oracle(x, f"{label} {dims}")
     if dims["w"] == 0:
-        assert extcalc._orbit_system(x) == ([], 0, field)
+        assert extcalc.Cochains(x, x).d0() == ([], 0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 6, 12])
@@ -165,3 +178,64 @@ def test_hom_system_matches_the_oracle_at_a_preprojective_point():
         assert_matches_oracle(x, y)
     assert_transversal_matches_oracle(big, 0)
     assert_transversal_matches_oracle(small, 1)
+
+
+def interleaved_heisenberg(m, matrices):
+    """The Heisenberg relations over cyclo:m on a quiver declared X, X_inv,
+    Y, Y_inv, at the matrices given by arrow name: the rows of d^0 for X_inv
+    sit between those of X and Y."""
+    field = Field(m)
+    loops = ["X", "X_inv", "Y", "Y_inv"]
+    q = Quiver(["v"], [(a, "v", "v") for a in loops])
+
+    def word(*arrows):
+        return NCPoly.word(q, list(arrows), field)
+
+    e = NCPoly.vertex(q, "v", field)
+    comm = word("X", "Y", "X_inv", "Y_inv")
+    rels = [word(g, g + "_inv") - e for g in "XY"]
+    rels += [word(g + "_inv", g) - e for g in "XY"]
+    rels += [comm - word("Y", "X_inv", "Y_inv", "X"),
+             comm - word("Y_inv", "X", "Y", "X_inv")]
+    pres = Presentation(q, rels, invertible=loops, flavor="complete", field=field)
+    assert pres.eliminated_inverses() == {"X_inv": "X", "Y_inv": "Y"}
+    return Representation(pres, DimVector(q, {"v": m}), matrices, field=field)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_cochains_match_the_oracle_on_an_interleaved_quiver(m):
+    x = interleaved_heisenberg(m, heisenberg_simple(m).matrices)
+    y = interleaved_heisenberg(m, conjugated_heisenberg(m)[1].matrices)
+    assert check_representation(x) and check_representation(y)
+    for a, b in ((x, x), (x, y), (y, x), (y, y)):
+        assert_matches_oracle(a, b)
+    assert extcalc.hom_dim(x, y) == 1 and extcalc.ext1_dim(x, y) == 2
+    assert_transversal_matches_oracle(x, m)
+    assert_transversal_matches_oracle(y, m)
+
+
+def test_the_genus2_complex_has_the_expected_shape():
+    # C^0 -> C^1 -> C^2 of dimensions 4, 16 and 4 at the simple, with d^0
+    # cut to 3 columns at x is y and whole between two built copies
+    rep = genus2_simple()
+    for y, width in ((rep, 3), (genus2_simple(), 4)):
+        cochains = extcalc.Cochains(rep, y)
+        (d0, d0_width), (d1, c1) = cochains.d0(), cochains.d1()
+        assert (len(d0), d0_width, len(d1), c1) == (16, width, 4, 16)
+        product = complex_product(cochains)
+        assert len(product) == 1 and len(product[0]) == 4 * width
+        assert not any(product[0])
+        assert cochains.hom() == 1 and cochains.ext1(1) == 10
+
+
+def test_transversality_at_a_rational_point_of_a_cyclotomic_presentation():
+    # d^0 is over cyclo:3, the relations' field, and the vectors over the
+    # rationals, x's field: their layers past degree 1 are zero
+    pres = heisenberg_presentation(Field(3))
+    x = Representation(pres, DimVector(pres.quiver, {"v": 2}),
+                       {"X": [[2, 0], [0, 3]], "X_inv": [["1/2", 0], [0, "1/3"]],
+                        "Y": [[5, 0], [0, 7]], "Y_inv": [["1/5", 0], [0, "1/7"]]},
+                       field=QQ)
+    assert check_representation(x) and extcalc.Cochains(x, x).field == Field(3)
+    assert_transversal_matches_oracle(x, 3)
+    assert len(FamilySpec.unit_pattern(x, 2).symbols) == 2

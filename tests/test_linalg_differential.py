@@ -210,8 +210,8 @@ def field_rows(rows, total, field):
 def test_structured_systems_match_the_oracle():
     rho = heisenberg_simple()
     field = rho.field
-    for rows in (field_rows(*extcalc._hom_system(rho, rho)[:3]),
-                 field_rows(*extcalc._cocycle_system(rho, rho))):
+    cochains = extcalc.Cochains(rho, rho)
+    for rows in (field_rows(*cochains.d0(), field), field_rows(*cochains.d1(), field)):
         assert linalg.rank(rows) == oracle.rank(rows)
         assert show(linalg.nullspace(rows, field)) == \
             show(oracle.nullspace(rows, field))
@@ -792,11 +792,11 @@ def test_sparse_rank_nullspace_solve_invert_match_the_dense_kernel(field):
 
 
 def test_heisenberg_systems_match_the_dense_kernel():
-    # the Kronecker-block Hom, cocycle and Jacobian rows of the workloads
+    # the d^0, d^1 and Jacobian rows of the workloads
     rho = heisenberg_simple()
     jacobian, _, _, field = repvariety_oracle.jacobian_system(rho)
-    for rows in (extcalc._hom_system(rho, rho)[0], extcalc._cocycle_system(rho, rho)[0],
-                 jacobian):
+    cochains = extcalc.Cochains(rho, rho)
+    for rows in (cochains.d0()[0], cochains.d1()[0], jacobian):
         kernel, dense = linalg.Echelon(field), oracle.DenseEchelon(field)
         for layers in rows:
             assert kernel.insert(layers) == dense.insert(layers)
@@ -900,8 +900,8 @@ def test_conjugated_heisenberg_systems_match_the_unreduced_row(m):
     # Z[zeta] coordinates are dense (Phi_4 = x^2 + 1 has a zero coefficient)
     pres, rho = conjugated_heisenberg(m)
     jacobian, _, _, field = repvariety_oracle.jacobian_system(rho)
-    for rows in (extcalc._hom_system(rho, rho)[0], extcalc._cocycle_system(rho, rho)[0],
-                 jacobian):
+    cochains = extcalc.Cochains(rho, rho)
+    for rows in (cochains.d0()[0], cochains.d1()[0], jacobian):
         kernel, old = linalg.Echelon(field), oracle.UnreducedZetaEchelon(field)
         for layers in rows:
             kept = len(kernel._rows)  # a forward insert leaves the kept rows as they are

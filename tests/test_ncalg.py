@@ -333,3 +333,14 @@ def test_superpotential_terms_are_cycles_up_to_rotation():
     assert not w.is_zero()
     assert Superpotential(q, QQ, {xy: QQ.elem(1), yx: QQ.elem(-1)}).is_zero()
     assert Superpotential(q).is_zero() and Superpotential(q) == Superpotential(q, QQ, {})
+
+
+def test_presentation_rejects_malformed_input():
+    q = two_loops()
+    with pytest.raises(ValueError, match="flavor must be 'graded' or 'complete'"):
+        Presentation(q, [], flavor="filtered")
+    with pytest.raises(ValueError, match="invertible id 'Z' is not an arrow"):
+        Presentation(q, [], invertible=["Z"])
+    foreign = NCPoly.arrow(Quiver(["v"], [("X", "v", "v")]), "X")
+    with pytest.raises(ValueError, match="relation lives over a different quiver"):
+        Presentation(q, [foreign])

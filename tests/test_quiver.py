@@ -164,3 +164,14 @@ def test_loop_count_matches_rep_dimension_arithmetic():
             q, _ = surface_local_quiver(g, [n])
             loops = loop_count(q, "v1")
             assert dim_rep_preproj(g, n) == loops + n * n - 1
+
+
+def test_quiver_and_dimension_vector_reject_malformed_input():
+    with pytest.raises(ValueError, match="duplicate arrow ids"):
+        Quiver(["v"], [("a", "v", "v"), ("a", "v", "v")])
+    with pytest.raises(ValueError, match="arrow a: undeclared endpoint w/v"):
+        Quiver(["v"], [("a", "w", "v")])
+    q = Quiver(["u", "w"], [("a", "w", "u")])
+    for keys in ({"u": 1}, {"u": 1, "w": 1, "x": 1}):
+        with pytest.raises(ValueError, match="keys must be exactly the vertices"):
+            DimVector(q, keys)

@@ -4,7 +4,7 @@ replaced.
 ``linalg.certified_rank`` decides the rows after corank 1 by one kernel
 vector mod p; ``linalg_oracle.certified_rank`` inserts every row.  The
 density closure of ``extcalc.is_simple`` forms no product once its span
-holds n^2 matrices.  ``extcalc._cocycle_system`` drops the unit relations of
+holds n^2 matrices.  ``extcalc.Cochains.d1`` drops the unit relations of
 the eliminated inverse pairs; ``extcalc_oracle.cocycle_system`` keeps every
 relation.  The Hom and cocycle systems compared are those that the golden
 sessions, the acceptance criteria on Hom and Ext, and the points of the
@@ -79,16 +79,17 @@ def point_pairs():
 
 @pytest.fixture(scope="module")
 def tier1_systems():
-    """(x, y, system) for every ``_hom_system`` and ``_cocycle_system`` that
-    the runs of TIER1_RUNS and the points of ``point_pairs`` build."""
+    """(x, y, name, system) for every ``Cochains.d0`` and ``Cochains.d1``
+    that the runs of TIER1_RUNS and the points of ``point_pairs`` build, a
+    system being (rows, width, field)."""
     systems = []
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("_hom_system", "_cocycle_system"):
-            def recorded(x, y, build=getattr(extcalc, name)):
-                system = build(x, y)
-                systems.append((x, y, system))
-                return system
-            patch.setattr(extcalc, name, recorded)
+        for name in ("d0", "d1"):
+            def recorded(self, name=name, build=getattr(extcalc.Cochains, name)):
+                rows, width = build(self)
+                systems.append((self.x, self.y, name, (rows, width, self.field)))
+                return rows, width
+            patch.setattr(extcalc.Cochains, name, recorded)
         with contextlib.redirect_stdout(io.StringIO()):  # the PASS lines
             for run in TIER1_RUNS:
                 run()
@@ -101,8 +102,13 @@ def tier1_systems():
 # ---- (a) the corank-1 certificate ------------------------------------------
 
 def test_certified_rank_matches_the_oracle_on_tier1_systems(tier1_systems):
+    # each d^0 at x is y also as it was before its identity's column was
+    # cut (the old Hom system): at a simple S it has corank 1
+    systems = [system for *_, system in tier1_systems]
+    systems += [extcalc_oracle.entrywise_hom_system(x, x)[:3]
+                for x, y, name, _ in tier1_systems if name == "d0" and x is y]
     coranks = []
-    for _, _, (rows, total, field, *_) in tier1_systems:
+    for rows, total, field in systems:
         if field.degree == 1:
             ints = [layers[0] for layers in rows]
             got = linalg.certified_rank(ints, total)
@@ -153,9 +159,10 @@ def test_a_row_zero_mod_p_after_corank_one_is_not_certified(width):
 
 
 def test_rows_after_corank_one_are_not_eliminated(monkeypatch):
-    # Hom(S, S) at a simple S: width n^2, rank n^2 - 1, 2 n^2 rows
+    # Hom(S, S') between a simple S and a separately built copy S': width
+    # n^2, rank n^2 - 1, 2 n^2 rows
     rep = free_simple(5, 5)
-    rows, total, _, _ = extcalc._hom_system(rep, rep)
+    rows, total = extcalc.Cochains(rep, free_simple(5, 5)).d0()
     kept_before = []
     insert = linalg.ModEchelon.insert
 
@@ -212,7 +219,7 @@ def test_exact_closure_forms_no_product_once_full(monkeypatch):
 
 def test_skipped_unit_relation_rows_vanish_at_tier1_points(tier1_systems):
     seen = set()
-    for x, y, _ in tier1_systems:
+    for x, y, *_ in tier1_systems:
         skipped = x.presentation.eliminated_unit_relations()
         key = (id(x), id(y))
         if not skipped or key in seen or not (check_representation(x)
@@ -223,8 +230,9 @@ def test_skipped_unit_relation_rows_vanish_at_tier1_points(tier1_systems):
         owned = extcalc_oracle.relation_rows(x, y)
         for k in skipped:
             assert not any(any(map(any, rows[i])) for i in owned[k])
-        new_rows, new_total, new_field = extcalc._cocycle_system(x, y)
-        assert (new_total, new_field) == (total, field)
+        cochains = extcalc.Cochains(x, y)
+        new_rows, new_total = cochains.d1()
+        assert (new_total, cochains.field) == (total, field)
         assert len(new_rows) == len(rows) - sum(len(owned[k]) for k in skipped)
         assert cocycle_dim(x, y) == extcalc_oracle.cocycle_dim(x, y)
         assert ext1_dim(x, y) == extcalc_oracle.ext1_dim(x, y)
@@ -268,12 +276,14 @@ def test_eliminated_unit_relations_are_those_of_the_pairs():
 
 
 def test_cyclotomic_hom_rank_stops_at_the_width(monkeypatch):
-    # d^0 at the conjugated cyclo:4 Heisenberg simple has 64 rows over 16
-    # unknowns; without the identity's column it has full column rank 15,
-    # which its first 19 rows reach, and Echelon takes no row after them
+    # d^0 at the conjugated cyclo:4 Heisenberg simple has 32 rows, those of
+    # X and Y, over 15 unknowns, the identity's column left out; it has full
+    # column rank 15, which its first 19 rows reach, and Echelon takes no
+    # row after them
     _, rho = acceptance.conjugated_heisenberg(4)
-    rows, total, field, _ = extcalc._hom_system(rho, rho)
-    assert (len(rows), total, field.degree) == (64, 16, 2)
+    cochains = extcalc.Cochains(rho, rho)
+    rows, width = cochains.d0()
+    assert (len(rows), width, cochains.field.degree) == (32, 15, 2)
     inserted = []
     insert = linalg.Echelon.insert
 

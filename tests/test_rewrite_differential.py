@@ -22,7 +22,7 @@ from localquiver.scalars import QQ, Field
 
 from rewrite_oracle import (HeapRewriteSystem, _overlaps, _spoly,
                             avoiding_path_counts, heap_reduce, oracle_complete,
-                            oracle_rule, overlap_item)
+                            oracle_rule, overlap_item, queued_minimal_generators)
 
 
 def loops(*names):
@@ -522,6 +522,22 @@ def test_fractional_and_cyclotomic_match_heap_reduction(make, D, monkeypatch):
     new = gr_report(p, D)
     on_field_elements(monkeypatch)
     assert gr_report(p, D) == new
+
+
+# EXISTING without the Heisenberg group, which gr_ideal refuses
+@pytest.mark.parametrize("make, D", EXISTING[:4] + EXISTING[5:] + [
+    (fractional, 7), (cyclo5, 5), (x_squared, 5), (dying_inhomogeneous, 5),
+    (two_vertex_dying, 5)])
+def test_minimal_generators_add_their_remainders_as_rules(make, D, monkeypatch):
+    # a remainder is a normal form: made a rule at once, it gives the rules
+    # and counts that queueing its monic form for another reduction gave
+    p = make()
+    new = gr_report(p, D)
+    counts = rewrite.minimal_relation_counts(p, D) if p.flavor == "graded" else None
+    monkeypatch.setattr(rewrite, "_minimal_generators", queued_minimal_generators)
+    assert gr_report(p, D) == new
+    if counts is not None:
+        assert rewrite.minimal_relation_counts(p, D) == counts
 
 
 def test_group_algebra_unit_relations_match_heap_reduction():
