@@ -17,7 +17,7 @@ from .scalars import Field, FieldElem, QQ, parse_scalar
 from .ncalg import (NCPoly, PathWord, Presentation, Superpotential,
                     cyclic_derivative, cyclic_symmetrize,
                     group_algebra_presentation, heisenberg_presentation,
-                    left_strip, preprojective_relations, right_strip,
+                    preprojective_relations, right_strip,
                     superpotential_relations, surface_group_presentation)
 from .rewrite import (GrIdealReport, RewriteSystem, complete, graded_dims,
                       gr_ideal, is_gradable, minimal_relation_counts,
@@ -25,8 +25,8 @@ from .rewrite import (GrIdealReport, RewriteSystem, complete, graded_dims,
 from .extcalc import (LocalQuiverResult, Representation, SemisimpleModule,
                       check_representation, cocycle_dim, ext1_dim, hom_dim,
                       is_simple, load_representation, local_quiver)
-from .repvariety import (CommPoly, RepIdeal, generic_stab_dim, orbit_dim,
-                         path_function, rep_ideal, tangent_space_dim)
+from .repvariety import (CommPoly, RepIdeal, orbit_dim, path_function,
+                         rep_ideal, tangent_space_dim)
 from .deform import (FamilySpec, TensorSeries, expand_relation,
                      geometric_inverse, load_family, local_model_relations,
                      tangent_cone_relations, ts_multiply)

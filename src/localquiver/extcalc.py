@@ -1,15 +1,16 @@
 """Hom and first Ext spaces between finite-dimensional representations.
 
 A representation assigns an exact matrix to every arrow of a presentation's
-quiver.  A pair (x, y) has one cochain complex C^0 -> C^1 -> C^2
-(``Cochains``): Hom is the kernel of the coboundary map d^0, and Ext^1 the
-arrow cocycles (the kernel of the Leibniz map d^1) modulo its image; at
-x = y the cocycles are the tangent space of the representation scheme.
-C^1 holds only the primary arrows: formal inverses of invertible arrows are
-eliminated, since wherever x and y satisfy the relations, which every Hom,
-Ext and cocycle count assumes, an inverse's rows of d^0 follow from its
-partner's and the unit relations of the pair give d^1 no rows.  At x = y,
-d^0 leaves out the identity's column.
+quiver, over the join of the presentation's field and its entries'.  A pair
+(x, y) has one cochain complex C^0 -> C^1 -> C^2 (``Cochains``), over the
+join of x's and y's fields: Hom is the kernel of the coboundary map d^0,
+and Ext^1 the arrow cocycles (the kernel of the Leibniz map d^1) modulo its
+image; at x = y the cocycles are the tangent space of the representation
+scheme.  C^1 holds only the primary arrows: formal inverses of invertible
+arrows are eliminated, since wherever x and y satisfy the relations, which
+every Hom, Ext and cocycle count assumes, an inverse's rows of d^0 follow
+from its partner's and the unit relations of the pair give d^1 no rows.  At
+x = y, d^0 leaves out the identity's column.
 
 Simplicity is certified by a density argument: a representation of total
 dimension n is simple exactly when the matrices of all paths span the full
@@ -35,7 +36,11 @@ from .scalars import Field, FieldElem, integer_coordinates, parse_scalar
 
 
 class Representation:
-    """A point of the representation space of a presentation."""
+    """A point of the representation space of a presentation.
+
+    Its field is the join of the presentation's, the given ``field`` and
+    those of the entries, so every relation is over it; a point that mixes
+    cyclotomic orders is rejected here."""
 
     __slots__ = ("presentation", "alpha", "matrices", "field", "name")
 
@@ -47,14 +52,10 @@ class Representation:
         self.presentation = presentation
         self.alpha = alpha
         self.name = name
-        if field is None:
-            field = presentation.field
-            for mat in matrices.values():
-                for row in mat:
-                    for x in row:
-                        if isinstance(x, FieldElem) and not x.field.is_rational:
-                            field = x.field
-        self.field = field
+        self.field = field = reduce(
+            Field.join, [x.field for mat in matrices.values() for row in mat
+                         for x in row if isinstance(x, FieldElem)],
+            presentation.field.join(field or presentation.field))
         self.matrices = {}
         for arrow in presentation.quiver.arrows:
             if arrow.name not in matrices:
@@ -78,25 +79,25 @@ class Representation:
         return self.alpha.total()
 
     def evaluate(self, poly: NCPoly):
-        """The matrix of a single-vertex-pair polynomial at this point."""
-        value = self._value(poly, {})
+        """The matrix of a single-vertex-pair polynomial at this point, over
+        the join of the two fields."""
+        field = self.field.join(poly.field)
+        value = self._value(poly, field, *_arrow_layers(
+            field, self.matrices, self.matrices)[1:])
         return None if value is None else linalg.from_layers(*value)
 
-    def _value(self, poly: NCPoly, converted: dict):
+    def _value(self, poly: NCPoly, field: Field, layers: dict, den: int):
         """``evaluate`` in coordinates: (layers, den, field, rows, cols), the
-        arguments of ``linalg.from_layers``, or None for the zero polynomial.
-        The arrow layers over the joined field are read from ``converted``,
-        keyed by field, and put there when missing."""
+        arguments of ``linalg.from_layers``, or None for the zero polynomial,
+        from the arrow layers over a field that holds poly's and their
+        denominator."""
         pairs = poly.vertex_pairs()
         if len(pairs) > 1:
             raise ValueError("evaluation needs a single vertex-pair polynomial")
         if not pairs:
             return None
         (head, tail), = pairs
-        field, alpha = self.field.join(poly.field), self.alpha
-        if field not in converted:
-            converted[field] = _arrow_layers(field, self.matrices, self.matrices)[1:]
-        layers, den = converted[field]
+        alpha = self.alpha
         coeffs, cden = integer_coordinates(poly.terms.values(), field)
         parts = [(coeffs[k * field.degree:(k + 1) * field.degree],
                   _path_products(layers, alpha, self.quiver, field, word.arrows,
@@ -163,10 +164,13 @@ class CheckResult:
 
 def check_representation(rep: Representation) -> CheckResult:
     """Exact verification of all relations and invertibility constraints;
-    a relation's value is tested on its integer coordinates."""
-    failures, converted = [], {}
-    for k, r in enumerate(rep.presentation.relations):
-        value = rep._value(r, converted)
+    a relation's value is tested on its integer coordinates, from one
+    conversion of the arrows over the point's field."""
+    failures, relations = [], rep.presentation.relations
+    if relations:
+        _, layers, den = _arrow_layers(rep.field, rep.matrices, rep.matrices)
+    for k, r in enumerate(relations):
+        value = rep._value(r, rep.field, layers, den)
         if value is not None and any(map(any, value[0])):
             failures.append(f"relation {k} ({r}) does not vanish")
     failures += _singular_invertibles(rep)
@@ -238,8 +242,8 @@ class Cochains:
     eliminated as formal inverses, y.alpha[head] by x.alpha[tail], in arrow
     order; C^2 the entries of the relations other than the unit relations
     of eliminated pairs.  Blocks are row-major.  Both maps are integer
-    layer rows over one field, the join of x's, y's and every relation's,
-    from arrow layers converted once."""
+    layer rows over one field, the join of x's and y's, which holds every
+    relation, from arrow layers converted once."""
 
     __slots__ = ("x", "y", "field", "substitutes", "c0", "yl", "xl", "den")
 
@@ -248,8 +252,7 @@ class Cochains:
         if px is not py and (px.quiver, px.relations) != (py.quiver, py.relations):
             raise ValueError("presentation mismatch between the representations")
         self.x, self.y = x, y
-        self.field = reduce(Field.join, [r.field for r in px.relations],
-                            x.field.join(y.field))
+        self.field = x.field.join(y.field)
         self.substitutes = px.eliminated_inverses()
         self.c0 = sum(x.alpha[v] * y.alpha[v] for v in x.quiver.vertices)
         self.yl, self.xl, self.den = _arrow_layers(self.field, y.matrices, x.matrices)

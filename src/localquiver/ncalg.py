@@ -3,7 +3,8 @@
 Elements are finitely supported linear combinations of composable path words
 over a fixed quiver; length-zero words are the vertex idempotents.  On top of
 the ring arithmetic this module provides the superpotential calculus (cyclic
-symmetrization, arrow strips, cyclic derivatives) and generators for the
+symmetrization, right strips, cyclic derivatives), presentations, each over
+the join of its given field and its relations' fields, and generators for the
 standard relation families: preprojective relations of a doubled quiver,
 superpotential relations, and the surface / Heisenberg group algebras.
 
@@ -16,6 +17,7 @@ homogeneous polynomials this is the usual degree-lex leading word.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Iterable
 
 from .quiver import Quiver
@@ -277,27 +279,14 @@ class NCPoly:
         return f"NCPoly({self})"
 
 
-def _strip(p: NCPoly, b: str, end: int) -> NCPoly:
-    """Strip arrow b from the left (end 0) or right (end -1) of every word;
-    non-matching words die.  Stripping a one-arrow word leaves an idempotent."""
-    quiver = p.quiver
+def right_strip(p: NCPoly, b: str) -> NCPoly:
+    """Strip arrow b from the right of every word; non-matching words die.
+    Stripping a one-arrow word leaves an idempotent."""
     terms: dict[PathWord, FieldElem] = {}
     for w, c in p.terms.items():
-        if w.arrows and w.arrows[end] == b:
-            nw = (PathWord(w.arrows[:-1], w.head, quiver.head(b)) if end
-                  else PathWord(w.arrows[1:], quiver.tail(b), w.tail))
-            accumulate(terms, nw, c)
-    return NCPoly.from_terms(quiver, p.field, terms)
-
-
-def right_strip(p: NCPoly, b: str) -> NCPoly:
-    """Strip arrow b from the right of every word; non-matching words die."""
-    return _strip(p, b, -1)
-
-
-def left_strip(b: str, p: NCPoly) -> NCPoly:
-    """Strip arrow b from the left of every word."""
-    return _strip(p, b, 0)
+        if w.arrows and w.arrows[-1] == b:
+            accumulate(terms, PathWord(w.arrows[:-1], w.head, p.quiver.head(b)), c)
+    return NCPoly.from_terms(p.quiver, p.field, terms)
 
 
 class Superpotential:
@@ -370,8 +359,10 @@ class Presentation:
 
     Relations are split on input so that every stored relation is supported
     on a single (head, tail) vertex pair; zero components are dropped.  The
-    graded flavor additionally requires homogeneous relations.  Admissibility
-    (all relations in the square of the arrow ideal) is a checked property,
+    field is the join of the given one (the rationals by default) and those
+    of the relations, and every stored relation is over it.  The graded
+    flavor additionally requires homogeneous relations.  Admissibility (all
+    relations in the square of the arrow ideal) is a checked property,
     not an assumption: group-algebra presentations carry unit relations with
     constant terms and are legitimately not admissible.
     """
@@ -393,14 +384,13 @@ class Presentation:
         for r in relations:
             if r.quiver != quiver:
                 raise ValueError("relation lives over a different quiver")
-            if field is None:
-                field = r.field
             for head, tail in sorted(r.vertex_pairs()):
                 comp = r.component(head, tail)
                 if not comp.is_zero():
                     split.append(comp)
-        self.field = field if field is not None else QQ
-        self.relations = tuple(split)
+        self.field = reduce(Field.join, [r.field for r in split], field or QQ)
+        self.relations = tuple(r if r.field == self.field else
+                               NCPoly(quiver, self.field, r.terms) for r in split)
         if flavor == "graded":
             for r in self.relations:
                 if not r.is_homogeneous():

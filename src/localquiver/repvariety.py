@@ -206,10 +206,3 @@ def tangent_space_dim(p: Presentation, m: Representation) -> int:
 def orbit_dim(m: Representation) -> int:
     """Dimension of the base-change orbit; m must satisfy the relations."""
     return gl_dim(m.alpha) - hom_dim(m, m)
-
-
-def generic_stab_dim(gl_alpha: int, rep_dim_at_m: int, iss_dim_at_m: int) -> int:
-    """Generic stabilizer dimension from the standard count: the group
-    dimension, minus the local dimension of the representation scheme, plus
-    the local dimension of the quotient."""
-    return gl_alpha - rep_dim_at_m + iss_dim_at_m

@@ -34,7 +34,8 @@ tail.  A settled value keeps the denominator it had then.  A normal form is
 converted back to field elements once, when ``reduce`` returns it; in the
 completion, critical-pair and pending remainders stay integers, each new
 ``Rule`` is built from them, and its monic polynomial is built on first
-read.
+read.  Every rule is over the presentation's field, which holds every
+relation; an input over a larger field is reduced over the join.
 
 Settling by degree.  ``RewriteSystem.settle(top)`` runs the completion only
 through the critical pairs of degree <= top, and more polynomials may be
@@ -208,13 +209,12 @@ class RewriteSystem:
     the irreducible words of the pair degree ``checked`` as (code, tail
     vertex) pairs, ``dead`` the first degree with none (module docstring),
     ``table`` the lead table (see ``_add``), ``memo`` the verdict of the
-    table on each word code met since it last changed (see ``_normal``),
-    ``joined`` the join of the system's and the rules' fields.
+    table on each word code met since it last changed (see ``_normal``).
     """
 
     __slots__ = ("presentation", "degree_bound", "rules", "live", "pending",
                  "pairs", "counter", "checked", "survivors", "dead", "codes",
-                 "table", "memo", "joined")
+                 "table", "memo")
 
     def __init__(self, presentation: Presentation, degree_bound: int):
         self.presentation = presentation
@@ -226,7 +226,7 @@ class RewriteSystem:
         self.counter = itertools.count()
         self.checked, self.survivors, self.dead = 0, [], degree_bound + 1
         self.codes = WordCodes(presentation.quiver, degree_bound)
-        self.table, self.memo, self.joined = {}, {}, presentation.field
+        self.table, self.memo = {}, {}
 
     @property
     def quiver(self) -> Quiver:
@@ -243,8 +243,8 @@ class RewriteSystem:
         early stop).  ``skip_lead`` disables the rule with that leading word,
         so only words above the bound are; the canonicalization pass uses it
         to tail-reduce a generator against the other generators only.
-        Fields are joined first, so a mix with no common field raises
-        ValueError whether or not a rule fires.
+        The input's field is joined with the system's first, so a mix with
+        no common field raises ValueError whether or not a rule fires.
         """
         return self.codes.poly(*self._reduce(poly, skip_lead))
 
@@ -253,7 +253,7 @@ class RewriteSystem:
         keyed by their word codes, which are also their places in the heap.
         A skipped lead is dropped from a copy of the lead table, which gets
         its own memo."""
-        field, table, memo = poly.field.join(self.joined), self.table, self.memo
+        field, table, memo = poly.field.join(self.field), self.table, self.memo
         code, bound = self.codes.code, self.dead - 1
         if skip_lead is not None and table.get(skip := code(skip_lead)):
             table, memo = dict(table), {}  # a lead, not a prefix
@@ -344,13 +344,13 @@ class RewriteSystem:
         return out
 
     def _pair(self, item) -> list:
-        """The normal form, as ``_normal`` triples over ``joined``, of the
+        """The normal form, as ``_normal`` triples over ``field``, of the
         S-polynomial r1*right - left*r2 of a critical pair (r1, L, r2).
         Reduction is linear and rewrites the overlap word with r1 first, so
         r1*right reduces to zero, and this is the normal form of -left*r2,
         formed on codes."""
         r1, L, r2 = item
-        off, pw, field = self.codes.offsets, self.codes.powers, self.joined
+        off, pw, field = self.codes.offsets, self.codes.powers, self.field
         n, m2 = len(r1.lead.arrows) - L, len(r2.lead.arrows)
         left = (r1.code - off[n + L]) // pw[L]
         one = (1 if field.is_rational else
@@ -363,8 +363,8 @@ class RewriteSystem:
         return self._normal(terms, r2.scale, self.table, self.memo, field,
                             self.dead - 1)
 
-    def _add(self, terms: list, field: Field):
-        """Make a nonzero normal form over field (``_normal`` triples) a
+    def _add(self, terms: list):
+        """Make a nonzero normal form over ``field`` (``_normal`` triples) a
         rule: the rules its lead divides go back to pending, its critical
         pairs below ``dead`` are queued, and it strikes the survivors it
         divides.  The lead table maps lead codes to (lead length, rule) and
@@ -372,7 +372,7 @@ class RewriteSystem:
         lengthens a scan.  The table changes here only, so the memo of its
         verdicts starts afresh."""
         quiver, bound, codes = self.quiver, self.dead - 1, self.codes
-        rule, self.memo = Rule(terms, field, codes), {}
+        rule, self.memo = Rule(terms, self.field, codes), {}
         for old in self.rules:
             if _word_divides(rule.lead, old.lead, quiver):
                 self.pending.append(old.poly)
@@ -385,9 +385,7 @@ class RewriteSystem:
         for a in rule.lead.arrows[:-1]:
             w = w * codes.base + codes.rank[a]
             self.table.setdefault(w, None)
-        self.joined = self.field
         for other in self.rules:
-            self.joined = self.joined.join(other.field)
             for deg, item in _overlaps(rule, other, bound):
                 heapq.heappush(self.pairs, (deg, next(self.counter), item))
             if other is not rule:
@@ -425,7 +423,7 @@ class RewriteSystem:
         pairs, live = self.pairs, self.live
         while self.pending or (pairs and pairs[0][0] <= top):
             if self.pending:
-                field, rest = self._reduce(self.pending.popleft())
+                _, rest = self._reduce(self.pending.popleft())
             else:
                 if pairs[0][0] > self.checked:
                     self._watch(pairs[0][0])
@@ -433,9 +431,9 @@ class RewriteSystem:
                 _, _, item = heapq.heappop(pairs)
                 if item[0] not in live or item[2] not in live:
                     continue
-                field, rest = self.joined, self._pair(item)
+                rest = self._pair(item)
             if rest:
-                self._add(rest, field)
+                self._add(rest)
         return self
 
 
@@ -589,9 +587,9 @@ def _minimal_generators(p: Presentation, polys, D: int):
     rs = RewriteSystem(Presentation(quiver, [], field=p.field), D)
     kept: list[NCPoly] = []
     for g in sorted(polys, key=_sort_key(quiver)):
-        field, rest = rs.settle(len(g.leading_word()))._reduce(g)
+        _, rest = rs.settle(len(g.leading_word()))._reduce(g)
         if rest:
-            rs._add(rest, field)
+            rs._add(rest)
             kept.append(rs.rules[-1].poly)
     return kept, rs
 

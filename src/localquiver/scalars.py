@@ -17,8 +17,9 @@ Over a field of degree 1 (the rationals, cyclo:1 and cyclo:2) arithmetic
 works on the single coefficient.
 
 Mixing two cyclotomic fields of different order is rejected.  Rationals embed
-into any cyclotomic field and are coerced silently; ``Field.join`` names the
-field a mix lands in, and ``Field.from_label`` turns a tag (``q`` or
+into any cyclotomic field and are coerced silently.  ``Field.join`` names the
+field a mix lands in; a presentation and a point take it once, when they are
+built, over all their data.  ``Field.from_label`` turns a tag (``q`` or
 ``cyclo:m``, as printed by ``Field.label``) back into a field.
 
 The polynomial types of the package are dicts from monomials to nonzero

@@ -290,13 +290,13 @@ class HeapRewriteSystem(RewriteSystem):
     reduce = heap_reduce
 
     def _reduce(self, poly, skip_lead=None):
-        field = poly.field.join(self.joined)
+        field = poly.field.join(self.field)
         return field, integer_terms(self.codes,
                                     heap_reduce(self, poly, skip_lead), field)
 
     def _pair(self, item):
         s = _spoly(overlap_item(self.quiver, item), self.field)
-        return integer_terms(self.codes, heap_reduce(self, s), self.joined)
+        return integer_terms(self.codes, heap_reduce(self, s), self.field)
 
 
 def oracle_complete(p: Presentation, D: int) -> OracleRewriteSystem:

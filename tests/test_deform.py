@@ -460,6 +460,26 @@ def test_series_over_another_field_is_rejected():
     with pytest.raises(ValueError, match="series for 'X' has order 2, .* field"):
         FamilySpec(fs.base, series, 2)
 
+
+def test_a_rational_point_of_a_cyclotomic_presentation():
+    # the 1-dim Heisenberg point X = 2, Y = 3 given over the rationals is a
+    # cyclo:3 point, so its family expands the cyclo:3 relations; the
+    # local model and cone are those of the point given over cyclo:3
+    K = Field(3)
+    pres = heisenberg_presentation(K)
+    mats = {"X": [[2]], "X_inv": [["1/2"]], "Y": [[3]], "Y_inv": [["1/3"]]}
+    expected = ["T1^2*T2 - 2*T1*T2*T1 + T2*T1^2",
+                "T1*T2^2 - 2*T2*T1*T2 + T2^2*T1"]
+    for field in (QQ, K):
+        rho = Representation(pres, DimVector(pres.quiver, {"v": 1}), mats,
+                             field=field)
+        assert rho.field == K
+        fs = FamilySpec.unit_pattern(rho, 3)
+        assert [str(r) for r in local_model_relations(fs)] == expected
+        cone = tangent_cone_relations(fs)
+        assert [str(g) for g in cone.generators] == expected and cone.gradable
+
+
 def entrywise_family():
     """The unit family, K = 2, of the commutator relation at a base point
     whose word values are not scalar."""

@@ -507,8 +507,9 @@ def test_zero_dimensional_vertex_inside_a_path():
 
 
 def test_representation_over_a_subfield_of_the_relations():
-    # a rational point of a cyclo:5 presentation: relations evaluate in
-    # cyclo:5; a cyclo:3 point mixes orders and is rejected
+    # a rational point of a cyclo:5 presentation is a cyclo:5 point, and
+    # its relations evaluate there; a cyclo:3 point mixes orders and is
+    # rejected when it is built
     f5 = Field(5)
     q = Quiver(["v"], [("X", "v", "v"), ("Y", "v", "v")])
     X, Y = NCPoly.arrow(q, "X", f5), NCPoly.arrow(q, "Y", f5)
@@ -516,16 +517,16 @@ def test_representation_over_a_subfield_of_the_relations():
     pres = Presentation(q, [rel], flavor="graded", field=f5)
     mats = {"X": [[0]], "Y": [[1]]}
     rep = Representation(pres, DimVector(q, {"v": 1}), mats, field=QQ)
+    assert rep.field == f5
     assert check_representation(rep)
     (value,), = rep.evaluate(rel + Y * Y)
     assert value.field == f5 and value.is_one()
     assert cocycle_dim(rep, rep) == 1 == tangent_space_dim(pres, rep)
-    mixed = Representation(pres, DimVector(q, {"v": 1}), mats, field=Field(3))
-    for call in (lambda: check_representation(mixed),
-                 lambda: cocycle_dim(mixed, mixed),
-                 lambda: tangent_space_dim(pres, mixed)):
-        with pytest.raises(ValueError):
-            call()
+    with pytest.raises(ValueError, match="mixed cyclotomic orders 5 and 3"):
+        Representation(pres, DimVector(q, {"v": 1}), mats, field=Field(3))
+    with pytest.raises(ValueError, match="mixed cyclotomic orders 5 and 3"):
+        Representation(pres, DimVector(q, {"v": 1}),
+                       {"X": [[Field(3).zeta()]], "Y": [[1]]})
 
 
 def test_check_representation_converts_the_arrows_once_per_field(monkeypatch):
@@ -545,7 +546,7 @@ def test_check_representation_converts_the_arrows_once_per_field(monkeypatch):
     assert check_representation(rho)
     assert calls == [rho.field] * 5
     # relations over the rationals and over cyclo:5 at a rational point:
-    # one conversion per joined field
+    # the presentation and the point are over cyclo:5, one conversion
     f5 = Field(5)
     q = Quiver(["v"], [("X", "v", "v"), ("Y", "v", "v")])
     X, Y = NCPoly.arrow(q, "X"), NCPoly.arrow(q, "Y")
@@ -556,7 +557,13 @@ def test_check_representation_converts_the_arrows_once_per_field(monkeypatch):
                          field=QQ)
     calls.clear()
     assert check_representation(rep)
-    assert calls == [QQ, f5]
+    assert calls == [f5]
+    # a free algebra has no relations to evaluate: no conversion
+    free = Representation(Presentation(q, []), DimVector(q, {"v": 2}),
+                          {"X": [[1, 2], [3, 4]], "Y": [[0, 1], [1, 0]]})
+    calls.clear()
+    assert check_representation(free)
+    assert calls == []
 
 
 def test_representation_rejects_malformed_input():

@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 from localquiver.ncalg import (NCPoly, PathWord, Presentation, Superpotential,
                                cyclic_derivative, cyclic_symmetrize,
                                group_algebra_presentation,
-                               heisenberg_presentation, left_strip,
+                               heisenberg_presentation,
                                preprojective_relations, right_strip,
                                superpotential_relations,
                                surface_group_presentation)
 from localquiver.quiver import Quiver
 from localquiver.scalars import QQ, Field
+
+from ncalg_oracle import left_strip
 
 
 def two_loops():
@@ -333,6 +335,22 @@ def test_superpotential_terms_are_cycles_up_to_rotation():
     assert not w.is_zero()
     assert Superpotential(q, QQ, {xy: QQ.elem(1), yx: QQ.elem(-1)}).is_zero()
     assert Superpotential(q).is_zero() and Superpotential(q) == Superpotential(q, QQ, {})
+
+
+def test_presentation_field_is_the_join_of_its_relations():
+    q, K = two_loops(), Field(3)
+    x, y = NCPoly.arrow(q, "X"), NCPoly.arrow(q, "Y")
+    xk, yk = NCPoly.arrow(q, "X", K), NCPoly.arrow(q, "Y", K)
+    rational, cyclo = x * y - y * x, xk * yk - (yk * xk).scale(K.zeta())
+    for rels, field, joined in [([], None, QQ), ([rational], None, QQ),
+                                ([rational], K, K), ([rational, cyclo], None, K),
+                                ([cyclo, rational], QQ, K)]:
+        pres = Presentation(q, rels, field=field)
+        assert pres.field == joined
+        assert [str(r) for r in pres.relations] == [str(r) for r in rels]
+        assert all(r.field == joined for r in pres.relations)
+    with pytest.raises(ValueError, match="mixed cyclotomic orders 5 and 3"):
+        Presentation(q, [cyclo], field=Field(5))
 
 
 def test_presentation_rejects_malformed_input():

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 from localquiver.extcalc import Representation, cocycle_dim
 from localquiver.ncalg import NCPoly, PathWord, Presentation
 from localquiver.quiver import DimVector, Quiver
-from localquiver.repvariety import (CommPoly, generic_stab_dim, orbit_dim,
-                                    path_function, rep_ideal,
-                                    tangent_space_dim)
+from localquiver.repvariety import (CommPoly, orbit_dim, path_function,
+                                    rep_ideal, tangent_space_dim)
 from localquiver.scalars import QQ, Field
 
 from repvariety_oracle import differentiate, evaluate
@@ -194,12 +193,6 @@ def test_orbit_dim_examples():
                         {"X": [["1", "0"], ["0", "5"]],
                          "Y": [["2", "0"], ["0", "7"]]})
     assert orbit_dim(st) == 4 - 2
-
-
-def test_generic_stab_dim():
-    assert generic_stab_dim(4, 6, 2) == 0
-    assert generic_stab_dim(1, 9, 9) == 1
-    assert generic_stab_dim(16, 16, 0) == 0
 
 
 def test_tangent_matches_cocycles_on_named_cases():

@@ -635,8 +635,9 @@ def unit_loops_reordered():
 
 
 def mixed_fields():
-    """A rational relation first, so the system field is the rationals and
-    later rules are cyclotomic: pairs mix int and CycloInt tails."""
+    """A rational relation first and cyclotomic ones after it: the
+    presentation is over cyclo:3, so every rule is, and no pair mixes int
+    and CycloInt tails."""
     K = Field(3)
     return Presentation(XYZ, [NCPoly.word(XYZ, ["X", "Y"]) -
                               NCPoly.word(XYZ, ["Y", "X"], coeff=2),
@@ -645,6 +646,17 @@ def mixed_fields():
                               NCPoly.word(XYZ, ["X", "Z"], K, coeff=3) -
                               NCPoly.word(XYZ, ["Z", "Z"], K)],
                         flavor="graded")
+
+
+
+@pytest.mark.parametrize("D", [4, 5, 6])
+def test_mixed_fields_complete_over_one_field(D):
+    p = mixed_fields()
+    assert p.field == Field(3) and all(r.field == p.field for r in p.relations)
+    rs = complete(p, D)
+    assert all(rule.field == p.field for rule in rs.rules)
+    assert [str(r.poly) for r in rs.rules] == [
+        "X*Y - 2*Y*X", "Y*Z - zeta*Z*Y", "X*Z - 1/3*Z^2", "Z^2*Y"]
 
 
 @pytest.mark.parametrize("make, D", [
@@ -729,14 +741,14 @@ def test_integer_pairs_match_oracle_spoly(make, D, monkeypatch):
     """Every pair popped in the completion reduces to the normal form of
     the oracle's S-polynomial r1*right - left*r2, by the package's reduce
     and by the field-element heap reduction; the pair's integer triples
-    are turned into a polynomial over ``joined`` first."""
+    are turned into a polynomial over ``field`` first."""
     pair = rewrite.RewriteSystem._pair
     seen = []
 
     def both(self, item):
         new = pair(self, item)
         s = _spoly(overlap_item(self.quiver, item), self.field)
-        assert (str(self.codes.poly(self.joined, new)) == str(self.reduce(s))
+        assert (str(self.codes.poly(self.field, new)) == str(self.reduce(s))
                 == str(heap_reduce(self, s)))
         seen.append(not new)
         return new

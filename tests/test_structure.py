@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from localquiver.ncalg import (NCPoly, PathWord, Superpotential, canonical_cycle,
-                               cyclic_derivative, preprojective_relations)
+from localquiver.ncalg import (NCPoly, PathWord, Presentation, Superpotential,
+                               canonical_cycle, cyclic_derivative,
+                               preprojective_relations)
 from localquiver.quiver import Quiver
-from localquiver.scalars import QQ
+from localquiver.scalars import QQ, Field
 from localquiver.structure import (_symplectic_pairs, extract_quadratic,
                                    preprojective_form, superpotential_form)
 
@@ -69,6 +70,24 @@ def test_preprojective_form_canonical():
         assert verdict.pairs == quiver.star_pairs()
         assert all(c.is_one() for c in verdict.vertex_scalars.values())
         assert all(str(p) == a for a, p in verdict.base_change.items())
+
+
+
+def test_preprojective_form_of_a_presentation_over_two_fields():
+    # the vertex-1 relation of the doubled A2 quiver over the rationals and
+    # the vertex-2 one times zeta: the presentation holds both over cyclo:3,
+    # and the verdict is the one on the two relations built over cyclo:3
+    K = Field(3)
+    qd = Quiver(["1", "2"], [("a", "1", "2")]).double()
+    r1, r2 = preprojective_relations(qd)
+    pres = Presentation(qd, [r1, r2.scale(K.zeta())])
+    verdict = preprojective_form(list(pres.relations))
+    k1, k2 = preprojective_relations(qd, K)
+    over_k = preprojective_form([k1, k2.scale(K.zeta())])
+    assert verdict.to_json() == over_k.to_json()
+    assert {v: str(c) for v, c in verdict.vertex_scalars.items()} == \
+        {"1": "zeta", "2": "1"}
+    assert len(verdict.pairs) == 1
 
 
 def test_preprojective_form_guards_and_counterexample():
